@@ -3,7 +3,8 @@ attractors for Fuchsian signatures with at least one cusp."""
 
 from .errors import (CustomPointOutOfRange, DegenerateGeodesic, DiagonalPoint,
                      FuchsianError, InvalidSignature, NoIsometricCircle,
-                     NonFinite, NotElliptic, PartitionOutOfGuaranteeRange)
+                     NonFinite, NotElliptic, PartitionOutOfGuaranteeRange,
+                     TilingViolation)
 from .mobius import (BoundaryPoint, Classification, DiskPoint,
                      EuclideanCircle, Geodesic, MoebiusPSU,
                      geodesic_from_boundary_pair, geodesic_through_interior)

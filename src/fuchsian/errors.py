@@ -37,6 +37,10 @@ class DiagonalPoint(FuchsianError):
     """The two coordinates of a planar point coincide on the circle."""
 
 
+class TilingViolation(FuchsianError):
+    """The w-arcs of the attractor's rectangles do not tile the circle."""
+
+
 class PartitionOutOfGuaranteeRange(UserWarning):
     """Some elliptic partition point lies outside its [P, Q] arc.
 

@@ -6,12 +6,21 @@ finite union of closed arc-rectangles, one horizontal strip per building
 block, each strip the diagonal-rotation image of a standard-position strip.
 Membership on rectangle edges counts as inside; all tiling statements hold
 up to angular measure zero.
+
+The simulation runs on arrays of states.  One step helper applies the
+gluings; one membership kernel, built per call from a rectangle list and the
+active structural tolerance, tests the states.  It relies on the w-arcs
+tiling the circle (``build_attractor`` checks this for the attractor; the
+escape set's w-arcs are the partition cells), so a binary search on w finds
+the one candidate rectangle and only a window of neighbours, fixed by the
+data, is rechecked.  Its verdicts equal those of testing every rectangle.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +30,8 @@ from .arcs import (DirectedArc, Rect, clip_to_u_band, max_pairwise_overlap,
                    region_intersection_measure, region_measure,
                    symmetric_difference_measure)
 from .boundary import CycleData, Partition, cycle
-from .errors import DiagonalPoint, NotElliptic, PartitionOutOfGuaranteeRange
+from .errors import (DiagonalPoint, NotElliptic, PartitionOutOfGuaranteeRange,
+                     TilingViolation)
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import INFINITY, SQUARE, Block, MarkedPolygon
 
@@ -64,13 +74,6 @@ class AttractorDomain:
                  tol: float | None = None) -> bool:
         t = tol if tol is not None else tolerances.active().structural
         return any(r.contains(theta_u, theta_w, t) for r in self.rects)
-
-    def membership_arrays(self):
-        us = np.array([r.u_arc.start.theta for r in self.rects])
-        usw = np.array([r.u_arc.sweep for r in self.rects])
-        ws = np.array([r.w_arc.start.theta for r in self.rects])
-        wsw = np.array([r.w_arc.sweep for r in self.rects])
-        return us, usw, ws, wsw
 
     def to_dict(self) -> dict:
         rects = [{"u": [r.u_arc.start.theta, r.u_arc.sweep],
@@ -168,7 +171,8 @@ def build_attractor(poly: MarkedPolygon, part: Partition,
 
     Strip sizes: 4 for a quadruple block, 1 for order 2, 2 for a cusp
     block, and I + J + 2 for order m >= 3 (equal to m generically, m - 1
-    when the block's cycle is degenerate).
+    when the block's cycle is degenerate).  Raises ``TilingViolation``
+    when the strips' w-arcs do not tile the circle.
     """
     guarantee = part.in_guarantee_range()
     if not guarantee:
@@ -193,8 +197,22 @@ def build_attractor(poly: MarkedPolygon, part: Partition,
         info.append(StripInfo(blk.index, blk.symbol, len(rects),
                               bool(data and data.degenerate), data))
     rects = tuple(r for strip in strips for r in strip)
+    _check_tiling(rects)
     return AttractorDomain(poly, part, rects, tuple(strips), tuple(info),
                            guarantee)
+
+
+def _check_tiling(rects: tuple[Rect, ...]) -> None:
+    """Raise unless the w-arcs, sorted by start, meet end to start around the
+    circle and their sweeps sum to 2pi; the membership kernel relies on it."""
+    tol = tolerances.active().residual
+    arcs = sorted((r.w_arc.start.theta, r.w_arc.sweep) for r in rects)
+    total = math.fsum(sweep for _, sweep in arcs)
+    gap = max(abs((nxt - start - sweep + math.pi) % TAU - math.pi)
+              for (start, sweep), (nxt, _) in zip(arcs, arcs[1:] + arcs[:1]))
+    if abs(total - TAU) > tol or gap > tol:
+        raise TilingViolation(f"w-sweeps sum to 2pi {total - TAU:+.3g}, "
+                              f"largest junction gap {gap:.3g}")
 
 
 # -- imaging and bijectivity ---------------------------------------------------
@@ -458,6 +476,89 @@ def _draw_pair(seed: int, index: int, buffer: float) -> tuple[float, float]:
             return tu, tw
 
 
+class _Membership:
+    """Closed membership test for a rectangle list whose w-arcs tile the
+    circle (the attractor, whose strips tile it, and the escape set, whose
+    w-arcs are the partition cells).
+
+    A state's w selects, by one ``searchsorted`` on the sorted w-starts, the
+    rectangle whose w-arc holds it; the closed test with ``tol`` on both
+    coordinates runs on that candidate, then on its neighbours up to ``p``
+    places either way for the states still unmatched.  ``p`` is the least
+    count such that the arc gap skipped over by any p consecutive rectangles
+    exceeds 2 * tol; under tiling that gap is the sum of p consecutive
+    w-sweeps, so p is 1 unless some w-sweep is at most 2 * tol.  No
+    rectangle outside that window can pass the tol-widened w-test, so the
+    verdicts are those of testing every rectangle.
+    """
+
+    def __init__(self, rects: Sequence[Rect], tol: float):
+        rs = sorted(rects, key=lambda r: r.w_arc.start.theta)
+        self.us = np.array([r.u_arc.start.theta for r in rs])
+        self.u_hi = np.array([r.u_arc.sweep for r in rs]) + tol
+        self.ws = np.array([r.w_arc.start.theta for r in rs])
+        w_sweep = np.array([r.w_arc.sweep for r in rs])
+        self.w_hi = w_sweep + tol
+        self.lo = TAU - tol
+        n = len(rs)
+        # a rectangle p + 1 or more places from the candidate is at least
+        # the smaller of these clearances away from the state's w
+        lifted = np.concatenate([self.ws, self.ws + TAU])
+        ends = self.ws + w_sweep
+        p = 1
+        while 2 * p + 1 < n and min((lifted[p:p + n] - self.ws).min(),
+                                    (lifted[p + 1:p + 1 + n] - ends).min()
+                                    ) <= 2 * tol:
+            p += 1
+        self.offsets = sorted({k % n for k in range(-p, p + 1)} - {0})
+        self.n = n
+
+    def _test(self, j: np.ndarray, pu: np.ndarray,
+              pw: np.ndarray) -> np.ndarray:
+        du = (pu - self.us[j]) % TAU
+        dw = (pw - self.ws[j]) % TAU
+        return (((du <= self.u_hi[j]) | (du >= self.lo))
+                & ((dw <= self.w_hi[j]) | (dw >= self.lo)))
+
+    def __call__(self, pu: np.ndarray, pw: np.ndarray) -> np.ndarray:
+        """Boolean mask of the states (pu, pw) inside some rectangle."""
+        # index -1 (w before the first start) is the last, wrapping rectangle
+        cand = np.searchsorted(self.ws, pw, side="right") - 1
+        ok = self._test(cand, pu, pw)
+        todo = np.flatnonzero(~ok)
+        for k in self.offsets:
+            if todo.size == 0:
+                break
+            hit = self._test((cand[todo] + k) % self.n, pu[todo], pw[todo])
+            ok[todo[hit]] = True
+            todo = todo[~hit]
+        return ok
+
+
+class _Step:
+    """One vectorized step of the planar extension.  States are the rows
+    (u, w) of a 2 x N array of unit complex numbers."""
+
+    def __init__(self, poly: MarkedPolygon, part: Partition):
+        self.cuts = np.array(part.lifted[:part.n])
+        self.last = part.n - 1
+        self.a = np.array([g.a for g in poly.generators])
+        self.b = np.array([g.b for g in poly.generators])
+        self.a_bar = np.conj(self.a)
+        self.b_bar = np.conj(self.b)
+
+    def __call__(self, z: np.ndarray, pw: np.ndarray):
+        """Map the states z, whose w-angles are ``pw``, by the gluing of the
+        cell of w; return the new states and their angles in [0, 2pi]."""
+        cells = np.searchsorted(self.cuts, pw, side="right") - 1
+        np.clip(cells, 0, self.last, out=cells)
+        z = ((self.a[cells] * z + self.b[cells])
+             / (self.b_bar[cells] * z + self.a_bar[cells]))
+        # renormalize: modulus drift would otherwise amplify exponentially
+        z /= np.abs(z)
+        return z, np.angle(z) % TAU
+
+
 def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
                    samples: int, seed: int, max_iters: int = 100_000,
                    buffer: float = 1e-6) -> list[EntryTrace]:
@@ -473,65 +574,42 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     tu = np.array([s[0] for s in starts])
     tw = np.array([s[1] for s in starts])
 
-    cuts = np.array(part.lifted[:part.n])
-    ga = np.array([g.a for g in poly.generators])
-    gb = np.array([g.b for g in poly.generators])
-    us, usw, ws, wsw = dom.membership_arrays()
-    phi = phi_set(poly, part)
-    ps = np.array([r.u_arc.start.theta for r in phi])
-    psw = np.array([r.u_arc.sweep for r in phi])
-    qs = np.array([r.w_arc.start.theta for r in phi])
-    qsw = np.array([r.w_arc.sweep for r in phi])
     tol = tolerances.active().structural
-
-    def member(a_s, a_sw, b_s, b_sw, pu, pw):
-        du = (pu[:, None] - a_s[None, :]) % TAU
-        dw = (pw[:, None] - b_s[None, :]) % TAU
-        in_u = (du <= a_sw[None, :] + tol) | (du >= TAU - tol)
-        in_w = (dw <= b_sw[None, :] + tol) | (dw >= TAU - tol)
-        return (in_u & in_w).any(axis=1)
+    in_dom = _Membership(dom.rects, tol)
+    in_phi = _Membership(phi_set(poly, part), tol)
+    step = _Step(poly, part)
 
     K = np.full(samples, -1, dtype=np.int64)
     esc = np.full(samples, -1, dtype=np.int64)
     entry_u = np.full(samples, np.nan)
     entry_w = np.full(samples, np.nan)
 
-    inside0 = member(us, usw, ws, wsw, tu, tw)
+    inside0 = in_dom(tu, tw)
     K[inside0] = 0
     entry_u[inside0] = tu[inside0]
     entry_w[inside0] = tw[inside0]
-    esc[~member(ps, psw, qs, qsw, tu, tw)] = 0
+    esc[~in_phi(tu, tw)] = 0
 
-    cu, cw = np.exp(1j * tu), np.exp(1j * tw)
-    live = np.arange(samples)[(K < 0) | (esc < 0)]
+    # the live states only, compacted after every step
+    live = np.flatnonzero((K < 0) | (esc < 0))
+    z = np.exp(1j * np.stack([tu[live], tw[live]]))
+    pw = np.angle(z[1]) % TAU
     for n in range(1, max_iters + 1):
         if live.size == 0:
             break
-        zw = cw[live]
-        cells = np.searchsorted(cuts, np.angle(zw) % TAU, side="right") - 1
-        np.clip(cells, 0, part.n - 1, out=cells)
-        a, b = ga[cells], gb[cells]
-        nw = (a * zw + b) / (np.conj(b) * zw + np.conj(a))
-        zu = cu[live]
-        nu = (a * zu + b) / (np.conj(b) * zu + np.conj(a))
-        # renormalize: modulus drift would otherwise amplify exponentially
-        cw[live] = nw / np.abs(nw)
-        cu[live] = nu / np.abs(nu)
-
-        pu = np.angle(cu[live]) % TAU
-        pw = np.angle(cw[live]) % TAU
-        pending = K[live] < 0
-        if pending.any():
-            hit = member(us, usw, ws, wsw, pu, pw) & pending
+        z, (pu, pw) = step(z, pw)
+        pending = np.flatnonzero(K[live] < 0)
+        if pending.size:
+            hit = pending[in_dom(pu[pending], pw[pending])]
             idx = live[hit]
             K[idx] = n
             entry_u[idx] = pu[hit]
             entry_w[idx] = pw[hit]
-        pending_phi = esc[live] < 0
-        if pending_phi.any():
-            out = ~member(ps, psw, qs, qsw, pu, pw) & pending_phi
-            esc[live[out]] = n
-        live = live[(K[live] < 0) | (esc[live] < 0)]
+        pending = np.flatnonzero(esc[live] < 0)
+        if pending.size:
+            esc[live[pending[~in_phi(pu[pending], pw[pending])]]] = n
+        keep = (K[live] < 0) | (esc[live] < 0)
+        live, z, pw = live[keep], z[:, keep], pw[keep]
 
     return [EntryTrace(i, float(tu[i]), float(tw[i]), int(K[i]), int(esc[i]),
                        bool(K[i] >= 0), float(entry_u[i]), float(entry_w[i]))
@@ -547,27 +625,14 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
         return 0
     tu = np.array([t.entry_u for t in entered])
     tw = np.array([t.entry_w for t in entered])
-    cuts = np.array(part.lifted[:part.n])
-    ga = np.array([g.a for g in poly.generators])
-    gb = np.array([g.b for g in poly.generators])
-    us, usw, ws, wsw = dom.membership_arrays()
-    tol = tolerances.active().structural
-    cu, cw = np.exp(1j * tu), np.exp(1j * tw)
+    in_dom = _Membership(dom.rects, tolerances.active().structural)
+    step = _Step(poly, part)
+    z = np.exp(1j * np.stack([tu, tw]))
+    pw = np.angle(z[1]) % TAU
     exits = 0
     for _ in range(steps):
-        cells = np.searchsorted(cuts, np.angle(cw) % TAU, side="right") - 1
-        np.clip(cells, 0, part.n - 1, out=cells)
-        a, b = ga[cells], gb[cells]
-        cw = (a * cw + b) / (np.conj(b) * cw + np.conj(a))
-        cu = (a * cu + b) / (np.conj(b) * cu + np.conj(a))
-        cw /= np.abs(cw)
-        cu /= np.abs(cu)
-        pu, pw = np.angle(cu) % TAU, np.angle(cw) % TAU
-        du = (pu[:, None] - us[None, :]) % TAU
-        dw = (pw[:, None] - ws[None, :]) % TAU
-        ok = (((du <= usw[None, :] + tol) | (du >= TAU - tol))
-              & ((dw <= wsw[None, :] + tol) | (dw >= TAU - tol))).any(axis=1)
-        exits += int((~ok).sum())
+        z, (pu, pw) = step(z, pw)
+        exits += pu.size - int(np.count_nonzero(in_dom(pu, pw)))
     return exits
 
 

@@ -6,20 +6,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MODES, SIGNATURES, partition, polygon
 
 from fuchsian import (BoundaryPoint, DiagonalPoint, F_apply, NotElliptic,
-                      PartitionOutOfGuaranteeRange, build_attractor, cycle,
-                      check_forward_invariance, exceptional_set,
-                      make_partition, phi_set, simulate_entry,
-                      verify_bijectivity)
+                      PartitionOutOfGuaranteeRange, TilingViolation,
+                      build_attractor, cycle, check_forward_invariance,
+                      exceptional_set, make_partition, phi_set,
+                      simulate_entry, tolerances, verify_bijectivity)
 from fuchsian.arcs import (DirectedArc, Rect, region_intersection_measure,
                            region_measure, symmetric_difference_measure)
-from fuchsian.extension import rect_image, traces_to_csv, verify_exceptional
+from fuchsian.extension import (_check_tiling, _Membership, rect_image,
+                                traces_to_csv, verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
 
 MODULAR = "0;2,3;1"
+# midpoint partition: the order-13 fan has a w-sweep of about 1.1e-12,
+# below the structural tolerance
+SLIVER = "6;2,3,5,7,11,13;4"
 
 
 def domain(text, mode):
@@ -458,3 +464,132 @@ class TestSimulation:
         dom = domain(MODULAR, "midpoint")
         with pytest.raises(ValueError):
             simulate_entry(dom.poly, dom.part, dom, samples=0, seed=1)
+
+
+def dense_member(rects, pu, pw, tol):
+    """Test-side oracle: the closed test against every rectangle."""
+    us = np.array([r.u_arc.start.theta for r in rects])
+    usw = np.array([r.u_arc.sweep for r in rects])
+    ws = np.array([r.w_arc.start.theta for r in rects])
+    wsw = np.array([r.w_arc.sweep for r in rects])
+    du = (pu[:, None] - us[None, :]) % TAU
+    dw = (pw[:, None] - ws[None, :]) % TAU
+    in_u = (du <= usw[None, :] + tol) | (du >= TAU - tol)
+    in_w = (dw <= wsw[None, :] + tol) | (dw >= TAU - tol)
+    return (in_u & in_w).any(axis=1)
+
+
+KERNEL_DOMAINS = ([(t, m) for t in SIGNATURES for m in MODES]
+                  + [(SLIVER, "midpoint"), (SLIVER, "left")])
+
+
+def kernel_rects(key, which):
+    dom = domain(*key)
+    return list(dom.rects) if which == "attractor" else phi_set(dom.poly,
+                                                                dom.part)
+
+
+def edge_angles(rects):
+    return np.array([x for r in rects for a in (r.u_arc, r.w_arc)
+                     for x in (a.start.theta, a.start.theta + a.sweep)])
+
+
+def stressed_states(rects, tol, n, rng):
+    """Uniform states, with u, w or both moved to within 3 tol of a
+    rectangle edge."""
+    pu, pw = rng.uniform(0.0, TAU, (2, n))
+    edge = (rng.choice(edge_angles(rects), (2, n))
+            + rng.uniform(-3 * tol, 3 * tol, (2, n))) % TAU
+    which = rng.integers(0, 4, n)
+    return (np.where(which & 1, edge[0], pu),
+            np.where(which & 2, edge[1], pw))
+
+
+class TestMembershipKernel:
+    """The searchsorted kernel against the dense oracle and the scalar
+    ``AttractorDomain.contains``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_and_scalar_path(self, data):
+        key = data.draw(st.sampled_from(KERNEL_DOMAINS))
+        which = data.draw(st.sampled_from(["attractor", "phi"]))
+        rects = kernel_rects(key, which)
+        tol = tolerances.active().structural
+        edges = sorted(set(edge_angles(rects) % TAU))
+        angle = st.one_of(
+            st.floats(0.0, TAU, exclude_max=True),
+            st.builds(lambda e, d: (e + d) % TAU, st.sampled_from(edges),
+                      st.floats(-3 * tol, 3 * tol)))
+        states = data.draw(st.lists(st.tuples(angle, angle), min_size=1,
+                                    max_size=40))
+        pu, pw = np.array(states).T
+        got = _Membership(rects, tol)(pu, pw)
+        assert got.tolist() == dense_member(rects, pu, pw, tol).tolist()
+        if which == "attractor":
+            dom = domain(*key)
+            assert got.tolist() == [dom.contains(u, w) for u, w in states]
+
+    @pytest.mark.parametrize("which", ["attractor", "phi"])
+    @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
+    def test_seeded_batch_matches_oracle(self, key, which):
+        rects = kernel_rects(key, which)
+        tol = tolerances.active().structural
+        pu, pw = stressed_states(rects, tol, 20_000,
+                                 np.random.default_rng(len(rects)))
+        got = _Membership(rects, tol)(pu, pw)
+        assert np.array_equal(got, dense_member(rects, pu, pw, tol))
+
+    def test_sliver_widens_window(self):
+        rects = list(domain(SLIVER, "midpoint").rects)
+        tol = tolerances.active().structural
+        sliver = min(rects, key=lambda r: r.w_arc.sweep)
+        assert sliver.w_arc.sweep < tol
+        kernel = _Membership(rects, tol)
+        assert len(kernel.offsets) == 4          # p = 2 either way
+        rng = np.random.default_rng(0)
+        pu = rng.uniform(0.0, TAU, 50_000)
+        pw = (sliver.w_arc.start.theta
+              + rng.uniform(-3 * tol, 3 * tol, pu.size)) % TAU
+        want = dense_member(rects, pu, pw, tol)
+        assert np.array_equal(kernel(pu, pw), want)
+        # the widening matters: a window of one neighbour misses states
+        kernel.offsets = [1, len(rects) - 1]
+        assert not np.array_equal(kernel(pu, pw), want)
+
+    def test_tiling_violation_raises(self):
+        rects = domain(MODULAR, "midpoint").rects
+        _check_tiling(rects)
+        with pytest.raises(TilingViolation):
+            _check_tiling(rects[1:])
+        r = rects[0]
+        shifted = Rect(r.u_arc, DirectedArc.from_angles(
+            r.w_arc.start.theta + 1e-6, r.w_arc.sweep), r.block,
+            r.gamma_index)
+        with pytest.raises(TilingViolation):
+            _check_tiling((shifted,) + rects[1:])
+
+    @pytest.mark.parametrize("text, seed, samples, expected", [
+        (MODULAR, 2024, 12, [(0, 0), (10, 10), (0, 0), (3, 3), (0, 0),
+                             (0, 0), (0, 0), (0, 0), (2, 1), (2, 1), (1, 1),
+                             (0, 0)]),
+        ("1;2,3,7;2", 5, 12, [(4, 4)] + [(0, 0)] * 11),
+        (SLIVER, 1, 8, [(0, 0), (0, 0), (1, 1)] + [(0, 0)] * 5),
+    ])
+    def test_entry_traces_pinned(self, text, seed, samples, expected):
+        # stored from the dense membership test that the kernel replaced
+        dom = domain(text, "midpoint")
+        traces = simulate_entry(dom.poly, dom.part, dom, samples=samples,
+                                seed=seed)
+        assert [(t.K, t.escape_step) for t in traces] == expected
+        assert check_forward_invariance(dom.poly, dom.part, dom, traces,
+                                        steps=50) == 0
+        if text == MODULAR:
+            stored = {1: ("0x1.f6a4f7c0a99bap+1", "0x1.3c25755f1283ap+1"),
+                      3: ("0x1.6eb48a0e7ecc3p+2", "0x1.b5876280fb677p-2"),
+                      8: ("0x1.3d56bb640ee2ep+2", "0x1.cbb20270a0b43p+0")}
+            for i, (u, w) in stored.items():
+                assert traces[i].entry_u == pytest.approx(float.fromhex(u),
+                                                          abs=1e-12)
+                assert traces[i].entry_w == pytest.approx(float.fromhex(w),
+                                                          abs=1e-12)
