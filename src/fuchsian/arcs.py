@@ -61,9 +61,6 @@ class DirectedArc:
     def midpoint_angle(self) -> float:
         return normalize_angle(self.start.theta + 0.5 * self.sweep)
 
-    def rotated(self, offset: float) -> "DirectedArc":
-        return DirectedArc.from_angles(self.start.theta + offset, self.sweep)
-
     def intervals(self) -> list[tuple[float, float]]:
         """The arc as 1 or 2 plain intervals within [0, 2pi]."""
         lo = self.start.theta % TAU
@@ -125,18 +122,6 @@ def max_pairwise_overlap(rects: list[Rect]) -> float:
     return worst
 
 
-def _union_length(intervals: list[tuple[float, float]]) -> float:
-    if not intervals:
-        return 0.0
-    merged = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return sum(hi - lo for lo, hi in merged)
-
-
 def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     merged: list[tuple[float, float]] = []
     for lo, hi in sorted(intervals):
@@ -174,14 +159,15 @@ def _sweep_slabs(rect_sets: list[list[Rect]]):
 
 def region_measure(rects: list[Rect]) -> float:
     """Angular area of the union (overlaps counted once)."""
-    return sum(width * _union_length(cov[0])
-               for width, cov in _sweep_slabs([rects]))
+    return sum(width * sum(hi - lo for lo, hi in cov)
+               for width, (cov,) in _sweep_slabs([rects]))
 
 
 def symmetric_difference_measure(rects_a: list[Rect], rects_b: list[Rect]) -> float:
     total = 0.0
     for width, (ca, cb) in _sweep_slabs([rects_a, rects_b]):
-        la, lb = _union_length(ca), _union_length(cb)
+        la = sum(hi - lo for lo, hi in ca)
+        lb = sum(hi - lo for lo, hi in cb)
         lab = _interval_intersection_length(ca, cb)
         total += width * (la + lb - 2.0 * lab)
     return total

@@ -84,14 +84,6 @@ class Partition:
                 return False
         return True
 
-    def elliptic_offsets(self) -> dict[int, float]:
-        """Angle of each elliptic cut relative to its block base."""
-        out = {}
-        for k in self.poly.elliptic_indices():
-            base = self.poly.block_of_vertex(k).base_angle
-            out[k] = (self.points[k].theta - base) % TAU
-        return out
-
 
 def make_partition(poly: MarkedPolygon, mode: str,
                    custom: dict[int, float] | list[float] | None = None) -> Partition:
@@ -315,11 +307,7 @@ class MarkovReport:
     all_orbits_finite: bool
     endpoint_residual: float
     budget_exceeded: bool
-
-    @property
-    def passed(self) -> bool:
-        return (self.all_orbits_finite and not self.budget_exceeded
-                and self.endpoint_residual < tolerances.active().residual)
+    passed: bool
 
     def to_dict(self) -> dict:
         return {"refinement": self.refinement,
@@ -384,5 +372,5 @@ def markov_check(poly: MarkedPolygon, part: Partition,
             covered = [ilo]
         transitions.append(covered)
 
-    return MarkovReport(refined, transitions, orbit_sizes,
-                        not budget, worst, budget)
+    return MarkovReport(refined, transitions, orbit_sizes, not budget, worst,
+                        budget, not budget and worst < tols.residual)

@@ -38,7 +38,6 @@ class RunConfig:
     buffer: float = 1e-6
     checks: tuple[str, ...] = ("all",)
     survey: bool = False
-    strict: bool = True
     vertex: int = -1
     json_out: str = ""
     svg_out: str = ""
@@ -56,9 +55,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["checks"] = tuple(d.get("checks", ("all",)))
-        return cls(**d)
+        return cls(**{k: tuple(v) if k == "checks" else v
+                      for k, v in d.items()})
 
 
 def parse_partition_arg(text: str):
@@ -83,7 +81,6 @@ def _write(path: str, text: str) -> None:
 
 
 def _setup(cfg: RunConfig):
-    tolerances.set_profile(cfg.tolerance_profile)
     sig = Signature.parse(cfg.signature)
     poly = build_canonical(sig)
     mode, custom = parse_partition_arg(cfg.partition)
@@ -92,7 +89,6 @@ def _setup(cfg: RunConfig):
 
 
 def cmd_polygon(cfg: RunConfig) -> int:
-    tolerances.set_profile(cfg.tolerance_profile)
     try:
         sig = Signature.parse(cfg.signature)
     except InvalidSignature as exc:
@@ -236,73 +232,60 @@ def build_parser() -> argparse.ArgumentParser:
                     "for signatures with a cusp")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        # options left unset stay off the namespace: RunConfig holds defaults
+        p = sub.add_parser(name, help=help,
+                           argument_default=argparse.SUPPRESS)
         p.add_argument("--signature", required=True,
                        help='signature "g;m1,...,mr;t", e.g. "0;2,3;1"')
-        p.add_argument("--partition", default="midpoint",
+        p.add_argument("--partition",
                        help="left|right|midpoint|custom=a1,a2,...")
-        p.add_argument("--report", dest="report_out", default="")
+        p.add_argument("--report", dest="report_out")
         p.add_argument("--tolerance-profile", dest="tolerance_profile",
-                       default=os.environ.get("FUCHSIAN_TOLERANCE_PROFILE",
-                                              "default"))
+                       help="default|strict|loose; FUCHSIAN_TOLERANCE_PROFILE "
+                            "when unset")
+        return p
 
-    p = sub.add_parser("polygon", help="build and validate the polygon")
-    common(p)
-    p.add_argument("--json", dest="json_out", default="")
-    p.add_argument("--svg", dest="svg_out", default="")
-    p.add_argument("--attractor-svg", dest="attractor_svg_out", default="")
+    p = command("polygon", "build and validate the polygon")
+    p.add_argument("--json", dest="json_out")
+    p.add_argument("--svg", dest="svg_out")
+    p.add_argument("--attractor-svg", dest="attractor_svg_out")
 
-    p = sub.add_parser("verify", help="run structural/dynamical checks")
-    common(p)
-    p.add_argument("--checks", default="all",
+    p = command("verify", "run structural/dynamical checks")
+    p.add_argument("--checks",
+                   type=lambda text: tuple(s for s in text.split(",") if s),
                    help=f"comma list from {','.join(ALL_CHECKS)} or 'all'")
 
-    p = sub.add_parser("simulate", help="seeded attractor-entry simulation")
-    common(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=100_000)
-    p.add_argument("--buffer", type=float, default=1e-6)
+    p = command("simulate", "seeded attractor-entry simulation")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--buffer", type=float)
     p.add_argument("--survey", action="store_true",
                    help="statistics only; always exit 0")
-    p.add_argument("--csv", dest="csv_out", default="")
+    p.add_argument("--csv", dest="csv_out")
 
-    p = sub.add_parser("cycle", help="cycle data of one elliptic vertex")
-    common(p)
+    p = command("cycle", "cycle data of one elliptic vertex")
     p.add_argument("--vertex", type=int, required=True)
     return ap
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    checks = tuple(s for s in getattr(ns, "checks", "all").split(",") if s)
-    return RunConfig(
-        signature=ns.signature,
-        partition=ns.partition,
-        seed=getattr(ns, "seed", 42),
-        samples=getattr(ns, "samples", 1000),
-        max_iters=getattr(ns, "max_iters", 100_000),
-        buffer=getattr(ns, "buffer", 1e-6),
-        checks=checks,
-        survey=getattr(ns, "survey", False),
-        vertex=getattr(ns, "vertex", -1),
-        json_out=getattr(ns, "json_out", ""),
-        svg_out=getattr(ns, "svg_out", ""),
-        attractor_svg_out=getattr(ns, "attractor_svg_out", ""),
-        report_out=getattr(ns, "report_out", ""),
-        csv_out=getattr(ns, "csv_out", ""),
-        tolerance_profile=ns.tolerance_profile,
-    )
+    return RunConfig(**{k: v for k, v in vars(ns).items() if k != "command"})
 
 
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     cfg = config_from_args(ns)
+    handler = {"polygon": cmd_polygon, "verify": cmd_verify,
+               "simulate": cmd_simulate, "cycle": cmd_cycle}[ns.command]
     try:
-        handler = {"polygon": cmd_polygon, "verify": cmd_verify,
-                   "simulate": cmd_simulate, "cycle": cmd_cycle}[ns.command]
-        return handler(cfg)
-    except KeyError:  # pragma: no cover
+        scope = tolerances.profile(cfg.tolerance_profile)
+    except KeyError as exc:
+        print(f"configuration error: {exc.args[0]}", file=sys.stderr)
         return 2
+    with scope:
+        return handler(cfg)
 
 
 if __name__ == "__main__":

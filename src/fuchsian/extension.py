@@ -5,7 +5,9 @@ gluing of the cell containing w to both coordinates.  The attractor is a
 finite union of closed arc-rectangles, one horizontal strip per building
 block, each strip the diagonal-rotation image of a standard-position strip.
 Membership on rectangle edges counts as inside; all tiling statements hold
-up to angular measure zero.
+up to angular measure zero.  The strip of an order >= 3 block is a fan cut
+by the rotation orbits of the block's cut point; one helper computes those
+orbits for both the attractor strip and the exceptional rectangles.
 
 The simulation runs on arrays of states.  One step helper applies the
 gluings; one membership kernel, built per call from a rectangle list and the
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .arcs import (DirectedArc, Rect, clip_to_u_band, max_pairwise_overlap,
-                   region_intersection_measure, region_measure,
+from .arcs import (DirectedArc, Rect, ccw_sweep, clip_to_u_band,
+                   max_pairwise_overlap, region_intersection_measure,
                    symmetric_difference_measure)
 from .boundary import CycleData, Partition, cycle
 from .errors import (DiagonalPoint, NotElliptic, PartitionOutOfGuaranteeRange,
@@ -70,9 +72,8 @@ class AttractorDomain:
     def measure(self) -> float:
         return sum(r.area for r in self.rects)
 
-    def contains(self, theta_u: float, theta_w: float,
-                 tol: float | None = None) -> bool:
-        t = tol if tol is not None else tolerances.active().structural
+    def contains(self, theta_u: float, theta_w: float) -> bool:
+        t = tolerances.active().structural
         return any(r.contains(theta_u, theta_w, t) for r in self.rects)
 
     def to_dict(self) -> dict:
@@ -119,6 +120,32 @@ def _order_two_strip(poly: MarkedPolygon, blk: Block) -> list[Rect]:
                  DirectedArc.from_angles(base, h), blk.index, blk.side_start)]
 
 
+def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
+    """Cycle data and rotation orbits of the cut point a of an order >= 3
+    block with corners ``start`` and ``end``, c its lower side gluing.
+
+    ``low_w`` = c^j(a) for j = 0..J, then ``start``; ``up_w`` = c^{-i}(a) for
+    i = 0..I, then ``end``.  Consecutive points bound the w-arcs of the lower
+    and upper fan.  ``low_u`` = c^j(end) for j = 0..J and ``up_u`` =
+    c^{-i}(start) for i = 0..I are the matching corner orbits that bound
+    their u-arcs.
+    """
+    data = cycle(poly, part, blk.vertex_start + 1)
+    c = poly.generators[blk.side_start]
+    c_inv = poly.generators[blk.side_start + 1]
+    a = part.points[blk.vertex_start + 1]
+    start = poly.vertices[blk.vertex_start].point
+    end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
+    low_u, up_u = [end], [start]
+    for _ in range(data.J):
+        low_u.append(c.apply_boundary(low_u[-1]))
+    for _ in range(data.I):
+        up_u.append(c_inv.apply_boundary(up_u[-1]))
+    low_w = [a, *data.lower_points[:data.J], start]
+    up_w = [a, *data.upper_points[:data.I], end]
+    return data, start, end, low_w, up_w, low_u, up_u
+
+
 def _elliptic_strip(poly: MarkedPolygon, part: Partition,
                     blk: Block) -> tuple[list[Rect], CycleData]:
     """Lower/upper rectangle fan of an order >= 3 block.
@@ -128,45 +155,17 @@ def _elliptic_strip(poly: MarkedPolygon, part: Partition,
     a degenerate cycle (cut point on a corner orbit) the fan has one fewer
     rectangle and still tiles the block arc exactly.
     """
-    k = blk.vertex_start + 1
-    data = cycle(poly, part, k)
-    J, I = data.J, data.I
-    c = poly.generators[blk.side_start]
-    c_inv = poly.generators[blk.side_start + 1]
-    a = part.points[k]
-    start = poly.vertices[blk.vertex_start].point
-    end_theta = blk.base_angle + TAU / poly.ell
-    end = BoundaryPoint.from_angle(end_theta)
-
-    low_w = [a] + list(data.lower_points[:J])          # c^j(a), j = 0..J
-    up_w = [a] + list(data.upper_points[:I])           # c^{-i}(a), i = 0..I
-    low_u = [end]
-    for _ in range(J):
-        low_u.append(c.apply_boundary(low_u[-1]))      # c^j(end), j = 0..J
-    up_u = [start]
-    for _ in range(I):
-        up_u.append(c_inv.apply_boundary(up_u[-1]))    # c^{-i}(start)
-
-    rects = []
-    for j in range(1, J + 1):
-        u = DirectedArc.ccw(low_u[j - 1], start, full_if_equal=True)
-        w = DirectedArc.ccw(low_w[j], low_w[j - 1])
-        rects.append(Rect(u, w, blk.index, blk.side_start))
-    u = DirectedArc.ccw(low_u[J], start, full_if_equal=True)
-    w = DirectedArc.ccw(start, low_w[J])
-    rects.append(Rect(u, w, blk.index, blk.side_start))
-    for i in range(1, I + 1):
-        u = DirectedArc.ccw(end, up_u[i - 1], full_if_equal=True)
-        w = DirectedArc.ccw(up_w[i - 1], up_w[i])
-        rects.append(Rect(u, w, blk.index, blk.side_start + 1))
-    u = DirectedArc.ccw(end, up_u[I], full_if_equal=True)
-    w = DirectedArc.ccw(up_w[I], end)
-    rects.append(Rect(u, w, blk.index, blk.side_start + 1))
+    data, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
+    rects = [Rect(DirectedArc.ccw(u, start, full_if_equal=True),
+                  DirectedArc.ccw(w0, w1), blk.index, blk.side_start)
+             for u, w0, w1 in zip(low_u, low_w[1:], low_w)]
+    rects += [Rect(DirectedArc.ccw(end, u, full_if_equal=True),
+                   DirectedArc.ccw(w0, w1), blk.index, blk.side_start + 1)
+              for u, w0, w1 in zip(up_u, up_w, up_w[1:])]
     return rects, data
 
 
-def build_attractor(poly: MarkedPolygon, part: Partition,
-                    require_guarantee: bool = False) -> AttractorDomain:
+def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     """Assemble the rectangle union, one horizontal strip per block.
 
     Strip sizes: 4 for a quadruple block, 1 for order 2, 2 for a cusp
@@ -176,11 +175,9 @@ def build_attractor(poly: MarkedPolygon, part: Partition,
     """
     guarantee = part.in_guarantee_range()
     if not guarantee:
-        msg = ("some elliptic partition point lies outside its [P, Q] arc; "
-               "attraction is not guaranteed")
-        if require_guarantee:
-            raise ValueError(msg)
-        warnings.warn(msg, PartitionOutOfGuaranteeRange, stacklevel=2)
+        warnings.warn("some elliptic partition point lies outside its [P, Q] "
+                      "arc; attraction is not guaranteed",
+                      PartitionOutOfGuaranteeRange, stacklevel=2)
 
     strips: list[tuple[Rect, ...]] = []
     info: list[StripInfo] = []
@@ -254,13 +251,7 @@ class BijectivityReport:
     image_overlap: float
     symmetric_difference: float
     strip_residuals: list[float]
-
-    @property
-    def passed(self) -> bool:
-        tols = tolerances.active()
-        return (self.image_overlap < tols.overlap
-                and self.symmetric_difference < tols.residual
-                and all(r < tols.residual for r in self.strip_residuals))
+    passed: bool
 
     def to_dict(self) -> dict:
         return {"signature": self.signature, "mode": self.mode,
@@ -299,8 +290,11 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
         target = clip_to_u_band(list(dom.rects), band)
         strip_res.append(symmetric_difference_measure(imgs, target))
 
+    tols = tolerances.active()
+    passed = (overlap < tols.overlap and sym < tols.residual
+              and all(r < tols.residual for r in strip_res))
     return BijectivityReport(str(poly.signature), part.mode, dom.guarantee,
-                             overlap, sym, strip_res)
+                             overlap, sym, strip_res, passed)
 
 
 # -- escape set and exceptional rectangles ------------------------------------
@@ -333,32 +327,20 @@ def phi_set(poly: MarkedPolygon, part: Partition) -> list[Rect]:
 
 def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
     """Rectangles between the attractor and the escape set at an interior
-    vertex of order >= 3 (empty for order 2)."""
+    vertex of order >= 3 (empty for order 2).
+
+    Each hat shares its w-arc with one rectangle of the attractor's fan
+    (``_fan``); its u-arc runs between the side extension point and the
+    corner orbit point that bounds that rectangle.
+    """
     v = poly.vertices[k % poly.n_sides]
     if v.is_ideal:
         raise NotElliptic(f"vertex {k} is ideal")
     if v.order == 2:
         return []
     blk = poly.block_of_vertex(k % poly.n_sides)
-    data = cycle(poly, part, k)
-    J, I = data.J, data.I
-    c = poly.generators[blk.side_start]
-    c_inv = poly.generators[blk.side_start + 1]
-    a = part.points[k % poly.n_sides]
     aux = poly.aux[k % poly.n_sides]
-    start = poly.vertices[blk.vertex_start].point
-    end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
-
-    low_w = [a] + list(data.lower_points[:J])
-    up_w = [a] + list(data.upper_points[:I])
-    low_u = [end]
-    for _ in range(J):
-        low_u.append(c.apply_boundary(low_u[-1]))
-    up_u = [start]
-    for _ in range(I):
-        up_u.append(c_inv.apply_boundary(up_u[-1]))
-
-    from .arcs import ccw_sweep
+    _, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
     out = []
 
     def hat(p1, p2, w1, w2, side, inside):
@@ -377,16 +359,12 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
 
     q_to_end = ccw_sweep(aux.Q.theta, end.theta, full_if_equal=True)
     start_to_p = ccw_sweep(start.theta, aux.P.theta, full_if_equal=True)
-    for j in range(1, J + 1):
-        ok = ccw_sweep(aux.Q.theta, low_u[j - 1].theta) <= q_to_end + 1e-12
-        hat(aux.Q, low_u[j - 1], low_w[j], low_w[j - 1], blk.side_start, ok)
-    ok = ccw_sweep(aux.Q.theta, low_u[J].theta) <= q_to_end + 1e-12
-    hat(aux.Q, low_u[J], start, low_w[J], blk.side_start, ok)
-    for i in range(1, I + 1):
-        ok = ccw_sweep(start.theta, up_u[i - 1].theta) <= start_to_p + 1e-12
-        hat(up_u[i - 1], aux.P, up_w[i - 1], up_w[i], blk.side_start + 1, ok)
-    ok = ccw_sweep(start.theta, up_u[I].theta) <= start_to_p + 1e-12
-    hat(up_u[I], aux.P, up_w[I], end, blk.side_start + 1, ok)
+    for u, w0, w1 in zip(low_u, low_w[1:], low_w):
+        ok = ccw_sweep(aux.Q.theta, u.theta) <= q_to_end + 1e-12
+        hat(aux.Q, u, w0, w1, blk.side_start, ok)
+    for u, w0, w1 in zip(up_u, up_w, up_w[1:]):
+        ok = ccw_sweep(start.theta, u.theta) <= start_to_p + 1e-12
+        hat(u, aux.P, w0, w1, blk.side_start + 1, ok)
     return out
 
 
@@ -395,11 +373,7 @@ class ExceptionalReport:
     containment_residual: float
     escaped_measure: float       # measure still outside the attractor
     steps_used: int
-
-    @property
-    def passed(self) -> bool:
-        tol = tolerances.active().residual
-        return self.containment_residual < tol and self.escaped_measure < tol
+    passed: bool
 
 
 def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
@@ -412,7 +386,8 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     """
     hats = exceptional_set(poly, part, k)
     if not hats:
-        return ExceptionalReport(0.0, 0.0, 0)
+        return ExceptionalReport(0.0, 0.0, 0, True)
+    tol = tolerances.active().residual
     data = cycle(poly, part, k)
     J, I = data.J, data.I
     blk = poly.block_of_vertex(k % poly.n_sides)
@@ -438,7 +413,7 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
         for step in range(max(J, I) + 3):
             remaining = [r for r in region
                          if r.area - region_intersection_measure([r], domain)
-                         > tolerances.active().residual]
+                         > tol]
             if not remaining:
                 break
             nxt = []
@@ -450,7 +425,8 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
             escaped += sum(max(0.0, r.area -
                                region_intersection_measure([r], domain))
                            for r in region)
-    return ExceptionalReport(worst, escaped, steps)
+    return ExceptionalReport(worst, escaped, steps,
+                             worst < tol and escaped < tol)
 
 
 # -- simulation ----------------------------------------------------------------

@@ -77,11 +77,6 @@ class DiskPoint:
         if abs(self.z) >= 1.0 - 1e-12:
             raise ValueError(f"|z| = {abs(self.z)} is not interior")
 
-    def boundary_projection(self) -> BoundaryPoint:
-        if abs(self.z) == 0.0:
-            raise ValueError("projection of the origin is undefined")
-        return BoundaryPoint.from_angle(cmath.phase(self.z))
-
 
 @dataclass(frozen=True)
 class EuclideanCircle:
@@ -174,14 +169,6 @@ class MoebiusPSU:
         """Rotation z -> e^{i phi} z about the origin."""
         return cls.from_ab(cmath.exp(0.5j * phi), 0j)
 
-    @classmethod
-    def elliptic_about(cls, fixed: DiskPoint, phi: float) -> "MoebiusPSU":
-        """Rotation by signed angle ``phi`` about an interior fixed point."""
-        w = fixed.z
-        n = 1.0 / math.sqrt(1.0 - abs(w) ** 2)
-        move = cls.from_ab(n, -n * w)          # fixed -> 0
-        return move.inverse() @ cls.rotation(phi) @ move
-
     # -- group structure --------------------------------------------------
 
     def __matmul__(self, other: "MoebiusPSU") -> "MoebiusPSU":
@@ -249,8 +236,8 @@ class MoebiusPSU:
 
     # -- invariants ---------------------------------------------------------
 
-    def classify(self, tol: float | None = None) -> "Classification":
-        t = tol if tol is not None else tolerances.active().spectral
+    def classify(self) -> "Classification":
+        t = tolerances.active().spectral
         if self.is_identity(t):
             return Classification("identity")
         tr = abs(self.trace)
@@ -311,7 +298,7 @@ class Geodesic:
     def is_diameter(self) -> bool:
         return self.circle is None
 
-    def validate(self, tol: float | None = None) -> float:
+    def validate(self) -> float:
         """Residual of the model invariants (orthogonality + incidence)."""
         u, w = self.endpoints
         if self.circle is None:

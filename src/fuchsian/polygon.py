@@ -206,9 +206,6 @@ class MarkedPolygon:
         blk = self.block_of_vertex(i % self.n_sides)
         return (blk.base_angle + math.pi / self.ell) % TAU
 
-    def vertex_boundary(self, i: int) -> BoundaryPoint:
-        return BoundaryPoint.from_angle(self.vertex_angle(i))
-
     def block_of_vertex(self, i: int) -> Block:
         for blk in reversed(self.blocks):
             if i >= blk.vertex_start:

@@ -1,13 +1,17 @@
 """Central numeric tolerances.
 
 The geometry itself is exact; every tolerance below is an artifact decision,
-kept in one record so the whole numerical contract is auditable.  Functions
-take an optional ``tol`` override and fall back to the active config.
+kept in one record so the whole numerical contract is auditable.  Checks read
+the record of the current context through ``active()`` when they run, and
+reports keep the verdict reached then.  ``with profile(name):`` selects a
+named record for the block; the selection is context-local, so other threads
+see the default record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -29,20 +33,29 @@ _PROFILES = {
                         overlap=1e-10, wrap=1e-10),
 }
 
-_active = DEFAULT
+_active: ContextVar[Tolerances] = ContextVar("tolerances", default=DEFAULT)
 
 
 def active() -> Tolerances:
-    return _active
+    return _active.get()
 
 
-def set_profile(name: str, **overrides: float) -> Tolerances:
-    """Select a named profile, optionally overriding individual fields."""
-    global _active
-    try:
-        base = _PROFILES[name]
-    except KeyError:
-        raise KeyError(f"unknown tolerance profile {name!r}; "
-                       f"choose from {sorted(_PROFILES)}") from None
-    _active = replace(base, **overrides) if overrides else base
-    return _active
+class profile:
+    """Scope in which the named profile is the active record.
+
+    An unknown name raises ``KeyError`` here, before any scope is entered.
+    """
+
+    def __init__(self, name: str):
+        try:
+            self.tols = _PROFILES[name]
+        except KeyError:
+            raise KeyError(f"unknown tolerance profile {name!r}; "
+                           f"choose from {sorted(_PROFILES)}") from None
+
+    def __enter__(self) -> Tolerances:
+        self._token = _active.set(self.tols)
+        return self.tols
+
+    def __exit__(self, *exc) -> None:
+        _active.reset(self._token)

@@ -139,18 +139,60 @@ class TestSimulateCommand:
 
 
 class TestToleranceProfile:
+    # the trace residual of this polygon's parabolic product (1.6e-8) lies
+    # between the default and the loose spectral bound
+    VERIFY = ["verify", "--checks", "polygon",
+              "--signature", "10;3,4,5,6,7,8,9,10;6"]
+
     def test_env_var_selects_profile(self, monkeypatch, capsys):
         from fuchsian import tolerances
+        assert run(self.VERIFY) == 1
         monkeypatch.setenv("FUCHSIAN_TOLERANCE_PROFILE", "loose")
-        code = run(["polygon", "--signature", "0;2,3;1"])
-        assert code == 0
-        assert tolerances.active().structural == 1e-8
-        tolerances.set_profile("default")
+        assert run(self.VERIFY) == 0
+        assert tolerances.active() == tolerances.DEFAULT
 
     def test_unknown_profile_raises(self):
         from fuchsian import tolerances
         with pytest.raises(KeyError):
-            tolerances.set_profile("nonsense")
+            tolerances.profile("nonsense")
+
+    def test_unknown_profile_exit_two(self, monkeypatch, capsys):
+        code = run(["polygon", "--signature", "0;2,3;1",
+                    "--tolerance-profile", "nonsense"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "configuration error: unknown tolerance profile" in err
+        assert "'default', 'loose', 'strict'" in err
+        monkeypatch.setenv("FUCHSIAN_TOLERANCE_PROFILE", "nonsense")
+        assert run(["verify", "--signature", "0;2,3;1"]) == 2
+        assert "unknown tolerance profile 'nonsense'" in capsys.readouterr().err
+
+    def test_profile_is_local_to_each_thread(self):
+        import threading
+        from fuchsian import tolerances
+        inside = threading.Barrier(3, timeout=10)
+        done = threading.Barrier(3, timeout=10)
+        seen = {}
+
+        def worker(name):
+            with tolerances.profile(name):
+                inside.wait()
+                seen[name] = tolerances.active()
+                done.wait()
+
+        threads = [threading.Thread(target=worker, args=(name,))
+                   for name in ("strict", "loose")]
+        for t in threads:
+            t.start()
+        inside.wait()
+        main_view = tolerances.active()
+        done.wait()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert main_view == tolerances.DEFAULT
+        assert seen["strict"].structural == 1e-12
+        assert seen["loose"].structural == 1e-8
 
 
 class TestCycleCommand:

@@ -157,6 +157,17 @@ class TestBijectivity:
         rep = verify_bijectivity(poly, part, dom)
         assert rep.passed, rep.to_dict()
 
+    def test_verdict_fixed_when_checked(self):
+        # image overlap 1.96e-12: above the default overlap bound, below the
+        # loose one; the report keeps the verdict of the record it ran under
+        poly = polygon(SLIVER)
+        part = partition(SLIVER, "left")
+        rep = verify_bijectivity(poly, part, build_attractor(poly, part))
+        assert rep.passed is False
+        with tolerances.profile("loose"):
+            assert rep.passed is False
+            assert rep.to_dict()["passed"] is False
+
     def test_order_two_strip_image(self):
         # the involution swaps the two factors of the order-2 strip
         poly = polygon(MODULAR)
