@@ -1,13 +1,18 @@
 """Oriented circular arcs, products of arcs, and angular measure.
 
 All arcs are stored counter-clockwise: an arc is a start angle plus a sweep
-in (0, 2pi].  Measures of rectangle unions are computed by a sweep over the
-u-breakpoints, exact up to endpoint rounding; no rasterization.
+in (0, 2pi].  A rectangle list becomes an array of plain boxes in
+[0, 2pi]^2, split at the seam.  Measures of unions, intersections and
+symmetric differences sum the cells of the grid of the boxes' breakpoints,
+exact up to endpoint rounding; no rasterization.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .mobius import TAU, BoundaryPoint, normalize_angle
 
@@ -79,19 +84,6 @@ class DirectedArc:
         return [t for _, t in sorted(out)]
 
 
-def _interval_intersection_length(xs: list[tuple[float, float]],
-                                  ys: list[tuple[float, float]]) -> float:
-    total = 0.0
-    for (a, b) in xs:
-        for (c, d) in ys:
-            total += max(0.0, min(b, d) - max(a, c))
-    return total
-
-
-def arc_overlap_length(a1: DirectedArc, a2: DirectedArc) -> float:
-    return _interval_intersection_length(a1.intervals(), a2.intervals())
-
-
 @dataclass(frozen=True)
 class Rect:
     """Product of a u-arc and a w-arc on the torus, tagged with the block it
@@ -109,85 +101,131 @@ class Rect:
     def contains(self, theta_u: float, theta_w: float, tol: float = 0.0) -> bool:
         return self.u_arc.contains(theta_u, tol) and self.w_arc.contains(theta_w, tol)
 
-    def overlap_area(self, other: "Rect") -> float:
-        return (arc_overlap_length(self.u_arc, other.u_arc)
-                * arc_overlap_length(self.w_arc, other.w_arc))
+
+# -- rectangle measure on a coverage grid --------------------------------------
+
+# rows of the grid, or of rectangles in the pair loop, per slice: bounds each
+# float64 temporary at _ROWS times the other dimension
+_ROWS = 16
 
 
-def max_pairwise_overlap(rects: list[Rect]) -> float:
-    worst = 0.0
-    for i, r in enumerate(rects):
-        for s in rects[i + 1:]:
-            worst = max(worst, r.overlap_area(s))
-    return worst
-
-
-def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for lo, hi in sorted(intervals):
-        if merged and lo <= merged[-1][1] + 1e-15:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _sweep_slabs(rect_sets: list[list[Rect]]):
-    """Yield (width, covers) per u-slab, where covers[i] is the merged
-    w-interval list of set i over that slab."""
-    cuts = {0.0, TAU}
-    for rects in rect_sets:
-        for r in rects:
-            for lo, hi in r.u_arc.intervals():
-                cuts.add(lo)
-                cuts.add(hi)
-    xs = sorted(cuts)
-    split = [[(r, r.u_arc.intervals()) for r in rects] for rects in rect_sets]
-    for lo, hi in zip(xs, xs[1:]):
-        if hi - lo < 1e-15:
-            continue
-        mid = 0.5 * (lo + hi)
-        covers = []
-        for pairs in split:
-            w_ints: list[tuple[float, float]] = []
-            for r, u_ints in pairs:
-                if any(a <= mid <= b for a, b in u_ints):
-                    w_ints.extend(r.w_arc.intervals())
-            covers.append(_merge(w_ints))
-        yield hi - lo, covers
-
-
-def region_measure(rects: list[Rect]) -> float:
-    """Angular area of the union (overlaps counted once)."""
-    return sum(width * sum(hi - lo for lo, hi in cov)
-               for width, (cov,) in _sweep_slabs([rects]))
-
-
-def symmetric_difference_measure(rects_a: list[Rect], rects_b: list[Rect]) -> float:
-    total = 0.0
-    for width, (ca, cb) in _sweep_slabs([rects_a, rects_b]):
-        la = sum(hi - lo for lo, hi in ca)
-        lb = sum(hi - lo for lo, hi in cb)
-        lab = _interval_intersection_length(ca, cb)
-        total += width * (la + lb - 2.0 * lab)
-    return total
-
-
-def region_intersection_measure(rects_a: list[Rect], rects_b: list[Rect]) -> float:
-    total = 0.0
-    for width, (ca, cb) in _sweep_slabs([rects_a, rects_b]):
-        total += width * _interval_intersection_length(ca, cb)
-    return total
-
-
-def clip_to_u_band(rects: list[Rect], band: DirectedArc) -> list[Rect]:
-    """Intersect every rectangle with ``band x S``; may split at the seam."""
-    out = []
-    for r in rects:
-        for lo, hi in r.u_arc.intervals():
-            for blo, bhi in band.intervals():
-                a, b = max(lo, blo), min(hi, bhi)
-                if b - a > 1e-13:
-                    out.append(Rect(DirectedArc.from_angles(a, b - a),
-                                    r.w_arc, r.block, r.gamma_index))
+def _intervals(arcs: Sequence[DirectedArc]) -> np.ndarray:
+    """(n, 2, 2) array of the arcs' ``intervals()``; a one-interval arc is
+    padded with the empty interval (0, 0)."""
+    out = np.zeros((len(arcs), 2, 2))
+    for i, arc in enumerate(arcs):
+        ints = arc.intervals()
+        out[i, :len(ints)] = ints
     return out
+
+
+def rect_boxes(rects: Sequence[Rect]) -> np.ndarray:
+    """(n, 4) array of plain boxes ``(u_lo, u_hi, w_lo, w_hi)`` in
+    [0, 2pi]^2 with the rectangles' union: each rectangle is the product of
+    its arcs' seam-split intervals, so at most 4 boxes."""
+    u = _intervals([r.u_arc for r in rects])
+    w = _intervals([r.w_arc for r in rects])
+    boxes = np.concatenate([np.repeat(u, 2, axis=1), np.tile(w, (1, 2, 1))],
+                           axis=2).reshape(-1, 4)
+    return boxes[(boxes[:, 1] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 2])]
+
+
+def clip_boxes(boxes: np.ndarray, band: DirectedArc) -> np.ndarray:
+    """The boxes intersected with ``band x S``; pieces at most 1e-13 wide
+    in u are dropped."""
+    pieces = []
+    for lo, hi in band.intervals():
+        cut = boxes.copy()
+        cut[:, :2] = np.clip(boxes[:, :2], lo, hi)
+        pieces.append(cut[cut[:, 1] - cut[:, 0] > 1e-13])
+    return np.concatenate(pieces)
+
+
+def _breakpoints(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (``np.unique`` loads three more modules on its
+    first call, which shows in the peak memory)."""
+    v = np.sort(values, axis=None)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def _covered(boxes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Boolean grid: cell (i, j), the product [xs[i], xs[i+1]] x
+    [ys[j], ys[j+1]], lies in some box.  Each box marks its corners +-1 in a
+    difference array whose two cumulative sums count the boxes over a cell."""
+    i = np.searchsorted(xs, boxes[:, :2]).T
+    j = np.searchsorted(ys, boxes[:, 2:]).T
+    # every partial sum lies in [-len(boxes), len(boxes)]
+    dtype = np.min_scalar_type(-len(boxes) - 1)
+    count = np.zeros((len(xs), len(ys)), dtype)
+    np.add.at(count, (i.ravel(), j.ravel()), 1)
+    np.subtract.at(count, (i.ravel(), j[::-1].ravel()), 1)
+    np.cumsum(count, axis=0, dtype=dtype, out=count)
+    np.cumsum(count, axis=1, dtype=dtype, out=count)
+    return count[:-1, :-1] > 0
+
+
+def box_measure(a: np.ndarray, b: np.ndarray, op) -> float:
+    """Angular area of the grid cells where ``op(in a, in b)`` holds, for the
+    box arrays ``a`` and ``b`` on the grid of both sets' breakpoints:
+    ``np.logical_or`` gives the union, ``np.logical_and`` the intersection,
+    ``np.logical_xor`` the symmetric difference."""
+    boxes = np.concatenate([a, b])
+    if not len(boxes):
+        return 0.0
+    xs = _breakpoints(boxes[:, :2])
+    ys = _breakpoints(boxes[:, 2:])
+    cells = _covered(a, xs, ys)
+    op(cells, _covered(b, xs, ys), out=cells)
+    dy = np.diff(ys)
+    rows = np.empty(len(xs) - 1)
+    for s in range(0, len(rows), _ROWS):
+        rows[s:s + _ROWS] = (cells[s:s + _ROWS] * dy).sum(axis=1)
+    return float((np.diff(xs) * rows).sum())
+
+
+def region_measure(rects: Sequence[Rect]) -> float:
+    """Angular area of the union (overlaps counted once)."""
+    return box_measure(rect_boxes(rects), np.empty((0, 4)), np.logical_or)
+
+
+def region_intersection_measure(rects_a: Sequence[Rect],
+                                rects_b: Sequence[Rect]) -> float:
+    return box_measure(rect_boxes(rects_a), rect_boxes(rects_b),
+                       np.logical_and)
+
+
+def symmetric_difference_measure(rects_a: Sequence[Rect],
+                                 rects_b: Sequence[Rect]) -> float:
+    return box_measure(rect_boxes(rects_a), rect_boxes(rects_b),
+                       np.logical_xor)
+
+
+def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(len(x), len(y)) overlap lengths of padded interval pairs, summed
+    with x's intervals outer and y's inner."""
+    total = np.zeros((len(x), len(y)))
+    for a in range(2):
+        for b in range(2):
+            ov = np.minimum(x[:, None, a, 1], y[None, :, b, 1])
+            ov -= np.maximum(x[:, None, a, 0], y[None, :, b, 0])
+            total += np.maximum(ov, 0.0, out=ov)
+    return total
+
+
+def max_pairwise_overlap(rects: Sequence[Rect]) -> float:
+    """Largest overlap area of two rectangles of the list.
+
+    A pair's u- and w-overlap sum the overlaps of the arcs' seam-split
+    intervals in the order of the pairwise loop (earlier rectangle's
+    intervals outer; padding adds exact zeros), so the value is that loop's
+    to the bit.  The sums are not symmetric in the bits, hence pairs i < j.
+    """
+    u = _intervals([r.u_arc for r in rects])
+    w = _intervals([r.w_arc for r in rects])
+    worst = 0.0
+    for s in range(0, len(rects), _ROWS):
+        # row i = s + r against column j = s + 1 + c: i < j is c >= r
+        area = (_overlap_lengths(u[s:s + _ROWS], u[s + 1:])
+                * _overlap_lengths(w[s:s + _ROWS], w[s + 1:]))
+        worst = max(worst, float(np.triu(area).max(initial=0.0)))
+    return worst

@@ -123,6 +123,10 @@ def cmd_polygon(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     selected = ALL_CHECKS if "all" in cfg.checks else cfg.checks
+    if not selected:
+        print(f"configuration error: no checks selected; "
+              f"available: {','.join(ALL_CHECKS)},all", file=sys.stderr)
+        return 2
     unknown = [c for c in selected if c not in ALL_CHECKS]
     if unknown:
         print(f"unknown checks: {','.join(unknown)}; "

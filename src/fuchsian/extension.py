@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .arcs import (DirectedArc, Rect, ccw_sweep, clip_to_u_band,
-                   max_pairwise_overlap, region_intersection_measure,
-                   symmetric_difference_measure)
+from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
+                   max_pairwise_overlap, rect_boxes,
+                   region_intersection_measure)
 from .boundary import CycleData, Partition, cycle
 from .errors import (DiagonalPoint, NotElliptic, PartitionOutOfGuaranteeRange,
                      TilingViolation)
@@ -269,26 +269,24 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     Verifies (i) forward images are pairwise interior-disjoint, (ii) their
     union reproduces the domain up to measure zero, and (iii) each block's
     horizontal strip maps exactly onto the domain's vertical band over that
-    block's sector.
+    block's sector.  The domain and the images become box arrays once; each
+    band is clipped from the domain's array.
     """
-    images_by_block: list[list[Rect]] = []
-    all_images: list[Rect] = []
-    for strip in dom.strips:
-        imgs: list[Rect] = []
-        for r in strip:
-            imgs.extend(rect_image(poly, part, r))
-        images_by_block.append(imgs)
-        all_images.extend(imgs)
-
-    overlap = max_pairwise_overlap(all_images)
-    sym = symmetric_difference_measure(all_images, list(dom.rects))
+    images_by_block = [[img for r in strip
+                        for img in rect_image(poly, part, r)]
+                       for strip in dom.strips]
+    overlap = max_pairwise_overlap([img for imgs in images_by_block
+                                    for img in imgs])
+    image_boxes = [rect_boxes(imgs) for imgs in images_by_block]
+    domain = rect_boxes(dom.rects)
+    sym = box_measure(np.concatenate(image_boxes), domain, np.logical_xor)
 
     sector = TAU / poly.ell
     strip_res = []
-    for blk, imgs in zip(poly.blocks, images_by_block):
+    for blk, boxes in zip(poly.blocks, image_boxes):
         band = DirectedArc.from_angles(blk.base_angle, sector)
-        target = clip_to_u_band(list(dom.rects), band)
-        strip_res.append(symmetric_difference_measure(imgs, target))
+        strip_res.append(box_measure(boxes, clip_boxes(domain, band),
+                                     np.logical_xor))
 
     tols = tolerances.active()
     passed = (overlap < tols.overlap and sym < tols.residual
@@ -333,14 +331,20 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
     (``_fan``); its u-arc runs between the side extension point and the
     corner orbit point that bounds that rectangle.
     """
+    return _exceptional(poly, part, k)[0]
+
+
+def _exceptional(poly: MarkedPolygon, part: Partition,
+                 k: int) -> tuple[list[Rect], CycleData | None]:
+    """``exceptional_set`` and the cycle data of its fan (None at order 2)."""
     v = poly.vertices[k % poly.n_sides]
     if v.is_ideal:
         raise NotElliptic(f"vertex {k} is ideal")
     if v.order == 2:
-        return []
+        return [], None
     blk = poly.block_of_vertex(k % poly.n_sides)
     aux = poly.aux[k % poly.n_sides]
-    _, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
+    data, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
     out = []
 
     def hat(p1, p2, w1, w2, side, inside):
@@ -365,7 +369,7 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
     for u, w0, w1 in zip(up_u, up_w, up_w[1:]):
         ok = ccw_sweep(start.theta, u.theta) <= start_to_p + 1e-12
         hat(u, aux.P, w0, w1, blk.side_start + 1, ok)
-    return out
+    return out, data
 
 
 @dataclass
@@ -384,11 +388,10 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     images of the first one, and that every piece of both fans lands inside
     the attractor within the cycle length plus two steps.
     """
-    hats = exceptional_set(poly, part, k)
+    hats, data = _exceptional(poly, part, k)
     if not hats:
         return ExceptionalReport(0.0, 0.0, 0, True)
     tol = tolerances.active().residual
-    data = cycle(poly, part, k)
     J, I = data.J, data.I
     blk = poly.block_of_vertex(k % poly.n_sides)
     lower = [r for r in hats if r.gamma_index == blk.side_start]
@@ -523,11 +526,16 @@ class _Step:
         self.a_bar = np.conj(self.a)
         self.b_bar = np.conj(self.b)
 
+    def cells(self, pw: np.ndarray) -> np.ndarray:
+        """Partition cell of each w-angle in [0, 2pi]."""
+        cells = np.searchsorted(self.cuts, pw, side="right") - 1
+        np.clip(cells, 0, self.last, out=cells)
+        return cells
+
     def __call__(self, z: np.ndarray, pw: np.ndarray):
         """Map the states z, whose w-angles are ``pw``, by the gluing of the
         cell of w; return the new states and their angles in [0, 2pi]."""
-        cells = np.searchsorted(self.cuts, pw, side="right") - 1
-        np.clip(cells, 0, self.last, out=cells)
+        cells = self.cells(pw)
         z = ((self.a[cells] * z + self.b[cells])
              / (self.b_bar[cells] * z + self.a_bar[cells]))
         # renormalize: modulus drift would otherwise amplify exponentially

@@ -1,9 +1,12 @@
 """Arc and rectangle measure machinery."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuchsian.arcs import (DirectedArc, Rect, arc_overlap_length,
-                           clip_to_u_band, max_pairwise_overlap,
+from fuchsian.arcs import (DirectedArc, Rect, clip_boxes,
+                           max_pairwise_overlap, rect_boxes,
                            region_intersection_measure, region_measure,
                            symmetric_difference_measure)
 from fuchsian.mobius import TAU, BoundaryPoint
@@ -15,6 +18,103 @@ def arc(start, sweep):
 
 def rect(us, usw, ws, wsw):
     return Rect(arc(us, usw), arc(ws, wsw), 0, 0)
+
+
+def u_overlap(a1, a2):
+    """Overlap length of two u-arcs, read through a pair of rectangles on
+    one w-arc of sweep 1."""
+    w = arc(0.0, 1.0)
+    return max_pairwise_overlap([Rect(a1, w, 0, 0), Rect(a2, w, 0, 0)])
+
+
+# -- test-side oracle: the slab sweep and the pairwise loop --------------------
+
+
+def interval_intersection_length(xs, ys):
+    total = 0.0
+    for (a, b) in xs:
+        for (c, d) in ys:
+            total += max(0.0, min(b, d) - max(a, c))
+    return total
+
+
+def merge(intervals):
+    merged = []
+    for lo, hi in sorted(intervals):
+        if merged and lo <= merged[-1][1] + 1e-15:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def sweep_slabs(rect_sets):
+    """Yield (width, covers) per u-slab, where covers[i] is the merged
+    w-interval list of set i over that slab."""
+    cuts = {0.0, TAU}
+    for rects in rect_sets:
+        for r in rects:
+            for lo, hi in r.u_arc.intervals():
+                cuts.add(lo)
+                cuts.add(hi)
+    xs = sorted(cuts)
+    for lo, hi in zip(xs, xs[1:]):
+        if hi - lo < 1e-15:
+            continue
+        mid = 0.5 * (lo + hi)
+        covers = []
+        for rects in rect_sets:
+            w_ints = []
+            for r in rects:
+                if any(a <= mid <= b for a, b in r.u_arc.intervals()):
+                    w_ints.extend(r.w_arc.intervals())
+            covers.append(merge(w_ints))
+        yield hi - lo, covers
+
+
+def sweep_union(rects):
+    return sum(width * sum(hi - lo for lo, hi in cov)
+               for width, (cov,) in sweep_slabs([rects]))
+
+
+def sweep_intersection(rects_a, rects_b):
+    return sum(width * interval_intersection_length(ca, cb)
+               for width, (ca, cb) in sweep_slabs([rects_a, rects_b]))
+
+
+def sweep_symmetric_difference(rects_a, rects_b):
+    total = 0.0
+    for width, (ca, cb) in sweep_slabs([rects_a, rects_b]):
+        la = sum(hi - lo for lo, hi in ca)
+        lb = sum(hi - lo for lo, hi in cb)
+        total += width * (la + lb - 2.0 * interval_intersection_length(ca, cb))
+    return total
+
+
+def pairwise_overlap_loop(rects):
+    worst = 0.0
+    for i, r in enumerate(rects):
+        for s in rects[i + 1:]:
+            worst = max(worst, interval_intersection_length(
+                r.u_arc.intervals(), s.u_arc.intervals())
+                * interval_intersection_length(
+                r.w_arc.intervals(), s.w_arc.intervals()))
+    return worst
+
+
+# arcs that share edges, or miss sharing them by at most 1e-15, wrap across
+# the seam at 0 = 2pi, or cover the whole circle
+EDGES = [0.0, 0.5, 1.0, 2.5, 4.0, 6.0, TAU - 1e-3]
+JITTER = [0.0, 0.0, 1e-16, -1e-16, 4e-16, -1e-15, 1e-15]
+edge = st.builds(lambda e, d: (e + d) % TAU, st.sampled_from(EDGES),
+                 st.sampled_from(JITTER))
+start = st.one_of(edge, st.floats(0.0, TAU, exclude_max=True))
+sweep = st.one_of(st.floats(1e-3, TAU), st.just(TAU),
+                  st.builds(lambda a, b: (b - a) % TAU or TAU,
+                            st.sampled_from(EDGES), edge))
+arcs = st.builds(lambda s, w: arc(s, max(w, 1e-9)), start, sweep)
+rect_lists = st.lists(st.builds(lambda u, w: Rect(u, w, 0, 0), arcs, arcs),
+                      max_size=6)
 
 
 class TestDirectedArc:
@@ -53,10 +153,10 @@ class TestDirectedArc:
         assert inner == [5.6, 6.0, 0.2, 1.2]
 
     def test_overlap_length(self):
-        assert abs(arc_overlap_length(arc(0.0, 2.0), arc(1.0, 2.0)) - 1.0) < 1e-12
-        assert arc_overlap_length(arc(0.0, 1.0), arc(2.0, 1.0)) == 0.0
+        assert abs(u_overlap(arc(0.0, 2.0), arc(1.0, 2.0)) - 1.0) < 1e-12
+        assert u_overlap(arc(0.0, 1.0), arc(2.0, 1.0)) == 0.0
         # wrap against plain
-        assert abs(arc_overlap_length(arc(6.0, 1.0), arc(0.0, 1.0))
+        assert abs(u_overlap(arc(6.0, 1.0), arc(0.0, 1.0))
                    - (1.0 - (TAU - 6.0))) < 1e-12
 
 
@@ -88,13 +188,59 @@ class TestMeasure:
 
     def test_clip_to_band(self):
         r = rect(0, 3, 0, 1)
-        pieces = clip_to_u_band([r], arc(1.0, 1.0))
+        pieces = clip_boxes(rect_boxes([r]), arc(1.0, 1.0))
         assert len(pieces) == 1
-        assert abs(pieces[0].u_arc.sweep - 1.0) < 1e-12
-        assert pieces[0].w_arc is r.w_arc
+        assert abs(pieces[0, 1] - pieces[0, 0] - 1.0) < 1e-12
+        assert tuple(pieces[0, 2:]) == r.w_arc.intervals()[0]
 
     def test_clip_band_wraps(self):
         r = rect(0.0, TAU, 0, 1)
-        pieces = clip_to_u_band([r], arc(6.0, 1.0))
-        total = sum(p.u_arc.sweep for p in pieces)
-        assert abs(total - 1.0) < 1e-12
+        pieces = clip_boxes(rect_boxes([r]), arc(6.0, 1.0))
+        assert len(pieces) == 2
+        assert abs((pieces[:, 1] - pieces[:, 0]).sum() - 1.0) < 1e-12
+
+    def test_seam_split_boxes(self):
+        boxes = rect_boxes([rect(6.0, 1.0, 6.1, 0.5)])
+        assert len(boxes) == 4
+        assert boxes.min() == 0.0 and boxes.max() == TAU
+
+    def test_full_torus(self):
+        r = rect(1.0, TAU, 2.0, TAU)
+        assert abs(region_measure([r]) - TAU * TAU) < 1e-12
+        assert abs(max_pairwise_overlap([r, r]) - TAU * TAU) < 1e-12
+
+    def test_empty_sets(self):
+        assert region_measure([]) == 0.0
+        assert symmetric_difference_measure([], []) == 0.0
+        assert max_pairwise_overlap([]) == 0.0
+
+
+class TestMeasureMatchesSweep:
+    """The coverage grid against the slab sweep, and the broadcast pair
+    overlap against the pairwise loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rect_lists, rect_lists)
+    def test_measures(self, a, b):
+        assert abs(region_measure(a) - sweep_union(a)) < 1e-12
+        assert abs(region_intersection_measure(a, b)
+                   - sweep_intersection(a, b)) < 1e-12
+        assert abs(symmetric_difference_measure(a, b)
+                   - sweep_symmetric_difference(a, b)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(rect_lists)
+    def test_pairwise_overlap_bit_identical(self, rects):
+        assert max_pairwise_overlap(rects) == pairwise_overlap_loop(rects)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rect_lists)
+    def test_symmetric_difference_with_itself(self, rects):
+        assert symmetric_difference_measure(rects, rects) == 0.0
+
+    def test_many_rectangles(self):
+        # more rectangles than one slice of the pair loop and the grid
+        rng = np.random.default_rng(7)
+        rects = [rect(*rng.uniform(0.0, TAU, 4)) for _ in range(150)]
+        assert max_pairwise_overlap(rects) == pairwise_overlap_loop(rects)
+        assert abs(region_measure(rects) - sweep_union(rects)) < 1e-12

@@ -83,6 +83,12 @@ class TestVerifyCommand:
         assert run(["verify", "--signature", "0;2,3;1",
                     "--checks", "frobnicate"]) == 2
 
+    def test_no_checks_exit_two(self, capsys):
+        # an empty selection ran nothing and exited 0
+        assert run(["verify", "--signature", "0;2,3;1", "--checks", ","]) == 2
+        out, err = capsys.readouterr()
+        assert "no checks selected" in err and out == ""
+
     def test_custom_outside_guarantee_warns_but_passes(self, tmp_path, capsys):
         import fuchsian
         poly = fuchsian.build_canonical(fuchsian.Signature.parse("0;2,3;1"))

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import MODES, SIGNATURES, partition, polygon
@@ -18,8 +18,8 @@ from fuchsian import (BoundaryPoint, DiagonalPoint, F_apply, NotElliptic,
                       simulate_entry, tolerances, verify_bijectivity)
 from fuchsian.arcs import (DirectedArc, Rect, region_intersection_measure,
                            region_measure, symmetric_difference_measure)
-from fuchsian.extension import (_check_tiling, _Membership, rect_image,
-                                traces_to_csv, verify_exceptional)
+from fuchsian.extension import (_check_tiling, _Membership, _Step,
+                                rect_image, traces_to_csv, verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
 
 MODULAR = "0;2,3;1"
@@ -604,3 +604,43 @@ class TestMembershipKernel:
                                                           abs=1e-12)
                 assert traces[i].entry_w == pytest.approx(float.fromhex(w),
                                                           abs=1e-12)
+
+
+def cut_distance(part, theta):
+    return min(angular_distance(theta, t) for t in part.thetas)
+
+
+class TestStepKernel:
+    """The vectorized ``_Step`` against the scalar ``Partition.cell_of`` and
+    ``F_apply``, away from the cut points where the two may pick either
+    neighbouring cell."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KERNEL_DOMAINS),
+           st.lists(st.floats(0.0, TAU, exclude_max=True), min_size=1,
+                    max_size=20))
+    def test_cells_match_cell_of(self, key, thetas):
+        part = partition(*key)
+        thetas = [t for t in thetas if cut_distance(part, t) > 1e-9]
+        assume(thetas)
+        cells = _Step(polygon(key[0]), part).cells(np.array(thetas))
+        assert cells.tolist() == [part.cell_of(t) for t in thetas]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(KERNEL_DOMAINS),
+           st.lists(st.tuples(st.floats(0.0, TAU, exclude_max=True),
+                              st.floats(0.0, TAU, exclude_max=True)),
+                    min_size=1, max_size=20))
+    def test_step_matches_F_apply(self, key, states):
+        poly, part = polygon(key[0]), partition(*key)
+        states = [(u, w) for u, w in states
+                  if cut_distance(part, w) > 1e-9
+                  and angular_distance(u, w) > 1e-9]
+        assume(states)
+        tu, tw = np.array(states).T
+        _, (pu, pw) = _Step(poly, part)(np.exp(1j * np.stack([tu, tw])), tw)
+        for (u, w), su, sw in zip(states, pu, pw):
+            _, u2, w2 = F_apply(poly, part, BoundaryPoint.from_angle(u),
+                                BoundaryPoint.from_angle(w))
+            assert angular_distance(u2.theta, su) < 1e-12
+            assert angular_distance(w2.theta, sw) < 1e-12
