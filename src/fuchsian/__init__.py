@@ -8,7 +8,7 @@ from .errors import (CustomPointOutOfRange, DegenerateGeodesic, DiagonalPoint,
 from .mobius import (BoundaryPoint, Classification, DiskPoint,
                      EuclideanCircle, Geodesic, MoebiusPSU,
                      geodesic_from_boundary_pair, geodesic_through_interior)
-from .polygon import (MarkedPolygon, Signature, SignatureString, aux_points,
+from .polygon import (MarkedPolygon, Signature, SignatureString,
                       build_canonical, cusp_orbit, signature_string,
                       validate_polygon)
 from .boundary import (CycleData, OrbitRecord, Partition, cycle, f_apply,

@@ -153,18 +153,24 @@ class OrbitRecord:
         return len(self.points)
 
 
-def _snap(theta: float, anchors: list[float], tol: float) -> float | None:
-    """Nearest anchor angle within tol (circularly), or None."""
+def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
+    """Index of the anchor circularly nearest to ``theta``, and its distance;
+    (-1, inf) when there is none.
+
+    ``anchors`` is sorted in [0, 2pi).  Bisection puts theta on the circular
+    arc from anchor i - 1 to anchor i, and the nearer end of that arc is the
+    nearest anchor; the lower end wins a tie.
+    """
     if not anchors:
-        return None
+        return -1, math.inf
+    n = len(anchors)
     i = bisect.bisect_left(anchors, theta)
-    best, err = None, tol
-    for j in (i - 1, i, 0, len(anchors) - 1):
-        if 0 <= j < len(anchors):
-            d = angular_distance(theta, anchors[j])
-            if d < err:
-                best, err = anchors[j], d
-    return best
+    best, err = -1, math.inf
+    for j in ((i - 1) % n, i % n):
+        d = angular_distance(theta, anchors[j])
+        if d < err:
+            best, err = j, d
+    return best, err
 
 
 def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
@@ -190,16 +196,16 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     periodic_from = None
     for _ in range(max_steps):
         t = cur.theta
-        hit = _snap(t, cuts, tols.structural)
-        if hit is not None:
-            t = hit
-        revisit = _snap(t, seen_sorted, tols.residual)
-        if revisit is not None and revisit in index_of:
-            periodic_from = index_of[revisit]
+        j, d = _nearest(t, cuts)
+        if d < tols.structural:
+            t = cuts[j]
+        j, d = _nearest(t, seen_sorted)
+        if d < tols.residual:
+            periodic_from = index_of[seen_sorted[j]]
             break
         cur = BoundaryPoint.from_angle(t)
         points.append(cur)
-        index_of.setdefault(t, len(points) - 1)
+        index_of[t] = len(points) - 1
         bisect.insort(seen_sorted, t)
         _, cur = f_apply(poly, part, cur)
     else:
@@ -343,15 +349,6 @@ def markov_check(poly: MarkedPolygon, part: Partition,
         refined.pop()
 
     # interval-onto-intervals: endpoints must map to refinement points
-    def locate(theta: float) -> tuple[int, float]:
-        i = bisect.bisect_left(refined, theta)
-        best, err = None, math.inf
-        for j in (i - 1, i % len(refined), (i + 1) % len(refined)):
-            d = angular_distance(theta, refined[j % len(refined)])
-            if d < err:
-                best, err = j % len(refined), d
-        return best, err
-
     worst = 0.0
     transitions: list[list[int]] = []
     r = len(refined)
@@ -360,8 +357,8 @@ def markov_check(poly: MarkedPolygon, part: Partition,
         cell = part.cell_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)
         g = poly.generators[cell]
         glo, ghi = g.apply_angle(lo), g.apply_angle(hi)
-        ilo, elo = locate(glo)
-        ihi, ehi = locate(ghi)
+        ilo, elo = _nearest(glo, refined)
+        ihi, ehi = _nearest(ghi, refined)
         worst = max(worst, elo, ehi)
         covered = []
         j = ilo

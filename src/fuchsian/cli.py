@@ -111,8 +111,7 @@ def cmd_polygon(cfg: RunConfig) -> int:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", PartitionOutOfGuaranteeRange)
                 dom = build_attractor(poly, part)
-            _write(cfg.attractor_svg_out,
-                   render_attractor(dom, FigureSpec(kind="attractor")))
+            _write(cfg.attractor_svg_out, render_attractor(dom, FigureSpec()))
     print(f"signature={sig} ell={poly.ell} N={poly.n_sides} "
           f"area={report.area!r} valid={report.passed}")
     for name, res in report.checks.items():

@@ -50,8 +50,6 @@ def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
 
 @dataclass(frozen=True)
 class StripInfo:
-    block: int
-    symbol: object
     count: int
     degenerate: bool
     cycle: CycleData | None = None
@@ -90,34 +88,22 @@ class AttractorDomain:
                 "measure": self.measure}
 
 
-def _square_strip(poly: MarkedPolygon, blk: Block) -> list[Rect]:
-    h = TAU / (4 * poly.ell)
+# rectangles per uniform strip; order 2 is a single rectangle because its
+# gluing is an involution, so the whole block arc maps by one transformation
+# even though it spans two cells
+_UNIFORM_COUNT = {SQUARE: 4, INFINITY: 2, 2: 1}
+
+
+def _uniform_strip(poly: MarkedPolygon, blk: Block, count: int) -> list[Rect]:
+    """``count`` equal w-arcs of width h = 2pi / (count l) from the block's
+    start corner, each under the u-arc of sweep 2pi - h from the w-arc's end;
+    rectangle k is carried by side k of the block."""
+    h = TAU / (count * poly.ell)
     base = blk.base_angle
-    out = []
-    for k in range(4):
-        w = DirectedArc.from_angles(base + k * h, h)
-        u = DirectedArc.from_angles(base + (k + 1) * h, TAU - h)
-        out.append(Rect(u, w, blk.index, blk.side_start + k))
-    return out
-
-
-def _infinity_strip(poly: MarkedPolygon, blk: Block) -> list[Rect]:
-    h = TAU / (2 * poly.ell)
-    base = blk.base_angle
-    return [Rect(DirectedArc.from_angles(base + h, TAU - h),
-                 DirectedArc.from_angles(base, h), blk.index, blk.side_start),
-            Rect(DirectedArc.from_angles(base + 2 * h, TAU - h),
-                 DirectedArc.from_angles(base + h, h), blk.index,
-                 blk.side_start + 1)]
-
-
-def _order_two_strip(poly: MarkedPolygon, blk: Block) -> list[Rect]:
-    h = TAU / poly.ell
-    base = blk.base_angle
-    # single rectangle; the gluing is an involution, so the whole block arc
-    # maps by one transformation even though it spans two cells
-    return [Rect(DirectedArc.from_angles(base + h, TAU - h),
-                 DirectedArc.from_angles(base, h), blk.index, blk.side_start)]
+    return [Rect(DirectedArc.from_angles(base + (k + 1) * h, TAU - h),
+                 DirectedArc.from_angles(base + k * h, h), blk.index,
+                 blk.side_start + k)
+            for k in range(count)]
 
 
 def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
@@ -130,11 +116,11 @@ def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
     c^{-i}(start) for i = 0..I are the matching corner orbits that bound
     their u-arcs.
     """
-    data = cycle(poly, part, blk.vertex_start + 1)
+    data = cycle(poly, part, blk.side_start + 1)
     c = poly.generators[blk.side_start]
     c_inv = poly.generators[blk.side_start + 1]
-    a = part.points[blk.vertex_start + 1]
-    start = poly.vertices[blk.vertex_start].point
+    a = part.points[blk.side_start + 1]
+    start = poly.vertices[blk.side_start].point
     end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
     low_u, up_u = [end], [start]
     for _ in range(data.J):
@@ -168,10 +154,13 @@ def _elliptic_strip(poly: MarkedPolygon, part: Partition,
 def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     """Assemble the rectangle union, one horizontal strip per block.
 
-    Strip sizes: 4 for a quadruple block, 1 for order 2, 2 for a cusp
-    block, and I + J + 2 for order m >= 3 (equal to m generically, m - 1
-    when the block's cycle is degenerate).  Raises ``TilingViolation``
-    when the strips' w-arcs do not tile the circle.
+    A quadruple, cusp or order-2 block has a uniform strip: ``count`` = 4, 2
+    or 1 equal w-arcs of width h = 2pi / (count l) tiling the block's sector,
+    each under the u-arc of sweep 2pi - h that starts where its w-arc ends.
+    An order m >= 3 block has the fan of ``_elliptic_strip``, I + J + 2
+    rectangles (m generically, m - 1 when the block's cycle is degenerate).
+    Raises ``TilingViolation`` when the strips' w-arcs do not tile the
+    circle.
     """
     guarantee = part.in_guarantee_range()
     if not guarantee:
@@ -182,17 +171,14 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     strips: list[tuple[Rect, ...]] = []
     info: list[StripInfo] = []
     for blk in poly.blocks:
-        if blk.symbol == SQUARE:
-            rects, data = _square_strip(poly, blk), None
-        elif blk.symbol == INFINITY:
-            rects, data = _infinity_strip(poly, blk), None
-        elif blk.symbol == 2:
-            rects, data = _order_two_strip(poly, blk), None
+        count = _UNIFORM_COUNT.get(blk.symbol)
+        if count:
+            rects, data = _uniform_strip(poly, blk, count), None
         else:
             rects, data = _elliptic_strip(poly, part, blk)
         strips.append(tuple(rects))
-        info.append(StripInfo(blk.index, blk.symbol, len(rects),
-                              bool(data and data.degenerate), data))
+        info.append(StripInfo(len(rects), bool(data and data.degenerate),
+                              data))
     rects = tuple(r for strip in strips for r in strip)
     _check_tiling(rects)
     return AttractorDomain(poly, part, rects, tuple(strips), tuple(info),
@@ -342,7 +328,7 @@ def _exceptional(poly: MarkedPolygon, part: Partition,
         raise NotElliptic(f"vertex {k} is ideal")
     if v.order == 2:
         return [], None
-    blk = poly.block_of_vertex(k % poly.n_sides)
+    blk = poly.block_of_side(k % poly.n_sides)
     aux = poly.aux[k % poly.n_sides]
     data, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
     out = []
@@ -393,10 +379,13 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
         return ExceptionalReport(0.0, 0.0, 0, True)
     tol = tolerances.active().residual
     J, I = data.J, data.I
-    blk = poly.block_of_vertex(k % poly.n_sides)
+    blk = poly.block_of_side(k % poly.n_sides)
     lower = [r for r in hats if r.gamma_index == blk.side_start]
     upper = [r for r in hats if r.gamma_index == blk.side_start + 1]
-    domain = list(dom.rects)
+    domain = rect_boxes(dom.rects)
+
+    def area_inside(r: Rect) -> float:
+        return box_measure(rect_boxes([r]), domain, np.logical_and)
 
     worst = 0.0
     if lower:
@@ -414,9 +403,7 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     for first in (lower[:1] + upper[:1]):
         region = [first]
         for step in range(max(J, I) + 3):
-            remaining = [r for r in region
-                         if r.area - region_intersection_measure([r], domain)
-                         > tol]
+            remaining = [r for r in region if r.area - area_inside(r) > tol]
             if not remaining:
                 break
             nxt = []
@@ -425,9 +412,7 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
             region = nxt
             steps = max(steps, step + 1)
         else:
-            escaped += sum(max(0.0, r.area -
-                               region_intersection_measure([r], domain))
-                           for r in region)
+            escaped += sum(max(0.0, r.area - area_inside(r)) for r in region)
     return ExceptionalReport(worst, escaped, steps,
                              worst < tol and escaped < tol)
 

@@ -204,9 +204,9 @@ class MoebiusPSU:
 
     __hash__ = None  # tolerance-based equality is not hashable
 
-    def is_identity(self, tol: float | None = None) -> bool:
-        t = tol if tol is not None else tolerances.active().spectral
-        return self.sign_distance(MoebiusPSU.identity()) < t
+    def is_identity(self) -> bool:
+        return (self.sign_distance(MoebiusPSU.identity())
+                < tolerances.active().spectral)
 
     @property
     def trace(self) -> float:
@@ -238,7 +238,7 @@ class MoebiusPSU:
 
     def classify(self) -> "Classification":
         t = tolerances.active().spectral
-        if self.is_identity(t):
+        if self.is_identity():
             return Classification("identity")
         tr = abs(self.trace)
         if tr < 2.0 - t:

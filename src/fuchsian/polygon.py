@@ -176,12 +176,16 @@ class AuxPoints:
 
 @dataclass(frozen=True)
 class Block:
+    """Building block ``index`` of the signature string: sides ``side_start``
+    to ``side_start + n_sides - 1`` in the sector from ``base_angle``.  Side i
+    starts at vertex i, so the same range indexes the block's vertices and
+    vertex ``side_start`` is its start corner."""
+
     index: int
     symbol: object
     base_angle: float
     side_start: int
     n_sides: int
-    vertex_start: int
 
 
 @dataclass(frozen=True)
@@ -197,20 +201,6 @@ class MarkedPolygon:
     aux: tuple[AuxPoints, ...]
     blocks: tuple[Block, ...]
     corner_angles: tuple[float, ...]     # 2 pi j / l for j = 0..l
-
-    def vertex_angle(self, i: int) -> float:
-        """Boundary angle of vertex i (projection for elliptic vertices)."""
-        v = self.vertices[i % self.n_sides]
-        if v.is_ideal:
-            return v.point.theta
-        blk = self.block_of_vertex(i % self.n_sides)
-        return (blk.base_angle + math.pi / self.ell) % TAU
-
-    def block_of_vertex(self, i: int) -> Block:
-        for blk in reversed(self.blocks):
-            if i >= blk.vertex_start:
-                return blk
-        return self.blocks[0]
 
     def block_of_side(self, i: int) -> Block:
         for blk in reversed(self.blocks):
@@ -266,34 +256,32 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
         base = corners[j]
         rot = MoebiusPSU.rotation(base)
         conj = (lambda g, r=rot: r @ g @ r.inverse())
-        side0, vert0 = len(generators), len(vertices)
+        side0 = len(generators)
+        vertices.append(Vertex("ideal", BoundaryPoint.from_angle(base)))
         if sym == SQUARE:
             a = hyperbolic_generator_a(ell)
             b = hyperbolic_generator_b(ell)
             generators += [conj(a), conj(b.inverse()), conj(a.inverse()), conj(b)]
             pairing += [side0 + 2, side0 + 3, side0, side0 + 1]
-            vertices.append(Vertex("ideal", BoundaryPoint.from_angle(base)))
             for k in (1, 2, 3):
                 vertices.append(Vertex("ideal", BoundaryPoint.from_angle(
                     base + k * math.pi / (2 * ell))))
-            blocks.append(Block(j, sym, base, side0, 4, vert0))
-        elif sym == INFINITY:
-            c = parabolic_generator(ell)
-            generators += [conj(c), conj(c.inverse())]
-            pairing += [side0 + 1, side0]
-            vertices.append(Vertex("ideal", BoundaryPoint.from_angle(base)))
-            vertices.append(Vertex("ideal", BoundaryPoint.from_angle(
-                base + math.pi / ell)))
-            blocks.append(Block(j, sym, base, side0, 2, vert0))
         else:
-            m = int(sym)
-            c = elliptic_generator(ell, m)
+            # a wedge: one gluing and its inverse around the middle vertex,
+            # a cusp for the parabolic block, interior otherwise
+            if sym == INFINITY:
+                c = parabolic_generator(ell)
+                mid = Vertex("ideal", BoundaryPoint.from_angle(
+                    base + math.pi / ell))
+            else:
+                m = int(sym)
+                c = elliptic_generator(ell, m)
+                mid = Vertex("elliptic", DiskPoint(
+                    elliptic_vertex(ell, m) * cmath.exp(1j * base)), m)
             generators += [conj(c), conj(c.inverse())]
             pairing += [side0 + 1, side0]
-            vertices.append(Vertex("ideal", BoundaryPoint.from_angle(base)))
-            v1 = elliptic_vertex(ell, m) * cmath.exp(1j * base)
-            vertices.append(Vertex("elliptic", DiskPoint(v1), m))
-            blocks.append(Block(j, sym, base, side0, 2, vert0))
+            vertices.append(mid)
+        blocks.append(Block(j, sym, base, side0, len(generators) - side0))
 
     sides = []
     for i in range(n):
@@ -332,14 +320,6 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
                          tuple(aux), tuple(blocks), corners)
 
 
-def aux_points(poly: MarkedPolygon, k: int, strict: bool = False) -> AuxPoints:
-    """P_k, Q_k, M_k for vertex k (equal to the vertex when it is ideal)."""
-    v = poly.vertices[k % poly.n_sides]
-    if v.is_ideal and strict:
-        raise NotElliptic(f"vertex {k} is ideal")
-    return poly.aux[k % poly.n_sides]
-
-
 def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
     """Ideal endpoint of the bisector of the angle P_k V_k Q_k.
 
@@ -376,9 +356,8 @@ def cusp_orbit(poly: MarkedPolygon) -> list[BoundaryPoint]:
     """
     out = []
     for blk in poly.blocks:
-        count = blk.n_sides
-        for off in range(count):
-            v = poly.vertices[blk.vertex_start + off]
+        for off in range(blk.n_sides):
+            v = poly.vertices[blk.side_start + off]
             if not v.is_ideal:
                 continue
             if blk.symbol == INFINITY and off == 1:
@@ -439,33 +418,24 @@ def _unit_circles(poly: MarkedPolygon):
     wedge block yields one.  Degenerate diameter sides (order 2 wedge with
     l = 2) are represented as half-plane cuts.
     """
-    units = []
+    out = []
     for blk in poly.blocks:
         s = blk.side_start
         if blk.symbol == SQUARE:
-            units.append((f"a{blk.index}", [poly.sides[s], poly.sides[s + 2]]))
-            units.append((f"b{blk.index}", [poly.sides[s + 1], poly.sides[s + 3]]))
+            units = [(f"a{blk.index}", [poly.sides[s], poly.sides[s + 2]]),
+                     (f"b{blk.index}", [poly.sides[s + 1], poly.sides[s + 3]])]
         else:
-            geos = [poly.sides[s], poly.sides[s + 1]]
-            units.append((f"g{blk.index}", geos))
-    out = []
-    for (name, geos), blk in zip(units, _unit_blocks(poly)):
+            units = [(f"g{blk.index}", [poly.sides[s], poly.sides[s + 1]])]
         sector_mid = cmath.exp(1j * (blk.base_angle + math.pi / poly.ell))
-        shapes = []
-        for g in geos:
-            if g.is_diameter:
-                shapes.append(("line", _halfplane_normal(g, sector_mid)))
-            else:
-                shapes.append(("circle", g.circle))
-        out.append((name, shapes))
+        for name, geos in units:
+            shapes = []
+            for g in geos:
+                if g.is_diameter:
+                    shapes.append(("line", _halfplane_normal(g, sector_mid)))
+                else:
+                    shapes.append(("circle", g.circle))
+            out.append((name, shapes))
     return out
-
-
-def _unit_blocks(poly: MarkedPolygon) -> list[Block]:
-    blocks = []
-    for blk in poly.blocks:
-        blocks.extend([blk, blk] if blk.symbol == SQUARE else [blk])
-    return blocks
 
 
 def _halfplane_normal(geo: Geodesic, sector_mid: complex) -> complex:
@@ -586,16 +556,8 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     # (f) ideal corner vertices equally distributed
     worst = 0.0
     for blk in poly.blocks:
-        v = poly.vertices[blk.vertex_start]
+        v = poly.vertices[blk.side_start]
         worst = max(worst, angular_distance(v.point.theta, blk.base_angle))
-    g = sig.genus
-    for k in range(g + 1):
-        worst = max(worst, angular_distance(
-            poly.vertex_angle(4 * k), TAU * k / poly.ell))
-    for j in range(1, len(sig.orders) + sig.cusps):
-        idx = 4 * g + 2 * j
-        worst = max(worst, angular_distance(
-            poly.vertex_angle(idx % n), TAU * ((g + j) % poly.ell) / poly.ell))
     checks["equal_distribution"] = CheckResult(worst < tols.residual, worst)
 
     return ValidationReport(str(sig), checks, area=area_formula)

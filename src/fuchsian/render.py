@@ -19,13 +19,12 @@ from .mobius import TAU
 from .polygon import MarkedPolygon
 
 
+_STROKE = 1.6                    # line width of sides, marks and frames
+
+
 @dataclass(frozen=True)
 class FigureSpec:
-    kind: str = "polygon"        # "polygon" | "attractor" | "both"
     size: int = 640
-    stroke: float = 1.6
-    labels: bool = True
-    sectors: bool = True
 
     def __post_init__(self) -> None:
         if self.size < 100:
@@ -73,16 +72,15 @@ def render_polygon(poly: MarkedPolygon, part: Partition | None,
     svg = _Svg(size, size)
     svg.add(f'<rect width="{_f(size)}" height="{_f(size)}" fill="white"/>')
     svg.add(f'<circle class="boundary" cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(R)}" '
-            f'fill="none" stroke="#444444" stroke-width="{_f(spec.stroke)}"/>')
+            f'fill="none" stroke="#444444" stroke-width="{_f(_STROKE)}"/>')
 
-    if spec.sectors:
-        for j in range(poly.ell):
-            z = complex(math.cos(poly.corner_angles[j]),
-                        math.sin(poly.corner_angles[j]))
-            x, y = to_px(z)
-            svg.add(f'<line class="sector-ray" x1="{_f(cx)}" y1="{_f(cy)}" '
-                    f'x2="{_f(x)}" y2="{_f(y)}" stroke="#dddddd" '
-                    f'stroke-width="{_f(0.5 * spec.stroke)}"/>')
+    for j in range(poly.ell):
+        z = complex(math.cos(poly.corner_angles[j]),
+                    math.sin(poly.corner_angles[j]))
+        x, y = to_px(z)
+        svg.add(f'<line class="sector-ray" x1="{_f(cx)}" y1="{_f(cy)}" '
+                f'x2="{_f(x)}" y2="{_f(y)}" stroke="#dddddd" '
+                f'stroke-width="{_f(0.5 * _STROKE)}"/>')
 
     for i, side in enumerate(poly.sides):
         color = block_color(poly.block_of_side(i).index)
@@ -93,7 +91,7 @@ def render_polygon(poly: MarkedPolygon, part: Partition | None,
         if side.is_diameter:
             svg.add(f'<line class="side" x1="{_f(x1)}" y1="{_f(y1)}" '
                     f'x2="{_f(x2)}" y2="{_f(y2)}" stroke="{color}" '
-                    f'stroke-width="{_f(spec.stroke)}"/>')
+                    f'stroke-width="{_f(_STROKE)}"/>')
             continue
         c = side.circle
         r_px = R * c.radius
@@ -104,7 +102,7 @@ def render_polygon(poly: MarkedPolygon, part: Partition | None,
         sweep = 1 if cross < 0 else 0
         svg.add(f'<path class="side" d="M {_f(x1)} {_f(y1)} '
                 f'A {_f(r_px)} {_f(r_px)} 0 0 {sweep} {_f(x2)} {_f(y2)}" '
-                f'fill="none" stroke="{color}" stroke-width="{_f(spec.stroke)}"/>')
+                f'fill="none" stroke="{color}" stroke-width="{_f(_STROKE)}"/>')
 
     for i, v in enumerate(poly.vertices):
         x, y = to_px(v.point.z)
@@ -113,13 +111,12 @@ def render_polygon(poly: MarkedPolygon, part: Partition | None,
             xo, yo = to_px(1.04 * zo)
             svg.add(f'<line class="ideal-vertex" x1="{_f(x)}" y1="{_f(y)}" '
                     f'x2="{_f(xo)}" y2="{_f(yo)}" stroke="#222222" '
-                    f'stroke-width="{_f(spec.stroke)}"/>')
+                    f'stroke-width="{_f(_STROKE)}"/>')
         else:
             svg.add(f'<circle class="elliptic-vertex" cx="{_f(x)}" cy="{_f(y)}" '
                     f'r="{_f(3.0)}" fill="#222222"/>')
-            if spec.labels:
-                svg.add(f'<text class="order-label" x="{_f(x + 6)}" '
-                        f'y="{_f(y - 6)}" font-size="12">{v.order}</text>')
+            svg.add(f'<text class="order-label" x="{_f(x + 6)}" '
+                    f'y="{_f(y - 6)}" font-size="12">{v.order}</text>')
 
     if part is not None:
         for k in poly.elliptic_indices():
@@ -128,7 +125,7 @@ def render_polygon(poly: MarkedPolygon, part: Partition | None,
             xo, yo = to_px(1.0 * z)
             svg.add(f'<line class="cut-point" x1="{_f(xi)}" y1="{_f(yi)}" '
                     f'x2="{_f(xo)}" y2="{_f(yo)}" stroke="#cc2222" '
-                    f'stroke-width="{_f(spec.stroke)}"/>')
+                    f'stroke-width="{_f(_STROKE)}"/>')
     return svg.finish()
 
 
@@ -146,18 +143,17 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
     svg.add(f'<rect width="{_f(size)}" height="{_f(size)}" fill="white"/>')
     svg.add(f'<rect class="frame" x="{_f(margin)}" y="{_f(margin)}" '
             f'width="{_f(side)}" height="{_f(side)}" fill="none" '
-            f'stroke="#444444" stroke-width="{_f(spec.stroke)}"/>')
+            f'stroke="#444444" stroke-width="{_f(_STROKE)}"/>')
 
-    if spec.sectors:
-        for c in dom.poly.corner_angles[1:-1]:
-            x0, _ = to_px(c, 0.0)
-            _, y0 = to_px(0.0, c)
-            svg.add(f'<line class="grid" x1="{_f(x0)}" y1="{_f(margin)}" '
-                    f'x2="{_f(x0)}" y2="{_f(margin + side)}" stroke="#eeeeee" '
-                    f'stroke-width="1.0"/>')
-            svg.add(f'<line class="grid" x1="{_f(margin)}" y1="{_f(y0)}" '
-                    f'x2="{_f(margin + side)}" y2="{_f(y0)}" stroke="#eeeeee" '
-                    f'stroke-width="1.0"/>')
+    for c in dom.poly.corner_angles[1:-1]:
+        x0, _ = to_px(c, 0.0)
+        _, y0 = to_px(0.0, c)
+        svg.add(f'<line class="grid" x1="{_f(x0)}" y1="{_f(margin)}" '
+                f'x2="{_f(x0)}" y2="{_f(margin + side)}" stroke="#eeeeee" '
+                f'stroke-width="1.0"/>')
+        svg.add(f'<line class="grid" x1="{_f(margin)}" y1="{_f(y0)}" '
+                f'x2="{_f(margin + side)}" y2="{_f(y0)}" stroke="#eeeeee" '
+                f'stroke-width="1.0"/>')
 
     for r in dom.rects:
         color = block_color(r.block)
@@ -174,11 +170,10 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
                         f'stroke-width="0.6"/>')
         svg.add('</g>')
 
-    if spec.labels:
-        svg.add(f'<text class="axis-label" x="{_f(margin + 0.5 * side)}" '
-                f'y="{_f(size - 0.25 * margin)}" font-size="13" '
-                f'text-anchor="middle">u</text>')
-        svg.add(f'<text class="axis-label" x="{_f(0.35 * margin)}" '
-                f'y="{_f(margin + 0.5 * side)}" font-size="13" '
-                f'text-anchor="middle">w</text>')
+    svg.add(f'<text class="axis-label" x="{_f(margin + 0.5 * side)}" '
+            f'y="{_f(size - 0.25 * margin)}" font-size="13" '
+            f'text-anchor="middle">u</text>')
+    svg.add(f'<text class="axis-label" x="{_f(0.35 * margin)}" '
+            f'y="{_f(margin + 0.5 * side)}" font-size="13" '
+            f'text-anchor="middle">w</text>')
     return svg.finish()

@@ -186,7 +186,7 @@ class TestCycle:
             if poly.vertices[k].order < 3:
                 continue
             data = cycle(poly, part, k)
-            base = poly.block_of_vertex(k).base_angle
+            base = poly.block_of_side(k).base_angle
             rel = [(part.points[k].theta - base) % TAU]
             rel += [(p.theta - base) % TAU for p in data.lower_points[:data.J]]
             assert all(b < a for a, b in zip(rel, rel[1:]))

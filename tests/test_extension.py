@@ -67,6 +67,33 @@ class TestAttractorStructure:
         assert len(dom.rects) == 4
         assert [i.count for i in dom.info] == [4]
 
+    @pytest.mark.parametrize("text,expect", [
+        # (block, gamma, u start, u sweep, w start, w sweep), angles in pi
+        ("1;;1", [(0, 0, 1 / 2, 3 / 2, 0, 1 / 2),
+                  (0, 1, 1, 3 / 2, 1 / 2, 1 / 2),
+                  (0, 2, 3 / 2, 3 / 2, 1, 1 / 2),
+                  (0, 3, 0, 3 / 2, 3 / 2, 1 / 2)]),
+        ("0;2,2;2", [(0, 0, 2 / 3, 4 / 3, 0, 2 / 3),
+                     (1, 2, 4 / 3, 4 / 3, 2 / 3, 2 / 3),
+                     (2, 4, 5 / 3, 5 / 3, 4 / 3, 1 / 3),
+                     (2, 5, 0, 5 / 3, 5 / 3, 1 / 3)]),
+        ("0;2,3;1", [(0, 0, 1, 1, 0, 1)]),
+    ])
+    def test_uniform_strips_pinned(self, text, expect):
+        # quadruple, order-2 and cusp strips do not depend on the partition
+        blocks = {e[0] for e in expect}
+        for mode in MODES:
+            dom = domain(text, mode)
+            rects = [r for r in dom.rects if r.block in blocks]
+            assert len(rects) == len(expect)
+            for r, (blk, gamma, *arcs) in zip(rects, expect):
+                assert (r.block, r.gamma_index) == (blk, gamma)
+                us, usw, ws, wsw = (x * math.pi for x in arcs)
+                assert angular_distance(r.u_arc.start.theta, us) < 1e-12
+                assert abs(r.u_arc.sweep - usw) < 1e-12
+                assert angular_distance(r.w_arc.start.theta, ws) < 1e-12
+                assert abs(r.w_arc.sweep - wsw) < 1e-12
+
     def test_modular_midpoint_counts(self):
         # order-2 strip is one rectangle; the order-3 midpoint cycle is
         # degenerate, so its strip carries m - 1 = 2 rectangles
@@ -190,7 +217,7 @@ class TestBijectivity:
         blk = poly.blocks[2]
         g = poly.generators[blk.side_start]
         v = BoundaryPoint.from_angle(blk.base_angle + math.pi / poly.ell)
-        start = poly.vertices[blk.vertex_start].point
+        start = poly.vertices[blk.side_start].point
         end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
         assert angular_distance(g.apply_boundary(start).theta, end.theta) < 1e-12
         assert angular_distance(g.apply_boundary(v).theta, v.theta) < 1e-12
@@ -317,7 +344,7 @@ class TestPhiAndExceptional:
         poly = polygon(text)
         part = partition(text, mode)
         dom = build_attractor(poly, part)
-        blk = poly.block_of_vertex(k)
+        blk = poly.block_of_side(k)
         hats = exceptional_set(poly, part, k)
         lower = [r for r in hats if r.gamma_index == blk.side_start]
         data = cycle(poly, part, k)
@@ -403,9 +430,9 @@ class TestPhiAndExceptional:
                 data = cycle(poly, part, k)
                 if data.degenerate or poly.vertices[k].order < 3:
                     continue
-                blk = poly.block_of_vertex(k)
+                blk = poly.block_of_side(k)
                 c = poly.generators[blk.side_start]
-                start = poly.vertices[blk.vertex_start].point
+                start = poly.vertices[blk.side_start].point
                 end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
                 fwd = end
                 for _ in range(data.J + 1):

@@ -58,7 +58,7 @@ class TestAction:
         for _ in range(3):
             z = c.apply(z)
         assert abs(z - 0.5) < 1e-10
-        assert c.power(3).is_identity(1e-12)
+        assert c.power(3).sign_distance(MoebiusPSU.identity()) < 1e-12
 
     def test_closed_form_matches_conjugated_rotation(self):
         for ell, m in ((2, 3), (3, 5), (5, 7), (6, 8), (2, 2)):
@@ -79,7 +79,7 @@ class TestGroupStructure:
 
     def test_involution_squares_to_identity(self):
         c2 = elliptic_generator(3, 2)
-        assert (c2 @ c2).is_identity(1e-12)
+        assert (c2 @ c2).sign_distance(MoebiusPSU.identity()) < 1e-12
         assert c2.sign_distance(c2.inverse()) < 1e-12
 
     def test_inverse_composes_to_identity(self):

@@ -7,10 +7,9 @@ import pytest
 
 from conftest import SIGNATURES, polygon
 
-from fuchsian import (InvalidSignature, NotElliptic, Signature, aux_points,
-                      build_canonical, cusp_orbit, signature_string,
-                      validate_polygon)
-from fuchsian.mobius import TAU, angular_distance
+from fuchsian import (InvalidSignature, Signature, build_canonical,
+                      cusp_orbit, signature_string, validate_polygon)
+from fuchsian.mobius import TAU, MoebiusPSU, angular_distance
 from fuchsian.polygon import (INFINITY, SQUARE, bisector_endpoint,
                               boundary_product)
 
@@ -69,12 +68,14 @@ class TestConstruction:
         poly = polygon("2;2,5,8;2")
         assert poly.ell == 6 and poly.n_sides == 16
 
-    def test_vertex_and_side_indices_align(self):
-        for text in SIGNATURES:
+    def test_block_of_side_holds_the_side(self):
+        for text in SIGNATURES + ["3;;1", "0;2;3"]:
             poly = polygon(text)
             assert len(poly.vertices) == len(poly.generators) == poly.n_sides
-            for blk in poly.blocks:
-                assert blk.side_start == blk.vertex_start
+            assert sum(blk.n_sides for blk in poly.blocks) == poly.n_sides
+            for i in range(poly.n_sides):
+                blk = poly.block_of_side(i)
+                assert blk.side_start <= i < blk.side_start + blk.n_sides
 
     def test_determinism(self):
         a = build_canonical(Signature.parse("1;2,3,7;2"))
@@ -108,7 +109,7 @@ class TestConstruction:
             for k in poly.elliptic_indices():
                 m = poly.vertices[k].order
                 g = poly.generators[k - 1]
-                assert g.power(m).is_identity(1e-9)
+                assert g.power(m).sign_distance(MoebiusPSU.identity()) < 1e-9
                 cls = g.classify()
                 assert cls.kind == "elliptic"
                 assert abs(cls.rotation_angle - TAU / m) < 1e-9
@@ -127,7 +128,6 @@ class TestConstruction:
 
     def test_second_gluing_rotation_identity(self):
         # b = R_{pi/(2l)} a^{-1} R_{pi/(2l)}^{-1} as matrices up to sign
-        from fuchsian.mobius import MoebiusPSU
         from fuchsian.polygon import (hyperbolic_generator_a,
                                       hyperbolic_generator_b)
         for ell in (1, 2, 5, 6):
@@ -140,24 +140,22 @@ class TestConstruction:
 class TestAuxPoints:
     def test_modular_exact_values(self):
         poly = polygon(MODULAR)
-        aux = aux_points(poly, 1)
+        aux = poly.aux[1]
         assert abs(aux.P.z - 1.0) < 1e-14
         assert abs(aux.Q.z - (-1.0)) < 1e-14
         assert abs(aux.M.z - 1j) < 1e-14
 
     def test_ideal_vertices_return_themselves(self):
         poly = polygon(MODULAR)
-        aux = aux_points(poly, 0)
+        aux = poly.aux[0]
         assert aux.P is aux.Q is aux.M is poly.vertices[0].point
-        with pytest.raises(NotElliptic):
-            aux_points(poly, 0, strict=True)
 
     def test_midpoint_is_projected_vertex(self):
         # mirror symmetry of each block about its bisecting ray
         for text in SIGNATURES:
             poly = polygon(text)
             for k in poly.elliptic_indices():
-                blk = poly.block_of_vertex(k)
+                blk = poly.block_of_side(k)
                 expect = (blk.base_angle + math.pi / poly.ell) % TAU
                 assert angular_distance(poly.aux[k].M.theta, expect) < 1e-9
 
@@ -174,11 +172,11 @@ class TestAuxPoints:
         for text in SIGNATURES:
             poly = polygon(text)
             for k in poly.elliptic_indices():
-                blk = poly.block_of_vertex(k)
+                blk = poly.block_of_side(k)
                 aux = poly.aux[k]
-                rel = [(aux.P.theta - blk.base_angle) % TAU,
-                       (poly.vertex_angle(k) - blk.base_angle) % TAU,
-                       (aux.Q.theta - blk.base_angle) % TAU]
+                mid = blk.base_angle + math.pi / poly.ell
+                rel = [(t - blk.base_angle) % TAU
+                       for t in (aux.P.theta, mid, aux.Q.theta)]
                 sector = TAU / poly.ell
                 assert 0 <= rel[0] <= rel[1] <= rel[2] <= sector + 1e-12
 

@@ -105,7 +105,7 @@ class TestAttractorFigure:
             poly = polygon(text)
             part = partition(text, "midpoint")
             dom = build_attractor(poly, part)
-            spec = FigureSpec(kind="attractor")
+            spec = FigureSpec()
             doc = render_attractor(dom, spec)
             assert doc == render_attractor(dom, spec)
             root = svg_root(doc)
@@ -116,7 +116,7 @@ class TestAttractorFigure:
     def test_seam_split_preserves_extent(self):
         dom = build_attractor(polygon("0;2,3;1"),
                               partition("0;2,3;1", "midpoint"))
-        spec = FigureSpec(kind="attractor")
+        spec = FigureSpec()
         doc = render_attractor(dom, spec)
         root = svg_root(doc)
         side = spec.size - 2 * 0.08 * spec.size

@@ -1,23 +1,27 @@
 """Dev-time oracle: high-precision derivations of constants frozen in tests.
 
-Run manually (`python tools/derive_oracles.py`); not part of the shipped
-library or the test suite.  Everything here is computed with mpmath at 50
-digits, independently of the package code, to confirm the exact closed
-forms asserted in the tests:
+Run with `python tools/derive_oracles.py`; not part of the shipped library
+or the test suite.  Everything here is computed with mpmath at 50 digits,
+independently of the package code, to confirm the exact closed forms asserted
+in the tests.  The script exits 1 when any derived value misses its closed
+form by more than 1e-40:
 
   * wedge vertex for l=2, m=3:      V1 = (2 - sqrt(3)) i
   * geodesic extension endpoints:   Q1 = (-3 + 4i)/5,  P1 = (3 + 4i)/5
   * (the circle through 1 and V1:   center 1 + 2i, radius 2)
   * hyperbolic-quadruple gluing at l=1: isometric circle center
     sec(pi/4) e^{i pi/4} = 1 + i, radius tan(pi/4) = 1
-  * signature areas: (0;2,3;1) -> pi/3, (1;2,3,7;2) -> 2 pi * 85/42
+  * signature areas: (0;2,3;1) -> pi/3, (1;2,3,7;2) -> 2 pi * 169/42
   * commutator of the l=1 quadruple gluings has |trace| = 2
   * order-m wedge rotation has eigenvalue argument pi/m (angle 2 pi/m)
 """
 
-from mpmath import mp, mpc, mpf, cos, sin, tan, sec, atan2, exp, pi, sqrt, matrix
+import sys
+
+from mpmath import mp, mpc, mpf, cos, exp, pi, sqrt, matrix
 
 mp.dps = 50
+TOL = mpf("1e-40")
 
 
 def wedge_vertex(ell, m):
@@ -36,39 +40,51 @@ def orthogonal_circle_through(u, p):
 
 
 def main():
+    misses = []
+
+    def check(name, derived, closed):
+        diff = abs(derived - closed)
+        print(f"{name}: {derived} vs {closed}, diff {mp.nstr(diff, 3)}")
+        if diff > TOL:
+            misses.append(name)
+
     v1 = wedge_vertex(2, 3)
-    print("V1(l=2,m=3)      =", v1)
-    print("  vs (2-sqrt3)i  =", mpc(0, 2 - sqrt(3)), "diff",
-          abs(v1 - mpc(0, 2 - sqrt(3))))
+    check("V1(l=2,m=3) = (2-sqrt3)i", v1, mpc(0, 2 - sqrt(3)))
 
     c, r = orthogonal_circle_through(mpc(1, 0), v1)
-    print("circle(1, V1): center", c, "radius", r)
+    check("circle(1, V1) center = 1+2i", c, mpc(1, 2))
+    check("circle(1, V1) radius = 2", r, 2)
     s = c / abs(c) ** 2
     q1, q2 = s * (1 + 1j * r), s * (1 - 1j * r)
     q = q1 if abs(q1 - 1) > abs(q2 - 1) else q2
-    print("Q1 =", q, "diff vs (-3+4i)/5:", abs(q - mpc(-3, 4) / 5))
+    check("Q1 = (-3+4i)/5", q, mpc(-3, 4) / 5)
+    c, r = orthogonal_circle_through(mpc(-1, 0), v1)
+    s = c / abs(c) ** 2
+    p1, p2 = s * (1 + 1j * r), s * (1 - 1j * r)
+    check("P1 = (3+4i)/5", p1 if abs(p1 + 1) > abs(p2 + 1) else p2,
+          mpc(3, 4) / 5)
 
+    # first quadruple gluing at l = 1, z -> (al z + be) / (ga z + de); its
+    # isometric circle |ga z + de| = sqrt|det| has center -de/ga
     th = pi / 4
-    print("a1(l=1) isometric circle: center", sec(th) * exp(1j * th),
-          "radius", tan(th))
+    e = lambda k: exp(1j * k * th)
+    al, be, ga, de = -e(5), cos(th) * e(6), -cos(th), e(1)
+    det = al * de - be * ga
+    check("a1(l=1) isometric circle center = 1+i", -de / ga, mpc(1, 1))
+    check("a1(l=1) isometric circle radius = 1", sqrt(abs(det)) / abs(ga), 1)
 
-    print("area(0;2,3;1) =", 2 * pi * (-2 + 1 + mpf(1) / 2 + mpf(2) / 3),
-          "= pi/3 =", pi / 3)
-    print("area(1;2,3,7;2) =",
+    check("area(0;2,3;1) = pi/3",
+          2 * pi * (-2 + 1 + mpf(1) / 2 + mpf(2) / 3), pi / 3)
+    check("area(1;2,3,7;2) = 2pi*169/42",
           2 * pi * (2 - 2 + 2 + mpf(1) / 2 + mpf(2) / 3 + mpf(6) / 7),
-          "= 2pi*85/42 =", 2 * pi * mpf(85) / 42)
+          2 * pi * mpf(169) / 42)
 
     # commutator of the quadruple gluings at l = 1
-    ell = 1
-    cth = cos(pi / (4 * ell))
-    e = lambda k: exp(1j * k * pi / (4 * ell))
-    a = matrix([[-e(5), cth * e(6)], [-cth, e(1)]])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    a = a / sqrt(det)
-    rot = matrix([[exp(1j * pi / (4 * ell)), 0], [0, exp(-1j * pi / (4 * ell))]])
+    a = matrix([[al, be], [ga, de]]) / sqrt(det)
+    rot = matrix([[e(1), 0], [0, e(-1)]])
     b = rot * a ** -1 * rot ** -1
     comm = b ** -1 * a ** -1 * b * a
-    print("(1;;1) commutator |trace| =", abs(comm[0, 0] + comm[1, 1]))
+    check("(1;;1) commutator |trace| = 2", abs(comm[0, 0] + comm[1, 1]), 2)
 
     # wedge rotation angle: eigenvalues e^{-i pi/m}, e^{i pi/m}
     for ell, m in ((2, 3), (5, 7), (6, 8)):
@@ -78,10 +94,15 @@ def main():
                     [(cm + cl) / ee, -(1 + cm / ee)]])
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         M = M / sqrt(det)
-        tr = M[0, 0] + M[1, 1]
-        print(f"wedge l={ell} m={m}: |trace| = {abs(tr)}, "
-              f"2 cos(pi/{m}) = {2 * cos(pi / m)}")
+        check(f"wedge l={ell} m={m}: |trace| = 2 cos(pi/{m})",
+              abs(M[0, 0] + M[1, 1]), 2 * cos(pi / m))
+
+    if misses:
+        print(f"{len(misses)} derived value(s) miss their closed form by more "
+              f"than {mp.nstr(TOL, 1)}: {', '.join(misses)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
