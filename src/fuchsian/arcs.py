@@ -44,12 +44,6 @@ class DirectedArc:
         return cls(start, end, ccw_sweep(start.theta, end.theta, full_if_equal))
 
     @classmethod
-    def cw(cls, start: BoundaryPoint, end: BoundaryPoint,
-           full_if_equal: bool = False) -> "DirectedArc":
-        """Clockwise arc, stored as the equivalent CCW arc (endpoints swap)."""
-        return cls.ccw(end, start, full_if_equal)
-
-    @classmethod
     def from_angles(cls, start: float, sweep: float) -> "DirectedArc":
         s = normalize_angle(start)
         return cls(BoundaryPoint.from_angle(s),

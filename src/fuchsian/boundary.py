@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import tolerances
+from .tolerances import Check, Report
 from .errors import CustomPointOutOfRange, NotElliptic
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import MarkedPolygon
@@ -305,38 +306,37 @@ def verify_matching(poly: MarkedPolygon, part: Partition, k: int,
 # -- Markov property ----------------------------------------------------------
 
 
-@dataclass
-class MarkovReport:
+@dataclass(frozen=True)
+class MarkovReport(Report):
+    """Checks ``orbits_finite`` (residual: orbits over the step budget) and
+    ``endpoints`` (farthest endpoint image from the refinement)."""
+
     refinement: list[float]                  # sorted break angles
     transitions: list[list[int]]             # interval -> covered intervals
-    orbit_sizes: dict[tuple[int, str], int]
-    all_orbits_finite: bool
-    endpoint_residual: float
-    budget_exceeded: bool
-    passed: bool
+    orbit_sizes: dict[str, int]              # "k:side" -> distinct points
 
-    def to_dict(self) -> dict:
-        return {"refinement": self.refinement,
-                "transitions": self.transitions,
-                "orbit_sizes": {f"{k}:{s}": v for (k, s), v in self.orbit_sizes.items()},
-                "all_orbits_finite": self.all_orbits_finite,
-                "endpoint_residual": self.endpoint_residual,
-                "passed": self.passed}
+    endpoint_residual = property(lambda self: self.checks["endpoints"].residual)
+    all_orbits_finite = property(lambda self: self.checks["orbits_finite"].passed)
+    budget_exceeded = property(lambda self: not self.all_orbits_finite)
 
 
 def markov_check(poly: MarkedPolygon, part: Partition,
                  max_steps: int = 10_000) -> MarkovReport:
     """Check that the cut-point orbits are finite and that the refinement
-    they generate maps interval-onto-intervals under the boundary map."""
+    they generate maps interval-onto-intervals under the boundary map.
+    The first orbit to hit ``max_steps`` fails the report at once, with an
+    empty refinement and the endpoints not measured (residual inf)."""
     tols = tolerances.active()
-    orbit_sizes: dict[tuple[int, str], int] = {}
-    budget = False
+    orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
     for k in range(part.n):
         for side in ("upper", "lower"):
             rec = orbit(poly, part, part.points[k], side, max_steps)
-            orbit_sizes[(k, side)] = rec.distinct_count()
-            budget = budget or rec.budget_exceeded
+            orbit_sizes[f"{k}:{side}"] = rec.distinct_count()
+            if rec.budget_exceeded:
+                return MarkovReport([], [], orbit_sizes, checks={
+                    "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
+                    "endpoints": Check(math.inf, tols.residual, "not measured")})
             pts.extend(p.theta for p in rec.points)
 
     # dedupe circularly
@@ -369,5 +369,5 @@ def markov_check(poly: MarkedPolygon, part: Partition,
             covered = [ilo]
         transitions.append(covered)
 
-    return MarkovReport(refined, transitions, orbit_sizes, not budget, worst,
-                        budget, not budget and worst < tols.residual)
+    return MarkovReport(refined, transitions, orbit_sizes, checks={
+        "orbits_finite": Check(0, 1), "endpoints": Check(worst, tols.residual)})

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 
 from . import tolerances
+from .tolerances import Check, Report
 from .boundary import cycle, make_partition, markov_check, verify_matching
 from .errors import (FuchsianError, InvalidSignature, NotElliptic,
                      PartitionOutOfGuaranteeRange)
@@ -53,10 +54,12 @@ class RunConfig:
         d["checks"] = list(self.checks)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**{k: tuple(v) if k == "checks" else v
-                      for k, v in d.items()})
+
+@dataclass(frozen=True)
+class CyclesReport(Report):
+    """Check ``matching``: the worst residual of the ``vertices`` rows."""
+
+    vertices: list[dict]
 
 
 def parse_partition_arg(text: str):
@@ -137,11 +140,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    results: dict[str, dict] = {}
-    tols = tolerances.active()
+    reports: dict[str, Report] = {}
     if "polygon" in selected:
-        rep = validate_polygon(poly)
-        results["polygon"] = rep.to_dict()
+        reports["polygon"] = validate_polygon(poly)
     if "cycles" in selected:
         worst, rows = 0.0, []
         for k in poly.elliptic_indices():
@@ -152,29 +153,28 @@ def cmd_verify(cfg: RunConfig) -> int:
                          "I": data.I, "degenerate": data.degenerate,
                          "end_of_cycle": data.end_of_cycle.theta,
                          "residual": res})
-        results["cycles"] = {"passed": worst < tols.residual,
-                             "residual": worst, "vertices": rows}
+        reports["cycles"] = CyclesReport(rows, checks={
+            "matching": Check(worst, tolerances.active().residual)})
     if "markov" in selected:
-        rep = markov_check(poly, part, max_steps=10_000)
-        results["markov"] = rep.to_dict()
+        reports["markov"] = markov_check(poly, part, max_steps=10_000)
     if "bijectivity" in selected:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", PartitionOutOfGuaranteeRange)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartitionOutOfGuaranteeRange)
             dom = build_attractor(poly, part)
-        rep = verify_bijectivity(poly, part, dom)
-        results["bijectivity"] = rep.to_dict()
-        if not dom.guarantee:
-            results["bijectivity"]["warning"] = (
-                "partition outside guarantee range; bijectivity holds but "
-                "global attraction is only conjectural here")
-            print("warning: partition outside [P,Q] guarantee range",
-                  file=sys.stderr)
+        reports["bijectivity"] = verify_bijectivity(poly, part, dom)
 
-    ok = all(r.get("passed", False) for r in results.values())
+    results = {name: rep.to_dict() for name, rep in reports.items()}
+    if "bijectivity" in reports and not dom.guarantee:
+        results["bijectivity"]["warning"] = (
+            "partition outside guarantee range; bijectivity holds but "
+            "global attraction is only conjectural here")
+        print("warning: partition outside [P,Q] guarantee range",
+              file=sys.stderr)
+    ok = all(rep.passed for rep in reports.values())
     out = {"config": cfg.to_dict(), "passed": ok, "results": results}
     _write(cfg.report_out, json.dumps(out, indent=2))
-    for name, r in results.items():
-        print(f"{name}: {'pass' if r.get('passed') else 'FAIL'}")
+    for name, rep in reports.items():
+        print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
+from .tolerances import Check, Report
 from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
                    max_pairwise_overlap, rect_boxes,
                    region_intersection_measure)
@@ -229,23 +230,19 @@ def rect_image(poly: MarkedPolygon, part: Partition, rect: Rect) -> list[Rect]:
     return out
 
 
-@dataclass
-class BijectivityReport:
+@dataclass(frozen=True)
+class BijectivityReport(Report):
+    """Checks ``image_overlap``, ``symmetric_difference`` and
+    ``strip_residuals`` (the largest per-block residual)."""
+
     signature: str
     mode: str
     guarantee: bool
-    image_overlap: float
-    symmetric_difference: float
     strip_residuals: list[float]
-    passed: bool
 
-    def to_dict(self) -> dict:
-        return {"signature": self.signature, "mode": self.mode,
-                "guarantee_range": self.guarantee,
-                "image_overlap": self.image_overlap,
-                "symmetric_difference": self.symmetric_difference,
-                "strip_residuals": self.strip_residuals,
-                "passed": self.passed}
+    image_overlap = property(lambda self: self.checks["image_overlap"].residual)
+    symmetric_difference = property(
+        lambda self: self.checks["symmetric_difference"].residual)
 
 
 def verify_bijectivity(poly: MarkedPolygon, part: Partition,
@@ -275,10 +272,12 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
                                      np.logical_xor))
 
     tols = tolerances.active()
-    passed = (overlap < tols.overlap and sym < tols.residual
-              and all(r < tols.residual for r in strip_res))
-    return BijectivityReport(str(poly.signature), part.mode, dom.guarantee,
-                             overlap, sym, strip_res, passed)
+    return BijectivityReport(
+        str(poly.signature), part.mode, dom.guarantee, strip_res, checks={
+            "image_overlap": Check(overlap, tols.overlap),
+            "symmetric_difference": Check(sym, tols.residual),
+            "strip_residuals": Check(max(strip_res, default=0.0),
+                                     tols.residual)})
 
 
 # -- escape set and exceptional rectangles ------------------------------------
@@ -358,12 +357,12 @@ def _exceptional(poly: MarkedPolygon, part: Partition,
     return out, data
 
 
-@dataclass
-class ExceptionalReport:
-    containment_residual: float
-    escaped_measure: float       # measure still outside the attractor
+@dataclass(frozen=True)
+class ExceptionalReport(Report):
+    """Checks ``containment`` (nesting of the lower rectangles) and
+    ``escaped`` (measure still outside the attractor)."""
+
     steps_used: int
-    passed: bool
 
 
 def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
@@ -375,10 +374,7 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     the attractor within the cycle length plus two steps.
     """
     hats, data = _exceptional(poly, part, k)
-    if not hats:
-        return ExceptionalReport(0.0, 0.0, 0, True)
     tol = tolerances.active().residual
-    J, I = data.J, data.I
     blk = poly.block_of_side(k % poly.n_sides)
     lower = [r for r in hats if r.gamma_index == blk.side_start]
     upper = [r for r in hats if r.gamma_index == blk.side_start + 1]
@@ -387,34 +383,31 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     def area_inside(r: Rect) -> float:
         return box_measure(rect_boxes([r]), domain, np.logical_and)
 
+    def images(region: list[Rect]) -> list[Rect]:
+        return [img for r in region for img in rect_image(poly, part, r)]
+
     worst = 0.0
-    if lower:
-        region = [lower[0]]
-        for j in range(1, len(lower)):
-            nxt: list[Rect] = []
-            for r in region:
-                nxt.extend(rect_image(poly, part, r))
-            region = nxt
-            miss = lower[j].area - region_intersection_measure([lower[j]], region)
-            worst = max(worst, miss)
+    region = lower[:1]
+    for rect in lower[1:]:
+        region = images(region)
+        miss = rect.area - region_intersection_measure([rect], region)
+        worst = max(worst, miss)
 
     escaped = 0.0
     steps = 0
+    # without hats (order 2) there is no first piece and no cycle data
     for first in (lower[:1] + upper[:1]):
         region = [first]
-        for step in range(max(J, I) + 3):
+        for step in range(max(data.J, data.I) + 3):
             remaining = [r for r in region if r.area - area_inside(r) > tol]
             if not remaining:
                 break
-            nxt = []
-            for r in remaining:
-                nxt.extend(rect_image(poly, part, r))
-            region = nxt
+            region = images(remaining)
             steps = max(steps, step + 1)
         else:
             escaped += sum(max(0.0, r.area - area_inside(r)) for r in region)
-    return ExceptionalReport(worst, escaped, steps,
-                             worst < tol and escaped < tol)
+    return ExceptionalReport(steps, checks={"containment": Check(worst, tol),
+                                            "escaped": Check(escaped, tol)})
 
 
 # -- simulation ----------------------------------------------------------------

@@ -17,8 +17,10 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from . import tolerances
+from .tolerances import Check, Report
 from .errors import InvalidSignature, NotElliptic
 from .mobius import (TAU, BoundaryPoint, DiskPoint, Geodesic, MoebiusPSU,
                      angular_distance, geodesic_from_boundary_pair,
@@ -369,29 +371,10 @@ def cusp_orbit(poly: MarkedPolygon) -> list[BoundaryPoint]:
 # -- validation ---------------------------------------------------------------
 
 
-@dataclass
-class CheckResult:
-    passed: bool
-    residual: float
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
+@dataclass(frozen=True)
+class ValidationReport(Report):
     signature: str
-    checks: dict[str, CheckResult]
-    area: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {"signature": self.signature, "passed": self.passed,
-                "area": self.area,
-                "checks": {k: {"passed": c.passed, "residual": c.residual,
-                               "detail": c.detail}
-                           for k, c in self.checks.items()}}
+    area: float
 
 
 def _clockwise_angle(d_from: complex, d_to: complex) -> float:
@@ -449,36 +432,30 @@ def _halfplane_normal(geo: Geodesic, sector_mid: complex) -> complex:
     return nrm
 
 
-def _disjointness(poly: MarkedPolygon, tol: float) -> CheckResult:
-    units = _unit_circles(poly)
-    worst = 0.0
-    detail = ""
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            for kind1, s1 in units[i][1]:
-                for kind2, s2 in units[j][1]:
-                    if kind1 == "circle" and kind2 == "circle":
-                        c1, c2 = s1, s2
-                        gap = abs(c1.center - c2.center) - (c1.radius + c2.radius)
-                        pen = -gap
-                        if abs(gap) <= tol:
-                            d = c2.center - c1.center
-                            touch = c1.center + c1.radius * d / abs(d)
-                            pen = abs(abs(touch) - 1.0)
-                    elif kind1 == "line" or kind2 == "line":
-                        if kind1 == "line" and kind2 == "line":
-                            return CheckResult(False, math.inf,
-                                               "two diameter units cannot coexist")
-                        nrm, circ = (s1, s2) if kind1 == "line" else (s2, s1)
-                        depth = (circ.center * nrm.conjugate()).real + circ.radius
-                        pen = depth
-                        if abs(depth) <= tol:
-                            touch = circ.center + circ.radius * nrm
-                            pen = abs(abs(touch) - 1.0)
-                    if pen > worst:
-                        worst = pen
-                        detail = f"units {units[i][0]} vs {units[j][0]}"
-    return CheckResult(worst <= tol, worst, detail)
+def _disjointness(poly: MarkedPolygon, tol: float) -> Check:
+    """Deepest penetration between the shapes of two different units; a
+    tangency within ``tol`` is measured by how far the touching point lies
+    from the unit circle."""
+    worst, detail = 0.0, ""
+    for (name1, shapes1), (name2, shapes2) in combinations(
+            _unit_circles(poly), 2):
+        for (kind1, s1), (kind2, s2) in product(shapes1, shapes2):
+            if kind1 == kind2 == "circle":
+                gap = abs(s1.center - s2.center) - (s1.radius + s2.radius)
+                pen = -gap
+                if abs(gap) <= tol:
+                    d = s2.center - s1.center
+                    pen = abs(abs(s1.center + s1.radius * d / abs(d)) - 1.0)
+            elif kind1 == kind2:
+                return Check(math.inf, tol, "two diameter units cannot coexist")
+            else:
+                nrm, circ = (s1, s2) if kind1 == "line" else (s2, s1)
+                pen = (circ.center * nrm.conjugate()).real + circ.radius
+                if abs(pen) <= tol:
+                    pen = abs(abs(circ.center + circ.radius * nrm) - 1.0)
+            if pen > worst:
+                worst, detail = pen, f"units {name1} vs {name2}"
+    return Check(worst, tol, detail)
 
 
 def block_glue_product(poly: MarkedPolygon, blk: Block) -> MoebiusPSU:
@@ -503,7 +480,7 @@ def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:
 def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     """Numerically verify the structural properties of the construction."""
     tols = tolerances.active()
-    checks: dict[str, CheckResult] = {}
+    checks: dict[str, Check] = {}
     n = poly.n_sides
     sig = poly.signature
 
@@ -511,9 +488,7 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     worst, detail = 0.0, ""
     for i, (side, gen) in enumerate(zip(poly.sides, poly.generators)):
         if side.is_diameter:
-            cls = gen.classify()
-            ok = abs(gen.b) < 1e-12 and cls.kind == "elliptic"
-            if not ok:
+            if not (abs(gen.b) < 1e-12 and gen.classify().kind == "elliptic"):
                 worst, detail = math.inf, f"side {i}: bad diameter pairing"
             continue
         iso = gen.isometric_circle()
@@ -522,7 +497,7 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
         res = max(res, abs(side.circle.orthogonality_residual()))
         if res > worst:
             worst, detail = res, f"side {i}"
-    checks["isometric_circles"] = CheckResult(worst < tols.residual, worst, detail)
+    checks["isometric_circles"] = Check(worst, tols.residual, detail)
 
     # (b) interior angle 2pi/m at each elliptic vertex
     measured = _measured_elliptic_angles(poly)
@@ -532,32 +507,34 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
         res = abs(ang - TAU / m)
         if res > worst:
             worst, detail = res, f"vertex {k} (order {m})"
-    checks["elliptic_angles"] = CheckResult(worst < tols.residual, worst, detail)
+    checks["elliptic_angles"] = Check(worst, tols.residual, detail)
 
     # (c) free combination: excluded caps pairwise disjoint inside the disk
     checks["free_combination"] = _disjointness(poly, tols.residual)
 
-    # (d) the full gluing product fixes V_0 and is parabolic
+    # (d) the full gluing product fixes V_0 and is parabolic (|trace| = 2)
     prod = boundary_product(poly)
     fix_res = abs(prod.apply(1.0 + 0j) - 1.0)
     tr_res = abs(abs(prod.trace) - 2.0)
-    ok = (fix_res < 1e-7 and tr_res < tols.spectral
-          and prod.classify().kind == "parabolic")
-    checks["parabolic_product"] = CheckResult(
-        ok, max(fix_res, tr_res), f"fix={fix_res:.2e} trace={tr_res:.2e}")
+    checks["parabolic_product"] = Check(
+        max(fix_res, tr_res), tols.spectral,
+        f"fix={fix_res:.2e} trace={tr_res:.2e}")
 
     # (e) Gauss-Bonnet: (N-2)pi - angle sum against the signature area
     area_measured = (n - 2) * math.pi - sum(measured.values())
     area_formula = sig.hyperbolic_area()
     res = abs(area_measured - area_formula)
-    checks["area"] = CheckResult(res < tols.residual, res,
-                                 f"area={area_formula!r}")
+    checks["area"] = Check(res, tols.residual, f"area={area_formula!r}")
 
-    # (f) ideal corner vertices equally distributed
-    worst = 0.0
-    for blk in poly.blocks:
-        v = poly.vertices[blk.side_start]
-        worst = max(worst, angular_distance(v.point.theta, blk.base_angle))
-    checks["equal_distribution"] = CheckResult(worst < tols.residual, worst)
+    # (f) ideal corner vertices equally distributed: each block's gluing
+    # carries its start corner onto the next block's (the last onto V_0)
+    worst, detail = 0.0, ""
+    for blk, nxt in zip(poly.blocks, poly.blocks[1:] + poly.blocks[:1]):
+        image = block_glue_product(poly, blk).apply(
+            poly.vertices[blk.side_start].point.z)
+        res = abs(image - poly.vertices[nxt.side_start].point.z)
+        if res > worst:
+            worst, detail = res, f"block {blk.index}"
+    checks["equal_distribution"] = Check(worst, tols.residual, detail)
 
-    return ValidationReport(str(sig), checks, area=area_formula)
+    return ValidationReport(str(sig), area_formula, checks=checks)

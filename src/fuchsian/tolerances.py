@@ -1,17 +1,18 @@
-"""Central numeric tolerances.
+"""Central numeric tolerances and the verdict record.
 
 The geometry itself is exact; every tolerance below is an artifact decision,
 kept in one record so the whole numerical contract is auditable.  Checks read
 the record of the current context through ``active()`` when they run, and
-reports keep the verdict reached then.  ``with profile(name):`` selects a
-named record for the block; the selection is context-local, so other threads
-see the default record.
+each ``Check`` keeps the bound it was judged against, so a report's verdict
+is the one reached then.  ``with profile(name):`` selects a named record for
+the block; the selection is context-local, so other threads see the default
+record.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -59,3 +60,37 @@ class profile:
 
     def __exit__(self, *exc) -> None:
         _active.reset(self._token)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: a measured residual and the bound it is held to.  It
+    passes when ``residual < bound``, so a NaN residual fails."""
+
+    residual: float
+    bound: float
+    detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual < self.bound)
+
+
+@dataclass(frozen=True)
+class Report:
+    """Named checks next to the payload fields of a subclass; it passes when
+    every check passed."""
+
+    checks: dict[str, Check] = field(kw_only=True)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks.values())
+
+    def to_dict(self) -> dict:
+        """The payload fields, then each check, then the verdict."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "checks"}
+        out["checks"] = {name: {**asdict(c), "passed": c.passed}
+                         for name, c in self.checks.items()}
+        return out | {"passed": self.passed}

@@ -124,11 +124,6 @@ class TestDirectedArc:
         assert abs(a.sweep - 1.5) < 1e-15
         assert a.contains(2.0) and not a.contains(0.5)
 
-    def test_cw_is_swapped_ccw(self):
-        p, q = BoundaryPoint.from_angle(1.0), BoundaryPoint.from_angle(2.5)
-        assert DirectedArc.cw(p, q).sweep == DirectedArc.ccw(q, p).sweep
-        assert DirectedArc.cw(p, q).start is q
-
     def test_wrap_membership(self):
         a = arc(6.0, 1.0)  # crosses the seam
         assert a.contains(6.2) and a.contains(0.5) and not a.contains(3.0)

@@ -249,6 +249,31 @@ class TestMarkov:
         assert len(rep.transitions) == len(rep.refinement)
         assert all(cov for cov in rep.transitions)
 
+    def test_stops_at_first_budget_hit(self):
+        # every orbit hits a budget of one step; the check stops at the first
+        poly, part = polygon(MODULAR), partition(MODULAR, "left")
+        rep = markov_check(poly, part, max_steps=1)
+        assert rep.passed is False
+        assert rep.budget_exceeded and not rep.all_orbits_finite
+        assert rep.checks["orbits_finite"].residual == 1
+        assert rep.refinement == [] and rep.transitions == []
+        assert rep.endpoint_residual == math.inf
+        assert rep.orbit_sizes == {"0:upper": 1}
+
+    def test_orbits_before_the_budget_hit_are_kept(self):
+        # with the budget at the longest orbit's size, the shorter orbits
+        # close and the first longest one stops the check
+        text = "2;2,5,8;2"
+        poly, part = polygon(text), partition(text, "midpoint")
+        full = markov_check(poly, part).orbit_sizes
+        longest = max(full.values())
+        rep = markov_check(poly, part, max_steps=longest)
+        names = list(full)
+        first = next(k for k in names if full[k] == longest)
+        assert rep.orbit_sizes == {k: full[k]
+                                   for k in names[:names.index(first) + 1]}
+        assert rep.passed is False and rep.refinement == []
+
     def test_all_ideal_refinement_is_vertex_set(self):
         rep = markov_check(polygon("1;;1"), partition("1;;1", "midpoint"))
         assert len(rep.refinement) == 4

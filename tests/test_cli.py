@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fuchsian.cli import RunConfig, main, parse_partition_arg
+from fuchsian.cli import main, parse_partition_arg
 
 
 def run(argv):
@@ -13,11 +13,6 @@ def run(argv):
 
 
 class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig(signature="0;2,3;1", partition="custom=1.0,4.0",
-                        seed=7, samples=12, checks=("markov", "cycles"))
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_partition_parsing(self):
         assert parse_partition_arg("left") == ("left", None)
         assert parse_partition_arg("custom=1.5,2.5") == ("custom", [1.5, 2.5])

@@ -1,5 +1,6 @@
 """Canonical polygon construction and validation."""
 
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from conftest import SIGNATURES, polygon
 
 from fuchsian import (InvalidSignature, Signature, build_canonical,
                       cusp_orbit, signature_string, validate_polygon)
-from fuchsian.mobius import TAU, MoebiusPSU, angular_distance
+from fuchsian.mobius import TAU, BoundaryPoint, MoebiusPSU, angular_distance
 from fuchsian.polygon import (INFINITY, SQUARE, bisector_endpoint,
                               boundary_product)
 
@@ -193,6 +194,24 @@ class TestValidation:
     def test_area_formula_value(self):
         rep = validate_polygon(polygon("1;2,3,7;2"))
         assert abs(rep.area - TAU * 169 / 42) < 1e-12
+
+    @pytest.mark.parametrize("text", [s for s in SIGNATURES if s != "1;;1"])
+    def test_equal_distribution_sees_a_shifted_corner(self, text):
+        # block 1's start corner and base angle move together by 1e-6; the
+        # gluings stay, so block 0's gluing no longer lands on that corner
+        poly = polygon(text)
+        blk = poly.blocks[1]
+        moved = blk.base_angle + 1e-6
+        vertices = list(poly.vertices)
+        vertices[blk.side_start] = dataclasses.replace(
+            vertices[blk.side_start], point=BoundaryPoint.from_angle(moved))
+        blocks = list(poly.blocks)
+        blocks[1] = dataclasses.replace(blk, base_angle=moved)
+        bad = dataclasses.replace(poly, vertices=tuple(vertices),
+                                  blocks=tuple(blocks))
+        assert validate_polygon(poly).checks["equal_distribution"].passed
+        check = validate_polygon(bad).checks["equal_distribution"]
+        assert check.passed is False and check.residual > 1e-7
 
     def test_product_is_parabolic_for_all(self, any_polygon):
         prod = boundary_product(any_polygon)

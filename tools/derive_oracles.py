@@ -14,6 +14,9 @@ form by more than 1e-40:
   * signature areas: (0;2,3;1) -> pi/3, (1;2,3,7;2) -> 2 pi * 169/42
   * commutator of the l=1 quadruple gluings has |trace| = 2
   * order-m wedge rotation has eigenvalue argument pi/m (angle 2 pi/m)
+  * each standard block gluing (the wedge rotation, the cusp parabolic, the
+    quadruple commutator b^-1 a^-1 b a) carries the block's start corner 1
+    to its end corner e^{2 pi i/l}
 """
 
 import sys
@@ -27,6 +30,33 @@ TOL = mpf("1e-40")
 def wedge_vertex(ell, m):
     return (cos((ell + m) * pi / (2 * ell * m))
             / cos((ell - m) * pi / (2 * ell * m)) * exp(1j * pi / ell))
+
+
+def wedge_gluing(ell, m):
+    cm, cl = cos(pi / m), cos(pi / ell)
+    ee = exp(1j * pi / ell)
+    return matrix([[1 + cm * ee, -(cm + cl) * ee],
+                   [(cm + cl) / ee, -(1 + cm / ee)]])
+
+
+def cusp_gluing(ell):
+    e = exp(1j * pi / ell)
+    return matrix([[2 * e * e, -(e * e + e ** 3)], [e + 1, -2 * e]])
+
+
+def quadruple_gluings(ell):
+    """The first quadruple gluing a, normalised to determinant 1, and the
+    second, b = rot a^-1 rot^-1 with rot the rotation by pi/(2l)."""
+    e = lambda k: exp(1j * k * pi / (4 * ell))
+    c = cos(pi / (4 * ell))
+    a = matrix([[-e(5), c * e(6)], [-c, e(1)]])
+    a = a / sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    rot = matrix([[e(1), 0], [0, e(-1)]])
+    return a, rot * a ** -1 * rot ** -1
+
+
+def apply(M, z):
+    return (M[0, 0] * z + M[0, 1]) / (M[1, 0] * z + M[1, 1])
 
 
 def orthogonal_circle_through(u, p):
@@ -80,22 +110,30 @@ def main():
           2 * pi * mpf(169) / 42)
 
     # commutator of the quadruple gluings at l = 1
-    a = matrix([[al, be], [ga, de]]) / sqrt(det)
-    rot = matrix([[e(1), 0], [0, e(-1)]])
-    b = rot * a ** -1 * rot ** -1
+    a, b = quadruple_gluings(1)
     comm = b ** -1 * a ** -1 * b * a
     check("(1;;1) commutator |trace| = 2", abs(comm[0, 0] + comm[1, 1]), 2)
 
     # wedge rotation angle: eigenvalues e^{-i pi/m}, e^{i pi/m}
     for ell, m in ((2, 3), (5, 7), (6, 8)):
-        cm, cl = cos(pi / m), cos(pi / ell)
-        ee = exp(1j * pi / ell)
-        M = matrix([[1 + cm * ee, -(cm + cl) * ee],
-                    [(cm + cl) / ee, -(1 + cm / ee)]])
+        M = wedge_gluing(ell, m)
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
         M = M / sqrt(det)
         check(f"wedge l={ell} m={m}: |trace| = 2 cos(pi/{m})",
               abs(M[0, 0] + M[1, 1]), 2 * cos(pi / m))
+
+    # block gluings carry the start corner 1 to the end corner e^{2 pi i/l}
+    # (validate_polygon's equal_distribution)
+    for ell, m in ((2, 3), (5, 7), (6, 8)):
+        check(f"wedge l={ell} m={m}: 1 -> e^(2 pi i/{ell})",
+              apply(wedge_gluing(ell, m), 1), exp(2j * pi / ell))
+    for ell in (2, 3, 5):
+        check(f"cusp l={ell}: 1 -> e^(2 pi i/{ell})",
+              apply(cusp_gluing(ell), 1), exp(2j * pi / ell))
+    for ell in (1, 2, 3):
+        a, b = quadruple_gluings(ell)
+        check(f"quadruple commutator l={ell}: 1 -> e^(2 pi i/{ell})",
+              apply(b ** -1 * a ** -1 * b * a, 1), exp(2j * pi / ell))
 
     if misses:
         print(f"{len(misses)} derived value(s) miss their closed form by more "
