@@ -1,20 +1,19 @@
 """Canonical quasi-ideal polygons, piecewise boundary maps, and rectangular
 attractors for Fuchsian signatures with at least one cusp."""
 
-from .errors import (CustomPointOutOfRange, DegenerateGeodesic, DiagonalPoint,
-                     FuchsianError, InvalidSignature, NoIsometricCircle,
-                     NonFinite, NotElliptic, PartitionOutOfGuaranteeRange,
+from .errors import (CustomPointOutOfRange, DegenerateGeodesic, FuchsianError,
+                     InvalidSignature, NoIsometricCircle, NonFinite,
+                     NotElliptic, PartitionOutOfGuaranteeRange,
                      TilingViolation)
-from .mobius import (BoundaryPoint, Classification, DiskPoint,
-                     EuclideanCircle, Geodesic, MoebiusPSU,
-                     geodesic_from_boundary_pair, geodesic_through_interior)
+from .mobius import (BoundaryPoint, DiskPoint, EuclideanCircle, Geodesic,
+                     MoebiusPSU, geodesic_from_boundary_pair,
+                     geodesic_through_interior)
 from .polygon import (MarkedPolygon, Signature, SignatureString,
-                      build_canonical, cusp_orbit, signature_string,
-                      validate_polygon)
+                      build_canonical, signature_string, validate_polygon)
 from .boundary import (CycleData, OrbitRecord, Partition, cycle, f_apply,
                        make_partition, markov_check, orbit, verify_matching)
 from .arcs import DirectedArc, Rect
-from .extension import (AttractorDomain, EntryTrace, F_apply, build_attractor,
+from .extension import (AttractorDomain, EntryTrace, build_attractor,
                         check_forward_invariance, exceptional_set, phi_set,
                         simulate_entry, verify_bijectivity)
 from .render import FigureSpec, render_attractor, render_polygon

@@ -53,10 +53,6 @@ class DirectedArc:
     def is_full_circle(self) -> bool:
         return self.sweep >= TAU - 1e-12
 
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        d = (theta - self.start.theta) % TAU
-        return d <= self.sweep + tol or d >= TAU - tol
-
     def midpoint_angle(self) -> float:
         return normalize_angle(self.start.theta + 0.5 * self.sweep)
 
@@ -91,9 +87,6 @@ class Rect:
     @property
     def area(self) -> float:
         return self.u_arc.sweep * self.w_arc.sweep
-
-    def contains(self, theta_u: float, theta_w: float, tol: float = 0.0) -> bool:
-        return self.u_arc.contains(theta_u, tol) and self.w_arc.contains(theta_w, tol)
 
 
 # -- rectangle measure on a coverage grid --------------------------------------
@@ -175,23 +168,6 @@ def box_measure(a: np.ndarray, b: np.ndarray, op) -> float:
     for s in range(0, len(rows), _ROWS):
         rows[s:s + _ROWS] = (cells[s:s + _ROWS] * dy).sum(axis=1)
     return float((np.diff(xs) * rows).sum())
-
-
-def region_measure(rects: Sequence[Rect]) -> float:
-    """Angular area of the union (overlaps counted once)."""
-    return box_measure(rect_boxes(rects), np.empty((0, 4)), np.logical_or)
-
-
-def region_intersection_measure(rects_a: Sequence[Rect],
-                                rects_b: Sequence[Rect]) -> float:
-    return box_measure(rect_boxes(rects_a), rect_boxes(rects_b),
-                       np.logical_and)
-
-
-def symmetric_difference_measure(rects_a: Sequence[Rect],
-                                 rects_b: Sequence[Rect]) -> float:
-    return box_measure(rect_boxes(rects_a), rect_boxes(rects_b),
-                       np.logical_xor)
 
 
 def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:

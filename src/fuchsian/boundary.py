@@ -283,10 +283,9 @@ def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
 
 
 def verify_matching(poly: MarkedPolygon, part: Partition, k: int,
-                    data: CycleData | None = None) -> float:
+                    data: CycleData) -> float:
     """Residual of the matching identity, checked by honestly iterating the
     boundary map on both one-sided orbits of the cut point."""
-    data = data or cycle(poly, part, k)
     a = part.points[data.vertex]
     n = poly.n_sides
     up = poly.generators[data.vertex].apply_boundary(a)

@@ -16,12 +16,12 @@ from dataclasses import asdict, dataclass, field
 
 from . import tolerances
 from .tolerances import Check, Report
-from .boundary import cycle, make_partition, markov_check, verify_matching
-from .errors import (FuchsianError, InvalidSignature, NotElliptic,
-                     PartitionOutOfGuaranteeRange)
+from .boundary import (Partition, cycle, make_partition, markov_check,
+                       verify_matching)
+from .errors import FuchsianError, PartitionOutOfGuaranteeRange
 from .extension import (build_attractor, simulate_entry, traces_to_csv,
                         verify_bijectivity)
-from .polygon import Signature, build_canonical, validate_polygon
+from .polygon import MarkedPolygon, Signature, build_canonical, validate_polygon
 from .render import FigureSpec, render_attractor, render_polygon
 
 ALL_CHECKS = ("polygon", "cycles", "markov", "bijectivity")
@@ -48,11 +48,6 @@ class RunConfig:
     tolerance_profile: str = field(
         default_factory=lambda: os.environ.get("FUCHSIAN_TOLERANCE_PROFILE",
                                                "default"))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["checks"] = list(self.checks)
-        return d
 
 
 @dataclass(frozen=True)
@@ -83,39 +78,18 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _setup(cfg: RunConfig):
-    sig = Signature.parse(cfg.signature)
-    poly = build_canonical(sig)
-    mode, custom = parse_partition_arg(cfg.partition)
-    part = make_partition(poly, mode, custom)
-    return poly, part
-
-
-def cmd_polygon(cfg: RunConfig) -> int:
-    try:
-        sig = Signature.parse(cfg.signature)
-    except InvalidSignature as exc:
-        print(f"invalid signature: {exc}", file=sys.stderr)
-        return 2
-    poly = build_canonical(sig)
+def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     report = validate_polygon(poly)
     _write(cfg.json_out, poly.to_json())
     _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
-    if cfg.svg_out or cfg.attractor_svg_out:
-        try:
-            mode, custom = parse_partition_arg(cfg.partition)
-            part = make_partition(poly, mode, custom)
-        except (FuchsianError, ValueError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
-        if cfg.svg_out:
-            _write(cfg.svg_out, render_polygon(poly, part, FigureSpec()))
-        if cfg.attractor_svg_out:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PartitionOutOfGuaranteeRange)
-                dom = build_attractor(poly, part)
-            _write(cfg.attractor_svg_out, render_attractor(dom, FigureSpec()))
-    print(f"signature={sig} ell={poly.ell} N={poly.n_sides} "
+    if cfg.svg_out:
+        _write(cfg.svg_out, render_polygon(poly, part, FigureSpec()))
+    if cfg.attractor_svg_out:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PartitionOutOfGuaranteeRange)
+            dom = build_attractor(poly, part)
+        _write(cfg.attractor_svg_out, render_attractor(dom, FigureSpec()))
+    print(f"signature={poly.signature} ell={poly.ell} N={poly.n_sides} "
           f"area={report.area!r} valid={report.passed}")
     for name, res in report.checks.items():
         print(f"  {name}: {'pass' if res.passed else 'FAIL'} "
@@ -123,7 +97,7 @@ def cmd_polygon(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     selected = ALL_CHECKS if "all" in cfg.checks else cfg.checks
     if not selected:
         print(f"configuration error: no checks selected; "
@@ -133,11 +107,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     if unknown:
         print(f"unknown checks: {','.join(unknown)}; "
               f"available: {','.join(ALL_CHECKS)},all", file=sys.stderr)
-        return 2
-    try:
-        poly, part = _setup(cfg)
-    except (FuchsianError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
     reports: dict[str, Report] = {}
@@ -171,21 +140,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         print("warning: partition outside [P,Q] guarantee range",
               file=sys.stderr)
     ok = all(rep.passed for rep in reports.values())
-    out = {"config": cfg.to_dict(), "passed": ok, "results": results}
+    out = {"config": asdict(cfg), "passed": ok, "results": results}
     _write(cfg.report_out, json.dumps(out, indent=2))
     for name, rep in reports.items():
         print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
     return 0 if ok else 1
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig, poly: MarkedPolygon,
+                 part: Partition) -> int:
     if cfg.samples < 1:
         print("samples must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        poly, part = _setup(cfg)
-    except (FuchsianError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore" if cfg.survey else "default",
@@ -194,30 +159,27 @@ def cmd_simulate(cfg: RunConfig) -> int:
     traces = simulate_entry(poly, part, dom, cfg.samples, cfg.seed,
                             cfg.max_iters, cfg.buffer)
     _write(cfg.csv_out, traces_to_csv(traces, cfg.seed))
-    entered = [t for t in traces if t.entered]
-    ks = [t.K for t in entered]
-    print(f"samples={cfg.samples} entered={len(entered)} "
-          f"max_K={max(ks) if ks else -1} "
-          f"mean_K={sum(ks)/len(ks) if ks else float('nan'):.3f}")
-    if cfg.survey:
-        return 0
-    return 0 if len(entered) == cfg.samples else 1
+    ks = [t.K for t in traces if t.entered]
+    stats = {"samples": cfg.samples, "entered": len(ks),
+             "max_K": max(ks) if ks else -1,
+             "mean_K": sum(ks) / len(ks) if ks else float("nan")}
+    passed = len(ks) == cfg.samples
+    _write(cfg.report_out, json.dumps(
+        {"config": asdict(cfg), **stats, "passed": passed}, indent=2))
+    print(f"samples={cfg.samples} entered={len(ks)} max_K={stats['max_K']} "
+          f"mean_K={stats['mean_K']:.3f}")
+    return 0 if passed or cfg.survey else 1
 
 
-def cmd_cycle(cfg: RunConfig) -> int:
-    try:
-        poly, part = _setup(cfg)
-    except (FuchsianError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+def cmd_cycle(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     if not (0 <= cfg.vertex < poly.n_sides):
         print(f"vertex index must be in [0, {poly.n_sides})", file=sys.stderr)
         return 2
-    try:
-        data = cycle(poly, part, cfg.vertex)
-    except NotElliptic as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    if poly.vertices[cfg.vertex].is_ideal:
+        print(f"configuration error: vertex {cfg.vertex} is ideal",
+              file=sys.stderr)
         return 2
+    data = cycle(poly, part, cfg.vertex)
     res = verify_matching(poly, part, cfg.vertex, data)
     out = {"vertex": data.vertex, "order": data.order, "J": data.J,
            "I": data.I, "end_of_cycle": data.end_of_cycle.theta,
@@ -288,7 +250,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc.args[0]}", file=sys.stderr)
         return 2
     with scope:
-        return handler(cfg)
+        try:
+            poly = build_canonical(Signature.parse(cfg.signature))
+            part = make_partition(poly, *parse_partition_arg(cfg.partition))
+        except (FuchsianError, ValueError) as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        return handler(cfg, poly, part)
 
 
 if __name__ == "__main__":

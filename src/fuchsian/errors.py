@@ -33,10 +33,6 @@ class CustomPointOutOfRange(FuchsianError):
         super().__init__(message or f"partition point at vertex {vertex_index} out of range")
 
 
-class DiagonalPoint(FuchsianError):
-    """The two coordinates of a planar point coincide on the circle."""
-
-
 class TilingViolation(FuchsianError):
     """The w-arcs of the attractor's rectangles do not tile the circle."""
 

@@ -30,23 +30,11 @@ import numpy as np
 from . import tolerances
 from .tolerances import Check, Report
 from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
-                   max_pairwise_overlap, rect_boxes,
-                   region_intersection_measure)
+                   max_pairwise_overlap, rect_boxes)
 from .boundary import CycleData, Partition, cycle
-from .errors import (DiagonalPoint, NotElliptic, PartitionOutOfGuaranteeRange,
-                     TilingViolation)
+from .errors import NotElliptic, PartitionOutOfGuaranteeRange, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import INFINITY, SQUARE, Block, MarkedPolygon
-
-
-def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
-            w: BoundaryPoint) -> tuple[int, BoundaryPoint, BoundaryPoint]:
-    """One step of the planar extension; the cell of w picks the gluing."""
-    if angular_distance(u.theta, w.theta) <= 1e-12:
-        raise DiagonalPoint("u and w coincide")
-    k = part.cell_of(w.theta)
-    g = poly.generators[k]
-    return k, g.apply_boundary(u), g.apply_boundary(w)
 
 
 @dataclass(frozen=True)
@@ -70,10 +58,6 @@ class AttractorDomain:
     @property
     def measure(self) -> float:
         return sum(r.area for r in self.rects)
-
-    def contains(self, theta_u: float, theta_w: float) -> bool:
-        t = tolerances.active().structural
-        return any(r.contains(theta_u, theta_w, t) for r in self.rects)
 
     def to_dict(self) -> dict:
         rects = [{"u": [r.u_arc.start.theta, r.u_arc.sweep],
@@ -380,8 +364,9 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     upper = [r for r in hats if r.gamma_index == blk.side_start + 1]
     domain = rect_boxes(dom.rects)
 
-    def area_inside(r: Rect) -> float:
-        return box_measure(rect_boxes([r]), domain, np.logical_and)
+    def outside(r: Rect, boxes: np.ndarray) -> float:
+        """Area of ``r`` outside the union of ``boxes``."""
+        return r.area - box_measure(rect_boxes([r]), boxes, np.logical_and)
 
     def images(region: list[Rect]) -> list[Rect]:
         return [img for r in region for img in rect_image(poly, part, r)]
@@ -390,8 +375,7 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     region = lower[:1]
     for rect in lower[1:]:
         region = images(region)
-        miss = rect.area - region_intersection_measure([rect], region)
-        worst = max(worst, miss)
+        worst = max(worst, outside(rect, rect_boxes(region)))
 
     escaped = 0.0
     steps = 0
@@ -399,13 +383,13 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     for first in (lower[:1] + upper[:1]):
         region = [first]
         for step in range(max(data.J, data.I) + 3):
-            remaining = [r for r in region if r.area - area_inside(r) > tol]
+            remaining = [r for r in region if outside(r, domain) > tol]
             if not remaining:
                 break
             region = images(remaining)
             steps = max(steps, step + 1)
         else:
-            escaped += sum(max(0.0, r.area - area_inside(r)) for r in region)
+            escaped += sum(max(0.0, outside(r, domain)) for r in region)
     return ExceptionalReport(steps, checks={"containment": Check(worst, tol),
                                             "escaped": Check(escaped, tol)})
 

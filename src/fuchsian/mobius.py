@@ -236,48 +236,12 @@ class MoebiusPSU:
 
     # -- invariants ---------------------------------------------------------
 
-    def classify(self) -> "Classification":
-        t = tolerances.active().spectral
-        if self.is_identity():
-            return Classification("identity")
-        tr = abs(self.trace)
-        if tr < 2.0 - t:
-            # |trace| = 2 cos(angle/2); result in (0, pi]
-            return Classification("elliptic", 2.0 * math.acos(min(tr / 2.0, 1.0)))
-        if tr > 2.0 + t:
-            return Classification("hyperbolic", 2.0 * math.acosh(tr / 2.0))
-        return Classification("parabolic")
-
     def isometric_circle(self) -> EuclideanCircle:
         """Locus |conj(b) z + conj(a)| = 1 where the derivative has modulus 1."""
         if abs(self.b) < 1e-14:
             raise NoIsometricCircle("rotation about 0 has no isometric circle")
         return EuclideanCircle(-self.a.conjugate() / self.b.conjugate(),
                                1.0 / abs(self.b))
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Conjugacy type of a disk isometry.
-
-    ``value`` is the rotation angle in (0, pi] for elliptic maps and the
-    translation length for hyperbolic ones.
-    """
-
-    kind: str
-    value: float = 0.0
-
-    @property
-    def rotation_angle(self) -> float:
-        if self.kind != "elliptic":
-            raise ValueError(f"{self.kind} map has no rotation angle")
-        return self.value
-
-    @property
-    def translation_length(self) -> float:
-        if self.kind != "hyperbolic":
-            raise ValueError(f"{self.kind} map has no translation length")
-        return self.value
 
 
 # -- geodesics --------------------------------------------------------------
@@ -297,16 +261,6 @@ class Geodesic:
     @property
     def is_diameter(self) -> bool:
         return self.circle is None
-
-    def validate(self) -> float:
-        """Residual of the model invariants (orthogonality + incidence)."""
-        u, w = self.endpoints
-        if self.circle is None:
-            return abs(math.sin(u.theta - w.theta))  # antipodal check
-        res = abs(self.circle.orthogonality_residual())
-        for p in (u, w):
-            res = max(res, abs(abs(p.z - self.circle.center) - self.circle.radius))
-        return res
 
 
 def _orthogonal_circle(rows: list[tuple[float, float, float]]) -> EuclideanCircle | None:
@@ -369,22 +323,3 @@ def tangent_at(geo: Geodesic, at: complex, toward: BoundaryPoint) -> complex:
     if (t * chord.conjugate()).real < 0:
         t = -t
     return t
-
-
-def geodesic_from_direction(p: DiskPoint, direction: complex) -> BoundaryPoint:
-    """Ideal endpoint of the geodesic ray from ``p`` with unit tangent
-    ``direction``."""
-    z, d = p.z, direction / abs(direction)
-    n = 1j * d
-    dot = (z * n.conjugate()).real
-    if abs(dot) < 1e-13:
-        # radial ray: straight to the circle
-        zd = (z * d.conjugate()).real
-        t = -zd + math.sqrt(zd * zd + 1.0 - abs(z) ** 2)
-        return BoundaryPoint.from_complex((z + t * d) / abs(z + t * d))
-    s = (1.0 - abs(z) ** 2) / (2.0 * dot)
-    c = z + s * n
-    circ = EuclideanCircle(c, abs(s))
-    e1, e2 = circ.boundary_intersections()
-    pick = e1 if ((e1.z - z) * d.conjugate()).real > 0 else e2
-    return pick

@@ -21,11 +21,10 @@ from itertools import combinations, product
 
 from . import tolerances
 from .tolerances import Check, Report
-from .errors import InvalidSignature, NotElliptic
+from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, Geodesic, MoebiusPSU,
                      angular_distance, geodesic_from_boundary_pair,
-                     geodesic_through_interior, tangent_at,
-                     geodesic_from_direction)
+                     geodesic_through_interior, tangent_at)
 
 SQUARE = "square"
 INFINITY = "inf"
@@ -322,52 +321,6 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
                          tuple(aux), tuple(blocks), corners)
 
 
-def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
-    """Ideal endpoint of the bisector of the angle P_k V_k Q_k.
-
-    Independent of the arc-midpoint construction of M_k; used to cross-check
-    it.  The two side rays at V_k point away from P_k and Q_k, so the
-    bisector of P V Q is the geodesic from V_k whose tangent halves the
-    angle between the tangents toward P_k and Q_k.
-    """
-    v = poly.vertices[k % poly.n_sides]
-    if v.is_ideal:
-        raise NotElliptic(f"vertex {k} is ideal")
-    x = poly.aux[k % poly.n_sides]
-    n = poly.n_sides
-    g_prev, g_next = poly.sides[(k - 1) % n], poly.sides[k % n]
-    t_q = tangent_at(g_prev, v.point.z, x.Q)
-    t_p = tangent_at(g_next, v.point.z, x.P)
-    d = t_p + t_q
-    if abs(d) < 1e-9:
-        # opposite rays (order 2): both normals bisect; pick the one whose
-        # endpoint lies on the arc [P, Q]
-        for cand in (1j * t_p, -1j * t_p):
-            e = geodesic_from_direction(v.point, cand)
-            if (e.theta - x.P.theta) % TAU <= (x.Q.theta - x.P.theta) % TAU:
-                return e
-        raise ValueError("no bisector endpoint found on [P, Q]")
-    return geodesic_from_direction(v.point, d / abs(d))
-
-
-def cusp_orbit(poly: MarkedPolygon) -> list[BoundaryPoint]:
-    """The ideal vertices lying in the orbit of V_0 = 1.
-
-    Every ideal vertex except the t-1 wedge cusps of the parabolic blocks;
-    there are 4g + r + t - 1 of them.
-    """
-    out = []
-    for blk in poly.blocks:
-        for off in range(blk.n_sides):
-            v = poly.vertices[blk.side_start + off]
-            if not v.is_ideal:
-                continue
-            if blk.symbol == INFINITY and off == 1:
-                continue  # cusp fixed by its own parabolic, separate orbit
-            out.append(v.point)
-    return out
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -488,7 +441,9 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     worst, detail = 0.0, ""
     for i, (side, gen) in enumerate(zip(poly.sides, poly.generators)):
         if side.is_diameter:
-            if not (abs(gen.b) < 1e-12 and gen.classify().kind == "elliptic"):
+            # glued by a proper rotation about the origin: b = 0, |trace| < 2
+            if not (abs(gen.b) < 1e-12
+                    and abs(gen.trace) < 2.0 - tols.spectral):
                 worst, detail = math.inf, f"side {i}: bad diameter pairing"
             continue
         iso = gen.isometric_circle()

@@ -59,7 +59,7 @@ class _Svg:
         return "\n".join(self.parts) + "\n"
 
 
-def render_polygon(poly: MarkedPolygon, part: Partition | None,
+def render_polygon(poly: MarkedPolygon, part: Partition,
                    spec: FigureSpec) -> str:
     """Unit disk, colored geodesic sides, vertex and cut-point marks."""
     size = spec.size
@@ -118,14 +118,13 @@ def render_polygon(poly: MarkedPolygon, part: Partition | None,
             svg.add(f'<text class="order-label" x="{_f(x + 6)}" '
                     f'y="{_f(y - 6)}" font-size="12">{v.order}</text>')
 
-    if part is not None:
-        for k in poly.elliptic_indices():
-            z = part.points[k].z
-            xi, yi = to_px(0.96 * z)
-            xo, yo = to_px(1.0 * z)
-            svg.add(f'<line class="cut-point" x1="{_f(xi)}" y1="{_f(yi)}" '
-                    f'x2="{_f(xo)}" y2="{_f(yo)}" stroke="#cc2222" '
-                    f'stroke-width="{_f(_STROKE)}"/>')
+    for k in poly.elliptic_indices():
+        z = part.points[k].z
+        xi, yi = to_px(0.96 * z)
+        xo, yo = to_px(1.0 * z)
+        svg.add(f'<line class="cut-point" x1="{_f(xi)}" y1="{_f(yi)}" '
+                f'x2="{_f(xo)}" y2="{_f(yo)}" stroke="#cc2222" '
+                f'stroke-width="{_f(_STROKE)}"/>')
     return svg.finish()
 
 

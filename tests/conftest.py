@@ -1,6 +1,7 @@
 import pytest
 
 from fuchsian import Signature, build_canonical, make_partition
+from fuchsian.arcs import box_measure, rect_boxes
 
 # the six-signature regression set used throughout
 SIGNATURES = ["0;2,3;1", "1;;1", "0;2,2;2", "1;2,3,7;2", "2;2,5,8;2",
@@ -21,6 +22,13 @@ def partition(sig_text, mode):
     if key not in _cache:
         _cache[key] = make_partition(polygon(sig_text), mode)
     return _cache[key]
+
+
+def measure(op, rects_a, rects_b=()):
+    """Angular area where ``op(in a, in b)`` holds: ``np.logical_or`` gives
+    the union, ``np.logical_and`` the intersection, ``np.logical_xor`` the
+    symmetric difference."""
+    return box_measure(rect_boxes(rects_a), rect_boxes(rects_b), op)
 
 
 @pytest.fixture(params=SIGNATURES)

@@ -1,0 +1,94 @@
+"""Scalar reference implementations that the library is checked against.
+
+Each one is the plain, one-point-at-a-time form of something the library
+computes another way: ``F_apply`` is one step of the planar extension that
+``extension._Step`` applies to arrays of states; ``domain_contains`` is the
+closed membership test that ``extension._Membership`` answers for arrays;
+``bisector_endpoint`` constructs the end of the angle bisector at an
+elliptic vertex independently of the arc midpoint ``AuxPoints.M``.
+"""
+
+import math
+
+from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
+                      EuclideanCircle, MarkedPolygon, NotElliptic, Partition,
+                      Rect, tolerances)
+from fuchsian.mobius import TAU, tangent_at
+
+
+def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
+            w: BoundaryPoint) -> tuple[int, BoundaryPoint, BoundaryPoint]:
+    """One step of the planar extension; the cell of w picks the gluing."""
+    k = part.cell_of(w.theta)
+    g = poly.generators[k]
+    return k, g.apply_boundary(u), g.apply_boundary(w)
+
+
+# -- closed membership ---------------------------------------------------------
+
+
+def arc_contains(arc: DirectedArc, theta: float, tol: float = 0.0) -> bool:
+    d = (theta - arc.start.theta) % TAU
+    return d <= arc.sweep + tol or d >= TAU - tol
+
+
+def rect_contains(rect: Rect, theta_u: float, theta_w: float,
+                  tol: float = 0.0) -> bool:
+    return (arc_contains(rect.u_arc, theta_u, tol)
+            and arc_contains(rect.w_arc, theta_w, tol))
+
+
+def domain_contains(dom: AttractorDomain, theta_u: float,
+                    theta_w: float) -> bool:
+    t = tolerances.active().structural
+    return any(rect_contains(r, theta_u, theta_w, t) for r in dom.rects)
+
+
+# -- angle bisector at an elliptic vertex ---------------------------------------
+
+
+def geodesic_from_direction(p: DiskPoint, direction: complex) -> BoundaryPoint:
+    """Ideal endpoint of the geodesic ray from ``p`` with unit tangent
+    ``direction``."""
+    z, d = p.z, direction / abs(direction)
+    n = 1j * d
+    dot = (z * n.conjugate()).real
+    if abs(dot) < 1e-13:
+        # radial ray: straight to the circle
+        zd = (z * d.conjugate()).real
+        t = -zd + math.sqrt(zd * zd + 1.0 - abs(z) ** 2)
+        return BoundaryPoint.from_complex((z + t * d) / abs(z + t * d))
+    s = (1.0 - abs(z) ** 2) / (2.0 * dot)
+    c = z + s * n
+    circ = EuclideanCircle(c, abs(s))
+    e1, e2 = circ.boundary_intersections()
+    pick = e1 if ((e1.z - z) * d.conjugate()).real > 0 else e2
+    return pick
+
+
+def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
+    """Ideal endpoint of the bisector of the angle P_k V_k Q_k.
+
+    Independent of the arc-midpoint construction of M_k; used to cross-check
+    it.  The two side rays at V_k point away from P_k and Q_k, so the
+    bisector of P V Q is the geodesic from V_k whose tangent halves the
+    angle between the tangents toward P_k and Q_k.
+    """
+    v = poly.vertices[k % poly.n_sides]
+    if v.is_ideal:
+        raise NotElliptic(f"vertex {k} is ideal")
+    x = poly.aux[k % poly.n_sides]
+    n = poly.n_sides
+    g_prev, g_next = poly.sides[(k - 1) % n], poly.sides[k % n]
+    t_q = tangent_at(g_prev, v.point.z, x.Q)
+    t_p = tangent_at(g_next, v.point.z, x.P)
+    d = t_p + t_q
+    if abs(d) < 1e-9:
+        # opposite rays (order 2): both normals bisect; pick the one whose
+        # endpoint lies on the arc [P, Q]
+        for cand in (1j * t_p, -1j * t_p):
+            e = geodesic_from_direction(v.point, cand)
+            if (e.theta - x.P.theta) % TAU <= (x.Q.theta - x.P.theta) % TAU:
+                return e
+        raise ValueError("no bisector endpoint found on [P, Q]")
+    return geodesic_from_direction(v.point, d / abs(d))

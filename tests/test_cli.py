@@ -61,6 +61,14 @@ class TestPolygonCommand:
         assert code == 2
         assert "cusp" in capsys.readouterr().err
 
+    def test_bad_partition_exit_two_without_figures(self, capsys):
+        # the partition is built for every command, drawn or not
+        code = run(["polygon", "--signature", "0;2,3;1",
+                    "--partition", "custom=9"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err.startswith("configuration error:") and out == ""
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, tmp_path):
@@ -113,6 +121,22 @@ class TestSimulateCommand:
         lines = csv.read_text().strip().split("\n")
         assert len(lines) == 201
         assert lines[0] == "sample,seed,u0,w0,K,escape_step,entered"
+
+    def test_report_holds_printed_statistics(self, tmp_path, capsys):
+        rep = tmp_path / "sim.json"
+        code = run(["simulate", "--signature", "0;2,3;1", "--samples", "50",
+                    "--seed", "7", "--report", str(rep)])
+        out = capsys.readouterr().out
+        assert code == 0
+        data = json.loads(rep.read_text())
+        assert list(data) == ["config", "samples", "entered", "max_K",
+                              "mean_K", "passed"]
+        assert data["config"]["seed"] == 7
+        assert data["config"]["report_out"] == str(rep)
+        assert data["samples"] == data["entered"] == 50
+        assert data["passed"] is True
+        assert out.strip() == (f"samples=50 entered=50 max_K={data['max_K']} "
+                               f"mean_K={data['mean_K']:.3f}")
 
     def test_zero_samples_exit_two(self, capsys):
         assert run(["simulate", "--signature", "0;2,3;1",

@@ -7,12 +7,14 @@ import math
 import pytest
 
 from conftest import SIGNATURES, polygon
+from oracles import bisector_endpoint
 
 from fuchsian import (InvalidSignature, Signature, build_canonical,
-                      cusp_orbit, signature_string, validate_polygon)
+                      signature_string, validate_polygon)
 from fuchsian.mobius import TAU, BoundaryPoint, MoebiusPSU, angular_distance
-from fuchsian.polygon import (INFINITY, SQUARE, bisector_endpoint,
-                              boundary_product)
+from fuchsian.polygon import (INFINITY, SQUARE, boundary_product,
+                              elliptic_generator, hyperbolic_generator_a,
+                              hyperbolic_generator_b)
 
 MODULAR = "0;2,3;1"
 
@@ -111,9 +113,8 @@ class TestConstruction:
                 m = poly.vertices[k].order
                 g = poly.generators[k - 1]
                 assert g.power(m).sign_distance(MoebiusPSU.identity()) < 1e-9
-                cls = g.classify()
-                assert cls.kind == "elliptic"
-                assert abs(cls.rotation_angle - TAU / m) < 1e-9
+                # |trace| = 2 cos(pi/m): a rotation by 2pi/m
+                assert abs(abs(g.trace) - 2.0 * math.cos(math.pi / m)) < 1e-9
                 fixed = poly.vertices[k].point.z
                 assert abs(g.apply(fixed) - fixed) < 1e-10
 
@@ -129,8 +130,6 @@ class TestConstruction:
 
     def test_second_gluing_rotation_identity(self):
         # b = R_{pi/(2l)} a^{-1} R_{pi/(2l)}^{-1} as matrices up to sign
-        from fuchsian.polygon import (hyperbolic_generator_a,
-                                      hyperbolic_generator_b)
         for ell in (1, 2, 5, 6):
             rot = MoebiusPSU.rotation(math.pi / (2 * ell))
             lhs = hyperbolic_generator_b(ell)
@@ -213,27 +212,30 @@ class TestValidation:
         check = validate_polygon(bad).checks["equal_distribution"]
         assert check.passed is False and check.residual > 1e-7
 
+    @pytest.mark.parametrize("text", [MODULAR, "0;2,4;1"])
+    @pytest.mark.parametrize("gluing", ["identity", "hyperbolic",
+                                        "off-centre rotation"])
+    def test_diameter_side_needs_a_rotation(self, text, gluing):
+        # a diameter side must be glued by a proper rotation about the
+        # origin: the identity fails |trace| < 2, an off-centre rotation
+        # fails b = 0, a hyperbolic map fails both
+        poly = polygon(text)
+        i = next(i for i, side in enumerate(poly.sides) if side.is_diameter)
+        generators = list(poly.generators)
+        generators[i] = {
+            "identity": MoebiusPSU.identity(),
+            "hyperbolic": hyperbolic_generator_a(poly.ell),
+            "off-centre rotation": elliptic_generator(poly.ell, 3)}[gluing]
+        bad = dataclasses.replace(poly, generators=tuple(generators))
+        assert validate_polygon(poly).checks["isometric_circles"].passed
+        check = validate_polygon(bad).checks["isometric_circles"]
+        assert check.passed is False
+        assert check.detail == f"side {i}: bad diameter pairing"
+
     def test_product_is_parabolic_for_all(self, any_polygon):
         prod = boundary_product(any_polygon)
         assert abs(abs(prod.trace) - 2.0) < 1e-8
         assert abs(prod.apply(1.0 + 0j) - 1.0) < 1e-7
-
-
-class TestCuspOrbit:
-    @pytest.mark.parametrize("text,count", [
-        (MODULAR, 2), ("1;;1", 4), ("0;2,2;2", 3), ("1;2,3,7;2", 8),
-        ("2;2,5,8;2", 12), ("0;3,3,4;2", 4)])
-    def test_counts(self, text, count):
-        poly = polygon(text)
-        sig = poly.signature
-        expect = 4 * sig.genus + len(sig.orders) + sig.cusps - 1
-        assert expect == count
-        assert len(cusp_orbit(poly)) == count
-
-    def test_modular_points(self):
-        pts = cusp_orbit(polygon(MODULAR))
-        angles = sorted(p.theta for p in pts)
-        assert angles[0] < 1e-15 and abs(angles[1] - math.pi) < 1e-14
 
 
 class TestSerialization:
