@@ -18,7 +18,7 @@ from . import tolerances
 from .tolerances import Check, Report
 from .boundary import (Partition, cycle, make_partition, markov_check,
                        verify_matching)
-from .errors import FuchsianError, PartitionOutOfGuaranteeRange
+from .errors import FuchsianError, NotElliptic, PartitionOutOfGuaranteeRange
 from .extension import (build_attractor, simulate_entry, traces_to_csv,
                         verify_bijectivity)
 from .polygon import MarkedPolygon, Signature, build_canonical, validate_polygon
@@ -55,6 +55,17 @@ class CyclesReport(Report):
     """Check ``matching``: the worst residual of the ``vertices`` rows."""
 
     vertices: list[dict]
+
+
+@dataclass(frozen=True)
+class SimulateReport(Report):
+    """Check ``entered``: the number of samples that never entered."""
+
+    config: dict
+    samples: int
+    entered: int
+    max_K: int
+    mean_K: float
 
 
 def parse_partition_arg(text: str):
@@ -160,26 +171,25 @@ def cmd_simulate(cfg: RunConfig, poly: MarkedPolygon,
                             cfg.max_iters, cfg.buffer)
     _write(cfg.csv_out, traces_to_csv(traces, cfg.seed))
     ks = [t.K for t in traces if t.entered]
-    stats = {"samples": cfg.samples, "entered": len(ks),
-             "max_K": max(ks) if ks else -1,
-             "mean_K": sum(ks) / len(ks) if ks else float("nan")}
-    passed = len(ks) == cfg.samples
-    _write(cfg.report_out, json.dumps(
-        {"config": asdict(cfg), **stats, "passed": passed}, indent=2))
-    print(f"samples={cfg.samples} entered={len(ks)} max_K={stats['max_K']} "
-          f"mean_K={stats['mean_K']:.3f}")
-    return 0 if passed or cfg.survey else 1
+    report = SimulateReport(
+        asdict(cfg), cfg.samples, len(ks), max(ks) if ks else -1,
+        sum(ks) / len(ks) if ks else float("nan"),
+        checks={"entered": Check(cfg.samples - len(ks), 1)})
+    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
+    print(f"samples={cfg.samples} entered={len(ks)} max_K={report.max_K} "
+          f"mean_K={report.mean_K:.3f}")
+    return 0 if report.passed or cfg.survey else 1
 
 
 def cmd_cycle(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     if not (0 <= cfg.vertex < poly.n_sides):
         print(f"vertex index must be in [0, {poly.n_sides})", file=sys.stderr)
         return 2
-    if poly.vertices[cfg.vertex].is_ideal:
-        print(f"configuration error: vertex {cfg.vertex} is ideal",
-              file=sys.stderr)
+    try:
+        data = cycle(poly, part, cfg.vertex)
+    except NotElliptic as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    data = cycle(poly, part, cfg.vertex)
     res = verify_matching(poly, part, cfg.vertex, data)
     out = {"vertex": data.vertex, "order": data.order, "J": data.J,
            "I": data.I, "end_of_cycle": data.end_of_cycle.theta,

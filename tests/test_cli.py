@@ -130,10 +130,12 @@ class TestSimulateCommand:
         assert code == 0
         data = json.loads(rep.read_text())
         assert list(data) == ["config", "samples", "entered", "max_K",
-                              "mean_K", "passed"]
+                              "mean_K", "checks", "passed"]
         assert data["config"]["seed"] == 7
         assert data["config"]["report_out"] == str(rep)
         assert data["samples"] == data["entered"] == 50
+        assert data["checks"]["entered"] == {
+            "residual": 0, "bound": 1, "detail": "", "passed": True}
         assert data["passed"] is True
         assert out.strip() == (f"samples=50 entered=50 max_K={data['max_K']} "
                                f"mean_K={data['mean_K']:.3f}")

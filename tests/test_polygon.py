@@ -115,6 +115,8 @@ class TestConstruction:
                 assert g.power(m).sign_distance(MoebiusPSU.identity()) < 1e-9
                 # |trace| = 2 cos(pi/m): a rotation by 2pi/m
                 assert abs(abs(g.trace) - 2.0 * math.cos(math.pi / m)) < 1e-9
+                assert abs(2.0 * math.acos(min(abs(g.trace) / 2.0, 1.0))
+                           - TAU / m) < 1e-9
                 fixed = poly.vertices[k].point.z
                 assert abs(g.apply(fixed) - fixed) < 1e-10
 
