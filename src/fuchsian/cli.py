@@ -2,7 +2,8 @@
 
 Subcommands build the canonical polygon, verify the structural and dynamical
 properties, run seeded entry simulations, and report cycle data.  Exit codes:
-0 all requested checks passed, 1 a check failed, 2 configuration error.
+0 all requested checks passed, 1 a check failed, 2 configuration error,
+including a value the library rejects while the command runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import tolerances
 from .tolerances import Check, Report
 from .boundary import (Partition, cycle, make_partition, markov_check,
                        verify_matching)
-from .errors import FuchsianError, NotElliptic, PartitionOutOfGuaranteeRange
+from .errors import FuchsianError, PartitionOutOfGuaranteeRange
 from .extension import (build_attractor, simulate_entry, traces_to_csv,
                         verify_bijectivity)
 from .polygon import MarkedPolygon, Signature, build_canonical, validate_polygon
@@ -89,6 +90,23 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _cycles_report(poly: MarkedPolygon, part: Partition,
+                  vertices: list[int]) -> CyclesReport:
+    """One row per elliptic vertex, and the check ``matching`` on the worst
+    of the cycle's own residual and the iterated matching residual."""
+    worst, rows = 0.0, []
+    for k in vertices:
+        data = cycle(poly, part, k)
+        res = verify_matching(poly, part, k, data)
+        worst = max(worst, res, data.matching_residual)
+        rows.append({"vertex": data.vertex, "order": data.order, "J": data.J,
+                     "I": data.I, "degenerate": data.degenerate,
+                     "end_of_cycle": data.end_of_cycle.theta,
+                     "residual": res})
+    return CyclesReport(rows, checks={
+        "matching": Check(worst, tolerances.active().residual)})
+
+
 def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     report = validate_polygon(poly)
     _write(cfg.json_out, poly.to_json())
@@ -124,17 +142,8 @@ def cmd_verify(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     if "polygon" in selected:
         reports["polygon"] = validate_polygon(poly)
     if "cycles" in selected:
-        worst, rows = 0.0, []
-        for k in poly.elliptic_indices():
-            data = cycle(poly, part, k)
-            res = verify_matching(poly, part, k, data)
-            worst = max(worst, res, data.matching_residual)
-            rows.append({"vertex": k, "order": data.order, "J": data.J,
-                         "I": data.I, "degenerate": data.degenerate,
-                         "end_of_cycle": data.end_of_cycle.theta,
-                         "residual": res})
-        reports["cycles"] = CyclesReport(rows, checks={
-            "matching": Check(worst, tolerances.active().residual)})
+        reports["cycles"] = _cycles_report(poly, part,
+                                           poly.elliptic_indices())
     if "markov" in selected:
         reports["markov"] = markov_check(poly, part, max_steps=10_000)
     if "bijectivity" in selected:
@@ -160,9 +169,6 @@ def cmd_verify(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
 
 def cmd_simulate(cfg: RunConfig, poly: MarkedPolygon,
                  part: Partition) -> int:
-    if cfg.samples < 1:
-        print("samples must be >= 1", file=sys.stderr)
-        return 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore" if cfg.survey else "default",
                               PartitionOutOfGuaranteeRange)
@@ -185,19 +191,10 @@ def cmd_cycle(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     if not (0 <= cfg.vertex < poly.n_sides):
         print(f"vertex index must be in [0, {poly.n_sides})", file=sys.stderr)
         return 2
-    try:
-        data = cycle(poly, part, cfg.vertex)
-    except NotElliptic as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    res = verify_matching(poly, part, cfg.vertex, data)
-    out = {"vertex": data.vertex, "order": data.order, "J": data.J,
-           "I": data.I, "end_of_cycle": data.end_of_cycle.theta,
-           "degenerate": data.degenerate, "matching_residual": res}
-    text = json.dumps(out, indent=2)
-    print(text)
-    _write(cfg.report_out, text)
-    return 0
+    report = _cycles_report(poly, part, [cfg.vertex])
+    print(json.dumps(report.vertices[0], indent=2))
+    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,10 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             poly = build_canonical(Signature.parse(cfg.signature))
             part = make_partition(poly, *parse_partition_arg(cfg.partition))
+            return handler(cfg, poly, part)
         except (FuchsianError, ValueError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-        return handler(cfg, poly, part)
 
 
 if __name__ == "__main__":

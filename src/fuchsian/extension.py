@@ -516,6 +516,9 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    # a redraw needs angular_distance >= buffer, and that distance is at most pi
+    if not 0 <= buffer < math.pi:
+        raise ValueError(f"buffer must lie in [0, pi), got {buffer!r}")
     starts = [_draw_pair(seed, i, buffer) for i in range(samples)]
     tu = np.array([s[0] for s in starts])
     tw = np.array([s[1] for s in starts])

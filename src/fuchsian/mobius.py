@@ -304,22 +304,3 @@ def geodesic_through_interior(u: BoundaryPoint, p: DiskPoint) -> Geodesic:
     e1, e2 = circ.boundary_intersections()
     second = e1 if e1.distance_to(u) > e2.distance_to(u) else e2
     return Geodesic((u, second), circ)
-
-
-def tangent_at(geo: Geodesic, at: complex, toward: BoundaryPoint) -> complex:
-    """Unit tangent of the geodesic at an incident point, oriented toward
-    the given ideal endpoint.
-
-    The arc of an orthogonal circle inside the disk subtends less than pi,
-    so the correct orientation is the one making an acute angle with the
-    chord to the target endpoint.
-    """
-    if geo.is_diameter:
-        d = toward.z - at
-        return d / abs(d)
-    t = 1j * (at - geo.circle.center)
-    t /= abs(t)
-    chord = toward.z - at
-    if (t * chord.conjugate()).real < 0:
-        t = -t
-    return t

@@ -17,14 +17,16 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+
+import numpy as np
 
 from . import tolerances
+from .arcs import DirectedArc, _intervals, _overlap_lengths
 from .tolerances import Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, Geodesic, MoebiusPSU,
                      angular_distance, geodesic_from_boundary_pair,
-                     geodesic_through_interior, tangent_at)
+                     geodesic_through_interior)
 
 SQUARE = "square"
 INFINITY = "inf"
@@ -330,85 +332,38 @@ class ValidationReport(Report):
     area: float
 
 
-def _clockwise_angle(d_from: complex, d_to: complex) -> float:
-    return (cmath.phase(d_from) - cmath.phase(d_to)) % TAU
-
-
 def _measured_elliptic_angles(poly: MarkedPolygon) -> dict[int, float]:
+    """Interior angle at each elliptic vertex V_k.  The disk automorphism
+    w -> (w - z) / (1 - conj(z) w) with z = V_k moves V_k to 0 with a
+    positive real derivative there, so it turns both sides into radii
+    without turning their directions; the angle is the clockwise turn from
+    the image of V_{k-1} to the image of V_{k+1}."""
     angles = {}
     n = poly.n_sides
     for k in poly.elliptic_indices():
-        v = poly.vertices[k]
-        d_prev = tangent_at(poly.sides[(k - 1) % n], v.point.z,
-                            poly.vertices[(k - 1) % n].point)
-        d_next = tangent_at(poly.sides[k], v.point.z,
-                            poly.vertices[(k + 1) % n].point)
-        angles[k] = _clockwise_angle(d_prev, d_next)
+        z = poly.vertices[k].point.z
+        prev, nxt = (cmath.phase((w - z) / (1 - z.conjugate() * w))
+                     for w in (poly.vertices[(k - 1) % n].point.z,
+                               poly.vertices[(k + 1) % n].point.z))
+        angles[k] = (prev - nxt) % TAU
     return angles
 
 
-def _unit_circles(poly: MarkedPolygon):
-    """Free-combination units: per cyclic factor, its bounding circles.
-
-    A quadruple block yields two units (the two hyperbolic gluings); every
-    wedge block yields one.  Degenerate diameter sides (order 2 wedge with
-    l = 2) are represented as half-plane cuts.
-    """
-    out = []
-    for blk in poly.blocks:
-        s = blk.side_start
-        if blk.symbol == SQUARE:
-            units = [(f"a{blk.index}", [poly.sides[s], poly.sides[s + 2]]),
-                     (f"b{blk.index}", [poly.sides[s + 1], poly.sides[s + 3]])]
-        else:
-            units = [(f"g{blk.index}", [poly.sides[s], poly.sides[s + 1]])]
-        sector_mid = cmath.exp(1j * (blk.base_angle + math.pi / poly.ell))
-        for name, geos in units:
-            shapes = []
-            for g in geos:
-                if g.is_diameter:
-                    shapes.append(("line", _halfplane_normal(g, sector_mid)))
-                else:
-                    shapes.append(("circle", g.circle))
-            out.append((name, shapes))
-    return out
-
-
-def _halfplane_normal(geo: Geodesic, sector_mid: complex) -> complex:
-    """Inward normal of the excluded half-plane of a diameter side; the
-    excluded side is the one containing the block's sector."""
-    u, w = geo.endpoints
-    nrm = 1j * (w.z - u.z)
-    nrm /= abs(nrm)
-    if (sector_mid * nrm.conjugate()).real < 0:
-        nrm = -nrm
-    return nrm
-
-
 def _disjointness(poly: MarkedPolygon, tol: float) -> Check:
-    """Deepest penetration between the shapes of two different units; a
-    tangency within ``tol`` is measured by how far the touching point lies
-    from the unit circle."""
-    worst, detail = 0.0, ""
-    for (name1, shapes1), (name2, shapes2) in combinations(
-            _unit_circles(poly), 2):
-        for (kind1, s1), (kind2, s2) in product(shapes1, shapes2):
-            if kind1 == kind2 == "circle":
-                gap = abs(s1.center - s2.center) - (s1.radius + s2.radius)
-                pen = -gap
-                if abs(gap) <= tol:
-                    d = s2.center - s1.center
-                    pen = abs(abs(s1.center + s1.radius * d / abs(d)) - 1.0)
-            elif kind1 == kind2:
-                return Check(math.inf, tol, "two diameter units cannot coexist")
-            else:
-                nrm, circ = (s1, s2) if kind1 == "line" else (s2, s1)
-                pen = (circ.center * nrm.conjugate()).real + circ.radius
-                if abs(pen) <= tol:
-                    pen = abs(abs(circ.center + circ.radius * nrm) - 1.0)
-            if pen > worst:
-                worst, detail = pen, f"units {name1} vs {name2}"
-    return Check(worst, tol, detail)
+    """Largest overlap, in radians, of the ideal arcs of the caps beyond two
+    sides that are not partners.  The cap beyond side i is the half-plane
+    whose ideal arc runs counter-clockwise from P_i to Q_{i+1}; two caps are
+    disjoint exactly when their arcs share at most an endpoint."""
+    n = poly.n_sides
+    arcs = _intervals([DirectedArc.ccw(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+                       for i in range(n)])
+    overlap = _overlap_lengths(arcs, arcs)
+    rows = np.arange(n)
+    overlap[rows, rows] = 0.0
+    overlap[rows, poly.pairing] = 0.0
+    i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
+    worst = float(overlap[i, j])
+    return Check(worst, tol, f"sides {i} vs {j}" if worst > 0 else "")
 
 
 def block_glue_product(poly: MarkedPolygon, blk: Block) -> MoebiusPSU:

@@ -5,15 +5,16 @@ computes another way: ``F_apply`` is one step of the planar extension that
 ``extension._Step`` applies to arrays of states; ``domain_contains`` is the
 closed membership test that ``extension._Membership`` answers for arrays;
 ``bisector_endpoint`` constructs the end of the angle bisector at an
-elliptic vertex independently of the arc midpoint ``AuxPoints.M``.
+elliptic vertex from the sides' Euclidean tangents (``tangent_at``),
+independently of the arc midpoint ``AuxPoints.M``.
 """
 
 import math
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
-                      EuclideanCircle, MarkedPolygon, NotElliptic, Partition,
-                      Rect, tolerances)
-from fuchsian.mobius import TAU, tangent_at
+                      EuclideanCircle, Geodesic, MarkedPolygon, NotElliptic,
+                      Partition, Rect, tolerances)
+from fuchsian.mobius import TAU
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -64,6 +65,25 @@ def geodesic_from_direction(p: DiskPoint, direction: complex) -> BoundaryPoint:
     e1, e2 = circ.boundary_intersections()
     pick = e1 if ((e1.z - z) * d.conjugate()).real > 0 else e2
     return pick
+
+
+def tangent_at(geo: Geodesic, at: complex, toward: BoundaryPoint) -> complex:
+    """Unit tangent of the geodesic at an incident point, oriented toward
+    the given ideal endpoint.
+
+    The arc of an orthogonal circle inside the disk subtends less than pi,
+    so the correct orientation is the one making an acute angle with the
+    chord to the target endpoint.
+    """
+    if geo.is_diameter:
+        d = toward.z - at
+        return d / abs(d)
+    t = 1j * (at - geo.circle.center)
+    t /= abs(t)
+    chord = toward.z - at
+    if (t * chord.conjugate()).real < 0:
+        t = -t
+    return t
 
 
 def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:

@@ -8,8 +8,8 @@ import pytest
 from conftest import MODES, SIGNATURES, partition, polygon
 
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NotElliptic,
-                      cycle, f_apply, make_partition, markov_check, orbit,
-                      verify_matching)
+                      Partition, cycle, f_apply, make_partition, markov_check,
+                      orbit, verify_matching)
 from fuchsian.mobius import TAU, angular_distance
 
 MODULAR = "0;2,3;1"
@@ -51,6 +51,22 @@ class TestMakePartition:
         part = make_partition(poly, "custom", [1.0, 4.0])
         assert part.points[1].theta == 1.0
         assert part.points[3].theta == 4.0
+
+    @pytest.mark.parametrize("build, error, words", [
+        # cuts at 0, 3, 1, 2 lift to 0, 3, 1 + 2pi, 2 + 2pi: past the close
+        (lambda poly: Partition(poly, tuple(
+            BoundaryPoint.from_angle(t) for t in (0.0, 3.0, 1.0, 2.0)),
+            "custom"), ValueError, "wind"),
+        (lambda poly: make_partition(poly, "custom"),
+         CustomPointOutOfRange, "requires angles"),
+        (lambda poly: make_partition(poly, "custom", {1: 1.0}),
+         CustomPointOutOfRange, "vertex 3"),
+        (lambda poly: make_partition(poly, "diag"), ValueError,
+         "unknown partition mode"),
+    ], ids=["winding", "no-custom-angles", "missing-vertex", "unknown-mode"])
+    def test_rejects_bad_input(self, build, error, words):
+        with pytest.raises(error, match=words):
+            build(polygon(MODULAR))
 
     def test_guarantee_range_flag(self):
         poly = polygon(MODULAR)

@@ -19,6 +19,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             parse_partition_arg("diag")
 
+    def test_unparsable_custom_angles(self):
+        with pytest.raises(ValueError, match="cannot parse custom angles"):
+            parse_partition_arg("custom=a,b")
+
 
 class TestPolygonCommand:
     def test_valid_signature_writes_artifacts(self, tmp_path, capsys):
@@ -107,6 +111,18 @@ class TestVerifyCommand:
         assert data["results"]["bijectivity"]["passed"]
         assert "warning" in data["results"]["bijectivity"]
 
+    def test_library_raise_while_running_exit_two(self, capsys):
+        # build_attractor rejects this strict case (an order-17 orbit point
+        # 3.3e-13 from its block corner); the command ends in one
+        # configuration-error line, not a traceback
+        code = run(["verify", "--tolerance-profile", "strict",
+                    "--signature", "20;2,3,17,29;8",
+                    "--partition", "midpoint", "--checks", "bijectivity"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:")
+        assert len(err.splitlines()) == 1
+
     def test_bad_custom_point_exit_two(self, capsys):
         assert run(["verify", "--signature", "0;2,3;1",
                     "--partition", "custom=0.0,4.0"]) == 2
@@ -143,6 +159,15 @@ class TestSimulateCommand:
     def test_zero_samples_exit_two(self, capsys):
         assert run(["simulate", "--signature", "0;2,3;1",
                     "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("buffer", ["4", "nan"])
+    def test_buffer_no_draw_can_clear_exit_two(self, buffer, capsys):
+        # a draw must lie at least buffer from the diagonal, at most pi
+        code = run(["simulate", "--signature", "0;2,3;1",
+                    "--buffer", buffer])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: buffer")
 
     def test_survey_mode_exit_zero(self, capsys):
         import fuchsian
@@ -237,6 +262,22 @@ class TestCycleCommand:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["I"] == data["J"] == 0
+
+    def test_failed_matching_exit_one(self, tmp_path, capsys):
+        # the row and the check are those of verify --checks cycles, which
+        # fails on the same input
+        rep = tmp_path / "cycle.json"
+        common = ["--signature", "20;2,3,17,29;8", "--partition", "midpoint",
+                  "--tolerance-profile", "strict"]
+        assert run(["cycle", "--vertex", "87", "--report", str(rep)]
+                   + common) == 1
+        row = json.loads(capsys.readouterr().out)
+        assert row["vertex"] == 87 and row["order"] == 29
+        data = json.loads(rep.read_text())
+        assert data["vertices"] == [row]
+        assert data["checks"]["matching"]["passed"] is False
+        assert data["passed"] is False
+        assert run(["verify", "--checks", "cycles"] + common) == 1
 
     def test_ideal_vertex_exit_two(self, capsys):
         assert run(["cycle", "--signature", "0;2,3;1", "--vertex", "0"]) == 2

@@ -497,6 +497,16 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_entry(dom.poly, dom.part, dom, samples=0, seed=1)
 
+    @pytest.mark.parametrize("buffer", [4.0, math.pi, math.nan])
+    def test_rejects_buffer_no_draw_can_clear(self, buffer):
+        # a draw is kept once its angular distance from the diagonal
+        # reaches buffer; that distance is at most pi, so the draw for such
+        # a buffer would never end
+        dom = domain(MODULAR, "midpoint")
+        with pytest.raises(ValueError, match="buffer"):
+            simulate_entry(dom.poly, dom.part, dom, samples=1, seed=1,
+                           buffer=buffer)
+
 
 def dense_member(rects, pu, pw, tol):
     """Test-side oracle: the closed test against every rectangle."""

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuchsian import (BoundaryPoint, DegenerateGeodesic, DiskPoint,
-                      MoebiusPSU, NoIsometricCircle,
+                      EuclideanCircle, MoebiusPSU, NoIsometricCircle,
                       geodesic_from_boundary_pair, geodesic_through_interior)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.polygon import (elliptic_generator, elliptic_vertex,
@@ -215,6 +215,18 @@ class TestNormalization:
     def test_shape_rejection(self):
         with pytest.raises(ValueError):
             MoebiusPSU.from_coeffs(2.0, 0.0, 0.0, 0.5)  # disk-breaking map
+
+    @pytest.mark.parametrize("build, words", [
+        (lambda: BoundaryPoint.from_complex(0.5 + 0j), "is not 1"),
+        (lambda: DiskPoint(1.0 + 0j), "is not interior"),
+        (lambda: EuclideanCircle(2.0 + 0j, 0.0), "radius must be positive"),
+        (lambda: MoebiusPSU(2.0 + 0j, 0j), "determinant"),
+        (lambda: MoebiusPSU.from_coeffs(1.0, 2.0, 0.5, 1.0), "singular"),
+    ], ids=["boundary-off-circle", "disk-on-circle", "zero-radius",
+            "determinant", "singular"])
+    def test_rejects_bad_input(self, build, words):
+        with pytest.raises(ValueError, match=words):
+            build()
 
     def test_sign_normal_form_has_nonnegative_lead(self):
         g = MoebiusPSU.from_ab(-math.sqrt(2), 1j)

@@ -11,12 +11,20 @@ from oracles import bisector_endpoint
 
 from fuchsian import (InvalidSignature, Signature, build_canonical,
                       signature_string, validate_polygon)
-from fuchsian.mobius import TAU, BoundaryPoint, MoebiusPSU, angular_distance
+from fuchsian.mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
+                             angular_distance, geodesic_from_boundary_pair)
 from fuchsian.polygon import (INFINITY, SQUARE, boundary_product,
                               elliptic_generator, hyperbolic_generator_a,
                               hyperbolic_generator_b)
 
 MODULAR = "0;2,3;1"
+# perturbed at their first vertex of order >= 3
+PERTURBED = [MODULAR, "1;2,3,7;2", "2;2,5,8;2", "0;3,3,4;2", "20;2,3,17,29;8"]
+
+
+def first_order_three(poly):
+    return next(k for k in poly.elliptic_indices()
+                if poly.vertices[k].order >= 3)
 
 
 class TestSignature:
@@ -44,6 +52,17 @@ class TestSignature:
     def test_bad_order_rejected(self):
         with pytest.raises(InvalidSignature):
             Signature.parse("0;1,3;1")
+
+    @pytest.mark.parametrize("build, words", [
+        (lambda: Signature(-1, (), 2), "genus"),
+        (lambda: Signature(0, (3, 2), 1), "sorted"),
+        (lambda: Signature.parse("0;2,3"), "expected"),
+        (lambda: Signature.parse("0;2,x;1"), "cannot parse"),
+    ], ids=["negative-genus", "unsorted-orders", "field-count",
+            "non-integer"])
+    def test_rejects_bad_input(self, build, words):
+        with pytest.raises(InvalidSignature, match=words):
+            build()
 
     def test_string_symbols(self):
         assert signature_string(Signature.parse(MODULAR)).symbols == (2, 3)
@@ -213,6 +232,43 @@ class TestValidation:
         assert validate_polygon(poly).checks["equal_distribution"].passed
         check = validate_polygon(bad).checks["equal_distribution"]
         assert check.passed is False and check.residual > 1e-7
+
+    @pytest.mark.parametrize("text", PERTURBED)
+    def test_elliptic_angles_sees_a_moved_vertex(self, text):
+        # V_k moves 1e-6 relative along its ray; the neighbouring ideal
+        # vertices stay, so both angle and area change
+        poly = polygon(text)
+        k = first_order_three(poly)
+        vertices = list(poly.vertices)
+        vertices[k] = dataclasses.replace(
+            vertices[k], point=DiskPoint(vertices[k].point.z * (1 + 1e-6)))
+        bad = dataclasses.replace(poly, vertices=tuple(vertices))
+        assert validate_polygon(poly).checks["elliptic_angles"].passed
+        check = validate_polygon(bad).checks["elliptic_angles"]
+        assert check.passed is False
+        assert check.detail == f"vertex {k} (order {poly.vertices[k].order})"
+
+    @pytest.mark.parametrize("text", PERTURBED)
+    def test_free_combination_sees_a_cap_past_its_corner(self, text):
+        # side k-1 now ends 1e-6 rad past V_{k+1}, so its cap overlaps the
+        # cap beyond side k+1, which starts at V_{k+1}, by 1e-6 rad
+        poly = polygon(text)
+        k = first_order_three(poly)
+        n = poly.n_sides
+        past = BoundaryPoint.from_angle(
+            poly.vertices[(k + 1) % n].point.theta + 1e-6)
+        sides = list(poly.sides)
+        sides[k - 1] = geodesic_from_boundary_pair(
+            poly.vertices[k - 1].point, past)
+        aux = list(poly.aux)
+        aux[k] = dataclasses.replace(aux[k], Q=past)
+        bad = dataclasses.replace(poly, sides=tuple(sides), aux=tuple(aux))
+        assert validate_polygon(poly).checks["free_combination"].passed
+        check = validate_polygon(bad).checks["free_combination"]
+        assert check.passed is False
+        assert abs(check.residual - 1e-6) < 1e-8
+        assert check.detail in (f"sides {k - 1} vs {(k + 1) % n}",
+                                f"sides {(k + 1) % n} vs {k - 1}")
 
     @pytest.mark.parametrize("text", [MODULAR, "0;2,4;1"])
     @pytest.mark.parametrize("gluing", ["identity", "hyperbolic",
