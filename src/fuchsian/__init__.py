@@ -3,8 +3,7 @@ attractors for Fuchsian signatures with at least one cusp."""
 
 from .errors import (CustomPointOutOfRange, DegenerateGeodesic, FuchsianError,
                      InvalidSignature, NoIsometricCircle, NonFinite,
-                     NotElliptic, PartitionOutOfGuaranteeRange,
-                     TilingViolation)
+                     NotElliptic, TilingViolation)
 from .mobius import (BoundaryPoint, DiskPoint, EuclideanCircle, Geodesic,
                      MoebiusPSU, geodesic_from_boundary_pair,
                      geodesic_through_interior)

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands build the canonical polygon, verify the structural and dynamical
-properties, run seeded entry simulations, and report cycle data.  Exit codes:
-0 all requested checks passed, 1 a check failed, 2 configuration error,
-including a value the library rejects while the command runs.
+properties, run seeded entry simulations, and report cycle data.  Each one
+returns a single ``Report``; ``main`` writes it to ``--report`` once the
+command has finished and picks the exit code: 0 all requested checks passed
+(always under ``--survey``), 1 a check failed, 2 configuration error,
+including a value the library rejects while the command runs, which writes
+no report.
 """
 
 from __future__ import annotations
@@ -12,16 +15,15 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from . import tolerances
 from .tolerances import Check, Report
 from .boundary import (Partition, cycle, make_partition, markov_check,
                        verify_matching)
-from .errors import FuchsianError, PartitionOutOfGuaranteeRange
-from .extension import (build_attractor, simulate_entry, traces_to_csv,
-                        verify_bijectivity)
+from .errors import FuchsianError
+from .extension import (AttractorDomain, build_attractor, simulate_entry,
+                        traces_to_csv, verify_bijectivity)
 from .polygon import MarkedPolygon, Signature, build_canonical, validate_polygon
 from .render import FigureSpec, render_attractor, render_polygon
 
@@ -69,6 +71,16 @@ class SimulateReport(Report):
     mean_K: float
 
 
+@dataclass(frozen=True)
+class VerifyReport(Report):
+    """One check per selected group, named as the group: its residual counts
+    the group's failed checks (bound 1) and its detail names them.
+    ``results`` holds each group's own report, as ``to_dict()``."""
+
+    config: dict
+    results: dict[str, dict]
+
+
 def parse_partition_arg(text: str):
     """Returns (mode, custom angles or None)."""
     if text in ("left", "right", "midpoint"):
@@ -90,53 +102,64 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _attractor(cfg: RunConfig, poly: MarkedPolygon,
+               part: Partition) -> AttractorDomain:
+    """The attractor, with one warning line on stderr when the partition
+    voids the attraction guarantee (none under ``--survey``)."""
+    dom = build_attractor(poly, part)
+    if not dom.guarantee and not cfg.survey:
+        print("warning: partition outside [P,Q] guarantee range",
+              file=sys.stderr)
+    return dom
+
+
 def _cycles_report(poly: MarkedPolygon, part: Partition,
                   vertices: list[int]) -> CyclesReport:
     """One row per elliptic vertex, and the check ``matching`` on the worst
-    of the cycle's own residual and the iterated matching residual."""
-    worst, rows = 0.0, []
+    of the cycle's own residual and the iterated matching residual; its
+    detail names the vertex and which of the two residuals that was."""
+    worst, where, rows = 0.0, "", []
     for k in vertices:
         data = cycle(poly, part, k)
         res = verify_matching(poly, part, k, data)
-        worst = max(worst, res, data.matching_residual)
+        for value, kind in ((res, "iterated"),
+                            (data.matching_residual, "cycle")):
+            if value > worst or not where:
+                worst, where = value, f"vertex {data.vertex}, {kind} residual"
         rows.append({"vertex": data.vertex, "order": data.order, "J": data.J,
                      "I": data.I, "degenerate": data.degenerate,
                      "end_of_cycle": data.end_of_cycle.theta,
                      "residual": res})
     return CyclesReport(rows, checks={
-        "matching": Check(worst, tolerances.active().residual)})
+        "matching": Check(worst, tolerances.active().residual, where)})
 
 
-def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
+def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon,
+                part: Partition) -> Report:
     report = validate_polygon(poly)
+    dom = _attractor(cfg, poly, part) if cfg.attractor_svg_out else None
     _write(cfg.json_out, poly.to_json())
-    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
     if cfg.svg_out:
         _write(cfg.svg_out, render_polygon(poly, part, FigureSpec()))
-    if cfg.attractor_svg_out:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PartitionOutOfGuaranteeRange)
-            dom = build_attractor(poly, part)
+    if dom:
         _write(cfg.attractor_svg_out, render_attractor(dom, FigureSpec()))
     print(f"signature={poly.signature} ell={poly.ell} N={poly.n_sides} "
           f"area={report.area!r} valid={report.passed}")
     for name, res in report.checks.items():
         print(f"  {name}: {'pass' if res.passed else 'FAIL'} "
               f"(residual {res.residual:.3e})")
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_verify(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
+def cmd_verify(cfg: RunConfig, poly: MarkedPolygon,
+               part: Partition) -> Report:
     selected = ALL_CHECKS if "all" in cfg.checks else cfg.checks
+    available = f"available: {','.join(ALL_CHECKS)},all"
     if not selected:
-        print(f"configuration error: no checks selected; "
-              f"available: {','.join(ALL_CHECKS)},all", file=sys.stderr)
-        return 2
+        raise ValueError(f"no checks selected; {available}")
     unknown = [c for c in selected if c not in ALL_CHECKS]
     if unknown:
-        print(f"unknown checks: {','.join(unknown)}; "
-              f"available: {','.join(ALL_CHECKS)},all", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown checks: {','.join(unknown)}; {available}")
 
     reports: dict[str, Report] = {}
     if "polygon" in selected:
@@ -147,9 +170,7 @@ def cmd_verify(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
     if "markov" in selected:
         reports["markov"] = markov_check(poly, part, max_steps=10_000)
     if "bijectivity" in selected:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PartitionOutOfGuaranteeRange)
-            dom = build_attractor(poly, part)
+        dom = _attractor(cfg, poly, part)
         reports["bijectivity"] = verify_bijectivity(poly, part, dom)
 
     results = {name: rep.to_dict() for name, rep in reports.items()}
@@ -157,22 +178,17 @@ def cmd_verify(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
         results["bijectivity"]["warning"] = (
             "partition outside guarantee range; bijectivity holds but "
             "global attraction is only conjectural here")
-        print("warning: partition outside [P,Q] guarantee range",
-              file=sys.stderr)
-    ok = all(rep.passed for rep in reports.values())
-    out = {"config": asdict(cfg), "passed": ok, "results": results}
-    _write(cfg.report_out, json.dumps(out, indent=2))
+    checks = {}
     for name, rep in reports.items():
+        failed = [c for c, check in rep.checks.items() if not check.passed]
+        checks[name] = Check(len(failed), 1, ",".join(failed))
         print(f"{name}: {'pass' if rep.passed else 'FAIL'}")
-    return 0 if ok else 1
+    return VerifyReport(asdict(cfg), results, checks=checks)
 
 
 def cmd_simulate(cfg: RunConfig, poly: MarkedPolygon,
-                 part: Partition) -> int:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if cfg.survey else "default",
-                              PartitionOutOfGuaranteeRange)
-        dom = build_attractor(poly, part)
+                 part: Partition) -> Report:
+    dom = _attractor(cfg, poly, part)
     traces = simulate_entry(poly, part, dom, cfg.samples, cfg.seed,
                             cfg.max_iters, cfg.buffer)
     _write(cfg.csv_out, traces_to_csv(traces, cfg.seed))
@@ -181,20 +197,18 @@ def cmd_simulate(cfg: RunConfig, poly: MarkedPolygon,
         asdict(cfg), cfg.samples, len(ks), max(ks) if ks else -1,
         sum(ks) / len(ks) if ks else float("nan"),
         checks={"entered": Check(cfg.samples - len(ks), 1)})
-    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
     print(f"samples={cfg.samples} entered={len(ks)} max_K={report.max_K} "
           f"mean_K={report.mean_K:.3f}")
-    return 0 if report.passed or cfg.survey else 1
+    return report
 
 
-def cmd_cycle(cfg: RunConfig, poly: MarkedPolygon, part: Partition) -> int:
+def cmd_cycle(cfg: RunConfig, poly: MarkedPolygon,
+              part: Partition) -> Report:
     if not (0 <= cfg.vertex < poly.n_sides):
-        print(f"vertex index must be in [0, {poly.n_sides})", file=sys.stderr)
-        return 2
+        raise ValueError(f"vertex index must be in [0, {poly.n_sides})")
     report = _cycles_report(poly, part, [cfg.vertex])
     print(json.dumps(report.vertices[0], indent=2))
-    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
-    return 0 if report.passed else 1
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,18 +266,19 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"polygon": cmd_polygon, "verify": cmd_verify,
                "simulate": cmd_simulate, "cycle": cmd_cycle}[ns.command]
     try:
-        scope = tolerances.profile(cfg.tolerance_profile)
-    except KeyError as exc:
-        print(f"configuration error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    with scope:
         try:
+            scope = tolerances.profile(cfg.tolerance_profile)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        with scope:
             poly = build_canonical(Signature.parse(cfg.signature))
             part = make_partition(poly, *parse_partition_arg(cfg.partition))
-            return handler(cfg, poly, part)
-        except (FuchsianError, ValueError) as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
-            return 2
+            report = handler(cfg, poly, part)
+    except (FuchsianError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
+    return 0 if report.passed or cfg.survey else 1
 
 
 if __name__ == "__main__":

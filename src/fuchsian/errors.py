@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class FuchsianError(Exception):
@@ -36,10 +36,3 @@ class CustomPointOutOfRange(FuchsianError):
 class TilingViolation(FuchsianError):
     """The w-arcs of the attractor's rectangles do not tile the circle."""
 
-
-class PartitionOutOfGuaranteeRange(UserWarning):
-    """Some elliptic partition point lies outside its [P, Q] arc.
-
-    The attractor is still built (the bijectivity statement does not need
-    the [P, Q] restriction), but the global-attraction guarantee does.
-    """

@@ -21,7 +21,6 @@ data, is rechecked.  Its verdicts equal those of testing every rectangle.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .tolerances import Check, Report
 from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
                    max_pairwise_overlap, rect_boxes)
 from .boundary import CycleData, Partition, cycle
-from .errors import NotElliptic, PartitionOutOfGuaranteeRange, TilingViolation
+from .errors import NotElliptic, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import INFINITY, SQUARE, Block, MarkedPolygon
 
@@ -147,12 +146,6 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     Raises ``TilingViolation`` when the strips' w-arcs do not tile the
     circle.
     """
-    guarantee = part.in_guarantee_range()
-    if not guarantee:
-        warnings.warn("some elliptic partition point lies outside its [P, Q] "
-                      "arc; attraction is not guaranteed",
-                      PartitionOutOfGuaranteeRange, stacklevel=2)
-
     strips: list[tuple[Rect, ...]] = []
     info: list[StripInfo] = []
     for blk in poly.blocks:
@@ -167,7 +160,7 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     rects = tuple(r for strip in strips for r in strip)
     _check_tiling(rects)
     return AttractorDomain(poly, part, rects, tuple(strips), tuple(info),
-                           guarantee)
+                           part.in_guarantee_range())
 
 
 def _check_tiling(rects: tuple[Rect, ...]) -> None:
@@ -300,20 +293,14 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
     (``_fan``); its u-arc runs between the side extension point and the
     corner orbit point that bounds that rectangle.
     """
-    return _exceptional(poly, part, k)[0]
-
-
-def _exceptional(poly: MarkedPolygon, part: Partition,
-                 k: int) -> tuple[list[Rect], CycleData | None]:
-    """``exceptional_set`` and the cycle data of its fan (None at order 2)."""
     v = poly.vertices[k % poly.n_sides]
     if v.is_ideal:
         raise NotElliptic(f"vertex {k} is ideal")
     if v.order == 2:
-        return [], None
+        return []
     blk = poly.block_of_side(k % poly.n_sides)
     aux = poly.aux[k % poly.n_sides]
-    data, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
+    _, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
     out = []
 
     def hat(p1, p2, w1, w2, side, inside):
@@ -338,7 +325,7 @@ def _exceptional(poly: MarkedPolygon, part: Partition,
     for u, w0, w1 in zip(up_u, up_w, up_w[1:]):
         ok = ccw_sweep(start.theta, u.theta) <= start_to_p + 1e-12
         hat(u, aux.P, w0, w1, blk.side_start + 1, ok)
-    return out, data
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,9 +344,10 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     images of the first one, and that every piece of both fans lands inside
     the attractor within the cycle length plus two steps.
     """
-    hats, data = _exceptional(poly, part, k)
+    hats = exceptional_set(poly, part, k)
     tol = tolerances.active().residual
     blk = poly.block_of_side(k % poly.n_sides)
+    data = dom.info[blk.index].cycle
     lower = [r for r in hats if r.gamma_index == blk.side_start]
     upper = [r for r in hats if r.gamma_index == blk.side_start + 1]
     domain = rect_boxes(dom.rects)

@@ -197,17 +197,6 @@ class MoebiusPSU:
         minus = abs(self.a + other.a) + abs(self.b + other.b)
         return min(plus, minus)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MoebiusPSU):
-            return NotImplemented
-        return self.sign_distance(other) < tolerances.active().structural
-
-    __hash__ = None  # tolerance-based equality is not hashable
-
-    def is_identity(self) -> bool:
-        return (self.sign_distance(MoebiusPSU.identity())
-                < tolerances.active().spectral)
-
     @property
     def trace(self) -> float:
         """a + conj(a); real for PSU(1,1) representatives, defined up to sign."""

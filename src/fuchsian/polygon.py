@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class Signature:
     genus: int
     orders: tuple[int, ...]
     cusps: int
-    input_order: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if self.genus < 0:
@@ -57,8 +56,7 @@ class Signature:
 
     @classmethod
     def of(cls, genus: int, orders, cusps: int) -> "Signature":
-        given = tuple(int(m) for m in orders)
-        return cls(genus, tuple(sorted(given)), cusps, given)
+        return cls(genus, tuple(sorted(int(m) for m in orders)), cusps)
 
     @classmethod
     def parse(cls, text: str) -> "Signature":

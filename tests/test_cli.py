@@ -12,6 +12,22 @@ def run(argv):
     return main(argv)
 
 
+def outside_guarantee():
+    """Custom partition of 0;2,3;1 whose order-3 cut lies below its P."""
+    import fuchsian
+    poly = fuchsian.build_canonical(fuchsian.Signature.parse("0;2,3;1"))
+    lo = poly.vertices[2].point.theta
+    sweep = (poly.vertices[0].point.theta - lo) % (2 * math.pi) or 2 * math.pi
+    outside = (lo + 0.02 * sweep) % (2 * math.pi)
+    return f"custom={poly.aux[1].M.theta},{outside}"
+
+
+# build_attractor rejects this strict case (an order-17 orbit point 3.3e-13
+# from its block corner)
+STRICT_RAISE = ["--tolerance-profile", "strict", "--signature",
+                "20;2,3,17,29;8", "--partition", "midpoint"]
+
+
 class TestRunConfig:
     def test_partition_parsing(self):
         assert parse_partition_arg("left") == ("left", None)
@@ -73,6 +89,24 @@ class TestPolygonCommand:
         assert code == 2
         assert err.startswith("configuration error:") and out == ""
 
+    def test_library_raise_writes_no_file(self, tmp_path, capsys):
+        # the attractor is built before any file is written
+        code = run(["polygon", *STRICT_RAISE,
+                    "--json", str(tmp_path / "p.json"),
+                    "--attractor-svg", str(tmp_path / "a.svg"),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outside_guarantee_warns_once(self, tmp_path, capsys):
+        code = run(["polygon", "--signature", "0;2,3;1",
+                    "--partition", outside_guarantee(),
+                    "--attractor-svg", str(tmp_path / "a.svg")])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: partition outside [P,Q] guarantee range\n")
+
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, tmp_path):
@@ -89,12 +123,15 @@ class TestVerifyCommand:
     def test_unknown_check_exit_two(self, capsys):
         assert run(["verify", "--signature", "0;2,3;1",
                     "--checks", "frobnicate"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: unknown checks: frobnicate")
 
     def test_no_checks_exit_two(self, capsys):
         # an empty selection ran nothing and exited 0
         assert run(["verify", "--signature", "0;2,3;1", "--checks", ","]) == 2
         out, err = capsys.readouterr()
-        assert "no checks selected" in err and out == ""
+        assert err.startswith("configuration error: no checks selected")
+        assert out == ""
 
     def test_custom_outside_guarantee_warns_but_passes(self, tmp_path, capsys):
         import fuchsian
@@ -112,12 +149,8 @@ class TestVerifyCommand:
         assert "warning" in data["results"]["bijectivity"]
 
     def test_library_raise_while_running_exit_two(self, capsys):
-        # build_attractor rejects this strict case (an order-17 orbit point
-        # 3.3e-13 from its block corner); the command ends in one
-        # configuration-error line, not a traceback
-        code = run(["verify", "--tolerance-profile", "strict",
-                    "--signature", "20;2,3,17,29;8",
-                    "--partition", "midpoint", "--checks", "bijectivity"])
+        # one configuration-error line, not a traceback
+        code = run(["verify", *STRICT_RAISE, "--checks", "bijectivity"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("configuration error:")
@@ -170,16 +203,19 @@ class TestSimulateCommand:
             "configuration error: buffer")
 
     def test_survey_mode_exit_zero(self, capsys):
-        import fuchsian
-        poly = fuchsian.build_canonical(fuchsian.Signature.parse("0;2,3;1"))
-        lo = poly.vertices[2].point.theta
-        sweep = (poly.vertices[0].point.theta - lo) % (2 * math.pi) or 2 * math.pi
-        outside = (lo + 0.02 * sweep) % (2 * math.pi)
-        arg = f"custom={poly.aux[1].M.theta},{outside}"
-        code = run(["simulate", "--signature", "0;2,3;1", "--partition", arg,
+        code = run(["simulate", "--signature", "0;2,3;1",
+                    "--partition", outside_guarantee(),
                     "--samples", "100", "--seed", "1", "--survey",
                     "--max-iters", "5000"])
         assert code == 0
+
+    @pytest.mark.parametrize("survey,warned", [((), 1), (("--survey",), 0)])
+    def test_outside_guarantee_warns_once(self, survey, warned, capsys):
+        run(["simulate", "--signature", "0;2,3;1",
+             "--partition", outside_guarantee(), "--samples", "20",
+             "--max-iters", "2000", *survey])
+        assert capsys.readouterr().err.splitlines() == (
+            ["warning: partition outside [P,Q] guarantee range"] * warned)
 
     def test_deterministic_artifacts(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -284,3 +320,18 @@ class TestCycleCommand:
 
     def test_out_of_range_vertex_exit_two(self, capsys):
         assert run(["cycle", "--signature", "0;2,3;1", "--vertex", "9"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: vertex index must be in [0, 4)\n")
+
+    def test_matching_detail_names_worst_vertex(self, tmp_path, capsys):
+        # the iterated residual at vertex 87 (order 29) is the worst one
+        rep = tmp_path / "verify.json"
+        assert run(["verify", "--checks", "cycles", "--signature",
+                    "20;2,3,17,29;8", "--partition", "left",
+                    "--report", str(rep)]) == 1
+        cycles = json.loads(rep.read_text())["results"]["cycles"]
+        check = cycles["checks"]["matching"]
+        row = next(r for r in cycles["vertices"] if r["vertex"] == 87)
+        assert check["detail"] == "vertex 87, iterated residual"
+        assert check["residual"] == row["residual"]
+        assert abs(check["residual"] - 1.55e-8) < 0.01e-8

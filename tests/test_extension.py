@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from conftest import MODES, SIGNATURES, measure, partition, polygon
 from oracles import F_apply, domain_contains
 
-from fuchsian import (BoundaryPoint, NotElliptic,
-                      PartitionOutOfGuaranteeRange, TilingViolation,
+from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       exceptional_set, make_partition, phi_set,
                       simulate_entry, tolerances, verify_bijectivity)
@@ -153,11 +152,13 @@ class TestAttractorStructure:
             assert abs(r0.w_arc.sweep - r1.w_arc.sweep) < 1e-12
 
     def test_guarantee_warning(self):
+        # a cut outside [P, Q] is reported by the domain's flag alone
         poly = polygon(MODULAR)
         outside = (poly.aux[3].P.theta - 0.03) % TAU
         part = make_partition(poly, "custom",
                               {1: poly.aux[1].M.theta, 3: outside})
-        with pytest.warns(PartitionOutOfGuaranteeRange):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             dom = build_attractor(poly, part)
         assert not dom.guarantee
 
@@ -265,9 +266,7 @@ class TestBijectivity:
         part = make_partition(poly, "custom", {1: poly.aux[1].M.theta,
                                                3: outside})
         assert not part.in_guarantee_range()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            dom = build_attractor(poly, part)
+        dom = build_attractor(poly, part)
         rep = verify_bijectivity(poly, part, dom)
         assert rep.passed, rep.to_dict()
 
@@ -474,9 +473,7 @@ class TestSimulation:
         part = make_partition(poly, "custom",
                               {1: poly.aux[1].M.theta,
                                3: (lo + 0.02 * sweep) % TAU})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            dom = build_attractor(poly, part)
+        dom = build_attractor(poly, part)
         traces = simulate_entry(poly, part, dom, samples=300, seed=1,
                                 max_iters=3000)
         assert len(traces) == 300  # statistics only, entry not asserted

@@ -92,7 +92,7 @@ class TestGroupStructure:
         comm = b.inverse() @ a.inverse() @ b @ a
         assert abs(abs(comm.trace) - 2.0) < 1e-8
         assert abs(comm.apply(1.0 + 0j) - 1.0) < 1e-10
-        assert not comm.is_identity()
+        assert comm.sign_distance(MoebiusPSU.identity()) > 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(psu_elements(), psu_elements(), st.floats(0.0, TAU))
@@ -124,7 +124,10 @@ class TestClassification:
     rotation by angle, 2 for a parabolic map, above 2 for a hyperbolic one."""
 
     def test_identity(self):
-        assert MoebiusPSU.identity().is_identity()
+        # the rotation by 2pi is the matrix -1, the identity up to sign
+        ident = MoebiusPSU.identity()
+        assert abs(ident.trace - 2.0) == 0
+        assert MoebiusPSU.rotation(TAU).sign_distance(ident) < 1e-15
 
     def test_wedge_rotation_angle(self):
         for ell, m in ((2, 3), (5, 7), (6, 8), (3, 2)):
@@ -136,7 +139,7 @@ class TestClassification:
         for ell in (2, 3, 5, 6):
             g = parabolic_generator(ell)
             assert abs(abs(g.trace) - 2.0) < 1e-8
-            assert not g.is_identity()
+            assert g.sign_distance(MoebiusPSU.identity()) > 1e-8
 
     def test_hyperbolic_gluing(self):
         assert abs(hyperbolic_generator_a(2).trace) > 2.0 + 1e-8
@@ -235,8 +238,8 @@ class TestNormalization:
 
     def test_sign_quotient_equality(self):
         g = elliptic_generator(2, 3)
-        assert g == MoebiusPSU(-g.a, -g.b)
-        assert g != g.inverse()
+        assert g.sign_distance(MoebiusPSU(-g.a, -g.b)) == 0
+        assert g.sign_distance(g.inverse()) > 1e-8
 
     def test_non_finite_rejected(self):
         from fuchsian import NonFinite

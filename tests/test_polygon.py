@@ -36,10 +36,9 @@ class TestSignature:
         sig = Signature.parse("1;;1")
         assert sig.orders == () and sig.ell == 1
 
-    def test_orders_sorted_with_permutation_recorded(self):
+    def test_orders_sorted(self):
         sig = Signature.of(0, [7, 2, 3], 2)
         assert sig.orders == (2, 3, 7)
-        assert sig.input_order == (7, 2, 3)
 
     def test_area_condition_rejected(self):
         with pytest.raises(InvalidSignature, match="area"):

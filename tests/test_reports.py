@@ -115,6 +115,13 @@ def test_verify_report_carries_bound_and_verdict(name, tmp_path, capsys):
                                        for c in result["checks"].values())
     assert data["passed"] == all(r["passed"]
                                  for r in data["results"].values())
+    # one top-level check per group, counting and naming its failed checks
+    assert list(data["checks"]) == list(data["results"])
+    for group, c in data["checks"].items():
+        failed = [n for n, x in data["results"][group]["checks"].items()
+                  if not x["passed"]]
+        assert c == {"residual": len(failed), "bound": 1,
+                     "detail": ",".join(failed), "passed": not failed}
     assert data["results"]["cycles"]["vertices"]
 
 
