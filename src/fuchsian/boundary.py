@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import tolerances
-from .tolerances import Check, Report
+from .tolerances import SAME_POINT, STRUCTURAL, Check, Report
 from .errors import CustomPointOutOfRange, NotElliptic
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import MarkedPolygon
@@ -76,12 +76,11 @@ class Partition:
         return self.thetas[i], self.lifted[i + 1] - self.lifted[i]
 
     def in_guarantee_range(self) -> bool:
-        tol = tolerances.active().structural
         for k in self.poly.elliptic_indices():
             aux = self.poly.aux[k]
             sweep = (aux.Q.theta - aux.P.theta) % TAU
             d = (self.points[k].theta - aux.P.theta) % TAU
-            if not (d <= sweep + tol or d >= TAU - tol):
+            if not (d <= sweep + STRUCTURAL or d >= TAU - STRUCTURAL):
                 return False
         return True
 
@@ -183,11 +182,10 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     which keeps the finite orbits of ideal vertices exactly periodic instead
     of drifting near parabolic fixed points.
     """
-    tols = tolerances.active()
     cuts = sorted(set(part.thetas))
     k = part.cell_of(x.theta)
     first_gen = poly.generators[k]
-    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < tols.structural:
+    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
         first_gen = poly.generators[(k - 1) % part.n]
     points: list[BoundaryPoint] = []
     index_of: dict[float, int] = {}
@@ -198,10 +196,10 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     for _ in range(max_steps):
         t = cur.theta
         j, d = _nearest(t, cuts)
-        if d < tols.structural:
+        if d < STRUCTURAL:
             t = cuts[j]
         j, d = _nearest(t, seen_sorted)
-        if d < tols.residual:
+        if d < SAME_POINT:
             periodic_from = index_of[seen_sorted[j]]
             break
         cur = BoundaryPoint.from_angle(t)
@@ -239,7 +237,6 @@ class CycleData:
 
 def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
     """Cycle data for the cut point at elliptic vertex ``k``."""
-    tols = tolerances.active()
     v = poly.vertices[k % poly.n_sides]
     if v.is_ideal:
         raise NotElliptic(f"vertex {k} is ideal")
@@ -260,7 +257,7 @@ def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
         lower.append(c.apply_boundary(lower[-1]))
         J += 1
     end = lower[-1]
-    degenerate = angular_distance(end.theta, lo) < tols.structural
+    degenerate = angular_distance(end.theta, lo) < STRUCTURAL
     I = m - 2 - J if not degenerate else max(m - 3 - J, 0)
 
     upper = [c_inv.apply_boundary(a)]
@@ -342,9 +339,9 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     pts = sorted(t % TAU for t in pts)
     refined: list[float] = []
     for t in pts:
-        if not refined or t - refined[-1] > tols.residual:
+        if not refined or t - refined[-1] > SAME_POINT:
             refined.append(t)
-    if refined and (TAU - refined[-1]) + refined[0] <= tols.residual:
+    if refined and (TAU - refined[-1]) + refined[0] <= SAME_POINT:
         refined.pop()
 
     # interval-onto-intervals: endpoints must map to refinement points

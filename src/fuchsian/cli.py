@@ -174,10 +174,6 @@ def cmd_verify(cfg: RunConfig, poly: MarkedPolygon,
         reports["bijectivity"] = verify_bijectivity(poly, part, dom)
 
     results = {name: rep.to_dict() for name, rep in reports.items()}
-    if "bijectivity" in reports and not dom.guarantee:
-        results["bijectivity"]["warning"] = (
-            "partition outside guarantee range; bijectivity holds but "
-            "global attraction is only conjectural here")
     checks = {}
     for name, rep in reports.items():
         failed = [c for c, check in rep.checks.items() if not check.passed]

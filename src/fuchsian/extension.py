@@ -11,11 +11,14 @@ orbits for both the attractor strip and the exceptional rectangles.
 
 The simulation runs on arrays of states.  One step helper applies the
 gluings; one membership kernel, built per call from a rectangle list and the
-active structural tolerance, tests the states.  It relies on the w-arcs
-tiling the circle (``build_attractor`` checks this for the attractor; the
-escape set's w-arcs are the partition cells), so a binary search on w finds
-the one candidate rectangle and only a window of neighbours, fixed by the
-data, is rechecked.  Its verdicts equal those of testing every rectangle.
+fixed structural slack, tests the states.  It relies on the w-arcs tiling
+the circle (``build_attractor`` checks this for the attractor; the escape
+set's w-arcs are the partition cells), so a binary search on w finds the one
+candidate rectangle and only a window of neighbours, fixed by the data, is
+rechecked.  Its verdicts equal those of testing every rectangle.
+
+A tolerance profile sets only the bounds of the checks: the rectangles, the
+tiling test and the membership slack are the same under every profile.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .tolerances import Check, Report
+from .tolerances import SAME_POINT, STRUCTURAL, Check, Report
 from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
                    max_pairwise_overlap, rect_boxes)
 from .boundary import CycleData, Partition, cycle
@@ -57,19 +60,6 @@ class AttractorDomain:
     @property
     def measure(self) -> float:
         return sum(r.area for r in self.rects)
-
-    def to_dict(self) -> dict:
-        rects = [{"u": [r.u_arc.start.theta, r.u_arc.sweep],
-                  "w": [r.w_arc.start.theta, r.w_arc.sweep],
-                  "block": r.block, "gamma": r.gamma_index}
-                 for r in self.rects]
-        return {"signature": str(self.poly.signature),
-                "partition": {"mode": self.part.mode,
-                              "points": list(self.part.thetas)},
-                "guarantee_range": self.guarantee,
-                "strip_counts": [i.count for i in self.info],
-                "rects": rects,
-                "measure": self.measure}
 
 
 # rectangles per uniform strip; order 2 is a single rectangle because its
@@ -166,12 +156,11 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
 def _check_tiling(rects: tuple[Rect, ...]) -> None:
     """Raise unless the w-arcs, sorted by start, meet end to start around the
     circle and their sweeps sum to 2pi; the membership kernel relies on it."""
-    tol = tolerances.active().residual
     arcs = sorted((r.w_arc.start.theta, r.w_arc.sweep) for r in rects)
     total = math.fsum(sweep for _, sweep in arcs)
     gap = max(abs((nxt - start - sweep + math.pi) % TAU - math.pi)
               for (start, sweep), (nxt, _) in zip(arcs, arcs[1:] + arcs[:1]))
-    if abs(total - TAU) > tol or gap > tol:
+    if abs(total - TAU) > SAME_POINT or gap > SAME_POINT:
         raise TilingViolation(f"w-sweeps sum to 2pi {total - TAU:+.3g}, "
                               f"largest junction gap {gap:.3g}")
 
@@ -511,9 +500,8 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     tu = np.array([s[0] for s in starts])
     tw = np.array([s[1] for s in starts])
 
-    tol = tolerances.active().structural
-    in_dom = _Membership(dom.rects, tol)
-    in_phi = _Membership(phi_set(poly, part), tol)
+    in_dom = _Membership(dom.rects, STRUCTURAL)
+    in_phi = _Membership(phi_set(poly, part), STRUCTURAL)
     step = _Step(poly, part)
 
     K = np.full(samples, -1, dtype=np.int64)
@@ -562,7 +550,7 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
         return 0
     tu = np.array([t.entry_u for t in entered])
     tw = np.array([t.entry_w for t in entered])
-    in_dom = _Membership(dom.rects, tolerances.active().structural)
+    in_dom = _Membership(dom.rects, STRUCTURAL)
     step = _Step(poly, part)
     z = np.exp(1j * np.stack([tu, tw]))
     pw = np.angle(z[1]) % TAU

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import tolerances
+from .tolerances import WRAP
 from .errors import DegenerateGeodesic, NoIsometricCircle, NonFinite
 
 TAU = 2.0 * math.pi
@@ -22,7 +22,7 @@ TAU = 2.0 * math.pi
 def normalize_angle(theta: float) -> float:
     """Wrap to [0, 2pi), snapping values within the wrap guard of 2pi to 0."""
     t = theta % TAU
-    if t >= TAU - tolerances.active().wrap:
+    if t >= TAU - WRAP:
         return 0.0
     return t
 

@@ -1,12 +1,15 @@
 """Central numeric tolerances and the verdict record.
 
 The geometry itself is exact; every tolerance below is an artifact decision,
-kept in one record so the whole numerical contract is auditable.  Checks read
-the record of the current context through ``active()`` when they run, and
-each ``Check`` keeps the bound it was judged against, so a report's verdict
-is the one reached then.  ``with profile(name):`` selects a named record for
+kept in this module so the whole numerical contract is auditable.  Three
+fixed constants decide how objects are built: which float angles count as
+one point.  A ``Tolerances`` record holds only bounds: checks read the
+record of the current context through ``active()`` when they run, and each
+``Check`` keeps the bound it was judged against, so a report's verdict is
+the one reached then.  ``with profile(name):`` selects a named record for
 the block; the selection is context-local, so other threads see the default
-record.
+record.  A profile never changes what is built, only how large a residual
+may be.
 """
 
 from __future__ import annotations
@@ -15,23 +18,27 @@ from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
 
+# an angle this close to a cut or corner lies on it; also membership slack
+STRUCTURAL = 1e-10
+# an angle this close below 2pi is 0: the seam has one representative
+WRAP = 1e-12
+# orbit revisits, refinement points and w-arc junctions this close coincide
+SAME_POINT = 1e-9
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    structural: float = 1e-10   # point coincidence, membership, matrix shape
     spectral: float = 1e-8      # |trace| classification margin
-    residual: float = 1e-9      # matching/Markov/area/tiling residual budget
+    residual: float = 1e-9      # matching/Markov/area/measure residual budget
     overlap: float = 1e-12      # interior disjointness of rectangle unions
-    wrap: float = 1e-12         # angle canonicalization guard at 0 ~ 2pi
 
 
 DEFAULT = Tolerances()
 
 _PROFILES = {
     "default": DEFAULT,
-    "strict": Tolerances(structural=1e-12, spectral=1e-10, residual=1e-11,
-                         overlap=1e-13, wrap=1e-13),
-    "loose": Tolerances(structural=1e-8, spectral=1e-6, residual=1e-7,
-                        overlap=1e-10, wrap=1e-10),
+    "strict": Tolerances(spectral=1e-10, residual=1e-11, overlap=1e-13),
+    "loose": Tolerances(spectral=1e-6, residual=1e-7, overlap=1e-10),
 }
 
 _active: ContextVar[Tolerances] = ContextVar("tolerances", default=DEFAULT)

@@ -13,8 +13,9 @@ import math
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       EuclideanCircle, Geodesic, MarkedPolygon, NotElliptic,
-                      Partition, Rect, tolerances)
+                      Partition, Rect)
 from fuchsian.mobius import TAU
+from fuchsian.tolerances import STRUCTURAL
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -41,8 +42,8 @@ def rect_contains(rect: Rect, theta_u: float, theta_w: float,
 
 def domain_contains(dom: AttractorDomain, theta_u: float,
                     theta_w: float) -> bool:
-    t = tolerances.active().structural
-    return any(rect_contains(r, theta_u, theta_w, t) for r in dom.rects)
+    return any(rect_contains(r, theta_u, theta_w, STRUCTURAL)
+               for r in dom.rects)
 
 
 # -- angle bisector at an elliptic vertex ---------------------------------------

@@ -218,7 +218,10 @@ class TestCycle:
             assert angular_distance(data.end_of_cycle.theta, anti) < 1e-9
 
     def test_midpoint_odd_order_degenerates_at_corner(self):
-        for text, k in ((MODULAR, 3), ("2;2,5,8;2", 11), ("1;2,3,7;2", 9)):
+        # the orders 17 and 29 at l = 31 are confirmed with mpmath in
+        # tools/derive_oracles.py (J = 7 and 13)
+        for text, k in ((MODULAR, 3), ("2;2,5,8;2", 11), ("1;2,3,7;2", 9),
+                        ("20;2,3,17,29;8", 85), ("20;2,3,17,29;8", 87)):
             poly = polygon(text)
             m = poly.vertices[k].order
             assert m % 2 == 1

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from fuchsian import (Signature, TilingViolation, build_attractor,
+                      build_canonical, make_partition, verify_bijectivity)
 from fuchsian.cli import main, parse_partition_arg
 
 
@@ -20,12 +22,6 @@ def outside_guarantee():
     sweep = (poly.vertices[0].point.theta - lo) % (2 * math.pi) or 2 * math.pi
     outside = (lo + 0.02 * sweep) % (2 * math.pi)
     return f"custom={poly.aux[1].M.theta},{outside}"
-
-
-# build_attractor rejects this strict case (an order-17 orbit point 3.3e-13
-# from its block corner)
-STRICT_RAISE = ["--tolerance-profile", "strict", "--signature",
-                "20;2,3,17,29;8", "--partition", "midpoint"]
 
 
 class TestRunConfig:
@@ -89,9 +85,14 @@ class TestPolygonCommand:
         assert code == 2
         assert err.startswith("configuration error:") and out == ""
 
-    def test_library_raise_writes_no_file(self, tmp_path, capsys):
+    def test_library_raise_writes_no_file(self, tmp_path, monkeypatch,
+                                          capsys):
         # the attractor is built before any file is written
-        code = run(["polygon", *STRICT_RAISE,
+        def reject(poly, part):
+            raise TilingViolation("w-sweeps do not tile the circle")
+
+        monkeypatch.setattr("fuchsian.cli.build_attractor", reject)
+        code = run(["polygon", "--signature", "0;2,3;1",
                     "--json", str(tmp_path / "p.json"),
                     "--attractor-svg", str(tmp_path / "a.svg"),
                     "--report", str(tmp_path / "r.json")])
@@ -146,15 +147,32 @@ class TestVerifyCommand:
         assert "guarantee" in err
         data = json.loads(rep.read_text())
         assert data["results"]["bijectivity"]["passed"]
-        assert "warning" in data["results"]["bijectivity"]
+        assert data["results"]["bijectivity"]["guarantee"] is False
 
-    def test_library_raise_while_running_exit_two(self, capsys):
-        # one configuration-error line, not a traceback
-        code = run(["verify", *STRICT_RAISE, "--checks", "bijectivity"])
+    def test_results_are_plain_report_dicts(self, tmp_path, capsys):
+        # the guarantee is stated once, as the report's own field
+        rep = tmp_path / "v.json"
+        arg = outside_guarantee()
+        assert run(["verify", "--signature", "0;2,3;1", "--partition", arg,
+                    "--checks", "bijectivity", "--report", str(rep)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: partition outside [P,Q] guarantee range"]
+        poly = build_canonical(Signature.parse("0;2,3;1"))
+        part = make_partition(poly, *parse_partition_arg(arg))
+        want = verify_bijectivity(poly, part, build_attractor(poly, part))
+        assert json.loads(rep.read_text())["results"]["bijectivity"] == (
+            json.loads(json.dumps(want.to_dict())))
+
+    def test_library_raise_while_running_exit_two(self, tmp_path, capsys):
+        # one configuration-error line, not a traceback, and no report
+        rep = tmp_path / "r.json"
+        code = run(["simulate", "--signature", "0;2,3;1", "--samples", "0",
+                    "--report", str(rep)])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("configuration error:")
         assert len(err.splitlines()) == 1
+        assert not rep.exists()
 
     def test_bad_custom_point_exit_two(self, capsys):
         assert run(["verify", "--signature", "0;2,3;1",
@@ -279,8 +297,8 @@ class TestToleranceProfile:
             t.join(timeout=10)
             assert not t.is_alive()
         assert main_view == tolerances.DEFAULT
-        assert seen["strict"].structural == 1e-12
-        assert seen["loose"].structural == 1e-8
+        assert seen["strict"].residual == 1e-11
+        assert seen["loose"].residual == 1e-7
 
 
 class TestCycleCommand:

@@ -20,6 +20,7 @@ from fuchsian.arcs import DirectedArc, Rect
 from fuchsian.extension import (_check_tiling, _Membership, _Step,
                                 rect_image, traces_to_csv, verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
+from fuchsian.tolerances import STRUCTURAL
 
 MODULAR = "0;2,3;1"
 # midpoint partition: the order-13 fan has a w-sweep of about 1.1e-12,
@@ -161,12 +162,6 @@ class TestAttractorStructure:
             warnings.simplefilter("error")
             dom = build_attractor(poly, part)
         assert not dom.guarantee
-
-    def test_json_schema(self):
-        d = domain(MODULAR, "midpoint").to_dict()
-        assert {"signature", "partition", "rects", "measure",
-                "strip_counts", "guarantee_range"} <= set(d)
-        assert all({"u", "w", "block", "gamma"} <= set(r) for r in d["rects"])
 
 
 class TestBijectivity:
@@ -554,7 +549,7 @@ class TestMembershipKernel:
         key = data.draw(st.sampled_from(KERNEL_DOMAINS))
         which = data.draw(st.sampled_from(["attractor", "phi"]))
         rects = kernel_rects(key, which)
-        tol = tolerances.active().structural
+        tol = STRUCTURAL
         edges = sorted(set(edge_angles(rects) % TAU))
         angle = st.one_of(
             st.floats(0.0, TAU, exclude_max=True),
@@ -574,7 +569,7 @@ class TestMembershipKernel:
     @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
     def test_seeded_batch_matches_oracle(self, key, which):
         rects = kernel_rects(key, which)
-        tol = tolerances.active().structural
+        tol = STRUCTURAL
         pu, pw = stressed_states(rects, tol, 20_000,
                                  np.random.default_rng(len(rects)))
         got = _Membership(rects, tol)(pu, pw)
@@ -582,7 +577,7 @@ class TestMembershipKernel:
 
     def test_sliver_widens_window(self):
         rects = list(domain(SLIVER, "midpoint").rects)
-        tol = tolerances.active().structural
+        tol = STRUCTURAL
         sliver = min(rects, key=lambda r: r.w_arc.sweep)
         assert sliver.w_arc.sweep < tol
         kernel = _Membership(rects, tol)

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import MODES, SIGNATURES, partition, polygon
 
-from fuchsian import (Signature, build_attractor, build_canonical,
-                      markov_check, tolerances, validate_polygon,
-                      verify_bijectivity)
+from fuchsian import (Signature, build_attractor, build_canonical, cycle,
+                      make_partition, markov_check, simulate_entry,
+                      tolerances, validate_polygon, verify_bijectivity)
 from fuchsian.cli import main
 from fuchsian.extension import verify_exceptional
 from fuchsian.tolerances import Check, Report
@@ -133,3 +133,59 @@ def test_parabolic_product_verdicts_pinned(text, passed):
     check = rep.checks["parabolic_product"]
     assert check.passed is passed
     assert check.bound == tolerances.DEFAULT.spectral
+
+
+# random cuts of 0;2,2;2 whose vertex-1 orbit never closes; the loose bound
+# once served as the revisit radius and closed it after 6654 points
+OPEN_ORBIT_CUTS = {1: 1.1873762153433152, 3: 2.428747594602236}
+
+
+def built(text, mode, custom=None):
+    """Every object the pipeline builds for one partition, and no bound."""
+    poly = build_canonical(Signature.parse(text))
+    part = make_partition(poly, mode, custom)
+    markov = markov_check(poly, part)
+    dom = build_attractor(poly, part)
+    traces = simulate_entry(poly, part, dom, samples=50, seed=3)
+    return (part.points,
+            [cycle(poly, part, k) for k in poly.elliptic_indices()],
+            markov.refinement, markov.transitions, markov.orbit_sizes,
+            dom.rects, [(t.K, t.escape_step) for t in traces])
+
+
+class TestProfilesSetBoundsOnly:
+    """A profile changes the bounds of the checks and nothing it builds."""
+
+    @pytest.mark.parametrize("text,mode,custom", [
+        pytest.param("6;2,3,5,7,11,13;4", "left", None, id="sliver-left"),
+        pytest.param("20;2,3,17,29;8", "midpoint", None, id="large-midpoint"),
+        pytest.param("0;2,2;2", "custom", OPEN_ORBIT_CUTS, id="open-orbit")])
+    def test_objects_equal_under_every_profile(self, text, mode, custom):
+        # sliver-left: strict's old 1e-11 refinement dedupe gave 234
+        # intervals for the default's 70
+        want = built(text, mode, custom)
+        for name in ("strict", "loose"):
+            with tolerances.profile(name):
+                assert built(text, mode, custom) == want, name
+
+    def test_loose_keeps_an_open_orbit_open(self):
+        poly = build_canonical(Signature.parse("0;2,2;2"))
+        part = make_partition(poly, "custom", OPEN_ORBIT_CUTS)
+        with tolerances.profile("loose"):
+            rep = markov_check(poly, part)
+        assert rep.checks["orbits_finite"].passed is False
+        assert rep.checks["orbits_finite"].detail == "orbit 1:upper"
+        assert rep.refinement == []
+
+    def test_strict_builds_the_default_attractor(self):
+        # the order-17 midpoint cycle ends on its block corner (confirmed
+        # with mpmath), so its fan has one rectangle fewer than its order
+        poly = build_canonical(Signature.parse("20;2,3,17,29;8"))
+        part = make_partition(poly, "midpoint")
+        want = build_attractor(poly, part)
+        with tolerances.profile("strict"):
+            dom = build_attractor(poly, part)
+        assert len(dom.rects) == 141
+        assert dom.rects == want.rects
+        assert [i.degenerate for i in dom.info] == [
+            i.degenerate for i in want.info]

@@ -17,11 +17,15 @@ form by more than 1e-40:
   * each standard block gluing (the wedge rotation, the cusp parabolic, the
     quadruple commutator b^-1 a^-1 b a) carries the block's start corner 1
     to its end corner e^{2 pi i/l}
+  * the midpoint cut M of an odd-order wedge (l=31, m=17 and m=29, the
+    odd-order blocks of 20;2,3,17,29;8 beyond m=3) ends its cycle exactly on
+    the block's start corner 1: the (J+1)-st rotation image c^(J+1)(M) is 1,
+    so ``cycle`` is right to call that cycle degenerate
 """
 
 import sys
 
-from mpmath import mp, mpc, mpf, cos, exp, pi, sqrt, matrix
+from mpmath import mp, mpc, mpf, arg, cos, exp, pi, sqrt, matrix
 
 mp.dps = 50
 TOL = mpf("1e-40")
@@ -67,6 +71,31 @@ def orthogonal_circle_through(u, p):
     c = mpc(sol[0], sol[1])
     r = sqrt(abs(c) ** 2 - 1)
     return c, r
+
+
+def midpoint_cycle_end(ell, m):
+    """(J, c^(J+1)(M)) for the midpoint cut M of the standard order-m
+    wedge: M halves the arc from P to Q counter-clockwise, where Q and P are
+    the far ends of the sides through the wedge vertex from 1 and from
+    e^{2 pi i/l}, and c^j(M) stays strictly inside the block arc for
+    j = 1..J."""
+    v = wedge_vertex(ell, m)
+
+    def far_end(u):
+        c, r = orthogonal_circle_through(u, v)
+        s = c / abs(c) ** 2
+        e1, e2 = s * (1 + 1j * r), s * (1 - 1j * r)
+        return e1 if abs(e1 - u) > abs(e2 - u) else e2
+
+    tp = arg(far_end(exp(2j * pi / ell))) % (2 * pi)
+    tq = arg(far_end(mpc(1, 0))) % (2 * pi)
+    x = exp(1j * (tp + ((tq - tp) % (2 * pi)) / 2))
+    c = wedge_gluing(ell, m)
+    J = -1
+    while True:
+        x, J = apply(c, x), J + 1
+        if not TOL < arg(x) % (2 * pi) < 2 * pi / ell - TOL:
+            return J, x
 
 
 def main():
@@ -134,6 +163,11 @@ def main():
         a, b = quadruple_gluings(ell)
         check(f"quadruple commutator l={ell}: 1 -> e^(2 pi i/{ell})",
               apply(b ** -1 * a ** -1 * b * a, 1), exp(2j * pi / ell))
+
+    for ell, m in ((31, 17), (31, 29)):
+        J, end = midpoint_cycle_end(ell, m)
+        check(f"wedge l={ell} m={m} midpoint cut: c^{J + 1}(M) = 1 (J = {J})",
+              end, 1)
 
     if misses:
         print(f"{len(misses)} derived value(s) miss their closed form by more "
