@@ -9,8 +9,8 @@ from .mobius import (BoundaryPoint, DiskPoint, EuclideanCircle, Geodesic,
                      geodesic_through_interior)
 from .polygon import (MarkedPolygon, Signature, SignatureString,
                       build_canonical, signature_string, validate_polygon)
-from .boundary import (CycleData, OrbitRecord, Partition, cycle, f_apply,
-                       make_partition, markov_check, orbit, verify_matching)
+from .boundary import (CycleData, Partition, cycle, f_apply, make_partition,
+                       markov_check, orbit, verify_matching)
 from .arcs import DirectedArc, Rect
 from .extension import (AttractorDomain, EntryTrace, build_attractor,
                         check_forward_invariance, exceptional_set, phi_set,

@@ -48,7 +48,7 @@ class Partition:
         lifted = [thetas[0]]
         for t in thetas[1:]:
             cur = t
-            while cur < lifted[-1] - 1e-9:
+            while cur < lifted[-1] - SAME_POINT:
                 cur += TAU
             lifted.append(max(cur, lifted[-1]))
         lifted.append(lifted[0] + TAU)
@@ -180,23 +180,28 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
 
     Iterates are snapped onto the cut set and onto previously seen points,
     which keeps the finite orbits of ideal vertices exactly periodic instead
-    of drifting near parabolic fixed points.
-    """
+    of drifting near parabolic fixed points."""
+    return _walk(poly, part, x, side, max_steps, stop_at_cut=False)
+
+
+def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
+          max_steps: int, stop_at_cut: bool) -> OrbitRecord:
+    """``orbit``; ``stop_at_cut`` also stops before the first cut it hits."""
     cuts = sorted(set(part.thetas))
     k = part.cell_of(x.theta)
-    first_gen = poly.generators[k]
     if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
-        first_gen = poly.generators[(k - 1) % part.n]
+        k -= 1
+    cur = poly.generators[k % part.n].apply_boundary(x)
     points: list[BoundaryPoint] = []
     index_of: dict[float, int] = {}
     seen_sorted: list[float] = []
-    cur = first_gen.apply_boundary(x)
-    budget = False
-    periodic_from = None
+    periodic_from, budget = None, False
     for _ in range(max_steps):
         t = cur.theta
         j, d = _nearest(t, cuts)
         if d < STRUCTURAL:
+            if stop_at_cut:
+                break
             t = cuts[j]
         j, d = _nearest(t, seen_sorted)
         if d < SAME_POINT:
@@ -309,7 +314,7 @@ class MarkovReport(Report):
 
     refinement: list[float]                  # sorted break angles
     transitions: list[list[int]]             # interval -> covered intervals
-    orbit_sizes: dict[str, int]              # "k:side" -> distinct points
+    orbit_sizes: dict[str, int]              # "k:side" -> points before a cut
 
     endpoint_residual = property(lambda self: self.checks["endpoints"].residual)
     all_orbits_finite = property(lambda self: self.checks["orbits_finite"].passed)
@@ -320,14 +325,14 @@ def markov_check(poly: MarkedPolygon, part: Partition,
                  max_steps: int = 10_000) -> MarkovReport:
     """Check that the cut-point orbits are finite and that the refinement
     they generate maps interval-onto-intervals under the boundary map.
-    The first orbit to hit ``max_steps`` fails the report at once, with an
-    empty refinement and the endpoints not measured (residual inf)."""
+    Orbits stop at the first cut they land on (its own orbit goes on); the
+    first to hit ``max_steps`` fails the report with an empty refinement."""
     tols = tolerances.active()
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
     for k in range(part.n):
         for side in ("upper", "lower"):
-            rec = orbit(poly, part, part.points[k], side, max_steps)
+            rec = _walk(poly, part, part.points[k], side, max_steps, True)
             orbit_sizes[f"{k}:{side}"] = rec.distinct_count()
             if rec.budget_exceeded:
                 return MarkovReport([], [], orbit_sizes, checks={

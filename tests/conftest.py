@@ -7,6 +7,13 @@ from fuchsian.arcs import box_measure, rect_boxes
 SIGNATURES = ["0;2,3;1", "1;;1", "0;2,2;2", "1;2,3,7;2", "2;2,5,8;2",
               "0;3,3,4;2"]
 MODES = ["left", "right", "midpoint"]
+# the scale set of bench/workloads.py: 29 to 144 rectangles
+SCALE = ["3;2,5,9;3", "6;2,3,5,7,11,13;4", "10;3,4,5,6,7,8,9,10;6",
+         "20;2,3,17,29;8"]
+
+# random cuts of 0;2,2;2 whose vertex-1 orbit never closes; the loose bound
+# once served as the revisit radius and closed it after 6654 points
+OPEN_ORBIT_CUTS = {1: 1.1873762153433152, 3: 2.428747594602236}
 
 _cache = {}
 

@@ -6,16 +6,19 @@ computes another way: ``F_apply`` is one step of the planar extension that
 closed membership test that ``extension._Membership`` answers for arrays;
 ``bisector_endpoint`` constructs the end of the angle bisector at an
 elliptic vertex from the sides' Euclidean tangents (``tangent_at``),
-independently of the arc midpoint ``AuxPoints.M``.
+independently of the arc midpoint ``AuxPoints.M``; ``markov_full_walk``
+refines the partition by every cut-point orbit walked in full, where
+``markov_check`` stops each orbit at the first cut it lands on.
 """
 
 import math
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       EuclideanCircle, Geodesic, MarkedPolygon, NotElliptic,
-                      Partition, Rect)
-from fuchsian.mobius import TAU
-from fuchsian.tolerances import STRUCTURAL
+                      Partition, Rect, orbit, tolerances)
+from fuchsian.boundary import MarkovReport
+from fuchsian.mobius import TAU, angular_distance
+from fuchsian.tolerances import SAME_POINT, STRUCTURAL, Check
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -113,3 +116,54 @@ def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
                 return e
         raise ValueError("no bisector endpoint found on [P, Q]")
     return geodesic_from_direction(v.point, d / abs(d))
+
+
+# -- Markov refinement from full orbits ----------------------------------------
+
+
+def markov_full_walk(poly: MarkedPolygon, part: Partition,
+                     max_steps: int = 10_000) -> dict:
+    """``markov_check(poly, part, max_steps).to_dict()`` without
+    ``orbit_sizes``, with every cut-point orbit walked until it revisits a
+    point (or hits ``max_steps``, which fails at once)."""
+    tols = tolerances.active()
+    pts = list(part.thetas)
+    for k in range(part.n):
+        for side in ("upper", "lower"):
+            rec = orbit(poly, part, part.points[k], side, max_steps)
+            if rec.budget_exceeded:
+                return _without_sizes(MarkovReport([], [], {}, checks={
+                    "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
+                    "endpoints": Check(math.inf, tols.residual,
+                                       "not measured")}))
+            pts.extend(p.theta for p in rec.points)
+
+    refined: list[float] = []
+    for t in sorted(t % TAU for t in pts):
+        if not refined or t - refined[-1] > SAME_POINT:
+            refined.append(t)
+    if refined and (TAU - refined[-1]) + refined[0] <= SAME_POINT:
+        refined.pop()
+
+    def nearest(theta):
+        return min((angular_distance(theta, a), i)
+                   for i, a in enumerate(refined))
+
+    worst, transitions, r = 0.0, [], len(refined)
+    for i in range(r):
+        lo, hi = refined[i], refined[(i + 1) % r]
+        g = poly.generators[part.cell_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)]
+        elo, ilo = nearest(g.apply_angle(lo))
+        ehi, ihi = nearest(g.apply_angle(hi))
+        worst = max(worst, elo, ehi)
+        transitions.append([j % r for j in range(ilo, ilo + (ihi - ilo) % r)]
+                           or [ilo])
+    return _without_sizes(MarkovReport(refined, transitions, {}, checks={
+        "orbits_finite": Check(0, 1),
+        "endpoints": Check(worst, tols.residual)}))
+
+
+def _without_sizes(rep: MarkovReport) -> dict:
+    out = rep.to_dict()
+    del out["orbit_sizes"]
+    return out

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MODES, SIGNATURES, partition, polygon
+from conftest import (MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES, partition,
+                      polygon)
+from oracles import markov_full_walk
 
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NotElliptic,
                       Partition, cycle, f_apply, make_partition, markov_check,
@@ -269,15 +271,18 @@ class TestMarkov:
         assert all(cov for cov in rep.transitions)
 
     def test_stops_at_first_budget_hit(self):
-        # every orbit hits a budget of one step; the check stops at the first
-        poly, part = polygon(MODULAR), partition(MODULAR, "left")
+        # the vertex-0 cusp orbits land on a cut at once and stop there; the
+        # open vertex-1 orbit is the first to run, and hits a one-step budget
+        poly = polygon("0;2,2;2")
+        part = make_partition(poly, "custom", OPEN_ORBIT_CUTS)
         rep = markov_check(poly, part, max_steps=1)
         assert rep.passed is False
         assert rep.budget_exceeded and not rep.all_orbits_finite
         assert rep.checks["orbits_finite"].residual == 1
+        assert rep.checks["orbits_finite"].detail == "orbit 1:upper"
         assert rep.refinement == [] and rep.transitions == []
         assert rep.endpoint_residual == math.inf
-        assert rep.orbit_sizes == {"0:upper": 1}
+        assert rep.orbit_sizes == {"0:upper": 0, "0:lower": 0, "1:upper": 1}
 
     def test_orbits_before_the_budget_hit_are_kept(self):
         # with the budget at the longest orbit's size, the shorter orbits
@@ -292,6 +297,44 @@ class TestMarkov:
         assert rep.orbit_sizes == {k: full[k]
                                    for k in names[:names.index(first) + 1]}
         assert rep.passed is False and rep.refinement == []
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE + ["40;;1"])
+    def test_refinement_equals_full_orbit_walk(self, text):
+        # markov_check stops each orbit at the first cut it lands on, whose
+        # own upper orbit carries the rest; walking every orbit in full gives
+        # the same report.  Custom cuts: a seeded mix of P, M, Q (finite
+        # orbits; an order-2 vertex takes M, its P and Q are ideal vertices)
+        # and a seeded uniform draw (open orbits, a budget hit)
+        poly = polygon(text)
+
+        def check(part, max_steps=10_000):
+            got = markov_check(poly, part, max_steps).to_dict()
+            del got["orbit_sizes"]
+            assert got == markov_full_walk(poly, part, max_steps), part.mode
+
+        for mode in MODES:
+            check(partition(text, mode))
+        rng = np.random.default_rng(11)
+        mixed, drawn = {}, {}
+        for k in poly.elliptic_indices():
+            aux = poly.aux[k]
+            pick = rng.integers(3) if poly.vertices[k].order > 2 else 1
+            mixed[k] = (aux.P, aux.M, aux.Q)[pick].theta
+            sweep = (aux.Q.theta - aux.P.theta) % TAU
+            drawn[k] = (aux.P.theta + rng.uniform(0.02, 0.98) * sweep) % TAU
+        if mixed:
+            check(make_partition(poly, "custom", mixed))
+            check(make_partition(poly, "custom", drawn), max_steps=1_000)
+
+    def test_no_orbit_point_off_the_cuts_on_all_ideal_polygon(self):
+        # on 40;;1 every cut-point orbit reaches a cut in one step; walked in
+        # full, each of the 320 ran through 160 points
+        poly = polygon("40;;1")
+        for mode in MODES:
+            rep = markov_check(poly, partition("40;;1", mode))
+            assert rep.passed
+            assert len(rep.orbit_sizes) == 320
+            assert set(rep.orbit_sizes.values()) == {0}
 
     def test_all_ideal_refinement_is_vertex_set(self):
         rep = markov_check(polygon("1;;1"), partition("1;;1", "midpoint"))

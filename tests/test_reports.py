@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MODES, SIGNATURES, partition, polygon
+from conftest import MODES, OPEN_ORBIT_CUTS, SIGNATURES, partition, polygon
 
 from fuchsian import (Signature, build_attractor, build_canonical, cycle,
                       make_partition, markov_check, simulate_entry,
@@ -133,11 +133,6 @@ def test_parabolic_product_verdicts_pinned(text, passed):
     check = rep.checks["parabolic_product"]
     assert check.passed is passed
     assert check.bound == tolerances.DEFAULT.spectral
-
-
-# random cuts of 0;2,2;2 whose vertex-1 orbit never closes; the loose bound
-# once served as the revisit radius and closed it after 6654 points
-OPEN_ORBIT_CUTS = {1: 1.1873762153433152, 3: 2.428747594602236}
 
 
 def built(text, mode, custom=None):
