@@ -18,7 +18,7 @@ from . import tolerances
 from .tolerances import SAME_POINT, STRUCTURAL, Check, Report
 from .errors import CustomPointOutOfRange, NotElliptic
 from .mobius import TAU, BoundaryPoint, angular_distance
-from .polygon import MarkedPolygon
+from .polygon import MarkedPolygon, rotation_powers
 
 MODES = ("left", "right", "midpoint")
 
@@ -245,29 +245,20 @@ def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
     v = poly.vertices[k % poly.n_sides]
     if v.is_ideal:
         raise NotElliptic(f"vertex {k} is ideal")
-    m = v.order
-    n = poly.n_sides
+    m, n = v.order, poly.n_sides
     a = part.points[k % n]
-    c = poly.generators[(k - 1) % n]          # clockwise rotation about V_k
-    c_inv = poly.generators[k % n]
     lo = poly.vertices[(k - 1) % n].point.theta
     sweep = (poly.vertices[(k + 1) % n].point.theta - lo) % TAU or TAU
 
-    lower = [c.apply_boundary(a)]
-    J = 0
-    while True:
-        d = (lower[-1].theta - lo) % TAU
-        if not (1e-12 < d < sweep - 1e-12):
-            break
-        lower.append(c.apply_boundary(lower[-1]))
-        J += 1
-    end = lower[-1]
+    # J counts the c^j(a), j >= 1, inside the vertex arc and off both its
+    # corners; the arc spans m - 1 of the m turns about V_k, and c^m(a) = a
+    lower = rotation_powers(poly, k % n, a, range(1, m + 1))
+    J = next(j for j, p in enumerate(lower)
+             if not STRUCTURAL <= (p.theta - lo) % TAU <= sweep - STRUCTURAL)
+    end = lower[J]
     degenerate = angular_distance(end.theta, lo) < STRUCTURAL
     I = m - 2 - J if not degenerate else max(m - 3 - J, 0)
-
-    upper = [c_inv.apply_boundary(a)]
-    for _ in range(I):
-        upper.append(c_inv.apply_boundary(upper[-1]))
+    upper = rotation_powers(poly, k % n, a, range(-1, -I - 2, -1))
 
     if degenerate and m - 3 - J >= 0:
         # upper orbit must land on the following vertex, lower on the
@@ -281,7 +272,7 @@ def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
     else:
         residual = angular_distance(upper[-1].theta, end.theta)
     return CycleData(k % n, m, J, I, end, degenerate,
-                     tuple(lower), tuple(upper), residual)
+                     tuple(lower[:J + 1]), tuple(upper), residual)
 
 
 def verify_matching(poly: MarkedPolygon, part: Partition, k: int,

@@ -36,7 +36,7 @@ from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
 from .boundary import CycleData, Partition, cycle
 from .errors import NotElliptic, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
-from .polygon import INFINITY, SQUARE, Block, MarkedPolygon
+from .polygon import INFINITY, SQUARE, Block, MarkedPolygon, rotation_powers
 
 
 @dataclass(frozen=True)
@@ -82,25 +82,20 @@ def _uniform_strip(poly: MarkedPolygon, blk: Block, count: int) -> list[Rect]:
 
 def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
     """Cycle data and rotation orbits of the cut point a of an order >= 3
-    block with corners ``start`` and ``end``, c its lower side gluing.
+    block with corners ``start`` and ``end``; c^j is ``rotation_powers``.
 
     ``low_w`` = c^j(a) for j = 0..J, then ``start``; ``up_w`` = c^{-i}(a) for
-    i = 0..I, then ``end``.  Consecutive points bound the w-arcs of the lower
-    and upper fan.  ``low_u`` = c^j(end) for j = 0..J and ``up_u`` =
-    c^{-i}(start) for i = 0..I are the matching corner orbits that bound
-    their u-arcs.
+    i = 0..I, then ``end``: consecutive points bound the w-arcs of the lower
+    and upper fan.  ``low_u`` = c^j(end), j = 0..J, and ``up_u`` =
+    c^{-i}(start), i = 0..I, the matching corner orbits, bound their u-arcs.
     """
-    data = cycle(poly, part, blk.side_start + 1)
-    c = poly.generators[blk.side_start]
-    c_inv = poly.generators[blk.side_start + 1]
-    a = part.points[blk.side_start + 1]
+    k = blk.side_start + 1
+    data = cycle(poly, part, k)
+    a = part.points[k]
     start = poly.vertices[blk.side_start].point
     end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
-    low_u, up_u = [end], [start]
-    for _ in range(data.J):
-        low_u.append(c.apply_boundary(low_u[-1]))
-    for _ in range(data.I):
-        up_u.append(c_inv.apply_boundary(up_u[-1]))
+    low_u = rotation_powers(poly, k, end, range(data.J + 1))
+    up_u = rotation_powers(poly, k, start, range(0, -data.I - 1, -1))
     low_w = [a, *data.lower_points[:data.J], start]
     up_w = [a, *data.upper_points[:data.I], end]
     return data, start, end, low_w, up_w, low_u, up_u
@@ -294,14 +289,11 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
 
     def hat(p1, p2, w1, w2, side, inside):
         # a hat exists only while the corner-orbit point stays between the
-        # side extension and its block corner; it shrinks to nothing when
-        # the orbit point reaches (order 4, arc midpoint) or passes (last
-        # fan step of an edge partition) the extension point
-        if not inside:
-            return
-        if ccw_sweep(p1.theta, p2.theta) < 1e-12:
-            return
-        if ccw_sweep(w1.theta, w2.theta) < 1e-12:
+        # side extension and its block corner; it is empty when the orbit
+        # point reaches, within 1e-12 either way (order 4, arc midpoint),
+        # or passes (last fan step of an edge partition) the extension point
+        if (not inside or angular_distance(p1.theta, p2.theta) < 1e-12
+                or angular_distance(w1.theta, w2.theta) < 1e-12):
             return
         out.append(Rect(DirectedArc.ccw(p1, p2), DirectedArc.ccw(w1, w2),
                         blk.index, side))

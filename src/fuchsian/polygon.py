@@ -321,6 +321,26 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
                          tuple(aux), tuple(blocks), corners)
 
 
+def vertex_frame(z: complex, w: complex) -> complex:
+    """The disk automorphism w -> (w - z) / (1 - conj(z) w): it moves z to 0
+    with a positive real derivative, so geodesics through z become radii in
+    their own directions; ``vertex_frame(-z, .)`` is its inverse."""
+    return (w - z) / (1 - z.conjugate() * w)
+
+
+def rotation_powers(poly: MarkedPolygon, k: int, x: BoundaryPoint,
+                    powers) -> list[BoundaryPoint]:
+    """c^j(x) for each j in ``powers``, c = generators[k - 1] the clockwise
+    rotation by 2pi/m about the elliptic vertex V_k.  Each power is one map,
+    ``vertex_frame`` about V_k, a turn by -2pi j/m and back, so no error
+    carries over from one power to the next; j = 0 mod m gives x itself."""
+    z, m = poly.vertices[k].point.z, poly.vertices[k].order
+    t = vertex_frame(z, x.z)
+    return [x if j % m == 0 else BoundaryPoint.from_angle(cmath.phase(
+                vertex_frame(-z, t * cmath.exp(-1j * TAU * (j % m) / m))))
+            for j in powers]
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -331,16 +351,13 @@ class ValidationReport(Report):
 
 
 def _measured_elliptic_angles(poly: MarkedPolygon) -> dict[int, float]:
-    """Interior angle at each elliptic vertex V_k.  The disk automorphism
-    w -> (w - z) / (1 - conj(z) w) with z = V_k moves V_k to 0 with a
-    positive real derivative there, so it turns both sides into radii
-    without turning their directions; the angle is the clockwise turn from
-    the image of V_{k-1} to the image of V_{k+1}."""
+    """Interior angle at each elliptic vertex V_k: the clockwise turn from
+    the ``vertex_frame`` image of V_{k-1} to that of V_{k+1}."""
     angles = {}
     n = poly.n_sides
     for k in poly.elliptic_indices():
         z = poly.vertices[k].point.z
-        prev, nxt = (cmath.phase((w - z) / (1 - z.conjugate() * w))
+        prev, nxt = (cmath.phase(vertex_frame(z, w))
                      for w in (poly.vertices[(k - 1) % n].point.z,
                                poly.vertices[(k + 1) % n].point.z))
         angles[k] = (prev - nxt) % TAU

@@ -1,6 +1,7 @@
 """Partitions, the boundary map, one-sided orbits, cycles, Markov checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,38 @@ from oracles import markov_full_walk
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NotElliptic,
                       Partition, cycle, f_apply, make_partition, markov_check,
                       orbit, verify_matching)
-from fuchsian.mobius import TAU, angular_distance
+from fuchsian.mobius import TAU, DiskPoint, angular_distance
 
 MODULAR = "0;2,3;1"
+ORDERS_3_TO_32 = "0;" + ",".join(map(str, range(3, 33))) + ";1"
+PRIMES = "30;2,3,5,7,11,13,17,19,23;10"
+# degenerate cycles whose iterated float orbit ended up to 2e-12 inside the
+# vertex arc, one J too late; J from tools/derive_oracles.py at 50 digits,
+# where c^(J+1)(a) lies within 1.3e-46 of the preceding corner
+MPMATH_DEGENERATE = [
+    ("6;2,3,5,7,11,13;4", "midpoint", 35, 5),
+    (PRIMES, "midpoint", 129, 4), (PRIMES, "midpoint", 135, 8),
+    (PRIMES, "midpoint", 137, 10),
+    (ORDERS_3_TO_32, "left", 35, 8), (ORDERS_3_TO_32, "left", 47, 11),
+    (ORDERS_3_TO_32, "left", 51, 12), (ORDERS_3_TO_32, "right", 35, 9),
+    (ORDERS_3_TO_32, "right", 47, 12), (ORDERS_3_TO_32, "right", 51, 13),
+    (ORDERS_3_TO_32, "midpoint", 21, 5), (ORDERS_3_TO_32, "midpoint", 33, 8),
+    (ORDERS_3_TO_32, "midpoint", 37, 9), (ORDERS_3_TO_32, "midpoint", 49, 12),
+    (ORDERS_3_TO_32, "midpoint", 57, 14),
+]
+
+
+def nudged(text, mode, toward):
+    """The polygon and named partition of ``text`` with every elliptic
+    vertex and elliptic cut point moved 1 ulp toward ``toward``."""
+    ulp = lambda x: math.nextafter(x, toward)
+    poly = polygon(text)
+    verts = tuple(v if v.is_ideal else replace(v, point=DiskPoint(complex(
+        ulp(v.point.z.real), ulp(v.point.z.imag)))) for v in poly.vertices)
+    poly = replace(poly, vertices=verts)
+    points = tuple(p if v.is_ideal else BoundaryPoint.from_angle(ulp(p.theta))
+                   for p, v in zip(partition(text, mode).points, verts))
+    return poly, Partition(poly, points, mode)
 
 
 class TestMakePartition:
@@ -257,6 +287,27 @@ class TestCycle:
         poly = polygon(MODULAR)
         data = cycle(poly, partition(MODULAR, "midpoint"), 1)
         assert data.I == data.J == 0
+
+    @pytest.mark.parametrize("text, mode, k, J", MPMATH_DEGENERATE)
+    def test_corner_landing_matches_mpmath(self, text, mode, k, J):
+        poly = polygon(text)
+        data = cycle(poly, partition(text, mode), k)
+        assert (data.J, data.degenerate) == (J, True)
+        assert data.I == data.order - 3 - J
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_ulp_nudge_keeps_cycle_combinatorics(self, text):
+        poly = polygon(text)
+        for mode in MODES:
+            part = partition(text, mode)
+            want = [(d.J, d.I, d.degenerate) for d in
+                    (cycle(poly, part, k) for k in poly.elliptic_indices())]
+            for toward in (math.inf, -math.inf):
+                moved_poly, moved_part = nudged(text, mode, toward)
+                got = [(d.J, d.I, d.degenerate) for d in
+                       (cycle(moved_poly, moved_part, k)
+                        for k in poly.elliptic_indices())]
+                assert got == want, (mode, toward)
 
 
 class TestMarkov:

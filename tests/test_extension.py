@@ -23,9 +23,10 @@ from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import STRUCTURAL
 
 MODULAR = "0;2,3;1"
-# midpoint partition: the order-13 fan has a w-sweep of about 1.1e-12,
-# below the structural tolerance
-SLIVER = "6;2,3,5,7,11,13;4"
+# a scale-set signature: 15 blocks, 65 rectangles under midpoint
+MANY_BLOCKS = "6;2,3,5,7,11,13;4"
+# no elliptic vertex; image overlap 1.50e-12 under every partition
+ALL_CUSPS = "60;;1"
 
 
 def domain(text, mode):
@@ -175,13 +176,14 @@ class TestBijectivity:
         assert rep.passed, rep.to_dict()
 
     def test_verdict_fixed_when_checked(self):
-        # image overlap 1.96e-12: above the default overlap bound, below the
+        # image overlap 1.50e-12: above the default overlap bound, below the
         # loose one; the report keeps the verdict of the record it ran under
-        poly = polygon(SLIVER)
-        part = partition(SLIVER, "left")
+        poly = polygon(ALL_CUSPS)
+        part = partition(ALL_CUSPS, "left")
         rep = verify_bijectivity(poly, part, build_attractor(poly, part))
         assert rep.passed is False
-        with tolerances.profile("loose"):
+        with tolerances.profile("loose") as loose:
+            assert tolerances.DEFAULT.overlap < rep.image_overlap < loose.overlap
             assert rep.passed is False
             assert rep.to_dict()["passed"] is False
 
@@ -514,7 +516,7 @@ def dense_member(rects, pu, pw, tol):
 
 
 KERNEL_DOMAINS = ([(t, m) for t in SIGNATURES for m in MODES]
-                  + [(SLIVER, "midpoint"), (SLIVER, "left")])
+                  + [(MANY_BLOCKS, "midpoint"), (MANY_BLOCKS, "left")])
 
 
 def kernel_rects(key, which):
@@ -576,9 +578,20 @@ class TestMembershipKernel:
         assert np.array_equal(got, dense_member(rects, pu, pw, tol))
 
     def test_sliver_widens_window(self):
-        rects = list(domain(SLIVER, "midpoint").rects)
+        # split a w-arc of sweep tol / 2 off the end of the widest one: a
+        # state within tol / 2 before it also passes the tol-widened w-test
+        # of the next rectangle, two places on
         tol = STRUCTURAL
-        sliver = min(rects, key=lambda r: r.w_arc.sweep)
+        rects = list(domain(MANY_BLOCKS, "midpoint").rects)
+        i = max(range(len(rects)), key=lambda j: rects[j].w_arc.sweep)
+        r, w = rects[i], rects[i].w_arc
+        rects[i:i + 1] = [
+            Rect(r.u_arc, DirectedArc.from_angles(start, sweep), r.block,
+                 r.gamma_index)
+            for start, sweep in ((w.start.theta, w.sweep - tol / 2),
+                                 (w.end.theta - tol / 2, tol / 2))]
+        _check_tiling(tuple(rects))
+        sliver = rects[i + 1]
         assert sliver.w_arc.sweep < tol
         kernel = _Membership(rects, tol)
         assert len(kernel.offsets) == 4          # p = 2 either way
@@ -609,7 +622,7 @@ class TestMembershipKernel:
                              (0, 0), (0, 0), (0, 0), (2, 1), (2, 1), (1, 1),
                              (0, 0)]),
         ("1;2,3,7;2", 5, 12, [(4, 4)] + [(0, 0)] * 11),
-        (SLIVER, 1, 8, [(0, 0), (0, 0), (1, 1)] + [(0, 0)] * 5),
+        (MANY_BLOCKS, 1, 8, [(0, 0), (0, 0), (1, 1)] + [(0, 0)] * 5),
     ])
     def test_entry_traces_pinned(self, text, seed, samples, expected):
         # stored from the dense membership test that the kernel replaced

@@ -21,14 +21,29 @@ form by more than 1e-40:
     odd-order blocks of 20;2,3,17,29;8 beyond m=3) ends its cycle exactly on
     the block's start corner 1: the (J+1)-st rotation image c^(J+1)(M) is 1,
     so ``cycle`` is right to call that cycle degenerate
+  * ``fuchsian.cycle`` (imported from ``src/``) gives the J and degeneracy
+    of the 50-digit rotation orbit at every elliptic vertex of
+    ``CYCLE_SIGNATURES`` under the left, right and midpoint partitions;
+    each mismatch is printed and counts as a miss
 """
 
 import sys
+from pathlib import Path
 
 from mpmath import mp, mpc, mpf, arg, cos, exp, pi, sqrt, matrix
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 mp.dps = 50
 TOL = mpf("1e-40")
+
+# the acceptance and scale sets, and two larger signatures whose cycles sit
+# within float rounding of a corner: 30;...;10 midpoint, 0;3,...,32;1
+CYCLE_SIGNATURES = (
+    "0;2,3;1", "1;;1", "0;2,2;2", "1;2,3,7;2", "2;2,5,8;2", "0;3,3,4;2",
+    "3;2,5,9;3", "6;2,3,5,7,11,13;4", "10;3,4,5,6,7,8,9,10;6",
+    "20;2,3,17,29;8", "30;2,3,5,7,11,13,17,19,23;10",
+    "0;" + ",".join(map(str, range(3, 33))) + ";1")
 
 
 def wedge_vertex(ell, m):
@@ -73,12 +88,11 @@ def orthogonal_circle_through(u, p):
     return c, r
 
 
-def midpoint_cycle_end(ell, m):
-    """(J, c^(J+1)(M)) for the midpoint cut M of the standard order-m
-    wedge: M halves the arc from P to Q counter-clockwise, where Q and P are
-    the far ends of the sides through the wedge vertex from 1 and from
-    e^{2 pi i/l}, and c^j(M) stays strictly inside the block arc for
-    j = 1..J."""
+def cut_point(ell, m, mode):
+    """The left (P), right (Q) or midpoint (M) cut of the standard order-m
+    wedge: Q and P are the far ends of the sides through the wedge vertex
+    from 1 and from e^{2 pi i/l}, and M halves the arc from P to Q
+    counter-clockwise."""
     v = wedge_vertex(ell, m)
 
     def far_end(u):
@@ -89,13 +103,53 @@ def midpoint_cycle_end(ell, m):
 
     tp = arg(far_end(exp(2j * pi / ell))) % (2 * pi)
     tq = arg(far_end(mpc(1, 0))) % (2 * pi)
-    x = exp(1j * (tp + ((tq - tp) % (2 * pi)) / 2))
+    return exp(1j * {"left": tp, "right": tq,
+                     "midpoint": tp + ((tq - tp) % (2 * pi)) / 2}[mode])
+
+
+def cycle_end(ell, m, mode):
+    """(J, c^(J+1)(a)) for the ``mode`` cut a of the standard order-m wedge,
+    where c^j(a) stays strictly inside the block arc for j = 1..J; the
+    cycle is degenerate when c^(J+1)(a) is the start corner 1."""
+    x = cut_point(ell, m, mode)
     c = wedge_gluing(ell, m)
     J = -1
     while True:
         x, J = apply(c, x), J + 1
         if not TOL < arg(x) % (2 * pi) < 2 * pi / ell - TOL:
             return J, x
+
+
+def cycle_mismatches(signatures):
+    """Compare ``fuchsian.cycle``'s J and degeneracy at every elliptic
+    vertex of ``signatures`` under the three named partitions with
+    ``cycle_end``; print and return the mismatches."""
+    from fuchsian import Signature, build_canonical, cycle, make_partition
+
+    oracle, misses = {}, []
+    for text in signatures:
+        poly = build_canonical(Signature.parse(text))
+        for mode in ("left", "right", "midpoint"):
+            part = make_partition(poly, mode)
+            worst, count = mpf(0), 0
+            for k in poly.elliptic_indices():
+                key = (poly.ell, poly.vertices[k].order, mode)
+                if key not in oracle:
+                    J, end = cycle_end(*key)
+                    oracle[key] = J, abs(end - 1) < TOL, abs(end - 1)
+                J, degenerate, gap = oracle[key]
+                if degenerate:
+                    worst, count = max(worst, gap), count + 1
+                data = cycle(poly, part, k)
+                if (data.J, data.degenerate) != (J, degenerate):
+                    misses.append(f"cycle {text} {mode} vertex {k}")
+                    print(f"MISMATCH {misses[-1]}: J={data.J} degenerate="
+                          f"{data.degenerate}, mpmath J={J} degenerate="
+                          f"{degenerate}")
+            print(f"cycle {text} {mode}: {len(poly.elliptic_indices())} "
+                  f"elliptic vertices, {count} degenerate, ending within "
+                  f"{mp.nstr(worst, 3)} of the corner")
+    return misses
 
 
 def main():
@@ -165,13 +219,16 @@ def main():
               apply(b ** -1 * a ** -1 * b * a, 1), exp(2j * pi / ell))
 
     for ell, m in ((31, 17), (31, 29)):
-        J, end = midpoint_cycle_end(ell, m)
+        J, end = cycle_end(ell, m, "midpoint")
         check(f"wedge l={ell} m={m} midpoint cut: c^{J + 1}(M) = 1 (J = {J})",
               end, 1)
 
+    misses += cycle_mismatches(CYCLE_SIGNATURES)
+
     if misses:
         print(f"{len(misses)} derived value(s) miss their closed form by more "
-              f"than {mp.nstr(TOL, 1)}: {', '.join(misses)}")
+              f"than {mp.nstr(TOL, 1)} or disagree with the package: "
+              f"{', '.join(misses)}")
         return 1
     return 0
 
