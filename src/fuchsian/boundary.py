@@ -237,7 +237,7 @@ class CycleData:
     degenerate: bool
     lower_points: tuple[BoundaryPoint, ...]   # c(A), ..., c^{J+1}(A)
     upper_points: tuple[BoundaryPoint, ...]   # c^{-1}(A), ..., c^{-(I+1)}(A)
-    matching_residual: float
+    matching_residual: float                  # the boundary map's own orbits
 
 
 def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
@@ -259,40 +259,39 @@ def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
     degenerate = angular_distance(end.theta, lo) < STRUCTURAL
     I = m - 2 - J if not degenerate else max(m - 3 - J, 0)
     upper = rotation_powers(poly, k % n, a, range(-1, -I - 2, -1))
-
-    if degenerate and m - 3 - J >= 0:
-        # upper orbit must land on the following vertex, lower on the
-        # preceding one; the orbits merge later through the cusp orbit
-        target = poly.vertices[(k + 1) % n].point.theta
-        residual = max(angular_distance(upper[-1].theta, target),
-                       angular_distance(end.theta, lo))
-    elif degenerate:
-        # only for an order-2 cut sitting exactly on the following vertex
-        residual = angular_distance(end.theta, lo)
-    else:
-        residual = angular_distance(upper[-1].theta, end.theta)
     return CycleData(k % n, m, J, I, end, degenerate,
-                     tuple(lower[:J + 1]), tuple(upper), residual)
+                     tuple(lower[:J + 1]), tuple(upper),
+                     _matching_residual(poly, part, k % n, J, I, degenerate))
+
+
+def _matching_residual(poly: MarkedPolygon, part: Partition, k: int, J: int,
+                       I: int, degenerate: bool) -> float:
+    """Residual of the matching identity at the cut point of vertex ``k``,
+    checked by honestly iterating the boundary map on both one-sided orbits:
+    J + 1 lower and I + 1 upper steps meet, or, on a degenerate cycle with
+    an upper orbit, land on the preceding and the following vertex."""
+    a = part.points[k]
+    n = poly.n_sides
+    up = poly.generators[k].apply_boundary(a)
+    low = poly.generators[(k - 1) % n].apply_boundary(a)
+    for _ in range(I):
+        _, up = f_apply(poly, part, up)
+    for _ in range(J):
+        _, low = f_apply(poly, part, low)
+    if degenerate and poly.vertices[k].order - 3 - J >= 0:
+        hi = poly.vertices[(k + 1) % n].point.theta
+        lo = poly.vertices[(k - 1) % n].point.theta
+        return max(angular_distance(up.theta, hi),
+                   angular_distance(low.theta, lo))
+    return angular_distance(up.theta, low.theta)
 
 
 def verify_matching(poly: MarkedPolygon, part: Partition, k: int,
                     data: CycleData) -> float:
-    """Residual of the matching identity, checked by honestly iterating the
-    boundary map on both one-sided orbits of the cut point."""
-    a = part.points[data.vertex]
-    n = poly.n_sides
-    up = poly.generators[data.vertex].apply_boundary(a)
-    low = poly.generators[(data.vertex - 1) % n].apply_boundary(a)
-    for _ in range(data.I):
-        _, up = f_apply(poly, part, up)
-    for _ in range(data.J):
-        _, low = f_apply(poly, part, low)
-    if data.degenerate and data.order - 3 - data.J >= 0:
-        hi = poly.vertices[(data.vertex + 1) % n].point.theta
-        lo = poly.vertices[(data.vertex - 1) % n].point.theta
-        return max(angular_distance(up.theta, hi),
-                   angular_distance(low.theta, lo))
-    return angular_distance(up.theta, low.theta)
+    """The matching residual of ``data``, iterated afresh from the cut point:
+    the value ``cycle`` stores as ``data.matching_residual``."""
+    return _matching_residual(poly, part, data.vertex, data.J, data.I,
+                              data.degenerate)
 
 
 # -- Markov property ----------------------------------------------------------

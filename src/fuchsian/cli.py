@@ -19,8 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import tolerances
 from .tolerances import Check, Report
-from .boundary import (Partition, cycle, make_partition, markov_check,
-                       verify_matching)
+from .boundary import Partition, cycle, make_partition, markov_check
 from .errors import FuchsianError
 from .extension import (AttractorDomain, build_attractor, simulate_entry,
                         traces_to_csv, verify_bijectivity)
@@ -116,16 +115,13 @@ def _attractor(cfg: RunConfig, poly: MarkedPolygon,
 def _cycles_report(poly: MarkedPolygon, part: Partition,
                   vertices: list[int]) -> CyclesReport:
     """One row per elliptic vertex, and the check ``matching`` on the worst
-    of the cycle's own residual and the iterated matching residual; its
-    detail names the vertex and which of the two residuals that was."""
+    matching residual; its detail names that vertex."""
     worst, where, rows = 0.0, "", []
     for k in vertices:
         data = cycle(poly, part, k)
-        res = verify_matching(poly, part, k, data)
-        for value, kind in ((res, "iterated"),
-                            (data.matching_residual, "cycle")):
-            if value > worst or not where:
-                worst, where = value, f"vertex {data.vertex}, {kind} residual"
+        res = data.matching_residual
+        if res > worst or not where:
+            worst, where = res, f"vertex {data.vertex}"
         rows.append({"vertex": data.vertex, "order": data.order, "J": data.J,
                      "I": data.I, "degenerate": data.degenerate,
                      "end_of_cycle": data.end_of_cycle.theta,

@@ -3,8 +3,10 @@
 Disk automorphisms are unit-determinant matrices ``[[a, b], [conj(b),
 conj(a)]]`` acting by ``z -> (a z + b) / (conj(b) z + conj(a))``, kept only up
 to global sign.  Geodesics are diameters or arcs of Euclidean circles
-orthogonal to the unit circle; isometric circles are the loci where such a
-map has unit derivative modulus.
+orthogonal to the unit circle, built in closed form from their two ideal
+endpoints; the vertex frame moves an interior point to 0, where the
+geodesics through it are diameters.  Isometric circles are the loci where
+such a map has unit derivative modulus.
 """
 
 from __future__ import annotations
@@ -51,20 +53,6 @@ class BoundaryPoint:
         t = normalize_angle(theta)
         return cls(t, cmath.exp(1j * t))
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "BoundaryPoint":
-        _check_finite(complex(z))
-        r = abs(z)
-        if abs(r - 1.0) > 1e-12:
-            raise ValueError(f"|z| = {r} is not 1 within 1e-12")
-        return cls.from_angle(cmath.phase(z))
-
-    def distance_to(self, other: "BoundaryPoint") -> float:
-        return angular_distance(self.theta, other.theta)
-
-    def antipode(self) -> "BoundaryPoint":
-        return BoundaryPoint.from_angle(self.theta + math.pi)
-
 
 @dataclass(frozen=True)
 class DiskPoint:
@@ -91,13 +79,6 @@ class EuclideanCircle:
     def orthogonality_residual(self) -> float:
         """|center|^2 - radius^2 - 1; zero iff orthogonal to the unit circle."""
         return abs(self.center) ** 2 - self.radius ** 2 - 1.0
-
-    def boundary_intersections(self) -> tuple[BoundaryPoint, BoundaryPoint]:
-        """The two meeting points with the unit circle (orthogonal case)."""
-        c, r = self.center, self.radius
-        s = c / abs(c) ** 2
-        return (BoundaryPoint.from_complex(s * (1 + 1j * r)),
-                BoundaryPoint.from_complex(s * (1 - 1j * r)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,32 +233,38 @@ class Geodesic:
         return self.circle is None
 
 
-def _orthogonal_circle(rows: list[tuple[float, float, float]]) -> EuclideanCircle | None:
-    """Solve the two linear incidence equations for an orthogonal circle.
-
-    Each row is (x, y, rhs) for Re(conj(center) * (x + iy)) = rhs.  Returns
-    None when the system is singular (the configuration is a diameter).
-    """
-    (x1, y1, r1), (x2, y2, r2) = rows
-    det = x1 * y2 - y1 * x2
-    if abs(det) < 1e-13:
-        return None
-    cx = (r1 * y2 - r2 * y1) / det
-    cy = (x1 * r2 - x2 * r1) / det
-    c = complex(cx, cy)
-    rr = abs(c) ** 2 - 1.0
-    if rr <= 0:
-        return None
-    return EuclideanCircle(c, math.sqrt(rr))
+def vertex_frame(z: complex, w: complex) -> complex:
+    """The disk automorphism w -> (w - z) / (1 - conj(z) w): it moves z to 0
+    with a positive real derivative, so geodesics through z become radii in
+    their own directions; ``vertex_frame(-z, .)`` is its inverse."""
+    return (w - z) / (1 - z.conjugate() * w)
 
 
 def geodesic_from_boundary_pair(u: BoundaryPoint, w: BoundaryPoint) -> Geodesic:
-    """The complete geodesic with the two given ideal endpoints."""
-    if u.distance_to(w) < 1e-12:
+    """The complete geodesic with the two given ideal endpoints.
+
+    It is a diameter when u and w are antipodal, Im(conj(u) w) = 0.
+    Otherwise it lies on the circle through u and w that meets the unit
+    circle at right angles there, centred at the pole of the chord uw,
+    (u + w) / (1 + Re(u conj(w))).  Since |u + w|^2 = 2 (1 + Re(u conj(w))),
+    that is 2 / conj(u + w), which keeps its relative accuracy as u and w
+    near antipodes, where the denominator of the first form cancels.
+    """
+    if angular_distance(u.theta, w.theta) < 1e-12:
         raise DegenerateGeodesic("coincident ideal endpoints")
-    circ = _orthogonal_circle([(u.z.real, u.z.imag, 1.0),
-                               (w.z.real, w.z.imag, 1.0)])
-    return Geodesic((u, w), circ)
+    if abs((u.z.conjugate() * w.z).imag) < 1e-13:
+        return Geodesic((u, w), None)
+    c = 2.0 / (u.z + w.z).conjugate()
+    return Geodesic((u, w), EuclideanCircle(c, abs(c - u.z)))
+
+
+def geodesic_far_end(u: BoundaryPoint, p: DiskPoint) -> BoundaryPoint:
+    """The second ideal endpoint of the geodesic from u through p: in the
+    ``vertex_frame`` of p that geodesic is a diameter, so its far end is the
+    antipode of u's image there, moved back."""
+    z = p.z
+    return BoundaryPoint.from_angle(cmath.phase(
+        vertex_frame(-z, -vertex_frame(z, u.z))))
 
 
 def geodesic_through_interior(u: BoundaryPoint, p: DiskPoint) -> Geodesic:
@@ -285,11 +272,4 @@ def geodesic_through_interior(u: BoundaryPoint, p: DiskPoint) -> Geodesic:
 
     The returned endpoints are (u, second ideal endpoint).
     """
-    z = p.z
-    circ = _orthogonal_circle([(u.z.real, u.z.imag, 1.0),
-                               (z.real, z.imag, (1.0 + abs(z) ** 2) / 2.0)])
-    if circ is None:
-        return Geodesic((u, u.antipode()), None)
-    e1, e2 = circ.boundary_intersections()
-    second = e1 if e1.distance_to(u) > e2.distance_to(u) else e2
-    return Geodesic((u, second), circ)
+    return geodesic_from_boundary_pair(u, geodesic_far_end(u, p))

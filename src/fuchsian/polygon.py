@@ -25,8 +25,8 @@ from .arcs import DirectedArc, _intervals, _overlap_lengths
 from .tolerances import Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, Geodesic, MoebiusPSU,
-                     angular_distance, geodesic_from_boundary_pair,
-                     geodesic_through_interior)
+                     geodesic_far_end, geodesic_from_boundary_pair,
+                     vertex_frame)
 
 SQUARE = "square"
 INFINITY = "inf"
@@ -284,48 +284,32 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
             vertices.append(mid)
         blocks.append(Block(j, sym, base, side0, len(generators) - side0))
 
-    sides = []
-    for i in range(n):
-        va, vb = vertices[i], vertices[(i + 1) % n]
-        if va.is_ideal and vb.is_ideal:
-            sides.append(geodesic_from_boundary_pair(va.point, vb.point))
-        elif va.is_ideal:
-            sides.append(geodesic_through_interior(va.point, vb.point))
-        else:
-            sides.append(geodesic_through_interior(vb.point, va.point))
-
     aux = []
     for i, v in enumerate(vertices):
         if v.is_ideal:
             aux.append(AuxPoints(v.point, v.point, v.point))
+            continue
+        # P_i and Q_i are the far ends of the sides from V_{i+1} and from
+        # V_{i-1} through V_i; at order 2 those sides make one geodesic, so
+        # P and Q are the neighbouring corners themselves
+        prev_pt, next_pt = vertices[i - 1].point, vertices[(i + 1) % n].point
+        if v.order == 2:
+            p, q = prev_pt, next_pt
         else:
-            # side i-1 runs (V_{i-1} ideal -> V_i); its far endpoint is Q_i.
-            # side i runs (V_i -> V_{i+1} ideal), built from the ideal end,
-            # so its far endpoint is P_i.
-            q = sides[(i - 1) % n].endpoints[1]
-            p = sides[i].endpoints[1]
-            # order 2 collapses P and Q onto the neighbouring corners; snap
-            # so partitions built from them compare exactly
-            prev_pt = vertices[(i - 1) % n].point
-            next_pt = vertices[(i + 1) % n].point
-            if angular_distance(p.theta, prev_pt.theta) < 1e-11:
-                p = prev_pt
-            if angular_distance(q.theta, next_pt.theta) < 1e-11:
-                q = next_pt
-            sweep = (q.theta - p.theta) % TAU
-            mid = BoundaryPoint.from_angle(p.theta + 0.5 * sweep)
-            aux.append(AuxPoints(p, q, mid))
+            p, q = (geodesic_far_end(u, v.point) for u in (next_pt, prev_pt))
+        sweep = (q.theta - p.theta) % TAU
+        aux.append(AuxPoints(p, q, BoundaryPoint.from_angle(
+            p.theta + 0.5 * sweep)))
+
+    # side i runs from P_i to Q_{i+1}: its own ideal ends, or the far end
+    # beyond an elliptic vertex, since the aux points of an ideal vertex
+    # are the vertex itself
+    sides = [geodesic_from_boundary_pair(aux[i].P, aux[(i + 1) % n].Q)
+             for i in range(n)]
 
     return MarkedPolygon(sig, string, ell, n, tuple(vertices),
                          tuple(generators), tuple(pairing), tuple(sides),
                          tuple(aux), tuple(blocks), corners)
-
-
-def vertex_frame(z: complex, w: complex) -> complex:
-    """The disk automorphism w -> (w - z) / (1 - conj(z) w): it moves z to 0
-    with a positive real derivative, so geodesics through z become radii in
-    their own directions; ``vertex_frame(-z, .)`` is its inverse."""
-    return (w - z) / (1 - z.conjugate() * w)
 
 
 def rotation_powers(poly: MarkedPolygon, k: int, x: BoundaryPoint,

@@ -8,9 +8,12 @@ closed membership test that ``extension._Membership`` answers for arrays;
 elliptic vertex from the sides' Euclidean tangents (``tangent_at``),
 independently of the arc midpoint ``AuxPoints.M``; ``markov_full_walk``
 refines the partition by every cut-point orbit walked in full, where
-``markov_check`` stops each orbit at the first cut it lands on.
+``markov_check`` stops each orbit at the first cut it lands on;
+``orthogonal_circle`` finds the circle of a geodesic by a linear solve of
+its two incidence equations, where ``mobius`` uses closed forms.
 """
 
+import cmath
 import math
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
@@ -49,6 +52,22 @@ def domain_contains(dom: AttractorDomain, theta_u: float,
                for r in dom.rects)
 
 
+# -- geodesic circles by linear solve -------------------------------------------
+
+
+def orthogonal_circle(u: complex, z: complex) -> EuclideanCircle | None:
+    """The circle orthogonal to the unit circle through the boundary point
+    ``u`` and the point ``z`` of the closed disk, from the 2x2 linear system
+    Re(conj(c) u) = 1, Re(conj(c) z) = (1 + |z|^2) / 2 for its centre c.
+    None when the system is singular (the geodesic is a diameter)."""
+    det = u.real * z.imag - u.imag * z.real
+    if abs(det) < 1e-13:
+        return None
+    rhs = (1.0 + abs(z) ** 2) / 2.0
+    c = complex((z.imag - rhs * u.imag) / det, (rhs * u.real - z.real) / det)
+    return EuclideanCircle(c, math.sqrt(abs(c) ** 2 - 1.0))
+
+
 # -- angle bisector at an elliptic vertex ---------------------------------------
 
 
@@ -62,13 +81,14 @@ def geodesic_from_direction(p: DiskPoint, direction: complex) -> BoundaryPoint:
         # radial ray: straight to the circle
         zd = (z * d.conjugate()).real
         t = -zd + math.sqrt(zd * zd + 1.0 - abs(z) ** 2)
-        return BoundaryPoint.from_complex((z + t * d) / abs(z + t * d))
+        return BoundaryPoint.from_angle(cmath.phase(z + t * d))
     s = (1.0 - abs(z) ** 2) / (2.0 * dot)
     c = z + s * n
-    circ = EuclideanCircle(c, abs(s))
-    e1, e2 = circ.boundary_intersections()
-    pick = e1 if ((e1.z - z) * d.conjugate()).real > 0 else e2
-    return pick
+    # the circle about c of radius |s| meets the unit circle at
+    # c (1 +- i |s|) / |c|^2; the ray runs to the one ahead of p
+    e1, e2 = (BoundaryPoint.from_angle(cmath.phase(c * (1 + 1j * r)))
+              for r in (abs(s), -abs(s)))
+    return e1 if ((e1.z - z) * d.conjugate()).real > 0 else e2
 
 
 def tangent_at(geo: Geodesic, at: complex, toward: BoundaryPoint) -> complex:

@@ -288,6 +288,18 @@ class TestCycle:
         data = cycle(poly, partition(MODULAR, "midpoint"), 1)
         assert data.I == data.J == 0
 
+    @pytest.mark.parametrize("mode", ["left", "right"])
+    def test_matching_residual_is_the_iterated_one(self, mode):
+        # the stored residual walks the boundary map, as verify_matching
+        # does; at vertex 87 (order 29) that walk is 1.5e-8 off, not 0
+        text = "20;2,3,17,29;8"
+        poly, part = polygon(text), partition(text, mode)
+        for k in poly.elliptic_indices():
+            data = cycle(poly, part, k)
+            assert data.matching_residual == verify_matching(poly, part, k,
+                                                             data)
+        assert cycle(poly, part, 87).matching_residual > 1e-9
+
     @pytest.mark.parametrize("text, mode, k, J", MPMATH_DEGENERATE)
     def test_corner_landing_matches_mpmath(self, text, mode, k, J):
         poly = polygon(text)

@@ -342,7 +342,7 @@ class TestCycleCommand:
             "configuration error: vertex index must be in [0, 4)\n")
 
     def test_matching_detail_names_worst_vertex(self, tmp_path, capsys):
-        # the iterated residual at vertex 87 (order 29) is the worst one
+        # the matching residual at vertex 87 (order 29) is the worst one
         rep = tmp_path / "verify.json"
         assert run(["verify", "--checks", "cycles", "--signature",
                     "20;2,3,17,29;8", "--partition", "left",
@@ -350,6 +350,6 @@ class TestCycleCommand:
         cycles = json.loads(rep.read_text())["results"]["cycles"]
         check = cycles["checks"]["matching"]
         row = next(r for r in cycles["vertices"] if r["vertex"] == 87)
-        assert check["detail"] == "vertex 87, iterated residual"
+        assert check["detail"] == "vertex 87"
         assert check["residual"] == row["residual"]
         assert abs(check["residual"] - 1.55e-8) < 0.01e-8

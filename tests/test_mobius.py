@@ -3,8 +3,8 @@ circles, geodesics.
 
 Expected values tagged as oracles are either exact closed forms checked at
 high precision in tools/derive_oracles.py or independent constructions made
-inline (conjugated diagonal rotations, linear solves for orthogonal
-circles).
+inline (conjugated diagonal rotations), or the linear solve for orthogonal
+circles in tests/oracles.py.
 """
 
 import cmath
@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import orthogonal_circle
 
 from fuchsian import (BoundaryPoint, DegenerateGeodesic, DiskPoint,
                       EuclideanCircle, MoebiusPSU, NoIsometricCircle,
                       geodesic_from_boundary_pair, geodesic_through_interior)
-from fuchsian.mobius import TAU, angular_distance
+from fuchsian.mobius import TAU, angular_distance, vertex_frame
 from fuchsian.polygon import (elliptic_generator, elliptic_vertex,
                               hyperbolic_generator_a, hyperbolic_generator_b,
                               parabolic_generator)
@@ -206,12 +207,51 @@ class TestGeodesics:
         u = BoundaryPoint.from_angle(0.7)
         p = DiskPoint(0.31 - 0.12j)
         g = geodesic_through_interior(u, p)
-        A = np.array([[u.z.real, u.z.imag], [p.z.real, p.z.imag]])
-        rhs = np.array([1.0, (1 + abs(p.z) ** 2) / 2])
-        cx, cy = np.linalg.solve(A, rhs)
-        c = complex(cx, cy)
-        assert abs(c - g.circle.center) < 1e-10
+        assert abs(orthogonal_circle(u.z, p.z).center - g.circle.center) < 1e-10
         assert angular_distance(g.endpoints[0].theta, u.theta) < 1e-12
+
+    @staticmethod
+    def assert_orthogonal_through(circ, ends, ref):
+        # centre as the linear solve has it, through both ideal ends at
+        # right angles to the unit circle
+        scale = abs(ref.center)
+        assert abs(circ.center - ref.center) < 1e-12 * scale
+        for e in ends:
+            assert abs(abs(e.z - circ.center) - circ.radius) < 1e-12 * scale
+        assert abs(circ.orthogonality_residual()) < 1e-12 * scale ** 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, TAU), st.floats(0.01, math.pi - 0.01),
+           st.sampled_from([1, -1]))
+    def test_pair_centre_matches_linear_solve(self, t, d, turn):
+        u = BoundaryPoint.from_angle(t)
+        w = BoundaryPoint.from_angle(t + turn * d)
+        g = geodesic_from_boundary_pair(u, w)
+        assert g.endpoints == (u, w)
+        self.assert_orthogonal_through(g.circle, g.endpoints,
+                                       orthogonal_circle(u.z, w.z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, TAU), st.floats(0.0, 0.95), st.floats(0.0, TAU))
+    def test_interior_centre_matches_linear_solve(self, t, r, phi):
+        u = BoundaryPoint.from_angle(t)
+        p = DiskPoint(r * cmath.exp(1j * phi))
+        # away from the diameters through p, where the solve is singular
+        assume(abs((u.z.conjugate() * p.z).imag) > 0.01)
+        g = geodesic_through_interior(u, p)
+        ref = orthogonal_circle(u.z, p.z)
+        self.assert_orthogonal_through(g.circle, g.endpoints, ref)
+        assert abs(abs(p.z - g.circle.center) - g.circle.radius) \
+            < 1e-12 * abs(ref.center)
+        assert g.endpoints[0] == u
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 0.95), st.floats(0.0, TAU), st.floats(0.0, 0.95),
+           st.floats(0.0, TAU))
+    def test_vertex_frame_inverse(self, r, phi, s, psi):
+        z, w = r * cmath.exp(1j * phi), s * cmath.exp(1j * psi)
+        assert abs(vertex_frame(z, z)) == 0.0
+        assert abs(vertex_frame(-z, vertex_frame(z, w)) - w) < 1e-12 / (1 - r)
 
 
 class TestNormalization:
@@ -220,12 +260,11 @@ class TestNormalization:
             MoebiusPSU.from_coeffs(2.0, 0.0, 0.0, 0.5)  # disk-breaking map
 
     @pytest.mark.parametrize("build, words", [
-        (lambda: BoundaryPoint.from_complex(0.5 + 0j), "is not 1"),
         (lambda: DiskPoint(1.0 + 0j), "is not interior"),
         (lambda: EuclideanCircle(2.0 + 0j, 0.0), "radius must be positive"),
         (lambda: MoebiusPSU(2.0 + 0j, 0j), "determinant"),
         (lambda: MoebiusPSU.from_coeffs(1.0, 2.0, 0.5, 1.0), "singular"),
-    ], ids=["boundary-off-circle", "disk-on-circle", "zero-radius",
+    ], ids=["disk-on-circle", "zero-radius",
             "determinant", "singular"])
     def test_rejects_bad_input(self, build, words):
         with pytest.raises(ValueError, match=words):

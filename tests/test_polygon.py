@@ -24,6 +24,36 @@ MODULAR = "0;2,3;1"
 PERTURBED = [MODULAR, "1;2,3,7;2", "2;2,5,8;2", "0;3,3,4;2", "20;2,3,17,29;8"]
 
 
+# 50-digit far ends P and Q (tools/derive_oracles.py ``cut_point``, turned to
+# the block), to 30 digits: (signature, vertex) -> (theta_P, theta_Q).  The
+# wedges are those of large l where a linear solve for the side circle
+# misses by more than 4e-15 rad, up to 2.6e-14 at vertex 127 of 30;...;10
+FAR_ENDS = {
+    ("30;2,3,5,7,11,13,17,19,23;10", 123): (
+        "4.10151681708844012399573984835", "4.14516389858476712696869903275"),
+    ("30;2,3,5,7,11,13,17,19,23;10", 127): (
+        "4.38172891602988826726867815106", "4.38855057524161785677286796059"),
+    ("30;2,3,5,7,11,13,17,19,23;10", 129): (
+        "4.51468596436885127160740428843", "4.5173929147018042889726954385"),
+    ("30;2,3,5,7,11,13,17,19,23;10", 135): (
+        "4.90828897090424880608287731767", "4.90918807156385506411288325508"),
+    ("0;" + ",".join(map(str, range(3, 33))) + ";1", 7): (
+        "0.725512902830314606054541527458", "0.740563668844922238561358718073"),
+    ("0;" + ",".join(map(str, range(3, 33))) + ";1", 53): (
+        "5.54983890159120626429791902495", "5.55045514109272984493675426264"),
+    ("15;2,2,2,3,3,3,4,4,4;20", 69): (
+        "2.82498841162520025856593523937", "2.87371454139814561585467368844"),
+    ("15;2,2,2,3,3,3,4,4,4;20", 77): (
+        "3.42129325143149156026778630441", "3.4463744099043355191621783009"),
+    ("10;3,4,5,6,7,8,9,10;6", 47): (
+        "3.67813460512589186514748031032", "3.69777858156318791211263893738"),
+    ("20;2,3,17,29;8", 83): (
+        "4.32388674884243379044199161824", "4.39149932240667003238985776763"),
+    ("20;2,3,17,29;8", 85): (
+        "4.55950551148767890843537784054", "4.56124735377301113871423198189"),
+}
+
+
 def first_order_three(poly):
     return next(k for k in poly.elliptic_indices()
                 if poly.vertices[k].order >= 3)
@@ -201,6 +231,36 @@ class TestAuxPoints:
                        for t in (aux.P.theta, mid, aux.Q.theta)]
                 sector = TAU / poly.ell
                 assert 0 <= rel[0] <= rel[1] <= rel[2] <= sector + 1e-12
+
+
+    @pytest.mark.parametrize("text, k", FAR_ENDS, ids=[
+        f"{text.split(';')[0]};..;{text.split(';')[2]}-v{k}"
+        for text, k in FAR_ENDS])
+    def test_far_ends_match_50_digits(self, text, k):
+        # a few ulps of 2 pi, however large l grows
+        aux = polygon(text).aux[k]
+        for got, want in zip((aux.P, aux.Q), FAR_ENDS[text, k]):
+            assert angular_distance(got.theta, float(want)) < 4e-15
+
+    @pytest.mark.parametrize("text", ["0;2,2;2", "15;2,2,2,3,3,3,4,4,4;20"])
+    def test_order_two_far_ends_are_the_corners(self, text):
+        poly = polygon(text)
+        n = poly.n_sides
+        for k in poly.elliptic_indices():
+            if poly.vertices[k].order != 2:
+                continue
+            aux = poly.aux[k]
+            assert aux.P is poly.vertices[k - 1].point
+            assert aux.Q is poly.vertices[(k + 1) % n].point
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_sides_join_far_ends(self, text):
+        # side i runs from P_i to Q_{i+1}; the aux points of an ideal
+        # vertex are the vertex
+        poly = polygon(text)
+        n = poly.n_sides
+        for i, side in enumerate(poly.sides):
+            assert side.endpoints == (poly.aux[i].P, poly.aux[(i + 1) % n].Q)
 
 
 class TestValidation:

@@ -25,6 +25,10 @@ form by more than 1e-40:
     of the 50-digit rotation orbit at every elliptic vertex of
     ``CYCLE_SIGNATURES`` under the left, right and midpoint partitions;
     each mismatch is printed and counts as a miss
+  * ``fuchsian.build_canonical`` puts the far ends P and Q of the sides
+    through every elliptic vertex of ``CYCLE_SIGNATURES`` and
+    ``15;2,2,2,3,3,3,4,4,4;20`` within ``PQ_TOL`` = 4e-15 rad of the
+    50-digit ``cut_point``; each point further off counts as a miss
 """
 
 import sys
@@ -36,6 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 mp.dps = 50
 TOL = mpf("1e-40")
+# float P and Q carry a few ulps of 2 pi; the bound does not grow with l
+PQ_TOL = mpf("4e-15")
 
 # the acceptance and scale sets, and two larger signatures whose cycles sit
 # within float rounding of a corner: 30;...;10 midpoint, 0;3,...,32;1
@@ -44,6 +50,7 @@ CYCLE_SIGNATURES = (
     "3;2,5,9;3", "6;2,3,5,7,11,13;4", "10;3,4,5,6,7,8,9,10;6",
     "20;2,3,17,29;8", "30;2,3,5,7,11,13,17,19,23;10",
     "0;" + ",".join(map(str, range(3, 33))) + ";1")
+PQ_SIGNATURES = CYCLE_SIGNATURES + ("15;2,2,2,3,3,3,4,4,4;20",)
 
 
 def wedge_vertex(ell, m):
@@ -152,6 +159,35 @@ def cycle_mismatches(signatures):
     return misses
 
 
+def far_end_misses(signatures):
+    """Compare every elliptic P and Q of ``fuchsian.build_canonical`` with
+    the 50-digit ``cut_point`` of its wedge, turned to the wedge's block;
+    print the worst distance per signature and return the misses."""
+    from fuchsian import Signature, build_canonical
+
+    oracle, misses = {}, []
+    for text in signatures:
+        poly = build_canonical(Signature.parse(text))
+        worst, where = mpf(0), ""
+        for k in poly.elliptic_indices():
+            blk = poly.block_of_side(k)
+            for name, mode in (("P", "left"), ("Q", "right")):
+                key = (poly.ell, poly.vertices[k].order, mode)
+                if key not in oracle:
+                    oracle[key] = arg(cut_point(*key))
+                exact = oracle[key] + 2 * pi * blk.index / poly.ell
+                got = getattr(poly.aux[k], name).theta
+                gap = abs((mpf(got) - exact + pi) % (2 * pi) - pi)
+                if gap > worst:
+                    worst, where = gap, f"{name}_{k} (order {key[1]})"
+                if gap > PQ_TOL:
+                    misses.append(f"{name} {text} vertex {k}")
+                    print(f"MISS {misses[-1]}: {mp.nstr(gap, 3)} from the "
+                          f"50-digit far end")
+        print(f"far ends {text}: worst {mp.nstr(worst, 3)} at {where}")
+    return misses
+
+
 def main():
     misses = []
 
@@ -224,6 +260,7 @@ def main():
               end, 1)
 
     misses += cycle_mismatches(CYCLE_SIGNATURES)
+    misses += far_end_misses(PQ_SIGNATURES)
 
     if misses:
         print(f"{len(misses)} derived value(s) miss their closed form by more "
