@@ -1,12 +1,9 @@
 """Canonical quasi-ideal polygons, piecewise boundary maps, and rectangular
 attractors for Fuchsian signatures with at least one cusp."""
 
-from .errors import (CustomPointOutOfRange, DegenerateGeodesic, FuchsianError,
-                     InvalidSignature, NoIsometricCircle, NonFinite,
-                     NotElliptic, TilingViolation)
-from .mobius import (BoundaryPoint, DiskPoint, EuclideanCircle, Geodesic,
-                     MoebiusPSU, geodesic_from_boundary_pair,
-                     geodesic_through_interior)
+from .errors import (CustomPointOutOfRange, FuchsianError, InvalidSignature,
+                     NonFinite, NotElliptic, TilingViolation)
+from .mobius import BoundaryPoint, DiskPoint, MoebiusPSU, geodesic_circle
 from .polygon import (MarkedPolygon, Signature, SignatureString,
                       build_canonical, signature_string, validate_polygon)
 from .boundary import (CycleData, Partition, cycle, f_apply, make_partition,

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mobius import TAU, BoundaryPoint, normalize_angle
+from .tolerances import WRAP
 
 
 def ccw_sweep(start: float, end: float, full_if_equal: bool = False) -> float:
     """Counter-clockwise sweep from start to end, resolving 0 vs 2pi."""
     s = (end - start) % TAU
-    if s < 1e-12:
+    if s < WRAP:
         return TAU if full_if_equal else 0.0
     return s
 
@@ -35,7 +36,7 @@ class DirectedArc:
     sweep: float
 
     def __post_init__(self) -> None:
-        if not 1e-12 < self.sweep <= TAU:
+        if not WRAP < self.sweep <= TAU:
             raise ValueError(f"sweep {self.sweep} outside (0, 2pi]")
 
     @classmethod
@@ -51,7 +52,7 @@ class DirectedArc:
 
     @property
     def is_full_circle(self) -> bool:
-        return self.sweep >= TAU - 1e-12
+        return self.sweep >= TAU - WRAP
 
     def midpoint_angle(self) -> float:
         return normalize_angle(self.start.theta + 0.5 * self.sweep)
@@ -64,7 +65,7 @@ class DirectedArc:
             return [(lo, min(hi, TAU))]
         return [(lo, TAU), (0.0, hi - TAU)]
 
-    def interior_angles(self, angles: list[float], tol: float = 1e-12) -> list[float]:
+    def interior_angles(self, angles: list[float], tol: float = WRAP) -> list[float]:
         """Subset of ``angles`` strictly inside the arc, ordered along it."""
         out = []
         for t in angles:

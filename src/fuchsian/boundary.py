@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import tolerances
-from .tolerances import SAME_POINT, STRUCTURAL, Check, Report
+from .tolerances import SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .errors import CustomPointOutOfRange, NotElliptic
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import MarkedPolygon, rotation_powers
@@ -127,7 +127,7 @@ def make_partition(poly: MarkedPolygon, mode: str,
             lo = poly.vertices[(i - 1) % n].point.theta
             hi_sweep = (poly.vertices[(i + 1) % n].point.theta - lo) % TAU or TAU
             d = (theta - lo) % TAU
-            if not 1e-12 < d < hi_sweep - 1e-12:
+            if not WRAP < d < hi_sweep - WRAP:
                 raise CustomPointOutOfRange(
                     i, f"angle {theta} outside open arc at vertex {i}")
             points.append(BoundaryPoint.from_angle(theta))
@@ -258,7 +258,8 @@ def cycle(poly: MarkedPolygon, part: Partition, k: int) -> CycleData:
     end = lower[J]
     degenerate = angular_distance(end.theta, lo) < STRUCTURAL
     I = m - 2 - J if not degenerate else max(m - 3 - J, 0)
-    upper = rotation_powers(poly, k % n, a, range(-1, -I - 2, -1))
+    # powers are taken mod m, so c^{-i}(a) = c^{m-i}(a) is lower[m - 1 - i]
+    upper = [lower[m - 1 - i] for i in range(1, I + 2)]
     return CycleData(k % n, m, J, I, end, degenerate,
                      tuple(lower[:J + 1]), tuple(upper),
                      _matching_residual(poly, part, k % n, J, I, degenerate))

@@ -9,14 +9,6 @@ class NonFinite(FuchsianError):
     """A matrix entry or point coordinate is NaN or infinite."""
 
 
-class NoIsometricCircle(FuchsianError):
-    """Rotations about the origin (b = 0) have no isometric circle."""
-
-
-class DegenerateGeodesic(FuchsianError):
-    """The two defining points of a geodesic coincide."""
-
-
 class InvalidSignature(FuchsianError):
     """Signature violates t >= 1, m_i >= 2, or the area condition."""
 

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .tolerances import SAME_POINT, STRUCTURAL, Check, Report
-from .arcs import (DirectedArc, Rect, box_measure, ccw_sweep, clip_boxes,
-                   max_pairwise_overlap, rect_boxes)
+from .tolerances import SAME_POINT, STRUCTURAL, WRAP, Check, Report
+from .arcs import (DirectedArc, Rect, _intervals, _overlap_lengths,
+                   box_measure, ccw_sweep, clip_boxes, max_pairwise_overlap,
+                   rect_boxes)
 from .boundary import CycleData, Partition, cycle
 from .errors import NotElliptic, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
@@ -255,7 +256,7 @@ def phi_set(poly: MarkedPolygon, part: Partition) -> list[Rect]:
     out = []
     for i in range(n):
         lo, sweep = part.cell_arc(i)
-        if sweep <= 1e-12:
+        if sweep <= WRAP:
             continue
         w = DirectedArc.from_angles(lo, sweep)
         v_lo, v_hi = poly.vertices[i], poly.vertices[(i + 1) % n]
@@ -290,10 +291,10 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
     def hat(p1, p2, w1, w2, side, inside):
         # a hat exists only while the corner-orbit point stays between the
         # side extension and its block corner; it is empty when the orbit
-        # point reaches, within 1e-12 either way (order 4, arc midpoint),
+        # point reaches, within WRAP either way (order 4, arc midpoint),
         # or passes (last fan step of an edge partition) the extension point
-        if (not inside or angular_distance(p1.theta, p2.theta) < 1e-12
-                or angular_distance(w1.theta, w2.theta) < 1e-12):
+        if (not inside or angular_distance(p1.theta, p2.theta) < WRAP
+                or angular_distance(w1.theta, w2.theta) < WRAP):
             return
         out.append(Rect(DirectedArc.ccw(p1, p2), DirectedArc.ccw(w1, w2),
                         blk.index, side))
@@ -301,12 +302,16 @@ def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
     q_to_end = ccw_sweep(aux.Q.theta, end.theta, full_if_equal=True)
     start_to_p = ccw_sweep(start.theta, aux.P.theta, full_if_equal=True)
     for u, w0, w1 in zip(low_u, low_w[1:], low_w):
-        ok = ccw_sweep(aux.Q.theta, u.theta) <= q_to_end + 1e-12
+        ok = ccw_sweep(aux.Q.theta, u.theta) <= q_to_end + WRAP
         hat(aux.Q, u, w0, w1, blk.side_start, ok)
     for u, w0, w1 in zip(up_u, up_w, up_w[1:]):
-        ok = ccw_sweep(start.theta, u.theta) <= start_to_p + 1e-12
+        ok = ccw_sweep(start.theta, u.theta) <= start_to_p + WRAP
         hat(u, aux.P, w0, w1, blk.side_start + 1, ok)
     return out
+
+
+# pieces per slice of the escape test: temporaries hold _PIECES x rectangles
+_PIECES = 1024
 
 
 @dataclass(frozen=True)
@@ -331,11 +336,21 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     data = dom.info[blk.index].cycle
     lower = [r for r in hats if r.gamma_index == blk.side_start]
     upper = [r for r in hats if r.gamma_index == blk.side_start + 1]
-    domain = rect_boxes(dom.rects)
+    dom_u = _intervals([r.u_arc for r in dom.rects])
+    dom_w = _intervals([r.w_arc for r in dom.rects])
 
-    def outside(r: Rect, boxes: np.ndarray) -> float:
-        """Area of ``r`` outside the union of ``boxes``."""
-        return r.area - box_measure(rect_boxes([r]), boxes, np.logical_and)
+    def escaping(region: list[Rect]) -> np.ndarray:
+        """Area of each piece outside the attractor: its rectangles are
+        interior-disjoint (their w-arcs tile the circle), so the area inside
+        is the sum of the piece's u- times w-overlaps with each."""
+        u = _intervals([r.u_arc for r in region])
+        w = _intervals([r.w_arc for r in region])
+        out = np.array([r.area for r in region])
+        for s in range(0, len(region), _PIECES):
+            out[s:s + _PIECES] -= (
+                _overlap_lengths(u[s:s + _PIECES], dom_u)
+                * _overlap_lengths(w[s:s + _PIECES], dom_w)).sum(axis=1)
+        return out
 
     def images(region: list[Rect]) -> list[Rect]:
         return [img for r in region for img in rect_image(poly, part, r)]
@@ -343,8 +358,10 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     worst = 0.0
     region = lower[:1]
     for rect in lower[1:]:
+        # the region's pieces can overlap, so it is measured as a union
         region = images(region)
-        worst = max(worst, outside(rect, rect_boxes(region)))
+        worst = max(worst, rect.area - box_measure(
+            rect_boxes([rect]), rect_boxes(region), np.logical_and))
 
     escaped = 0.0
     steps = 0
@@ -352,13 +369,14 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     for first in (lower[:1] + upper[:1]):
         region = [first]
         for step in range(max(data.J, data.I) + 3):
-            remaining = [r for r in region if outside(r, domain) > tol]
+            remaining = [r for r, out in zip(region, escaping(region))
+                         if out > tol]
             if not remaining:
                 break
             region = images(remaining)
             steps = max(steps, step + 1)
         else:
-            escaped += sum(max(0.0, outside(r, domain)) for r in region)
+            escaped += float(np.maximum(escaping(region), 0.0).sum())
     return ExceptionalReport(steps, checks={"containment": Check(worst, tol),
                                             "escaped": Check(escaped, tol)})
 

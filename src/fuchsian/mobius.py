@@ -2,11 +2,10 @@
 
 Disk automorphisms are unit-determinant matrices ``[[a, b], [conj(b),
 conj(a)]]`` acting by ``z -> (a z + b) / (conj(b) z + conj(a))``, kept only up
-to global sign.  Geodesics are diameters or arcs of Euclidean circles
-orthogonal to the unit circle, built in closed form from their two ideal
-endpoints; the vertex frame moves an interior point to 0, where the
-geodesics through it are diameters.  Isometric circles are the loci where
-such a map has unit derivative modulus.
+to global sign.  A geodesic is a diameter or an arc of a Euclidean circle
+orthogonal to the unit circle; ``geodesic_circle`` gives that circle in
+closed form from the two ideal endpoints.  The vertex frame moves an
+interior point to 0, where the geodesics through it are diameters.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .tolerances import WRAP
-from .errors import DegenerateGeodesic, NoIsometricCircle, NonFinite
+from .errors import NonFinite
 
 TAU = 2.0 * math.pi
 
@@ -64,21 +63,6 @@ class DiskPoint:
         _check_finite(self.z)
         if abs(self.z) >= 1.0 - 1e-12:
             raise ValueError(f"|z| = {abs(self.z)} is not interior")
-
-
-@dataclass(frozen=True)
-class EuclideanCircle:
-    center: complex
-    radius: float
-
-    def __post_init__(self) -> None:
-        _check_finite(self.center, complex(self.radius))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-    def orthogonality_residual(self) -> float:
-        """|center|^2 - radius^2 - 1; zero iff orthogonal to the unit circle."""
-        return abs(self.center) ** 2 - self.radius ** 2 - 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,33 +188,8 @@ class MoebiusPSU:
     def derivative_modulus(self, z: complex) -> float:
         return 1.0 / abs(self.b.conjugate() * z + self.a.conjugate()) ** 2
 
-    # -- invariants ---------------------------------------------------------
-
-    def isometric_circle(self) -> EuclideanCircle:
-        """Locus |conj(b) z + conj(a)| = 1 where the derivative has modulus 1."""
-        if abs(self.b) < 1e-14:
-            raise NoIsometricCircle("rotation about 0 has no isometric circle")
-        return EuclideanCircle(-self.a.conjugate() / self.b.conjugate(),
-                               1.0 / abs(self.b))
-
 
 # -- geodesics --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """Complete geodesic: a diameter, or an arc of an orthogonal circle.
-
-    ``endpoints`` is the ordered pair of ideal endpoints; ``circle`` is None
-    exactly for diameters.
-    """
-
-    endpoints: tuple[BoundaryPoint, BoundaryPoint]
-    circle: EuclideanCircle | None
-
-    @property
-    def is_diameter(self) -> bool:
-        return self.circle is None
 
 
 def vertex_frame(z: complex, w: complex) -> complex:
@@ -240,22 +199,18 @@ def vertex_frame(z: complex, w: complex) -> complex:
     return (w - z) / (1 - z.conjugate() * w)
 
 
-def geodesic_from_boundary_pair(u: BoundaryPoint, w: BoundaryPoint) -> Geodesic:
-    """The complete geodesic with the two given ideal endpoints.
-
-    It is a diameter when u and w are antipodal, Im(conj(u) w) = 0.
-    Otherwise it lies on the circle through u and w that meets the unit
-    circle at right angles there, centred at the pole of the chord uw,
-    (u + w) / (1 + Re(u conj(w))).  Since |u + w|^2 = 2 (1 + Re(u conj(w))),
-    that is 2 / conj(u + w), which keeps its relative accuracy as u and w
-    near antipodes, where the denominator of the first form cancels.
-    """
-    if angular_distance(u.theta, w.theta) < 1e-12:
-        raise DegenerateGeodesic("coincident ideal endpoints")
+def geodesic_circle(u: BoundaryPoint,
+                    w: BoundaryPoint) -> tuple[complex, float] | None:
+    """Centre and radius of the circle carrying the geodesic with ideal ends
+    u and w, or None for a diameter, Im(conj(u) w) = 0.  The centre is the
+    pole of the chord uw, (u + w) / (1 + Re(u conj(w))) = 2 / conj(u + w)
+    since |u + w|^2 = 2 (1 + Re(u conj(w))); the second form keeps its
+    relative accuracy as u and w near antipodes, where the first one's
+    denominator cancels."""
     if abs((u.z.conjugate() * w.z).imag) < 1e-13:
-        return Geodesic((u, w), None)
+        return None
     c = 2.0 / (u.z + w.z).conjugate()
-    return Geodesic((u, w), EuclideanCircle(c, abs(c - u.z)))
+    return c, abs(c - u.z)
 
 
 def geodesic_far_end(u: BoundaryPoint, p: DiskPoint) -> BoundaryPoint:
@@ -265,11 +220,3 @@ def geodesic_far_end(u: BoundaryPoint, p: DiskPoint) -> BoundaryPoint:
     z = p.z
     return BoundaryPoint.from_angle(cmath.phase(
         vertex_frame(-z, -vertex_frame(z, u.z))))
-
-
-def geodesic_through_interior(u: BoundaryPoint, p: DiskPoint) -> Geodesic:
-    """The complete geodesic through an ideal point and an interior point.
-
-    The returned endpoints are (u, second ideal endpoint).
-    """
-    return geodesic_from_boundary_pair(u, geodesic_far_end(u, p))

@@ -8,7 +8,8 @@ and a two-sided parabolic wedge for each cusp beyond the first.  Block
 of the standard-position block under the rotation by 2pi (j-1)/l; all
 side-pairing transformations are the standard ones conjugated by that
 rotation.  Every glued side lies on the isometric circle of its pairing
-transformation, which pins the construction uniquely.
+transformation, which pins the construction uniquely.  Side i is kept only
+as its ideal ends, P_i and Q_{i+1} of ``aux``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from . import tolerances
 from .arcs import DirectedArc, _intervals, _overlap_lengths
 from .tolerances import Check, Report
 from .errors import InvalidSignature
-from .mobius import (TAU, BoundaryPoint, DiskPoint, Geodesic, MoebiusPSU,
-                     geodesic_far_end, geodesic_from_boundary_pair,
-                     vertex_frame)
+from .mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
+                     geodesic_circle, geodesic_far_end, vertex_frame)
 
 SQUARE = "square"
 INFINITY = "inf"
@@ -198,8 +198,7 @@ class MarkedPolygon:
     vertices: tuple[Vertex, ...]
     generators: tuple[MoebiusPSU, ...]   # generators[i] glues side (V_i, V_{i+1})
     pairing: tuple[int, ...]
-    sides: tuple[Geodesic, ...]          # complete geodesic carrying side i
-    aux: tuple[AuxPoints, ...]
+    aux: tuple[AuxPoints, ...]           # side i runs from P_i to Q_{i+1}
     blocks: tuple[Block, ...]
     corner_angles: tuple[float, ...]     # 2 pi j / l for j = 0..l
 
@@ -301,15 +300,9 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
         aux.append(AuxPoints(p, q, BoundaryPoint.from_angle(
             p.theta + 0.5 * sweep)))
 
-    # side i runs from P_i to Q_{i+1}: its own ideal ends, or the far end
-    # beyond an elliptic vertex, since the aux points of an ideal vertex
-    # are the vertex itself
-    sides = [geodesic_from_boundary_pair(aux[i].P, aux[(i + 1) % n].Q)
-             for i in range(n)]
-
     return MarkedPolygon(sig, string, ell, n, tuple(vertices),
-                         tuple(generators), tuple(pairing), tuple(sides),
-                         tuple(aux), tuple(blocks), corners)
+                         tuple(generators), tuple(pairing), tuple(aux),
+                         tuple(blocks), corners)
 
 
 def rotation_powers(poly: MarkedPolygon, k: int, x: BoundaryPoint,
@@ -391,19 +384,25 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     n = poly.n_sides
     sig = poly.signature
 
-    # (a) every non-diameter side lies on the isometric circle of its gluing
+    # (a) every non-diameter side lies on the isometric circle of its gluing,
+    # |conj(b) z + conj(a)| = 1: centre -conj(a)/conj(b), radius 1/|b|
     worst, detail = 0.0, ""
-    for i, (side, gen) in enumerate(zip(poly.sides, poly.generators)):
-        if side.is_diameter:
+    for i, gen in enumerate(poly.generators):
+        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+        if circle is None:
             # glued by a proper rotation about the origin: b = 0, |trace| < 2
             if not (abs(gen.b) < 1e-12
                     and abs(gen.trace) < 2.0 - tols.spectral):
                 worst, detail = math.inf, f"side {i}: bad diameter pairing"
             continue
-        iso = gen.isometric_circle()
-        res = (abs(iso.center - side.circle.center)
-               + abs(iso.radius - side.circle.radius))
-        res = max(res, abs(side.circle.orthogonality_residual()))
+        if abs(gen.b) < 1e-14:      # a rotation about the origin
+            worst, detail = math.inf, f"side {i}: no isometric circle"
+            continue
+        c, r = circle
+        res = (abs(-gen.a.conjugate() / gen.b.conjugate() - c)
+               + abs(1.0 / abs(gen.b) - r))
+        # orthogonal to the unit circle: |c|^2 = r^2 + 1
+        res = max(res, abs(abs(c) ** 2 - r ** 2 - 1.0))
         if res > worst:
             worst, detail = res, f"side {i}"
     checks["isometric_circles"] = Check(worst, tols.residual, detail)

@@ -2,9 +2,10 @@
 angle-angle square.
 
 Output is plain XML text built from fixed-precision coordinates, so equal
-inputs produce byte-identical documents.  Geodesic sides are drawn as true
-circular arcs from their Euclidean model; attractor rectangles are
-axis-aligned in the torus chart, split at the 0/2pi seam.
+inputs produce byte-identical documents.  Side i is drawn from V_i to
+V_{i+1}, as an arc of the ``geodesic_circle`` of its ideal ends P_i and
+Q_{i+1} or straight on a diameter; attractor rectangles are axis-aligned in
+the torus chart, split at the 0/2pi seam.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .extension import AttractorDomain
 from .boundary import Partition
-from .mobius import TAU
+from .mobius import TAU, geodesic_circle
 from .polygon import MarkedPolygon
 
 
@@ -82,23 +83,25 @@ def render_polygon(poly: MarkedPolygon, part: Partition,
                 f'x2="{_f(x)}" y2="{_f(y)}" stroke="#dddddd" '
                 f'stroke-width="{_f(0.5 * _STROKE)}"/>')
 
-    for i, side in enumerate(poly.sides):
+    n = poly.n_sides
+    for i in range(n):
         color = block_color(poly.block_of_side(i).index)
         z1 = poly.vertices[i].point.z
-        z2 = poly.vertices[(i + 1) % poly.n_sides].point.z
+        z2 = poly.vertices[(i + 1) % n].point.z
         x1, y1 = to_px(z1)
         x2, y2 = to_px(z2)
-        if side.is_diameter:
+        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+        if circle is None:
             svg.add(f'<line class="side" x1="{_f(x1)}" y1="{_f(y1)}" '
                     f'x2="{_f(x2)}" y2="{_f(y2)}" stroke="{color}" '
                     f'stroke-width="{_f(_STROKE)}"/>')
             continue
-        c = side.circle
-        r_px = R * c.radius
+        c, r = circle
+        r_px = R * r
         # minor arc; the sweep flag follows the screen orientation, which
         # flips the sign of the plane cross product
-        cross = ((z1.real - c.center.real) * (z2.imag - c.center.imag)
-                 - (z1.imag - c.center.imag) * (z2.real - c.center.real))
+        cross = ((z1.real - c.real) * (z2.imag - c.imag)
+                 - (z1.imag - c.imag) * (z2.real - c.real))
         sweep = 1 if cross < 0 else 0
         svg.add(f'<path class="side" d="M {_f(x1)} {_f(y1)} '
                 f'A {_f(r_px)} {_f(r_px)} 0 0 {sweep} {_f(x2)} {_f(y2)}" '

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 # an angle this close to a cut or corner lies on it; also membership slack
 STRUCTURAL = 1e-10
-# an angle this close below 2pi is 0: the seam has one representative
+# angular resolution: angles this close are one angle, so the seam has one
+# representative (0), and an arc this close to sweep 0 or 2pi is empty or full
 WRAP = 1e-12
 # orbit revisits, refinement points and w-arc junctions this close coincide
 SAME_POINT = 1e-9

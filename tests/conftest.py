@@ -1,6 +1,6 @@
 import pytest
 
-from fuchsian import Signature, build_canonical, make_partition
+from fuchsian import Signature, build_canonical, geodesic_circle, make_partition
 from fuchsian.arcs import box_measure, rect_boxes
 
 # the six-signature regression set used throughout
@@ -29,6 +29,11 @@ def partition(sig_text, mode):
     if key not in _cache:
         _cache[key] = make_partition(polygon(sig_text), mode)
     return _cache[key]
+
+
+def side_circle(poly, i):
+    """``geodesic_circle`` of side i, which runs from P_i to Q_{i+1}."""
+    return geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % poly.n_sides].Q)
 
 
 def measure(op, rects_a, rects_b=()):

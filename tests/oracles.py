@@ -5,7 +5,7 @@ computes another way: ``F_apply`` is one step of the planar extension that
 ``extension._Step`` applies to arrays of states; ``domain_contains`` is the
 closed membership test that ``extension._Membership`` answers for arrays;
 ``bisector_endpoint`` constructs the end of the angle bisector at an
-elliptic vertex from the sides' Euclidean tangents (``tangent_at``),
+elliptic vertex from the tangents of the sides' circles (``tangent_at``),
 independently of the arc midpoint ``AuxPoints.M``; ``markov_full_walk``
 refines the partition by every cut-point orbit walked in full, where
 ``markov_check`` stops each orbit at the first cut it lands on;
@@ -17,8 +17,8 @@ import cmath
 import math
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
-                      EuclideanCircle, Geodesic, MarkedPolygon, NotElliptic,
-                      Partition, Rect, orbit, tolerances)
+                      MarkedPolygon, NotElliptic, Partition, Rect,
+                      geodesic_circle, orbit, tolerances)
 from fuchsian.boundary import MarkovReport
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, Check
@@ -55,17 +55,18 @@ def domain_contains(dom: AttractorDomain, theta_u: float,
 # -- geodesic circles by linear solve -------------------------------------------
 
 
-def orthogonal_circle(u: complex, z: complex) -> EuclideanCircle | None:
-    """The circle orthogonal to the unit circle through the boundary point
-    ``u`` and the point ``z`` of the closed disk, from the 2x2 linear system
-    Re(conj(c) u) = 1, Re(conj(c) z) = (1 + |z|^2) / 2 for its centre c.
-    None when the system is singular (the geodesic is a diameter)."""
+def orthogonal_circle(u: complex, z: complex) -> tuple[complex, float] | None:
+    """Centre and radius of the circle orthogonal to the unit circle through
+    the boundary point ``u`` and the point ``z`` of the closed disk, from the
+    2x2 linear system Re(conj(c) u) = 1, Re(conj(c) z) = (1 + |z|^2) / 2 for
+    its centre c.  None when the system is singular (the geodesic is a
+    diameter)."""
     det = u.real * z.imag - u.imag * z.real
     if abs(det) < 1e-13:
         return None
     rhs = (1.0 + abs(z) ** 2) / 2.0
     c = complex((z.imag - rhs * u.imag) / det, (rhs * u.real - z.real) / det)
-    return EuclideanCircle(c, math.sqrt(abs(c) ** 2 - 1.0))
+    return c, math.sqrt(abs(c) ** 2 - 1.0)
 
 
 # -- angle bisector at an elliptic vertex ---------------------------------------
@@ -91,18 +92,20 @@ def geodesic_from_direction(p: DiskPoint, direction: complex) -> BoundaryPoint:
     return e1 if ((e1.z - z) * d.conjugate()).real > 0 else e2
 
 
-def tangent_at(geo: Geodesic, at: complex, toward: BoundaryPoint) -> complex:
-    """Unit tangent of the geodesic at an incident point, oriented toward
-    the given ideal endpoint.
+def tangent_at(circle: tuple[complex, float] | None, at: complex,
+               toward: BoundaryPoint) -> complex:
+    """Unit tangent of a geodesic at an incident point, oriented toward the
+    given ideal endpoint; ``circle`` is its ``geodesic_circle``, None for a
+    diameter.
 
     The arc of an orthogonal circle inside the disk subtends less than pi,
     so the correct orientation is the one making an acute angle with the
     chord to the target endpoint.
     """
-    if geo.is_diameter:
+    if circle is None:
         d = toward.z - at
         return d / abs(d)
-    t = 1j * (at - geo.circle.center)
+    t = 1j * (at - circle[0])
     t /= abs(t)
     chord = toward.z - at
     if (t * chord.conjugate()).real < 0:
@@ -121,11 +124,13 @@ def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
     v = poly.vertices[k % poly.n_sides]
     if v.is_ideal:
         raise NotElliptic(f"vertex {k} is ideal")
-    x = poly.aux[k % poly.n_sides]
     n = poly.n_sides
-    g_prev, g_next = poly.sides[(k - 1) % n], poly.sides[k % n]
-    t_q = tangent_at(g_prev, v.point.z, x.Q)
-    t_p = tangent_at(g_next, v.point.z, x.P)
+    x = poly.aux[k % n]
+    # side k - 1 runs from P_{k-1} to Q_k, side k from P_k to Q_{k+1}
+    t_q = tangent_at(geodesic_circle(poly.aux[(k - 1) % n].P, x.Q),
+                     v.point.z, x.Q)
+    t_p = tangent_at(geodesic_circle(x.P, poly.aux[(k + 1) % n].Q),
+                     v.point.z, x.P)
     d = t_p + t_q
     if abs(d) < 1e-9:
         # opposite rays (order 2): both normals bisect; pick the one whose

@@ -1,5 +1,5 @@
-"""Disk-isometry arithmetic: group laws, conjugacy type by trace, isometric
-circles, geodesics.
+"""Disk-isometry arithmetic: group laws, conjugacy type by trace, unit
+derivative at the ends of glued sides, geodesic circles.
 
 Expected values tagged as oracles are either exact closed forms checked at
 high precision in tools/derive_oracles.py or independent constructions made
@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import SCALE, SIGNATURES, polygon, side_circle
 from oracles import orthogonal_circle
 
-from fuchsian import (BoundaryPoint, DegenerateGeodesic, DiskPoint,
-                      EuclideanCircle, MoebiusPSU, NoIsometricCircle,
-                      geodesic_from_boundary_pair, geodesic_through_interior)
-from fuchsian.mobius import TAU, angular_distance, vertex_frame
+from fuchsian import BoundaryPoint, DiskPoint, MoebiusPSU, geodesic_circle
+from fuchsian.mobius import TAU, geodesic_far_end, vertex_frame
 from fuchsian.polygon import (elliptic_generator, elliptic_vertex,
                               hyperbolic_generator_a, hyperbolic_generator_b,
                               parabolic_generator)
@@ -147,78 +146,94 @@ class TestClassification:
 
 
 class TestIsometricCircle:
+    """A glued side lies on the isometric circle of its gluing, the locus
+    of unit derivative modulus; on the boundary that is the statement that
+    the derivative has modulus 1 at both ideal ends of the side."""
+
     def test_cusp_gluing_circle_passes_through_glued_side(self):
         # l = 2: the glued side runs from 1 to i
-        circ = parabolic_generator(2).isometric_circle()
-        assert abs(abs(1.0 - circ.center) - circ.radius) < 1e-10
-        assert abs(abs(1j - circ.center) - circ.radius) < 1e-10
-        assert abs(circ.orthogonality_residual()) < 1e-10
+        g = parabolic_generator(2)
+        for z in (1.0 + 0j, 1j):
+            assert abs(g.derivative_modulus(z) - 1.0) < 1e-10
 
     def test_quadruple_gluing_circle_closed_form(self):
-        circ = hyperbolic_generator_a(1).isometric_circle()
-        assert abs(circ.center - (1 + 1j)) < 1e-12
-        assert abs(circ.radius - 1.0) < 1e-12
-
-    def test_rotation_has_none(self):
-        with pytest.raises(NoIsometricCircle):
-            MoebiusPSU.rotation(1.0).isometric_circle()
+        # l = 1: side V0 V1 runs from 1 to i, on the circle about 1 + i of
+        # radius 1, the isometric circle of the first quadruple gluing
+        c, r = geodesic_circle(BoundaryPoint.from_angle(0.0),
+                               BoundaryPoint.from_angle(math.pi / 2))
+        assert abs(c - (1 + 1j)) < 1e-12
+        assert abs(r - 1.0) < 1e-12
+        g = hyperbolic_generator_a(1)
+        for z in (1.0 + 0j, 1j):
+            assert abs(g.derivative_modulus(z) - 1.0) < 1e-12
 
     def test_unit_derivative_on_circle(self):
+        # the side from 1 through the order-3 wedge vertex (l = 2)
         g = elliptic_generator(2, 3)
-        circ = g.isometric_circle()
+        u = BoundaryPoint.from_angle(0.0)
+        c, r = geodesic_circle(u, geodesic_far_end(u, DiskPoint(V1_23)))
         h = 1e-6
         for s in np.linspace(0, TAU, 17):
-            z = circ.center + circ.radius * cmath.exp(1j * s)
+            z = c + r * cmath.exp(1j * s)
             if abs(z) > 0.999:
                 continue
             assert abs(g.derivative_modulus(z) - 1.0) < 1e-8
             fd = abs(g.apply(z + h) - g.apply(z - h)) / (2 * h)
             assert abs(fd - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_unit_derivative_at_side_ends(self, text):
+        # side i runs from P_i to Q_{i+1}; a diameter side is glued by a
+        # rotation about 0, whose derivative has modulus 1 everywhere on
+        # the circle.  The rounding of |conj(b) z + conj(a)|^2 grows with
+        # the entry scale |a|^2: at most 3.3e-15 |a|^2 up to 60;;1
+        poly = polygon(text)
+        n = poly.n_sides
+        for i, g in enumerate(poly.generators):
+            if side_circle(poly, i) is None:
+                continue
+            for e in (poly.aux[i].P, poly.aux[(i + 1) % n].Q):
+                assert (abs(g.derivative_modulus(e.z) - 1.0)
+                        < 1e-14 * abs(g.a) ** 2)
+
 
 class TestGeodesics:
     def test_antipodal_pair_is_diameter(self):
-        g = geodesic_from_boundary_pair(BoundaryPoint.from_angle(0.0),
-                                        BoundaryPoint.from_angle(math.pi))
-        assert g.is_diameter
+        assert geodesic_circle(BoundaryPoint.from_angle(0.0),
+                               BoundaryPoint.from_angle(math.pi)) is None
 
     def test_through_center_is_diameter(self):
-        g = geodesic_through_interior(BoundaryPoint.from_angle(0.0),
-                                      DiskPoint(0j))
-        assert g.is_diameter
-        assert abs(g.endpoints[1].z - (-1.0)) < 1e-12
-
-    def test_coincident_endpoints_rejected(self):
-        p = BoundaryPoint.from_angle(1.0)
-        with pytest.raises(DegenerateGeodesic):
-            geodesic_from_boundary_pair(p, BoundaryPoint.from_angle(1.0))
+        u = BoundaryPoint.from_angle(0.0)
+        far = geodesic_far_end(u, DiskPoint(0j))
+        assert abs(far.z - (-1.0)) < 1e-12
+        assert geodesic_circle(u, far) is None
 
     def test_extension_endpoint_exact_value(self):
         # circle through 1 and (2 - sqrt 3) i has center 1 + 2i, radius 2;
         # far endpoint (-3 + 4i)/5 (tools/derive_oracles.py)
-        g = geodesic_through_interior(BoundaryPoint.from_angle(0.0),
-                                      DiskPoint(V1_23))
-        assert abs(g.circle.center - (1 + 2j)) < 1e-12
-        assert abs(g.circle.radius - 2.0) < 1e-12
-        assert abs(g.endpoints[1].z - (-3 + 4j) / 5) < 1e-12
+        u = BoundaryPoint.from_angle(0.0)
+        far = geodesic_far_end(u, DiskPoint(V1_23))
+        c, r = geodesic_circle(u, far)
+        assert abs(c - (1 + 2j)) < 1e-12
+        assert abs(r - 2.0) < 1e-12
+        assert abs(far.z - (-3 + 4j) / 5) < 1e-12
 
     def test_endpoint_solves_orthogonality_system(self):
         # independent re-derivation by linear solve for a second case
         u = BoundaryPoint.from_angle(0.7)
         p = DiskPoint(0.31 - 0.12j)
-        g = geodesic_through_interior(u, p)
-        assert abs(orthogonal_circle(u.z, p.z).center - g.circle.center) < 1e-10
-        assert angular_distance(g.endpoints[0].theta, u.theta) < 1e-12
+        c, _ = geodesic_circle(u, geodesic_far_end(u, p))
+        assert abs(orthogonal_circle(u.z, p.z)[0] - c) < 1e-10
 
     @staticmethod
-    def assert_orthogonal_through(circ, ends, ref):
+    def assert_orthogonal_through(circle, ends, ref):
         # centre as the linear solve has it, through both ideal ends at
         # right angles to the unit circle
-        scale = abs(ref.center)
-        assert abs(circ.center - ref.center) < 1e-12 * scale
+        (c, r), scale = circle, abs(ref[0])
+        assert abs(c - ref[0]) < 1e-12 * scale
         for e in ends:
-            assert abs(abs(e.z - circ.center) - circ.radius) < 1e-12 * scale
-        assert abs(circ.orthogonality_residual()) < 1e-12 * scale ** 2
+            assert abs(abs(e.z - c) - r) < 1e-12 * scale
+        assert abs(abs(c) ** 2 - r ** 2 - 1.0) < 1e-12 * scale ** 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.0, TAU), st.floats(0.01, math.pi - 0.01),
@@ -226,9 +241,7 @@ class TestGeodesics:
     def test_pair_centre_matches_linear_solve(self, t, d, turn):
         u = BoundaryPoint.from_angle(t)
         w = BoundaryPoint.from_angle(t + turn * d)
-        g = geodesic_from_boundary_pair(u, w)
-        assert g.endpoints == (u, w)
-        self.assert_orthogonal_through(g.circle, g.endpoints,
+        self.assert_orthogonal_through(geodesic_circle(u, w), (u, w),
                                        orthogonal_circle(u.z, w.z))
 
     @settings(max_examples=200, deadline=None)
@@ -238,12 +251,11 @@ class TestGeodesics:
         p = DiskPoint(r * cmath.exp(1j * phi))
         # away from the diameters through p, where the solve is singular
         assume(abs((u.z.conjugate() * p.z).imag) > 0.01)
-        g = geodesic_through_interior(u, p)
+        far = geodesic_far_end(u, p)
+        circle = geodesic_circle(u, far)
         ref = orthogonal_circle(u.z, p.z)
-        self.assert_orthogonal_through(g.circle, g.endpoints, ref)
-        assert abs(abs(p.z - g.circle.center) - g.circle.radius) \
-            < 1e-12 * abs(ref.center)
-        assert g.endpoints[0] == u
+        self.assert_orthogonal_through(circle, (u, far), ref)
+        assert abs(abs(p.z - circle[0]) - circle[1]) < 1e-12 * abs(ref[0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0.0, 0.95), st.floats(0.0, TAU), st.floats(0.0, 0.95),
@@ -261,11 +273,9 @@ class TestNormalization:
 
     @pytest.mark.parametrize("build, words", [
         (lambda: DiskPoint(1.0 + 0j), "is not interior"),
-        (lambda: EuclideanCircle(2.0 + 0j, 0.0), "radius must be positive"),
         (lambda: MoebiusPSU(2.0 + 0j, 0j), "determinant"),
         (lambda: MoebiusPSU.from_coeffs(1.0, 2.0, 0.5, 1.0), "singular"),
-    ], ids=["disk-on-circle", "zero-radius",
-            "determinant", "singular"])
+    ], ids=["disk-on-circle", "determinant", "singular"])
     def test_rejects_bad_input(self, build, words):
         with pytest.raises(ValueError, match=words):
             build()

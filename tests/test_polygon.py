@@ -8,13 +8,13 @@ import pytest
 
 import numpy as np
 
-from conftest import SCALE, SIGNATURES, polygon
+from conftest import SCALE, SIGNATURES, polygon, side_circle
 from oracles import bisector_endpoint
 
 from fuchsian import (InvalidSignature, Signature, build_canonical,
                       signature_string, validate_polygon)
 from fuchsian.mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
-                             angular_distance, geodesic_from_boundary_pair)
+                             angular_distance)
 from fuchsian.polygon import (INFINITY, SQUARE, boundary_product,
                               elliptic_generator, hyperbolic_generator_a,
                               hyperbolic_generator_b, rotation_powers)
@@ -114,7 +114,7 @@ class TestConstruction:
         assert not v1.is_ideal and v1.order == 2
         assert abs(v1.point.z) < 1e-15
         assert abs(poly.vertices[2].point.z - (-1.0)) < 1e-14
-        assert poly.sides[0].is_diameter and poly.sides[1].is_diameter
+        assert side_circle(poly, 0) is None and side_circle(poly, 1) is None
 
     def test_block_counts(self):
         assert polygon("1;2,3,7;2").ell == 5
@@ -176,7 +176,7 @@ class TestConstruction:
             for blk in poly.blocks:
                 if blk.symbol != SQUARE:
                     continue
-                radii = [poly.sides[blk.side_start + k].circle.radius
+                radii = [side_circle(poly, blk.side_start + k)[1]
                          for k in range(4)]
                 assert max(radii) - min(radii) < 1e-9
 
@@ -253,15 +253,6 @@ class TestAuxPoints:
             assert aux.P is poly.vertices[k - 1].point
             assert aux.Q is poly.vertices[(k + 1) % n].point
 
-    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
-    def test_sides_join_far_ends(self, text):
-        # side i runs from P_i to Q_{i+1}; the aux points of an ideal
-        # vertex are the vertex
-        poly = polygon(text)
-        n = poly.n_sides
-        for i, side in enumerate(poly.sides):
-            assert side.endpoints == (poly.aux[i].P, poly.aux[(i + 1) % n].Q)
-
 
 class TestValidation:
     def test_all_signatures_pass(self, any_polygon):
@@ -318,12 +309,9 @@ class TestValidation:
         n = poly.n_sides
         past = BoundaryPoint.from_angle(
             poly.vertices[(k + 1) % n].point.theta + 1e-6)
-        sides = list(poly.sides)
-        sides[k - 1] = geodesic_from_boundary_pair(
-            poly.vertices[k - 1].point, past)
         aux = list(poly.aux)
         aux[k] = dataclasses.replace(aux[k], Q=past)
-        bad = dataclasses.replace(poly, sides=tuple(sides), aux=tuple(aux))
+        bad = dataclasses.replace(poly, aux=tuple(aux))
         assert validate_polygon(poly).checks["free_combination"].passed
         check = validate_polygon(bad).checks["free_combination"]
         assert check.passed is False
@@ -339,7 +327,8 @@ class TestValidation:
         # origin: the identity fails |trace| < 2, an off-centre rotation
         # fails b = 0, a hyperbolic map fails both
         poly = polygon(text)
-        i = next(i for i, side in enumerate(poly.sides) if side.is_diameter)
+        i = next(i for i in range(poly.n_sides)
+                 if side_circle(poly, i) is None)
         generators = list(poly.generators)
         generators[i] = {
             "identity": MoebiusPSU.identity(),
@@ -350,6 +339,18 @@ class TestValidation:
         check = validate_polygon(bad).checks["isometric_circles"]
         assert check.passed is False
         assert check.detail == f"side {i}: bad diameter pairing"
+
+    def test_circle_side_needs_an_isometric_circle(self):
+        # a rotation about the origin (b = 0) has no isometric circle, so a
+        # circle side glued by one fails the check instead of raising
+        poly = polygon("1;2,3,7;2")
+        assert side_circle(poly, 0) is not None
+        generators = list(poly.generators)
+        generators[0] = MoebiusPSU.rotation(1.0)
+        bad = dataclasses.replace(poly, generators=tuple(generators))
+        check = validate_polygon(bad).checks["isometric_circles"]
+        assert check.passed is False and check.residual == math.inf
+        assert check.detail == "side 0: no isometric circle"
 
     def test_product_is_parabolic_for_all(self, any_polygon):
         prod = boundary_product(any_polygon)

@@ -1,16 +1,41 @@
 """SVG output: strict XML, determinism, geometric fidelity, rect counts."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import partition, polygon
+from conftest import partition, polygon, side_circle
 
 from fuchsian import FigureSpec, build_attractor, render_attractor, render_polygon
 from fuchsian.render import block_color
 
 NS = "{http://www.w3.org/2000/svg}"
+
+# SHA-256 of render_polygon at the default FigureSpec: any change to a
+# side's arc, its flags or a coordinate's digits shows here.  0;2,3;1 has
+# two diameter sides
+POLYGON_SVG_SHA256 = {
+    ("0;2,3;1", "left"):
+        "e2843016c0ac9cdd5c42485af925e4dcd3036ebe29fd04beaa78756306f0e4e6",
+    ("0;2,3;1", "right"):
+        "8db0c0f431c70538554e60846ac95b68c052740d9690f246cf4ff4ab74f24f95",
+    ("0;2,3;1", "midpoint"):
+        "e4e1028d6418419fb8efc733ffc39f7afb1cfe3ef7d21657c1eda186d2dc4907",
+    ("1;2,3,7;2", "left"):
+        "5410064ac90f9c1485641d4cb98a7d6f737e0f0ac3c8ccd75cdc0f88195041b8",
+    ("1;2,3,7;2", "right"):
+        "9b9178e4a7d612dd515aef2f07a4f8d18eda971afce9753c3baf0df519e12256",
+    ("1;2,3,7;2", "midpoint"):
+        "52d2604701d834fe34c5131f1686ad2b3ca64e5bd43d8698c5cbb3fbcfd63df6",
+    ("20;2,3,17,29;8", "left"):
+        "fd3c5ea235b2b00b807ffe38dfcc8f4305b7b3b2e65637dec40971478e957108",
+    ("20;2,3,17,29;8", "right"):
+        "13f6d3eea45e00d6f27c7effd85d57af7e4ae287cafc33aa1798f456ff21edcc",
+    ("20;2,3,17,29;8", "midpoint"):
+        "2dfb88192a013fb8aba379a15bd71d6dbb325ebdc2cd2cc5f3db15a60d3ec9ec",
+}
 
 
 def svg_root(text):
@@ -39,6 +64,13 @@ class TestPolygonFigure:
         doc = render_polygon(poly, part, spec)
         svg_root(doc)
         assert doc == render_polygon(poly, part, spec)
+
+    @pytest.mark.parametrize("text, mode", POLYGON_SVG_SHA256,
+                             ids=[f"{t}-{m}" for t, m in POLYGON_SVG_SHA256])
+    def test_bytes_are_pinned(self, text, mode):
+        doc = render_polygon(polygon(text), partition(text, mode), FigureSpec())
+        assert (hashlib.sha256(doc.encode()).hexdigest()
+                == POLYGON_SVG_SHA256[text, mode])
 
     def test_modular_has_line_sides(self):
         doc = render_polygon(polygon("0;2,3;1"),
@@ -88,14 +120,15 @@ class TestPolygonFigure:
                              int(t[7]), int(t[8]), float(t[9]), float(t[10])))
         assert arcs
         k = 0
-        for side in poly.sides:
-            if side.is_diameter:
+        for i in range(poly.n_sides):
+            circle = side_circle(poly, i)
+            if circle is None:
                 continue
             x1, y1, r, large, sweep, x2, y2 = arcs[k]
             k += 1
             gx, gy = arc_center_from_svg(x1, y1, r, large, sweep, x2, y2)
-            ex = cx + R * side.circle.center.real
-            ey = cy - R * side.circle.center.imag
+            ex = cx + R * circle[0].real
+            ey = cy - R * circle[0].imag
             assert math.hypot(gx - ex, gy - ey) < 0.5  # fidelity within .5 px
 
 
