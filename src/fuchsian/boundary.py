@@ -14,8 +14,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from . import tolerances
-from .tolerances import SAME_POINT, STRUCTURAL, WRAP, Check, Report
+from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .errors import CustomPointOutOfRange, NotElliptic
 from .mobius import TAU, BoundaryPoint, angular_distance
 from .polygon import MarkedPolygon, rotation_powers
@@ -90,8 +89,8 @@ def make_partition(poly: MarkedPolygon, mode: str,
     """Build the cut set for one of the named modes or custom angles.
 
     ``custom`` supplies one angle per elliptic vertex, either as a list in
-    vertex order or a dict keyed by vertex index; each must lie strictly
-    between the neighbouring ideal vertices.
+    vertex order or a dict keyed by elliptic vertex index, with no other
+    keys; each must lie strictly between the neighbouring ideal vertices.
     """
     points: list[BoundaryPoint] = []
     elliptic = poly.elliptic_indices()
@@ -107,6 +106,10 @@ def make_partition(poly: MarkedPolygon, mode: str,
         if missing:
             raise CustomPointOutOfRange(
                 missing[0], f"no angle given for elliptic vertex {missing[0]}")
+        stray = [k for k in custom if k not in elliptic]
+        if stray:
+            raise CustomPointOutOfRange(
+                stray[0], f"{stray[0]!r} is not an elliptic vertex index")
     elif mode not in MODES:
         raise ValueError(f"unknown partition mode {mode!r}")
 
@@ -318,7 +321,6 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     they generate maps interval-onto-intervals under the boundary map.
     Orbits stop at the first cut they land on (its own orbit goes on); the
     first to hit ``max_steps`` fails the report with an empty refinement."""
-    tols = tolerances.active()
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
     for k in range(part.n):
@@ -328,7 +330,8 @@ def markov_check(poly: MarkedPolygon, part: Partition,
             if rec.budget_exceeded:
                 return MarkovReport([], [], orbit_sizes, checks={
                     "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
-                    "endpoints": Check(math.inf, tols.residual, "not measured")})
+                    "endpoints": Check(math.inf, DEFAULT.residual,
+                                       "not measured")})
             pts.extend(p.theta for p in rec.points)
 
     # dedupe circularly
@@ -362,4 +365,5 @@ def markov_check(poly: MarkedPolygon, part: Partition,
         transitions.append(covered)
 
     return MarkovReport(refined, transitions, orbit_sizes, checks={
-        "orbits_finite": Check(0, 1), "endpoints": Check(worst, tols.residual)})
+        "orbits_finite": Check(0, 1),
+        "endpoints": Check(worst, DEFAULT.residual)})

@@ -5,20 +5,18 @@ properties, run seeded entry simulations, and report cycle data.  Each one
 returns a single ``Report``; ``main`` writes it to ``--report`` once the
 command has finished and picks the exit code: 0 all requested checks passed
 (always under ``--survey``), 1 a check failed, 2 configuration error,
-including a value the library rejects while the command runs, which writes
-no report.
+including a value the library rejects while the command runs and an output
+path that cannot be written, which writes no report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from . import tolerances
-from .tolerances import Check, Report
+from .tolerances import DEFAULT, Check, Report
 from .boundary import Partition, cycle, make_partition, markov_check
 from .errors import FuchsianError
 from .extension import (AttractorDomain, build_attractor, simulate_entry,
@@ -47,9 +45,6 @@ class RunConfig:
     attractor_svg_out: str = ""
     report_out: str = ""
     csv_out: str = ""
-    tolerance_profile: str = field(
-        default_factory=lambda: os.environ.get("FUCHSIAN_TOLERANCE_PROFILE",
-                                               "default"))
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ def _cycles_report(poly: MarkedPolygon, part: Partition,
                      "end_of_cycle": data.end_of_cycle.theta,
                      "residual": res})
     return CyclesReport(rows, checks={
-        "matching": Check(worst, tolerances.active().residual, where)})
+        "matching": Check(worst, DEFAULT.residual, where)})
 
 
 def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon,
@@ -219,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--partition",
                        help="left|right|midpoint|custom=a1,a2,...")
         p.add_argument("--report", dest="report_out")
-        p.add_argument("--tolerance-profile", dest="tolerance_profile",
-                       help="default|strict|loose; FUCHSIAN_TOLERANCE_PROFILE "
-                            "when unset")
         return p
 
     p = command("polygon", "build and validate the polygon")
@@ -258,18 +250,13 @@ def main(argv: list[str] | None = None) -> int:
     handler = {"polygon": cmd_polygon, "verify": cmd_verify,
                "simulate": cmd_simulate, "cycle": cmd_cycle}[ns.command]
     try:
-        try:
-            scope = tolerances.profile(cfg.tolerance_profile)
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-        with scope:
-            poly = build_canonical(Signature.parse(cfg.signature))
-            part = make_partition(poly, *parse_partition_arg(cfg.partition))
-            report = handler(cfg, poly, part)
-    except (FuchsianError, ValueError) as exc:
+        poly = build_canonical(Signature.parse(cfg.signature))
+        part = make_partition(poly, *parse_partition_arg(cfg.partition))
+        report = handler(cfg, poly, part)
+        _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
+    except (FuchsianError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
     return 0 if report.passed or cfg.survey else 1
 
 

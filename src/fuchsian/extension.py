@@ -17,8 +17,8 @@ set's w-arcs are the partition cells), so a binary search on w finds the one
 candidate rectangle and only a window of neighbours, fixed by the data, is
 rechecked.  Its verdicts equal those of testing every rectangle.
 
-A tolerance profile sets only the bounds of the checks: the rectangles, the
-tiling test and the membership slack are the same under every profile.
+The record ``DEFAULT`` sets only the bounds of the checks: the rectangles,
+the tiling test and the membership slack use the fixed constants.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
-from .tolerances import SAME_POINT, STRUCTURAL, WRAP, Check, Report
+from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .arcs import (DirectedArc, Rect, _intervals, _overlap_lengths,
                    box_measure, ccw_sweep, clip_boxes, max_pairwise_overlap,
                    rect_boxes)
@@ -233,13 +232,12 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
         strip_res.append(box_measure(boxes, clip_boxes(domain, band),
                                      np.logical_xor))
 
-    tols = tolerances.active()
     return BijectivityReport(
         str(poly.signature), part.mode, dom.guarantee, strip_res, checks={
-            "image_overlap": Check(overlap, tols.overlap),
-            "symmetric_difference": Check(sym, tols.residual),
+            "image_overlap": Check(overlap, DEFAULT.overlap),
+            "symmetric_difference": Check(sym, DEFAULT.residual),
             "strip_residuals": Check(max(strip_res, default=0.0),
-                                     tols.residual)})
+                                     DEFAULT.residual)})
 
 
 # -- escape set and exceptional rectangles ------------------------------------
@@ -331,7 +329,7 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
     the attractor within the cycle length plus two steps.
     """
     hats = exceptional_set(poly, part, k)
-    tol = tolerances.active().residual
+    tol = DEFAULT.residual
     blk = poly.block_of_side(k % poly.n_sides)
     data = dom.info[blk.index].cycle
     lower = [r for r in hats if r.gamma_index == blk.side_start]

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
 from .arcs import DirectedArc, _intervals, _overlap_lengths
-from .tolerances import Check, Report
+from .tolerances import DEFAULT, Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
                      geodesic_circle, geodesic_far_end, vertex_frame)
@@ -379,7 +378,6 @@ def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:
 
 def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     """Numerically verify the structural properties of the construction."""
-    tols = tolerances.active()
     checks: dict[str, Check] = {}
     n = poly.n_sides
     sig = poly.signature
@@ -392,7 +390,7 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
         if circle is None:
             # glued by a proper rotation about the origin: b = 0, |trace| < 2
             if not (abs(gen.b) < 1e-12
-                    and abs(gen.trace) < 2.0 - tols.spectral):
+                    and abs(gen.trace) < 2.0 - DEFAULT.spectral):
                 worst, detail = math.inf, f"side {i}: bad diameter pairing"
             continue
         if abs(gen.b) < 1e-14:      # a rotation about the origin
@@ -405,7 +403,7 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
         res = max(res, abs(abs(c) ** 2 - r ** 2 - 1.0))
         if res > worst:
             worst, detail = res, f"side {i}"
-    checks["isometric_circles"] = Check(worst, tols.residual, detail)
+    checks["isometric_circles"] = Check(worst, DEFAULT.residual, detail)
 
     # (b) interior angle 2pi/m at each elliptic vertex
     measured = _measured_elliptic_angles(poly)
@@ -415,24 +413,24 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
         res = abs(ang - TAU / m)
         if res > worst:
             worst, detail = res, f"vertex {k} (order {m})"
-    checks["elliptic_angles"] = Check(worst, tols.residual, detail)
+    checks["elliptic_angles"] = Check(worst, DEFAULT.residual, detail)
 
     # (c) free combination: excluded caps pairwise disjoint inside the disk
-    checks["free_combination"] = _disjointness(poly, tols.residual)
+    checks["free_combination"] = _disjointness(poly, DEFAULT.residual)
 
     # (d) the full gluing product fixes V_0 and is parabolic (|trace| = 2)
     prod = boundary_product(poly)
     fix_res = abs(prod.apply(1.0 + 0j) - 1.0)
     tr_res = abs(abs(prod.trace) - 2.0)
     checks["parabolic_product"] = Check(
-        max(fix_res, tr_res), tols.spectral,
+        max(fix_res, tr_res), DEFAULT.spectral,
         f"fix={fix_res:.2e} trace={tr_res:.2e}")
 
     # (e) Gauss-Bonnet: (N-2)pi - angle sum against the signature area
     area_measured = (n - 2) * math.pi - sum(measured.values())
     area_formula = sig.hyperbolic_area()
     res = abs(area_measured - area_formula)
-    checks["area"] = Check(res, tols.residual, f"area={area_formula!r}")
+    checks["area"] = Check(res, DEFAULT.residual, f"area={area_formula!r}")
 
     # (f) ideal corner vertices equally distributed: each block's gluing
     # carries its start corner onto the next block's (the last onto V_0)
@@ -443,6 +441,6 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
         res = abs(image - poly.vertices[nxt.side_start].point.z)
         if res > worst:
             worst, detail = res, f"block {blk.index}"
-    checks["equal_distribution"] = Check(worst, tols.residual, detail)
+    checks["equal_distribution"] = Check(worst, DEFAULT.residual, detail)
 
     return ValidationReport(str(sig), area_formula, checks=checks)

@@ -3,18 +3,13 @@
 The geometry itself is exact; every tolerance below is an artifact decision,
 kept in this module so the whole numerical contract is auditable.  Three
 fixed constants decide how objects are built: which float angles count as
-one point.  A ``Tolerances`` record holds only bounds: checks read the
-record of the current context through ``active()`` when they run, and each
-``Check`` keeps the bound it was judged against, so a report's verdict is
-the one reached then.  ``with profile(name):`` selects a named record for
-the block; the selection is context-local, so other threads see the default
-record.  A profile never changes what is built, only how large a residual
-may be.
+one point.  The one ``Tolerances`` record, ``DEFAULT``, holds only bounds:
+every check is held to it, and each ``Check`` keeps the bound it was judged
+against, so a verdict depends on the check's inputs alone.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, fields
 
 
@@ -36,38 +31,10 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
-_PROFILES = {
-    "default": DEFAULT,
-    "strict": Tolerances(spectral=1e-10, residual=1e-11, overlap=1e-13),
-    "loose": Tolerances(spectral=1e-6, residual=1e-7, overlap=1e-10),
-}
-
-_active: ContextVar[Tolerances] = ContextVar("tolerances", default=DEFAULT)
-
 
 def active() -> Tolerances:
-    return _active.get()
-
-
-class profile:
-    """Scope in which the named profile is the active record.
-
-    An unknown name raises ``KeyError`` here, before any scope is entered.
-    """
-
-    def __init__(self, name: str):
-        try:
-            self.tols = _PROFILES[name]
-        except KeyError:
-            raise KeyError(f"unknown tolerance profile {name!r}; "
-                           f"choose from {sorted(_PROFILES)}") from None
-
-    def __enter__(self) -> Tolerances:
-        self._token = _active.set(self.tols)
-        return self.tols
-
-    def __exit__(self, *exc) -> None:
-        _active.reset(self._token)
+    """The record every check is held to."""
+    return DEFAULT
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import pytest
 
 from fuchsian import Signature, build_canonical, geodesic_circle, make_partition
 from fuchsian.arcs import box_measure, rect_boxes
+from fuchsian.mobius import TAU
 
 # the six-signature regression set used throughout
 SIGNATURES = ["0;2,3;1", "1;;1", "0;2,2;2", "1;2,3,7;2", "2;2,5,8;2",
@@ -11,8 +12,8 @@ MODES = ["left", "right", "midpoint"]
 SCALE = ["3;2,5,9;3", "6;2,3,5,7,11,13;4", "10;3,4,5,6,7,8,9,10;6",
          "20;2,3,17,29;8"]
 
-# random cuts of 0;2,2;2 whose vertex-1 orbit never closes; the loose bound
-# once served as the revisit radius and closed it after 6654 points
+# random cuts of 0;2,2;2 whose vertex-1 orbit never closes, so the Markov
+# check fails on its step budget
 OPEN_ORBIT_CUTS = {1: 1.1873762153433152, 3: 2.428747594602236}
 
 _cache = {}
@@ -34,6 +35,14 @@ def partition(sig_text, mode):
 def side_circle(poly, i):
     """``geodesic_circle`` of side i, which runs from P_i to Q_{i+1}."""
     return geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % poly.n_sides].Q)
+
+
+def open_arc_cut(poly, k, fraction):
+    """The angle ``fraction`` of the way along the open arc of elliptic
+    vertex k, from the ideal vertex before it to the one after it."""
+    lo = poly.vertices[k - 1].point.theta
+    sweep = (poly.vertices[(k + 1) % poly.n_sides].point.theta - lo) % TAU
+    return (lo + fraction * (sweep or TAU)) % TAU
 
 
 def measure(op, rects_a, rects_b=()):

@@ -18,10 +18,10 @@ import math
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
-                      geodesic_circle, orbit, tolerances)
+                      geodesic_circle, orbit)
 from fuchsian.boundary import MarkovReport
 from fuchsian.mobius import TAU, angular_distance
-from fuchsian.tolerances import SAME_POINT, STRUCTURAL, Check
+from fuchsian.tolerances import DEFAULT, SAME_POINT, STRUCTURAL, Check
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -151,7 +151,6 @@ def markov_full_walk(poly: MarkedPolygon, part: Partition,
     """``markov_check(poly, part, max_steps).to_dict()`` without
     ``orbit_sizes``, with every cut-point orbit walked until it revisits a
     point (or hits ``max_steps``, which fails at once)."""
-    tols = tolerances.active()
     pts = list(part.thetas)
     for k in range(part.n):
         for side in ("upper", "lower"):
@@ -159,7 +158,7 @@ def markov_full_walk(poly: MarkedPolygon, part: Partition,
             if rec.budget_exceeded:
                 return _without_sizes(MarkovReport([], [], {}, checks={
                     "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
-                    "endpoints": Check(math.inf, tols.residual,
+                    "endpoints": Check(math.inf, DEFAULT.residual,
                                        "not measured")}))
             pts.extend(p.theta for p in rec.points)
 
@@ -185,7 +184,7 @@ def markov_full_walk(poly: MarkedPolygon, part: Partition,
                            or [ilo])
     return _without_sizes(MarkovReport(refined, transitions, {}, checks={
         "orbits_finite": Check(0, 1),
-        "endpoints": Check(worst, tols.residual)}))
+        "endpoints": Check(worst, DEFAULT.residual)}))
 
 
 def _without_sizes(rep: MarkovReport) -> dict:

@@ -93,9 +93,14 @@ class TestMakePartition:
          CustomPointOutOfRange, "requires angles"),
         (lambda poly: make_partition(poly, "custom", {1: 1.0}),
          CustomPointOutOfRange, "vertex 3"),
+        # vertex 2 is ideal and 99 is no vertex; both elliptic keys are valid
+        (lambda poly: make_partition(poly, "custom", {
+            1: poly.aux[1].M.theta, 3: poly.aux[3].M.theta, 2: 5.0, 99: 1.0}),
+         CustomPointOutOfRange, "2 is not an elliptic vertex"),
         (lambda poly: make_partition(poly, "diag"), ValueError,
          "unknown partition mode"),
-    ], ids=["winding", "no-custom-angles", "missing-vertex", "unknown-mode"])
+    ], ids=["winding", "no-custom-angles", "missing-vertex", "stray-key",
+            "unknown-mode"])
     def test_rejects_bad_input(self, build, error, words):
         with pytest.raises(error, match=words):
             build(polygon(MODULAR))
@@ -346,6 +351,14 @@ class TestMarkov:
         assert rep.refinement == [] and rep.transitions == []
         assert rep.endpoint_residual == math.inf
         assert rep.orbit_sizes == {"0:upper": 0, "0:lower": 0, "1:upper": 1}
+
+    def test_open_orbit_fails_the_default_budget(self):
+        poly = polygon("0;2,2;2")
+        part = make_partition(poly, "custom", OPEN_ORBIT_CUTS)
+        rep = markov_check(poly, part)
+        assert rep.checks["orbits_finite"].passed is False
+        assert rep.checks["orbits_finite"].detail == "orbit 1:upper"
+        assert rep.refinement == []
 
     def test_orbits_before_the_budget_hit_are_kept(self):
         # with the budget at the longest orbit's size, the shorter orbits

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from conftest import open_arc_cut, polygon
+
 from fuchsian import (Signature, TilingViolation, build_attractor,
                       build_canonical, make_partition, verify_bijectivity)
 from fuchsian.cli import main, parse_partition_arg
@@ -16,12 +18,8 @@ def run(argv):
 
 def outside_guarantee():
     """Custom partition of 0;2,3;1 whose order-3 cut lies below its P."""
-    import fuchsian
-    poly = fuchsian.build_canonical(fuchsian.Signature.parse("0;2,3;1"))
-    lo = poly.vertices[2].point.theta
-    sweep = (poly.vertices[0].point.theta - lo) % (2 * math.pi) or 2 * math.pi
-    outside = (lo + 0.02 * sweep) % (2 * math.pi)
-    return f"custom={poly.aux[1].M.theta},{outside}"
+    poly = polygon("0;2,3;1")
+    return f"custom={poly.aux[1].M.theta},{open_arc_cut(poly, 3, 0.02)}"
 
 
 class TestRunConfig:
@@ -244,61 +242,35 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestToleranceProfile:
+class TestOneRecord:
     # the trace residual of this polygon's parabolic product (1.6e-8) lies
-    # between the default and the loose spectral bound
+    # above the spectral bound
     VERIFY = ["verify", "--checks", "polygon",
               "--signature", "10;3,4,5,6,7,8,9,10;6"]
 
-    def test_env_var_selects_profile(self, monkeypatch, capsys):
-        from fuchsian import tolerances
+    def test_environment_leaves_the_verdict(self, monkeypatch, capsys):
         assert run(self.VERIFY) == 1
         monkeypatch.setenv("FUCHSIAN_TOLERANCE_PROFILE", "loose")
-        assert run(self.VERIFY) == 0
-        assert tolerances.active() == tolerances.DEFAULT
+        assert run(self.VERIFY) == 1
 
-    def test_unknown_profile_raises(self):
-        from fuchsian import tolerances
-        with pytest.raises(KeyError):
-            tolerances.profile("nonsense")
 
-    def test_unknown_profile_exit_two(self, monkeypatch, capsys):
-        code = run(["polygon", "--signature", "0;2,3;1",
-                    "--tolerance-profile", "nonsense"])
-        err = capsys.readouterr().err
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["cycle", "--vertex", "3", "--report"],
+        ["simulate", "--samples", "8", "--csv"],
+        ["polygon", "--json"], ["polygon", "--svg"],
+        ["polygon", "--attractor-svg"]],
+        ids=["report", "csv", "json", "svg", "attractor-svg"])
+    def test_unwritable_path_exit_two(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        report = tmp_path / "report.json"
+        extra = [] if "--report" in argv else ["--report", str(report)]
+        code = run(argv + [str(missing / "out"), "--signature", "0;2,3;1"]
+                   + extra)
+        err = capsys.readouterr().err.splitlines()
         assert code == 2
-        assert "configuration error: unknown tolerance profile" in err
-        assert "'default', 'loose', 'strict'" in err
-        monkeypatch.setenv("FUCHSIAN_TOLERANCE_PROFILE", "nonsense")
-        assert run(["verify", "--signature", "0;2,3;1"]) == 2
-        assert "unknown tolerance profile 'nonsense'" in capsys.readouterr().err
-
-    def test_profile_is_local_to_each_thread(self):
-        import threading
-        from fuchsian import tolerances
-        inside = threading.Barrier(3, timeout=10)
-        done = threading.Barrier(3, timeout=10)
-        seen = {}
-
-        def worker(name):
-            with tolerances.profile(name):
-                inside.wait()
-                seen[name] = tolerances.active()
-                done.wait()
-
-        threads = [threading.Thread(target=worker, args=(name,))
-                   for name in ("strict", "loose")]
-        for t in threads:
-            t.start()
-        inside.wait()
-        main_view = tolerances.active()
-        done.wait()
-        for t in threads:
-            t.join(timeout=10)
-            assert not t.is_alive()
-        assert main_view == tolerances.DEFAULT
-        assert seen["strict"].residual == 1e-11
-        assert seen["loose"].residual == 1e-7
+        assert len(err) == 1 and err[0].startswith("configuration error:")
+        assert not missing.exists() and not report.exists()
 
 
 class TestCycleCommand:
@@ -321,8 +293,7 @@ class TestCycleCommand:
         # the row and the check are those of verify --checks cycles, which
         # fails on the same input
         rep = tmp_path / "cycle.json"
-        common = ["--signature", "20;2,3,17,29;8", "--partition", "midpoint",
-                  "--tolerance-profile", "strict"]
+        common = ["--signature", "20;2,3,17,29;8", "--partition", "left"]
         assert run(["cycle", "--vertex", "87", "--report", str(rep)]
                    + common) == 1
         row = json.loads(capsys.readouterr().out)

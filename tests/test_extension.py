@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import MODES, SIGNATURES, measure, partition, polygon
+from conftest import (MODES, SIGNATURES, measure, open_arc_cut, partition,
+                      polygon)
 from oracles import F_apply, domain_contains
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
@@ -153,6 +154,15 @@ class TestAttractorStructure:
                 (r0.w_arc.start.theta + off) % TAU, r1.w_arc.start.theta) < 1e-12
             assert abs(r0.w_arc.sweep - r1.w_arc.sweep) < 1e-12
 
+    def test_large_midpoint_attractor(self):
+        # the midpoint cycles of the order-3, 17 and 29 blocks end on their
+        # block corners (the order-17 one confirmed with mpmath), so each of
+        # their fans has one rectangle fewer than its order
+        dom = domain("20;2,3,17,29;8", "midpoint")
+        assert len(dom.rects) == 141
+        assert [i for i, info in enumerate(dom.info) if info.degenerate] == [
+            21, 22, 23]
+
     def test_guarantee_warning(self):
         # a cut outside [P, Q] is reported by the domain's flag alone
         poly = polygon(MODULAR)
@@ -175,17 +185,15 @@ class TestBijectivity:
         rep = verify_bijectivity(poly, part, dom)
         assert rep.passed, rep.to_dict()
 
-    def test_verdict_fixed_when_checked(self):
-        # image overlap 1.50e-12: above the default overlap bound, below the
-        # loose one; the report keeps the verdict of the record it ran under
+    def test_image_overlap_over_bound_fails(self):
+        # image overlap 1.50e-12 lies above the overlap bound
         poly = polygon(ALL_CUSPS)
         part = partition(ALL_CUSPS, "left")
         rep = verify_bijectivity(poly, part, build_attractor(poly, part))
+        assert rep.image_overlap > tolerances.DEFAULT.overlap
+        assert rep.checks["image_overlap"].bound == tolerances.DEFAULT.overlap
         assert rep.passed is False
-        with tolerances.profile("loose") as loose:
-            assert tolerances.DEFAULT.overlap < rep.image_overlap < loose.overlap
-            assert rep.passed is False
-            assert rep.to_dict()["passed"] is False
+        assert rep.to_dict()["passed"] is False
 
     def test_order_two_strip_image(self):
         # the involution swaps the two factors of the order-2 strip
@@ -257,9 +265,7 @@ class TestBijectivity:
     def test_bijective_outside_guarantee_range(self):
         # bijectivity needs only the open-arc condition, not [P, Q]
         poly = polygon(MODULAR)
-        lo = poly.vertices[2].point.theta
-        sweep = (poly.vertices[0].point.theta - lo) % TAU or TAU
-        outside = (lo + 0.02 * sweep) % TAU   # below P of the order-3 vertex
+        outside = open_arc_cut(poly, 3, 0.02)   # below P of the order-3 vertex
         part = make_partition(poly, "custom", {1: poly.aux[1].M.theta,
                                                3: outside})
         assert not part.in_guarantee_range()
@@ -329,6 +335,24 @@ class TestPhiAndExceptional:
         for k in poly.elliptic_indices():
             rep = verify_exceptional(poly, part, k, dom)
             assert rep.passed, (k, rep)
+
+    def test_exceptional_outside_guarantee_escapes(self):
+        # every cut at 2 % of its open vertex arc, below its P: at the
+        # order-4 vertex the exceptional rectangles are still partly outside
+        # the attractor when the step budget max(J, I) + 3 runs out
+        text = "0;3,3,4;2"
+        poly = polygon(text)
+        part = make_partition(poly, "custom", {
+            k: open_arc_cut(poly, k, 0.02) for k in poly.elliptic_indices()})
+        assert not part.in_guarantee_range()
+        dom = build_attractor(poly, part)
+        data = cycle(poly, part, 5)
+        assert data.order == 4
+        rep = verify_exceptional(poly, part, 5, dom)
+        assert rep.passed is False
+        assert rep.checks["escaped"].passed is False
+        assert rep.checks["escaped"].residual > 0
+        assert rep.steps_used == max(data.J, data.I) + 3
 
     def _first_lower_hat_target(self, text, mode, k):
         poly = polygon(text)
@@ -465,11 +489,9 @@ class TestSimulation:
 
     def test_survey_mode_outside_guarantee(self):
         poly = polygon(MODULAR)
-        lo = poly.vertices[2].point.theta
-        sweep = (poly.vertices[0].point.theta - lo) % TAU or TAU
         part = make_partition(poly, "custom",
                               {1: poly.aux[1].M.theta,
-                               3: (lo + 0.02 * sweep) % TAU})
+                               3: open_arc_cut(poly, 3, 0.02)})
         dom = build_attractor(poly, part)
         traces = simulate_entry(poly, part, dom, samples=300, seed=1,
                                 max_iters=3000)
