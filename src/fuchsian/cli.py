@@ -6,13 +6,14 @@ returns a single ``Report``; ``main`` writes it to ``--report`` once the
 command has finished and picks the exit code: 0 all requested checks passed
 (always under ``--survey``), 1 a check failed, 2 configuration error,
 including a value the library rejects while the command runs and an output
-path that cannot be written, which writes no report.
+path that cannot be written (all are checked first), which writes no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -240,16 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(**{k: v for k, v in vars(ns).items() if k != "command"})
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
-    cfg = config_from_args(ns)
+    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k != "command"})
     handler = {"polygon": cmd_polygon, "verify": cmd_verify,
                "simulate": cmd_simulate, "cycle": cmd_cycle}[ns.command]
     try:
+        for path in filter(None, (cfg.json_out, cfg.svg_out, cfg.csv_out,
+                                  cfg.attractor_svg_out, cfg.report_out)):
+            if os.path.isdir(path) or not os.access(
+                    path if os.path.exists(path) else
+                    os.path.dirname(os.path.abspath(path)), os.W_OK):
+                raise OSError(f"cannot write {path!r}")
         poly = build_canonical(Signature.parse(cfg.signature))
         part = make_partition(poly, *parse_partition_arg(cfg.partition))
         report = handler(cfg, poly, part)

@@ -9,13 +9,11 @@ up to angular measure zero.  The strip of an order >= 3 block is a fan cut
 by the rotation orbits of the block's cut point; one helper computes those
 orbits for both the attractor strip and the exceptional rectangles.
 
-The simulation runs on arrays of states.  One step helper applies the
-gluings; one membership kernel, built per call from a rectangle list and the
-fixed structural slack, tests the states.  It relies on the w-arcs tiling
-the circle (``build_attractor`` checks this for the attractor; the escape
-set's w-arcs are the partition cells), so a binary search on w finds the one
-candidate rectangle and only a window of neighbours, fixed by the data, is
-rechecked.  Its verdicts equal those of testing every rectangle.
+The simulation runs on arrays of states through one step-and-membership
+kernel built per call: one binary search on w per step finds both the
+gluing of the next step and each rectangle list's one candidate, and only a
+window of neighbours fixed by the data is rechecked, with the verdicts of
+testing every rectangle.
 
 The record ``DEFAULT`` sets only the bounds of the checks: the rectangles,
 the tiling test and the membership slack use the fixed constants.
@@ -402,92 +400,105 @@ def _draw_pair(seed: int, index: int, buffer: float) -> tuple[float, float]:
             return tu, tw
 
 
-class _Membership:
-    """Closed membership test for a rectangle list whose w-arcs tile the
-    circle (the attractor, whose strips tile it, and the escape set, whose
-    w-arcs are the partition cells).
+class _Kernel:
+    """The vectorized step-and-membership kernel of the planar extension.
 
-    A state's w selects, by one ``searchsorted`` on the sorted w-starts, the
-    rectangle whose w-arc holds it; the closed test with ``tol`` on both
-    coordinates runs on that candidate, then on its neighbours up to ``p``
-    places either way for the states still unmatched.  ``p`` is the least
-    count such that the arc gap skipped over by any p consecutive rectangles
-    exceeds 2 * tol; under tiling that gap is the sum of p consecutive
-    w-sweeps, so p is 1 unless some w-sweep is at most 2 * tol.  No
-    rectangle outside that window can pass the tol-widened w-test, so the
-    verdicts are those of testing every rectangle.
+    States are the columns of 2 x N arrays: ``z`` holds (u, w) as unit
+    complex numbers, ``ang`` their angles in [0, 2pi].  ``breaks`` sorts {0},
+    the lifted cut points and every list's w-starts; ``locate`` finds by one
+    ``searchsorted`` the interval [breaks[j - 1], breaks[j]) of w.  The cell
+    of w and each list's candidate (the last w-start at or before w,
+    wrapping) are constant there, so flat tables hold at j their values at
+    its left end: the gluing's a, b, conj(b), conj(a), and the candidate's
+    starts and ``tol``-widened sweeps.  The j of a step's new w serves its
+    membership test and the next step.  At w = 2pi the kernel takes the last
+    cell and ``Partition.cell_of`` the cell of 0: a measure-zero set.
+
+    Membership is closed with ``tol`` = ``STRUCTURAL`` on both coordinates.
+    A state outside its candidate is rechecked on the neighbours up to p
+    places either way in w-start order, p the least count such that any p
+    consecutive rectangles skip an arc gap over 2 * tol.  The w-arcs tile
+    the circle (``build_attractor`` checks the attractor; the escape set's
+    are the cells), so no rectangle outside that window passes the widened
+    w-test: the verdicts are those of testing every rectangle.
     """
 
-    def __init__(self, rects: Sequence[Rect], tol: float):
-        rs = sorted(rects, key=lambda r: r.w_arc.start.theta)
-        self.us = np.array([r.u_arc.start.theta for r in rs])
-        self.u_hi = np.array([r.u_arc.sweep for r in rs]) + tol
-        self.ws = np.array([r.w_arc.start.theta for r in rs])
-        w_sweep = np.array([r.w_arc.sweep for r in rs])
-        self.w_hi = w_sweep + tol
+    def __init__(self, poly: MarkedPolygon, part: Partition,
+                 *rect_lists: Sequence[Rect]):
+        cuts, tol = np.array(part.lifted[:part.n]), STRUCTURAL
+        # rows u-start, u-sweep, w-start, w-sweep in w-start order
+        rows = [np.array(sorted([(r.u_arc.start.theta, r.u_arc.sweep,
+                                  r.w_arc.start.theta, r.w_arc.sweep)
+                                 for r in rs], key=lambda x: x[2])).T
+                for rs in rect_lists]
+        self.breaks = np.array(sorted({0.0, *cuts, *(x for r in rows
+                                                     for x in r[2])}))
+        # left ends, indexed as locate counts; index 0 (w < 0) is never read
+        left = np.concatenate([self.breaks[:1], self.breaks])
+        self.cell = np.clip(np.searchsorted(cuts, left, side="right") - 1,
+                            0, part.n - 1)
+        a, b = np.array([(g.a, g.b) for g in poly.generators])[self.cell].T
+        self.coef = a, b, np.conj(b), np.conj(a)
         self.lo = TAU - tol
-        n = len(rs)
-        # a rectangle p + 1 or more places from the candidate is at least
-        # the smaller of these clearances away from the state's w
-        lifted = np.concatenate([self.ws, self.ws + TAU])
-        ends = self.ws + w_sweep
-        p = 1
-        while 2 * p + 1 < n and min((lifted[p:p + n] - self.ws).min(),
-                                    (lifted[p + 1:p + 1 + n] - ends).min()
-                                    ) <= 2 * tol:
-            p += 1
-        self.offsets = sorted({k % n for k in range(-p, p + 1)} - {0})
-        self.n = n
+        self.cand, self.rows, self.table, self.offsets = [], [], [], []
+        for r in rows:
+            ws, n = r[2], r.shape[1]
+            # the arc gap skipped by p consecutive rectangles, either way
+            lifted, ends = np.concatenate([ws, ws + TAU]), ws + r[3]
+            p = 1
+            while 2 * p + 1 < n and min((lifted[p:p + n] - ws).min(),
+                                        (lifted[p + 1:p + 1 + n] - ends).min()
+                                        ) <= 2 * tol:
+                p += 1
+            r[1::2] += tol
+            self.cand.append((np.searchsorted(ws, left, side="right") - 1) % n)
+            self.rows.append(tuple(r))
+            self.table.append(tuple(r[:, self.cand[-1]]))
+            self.offsets.append(sorted({k % n for k in range(-p, p + 1)} - {0}))
 
-    def _test(self, j: np.ndarray, pu: np.ndarray,
-              pw: np.ndarray) -> np.ndarray:
-        du = (pu - self.us[j]) % TAU
-        dw = (pw - self.ws[j]) % TAU
-        return (((du <= self.u_hi[j]) | (du >= self.lo))
-                & ((dw <= self.w_hi[j]) | (dw >= self.lo)))
+    def locate(self, pw: np.ndarray) -> np.ndarray:
+        """Table index j of each w-angle in [0, 2pi]."""
+        return np.searchsorted(self.breaks, pw, side="right")
 
-    def __call__(self, pu: np.ndarray, pw: np.ndarray) -> np.ndarray:
-        """Boolean mask of the states (pu, pw) inside some rectangle."""
-        # index -1 (w before the first start) is the last, wrapping rectangle
-        cand = np.searchsorted(self.ws, pw, side="right") - 1
-        ok = self._test(cand, pu, pw)
-        todo = np.flatnonzero(~ok)
-        for k in self.offsets:
-            if todo.size == 0:
-                break
-            hit = self._test((cand[todo] + k) % self.n, pu[todo], pw[todo])
-            ok[todo[hit]] = True
-            todo = todo[~hit]
-        return ok
+    def start(self, ang: np.ndarray):
+        """The states at angles ``ang`` and the intervals of their w."""
+        z = np.exp(1j * ang)
+        return z, self.locate(np.angle(z[1]) % TAU)
 
-
-class _Step:
-    """One vectorized step of the planar extension.  States are the rows
-    (u, w) of a 2 x N array of unit complex numbers."""
-
-    def __init__(self, poly: MarkedPolygon, part: Partition):
-        self.cuts = np.array(part.lifted[:part.n])
-        self.last = part.n - 1
-        self.a = np.array([g.a for g in poly.generators])
-        self.b = np.array([g.b for g in poly.generators])
-        self.a_bar = np.conj(self.a)
-        self.b_bar = np.conj(self.b)
-
-    def cells(self, pw: np.ndarray) -> np.ndarray:
-        """Partition cell of each w-angle in [0, 2pi]."""
-        cells = np.searchsorted(self.cuts, pw, side="right") - 1
-        np.clip(cells, 0, self.last, out=cells)
-        return cells
-
-    def __call__(self, z: np.ndarray, pw: np.ndarray):
-        """Map the states z, whose w-angles are ``pw``, by the gluing of the
-        cell of w; return the new states and their angles in [0, 2pi]."""
-        cells = self.cells(pw)
-        z = ((self.a[cells] * z + self.b[cells])
-             / (self.b_bar[cells] * z + self.a_bar[cells]))
+    def step(self, z: np.ndarray, j: np.ndarray):
+        """Map the states z, whose w lie in intervals ``j``, by the gluing of
+        the cell of w; return the new states, their angles and their j."""
+        a, b, b_bar, a_bar = (c[j] for c in self.coef)
+        z = (a * z + b) / (b_bar * z + a_bar)
         # renormalize: modulus drift would otherwise amplify exponentially
         z /= np.abs(z)
-        return z, np.angle(z) % TAU
+        ang = np.arctan2(z.imag, z.real)
+        ang += TAU * (ang < 0)
+        return z, ang, self.locate(ang[1])
+
+    def _test(self, us, u_hi, ws, w_hi, pu, pw) -> np.ndarray:
+        # angles and starts lie in [0, 2pi]: one wrap gives the ccw offset
+        du, dw = pu - us, pw - ws
+        du += TAU * (du < 0)
+        dw += TAU * (dw < 0)
+        return (((du <= u_hi) | (du >= self.lo))
+                & ((dw <= w_hi) | (dw >= self.lo)))
+
+    def inside(self, i: int, j, pu, pw) -> np.ndarray:
+        """Mask of the states (pu, pw), w in intervals j, in list i."""
+        ok = self._test(*(t[j] for t in self.table[i]), pu, pw)
+        if ok.all():
+            return ok
+        todo = np.flatnonzero(~ok)
+        rows, cand = self.rows[i], self.cand[i][j[todo]]
+        for k in self.offsets[i]:
+            nb = (cand + k) % len(rows[0])
+            hit = self._test(*(r[nb] for r in rows), pu[todo], pw[todo])
+            ok[todo[hit]] = True
+            todo, cand = todo[~hit], cand[~hit]
+            if todo.size == 0:
+                break
+        return ok
 
 
 def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
@@ -504,68 +515,53 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     # a redraw needs angular_distance >= buffer, and that distance is at most pi
     if not 0 <= buffer < math.pi:
         raise ValueError(f"buffer must lie in [0, pi), got {buffer!r}")
-    starts = [_draw_pair(seed, i, buffer) for i in range(samples)]
-    tu = np.array([s[0] for s in starts])
-    tw = np.array([s[1] for s in starts])
+    drawn = np.array([_draw_pair(seed, i, buffer) for i in range(samples)]).T
 
-    in_dom = _Membership(dom.rects, STRUCTURAL)
-    in_phi = _Membership(phi_set(poly, part), STRUCTURAL)
-    step = _Step(poly, part)
+    kern = _Kernel(poly, part, dom.rects, phi_set(poly, part))
+    K, esc = np.full((2, samples), -1, dtype=np.int64)
+    entry = np.full((2, samples), np.nan)
 
-    K = np.full(samples, -1, dtype=np.int64)
-    esc = np.full(samples, -1, dtype=np.int64)
-    entry_u = np.full(samples, np.nan)
-    entry_w = np.full(samples, np.nan)
+    def record(n, live, j, pu, pw):
+        """Mark first entries and escapes at step n; mask the still live."""
+        todo = np.flatnonzero(K[live] < 0)
+        if todo.size:
+            hit = todo[kern.inside(0, j[todo], pu[todo], pw[todo])]
+            K[live[hit]] = n
+            entry[:, live[hit]] = pu[hit], pw[hit]
+        todo = np.flatnonzero(esc[live] < 0)
+        if todo.size:
+            esc[live[todo[~kern.inside(1, j[todo], pu[todo], pw[todo])]]] = n
+        return (K[live] < 0) | (esc[live] < 0)
 
-    inside0 = in_dom(tu, tw)
-    K[inside0] = 0
-    entry_u[inside0] = tu[inside0]
-    entry_w[inside0] = tw[inside0]
-    esc[~in_phi(tu, tw)] = 0
-
+    live = np.flatnonzero(record(0, np.arange(samples), kern.locate(drawn[1]),
+                                 *drawn))
     # the live states only, compacted after every step
-    live = np.flatnonzero((K < 0) | (esc < 0))
-    z = np.exp(1j * np.stack([tu[live], tw[live]]))
-    pw = np.angle(z[1]) % TAU
+    z, j = kern.start(drawn[:, live])
     for n in range(1, max_iters + 1):
         if live.size == 0:
             break
-        z, (pu, pw) = step(z, pw)
-        pending = np.flatnonzero(K[live] < 0)
-        if pending.size:
-            hit = pending[in_dom(pu[pending], pw[pending])]
-            idx = live[hit]
-            K[idx] = n
-            entry_u[idx] = pu[hit]
-            entry_w[idx] = pw[hit]
-        pending = np.flatnonzero(esc[live] < 0)
-        if pending.size:
-            esc[live[pending[~in_phi(pu[pending], pw[pending])]]] = n
-        keep = (K[live] < 0) | (esc[live] < 0)
-        live, z, pw = live[keep], z[:, keep], pw[keep]
+        z, ang, j = kern.step(z, j)
+        keep = record(n, live, j, *ang)
+        live, z, j = live[keep], z[:, keep], j[keep]
 
-    return [EntryTrace(i, float(tu[i]), float(tw[i]), int(K[i]), int(esc[i]),
-                       bool(K[i] >= 0), float(entry_u[i]), float(entry_w[i]))
-            for i in range(samples)]
+    return [EntryTrace(i, u0, w0, k, e, k >= 0, eu, ew)
+            for i, (u0, w0, k, e, eu, ew) in enumerate(zip(
+                *drawn.tolist(), K.tolist(), esc.tolist(), *entry.tolist()))]
 
 
 def check_forward_invariance(poly: MarkedPolygon, part: Partition,
                              dom: AttractorDomain, traces: list[EntryTrace],
                              steps: int = 1000) -> int:
     """Iterate the entered states further; count membership violations."""
-    entered = [t for t in traces if t.entered]
-    if not entered:
+    ang = np.array([(t.entry_u, t.entry_w) for t in traces if t.entered]).T
+    if not ang.size:
         return 0
-    tu = np.array([t.entry_u for t in entered])
-    tw = np.array([t.entry_w for t in entered])
-    in_dom = _Membership(dom.rects, STRUCTURAL)
-    step = _Step(poly, part)
-    z = np.exp(1j * np.stack([tu, tw]))
-    pw = np.angle(z[1]) % TAU
+    kern = _Kernel(poly, part, dom.rects)
+    z, j = kern.start(ang)
     exits = 0
     for _ in range(steps):
-        z, (pu, pw) = step(z, pw)
-        exits += pu.size - int(np.count_nonzero(in_dom(pu, pw)))
+        z, ang, j = kern.step(z, j)
+        exits += j.size - int(np.count_nonzero(kern.inside(0, j, *ang)))
     return exits
 
 

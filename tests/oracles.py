@@ -2,19 +2,25 @@
 
 Each one is the plain, one-point-at-a-time form of something the library
 computes another way: ``F_apply`` is one step of the planar extension that
-``extension._Step`` applies to arrays of states; ``domain_contains`` is the
-closed membership test that ``extension._Membership`` answers for arrays;
-``bisector_endpoint`` constructs the end of the angle bisector at an
-elliptic vertex from the tangents of the sides' circles (``tangent_at``),
-independently of the arc midpoint ``AuxPoints.M``; ``markov_full_walk``
-refines the partition by every cut-point orbit walked in full, where
-``markov_check`` stops each orbit at the first cut it lands on;
-``orthogonal_circle`` finds the circle of a geodesic by a linear solve of
-its two incidence equations, where ``mobius`` uses closed forms.
+the kernel ``extension._Kernel`` applies to arrays of states;
+``domain_contains`` is the closed membership test that the same kernel
+answers for arrays; ``two_lookup_step`` and ``two_lookup_candidate`` are the
+kernel's step and candidate search as separate binary searches, on the cut
+points and on the w-starts, each evaluated at the state's own w (the
+kernel reads both off one breakpoint table); ``bisector_endpoint``
+constructs the end of the angle bisector at an elliptic vertex from the
+tangents of the sides' circles (``tangent_at``), independently of the arc
+midpoint ``AuxPoints.M``; ``markov_full_walk`` refines the partition by
+every cut-point orbit walked in full, where ``markov_check`` stops each
+orbit at the first cut it lands on; ``orthogonal_circle`` finds the circle
+of a geodesic by a linear solve of its two incidence equations, where
+``mobius`` uses closed forms.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
@@ -30,6 +36,33 @@ def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
     k = part.cell_of(w.theta)
     g = poly.generators[k]
     return k, g.apply_boundary(u), g.apply_boundary(w)
+
+
+def two_lookup_cell(part: Partition, pw: np.ndarray) -> np.ndarray:
+    """Cell of each w-angle in [0, 2pi]: the last lifted cut at or before
+    it, clipped to the cells, so w = 2pi falls in the last cell."""
+    cells = np.searchsorted(np.array(part.lifted[:part.n]), pw,
+                            side="right") - 1
+    return np.clip(cells, 0, part.n - 1)
+
+
+def two_lookup_step(poly: MarkedPolygon, part: Partition, z: np.ndarray,
+                    pw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the states z (rows u, w of unit complex numbers) whose
+    w-angles are ``pw``; returns the new states and their angles."""
+    cells = two_lookup_cell(part, pw)
+    a = np.array([g.a for g in poly.generators])[cells]
+    b = np.array([g.b for g in poly.generators])[cells]
+    z = (a * z + b) / (np.conj(b) * z + np.conj(a))
+    z /= np.abs(z)
+    return z, np.angle(z) % TAU
+
+
+def two_lookup_candidate(rects, pw: np.ndarray) -> np.ndarray:
+    """Index, in w-start order, of the rectangle with the last w-start at or
+    before each w-angle, the last one before the first start."""
+    ws = np.sort([r.w_arc.start.theta for r in rects])
+    return (np.searchsorted(ws, pw, side="right") - 1) % len(ws)
 
 
 # -- closed membership ---------------------------------------------------------

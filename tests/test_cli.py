@@ -272,6 +272,31 @@ class TestOutputPaths:
         assert len(err) == 1 and err[0].startswith("configuration error:")
         assert not missing.exists() and not report.exists()
 
+    @pytest.mark.parametrize("command, first, second", [
+        (["polygon"], "--json", "--svg"),
+        (["polygon"], "--json", "--attractor-svg"),
+        (["simulate", "--samples", "8"], "--csv", "--report")],
+        ids=["json-svg", "json-attractor-svg", "csv-report"])
+    def test_bad_path_writes_no_file(self, command, first, second, tmp_path,
+                                     capsys):
+        # the command would write ``first`` before it reaches ``second``, or
+        # the other way round: neither order leaves a file behind
+        for ok, bad in ((first, second), (second, first)):
+            good = tmp_path / "good.out"
+            code = run(command + [ok, str(good), bad,
+                                  str(tmp_path / "missing" / "out"),
+                                  "--signature", "0;2,3;1"])
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2
+            assert len(err) == 1 and err[0].startswith("configuration error:")
+            assert list(tmp_path.iterdir()) == []
+
+    def test_directory_path_exit_two(self, tmp_path, capsys):
+        code = run(["polygon", "--json", str(tmp_path / "p.json"), "--svg",
+                    str(tmp_path), "--signature", "0;2,3;1"])
+        assert code == 2 and "configuration error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCycleCommand:
     def test_order_three_left(self, capsys):

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 
 from conftest import (MODES, SIGNATURES, measure, open_arc_cut, partition,
                       polygon)
-from oracles import F_apply, domain_contains
+from oracles import (F_apply, domain_contains, two_lookup_candidate,
+                     two_lookup_cell, two_lookup_step)
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       exceptional_set, make_partition, phi_set,
                       simulate_entry, tolerances, verify_bijectivity)
 from fuchsian.arcs import DirectedArc, Rect
-from fuchsian.extension import (_check_tiling, _Membership, _Step,
-                                rect_image, traces_to_csv, verify_exceptional)
+from fuchsian.extension import (_check_tiling, _Kernel, rect_image,
+                                traces_to_csv, verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import STRUCTURAL
 
@@ -563,8 +564,15 @@ def stressed_states(rects, tol, n, rng):
             np.where(which & 2, edge[1], pw))
 
 
+def kernel_member(key, rects, pu, pw):
+    """The kernel's membership verdicts, with its fixed slack
+    ``STRUCTURAL``, for one rectangle list of the domain ``key``."""
+    kern = _Kernel(polygon(key[0]), partition(*key), rects)
+    return kern.inside(0, kern.locate(pw), pu, pw)
+
+
 class TestMembershipKernel:
-    """The searchsorted kernel against the dense oracle and the scalar
+    """The kernel's membership test against the dense oracle and the scalar
     ``domain_contains``."""
 
     @settings(max_examples=80, deadline=None)
@@ -582,7 +590,7 @@ class TestMembershipKernel:
         states = data.draw(st.lists(st.tuples(angle, angle), min_size=1,
                                     max_size=40))
         pu, pw = np.array(states).T
-        got = _Membership(rects, tol)(pu, pw)
+        got = kernel_member(key, rects, pu, pw)
         assert got.tolist() == dense_member(rects, pu, pw, tol).tolist()
         if which == "attractor":
             dom = domain(*key)
@@ -596,7 +604,7 @@ class TestMembershipKernel:
         tol = STRUCTURAL
         pu, pw = stressed_states(rects, tol, 20_000,
                                  np.random.default_rng(len(rects)))
-        got = _Membership(rects, tol)(pu, pw)
+        got = kernel_member(key, rects, pu, pw)
         assert np.array_equal(got, dense_member(rects, pu, pw, tol))
 
     def test_sliver_widens_window(self):
@@ -615,17 +623,19 @@ class TestMembershipKernel:
         _check_tiling(tuple(rects))
         sliver = rects[i + 1]
         assert sliver.w_arc.sweep < tol
-        kernel = _Membership(rects, tol)
-        assert len(kernel.offsets) == 4          # p = 2 either way
+        kernel = _Kernel(polygon(MANY_BLOCKS),
+                         partition(MANY_BLOCKS, "midpoint"), rects)
+        assert len(kernel.offsets[0]) == 4       # p = 2 either way
         rng = np.random.default_rng(0)
         pu = rng.uniform(0.0, TAU, 50_000)
         pw = (sliver.w_arc.start.theta
               + rng.uniform(-3 * tol, 3 * tol, pu.size)) % TAU
         want = dense_member(rects, pu, pw, tol)
-        assert np.array_equal(kernel(pu, pw), want)
+        j = kernel.locate(pw)
+        assert np.array_equal(kernel.inside(0, j, pu, pw), want)
         # the widening matters: a window of one neighbour misses states
-        kernel.offsets = [1, len(rects) - 1]
-        assert not np.array_equal(kernel(pu, pw), want)
+        kernel.offsets[0] = [1, len(rects) - 1]
+        assert not np.array_equal(kernel.inside(0, j, pu, pw), want)
 
     def test_tiling_violation_raises(self):
         rects = domain(MODULAR, "midpoint").rects
@@ -670,7 +680,7 @@ def cut_distance(part, theta):
 
 
 class TestStepKernel:
-    """The vectorized ``_Step`` against the scalar ``Partition.cell_of`` and
+    """The kernel's step against the scalar ``Partition.cell_of`` and
     ``F_apply``, away from the cut points where the two may pick either
     neighbouring cell."""
 
@@ -682,7 +692,8 @@ class TestStepKernel:
         part = partition(*key)
         thetas = [t for t in thetas if cut_distance(part, t) > 1e-9]
         assume(thetas)
-        cells = _Step(polygon(key[0]), part).cells(np.array(thetas))
+        kern = _Kernel(polygon(key[0]), part)
+        cells = kern.cell[kern.locate(np.array(thetas))]
         assert cells.tolist() == [part.cell_of(t) for t in thetas]
 
     @settings(max_examples=60, deadline=None)
@@ -697,9 +708,86 @@ class TestStepKernel:
                   and angular_distance(u, w) > 1e-9]
         assume(states)
         tu, tw = np.array(states).T
-        _, (pu, pw) = _Step(poly, part)(np.exp(1j * np.stack([tu, tw])), tw)
+        kern = _Kernel(poly, part)
+        _, (pu, pw), _ = kern.step(np.exp(1j * np.stack([tu, tw])),
+                                   kern.locate(tw))
         for (u, w), su, sw in zip(states, pu, pw):
             _, u2, w2 = F_apply(poly, part, BoundaryPoint.from_angle(u),
                                 BoundaryPoint.from_angle(w))
             assert angular_distance(u2.theta, su) < 1e-12
             assert angular_distance(w2.theta, sw) < 1e-12
+
+
+# the acceptance signatures under the named partitions, and one seeded
+# custom partition
+FUSED_CASES = [(t, m) for t in SIGNATURES for m in MODES] + [
+    ("2;2,5,8;2", "custom")]
+
+
+def fused_case(key):
+    """Polygon, partition and attractor of ``key``; "custom" draws each
+    elliptic cut uniformly on 0.02-0.98 of its [P, Q] arc from a fixed
+    seed, inside the guarantee range."""
+    text, mode = key
+    poly = polygon(text)
+    if mode != "custom":
+        return poly, partition(text, mode), domain(text, mode)
+    rng = np.random.default_rng(16)
+    cuts = {}
+    for k in poly.elliptic_indices():
+        lo, hi = poly.aux[k].P.theta, poly.aux[k].Q.theta
+        cuts[k] = (lo + rng.uniform(0.02, 0.98) * ((hi - lo) % TAU)) % TAU
+    part = make_partition(poly, "custom", cuts)
+    return poly, part, build_attractor(poly, part)
+
+
+class TestFusedLookup:
+    """The kernel's one breakpoint lookup per step against the two separate
+    lookups of ``oracles``, on the cut points for the step and on the
+    w-starts for the candidate rectangle: the same cells, candidates and
+    states, bit for bit."""
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_cell_and_candidate_near_breakpoints(self, key):
+        poly, part, dom = fused_case(key)
+        lists = [list(dom.rects), phi_set(poly, part)]
+        kern = _Kernel(poly, part, *lists)
+        b = kern.breaks
+        near = np.concatenate([
+            np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+            (b[:, None] + np.linspace(-3, 3, 25) * STRUCTURAL).ravel()])
+        pw = np.concatenate([[0.0, TAU], near % TAU])
+        j = kern.locate(pw)
+        cells = two_lookup_cell(part, pw)
+        assert np.array_equal(kern.cell[j], cells)
+        assert np.array_equal(kern.coef[0][j],
+                              np.array([g.a for g in poly.generators])[cells])
+        for i, rects in enumerate(lists):
+            assert np.array_equal(kern.cand[i][j],
+                                  two_lookup_candidate(rects, pw))
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_states_match_two_lookups(self, key):
+        poly, part, dom = fused_case(key)
+        kern = _Kernel(poly, part, dom.rects)
+        z, j = kern.start(np.random.default_rng(500).uniform(0.0, TAU,
+                                                              (2, 500)))
+        ref, ref_w = z, np.angle(z[1]) % TAU
+        for _ in range(300):
+            z, ang, j = kern.step(z, j)
+            ref, want = two_lookup_step(poly, part, ref, ref_w)
+            ref_w = want[1]
+            assert np.array_equal(z, ref) and np.array_equal(ang, want)
+            assert np.array_equal(kern.inside(0, j, *ang),
+                                  dense_member(dom.rects, *ang, STRUCTURAL))
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_two_pi_takes_the_last_cell(self, key):
+        # the kernel's convention; Partition.cell_of wraps 2pi to 0 instead
+        # (cell 0, or the next cell when cell 0 is empty), and the two
+        # differ only on this measure-zero set
+        poly, part, _ = fused_case(key)
+        kern = _Kernel(poly, part)
+        cells = kern.cell[kern.locate(np.array([0.0, TAU]))].tolist()
+        assert cells == [part.cell_of(0.0), part.n - 1]
+        assert part.cell_of(TAU) == part.cell_of(0.0) != part.n - 1
