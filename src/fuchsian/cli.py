@@ -130,7 +130,7 @@ def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon,
                 part: Partition) -> Report:
     report = validate_polygon(poly)
     dom = _attractor(cfg, poly, part) if cfg.attractor_svg_out else None
-    _write(cfg.json_out, poly.to_json())
+    _write(cfg.json_out, json.dumps(poly.to_dict(), indent=2))
     if cfg.svg_out:
         _write(cfg.svg_out, render_polygon(poly, part, FigureSpec()))
     if dom:

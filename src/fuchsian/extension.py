@@ -8,12 +8,7 @@ Membership on rectangle edges counts as inside; all tiling statements hold
 up to angular measure zero.  The strip of an order >= 3 block is a fan cut
 by the rotation orbits of the block's cut point; one helper computes those
 orbits for both the attractor strip and the exceptional rectangles.
-
-The simulation runs on arrays of states through one step-and-membership
-kernel built per call: one binary search on w per step finds both the
-gluing of the next step and each rectangle list's one candidate, and only a
-window of neighbours fixed by the data is rechecked, with the verdicts of
-testing every rectangle.
+Simulations hash their start states and run one kernel built per call.
 
 The record ``DEFAULT`` sets only the bounds of the checks: the rectangles,
 the tiling test and the membership slack use the fixed constants.
@@ -22,6 +17,7 @@ the tiling test and the membership slack use the fixed constants.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,10 +50,6 @@ class AttractorDomain:
     strips: tuple[tuple[Rect, ...], ...]   # per block
     info: tuple[StripInfo, ...]
     guarantee: bool                        # all elliptic cuts inside [P, Q]
-
-    @property
-    def measure(self) -> float:
-        return sum(r.area for r in self.rects)
 
 
 # rectangles per uniform strip; order 2 is a single rectangle because its
@@ -392,12 +384,37 @@ class EntryTrace:
     entry_w: float = math.nan
 
 
-def _draw_pair(seed: int, index: int, buffer: float) -> tuple[float, float]:
-    rng = np.random.default_rng([seed, index])
-    while True:
-        tu, tw = rng.uniform(0.0, TAU, size=2)
-        if angular_distance(tu, tw) >= buffer:
-            return tu, tw
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the increment gamma and
+# the finalizer mix, on uint64 arrays, whose arithmetic wraps
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> 31)
+
+
+def _draws(seed: int, samples: int, buffer: float) -> np.ndarray:
+    """Start angles (u, w) of samples 0 .. samples - 1, 2 x samples: angle c
+    of sample i on retry r is 2pi 2^-53 (h >> 11), h the SplitMix64 output
+    mix(key + (n + 1) gamma) at counter n = i 2^32 + 2r + c, redrawn with
+    r + 1 within ``buffer`` of the diagonal.  The seed's 64-bit limbs, low
+    first, fold into the key by key <- mix(key + gamma + limb) from 0."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    key = np.zeros(1, np.uint64)
+    for s in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix64(key + _GAMMA + np.uint64(seed >> s & (1 << 64) - 1))
+    out, todo, retry = np.empty((2, samples)), np.arange(samples), 0
+    coord = np.arange(2, dtype=np.uint64)[:, None]
+    while todo.size:
+        n1 = (todo.astype(np.uint64) << 32) + np.uint64(2 * retry + 1) + coord
+        out[:, todo] = ang = (_mix64(key + n1 * _GAMMA) >> 11) * (TAU / 2**53)
+        d = np.abs(ang[0] - ang[1])
+        todo, retry = todo[np.minimum(d, TAU - d) < buffer], retry + 1
+    return out
 
 
 class _Kernel:
@@ -406,21 +423,24 @@ class _Kernel:
     States are the columns of 2 x N arrays: ``z`` holds (u, w) as unit
     complex numbers, ``ang`` their angles in [0, 2pi].  ``breaks`` sorts {0},
     the lifted cut points and every list's w-starts; ``locate`` finds by one
-    ``searchsorted`` the interval [breaks[j - 1], breaks[j]) of w.  The cell
-    of w and each list's candidate (the last w-start at or before w,
-    wrapping) are constant there, so flat tables hold at j their values at
-    its left end: the gluing's a, b, conj(b), conj(a), and the candidate's
-    starts and ``tol``-widened sweeps.  The j of a step's new w serves its
-    membership test and the next step.  At w = 2pi the kernel takes the last
-    cell and ``Partition.cell_of`` the cell of 0: a measure-zero set.
+    ``searchsorted`` the interval [breaks[j - 1], breaks[j]) of w, on which
+    the cell of w and each list's candidate (the last w-start at or before
+    w, wrapping) are constant.  Column j of the tables holds their values at
+    its left end: ``coef`` the gluing's a, b, conj(b), conj(a), and per list
+    the candidate's (u, w) starts and widened sweeps.  At w = 2pi the kernel
+    takes the last cell and ``Partition.cell_of`` the cell of 0.
 
     Membership is closed with ``tol`` = ``STRUCTURAL`` on both coordinates.
-    A state outside its candidate is rechecked on the neighbours up to p
-    places either way in w-start order, p the least count such that any p
-    consecutive rectangles skip an arc gap over 2 * tol.  The w-arcs tile
-    the circle (``build_attractor`` checks the attractor; the escape set's
-    are the cells), so no rectangle outside that window passes the widened
-    w-test: the verdicts are those of testing every rectangle.
+    The w-arcs tile the circle with junctions within ``SAME_POINT``
+    (``_check_tiling``; the escape set's are the cells).  So at w-offset d
+    from its candidate c's start, a state passes the widened w-test of an
+    earlier rectangle only if d <= tol + ``SAME_POINT``, of a later one only
+    if d >= sweep(c) - tol - ``SAME_POINT``.  A state that fails c with
+    d <= s or d >= sweep(c) - s, s = tol + ``SAME_POINT`` + ``WRAP`` (the
+    offsets' rounding), is rechecked on the neighbours up to p places either
+    way in w-start order, p the least count such that any p consecutive
+    rectangles skip an arc gap over 2 * tol; no other rectangle can pass the
+    widened w-test, so the verdicts are those of testing every rectangle.
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
@@ -438,8 +458,8 @@ class _Kernel:
         self.cell = np.clip(np.searchsorted(cuts, left, side="right") - 1,
                             0, part.n - 1)
         a, b = np.array([(g.a, g.b) for g in poly.generators])[self.cell].T
-        self.coef = a, b, np.conj(b), np.conj(a)
-        self.lo = TAU - tol
+        self.coef = np.stack([a, b, np.conj(b), np.conj(a)])
+        self.lo, self.near = TAU - tol, tol + SAME_POINT + WRAP
         self.cand, self.rows, self.table, self.offsets = [], [], [], []
         for r in rows:
             ws, n = r[2], r.shape[1]
@@ -450,10 +470,11 @@ class _Kernel:
                                         (lifted[p + 1:p + 1 + n] - ends).min()
                                         ) <= 2 * tol:
                 p += 1
-            r[1::2] += tol
+            # (u, w) starts and widened sweeps, per rectangle and per j
+            start, hi = r[0::2], r[1::2] + tol
             self.cand.append((np.searchsorted(ws, left, side="right") - 1) % n)
-            self.rows.append(tuple(r))
-            self.table.append(tuple(r[:, self.cand[-1]]))
+            self.rows.append((start, hi))
+            self.table.append((start[:, self.cand[-1]], hi[:, self.cand[-1]]))
             self.offsets.append(sorted({k % n for k in range(-p, p + 1)} - {0}))
 
     def locate(self, pw: np.ndarray) -> np.ndarray:
@@ -468,7 +489,7 @@ class _Kernel:
     def step(self, z: np.ndarray, j: np.ndarray):
         """Map the states z, whose w lie in intervals ``j``, by the gluing of
         the cell of w; return the new states, their angles and their j."""
-        a, b, b_bar, a_bar = (c[j] for c in self.coef)
+        a, b, b_bar, a_bar = self.coef.take(j, axis=1)
         z = (a * z + b) / (b_bar * z + a_bar)
         # renormalize: modulus drift would otherwise amplify exponentially
         z /= np.abs(z)
@@ -476,28 +497,28 @@ class _Kernel:
         ang += TAU * (ang < 0)
         return z, ang, self.locate(ang[1])
 
-    def _test(self, us, u_hi, ws, w_hi, pu, pw) -> np.ndarray:
-        # angles and starts lie in [0, 2pi]: one wrap gives the ccw offset
-        du, dw = pu - us, pw - ws
-        du += TAU * (du < 0)
-        dw += TAU * (dw < 0)
-        return (((du <= u_hi) | (du >= self.lo))
-                & ((dw <= w_hi) | (dw >= self.lo)))
+    def _test(self, table, idx, ang):
+        """(mask, w-offsets, widened w-sweeps) of ``ang`` in columns idx;
+        angles and starts lie in [0, 2pi], so one wrap gives the offsets."""
+        start, hi = (t.take(idx, axis=1) for t in table)
+        d = ang - start
+        d += TAU * (d < 0)
+        return ((d <= hi) | (d >= self.lo)).all(axis=0), d[1], hi[1]
 
-    def inside(self, i: int, j, pu, pw) -> np.ndarray:
-        """Mask of the states (pu, pw), w in intervals j, in list i."""
-        ok = self._test(*(t[j] for t in self.table[i]), pu, pw)
+    def inside(self, i: int, j, ang: np.ndarray) -> np.ndarray:
+        """Mask of the states at angles ``ang``, w in intervals j, in list i."""
+        ok, dw, w_hi = self._test(self.table[i], j, ang)
         if ok.all():
             return ok
-        todo = np.flatnonzero(~ok)
-        rows, cand = self.rows[i], self.cand[i][j[todo]]
+        todo = np.flatnonzero(~ok & ((dw <= self.near)
+                                     | (dw >= w_hi - STRUCTURAL - self.near)))
+        cand, n = self.cand[i][j[todo]], len(self.rows[i][0][0])
         for k in self.offsets[i]:
-            nb = (cand + k) % len(rows[0])
-            hit = self._test(*(r[nb] for r in rows), pu[todo], pw[todo])
-            ok[todo[hit]] = True
-            todo, cand = todo[~hit], cand[~hit]
             if todo.size == 0:
                 break
+            hit = self._test(self.rows[i], (cand + k) % n, ang[:, todo])[0]
+            ok[todo[hit]] = True
+            todo, cand = todo[~hit], cand[~hit]
         return ok
 
 
@@ -506,42 +527,43 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
                    buffer: float = 1e-6) -> list[EntryTrace]:
     """Iterate random plane points until they enter the attractor.
 
-    Sampling is uniform in both angles outside a diagonal buffer; each
-    sample's stream is derived from (seed, sample index), so results are
-    reproducible and order-independent.
+    Sampling is uniform in both angles outside a diagonal buffer, from the
+    SplitMix64 hash of (seed, sample index, retry), so a sample depends on
+    the non-negative integer seed and its index alone; these draws differ
+    from those of the earlier per-sample numpy generators.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     # a redraw needs angular_distance >= buffer, and that distance is at most pi
     if not 0 <= buffer < math.pi:
         raise ValueError(f"buffer must lie in [0, pi), got {buffer!r}")
-    drawn = np.array([_draw_pair(seed, i, buffer) for i in range(samples)]).T
+    drawn = _draws(seed, samples, buffer)
 
     kern = _Kernel(poly, part, dom.rects, phi_set(poly, part))
     K, esc = np.full((2, samples), -1, dtype=np.int64)
     entry = np.full((2, samples), np.nan)
 
-    def record(n, live, j, pu, pw):
+    def record(n, live, j, ang):
         """Mark first entries and escapes at step n; mask the still live."""
         todo = np.flatnonzero(K[live] < 0)
         if todo.size:
-            hit = todo[kern.inside(0, j[todo], pu[todo], pw[todo])]
+            hit = todo[kern.inside(0, j[todo], ang[:, todo])]
             K[live[hit]] = n
-            entry[:, live[hit]] = pu[hit], pw[hit]
+            entry[:, live[hit]] = ang[:, hit]
         todo = np.flatnonzero(esc[live] < 0)
         if todo.size:
-            esc[live[todo[~kern.inside(1, j[todo], pu[todo], pw[todo])]]] = n
+            esc[live[todo[~kern.inside(1, j[todo], ang[:, todo])]]] = n
         return (K[live] < 0) | (esc[live] < 0)
 
     live = np.flatnonzero(record(0, np.arange(samples), kern.locate(drawn[1]),
-                                 *drawn))
+                                 drawn))
     # the live states only, compacted after every step
     z, j = kern.start(drawn[:, live])
     for n in range(1, max_iters + 1):
         if live.size == 0:
             break
         z, ang, j = kern.step(z, j)
-        keep = record(n, live, j, *ang)
+        keep = record(n, live, j, ang)
         live, z, j = live[keep], z[:, keep], j[keep]
 
     return [EntryTrace(i, u0, w0, k, e, k >= 0, eu, ew)
@@ -561,7 +583,7 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     exits = 0
     for _ in range(steps):
         z, ang, j = kern.step(z, j)
-        exits += j.size - int(np.count_nonzero(kern.inside(0, j, *ang)))
+        exits += j.size - int(np.count_nonzero(kern.inside(0, j, ang)))
     return exits
 
 

@@ -15,7 +15,6 @@ as its ideal ends, P_i and Q_{i+1} of ``aux``.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -74,9 +73,6 @@ class Signature:
     def area_excess(self) -> float:
         return (2 * self.genus - 2 + self.cusps
                 + sum(1.0 - 1.0 / m for m in self.orders))
-
-    def hyperbolic_area(self) -> float:
-        return TAU * self.area_excess()
 
     @property
     def ell(self) -> int:
@@ -230,9 +226,6 @@ class MarkedPolygon:
         return {"signature": str(self.signature), "ell": self.ell,
                 "N": self.n_sides, "string": str(self.string),
                 "vertices": verts, "generators": gens, "aux": aux}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def build_canonical(sig: Signature) -> MarkedPolygon:
@@ -428,7 +421,7 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
 
     # (e) Gauss-Bonnet: (N-2)pi - angle sum against the signature area
     area_measured = (n - 2) * math.pi - sum(measured.values())
-    area_formula = sig.hyperbolic_area()
+    area_formula = TAU * sig.area_excess()
     res = abs(area_measured - area_formula)
     checks["area"] = Check(res, DEFAULT.residual, f"area={area_formula!r}")
 

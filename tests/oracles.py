@@ -14,7 +14,8 @@ midpoint ``AuxPoints.M``; ``markov_full_walk`` refines the partition by
 every cut-point orbit walked in full, where ``markov_check`` stops each
 orbit at the first cut it lands on; ``orthogonal_circle`` finds the circle
 of a geodesic by a linear solve of its two incidence equations, where
-``mobius`` uses closed forms.
+``mobius`` uses closed forms; ``scalar_draws`` is the counter-based draw of
+``extension._draws`` one angle at a time in Python integers.
 """
 
 import cmath
@@ -63,6 +64,50 @@ def two_lookup_candidate(rects, pw: np.ndarray) -> np.ndarray:
     before each w-angle, the last one before the first start."""
     ws = np.sort([r.w_arc.start.theta for r in rects])
     return (np.searchsorted(ws, pw, side="right") - 1) % len(ws)
+
+
+# -- counter-based draws -------------------------------------------------------
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(x: int) -> int:
+    """SplitMix64's finalizer on one 64-bit integer (Steele, Lea and Flood,
+    OOPSLA 2014)."""
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & M64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & M64
+    return x ^ (x >> 31)
+
+
+def scalar_draws(seed: int, samples: int,
+                 buffer: float) -> list[tuple[float, float]]:
+    """Start angles (u, w) of samples 0 .. samples - 1, one at a time.
+
+    The key folds the seed's 64-bit limbs, low first, from 0 by
+    key <- mix(key + gamma + limb).  Angle c of sample i on retry r is the
+    top 53 bits of mix(key + (n + 1) gamma), n = i 2^32 + 2r + c, times
+    2pi 2^-53; a pair within ``buffer`` of the diagonal is drawn again with
+    r + 1.
+    """
+    key, rest = 0, seed
+    while True:
+        key = splitmix64((key + GAMMA + (rest & M64)) & M64)
+        rest >>= 64
+        if not rest:
+            break
+    out = []
+    for i in range(samples):
+        r = 0
+        while True:
+            tu, tw = ((splitmix64((key + ((i << 32) + 2 * r + c + 1) * GAMMA)
+                                  & M64) >> 11) * 2.0 ** -53 * TAU
+                      for c in (0, 1))
+            if angular_distance(tu, tw) >= buffer:
+                break
+            r += 1
+        out.append((tu, tw))
+    return out
 
 
 # -- closed membership ---------------------------------------------------------

@@ -209,6 +209,15 @@ class TestSimulateCommand:
         assert run(["simulate", "--signature", "0;2,3;1",
                     "--samples", "0"]) == 2
 
+    def test_negative_seed_exit_two_writes_no_file(self, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        code = run(["simulate", "--signature", "0;2,3;1", "--seed", "-1",
+                    "--report", str(rep)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: seed must be a non-negative integer, got -1")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("buffer", ["4", "nan"])
     def test_buffer_no_draw_can_clear_exit_two(self, buffer, capsys):
         # a draw must lie at least buffer from the diagonal, at most pi

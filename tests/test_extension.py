@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 from conftest import (MODES, SIGNATURES, measure, open_arc_cut, partition,
                       polygon)
-from oracles import (F_apply, domain_contains, two_lookup_candidate,
-                     two_lookup_cell, two_lookup_step)
+from oracles import (GAMMA, F_apply, domain_contains, scalar_draws,
+                     splitmix64, two_lookup_candidate, two_lookup_cell,
+                     two_lookup_step)
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       exceptional_set, make_partition, phi_set,
                       simulate_entry, tolerances, verify_bijectivity)
 from fuchsian.arcs import DirectedArc, Rect
-from fuchsian.extension import (_check_tiling, _Kernel, rect_image,
-                                traces_to_csv, verify_exceptional)
+from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
+                                rect_image, traces_to_csv, verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
-from fuchsian.tolerances import STRUCTURAL
+from fuchsian.tolerances import SAME_POINT, STRUCTURAL
 
 MODULAR = "0;2,3;1"
 # a scale-set signature: 15 blocks, 65 rectangles under midpoint
@@ -246,7 +247,8 @@ class TestBijectivity:
             imgs = []
             for r in dom.rects:
                 imgs.extend(rect_image(poly, part, r))
-            assert abs(measure(np.logical_or, imgs) - dom.measure) < 1e-9
+            assert abs(measure(np.logical_or, imgs)
+                       - sum(r.area for r in dom.rects)) < 1e-9
 
     def test_random_guaranteed_cuts(self):
         rng = np.random.default_rng(77)
@@ -524,6 +526,76 @@ class TestSimulation:
             simulate_entry(dom.poly, dom.part, dom, samples=1, seed=1,
                            buffer=buffer)
 
+    def test_rejects_negative_seed(self):
+        dom = domain(MODULAR, "midpoint")
+        with pytest.raises(ValueError, match="seed .* got -1"):
+            simulate_entry(dom.poly, dom.part, dom, samples=1, seed=-1)
+
+
+def chi2_sf(x, dof):
+    """P(X > x) for X chi-squared with ``dof`` degrees of freedom: one minus
+    the series of the regularized lower incomplete gamma P(dof/2, x/2)."""
+    a, h = dof / 2, x / 2
+    term = total = math.exp(a * math.log(h) - h - math.lgamma(a + 1))
+    n = 0
+    while term > 1e-18 * total:
+        n += 1
+        term *= h / (a + n)
+        total += term
+    return 1.0 - total
+
+
+class TestDraws:
+    """The counter-based draw against the scalar reference in Python
+    integers, bit for bit."""
+
+    def test_known_answer(self):
+        # the first four outputs of the SplitMix64 reference generator from
+        # state 0 (Steele, Lea and Flood): the draw's key 0, counters 0-3
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+                0xF88BB8A8724C81EC]
+        k = np.arange(1, 5, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _mix64(k * np.uint64(GAMMA))
+        assert got.tolist() == want
+        assert [splitmix64(int(x) * GAMMA % 2**64) for x in k] == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64 + 5])
+    def test_matches_scalar_reference(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _draws(seed, 257, 1e-6)
+        assert np.array_equal(got, np.array(scalar_draws(seed, 257, 1e-6)).T)
+        d = np.abs(got[0] - got[1])
+        assert (np.minimum(d, TAU - d) >= 1e-6).all()
+
+    def test_forced_retries(self):
+        # a pair clears 3.0 with odds (pi - 3) / pi: about 95 % are redrawn
+        got = _draws(11, 257, 3.0)
+        assert np.array_equal(got, np.array(scalar_draws(11, 257, 3.0)).T)
+        d = np.abs(got[0] - got[1])
+        assert (np.minimum(d, TAU - d) >= 3.0).all()
+        first = _draws(11, 257, 0.0)
+        assert (got != first).any(axis=0).mean() > 0.9
+
+    def test_prefix_stable(self):
+        assert np.array_equal(_draws(3, 10, 1e-6),
+                              _draws(3, 1000, 1e-6)[:, :10])
+
+    def test_wide_seed_differs_from_its_low_limb(self):
+        a, b = _draws(2**64 + 5, 50, 1e-6), _draws(5, 50, 1e-6)
+        assert (a != b).all()
+
+    def test_uniform_chi_squared(self):
+        # 10^5 angles of each coordinate over 64 equal bins; the test fails
+        # with probability 1e-6 per coordinate on truly uniform draws
+        expected = 100_000 / 64
+        for row in _draws(2024, 100_000, 1e-6):
+            counts = np.bincount((row * (64 / TAU)).astype(int), minlength=64)
+            stat = float(((counts - expected) ** 2).sum() / expected)
+            assert counts.size == 64 and chi2_sf(stat, 63) > 1e-6
+
 
 def dense_member(rects, pu, pw, tol):
     """Test-side oracle: the closed test against every rectangle."""
@@ -568,7 +640,7 @@ def kernel_member(key, rects, pu, pw):
     """The kernel's membership verdicts, with its fixed slack
     ``STRUCTURAL``, for one rectangle list of the domain ``key``."""
     kern = _Kernel(polygon(key[0]), partition(*key), rects)
-    return kern.inside(0, kern.locate(pw), pu, pw)
+    return kern.inside(0, kern.locate(pw), np.stack([pu, pw]))
 
 
 class TestMembershipKernel:
@@ -632,10 +704,57 @@ class TestMembershipKernel:
               + rng.uniform(-3 * tol, 3 * tol, pu.size)) % TAU
         want = dense_member(rects, pu, pw, tol)
         j = kernel.locate(pw)
-        assert np.array_equal(kernel.inside(0, j, pu, pw), want)
+        assert np.array_equal(kernel.inside(0, j, np.stack([pu, pw])), want)
         # the widening matters: a window of one neighbour misses states
         kernel.offsets[0] = [1, len(rects) - 1]
-        assert not np.array_equal(kernel.inside(0, j, pu, pw), want)
+        assert not np.array_equal(kernel.inside(0, j, np.stack([pu, pw])), want)
+
+    @pytest.mark.parametrize("which", ["attractor", "phi"])
+    @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
+    def test_window_filter_near_breakpoints(self, key, which):
+        # w within 3 (STRUCTURAL + SAME_POINT) of every breakpoint, where
+        # the recheck filter decides; u uniform or near a rectangle edge
+        rects = kernel_rects(key, which)
+        kern = _Kernel(polygon(key[0]), partition(*key), rects)
+        rng = np.random.default_rng(len(rects) + 1)
+        span = 3 * (STRUCTURAL + SAME_POINT)
+        pw = (kern.breaks[:, None] + np.linspace(-span, span, 41)).ravel()
+        pw = np.repeat(pw % TAU, 8)
+        pu = np.where(rng.integers(0, 2, pw.size) == 1,
+                      rng.uniform(0.0, TAU, pw.size),
+                      (rng.choice(edge_angles(rects), pw.size)
+                       + rng.uniform(-3 * STRUCTURAL, 3 * STRUCTURAL,
+                                     pw.size)) % TAU)
+        got = kern.inside(0, kern.locate(pw), np.stack([pu, pw]))
+        assert np.array_equal(got, dense_member(rects, pu, pw, STRUCTURAL))
+
+    def test_junction_overlap_rechecked(self):
+        # stretch one w-arc 0.9 SAME_POINT past the next start, a junction
+        # _check_tiling accepts: a state in that overlap, under the
+        # stretched rectangle's u-arc only, fails its candidate (the next
+        # rectangle) at a w-offset above STRUCTURAL and passes only the
+        # stretched one, so the recheck filter needs its SAME_POINT term
+        rects = list(domain(MANY_BLOCKS, "midpoint").rects)
+        rects.sort(key=lambda r: r.w_arc.start.theta)
+        i = next(i for i, (r, s) in enumerate(zip(rects, rects[1:]))
+                 if r.u_arc.sweep < TAU - 0.1 and s.w_arc.sweep > 1e-3
+                 and s.u_arc.start.theta != r.u_arc.start.theta)
+        r, nxt = rects[i], rects[i + 1]
+        rects[i] = Rect(r.u_arc, DirectedArc.from_angles(
+            r.w_arc.start.theta, r.w_arc.sweep + 0.9 * SAME_POINT),
+            r.block, r.gamma_index)
+        _check_tiling(tuple(rects))
+        kern = _Kernel(polygon(MANY_BLOCKS),
+                       partition(MANY_BLOCKS, "midpoint"), rects)
+        rng = np.random.default_rng(3)
+        pu = (r.u_arc.start.theta
+              + rng.uniform(0.0, r.u_arc.sweep, 20_000)) % TAU
+        pw = nxt.w_arc.start.theta + rng.uniform(2 * STRUCTURAL,
+                                                 0.9 * SAME_POINT, pu.size)
+        want = dense_member(rects, pu, pw, STRUCTURAL)
+        assert (want & ~dense_member([nxt], pu, pw, STRUCTURAL)).sum() > 100
+        assert np.array_equal(
+            kern.inside(0, kern.locate(pw), np.stack([pu, pw])), want)
 
     def test_tiling_violation_raises(self):
         rects = domain(MODULAR, "midpoint").rects
@@ -650,14 +769,14 @@ class TestMembershipKernel:
             _check_tiling((shifted,) + rects[1:])
 
     @pytest.mark.parametrize("text, seed, samples, expected", [
-        (MODULAR, 2024, 12, [(0, 0), (10, 10), (0, 0), (3, 3), (0, 0),
-                             (0, 0), (0, 0), (0, 0), (2, 1), (2, 1), (1, 1),
-                             (0, 0)]),
-        ("1;2,3,7;2", 5, 12, [(4, 4)] + [(0, 0)] * 11),
-        (MANY_BLOCKS, 1, 8, [(0, 0), (0, 0), (1, 1)] + [(0, 0)] * 5),
+        (MODULAR, 2024, 12, [(0, 0), (0, 0), (6, 5), (1, 1), (2, 1), (0, 0),
+                             (0, 0), (0, 0), (0, 0), (2, 1), (0, 0), (0, 0)]),
+        ("1;2,3,7;2", 5, 12, [(0, 0)] * 12),
+        (MANY_BLOCKS, 1, 8, [(0, 0), (0, 0), (2, 2)] + [(0, 0)] * 5),
     ])
     def test_entry_traces_pinned(self, text, seed, samples, expected):
-        # stored from the dense membership test that the kernel replaced
+        # stored from the scalar path: F_apply from the same draws, with
+        # domain_contains for entry and dense_member on phi_set for escape
         dom = domain(text, "midpoint")
         traces = simulate_entry(dom.poly, dom.part, dom, samples=samples,
                                 seed=seed)
@@ -665,9 +784,10 @@ class TestMembershipKernel:
         assert check_forward_invariance(dom.poly, dom.part, dom, traces,
                                         steps=50) == 0
         if text == MODULAR:
-            stored = {1: ("0x1.f6a4f7c0a99bap+1", "0x1.3c25755f1283ap+1"),
-                      3: ("0x1.6eb48a0e7ecc3p+2", "0x1.b5876280fb677p-2"),
-                      8: ("0x1.3d56bb640ee2ep+2", "0x1.cbb20270a0b43p+0")}
+            stored = {2: ("0x1.3bc2e95f2b338p+2", "0x1.352da3cbedf6fp+1"),
+                      3: ("0x1.0117487be352ep+2", "0x1.f26cab7f08d98p+0"),
+                      4: ("0x1.352fe327213c1p+2", "0x1.77019b45b6e87p+1"),
+                      9: ("0x1.504304705e68fp+2", "0x1.a420211096340p-3")}
             for i, (u, w) in stored.items():
                 assert traces[i].entry_u == pytest.approx(float.fromhex(u),
                                                           abs=1e-12)
@@ -778,7 +898,7 @@ class TestFusedLookup:
             ref, want = two_lookup_step(poly, part, ref, ref_w)
             ref_w = want[1]
             assert np.array_equal(z, ref) and np.array_equal(ang, want)
-            assert np.array_equal(kern.inside(0, j, *ang),
+            assert np.array_equal(kern.inside(0, j, ang),
                                   dense_member(dom.rects, *ang, STRUCTURAL))
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)

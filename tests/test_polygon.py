@@ -366,7 +366,7 @@ class TestSerialization:
         assert {"index", "kind", "re", "im"} <= set(d["vertices"][0])
         assert {"index", "a", "b", "pairs_with"} <= set(d["generators"][0])
         assert {"index", "P", "Q", "M"} == set(d["aux"][0])
-        json.loads(polygon("2;2,5,8;2").to_json())
+        json.loads(json.dumps(d))
 
 
 class TestRotationPowers:
