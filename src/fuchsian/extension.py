@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
-from .arcs import (DirectedArc, Rect, _intervals, _overlap_lengths,
-                   box_measure, ccw_sweep, clip_boxes, max_pairwise_overlap,
-                   rect_boxes)
+from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _column_areas,
+                   _covered, _overlap_lengths, box_measure, ccw_sweep,
+                   clip_intervals, max_pairwise_overlap, rect_boxes,
+                   seam_split, union_by_group)
 from .boundary import CycleData, Partition, cycle
 from .errors import NotElliptic, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
@@ -50,6 +51,8 @@ class AttractorDomain:
     strips: tuple[tuple[Rect, ...], ...]   # per block
     info: tuple[StripInfo, ...]
     guarantee: bool                        # all elliptic cuts inside [P, Q]
+    # ``rects`` as arrays, row for row
+    arrays: RectArray = field(compare=False, repr=False)
 
 
 # rectangles per uniform strip; order 2 is a single rectangle because its
@@ -135,7 +138,7 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     rects = tuple(r for strip in strips for r in strip)
     _check_tiling(rects)
     return AttractorDomain(poly, part, rects, tuple(strips), tuple(info),
-                           part.in_guarantee_range())
+                           part.in_guarantee_range(), RectArray.of(rects))
 
 
 def _check_tiling(rects: tuple[Rect, ...]) -> None:
@@ -152,33 +155,87 @@ def _check_tiling(rects: tuple[Rect, ...]) -> None:
 
 # -- imaging and bijectivity ---------------------------------------------------
 
+# rectangles per slice of the cut search: bounds its temporaries at
+# _SPLIT_ROWS times the number of cuts
+_SPLIT_ROWS = 4096
 
-def _arc_image(g, arc: DirectedArc) -> DirectedArc:
-    if arc.is_full_circle:
-        return DirectedArc.from_angles(g.apply_angle(arc.start.theta), TAU)
-    return DirectedArc.ccw(g.apply_boundary(arc.start),
-                           g.apply_boundary(arc.end))
+
+def _normalize(theta: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` of each angle."""
+    t = np.mod(theta, TAU)
+    t[t >= TAU - WRAP] = 0.0
+    return t
+
+
+def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
+           cuts: np.ndarray, first: int = 0):
+    """Row (counted from ``first``), start and end angle, and sweep of each
+    piece of the w-arcs from ws to we, in row order and along each arc.
+
+    An arc is cut at each cut more than 1e-11 inside it; an arc without
+    inner cuts is one piece of its own sweep, and of the pieces of a cut arc
+    those under 1e-13 are dropped.
+    """
+    d = (cuts - ws[:, None]) % TAU
+    inner = (d > 1e-11) & (d < sweep[:, None] - 1e-11)
+    count = inner.sum(axis=1)
+    k = int(count.max(initial=0))
+    # row i's bounds: its start, its inner cuts along the arc, its end
+    bounds = np.empty((len(ws), k + 2))
+    bounds[:, 0] = ws
+    bounds[:, 1:k + 1] = cuts[np.argsort(np.where(inner, d, np.inf),
+                                         axis=1)[:, :k]]
+    bounds[np.arange(len(ws)), count + 1] = we
+    piece = np.arange(k + 1) <= count[:, None]
+    rows = np.nonzero(piece)[0]
+    lo, hi = bounds[:, :-1][piece], bounds[:, 1:][piece]
+    whole = count[rows] == 0
+    out = np.where(whole, sweep[rows], (hi - lo) % TAU)
+    keep = whole | (out >= 1e-13)
+    return rows[keep] + first, lo[keep], hi[keep], out[keep]
+
+
+def image_rects(poly: MarkedPolygon, part: Partition,
+                rs: RectArray) -> RectArray:
+    """Forward images of the rectangles, each split at the cut points inside
+    its w-arc so that one gluing carries each piece; pieces come in row
+    order and along each w-arc.
+
+    A cut within 1e-11 of an end of the w-arc is not inside it, and pieces
+    under 1e-13 are dropped.  Each piece takes the gluing of the cell
+    (``Partition.cell_of``) of its midpoint and maps the stored endpoints of
+    both arcs by it; a full arc stays full, from the image of its start.
+    Raises ``ValueError`` for an arc of sweep at most ``WRAP``, as
+    ``DirectedArc`` does.
+    """
+    cuts = np.array(sorted(set(part.thetas)))
+    rows, lo, hi, sweep = (np.concatenate(x) for x in zip(*(
+        _split(*rs.theta[s:s + _SPLIT_ROWS, 2:].T,
+               rs.sweep[s:s + _SPLIT_ROWS, 1], cuts, s)
+        for s in range(0, max(len(rs), 1), _SPLIT_ROWS))))
+    # Partition.cell_of of each piece's midpoint
+    lifted = np.array(part.lifted)
+    mid = np.mod(_normalize(lo + 0.5 * sweep) - lifted[0], TAU) + lifted[0]
+    cell = np.maximum(np.searchsorted(lifted[:part.n], mid, side="right") - 1,
+                      0)
+    ab = np.array([(g.a, g.b) for g in poly.generators])[cell]
+    a, b = ab[:, :1], ab[:, 1:]
+    # columns u-start, u-end, w-start, w-end
+    z = np.exp(1j * np.column_stack([rs.theta[rows, :2], lo, hi]))
+    img = _normalize(np.angle((a * z + b) / (np.conj(b) * z + np.conj(a))))
+    start, end = img[:, 0::2], img[:, 1::2]
+    full = np.column_stack([rs.sweep[rows, 0], sweep]) >= TAU - WRAP
+    out = np.where(full, TAU, (end - start) % TAU)
+    if not ((sweep > WRAP).all() and (out > WRAP).all()):
+        raise ValueError("an imaged arc has sweep at most WRAP")
+    end = np.where(full, _normalize(start + TAU), end)
+    return RectArray(np.stack([start, end], axis=2).reshape(-1, 4), out,
+                     rs.block[rows], cell)
 
 
 def rect_image(poly: MarkedPolygon, part: Partition, rect: Rect) -> list[Rect]:
-    """Forward image of a closed rectangle, split at interior cut points so
-    that each piece is carried by a single transformation."""
-    cuts = sorted(set(part.thetas))
-    inner = rect.w_arc.interior_angles(cuts, tol=1e-11)
-    bounds = [rect.w_arc.start.theta] + inner + [rect.w_arc.end.theta]
-    out = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        sweep = (hi - lo) % TAU
-        if not inner:
-            sweep = rect.w_arc.sweep
-        elif sweep < 1e-13:
-            continue
-        piece = DirectedArc.from_angles(lo, sweep)
-        k = part.cell_of(piece.midpoint_angle())
-        g = poly.generators[k]
-        out.append(Rect(_arc_image(g, rect.u_arc), _arc_image(g, piece),
-                        rect.block, k))
-    return out
+    """``image_rects`` of one rectangle, as ``Rect`` objects."""
+    return image_rects(poly, part, RectArray.of([rect])).rects()
 
 
 @dataclass(frozen=True)
@@ -203,24 +260,62 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     Verifies (i) forward images are pairwise interior-disjoint, (ii) their
     union reproduces the domain up to measure zero, and (iii) each block's
     horizontal strip maps exactly onto the domain's vertical band over that
-    block's sector.  The domain and the images become box arrays once; each
-    band is clipped from the domain's array.
-    """
-    images_by_block = [[img for r in strip
-                        for img in rect_image(poly, part, r)]
-                       for strip in dom.strips]
-    overlap = max_pairwise_overlap([img for imgs in images_by_block
-                                    for img in imgs])
-    image_boxes = [rect_boxes(imgs) for imgs in images_by_block]
-    domain = rect_boxes(dom.rects)
-    sym = box_measure(np.concatenate(image_boxes), domain, np.logical_xor)
+    block's sector: block b's residual is |images_b xor (domain and
+    band_b)|.
 
-    sector = TAU / poly.ell
-    strip_res = []
-    for blk, boxes in zip(poly.blocks, image_boxes):
-        band = DirectedArc.from_angles(blk.base_angle, sector)
-        strip_res.append(box_measure(boxes, clip_boxes(domain, band),
-                                     np.logical_xor))
+    Every rectangle is imaged in one pass.  One grid holds the images, the
+    domain and the band edges; the domain's coverage is marked on it once.
+    The bands tile the circle in u, so the images, each clipped to its own
+    block's band, xor the domain give every block's in-band residual on one
+    coverage, summed per band.  To that each block adds the union measure of
+    its image parts outside its band, all blocks on one more grid; in a
+    bijective case these are rounding slivers at the band edges.
+    """
+    images = image_rects(poly, part, dom.arrays)
+    u, w = images.intervals()
+    overlap = max_pairwise_overlap(u, w)
+
+    base = np.array([blk.base_angle for blk in poly.blocks])
+    bands = seam_split(base, np.full(len(base), TAU / poly.ell))
+    # each band's complement in [0, 2pi], with the band's own edges
+    one = bands[:, 1, 1] <= bands[:, 1, 0]
+    gaps = np.zeros_like(bands)
+    gaps[:, 0, 0] = np.where(one, 0.0, bands[:, 1, 1])
+    gaps[:, 0, 1] = bands[:, 0, 0]
+    gaps[:, 1, 0] = np.where(one, bands[:, 0, 1], 0.0)
+    gaps[:, 1, 1] = np.where(one, TAU, 0.0)
+    inside = rect_boxes(clip_intervals(u, bands[images.block]), w)
+    outside = clip_intervals(u, gaps[images.block])
+    stray = (outside[:, :, 1] > outside[:, :, 0]).any(axis=1)
+    strays = rect_boxes(outside[stray], w[stray])
+
+    # one grid of every image, domain and band edge
+    domain = rect_boxes(*dom.arrays.intervals())
+    boxes = np.concatenate([inside, strays, domain])
+    xs = _breakpoints(np.concatenate([boxes[:, :2].ravel(), bands.ravel()]))
+    ys = _breakpoints(boxes[:, 2:])
+    covered = _covered(domain, xs, ys)
+    image = _covered(inside, xs, ys)
+    columns = _column_areas(image ^ covered, xs, ys)
+    # the image parts outside their bands, painted over the clipped images
+    for i0, i1, j0, j1 in np.column_stack([
+            np.searchsorted(xs, strays[:, :2]),
+            np.searchsorted(ys, strays[:, 2:])]).tolist():
+        image[i0:i1, j0:j1] = True
+    sym = float(_column_areas(image ^ covered, xs, ys).sum())
+
+    # the band of each column: the last band interval starting at or before
+    # its midpoint
+    real = (bands[:, :, 1] > bands[:, :, 0]).ravel()
+    starts = bands[:, :, 0].ravel()[real]
+    order = np.argsort(starts, kind="stable")
+    owner = np.repeat(np.arange(len(base)), 2)[real][order]
+    col = owner[np.searchsorted(starts[order], 0.5 * (xs[:-1] + xs[1:]),
+                                side="right") - 1]
+    strip = (np.bincount(col, weights=columns, minlength=len(base))
+             + union_by_group(outside[stray], w[stray], images.block[stray],
+                              len(base)))
+    strip_res = strip.tolist()
 
     return BijectivityReport(
         str(poly.signature), part.mode, dom.guarantee, strip_res, checks={
@@ -316,55 +411,54 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
 
     Checks the nesting of successive lower rectangles inside the forward
     images of the first one, and that every piece of both fans lands inside
-    the attractor within the cycle length plus two steps.
+    the attractor within the cycle length plus two steps; ``escaped`` is the
+    measure of the union of the pieces left then, outside the attractor.
     """
-    hats = exceptional_set(poly, part, k)
+    hats = RectArray.of(exceptional_set(poly, part, k))
     tol = DEFAULT.residual
     blk = poly.block_of_side(k % poly.n_sides)
     data = dom.info[blk.index].cycle
-    lower = [r for r in hats if r.gamma_index == blk.side_start]
-    upper = [r for r in hats if r.gamma_index == blk.side_start + 1]
-    dom_u = _intervals([r.u_arc for r in dom.rects])
-    dom_w = _intervals([r.w_arc for r in dom.rects])
+    lower = hats.take(hats.gamma == blk.side_start)
+    upper = hats.take(hats.gamma == blk.side_start + 1)
+    dom_u, dom_w = dom.arrays.intervals()
 
-    def escaping(region: list[Rect]) -> np.ndarray:
+    def escaping(region: RectArray) -> np.ndarray:
         """Area of each piece outside the attractor: its rectangles are
         interior-disjoint (their w-arcs tile the circle), so the area inside
         is the sum of the piece's u- times w-overlaps with each."""
-        u = _intervals([r.u_arc for r in region])
-        w = _intervals([r.w_arc for r in region])
-        out = np.array([r.area for r in region])
+        u, w = region.intervals()
+        out = region.area
         for s in range(0, len(region), _PIECES):
             out[s:s + _PIECES] -= (
                 _overlap_lengths(u[s:s + _PIECES], dom_u)
                 * _overlap_lengths(w[s:s + _PIECES], dom_w)).sum(axis=1)
         return out
 
-    def images(region: list[Rect]) -> list[Rect]:
-        return [img for r in region for img in rect_image(poly, part, r)]
-
     worst = 0.0
-    region = lower[:1]
-    for rect in lower[1:]:
+    region = lower.take(slice(0, 1))
+    for i in range(1, len(lower)):
         # the region's pieces can overlap, so it is measured as a union
-        region = images(region)
-        worst = max(worst, rect.area - box_measure(
-            rect_boxes([rect]), rect_boxes(region), np.logical_and))
+        region = image_rects(poly, part, region)
+        rect = lower.take(slice(i, i + 1))
+        worst = max(worst, float(rect.area[0]) - box_measure(
+            rect_boxes(*rect.intervals()), rect_boxes(*region.intervals()),
+            np.logical_and))
 
-    escaped = 0.0
+    left = [np.empty((0, 4))]
     steps = 0
     # without hats (order 2) there is no first piece and no cycle data
-    for first in (lower[:1] + upper[:1]):
-        region = [first]
+    for region in [f.take(slice(0, 1)) for f in (lower, upper) if len(f)]:
         for step in range(max(data.J, data.I) + 3):
-            remaining = [r for r, out in zip(region, escaping(region))
-                         if out > tol]
-            if not remaining:
+            remaining = region.take(escaping(region) > tol)
+            if not len(remaining):
                 break
-            region = images(remaining)
+            region = image_rects(poly, part, remaining)
             steps = max(steps, step + 1)
         else:
-            escaped += float(np.maximum(escaping(region), 0.0).sum())
+            left.append(rect_boxes(*region.take(
+                escaping(region) > tol).intervals()))
+    escaped = box_measure(np.concatenate(left), rect_boxes(dom_u, dom_w),
+                          np.greater)
     return ExceptionalReport(steps, checks={"containment": Check(worst, tol),
                                             "escaped": Check(escaped, tol)})
 
@@ -534,9 +628,10 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    # a redraw needs angular_distance >= buffer, and that distance is at most pi
-    if not 0 <= buffer < math.pi:
-        raise ValueError(f"buffer must lie in [0, pi), got {buffer!r}")
+    # a draw is kept when angular_distance >= buffer, with odds 1 - buffer/pi:
+    # up to pi/2 at least half the draws are kept, near pi almost none
+    if not 0 <= buffer <= math.pi / 2:
+        raise ValueError(f"buffer must lie in [0, pi/2], got {buffer!r}")
     drawn = _draws(seed, samples, buffer)
 
     kern = _Kernel(poly, part, dom.rects, phi_set(poly, part))

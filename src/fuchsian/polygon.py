@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import DirectedArc, _intervals, _overlap_lengths
+from .arcs import DirectedArc, _overlap_lengths, seam_split
 from .tolerances import DEFAULT, Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
@@ -339,8 +339,10 @@ def _disjointness(poly: MarkedPolygon, tol: float) -> Check:
     whose ideal arc runs counter-clockwise from P_i to Q_{i+1}; two caps are
     disjoint exactly when their arcs share at most an endpoint."""
     n = poly.n_sides
-    arcs = _intervals([DirectedArc.ccw(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
-                       for i in range(n)])
+    caps = [DirectedArc.ccw(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+            for i in range(n)]
+    arcs = seam_split(np.array([c.start.theta for c in caps]),
+                      np.array([c.sweep for c in caps]))
     overlap = _overlap_lengths(arcs, arcs)
     rows = np.arange(n)
     overlap[rows, rows] = 0.0

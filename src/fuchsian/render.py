@@ -157,12 +157,15 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
                 f'x2="{_f(margin + side)}" y2="{_f(y0)}" stroke="#eeeeee" '
                 f'stroke-width="1.0"/>')
 
-    for r in dom.rects:
+    # each rectangle's seam-split intervals, without the padding
+    u, w = ([[(lo, hi) for lo, hi in ints if hi > lo] for ints in x.tolist()]
+            for x in dom.arrays.intervals())
+    for r, u_ints, w_ints in zip(dom.rects, u, w):
         color = block_color(r.block)
         svg.add(f'<g class="omega-rect" data-block="{r.block}" '
                 f'data-gamma="{r.gamma_index}">')
-        for ulo, uhi in r.u_arc.intervals():
-            for wlo, whi in r.w_arc.intervals():
+        for ulo, uhi in u_ints:
+            for wlo, whi in w_ints:
                 x, _ = to_px(ulo, 0.0)
                 _, y = to_px(0.0, whi)
                 svg.add(f'<rect x="{_f(x)}" y="{_f(y)}" '

@@ -1,7 +1,8 @@
 import pytest
 
 from fuchsian import Signature, build_canonical, geodesic_circle, make_partition
-from fuchsian.arcs import box_measure, rect_boxes
+from fuchsian.arcs import (RectArray, box_measure, max_pairwise_overlap,
+                           rect_boxes)
 from fuchsian.mobius import TAU
 
 # the six-signature regression set used throughout
@@ -11,6 +12,9 @@ MODES = ["left", "right", "midpoint"]
 # the scale set of bench/workloads.py: 29 to 144 rectangles
 SCALE = ["3;2,5,9;3", "6;2,3,5,7,11,13;4", "10;3,4,5,6,7,8,9,10;6",
          "20;2,3,17,29;8"]
+# the scale set and four larger signatures, up to 510 rectangles
+LADDER = SCALE + ["30;2,3,5,7,11,13,17,19,23;10", "15;2,2,2,3,3,3,4,4,4;20",
+                  "0;" + ",".join(map(str, range(3, 33))) + ";1", "60;;1"]
 
 # random cuts of 0;2,2;2 whose vertex-1 orbit never closes, so the Markov
 # check fails on its step budget
@@ -45,11 +49,21 @@ def open_arc_cut(poly, k, fraction):
     return (lo + fraction * (sweep or TAU)) % TAU
 
 
+def boxes(rects):
+    """``rect_boxes`` of a rectangle list."""
+    return rect_boxes(*RectArray.of(rects).intervals())
+
+
 def measure(op, rects_a, rects_b=()):
     """Angular area where ``op(in a, in b)`` holds: ``np.logical_or`` gives
     the union, ``np.logical_and`` the intersection, ``np.logical_xor`` the
     symmetric difference."""
-    return box_measure(rect_boxes(rects_a), rect_boxes(rects_b), op)
+    return box_measure(boxes(rects_a), boxes(rects_b), op)
+
+
+def overlap(rects):
+    """``max_pairwise_overlap`` of a rectangle list."""
+    return max_pairwise_overlap(*RectArray.of(rects).intervals())
 
 
 @pytest.fixture(params=SIGNATURES)

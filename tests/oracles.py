@@ -15,7 +15,12 @@ every cut-point orbit walked in full, where ``markov_check`` stops each
 orbit at the first cut it lands on; ``orthogonal_circle`` finds the circle
 of a geodesic by a linear solve of its two incidence equations, where
 ``mobius`` uses closed forms; ``scalar_draws`` is the counter-based draw of
-``extension._draws`` one angle at a time in Python integers.
+``extension._draws`` one angle at a time in Python integers;
+``scalar_rect_image`` images one rectangle at a time, where
+``extension.image_rects`` images a whole list on arrays, and
+``per_block_bijectivity`` measures each block's strip residual on its own
+grid against the domain clipped to the block's band, where
+``verify_bijectivity`` takes every residual from one grid.
 """
 
 import cmath
@@ -26,9 +31,11 @@ import numpy as np
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
                       geodesic_circle, orbit)
+from fuchsian.arcs import box_measure, max_pairwise_overlap
 from fuchsian.boundary import MarkovReport
-from fuchsian.mobius import TAU, angular_distance
-from fuchsian.tolerances import DEFAULT, SAME_POINT, STRUCTURAL, Check
+from fuchsian.mobius import TAU, angular_distance, normalize_angle
+from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
+                                 Check)
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -108,6 +115,107 @@ def scalar_draws(seed: int, samples: int,
             r += 1
         out.append((tu, tw))
     return out
+
+
+# -- scalar imaging and the per-block bijectivity check ------------------------
+
+
+def arc_intervals(arc: DirectedArc) -> list[tuple[float, float]]:
+    """The arc as 1 or 2 plain intervals within [0, 2pi]."""
+    lo = arc.start.theta % TAU
+    hi = lo + arc.sweep
+    if hi <= TAU + 1e-15:
+        return [(lo, min(hi, TAU))]
+    return [(lo, TAU), (0.0, hi - TAU)]
+
+
+def interior_angles(arc: DirectedArc, angles, tol: float) -> list[float]:
+    """The angles more than ``tol`` inside the arc, ordered along it."""
+    out = []
+    for t in angles:
+        d = (t - arc.start.theta) % TAU
+        if tol < d < arc.sweep - tol:
+            out.append((d, t))
+    return [t for _, t in sorted(out)]
+
+
+def _arc_image(g, arc: DirectedArc) -> DirectedArc:
+    if arc.sweep >= TAU - WRAP:
+        return DirectedArc.from_angles(g.apply_angle(arc.start.theta), TAU)
+    return DirectedArc.ccw(g.apply_boundary(arc.start),
+                           g.apply_boundary(arc.end))
+
+
+def scalar_rect_image(poly: MarkedPolygon, part: Partition,
+                      rect: Rect) -> list[Rect]:
+    """Forward image of a closed rectangle, split at the cut points more
+    than 1e-11 inside its w-arc so that each piece is carried by a single
+    transformation; pieces under 1e-13 are dropped."""
+    cuts = sorted(set(part.thetas))
+    inner = interior_angles(rect.w_arc, cuts, 1e-11)
+    bounds = [rect.w_arc.start.theta] + inner + [rect.w_arc.end.theta]
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        sweep = (hi - lo) % TAU
+        if not inner:
+            sweep = rect.w_arc.sweep
+        elif sweep < 1e-13:
+            continue
+        piece = DirectedArc.from_angles(lo, sweep)
+        k = part.cell_of(normalize_angle(piece.start.theta + 0.5 * sweep))
+        g = poly.generators[k]
+        out.append(Rect(_arc_image(g, rect.u_arc), _arc_image(g, piece),
+                        rect.block, k))
+    return out
+
+
+def boxes_of(rects) -> np.ndarray:
+    """(m, 4) plain boxes, the products of each rectangle's intervals."""
+    return np.array([(ulo, uhi, wlo, whi) for r in rects
+                     for ulo, uhi in arc_intervals(r.u_arc)
+                     for wlo, whi in arc_intervals(r.w_arc)]).reshape(-1, 4)
+
+
+def intervals_of(arcs) -> np.ndarray:
+    """(n, 2, 2) padded ``arc_intervals`` of the arcs."""
+    out = np.zeros((len(arcs), 2, 2))
+    for i, arc in enumerate(arcs):
+        ints = arc_intervals(arc)
+        out[i, :len(ints)] = ints
+    return out
+
+
+def clip_to_band(boxes: np.ndarray, band: DirectedArc) -> np.ndarray:
+    """The boxes intersected with ``band x S``; pieces at most 1e-13 wide
+    in u are dropped."""
+    pieces = []
+    for lo, hi in arc_intervals(band):
+        cut = boxes.copy()
+        cut[:, :2] = np.clip(boxes[:, :2], lo, hi)
+        pieces.append(cut[cut[:, 1] - cut[:, 0] > 1e-13])
+    return np.concatenate(pieces)
+
+
+def per_block_bijectivity(poly: MarkedPolygon, part: Partition,
+                          dom: AttractorDomain):
+    """(image_overlap, symmetric_difference, strip_residuals, passed) of
+    the per-block check: scalar images, block b's residual the symmetric
+    difference of its images and the domain clipped to its band, each on a
+    grid of its own."""
+    images = [[img for r in strip for img in scalar_rect_image(poly, part, r)]
+              for strip in dom.strips]
+    flat = [img for imgs in images for img in imgs]
+    overlap = max_pairwise_overlap(intervals_of([r.u_arc for r in flat]),
+                                   intervals_of([r.w_arc for r in flat]))
+    domain = boxes_of(dom.rects)
+    sym = box_measure(boxes_of(flat), domain, np.logical_xor)
+    strips = [box_measure(boxes_of(imgs), clip_to_band(domain, DirectedArc.
+                          from_angles(blk.base_angle, TAU / poly.ell)),
+                          np.logical_xor)
+              for blk, imgs in zip(poly.blocks, images)]
+    passed = (overlap < DEFAULT.overlap and sym < DEFAULT.residual
+              and max(strips) < DEFAULT.residual)
+    return overlap, sym, strips, passed
 
 
 # -- closed membership ---------------------------------------------------------

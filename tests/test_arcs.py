@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import measure
-from oracles import arc_contains
+from conftest import boxes, measure, overlap
+from oracles import arc_contains, arc_intervals
 
-from fuchsian.arcs import (DirectedArc, Rect, clip_boxes,
-                           max_pairwise_overlap, rect_boxes)
+from fuchsian.arcs import (DirectedArc, Rect, RectArray, clip_intervals,
+                           rect_boxes, seam_split, union_by_group)
+from fuchsian.extension import _split
 from fuchsian.mobius import TAU, BoundaryPoint
 
 
@@ -25,7 +26,7 @@ def u_overlap(a1, a2):
     """Overlap length of two u-arcs, read through a pair of rectangles on
     one w-arc of sweep 1."""
     w = arc(0.0, 1.0)
-    return max_pairwise_overlap([Rect(a1, w, 0, 0), Rect(a2, w, 0, 0)])
+    return overlap([Rect(a1, w, 0, 0), Rect(a2, w, 0, 0)])
 
 
 # -- test-side oracle: the slab sweep and the pairwise loop --------------------
@@ -55,7 +56,7 @@ def sweep_slabs(rect_sets):
     cuts = {0.0, TAU}
     for rects in rect_sets:
         for r in rects:
-            for lo, hi in r.u_arc.intervals():
+            for lo, hi in arc_intervals(r.u_arc):
                 cuts.add(lo)
                 cuts.add(hi)
     xs = sorted(cuts)
@@ -67,8 +68,8 @@ def sweep_slabs(rect_sets):
         for rects in rect_sets:
             w_ints = []
             for r in rects:
-                if any(a <= mid <= b for a, b in r.u_arc.intervals()):
-                    w_ints.extend(r.w_arc.intervals())
+                if any(a <= mid <= b for a, b in arc_intervals(r.u_arc)):
+                    w_ints.extend(arc_intervals(r.w_arc))
             covers.append(merge(w_ints))
         yield hi - lo, covers
 
@@ -97,9 +98,9 @@ def pairwise_overlap_loop(rects):
     for i, r in enumerate(rects):
         for s in rects[i + 1:]:
             worst = max(worst, interval_intersection_length(
-                r.u_arc.intervals(), s.u_arc.intervals())
+                arc_intervals(r.u_arc), arc_intervals(s.u_arc))
                 * interval_intersection_length(
-                r.w_arc.intervals(), s.w_arc.intervals()))
+                arc_intervals(r.w_arc), arc_intervals(s.w_arc)))
     return worst
 
 
@@ -133,21 +134,30 @@ class TestDirectedArc:
     def test_full_circle(self):
         a = DirectedArc.ccw(BoundaryPoint.from_angle(1.0),
                             BoundaryPoint.from_angle(1.0), full_if_equal=True)
-        assert a.is_full_circle and arc_contains(a, 4.0)
+        assert a.sweep == TAU and arc_contains(a, 4.0)
 
     def test_zero_sweep_rejected(self):
         with pytest.raises(ValueError):
             arc(1.0, 0.0)
 
     def test_intervals_split_at_seam(self):
-        ints = arc(6.0, 1.0).intervals()
-        assert len(ints) == 2
-        assert abs(ints[0][1] - TAU) < 1e-15 and ints[1][0] == 0.0
+        ints = seam_split(np.array([6.0, 1.0]), np.array([1.0, 2.0]))
+        assert abs(ints[0, 0, 1] - TAU) < 1e-15 and ints[0, 1, 0] == 0.0
+        assert ints[0, 1, 1] > 0.0
+        # one interval, padded with the empty one
+        assert ints[1].tolist() == [[1.0, 3.0], [0.0, 0.0]]
 
     def test_interior_angles_ordered(self):
-        a = arc(5.5, 2.0)
-        inner = a.interior_angles([0.2, 6.0, 5.6, 1.4, 1.2])
-        assert inner == [5.6, 6.0, 0.2, 1.2]
+        # the w-arc from 5.5 of sweep 2 is cut at the inner cuts in order
+        # along it; 1.4 lies beyond its end
+        end = (5.5 + 2.0) % TAU
+        rows, lo, hi, sweep = _split(np.array([5.5]), np.array([end]),
+                                     np.array([2.0]),
+                                     np.sort([0.2, 6.0, 5.6, 1.4, 1.2]))
+        assert lo.tolist() == [5.5, 5.6, 6.0, 0.2, 1.2]
+        assert hi.tolist() == [5.6, 6.0, 0.2, 1.2, end]
+        assert rows.tolist() == [0] * 5
+        assert abs(sweep.sum() - 2.0) < 1e-12
 
     def test_overlap_length(self):
         assert abs(u_overlap(arc(0.0, 2.0), arc(1.0, 2.0)) - 1.0) < 1e-12
@@ -161,12 +171,12 @@ class TestMeasure:
     def test_disjoint_union(self):
         rs = [rect(0, 1, 0, 1), rect(2, 1, 2, 1)]
         assert abs(measure(np.logical_or, rs) - 2.0) < 1e-12
-        assert max_pairwise_overlap(rs) == 0.0
+        assert overlap(rs) == 0.0
 
     def test_overlap_counted_once(self):
         rs = [rect(0, 2, 0, 2), rect(1, 2, 1, 2)]
         assert abs(measure(np.logical_or, rs) - 7.0) < 1e-12
-        assert abs(max_pairwise_overlap(rs) - 1.0) < 1e-12
+        assert abs(overlap(rs) - 1.0) < 1e-12
 
     def test_symmetric_difference(self):
         a = [rect(0, 2, 0, 2)]
@@ -183,33 +193,40 @@ class TestMeasure:
         b = [rect(1, 4, 1, 4)]
         assert abs(measure(np.logical_and, a, b) - 1.0) < 1e-12
 
+    @staticmethod
+    def clip(r, lo, sweep):
+        """Boxes of the rectangle r with its u-arc clipped to the band
+        (lo, sweep)."""
+        u, w = RectArray.of([r]).intervals()
+        band = seam_split(np.array([lo]), np.array([sweep]))
+        return rect_boxes(clip_intervals(u, band), w)
+
     def test_clip_to_band(self):
         r = rect(0, 3, 0, 1)
-        pieces = clip_boxes(rect_boxes([r]), arc(1.0, 1.0))
+        pieces = self.clip(r, 1.0, 1.0)
         assert len(pieces) == 1
         assert abs(pieces[0, 1] - pieces[0, 0] - 1.0) < 1e-12
-        assert tuple(pieces[0, 2:]) == r.w_arc.intervals()[0]
+        assert tuple(pieces[0, 2:]) == arc_intervals(r.w_arc)[0]
 
     def test_clip_band_wraps(self):
-        r = rect(0.0, TAU, 0, 1)
-        pieces = clip_boxes(rect_boxes([r]), arc(6.0, 1.0))
+        pieces = self.clip(rect(0.0, TAU, 0, 1), 6.0, 1.0)
         assert len(pieces) == 2
         assert abs((pieces[:, 1] - pieces[:, 0]).sum() - 1.0) < 1e-12
 
     def test_seam_split_boxes(self):
-        boxes = rect_boxes([rect(6.0, 1.0, 6.1, 0.5)])
-        assert len(boxes) == 4
-        assert boxes.min() == 0.0 and boxes.max() == TAU
+        b = boxes([rect(6.0, 1.0, 6.1, 0.5)])
+        assert len(b) == 4
+        assert b.min() == 0.0 and b.max() == TAU
 
     def test_full_torus(self):
         r = rect(1.0, TAU, 2.0, TAU)
         assert abs(measure(np.logical_or, [r]) - TAU * TAU) < 1e-12
-        assert abs(max_pairwise_overlap([r, r]) - TAU * TAU) < 1e-12
+        assert abs(overlap([r, r]) - TAU * TAU) < 1e-12
 
     def test_empty_sets(self):
         assert measure(np.logical_or, []) == 0.0
         assert measure(np.logical_xor, [], []) == 0.0
-        assert max_pairwise_overlap([]) == 0.0
+        assert overlap([]) == 0.0
 
 
 class TestMeasureMatchesSweep:
@@ -228,7 +245,17 @@ class TestMeasureMatchesSweep:
     @settings(max_examples=100, deadline=None)
     @given(rect_lists)
     def test_pairwise_overlap_bit_identical(self, rects):
-        assert max_pairwise_overlap(rects) == pairwise_overlap_loop(rects)
+        assert overlap(rects) == pairwise_overlap_loop(rects)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rect_lists, rect_lists)
+    def test_union_by_group(self, a, b):
+        # groups 0 and 2 on one grid, group 1 empty
+        u, w = RectArray.of(a + b).intervals()
+        got = union_by_group(u, w, np.repeat([0, 2], [len(a), len(b)]), 3)
+        assert got[1] == 0.0
+        assert abs(got[0] - sweep_union(a)) < 1e-12
+        assert abs(got[2] - sweep_union(b)) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(rect_lists)
@@ -239,5 +266,5 @@ class TestMeasureMatchesSweep:
         # more rectangles than one slice of the pair loop and the grid
         rng = np.random.default_rng(7)
         rects = [rect(*rng.uniform(0.0, TAU, 4)) for _ in range(150)]
-        assert max_pairwise_overlap(rects) == pairwise_overlap_loop(rects)
+        assert overlap(rects) == pairwise_overlap_loop(rects)
         assert abs(measure(np.logical_or, rects) - sweep_union(rects)) < 1e-12

@@ -220,12 +220,22 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("buffer", ["4", "nan"])
     def test_buffer_no_draw_can_clear_exit_two(self, buffer, capsys):
-        # a draw must lie at least buffer from the diagonal, at most pi
+        # a draw must lie at least buffer from the diagonal: at most pi/2
         code = run(["simulate", "--signature", "0;2,3;1",
                     "--buffer", buffer])
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "configuration error: buffer")
+
+    def test_buffer_near_pi_exit_two_writes_no_file(self, tmp_path, capsys):
+        # a buffer below pi that a draw clears only once in 75 tries
+        rep, runs = tmp_path / "r.json", tmp_path / "runs.csv"
+        code = run(["simulate", "--signature", "0;2,3;1", "--buffer", "3.1",
+                    "--report", str(rep), "--csv", str(runs)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: buffer must lie in [0, pi/2], got 3.1")
+        assert list(tmp_path.iterdir()) == []
 
     def test_survey_mode_exit_zero(self, capsys):
         code = run(["simulate", "--signature", "0;2,3;1",

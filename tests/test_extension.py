@@ -1,6 +1,7 @@
 """Natural extension: attractor structure, bijectivity, escape sets,
 seeded entry simulation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (MODES, SIGNATURES, measure, open_arc_cut, partition,
-                      polygon)
-from oracles import (GAMMA, F_apply, domain_contains, scalar_draws,
+from conftest import (LADDER, MODES, SCALE, SIGNATURES, measure,
+                      open_arc_cut, overlap, partition, polygon)
+from oracles import (GAMMA, F_apply, domain_contains, interior_angles,
+                     per_block_bijectivity, scalar_draws, scalar_rect_image,
                      splitmix64, two_lookup_candidate, two_lookup_cell,
                      two_lookup_step)
 
@@ -19,11 +21,12 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       exceptional_set, make_partition, phi_set,
                       simulate_entry, tolerances, verify_bijectivity)
-from fuchsian.arcs import DirectedArc, Rect
+from fuchsian.arcs import DirectedArc, Rect, RectArray
 from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
-                                rect_image, traces_to_csv, verify_exceptional)
+                                image_rects, rect_image, traces_to_csv,
+                                verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
-from fuchsian.tolerances import SAME_POINT, STRUCTURAL
+from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
 MODULAR = "0;2,3;1"
 # a scale-set signature: 15 blocks, 65 rectangles under midpoint
@@ -129,8 +132,7 @@ class TestAttractorStructure:
             dom = domain(text, "midpoint")
             for r in dom.rects:
                 assert r.u_arc.sweep > 1e-12 and r.w_arc.sweep > 1e-12
-            from fuchsian.arcs import max_pairwise_overlap
-            assert max_pairwise_overlap(list(dom.rects)) < 1e-12
+            assert overlap(list(dom.rects)) < 1e-12
 
     def test_w_arcs_tile_each_block_sector(self):
         dom = domain("2;2,5,8;2", "midpoint")
@@ -277,6 +279,90 @@ class TestBijectivity:
         assert rep.passed, rep.to_dict()
 
 
+def assert_same_images(poly, part, rects):
+    """``image_rects`` of the whole list against ``scalar_rect_image`` one
+    rectangle at a time: the same pieces with the same block and gluing,
+    endpoints and sweeps within 1e-12."""
+    got = image_rects(poly, part, RectArray.of(rects)).rects()
+    want = [img for r in rects for img in scalar_rect_image(poly, part, r)]
+    assert [(r.block, r.gamma_index) for r in got] == \
+        [(r.block, r.gamma_index) for r in want]
+    for g, w in zip(got, want):
+        for a, b in ((g.u_arc, w.u_arc), (g.w_arc, w.w_arc)):
+            assert angular_distance(a.start.theta, b.start.theta) < 1e-12
+            assert angular_distance(a.end.theta, b.end.theta) < 1e-12
+            assert abs(a.sweep - b.sweep) < 1e-12
+
+
+class TestArrayImaging:
+    """The array imaging and the one-grid residuals against the scalar
+    oracle and the per-block check of ``oracles``."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_matches_scalar_oracle(self, text, mode):
+        poly = polygon(text)
+        part = partition(text, mode)
+        assert_same_images(poly, part, build_attractor(poly, part).rects)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cuts_at_arc_ends(self, seed):
+        # seeded guaranteed cuts; a fan's w-arcs start and end at its cut
+        # point, and extra w-arcs end or start at a cut, within 5e-12 of
+        # one (not inside) or 5e-11 past one (inside)
+        text = ("0;3,3,4;2", "2;2,5,8;2", "1;2,3,7;2", MANY_BLOCKS)[seed]
+        poly = polygon(text)
+        rng = np.random.default_rng(seed)
+        custom = {}
+        for k in poly.elliptic_indices():
+            aux = poly.aux[k]
+            sweep = (aux.Q.theta - aux.P.theta) % TAU
+            custom[k] = (aux.P.theta + rng.uniform(0, 1) * sweep) % TAU
+        part = make_partition(poly, "custom", custom)
+        rects = list(build_attractor(poly, part).rects)
+        assert set(part.thetas) & {r.w_arc.end.theta for r in rects}
+        u = DirectedArc.from_angles(rng.uniform(0, TAU), 2.0)
+        for t in part.thetas:
+            for d in (0.0, 5e-12, -5e-12, 5e-11, -5e-11):
+                rects += [Rect(u, DirectedArc.from_angles(t + d - 0.3, 0.3),
+                               0, 0),
+                          Rect(u, DirectedArc.from_angles(t + d, 0.3), 0, 0)]
+        assert_same_images(poly, part, rects)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("text", SIGNATURES + LADDER)
+    def test_residuals_match_per_block_check(self, text, mode):
+        poly = polygon(text)
+        part = partition(text, mode)
+        dom = build_attractor(poly, part)
+        rep = verify_bijectivity(poly, part, dom)
+        overlap_, sym, strips, passed = per_block_bijectivity(poly, part, dom)
+        assert rep.passed == passed
+        assert abs(rep.image_overlap - overlap_) < 1e-13
+        assert abs(rep.symmetric_difference - sym) < 1e-12
+        assert len(rep.strip_residuals) == len(strips) == len(poly.blocks)
+        assert max(abs(a - b) for a, b in zip(rep.strip_residuals,
+                                              strips)) < 1e-12
+
+    @pytest.mark.parametrize("text", SIGNATURES)
+    def test_perturbed_gluing_fails(self, text):
+        # the gluing with the largest |b|, its b scaled by 1 + 1e-9 (the
+        # unit determinant no longer holds, so the constructor is bypassed)
+        poly = polygon(text)
+        part = partition(text, "midpoint")
+        dom = build_attractor(poly, part)
+        gens = list(poly.generators)
+        k = max(range(len(gens)), key=lambda i: abs(gens[i].b))
+        g = object.__new__(type(gens[k]))
+        object.__setattr__(g, "a", gens[k].a)
+        object.__setattr__(g, "b", gens[k].b * (1 + 1e-9))
+        gens[k] = g
+        bent = dataclasses.replace(poly, generators=tuple(gens))
+        assert verify_bijectivity(poly, part, dom).passed
+        assert not verify_bijectivity(bent, part, dom).passed
+        assert not per_block_bijectivity(bent, part, dom)[3]
+
+
 class TestPhiAndExceptional:
     def test_all_ideal_phi_is_diagonal_squares(self):
         poly = polygon("1;;1")
@@ -354,7 +440,8 @@ class TestPhiAndExceptional:
         rep = verify_exceptional(poly, part, 5, dom)
         assert rep.passed is False
         assert rep.checks["escaped"].passed is False
-        assert rep.checks["escaped"].residual > 0
+        # a measure of a part of the torus, not a sum over pieces
+        assert 0 < rep.checks["escaped"].residual <= TAU * TAU
         assert rep.steps_used == max(data.J, data.I) + 3
 
     def _first_lower_hat_target(self, text, mode, k):
@@ -407,7 +494,8 @@ class TestPhiAndExceptional:
             region = nxt
 
         def split_at_cuts(r):
-            inner = r.w_arc.interior_angles(sorted(set(part.thetas)))
+            inner = interior_angles(r.w_arc, sorted(set(part.thetas)),
+                                    WRAP)
             bounds = [r.w_arc.start.theta] + inner + [r.w_arc.end.theta]
             if not inner:
                 return [r]
@@ -516,15 +604,25 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_entry(dom.poly, dom.part, dom, samples=0, seed=1)
 
-    @pytest.mark.parametrize("buffer", [4.0, math.pi, math.nan])
+    @pytest.mark.parametrize("buffer", [4.0, math.pi, math.nan,
+                                        math.pi - 1e-9, math.pi / 2 + 1e-6])
     def test_rejects_buffer_no_draw_can_clear(self, buffer):
         # a draw is kept once its angular distance from the diagonal
-        # reaches buffer; that distance is at most pi, so the draw for such
-        # a buffer would never end
+        # reaches buffer, with odds 1 - buffer / pi: none past pi, and about
+        # one in 3e9 at pi - 1e-9; the bound pi / 2 keeps at least half, and
+        # the check comes before any draw
         dom = domain(MODULAR, "midpoint")
-        with pytest.raises(ValueError, match="buffer"):
+        with pytest.raises(ValueError,
+                           match=r"buffer must lie in \[0, pi/2\]"):
             simulate_entry(dom.poly, dom.part, dom, samples=1, seed=1,
                            buffer=buffer)
+
+    def test_buffer_half_pi_finishes(self):
+        dom = domain(MODULAR, "midpoint")
+        traces = simulate_entry(dom.poly, dom.part, dom, samples=64, seed=1,
+                                buffer=math.pi / 2)
+        assert all(angular_distance(t.u0, t.w0) >= math.pi / 2
+                   for t in traces)
 
     def test_rejects_negative_seed(self):
         dom = domain(MODULAR, "midpoint")
