@@ -96,15 +96,6 @@ class RectArray:
         return RectArray(self.theta[rows], self.sweep[rows], self.block[rows],
                          self.gamma[rows])
 
-    def rects(self) -> list[Rect]:
-        def arc(t0, t1, sweep):
-            return DirectedArc(BoundaryPoint.from_angle(t0),
-                               BoundaryPoint.from_angle(t1), sweep)
-        return [Rect(arc(u0, u1, su), arc(w0, w1, sw), b, g)
-                for (u0, u1, w0, w1), (su, sw), b, g in zip(
-                    self.theta.tolist(), self.sweep.tolist(),
-                    self.block.tolist(), self.gamma.tolist())]
-
     @property
     def area(self) -> np.ndarray:
         return self.sweep[:, 0] * self.sweep[:, 1]

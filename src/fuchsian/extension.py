@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _column_areas,
                    _covered, _overlap_lengths, box_measure, ccw_sweep,
                    clip_intervals, max_pairwise_overlap, rect_boxes,
-                   seam_split, union_by_group)
+                   union_by_group)
 from .boundary import CycleData, Partition, cycle
 from .errors import NotElliptic, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
@@ -61,11 +60,11 @@ class AttractorDomain:
 _UNIFORM_COUNT = {SQUARE: 4, INFINITY: 2, 2: 1}
 
 
-def _uniform_strip(poly: MarkedPolygon, blk: Block, count: int) -> list[Rect]:
-    """``count`` equal w-arcs of width h = 2pi / (count l) from the block's
-    start corner, each under the u-arc of sweep 2pi - h from the w-arc's end;
-    rectangle k is carried by side k of the block."""
-    h = TAU / (count * poly.ell)
+def _uniform_strip(blk: Block, count: int) -> list[Rect]:
+    """``count`` equal w-arcs of width h = ``Block.sweep`` / count from the
+    block's start corner, each under the u-arc of sweep 2pi - h from the
+    w-arc's end; rectangle k is carried by side k of the block."""
+    h = blk.sweep / count
     base = blk.base_angle
     return [Rect(DirectedArc.from_angles(base + (k + 1) * h, TAU - h),
                  DirectedArc.from_angles(base + k * h, h), blk.index,
@@ -86,7 +85,7 @@ def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
     data = cycle(poly, part, k)
     a = part.points[k]
     start = poly.vertices[blk.side_start].point
-    end = BoundaryPoint.from_angle(blk.base_angle + TAU / poly.ell)
+    end = BoundaryPoint.from_angle(blk.base_angle + blk.sweep)
     low_u = rotation_powers(poly, k, end, range(data.J + 1))
     up_u = rotation_powers(poly, k, start, range(0, -data.I - 1, -1))
     low_w = [a, *data.lower_points[:data.J], start]
@@ -117,9 +116,9 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     """Assemble the rectangle union, one horizontal strip per block.
 
     A quadruple, cusp or order-2 block has a uniform strip: ``count`` = 4, 2
-    or 1 equal w-arcs of width h = 2pi / (count l) tiling the block's sector,
-    each under the u-arc of sweep 2pi - h that starts where its w-arc ends.
-    An order m >= 3 block has the fan of ``_elliptic_strip``, I + J + 2
+    or 1 equal w-arcs of width h = ``Block.sweep`` / count tiling the block's
+    sector, each under the u-arc of sweep 2pi - h that starts where its w-arc
+    ends.  An order m >= 3 block has the fan of ``_elliptic_strip``, I + J + 2
     rectangles (m generically, m - 1 when the block's cycle is degenerate).
     Raises ``TilingViolation`` when the strips' w-arcs do not tile the
     circle.
@@ -129,7 +128,7 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     for blk in poly.blocks:
         count = _UNIFORM_COUNT.get(blk.symbol)
         if count:
-            rects, data = _uniform_strip(poly, blk, count), None
+            rects, data = _uniform_strip(blk, count), None
         else:
             rects, data = _elliptic_strip(poly, part, blk)
         strips.append(tuple(rects))
@@ -233,11 +232,6 @@ def image_rects(poly: MarkedPolygon, part: Partition,
                      rs.block[rows], cell)
 
 
-def rect_image(poly: MarkedPolygon, part: Partition, rect: Rect) -> list[Rect]:
-    """``image_rects`` of one rectangle, as ``Rect`` objects."""
-    return image_rects(poly, part, RectArray.of([rect])).rects()
-
-
 @dataclass(frozen=True)
 class BijectivityReport(Report):
     """Checks ``image_overlap``, ``symmetric_difference`` and
@@ -265,26 +259,27 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
 
     Every rectangle is imaged in one pass.  One grid holds the images, the
     domain and the band edges; the domain's coverage is marked on it once.
-    The bands tile the circle in u, so the images, each clipped to its own
-    block's band, xor the domain give every block's in-band residual on one
-    coverage, summed per band.  To that each block adds the union measure of
-    its image parts outside its band, all blocks on one more grid; in a
-    bijective case these are rounding slivers at the band edges.
+    The bands [base_angle, base_angle + ``Block.sweep``] run in block order
+    from 0 to 2pi, none across the seam, so they tile the circle in u and
+    one ``searchsorted`` finds the band of a grid column.  The images, each
+    clipped to its own block's band, xor the domain give every block's
+    in-band residual on one coverage, summed per band.  To that each block
+    adds the union measure of its image parts outside its band, all blocks
+    on one more grid; in a bijective case these are rounding slivers at the
+    band edges.
     """
     images = image_rects(poly, part, dom.arrays)
     u, w = images.intervals()
     overlap = max_pairwise_overlap(u, w)
 
-    base = np.array([blk.base_angle for blk in poly.blocks])
-    bands = seam_split(base, np.full(len(base), TAU / poly.ell))
-    # each band's complement in [0, 2pi], with the band's own edges
-    one = bands[:, 1, 1] <= bands[:, 1, 0]
-    gaps = np.zeros_like(bands)
-    gaps[:, 0, 0] = np.where(one, 0.0, bands[:, 1, 1])
-    gaps[:, 0, 1] = bands[:, 0, 0]
-    gaps[:, 1, 0] = np.where(one, bands[:, 0, 1], 0.0)
-    gaps[:, 1, 1] = np.where(one, TAU, 0.0)
-    inside = rect_boxes(clip_intervals(u, bands[images.block]), w)
+    # block b's band is the one interval [lo_b, hi_b]; its complement in
+    # [0, 2pi] is [0, lo_b] and [hi_b, 2pi]
+    lo = np.array([blk.base_angle for blk in poly.blocks])
+    hi = np.minimum(lo + [blk.sweep for blk in poly.blocks], TAU)
+    gaps = np.zeros((len(lo), 2, 2))
+    gaps[:, 0, 1], gaps[:, 1, 0], gaps[:, 1, 1] = lo, hi, TAU
+    inside = rect_boxes(clip_intervals(
+        u, np.stack([lo, hi], axis=1)[images.block, None]), w)
     outside = clip_intervals(u, gaps[images.block])
     stray = (outside[:, :, 1] > outside[:, :, 0]).any(axis=1)
     strays = rect_boxes(outside[stray], w[stray])
@@ -292,7 +287,7 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     # one grid of every image, domain and band edge
     domain = rect_boxes(*dom.arrays.intervals())
     boxes = np.concatenate([inside, strays, domain])
-    xs = _breakpoints(np.concatenate([boxes[:, :2].ravel(), bands.ravel()]))
+    xs = _breakpoints(np.concatenate([boxes[:, :2].ravel(), lo, hi]))
     ys = _breakpoints(boxes[:, 2:])
     covered = _covered(domain, xs, ys)
     image = _covered(inside, xs, ys)
@@ -304,17 +299,12 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
         image[i0:i1, j0:j1] = True
     sym = float(_column_areas(image ^ covered, xs, ys).sum())
 
-    # the band of each column: the last band interval starting at or before
-    # its midpoint
-    real = (bands[:, :, 1] > bands[:, :, 0]).ravel()
-    starts = bands[:, :, 0].ravel()[real]
-    order = np.argsort(starts, kind="stable")
-    owner = np.repeat(np.arange(len(base)), 2)[real][order]
-    col = owner[np.searchsorted(starts[order], 0.5 * (xs[:-1] + xs[1:]),
-                                side="right") - 1]
-    strip = (np.bincount(col, weights=columns, minlength=len(base))
+    # the band of each column: the last band starting at or before its
+    # midpoint
+    col = np.searchsorted(lo, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
+    strip = (np.bincount(col, weights=columns, minlength=len(lo))
              + union_by_group(outside[stray], w[stray], images.block[stray],
-                              len(base)))
+                              len(lo)))
     strip_res = strip.tolist()
 
     return BijectivityReport(
@@ -516,13 +506,14 @@ class _Kernel:
 
     States are the columns of 2 x N arrays: ``z`` holds (u, w) as unit
     complex numbers, ``ang`` their angles in [0, 2pi].  ``breaks`` sorts {0},
-    the lifted cut points and every list's w-starts; ``locate`` finds by one
-    ``searchsorted`` the interval [breaks[j - 1], breaks[j]) of w, on which
-    the cell of w and each list's candidate (the last w-start at or before
-    w, wrapping) are constant.  Column j of the tables holds their values at
-    its left end: ``coef`` the gluing's a, b, conj(b), conj(a), and per list
-    the candidate's (u, w) starts and widened sweeps.  At w = 2pi the kernel
-    takes the last cell and ``Partition.cell_of`` the cell of 0.
+    the lifted cut points and the w-starts of every rectangle list, each a
+    ``RectArray``; ``locate`` finds by one ``searchsorted`` the interval
+    [breaks[j - 1], breaks[j]) of w, on which the cell of w and each list's
+    candidate (the last w-start at or before w, wrapping) are constant.
+    Column j of the tables holds their values at its left end: ``coef`` the
+    gluing's a, b, conj(b), conj(a), and per list the candidate's (u, w)
+    starts and widened sweeps.  At w = 2pi the kernel takes the last cell
+    and ``Partition.cell_of`` the cell of 0.
 
     Membership is closed with ``tol`` = ``STRUCTURAL`` on both coordinates.
     The w-arcs tile the circle with junctions within ``SAME_POINT``
@@ -538,13 +529,14 @@ class _Kernel:
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
-                 *rect_lists: Sequence[Rect]):
+                 *lists: RectArray):
         cuts, tol = np.array(part.lifted[:part.n]), STRUCTURAL
         # rows u-start, u-sweep, w-start, w-sweep in w-start order
-        rows = [np.array(sorted([(r.u_arc.start.theta, r.u_arc.sweep,
-                                  r.w_arc.start.theta, r.w_arc.sweep)
-                                 for r in rs], key=lambda x: x[2])).T
-                for rs in rect_lists]
+        rows = []
+        for rs in lists:
+            rs = rs.take(np.argsort(rs.theta[:, 2], kind="stable"))
+            rows.append(np.stack([rs.theta[:, 0], rs.sweep[:, 0],
+                                  rs.theta[:, 2], rs.sweep[:, 1]]))
         self.breaks = np.array(sorted({0.0, *cuts, *(x for r in rows
                                                      for x in r[2])}))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
@@ -634,7 +626,7 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
         raise ValueError(f"buffer must lie in [0, pi/2], got {buffer!r}")
     drawn = _draws(seed, samples, buffer)
 
-    kern = _Kernel(poly, part, dom.rects, phi_set(poly, part))
+    kern = _Kernel(poly, part, dom.arrays, RectArray.of(phi_set(poly, part)))
     K, esc = np.full((2, samples), -1, dtype=np.int64)
     entry = np.full((2, samples), np.nan)
 
@@ -669,11 +661,14 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
 def check_forward_invariance(poly: MarkedPolygon, part: Partition,
                              dom: AttractorDomain, traces: list[EntryTrace],
                              steps: int = 1000) -> int:
-    """Iterate the entered states further; count membership violations."""
+    """Iterate the entered states further; count membership violations.
+    Raises ``ValueError`` for negative ``steps``."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     ang = np.array([(t.entry_u, t.entry_w) for t in traces if t.entered]).T
     if not ang.size:
         return 0
-    kern = _Kernel(poly, part, dom.rects)
+    kern = _Kernel(poly, part, dom.arrays)
     z, j = kern.start(ang)
     exits = 0
     for _ in range(steps):

@@ -173,13 +173,14 @@ class AuxPoints:
 @dataclass(frozen=True)
 class Block:
     """Building block ``index`` of the signature string: sides ``side_start``
-    to ``side_start + n_sides - 1`` in the sector from ``base_angle``.  Side i
-    starts at vertex i, so the same range indexes the block's vertices and
-    vertex ``side_start`` is its start corner."""
+    to ``side_start + n_sides - 1`` in the sector from ``base_angle`` of
+    width ``sweep``.  Side i starts at vertex i, so the same range indexes
+    the block's vertices and vertex ``side_start`` is its start corner."""
 
     index: int
     symbol: object
     base_angle: float
+    sweep: float
     side_start: int
     n_sides: int
 
@@ -238,6 +239,7 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
     string = signature_string(sig)
     ell, n = sig.ell, sig.n_sides
     corners = tuple(TAU * j / ell for j in range(ell + 1))
+    sector = TAU / ell
 
     vertices: list[Vertex] = []
     generators: list[MoebiusPSU] = []
@@ -273,7 +275,8 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
             generators += [conj(c), conj(c.inverse())]
             pairing += [side0 + 1, side0]
             vertices.append(mid)
-        blocks.append(Block(j, sym, base, side0, len(generators) - side0))
+        blocks.append(Block(j, sym, base, sector, side0,
+                            len(generators) - side0))
 
     aux = []
     for i, v in enumerate(vertices):

@@ -160,10 +160,11 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
     # each rectangle's seam-split intervals, without the padding
     u, w = ([[(lo, hi) for lo, hi in ints if hi > lo] for ints in x.tolist()]
             for x in dom.arrays.intervals())
-    for r, u_ints, w_ints in zip(dom.rects, u, w):
-        color = block_color(r.block)
-        svg.add(f'<g class="omega-rect" data-block="{r.block}" '
-                f'data-gamma="{r.gamma_index}">')
+    for block, gamma, u_ints, w_ints in zip(dom.arrays.block.tolist(),
+                                            dom.arrays.gamma.tolist(), u, w):
+        color = block_color(block)
+        svg.add(f'<g class="omega-rect" data-block="{block}" '
+                f'data-gamma="{gamma}">')
         for ulo, uhi in u_ints:
             for wlo, whi in w_ints:
                 x, _ = to_px(ulo, 0.0)

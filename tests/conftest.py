@@ -50,8 +50,10 @@ def open_arc_cut(poly, k, fraction):
 
 
 def boxes(rects):
-    """``rect_boxes`` of a rectangle list."""
-    return rect_boxes(*RectArray.of(rects).intervals())
+    """``rect_boxes`` of a ``RectArray`` or a rectangle list."""
+    if not isinstance(rects, RectArray):
+        rects = RectArray.of(rects)
+    return rect_boxes(*rects.intervals())
 
 
 def measure(op, rects_a, rects_b=()):

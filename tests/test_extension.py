@@ -21,9 +21,9 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       exceptional_set, make_partition, phi_set,
                       simulate_entry, tolerances, verify_bijectivity)
-from fuchsian.arcs import DirectedArc, Rect, RectArray
+from fuchsian.arcs import DirectedArc, Rect, RectArray, seam_split
 from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
-                                image_rects, rect_image, traces_to_csv,
+                                image_rects, traces_to_csv,
                                 verify_exceptional)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
@@ -204,10 +204,7 @@ class TestBijectivity:
         poly = polygon(MODULAR)
         part = partition(MODULAR, "midpoint")
         dom = build_attractor(poly, part)
-        strip = dom.strips[0]
-        imgs = []
-        for r in strip:
-            imgs.extend(rect_image(poly, part, r))
+        imgs = image_rects(poly, part, RectArray.of(dom.strips[0]))
         # expected image: [1, v^2] x [v^2, 1] as one region
         v2 = TAU / poly.ell
         expect = [Rect(DirectedArc.from_angles(0.0, v2),
@@ -236,9 +233,9 @@ class TestBijectivity:
         data = dom.info[4].cycle
         lows = strip[:data.J + 1]
         for j in range(data.J):
-            imgs = rect_image(poly, part, lows[j])
+            imgs = image_rects(poly, part, RectArray.of([lows[j]]))
             inter = measure(np.logical_and, imgs, [lows[j + 1]])
-            total = sum(r.area for r in imgs)
+            total = imgs.area.sum()
             assert total - inter < 1e-9
 
     def test_measure_preserved(self):
@@ -246,9 +243,7 @@ class TestBijectivity:
             poly = polygon(text)
             part = partition(text, "midpoint")
             dom = build_attractor(poly, part)
-            imgs = []
-            for r in dom.rects:
-                imgs.extend(rect_image(poly, part, r))
+            imgs = image_rects(poly, part, dom.arrays)
             assert abs(measure(np.logical_or, imgs)
                        - sum(r.area for r in dom.rects)) < 1e-9
 
@@ -283,15 +278,14 @@ def assert_same_images(poly, part, rects):
     """``image_rects`` of the whole list against ``scalar_rect_image`` one
     rectangle at a time: the same pieces with the same block and gluing,
     endpoints and sweeps within 1e-12."""
-    got = image_rects(poly, part, RectArray.of(rects)).rects()
-    want = [img for r in rects for img in scalar_rect_image(poly, part, r)]
-    assert [(r.block, r.gamma_index) for r in got] == \
-        [(r.block, r.gamma_index) for r in want]
-    for g, w in zip(got, want):
-        for a, b in ((g.u_arc, w.u_arc), (g.w_arc, w.w_arc)):
-            assert angular_distance(a.start.theta, b.start.theta) < 1e-12
-            assert angular_distance(a.end.theta, b.end.theta) < 1e-12
-            assert abs(a.sweep - b.sweep) < 1e-12
+    got = image_rects(poly, part, RectArray.of(rects))
+    want = RectArray.of([img for r in rects
+                         for img in scalar_rect_image(poly, part, r)])
+    assert got.block.tolist() == want.block.tolist()
+    assert got.gamma.tolist() == want.gamma.tolist()
+    d = np.abs(got.theta - want.theta) % TAU
+    assert np.minimum(d, TAU - d).max() < 1e-12
+    assert np.abs(got.sweep - want.sweep).max() < 1e-12
 
 
 class TestArrayImaging:
@@ -343,6 +337,20 @@ class TestArrayImaging:
         assert len(rep.strip_residuals) == len(strips) == len(poly.blocks)
         assert max(abs(a - b) for a, b in zip(rep.strip_residuals,
                                               strips)) < 1e-12
+
+    @pytest.mark.parametrize("text", SIGNATURES + LADDER)
+    def test_bands_tile_without_seam(self, text):
+        # verify_bijectivity's bands [base_angle, base_angle + sweep]: in
+        # block order from 0, each ending within 2 ulp(2pi) of the next
+        # block's start (2pi after the last), and none across the seam
+        blocks = polygon(text).blocks
+        lo = np.array([blk.base_angle for blk in blocks])
+        sweep = np.array([blk.sweep for blk in blocks])
+        assert lo[0] == 0.0
+        assert np.abs(lo + sweep - np.append(lo[1:], TAU)).max() \
+            <= 2 * math.ulp(TAU)
+        bands = seam_split(lo, sweep)
+        assert (bands[:, 1, 1] <= bands[:, 1, 0]).all()
 
     @pytest.mark.parametrize("text", SIGNATURES)
     def test_perturbed_gluing_fails(self, text):
@@ -460,19 +468,16 @@ class TestPhiAndExceptional:
         poly, part, dom, blk, hat, data = self._first_lower_hat_target(
             MODULAR, "left", 3)
         assert data.order % 2 == 1 and not data.degenerate
-        region = [hat]
+        region = RectArray.of([hat])
         for _ in range(data.J + 1):
-            nxt = []
-            for r in region:
-                nxt.extend(rect_image(poly, part, r))
-            region = nxt
+            region = image_rects(poly, part, region)
         v_angle = blk.base_angle + math.pi / poly.ell
         target = [Rect(DirectedArc.from_angles(blk.base_angle, math.pi / poly.ell),
                        DirectedArc.from_angles(blk.base_angle + TAU / poly.ell,
                                                TAU - TAU / poly.ell), 0, 0)]
         assert measure(np.logical_and, target, list(dom.rects)) \
             >= target[0].area - 1e-9
-        outside = sum(r.area for r in region) \
+        outside = region.area.sum() \
             - measure(np.logical_and, region, target)
         assert outside < 1e-9
 
@@ -486,41 +491,37 @@ class TestPhiAndExceptional:
         poly, part, dom, blk, hat, data = self._first_lower_hat_target(
             text, "midpoint", k)
         assert data.order % 2 == 0 and not data.degenerate
-        region = [hat]
+        region = RectArray.of([hat])
         for _ in range(data.J):
-            nxt = []
-            for r in region:
-                nxt.extend(rect_image(poly, part, r))
-            region = nxt
+            region = image_rects(poly, part, region)
 
-        def split_at_cuts(r):
-            inner = interior_angles(r.w_arc, sorted(set(part.thetas)),
-                                    WRAP)
-            bounds = [r.w_arc.start.theta] + inner + [r.w_arc.end.theta]
-            if not inner:
-                return [r]
-            out = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                sweep = (hi - lo) % TAU
-                if sweep > 1e-13:
-                    out.append(Rect(r.u_arc, DirectedArc.from_angles(lo, sweep),
-                                    r.block, r.gamma_index))
-            return out
-
-        pieces = [p for r in region for p in split_at_cuts(r)]
-        rest = [r for r in pieces
-                if r.area - measure(np.logical_and, [r], list(dom.rects))
-                > 1e-9]
-        final = []
-        for r in rest:
-            final.extend(rect_image(poly, part, r))
+        # (row, w-start, w-end, w-sweep) of the pieces of each region row's
+        # w-arc cut at the cut points more than WRAP inside it; cut pieces
+        # up to 1e-13 dropped
+        pieces = []
+        for i, (ws, we, sweep) in enumerate(zip(*region.theta[:, 2:].T,
+                                                region.sweep[:, 1])):
+            inner = interior_angles(DirectedArc.from_angles(ws, sweep),
+                                    sorted(set(part.thetas)), WRAP)
+            bounds = [ws] + inner + [we]
+            pieces += [(i, ws, we, sweep)] if not inner else [
+                (i, lo, hi, (hi - lo) % TAU)
+                for lo, hi in zip(bounds, bounds[1:])
+                if (hi - lo) % TAU > 1e-13]
+        rows, *w = (np.array(x) for x in zip(*pieces))
+        cut = region.take(rows)
+        cut.theta[:, 2], cut.theta[:, 3], cut.sweep[:, 1] = w
+        rest = [i for i in range(len(cut))
+                if cut.area[i] - measure(np.logical_and, cut.take([i]),
+                                         dom.arrays) > 1e-9]
+        final = image_rects(poly, part, cut.take(rest))
         p_sweep = (poly.aux[k].P.theta - blk.base_angle) % TAU
         target = [Rect(DirectedArc.from_angles(blk.base_angle, p_sweep),
                        DirectedArc.from_angles(blk.base_angle + TAU / poly.ell,
                                                TAU - TAU / poly.ell), 0, 0)]
         assert measure(np.logical_and, target, list(dom.rects)) \
             >= target[0].area - 1e-9
-        outside = sum(r.area for r in final) \
+        outside = final.area.sum() \
             - measure(np.logical_and, final, target)
         assert outside < 1e-9
 
@@ -628,6 +629,16 @@ class TestSimulation:
         dom = domain(MODULAR, "midpoint")
         with pytest.raises(ValueError, match="seed .* got -1"):
             simulate_entry(dom.poly, dom.part, dom, samples=1, seed=-1)
+
+    def test_rejects_negative_steps(self):
+        # a negative count would run no step and report 0 exits
+        dom = domain(MODULAR, "midpoint")
+        traces = simulate_entry(dom.poly, dom.part, dom, samples=8, seed=1)
+        with pytest.raises(ValueError, match="steps must be >= 0, got -5"):
+            check_forward_invariance(dom.poly, dom.part, dom, traces,
+                                     steps=-5)
+        assert check_forward_invariance(dom.poly, dom.part, dom, traces,
+                                        steps=0) == 0
 
 
 def chi2_sf(x, dof):
@@ -737,7 +748,7 @@ def stressed_states(rects, tol, n, rng):
 def kernel_member(key, rects, pu, pw):
     """The kernel's membership verdicts, with its fixed slack
     ``STRUCTURAL``, for one rectangle list of the domain ``key``."""
-    kern = _Kernel(polygon(key[0]), partition(*key), rects)
+    kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
     return kern.inside(0, kern.locate(pw), np.stack([pu, pw]))
 
 
@@ -794,7 +805,8 @@ class TestMembershipKernel:
         sliver = rects[i + 1]
         assert sliver.w_arc.sweep < tol
         kernel = _Kernel(polygon(MANY_BLOCKS),
-                         partition(MANY_BLOCKS, "midpoint"), rects)
+                         partition(MANY_BLOCKS, "midpoint"),
+                         RectArray.of(rects))
         assert len(kernel.offsets[0]) == 4       # p = 2 either way
         rng = np.random.default_rng(0)
         pu = rng.uniform(0.0, TAU, 50_000)
@@ -813,7 +825,7 @@ class TestMembershipKernel:
         # w within 3 (STRUCTURAL + SAME_POINT) of every breakpoint, where
         # the recheck filter decides; u uniform or near a rectangle edge
         rects = kernel_rects(key, which)
-        kern = _Kernel(polygon(key[0]), partition(*key), rects)
+        kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
         rng = np.random.default_rng(len(rects) + 1)
         span = 3 * (STRUCTURAL + SAME_POINT)
         pw = (kern.breaks[:, None] + np.linspace(-span, span, 41)).ravel()
@@ -843,7 +855,7 @@ class TestMembershipKernel:
             r.block, r.gamma_index)
         _check_tiling(tuple(rects))
         kern = _Kernel(polygon(MANY_BLOCKS),
-                       partition(MANY_BLOCKS, "midpoint"), rects)
+                       partition(MANY_BLOCKS, "midpoint"), RectArray.of(rects))
         rng = np.random.default_rng(3)
         pu = (r.u_arc.start.theta
               + rng.uniform(0.0, r.u_arc.sweep, 20_000)) % TAU
@@ -969,7 +981,7 @@ class TestFusedLookup:
     def test_cell_and_candidate_near_breakpoints(self, key):
         poly, part, dom = fused_case(key)
         lists = [list(dom.rects), phi_set(poly, part)]
-        kern = _Kernel(poly, part, *lists)
+        kern = _Kernel(poly, part, *map(RectArray.of, lists))
         b = kern.breaks
         near = np.concatenate([
             np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
@@ -987,7 +999,7 @@ class TestFusedLookup:
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
     def test_states_match_two_lookups(self, key):
         poly, part, dom = fused_case(key)
-        kern = _Kernel(poly, part, dom.rects)
+        kern = _Kernel(poly, part, dom.arrays)
         z, j = kern.start(np.random.default_rng(500).uniform(0.0, TAU,
                                                               (2, 500)))
         ref, ref_w = z, np.angle(z[1]) % TAU
