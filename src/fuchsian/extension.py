@@ -142,7 +142,8 @@ def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
 
 def _check_tiling(rects: tuple[Rect, ...]) -> None:
     """Raise unless the w-arcs, sorted by start, meet end to start around the
-    circle and their sweeps sum to 2pi; the membership kernel relies on it."""
+    circle and their sweeps sum to 2pi: a check of the construction, which
+    the membership kernel does not rely on."""
     arcs = sorted((r.w_arc.start.theta, r.w_arc.sweep) for r in rects)
     total = math.fsum(sweep for _, sweep in arcs)
     gap = max(abs((nxt - start - sweep + math.pi) % TAU - math.pi)
@@ -194,6 +195,14 @@ def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
     return rows[keep] + first, lo[keep], hi[keep], out[keep]
 
 
+def _gluing(poly: MarkedPolygon, part: Partition, theta: np.ndarray):
+    """Cell of each angle in [0, 2pi], the last lifted cut at or before it
+    (so 2pi falls in the last cell), and the a and b of its gluing."""
+    cell = np.maximum(np.searchsorted(part.lifted[:part.n], theta,
+                                      side="right") - 1, 0)
+    return cell, *np.array([(g.a, g.b) for g in poly.generators])[cell].T
+
+
 def image_rects(poly: MarkedPolygon, part: Partition,
                 rs: RectArray) -> RectArray:
     """Forward images of the rectangles, each split at the cut points inside
@@ -213,12 +222,8 @@ def image_rects(poly: MarkedPolygon, part: Partition,
                rs.sweep[s:s + _SPLIT_ROWS, 1], cuts, s)
         for s in range(0, max(len(rs), 1), _SPLIT_ROWS))))
     # Partition.cell_of of each piece's midpoint
-    lifted = np.array(part.lifted)
-    mid = np.mod(_normalize(lo + 0.5 * sweep) - lifted[0], TAU) + lifted[0]
-    cell = np.maximum(np.searchsorted(lifted[:part.n], mid, side="right") - 1,
-                      0)
-    ab = np.array([(g.a, g.b) for g in poly.generators])[cell]
-    a, b = ab[:, :1], ab[:, 1:]
+    cell, a, b = _gluing(poly, part, _normalize(lo + 0.5 * sweep))
+    a, b = a[:, None], b[:, None]
     # columns u-start, u-end, w-start, w-end
     z = np.exp(1j * np.column_stack([rs.theta[rows, :2], lo, hi]))
     img = _normalize(np.angle((a * z + b) / (np.conj(b) * z + np.conj(a))))
@@ -506,62 +511,52 @@ class _Kernel:
 
     States are the columns of 2 x N arrays: ``z`` holds (u, w) as unit
     complex numbers, ``ang`` their angles in [0, 2pi].  ``breaks`` sorts {0},
-    the lifted cut points and the w-starts of every rectangle list, each a
-    ``RectArray``; ``locate`` finds by one ``searchsorted`` the interval
-    [breaks[j - 1], breaks[j]) of w, on which the cell of w and each list's
-    candidate (the last w-start at or before w, wrapping) are constant.
-    Column j of the tables holds their values at its left end: ``coef`` the
-    gluing's a, b, conj(b), conj(a), and per list the candidate's (u, w)
-    starts and widened sweeps.  At w = 2pi the kernel takes the last cell
-    and ``Partition.cell_of`` the cell of 0.
-
-    Membership is closed with ``tol`` = ``STRUCTURAL`` on both coordinates.
-    The w-arcs tile the circle with junctions within ``SAME_POINT``
-    (``_check_tiling``; the escape set's are the cells).  So at w-offset d
-    from its candidate c's start, a state passes the widened w-test of an
-    earlier rectangle only if d <= tol + ``SAME_POINT``, of a later one only
-    if d >= sweep(c) - tol - ``SAME_POINT``.  A state that fails c with
-    d <= s or d >= sweep(c) - s, s = tol + ``SAME_POINT`` + ``WRAP`` (the
-    offsets' rounding), is rechecked on the neighbours up to p places either
-    way in w-start order, p the least count such that any p consecutive
-    rectangles skip an arc gap over 2 * tol; no other rectangle can pass the
-    widened w-test, so the verdicts are those of testing every rectangle.
+    the lifted cut points and, for each rectangle list (a ``RectArray``),
+    both ends of every w-arc widened by r = tol + ``WRAP``; ``locate`` finds
+    by one ``searchsorted`` the interval [breaks[j - 1], breaks[j]) of w.
+    Column j of the tables holds values on it: ``coef`` the gluing's a, b,
+    conj(b), conj(a) for the cell of w; per list, ``cand`` the rows of the
+    rectangles whose widened w-arc holds the interval, padded with -1, and
+    row k of ``table`` the (u, w) starts and widened sweeps of the k-th.
+    Membership is closed with ``tol`` = ``STRUCTURAL`` on both coordinates,
+    and ``WRAP`` covers the rounding of the offsets, so every rectangle
+    whose test a state can pass is a candidate: the verdicts are those of
+    testing every rectangle, whether or not the w-arcs tile.  At w = 2pi
+    the kernel takes the last cell and ``Partition.cell_of`` the cell of 0.
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
                  *lists: RectArray):
-        cuts, tol = np.array(part.lifted[:part.n]), STRUCTURAL
-        # rows u-start, u-sweep, w-start, w-sweep in w-start order
-        rows = []
-        for rs in lists:
-            rs = rs.take(np.argsort(rs.theta[:, 2], kind="stable"))
-            rows.append(np.stack([rs.theta[:, 0], rs.sweep[:, 0],
-                                  rs.theta[:, 2], rs.sweep[:, 1]]))
-        self.breaks = np.array(sorted({0.0, *cuts, *(x for r in rows
-                                                     for x in r[2])}))
+        tol, r = STRUCTURAL, STRUCTURAL + WRAP
+        # (start - r, end + r) of each widened w-arc, (0, 0) if it is full
+        ends = [np.where(rs.sweep[:, 1] + 2 * r >= TAU, 0.0, np.mod(
+            [rs.theta[:, 2] - r, rs.theta[:, 2] + rs.sweep[:, 1] + r], TAU))
+            for rs in lists]
+        self.breaks = _breakpoints(np.concatenate(
+            [[0.0], part.lifted[:part.n], *(e.ravel() for e in ends)]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
-        left = np.concatenate([self.breaks[:1], self.breaks])
-        self.cell = np.clip(np.searchsorted(cuts, left, side="right") - 1,
-                            0, part.n - 1)
-        a, b = np.array([(g.a, g.b) for g in poly.generators])[self.cell].T
+        self.cell, a, b = _gluing(poly, part, np.concatenate(
+            [self.breaks[:1], self.breaks]))
         self.coef = np.stack([a, b, np.conj(b), np.conj(a)])
-        self.lo, self.near = TAU - tol, tol + SAME_POINT + WRAP
-        self.cand, self.rows, self.table, self.offsets = [], [], [], []
-        for r in rows:
-            ws, n = r[2], r.shape[1]
-            # the arc gap skipped by p consecutive rectangles, either way
-            lifted, ends = np.concatenate([ws, ws + TAU]), ws + r[3]
-            p = 1
-            while 2 * p + 1 < n and min((lifted[p:p + n] - ws).min(),
-                                        (lifted[p + 1:p + 1 + n] - ends).min()
-                                        ) <= 2 * tol:
-                p += 1
-            # (u, w) starts and widened sweeps, per rectangle and per j
-            start, hi = r[0::2], r[1::2] + tol
-            self.cand.append((np.searchsorted(ws, left, side="right") - 1) % n)
-            self.rows.append((start, hi))
-            self.table.append((start[:, self.cand[-1]], hi[:, self.cand[-1]]))
-            self.offsets.append(sorted({k % n for k in range(-p, p + 1)} - {0}))
+        self.lo, nb = TAU - tol, len(self.breaks)
+        self.cand, self.table = [], []
+        for rs, e in zip(lists, ends):
+            # the arc from breaks[ia] to breaks[ib] holds the intervals
+            # ia + 1 to ib, wrapping from nb to 1, all of them if ia = ib
+            ia, ib = np.searchsorted(self.breaks, e)
+            length = (ib - ia - 1) % nb + 1
+            row = np.repeat(np.arange(len(rs)), length)
+            j = (np.arange(row.size) - np.repeat(np.cumsum(length) - length
+                                                 - ia, length)) % nb + 1
+            order = np.argsort(j, kind="stable")
+            row, j = row[order], j[order]
+            cand = np.full((np.bincount(j).max(), nb + 1), -1)
+            cand[np.arange(j.size) - np.searchsorted(j, j), j] = row
+            # rows u-, w-start, widened u-, w-sweep; column -1 pads, with NaN
+            cols = np.full((4, len(rs) + 1), np.nan)
+            cols[:, :-1] = np.hstack([rs.theta[:, 0::2], rs.sweep + tol]).T
+            self.cand.append(cand)
+            self.table.append([cols[:, c] for c in cand])
 
     def locate(self, pw: np.ndarray) -> np.ndarray:
         """Table index j of each w-angle in [0, 2pi]."""
@@ -583,28 +578,30 @@ class _Kernel:
         ang += TAU * (ang < 0)
         return z, ang, self.locate(ang[1])
 
-    def _test(self, table, idx, ang):
-        """(mask, w-offsets, widened w-sweeps) of ``ang`` in columns idx;
-        angles and starts lie in [0, 2pi], so one wrap gives the offsets."""
-        start, hi = (t.take(idx, axis=1) for t in table)
-        d = ang - start
+    def _test(self, row, j, ang):
+        """Mask of ``ang`` in the row's candidates of intervals j; angles and
+        starts lie in [0, 2pi], so one wrap gives the offsets."""
+        col = row.take(j, axis=1)
+        d = ang - col[:2]
         d += TAU * (d < 0)
-        return ((d <= hi) | (d >= self.lo)).all(axis=0), d[1], hi[1]
+        return ((d <= col[2:]) | (d >= self.lo)).all(axis=0)
 
     def inside(self, i: int, j, ang: np.ndarray) -> np.ndarray:
-        """Mask of the states at angles ``ang``, w in intervals j, in list i."""
-        ok, dw, w_hi = self._test(self.table[i], j, ang)
+        """Mask of the states at angles ``ang``, w in intervals j, in list i:
+        every state on its first candidate, then each later candidate for
+        the states that still fail and have one."""
+        cand, table = self.cand[i], self.table[i]
+        ok = self._test(table[0], j, ang)
         if ok.all():
             return ok
-        todo = np.flatnonzero(~ok & ((dw <= self.near)
-                                     | (dw >= w_hi - STRUCTURAL - self.near)))
-        cand, n = self.cand[i][j[todo]], len(self.rows[i][0][0])
-        for k in self.offsets[i]:
+        todo = np.flatnonzero(~ok)
+        for k in range(1, len(table)):
+            todo = todo[cand[k, j[todo]] >= 0]
             if todo.size == 0:
                 break
-            hit = self._test(self.rows[i], (cand + k) % n, ang[:, todo])[0]
+            hit = self._test(table[k], j[todo], ang[:, todo])
             ok[todo[hit]] = True
-            todo, cand = todo[~hit], cand[~hit]
+            todo = todo[~hit]
         return ok
 
 
@@ -616,10 +613,13 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     Sampling is uniform in both angles outside a diagonal buffer, from the
     SplitMix64 hash of (seed, sample index, retry), so a sample depends on
     the non-negative integer seed and its index alone; these draws differ
-    from those of the earlier per-sample numpy generators.
+    from those of the earlier per-sample numpy generators.  Raises
+    ``ValueError`` for negative ``max_iters``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     # a draw is kept when angular_distance >= buffer, with odds 1 - buffer/pi:
     # up to pi/2 at least half the draws are kept, near pi almost none
     if not 0 <= buffer <= math.pi / 2:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,17 @@ class Signature:
     cusps: int
 
     def __post_init__(self) -> None:
+        # any integral type becomes int; a float, even 2.0, is rejected
+        try:
+            object.__setattr__(self, "orders",
+                               tuple(map(operator.index, self.orders)))
+            for name in ("genus", "cusps"):
+                object.__setattr__(self, name,
+                                   operator.index(getattr(self, name)))
+        except TypeError:
+            raise InvalidSignature(
+                "genus, orders and cusps must be integers, got "
+                f"{(self.genus, self.orders, self.cusps)!r}") from None
         if self.genus < 0:
             raise InvalidSignature("genus must be non-negative")
         if self.cusps < 1:
@@ -54,7 +66,7 @@ class Signature:
 
     @classmethod
     def of(cls, genus: int, orders, cusps: int) -> "Signature":
-        return cls(genus, tuple(sorted(int(m) for m in orders)), cusps)
+        return cls(genus, tuple(sorted(orders)), cusps)
 
     @classmethod
     def parse(cls, text: str) -> "Signature":
@@ -196,7 +208,6 @@ class MarkedPolygon:
     pairing: tuple[int, ...]
     aux: tuple[AuxPoints, ...]           # side i runs from P_i to Q_{i+1}
     blocks: tuple[Block, ...]
-    corner_angles: tuple[float, ...]     # 2 pi j / l for j = 0..l
 
     def block_of_side(self, i: int) -> Block:
         for blk in reversed(self.blocks):
@@ -232,13 +243,12 @@ class MarkedPolygon:
 def build_canonical(sig: Signature) -> MarkedPolygon:
     """Construct the canonical polygon for a valid signature.
 
-    Deterministic: the result is a pure function of the signature, with all
-    shared corner angles taken from a single canonical array so adjacent
-    blocks agree bitwise.
+    Deterministic: the result is a pure function of the signature.  Block
+    j's start corner 2pi j / l is computed once, as its ``base_angle``, and
+    every reader of a corner takes it from there.
     """
     string = signature_string(sig)
     ell, n = sig.ell, sig.n_sides
-    corners = tuple(TAU * j / ell for j in range(ell + 1))
     sector = TAU / ell
 
     vertices: list[Vertex] = []
@@ -247,7 +257,7 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
     blocks: list[Block] = []
 
     for j, sym in enumerate(string.symbols):
-        base = corners[j]
+        base = TAU * j / ell
         rot = MoebiusPSU.rotation(base)
         conj = (lambda g, r=rot: r @ g @ r.inverse())
         side0 = len(generators)
@@ -297,7 +307,7 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
 
     return MarkedPolygon(sig, string, ell, n, tuple(vertices),
                          tuple(generators), tuple(pairing), tuple(aux),
-                         tuple(blocks), corners)
+                         tuple(blocks))
 
 
 def rotation_powers(poly: MarkedPolygon, k: int, x: BoundaryPoint,

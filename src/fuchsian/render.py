@@ -75,9 +75,8 @@ def render_polygon(poly: MarkedPolygon, part: Partition,
     svg.add(f'<circle class="boundary" cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(R)}" '
             f'fill="none" stroke="#444444" stroke-width="{_f(_STROKE)}"/>')
 
-    for j in range(poly.ell):
-        z = complex(math.cos(poly.corner_angles[j]),
-                    math.sin(poly.corner_angles[j]))
+    for blk in poly.blocks:
+        z = complex(math.cos(blk.base_angle), math.sin(blk.base_angle))
         x, y = to_px(z)
         svg.add(f'<line class="sector-ray" x1="{_f(cx)}" y1="{_f(cy)}" '
                 f'x2="{_f(x)}" y2="{_f(y)}" stroke="#dddddd" '
@@ -147,7 +146,7 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
             f'width="{_f(side)}" height="{_f(side)}" fill="none" '
             f'stroke="#444444" stroke-width="{_f(_STROKE)}"/>')
 
-    for c in dom.poly.corner_angles[1:-1]:
+    for c in (blk.base_angle for blk in dom.poly.blocks[1:]):
         x0, _ = to_px(c, 0.0)
         _, y0 = to_px(0.0, c)
         svg.add(f'<line class="grid" x1="{_f(x0)}" y1="{_f(margin)}" '

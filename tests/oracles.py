@@ -4,10 +4,11 @@ Each one is the plain, one-point-at-a-time form of something the library
 computes another way: ``F_apply`` is one step of the planar extension that
 the kernel ``extension._Kernel`` applies to arrays of states;
 ``domain_contains`` is the closed membership test that the same kernel
-answers for arrays; ``two_lookup_step`` and ``two_lookup_candidate`` are the
-kernel's step and candidate search as separate binary searches, on the cut
-points and on the w-starts, each evaluated at the state's own w (the
-kernel reads both off one breakpoint table); ``bisector_endpoint``
+answers for arrays; ``two_lookup_step`` is the kernel's step as a binary
+search on the cut points at the state's own w, and ``dense_candidates``
+tests the state's w against every rectangle, where the kernel reads both
+the cell and the candidate rectangles off one breakpoint table;
+``bisector_endpoint``
 constructs the end of the angle bisector at an elliptic vertex from the
 tangents of the sides' circles (``tangent_at``), independently of the arc
 midpoint ``AuxPoints.M``; ``markov_full_walk`` refines the partition by
@@ -66,11 +67,14 @@ def two_lookup_step(poly: MarkedPolygon, part: Partition, z: np.ndarray,
     return z, np.angle(z) % TAU
 
 
-def two_lookup_candidate(rects, pw: np.ndarray) -> np.ndarray:
-    """Index, in w-start order, of the rectangle with the last w-start at or
-    before each w-angle, the last one before the first start."""
-    ws = np.sort([r.w_arc.start.theta for r in rects])
-    return (np.searchsorted(ws, pw, side="right") - 1) % len(ws)
+def dense_candidates(rects, pw: np.ndarray, tol: float) -> np.ndarray:
+    """Mask, w-angles by rectangles, of the rectangles whose w-arc widened
+    by ``tol`` either way holds each w-angle: the w half of the closed
+    membership test, on every rectangle."""
+    ws = np.array([r.w_arc.start.theta for r in rects])
+    wsw = np.array([r.w_arc.sweep for r in rects])
+    dw = (pw[:, None] - ws[None, :]) % TAU
+    return (dw <= wsw[None, :] + tol) | (dw >= TAU - tol)
 
 
 # -- counter-based draws -------------------------------------------------------

@@ -205,9 +205,14 @@ class TestSimulateCommand:
         assert out.strip() == (f"samples=50 entered=50 max_K={data['max_K']} "
                                f"mean_K={data['mean_K']:.3f}")
 
-    def test_zero_samples_exit_two(self, capsys):
-        assert run(["simulate", "--signature", "0;2,3;1",
-                    "--samples", "0"]) == 2
+    @pytest.mark.parametrize("option", [["--samples", "0"],
+                                        ["--max-iters", "-3"]])
+    def test_zero_samples_exit_two(self, option, tmp_path, capsys):
+        rep = tmp_path / "r.json"
+        assert run(["simulate", "--signature", "0;2,3;1", *option,
+                    "--report", str(rep)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_exit_two_writes_no_file(self, tmp_path, capsys):
         rep = tmp_path / "r.json"

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (LADDER, MODES, SCALE, SIGNATURES, measure,
                       open_arc_cut, overlap, partition, polygon)
-from oracles import (GAMMA, F_apply, domain_contains, interior_angles,
-                     per_block_bijectivity, scalar_draws, scalar_rect_image,
-                     splitmix64, two_lookup_candidate, two_lookup_cell,
+from oracles import (GAMMA, F_apply, dense_candidates, domain_contains,
+                     interior_angles, per_block_bijectivity, scalar_draws,
+                     scalar_rect_image, splitmix64, two_lookup_cell,
                      two_lookup_step)
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
@@ -630,6 +630,16 @@ class TestSimulation:
         with pytest.raises(ValueError, match="seed .* got -1"):
             simulate_entry(dom.poly, dom.part, dom, samples=1, seed=-1)
 
+    def test_rejects_negative_max_iters(self):
+        # a negative budget would run no step and report samples as never
+        # entered
+        dom = domain(MODULAR, "midpoint")
+        with pytest.raises(ValueError, match="max_iters must be >= 0, got -3"):
+            simulate_entry(dom.poly, dom.part, dom, samples=8, seed=1,
+                           max_iters=-3)
+        assert len(simulate_entry(dom.poly, dom.part, dom, samples=8, seed=1,
+                                  max_iters=0)) == 8
+
     def test_rejects_negative_steps(self):
         # a negative count would run no step and report 0 exits
         dom = domain(MODULAR, "midpoint")
@@ -710,13 +720,9 @@ def dense_member(rects, pu, pw, tol):
     """Test-side oracle: the closed test against every rectangle."""
     us = np.array([r.u_arc.start.theta for r in rects])
     usw = np.array([r.u_arc.sweep for r in rects])
-    ws = np.array([r.w_arc.start.theta for r in rects])
-    wsw = np.array([r.w_arc.sweep for r in rects])
     du = (pu[:, None] - us[None, :]) % TAU
-    dw = (pw[:, None] - ws[None, :]) % TAU
     in_u = (du <= usw[None, :] + tol) | (du >= TAU - tol)
-    in_w = (dw <= wsw[None, :] + tol) | (dw >= TAU - tol)
-    return (in_u & in_w).any(axis=1)
+    return (in_u & dense_candidates(rects, pw, tol)).any(axis=1)
 
 
 KERNEL_DOMAINS = ([(t, m) for t in SIGNATURES for m in MODES]
@@ -790,8 +796,8 @@ class TestMembershipKernel:
 
     def test_sliver_widens_window(self):
         # split a w-arc of sweep tol / 2 off the end of the widest one: a
-        # state within tol / 2 before it also passes the tol-widened w-test
-        # of the next rectangle, two places on
+        # state on the sliver also passes the tol-widened w-tests of both
+        # its neighbours, so its intervals list three candidates
         tol = STRUCTURAL
         rects = list(domain(MANY_BLOCKS, "midpoint").rects)
         i = max(range(len(rects)), key=lambda j: rects[j].w_arc.sweep)
@@ -802,28 +808,35 @@ class TestMembershipKernel:
             for start, sweep in ((w.start.theta, w.sweep - tol / 2),
                                  (w.end.theta - tol / 2, tol / 2))]
         _check_tiling(tuple(rects))
-        sliver = rects[i + 1]
-        assert sliver.w_arc.sweep < tol
+        sliver = rects[i + 1].w_arc
+        assert sliver.sweep < tol
+        nxt = next(k for k, q in enumerate(rects)
+                   if angular_distance(q.w_arc.start.theta,
+                                       sliver.end.theta) < WRAP)
         kernel = _Kernel(polygon(MANY_BLOCKS),
                          partition(MANY_BLOCKS, "midpoint"),
                          RectArray.of(rects))
-        assert len(kernel.offsets[0]) == 4       # p = 2 either way
+        first, last = kernel.locate(np.array([sliver.start.theta,
+                                              sliver.start.theta
+                                              + sliver.sweep]))
+        for j in range(first, last + 1):
+            assert set(kernel.cand[0][:, j]) - {-1} == {i, i + 1, nxt}
         rng = np.random.default_rng(0)
         pu = rng.uniform(0.0, TAU, 50_000)
-        pw = (sliver.w_arc.start.theta
+        pw = (sliver.start.theta
               + rng.uniform(-3 * tol, 3 * tol, pu.size)) % TAU
         want = dense_member(rects, pu, pw, tol)
         j = kernel.locate(pw)
         assert np.array_equal(kernel.inside(0, j, np.stack([pu, pw])), want)
-        # the widening matters: a window of one neighbour misses states
-        kernel.offsets[0] = [1, len(rects) - 1]
+        # the third row matters: without it states are missed
+        del kernel.table[0][2:]
         assert not np.array_equal(kernel.inside(0, j, np.stack([pu, pw])), want)
 
     @pytest.mark.parametrize("which", ["attractor", "phi"])
     @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
-    def test_window_filter_near_breakpoints(self, key, which):
+    def test_near_breakpoints_matches_oracle(self, key, which):
         # w within 3 (STRUCTURAL + SAME_POINT) of every breakpoint, where
-        # the recheck filter decides; u uniform or near a rectangle edge
+        # the candidate lists change; u uniform or near a rectangle edge
         rects = kernel_rects(key, which)
         kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
         rng = np.random.default_rng(len(rects) + 1)
@@ -841,9 +854,9 @@ class TestMembershipKernel:
     def test_junction_overlap_rechecked(self):
         # stretch one w-arc 0.9 SAME_POINT past the next start, a junction
         # _check_tiling accepts: a state in that overlap, under the
-        # stretched rectangle's u-arc only, fails its candidate (the next
-        # rectangle) at a w-offset above STRUCTURAL and passes only the
-        # stretched one, so the recheck filter needs its SAME_POINT term
+        # stretched rectangle's u-arc only, fails the next rectangle at a
+        # w-offset above STRUCTURAL and passes only the stretched one, which
+        # its interval lists beside the next
         rects = list(domain(MANY_BLOCKS, "midpoint").rects)
         rects.sort(key=lambda r: r.w_arc.start.theta)
         i = next(i for i, (r, s) in enumerate(zip(rects, rects[1:]))
@@ -865,6 +878,45 @@ class TestMembershipKernel:
         assert (want & ~dense_member([nxt], pu, pw, STRUCTURAL)).sum() > 100
         assert np.array_equal(
             kern.inside(0, kern.locate(pw), np.stack([pu, pw])), want)
+
+    @pytest.mark.parametrize("shift", [1e-3, 3 * SAME_POINT])
+    @pytest.mark.parametrize("key", [(MANY_BLOCKS, "midpoint"),
+                                     ("2;2,5,8;2", "left"),
+                                     ("0;3,3,4;2", "right")], ids=str)
+    def test_matches_oracle_without_tiling(self, key, shift):
+        # shift the w-arcs, in w-start order, by shift / 2 alternately
+        # forward and back: their junctions overlap and leave gaps of
+        # ``shift`` in turn, and the list no longer tiles the circle
+        rects = sorted(domain(*key).rects, key=lambda r: r.w_arc.start.theta)
+        moved = [Rect(r.u_arc, DirectedArc.from_angles(
+                     r.w_arc.start.theta + (-1) ** k * shift / 2,
+                     r.w_arc.sweep), r.block, r.gamma_index)
+                 for k, r in enumerate(rects)]
+        with pytest.raises(TilingViolation):
+            _check_tiling(tuple(moved))
+        rng = np.random.default_rng(7)
+        pu, pw = stressed_states(moved, STRUCTURAL, 100_000, rng)
+        # half the w within 2 shift of a junction
+        near = (rng.choice([r.w_arc.start.theta for r in rects], pw.size)
+                + rng.uniform(-2 * shift, 2 * shift, pw.size)) % TAU
+        pw = np.where(rng.integers(0, 2, pw.size) == 1, near, pw)
+        want = dense_member(moved, pu, pw, STRUCTURAL)
+        got = kernel_member(key, moved, pu, pw)
+        assert np.array_equal(got, want)
+
+    def test_full_w_arc_matches_oracle(self):
+        # a w-arc of sweep 2pi, or one whose widened ends meet, is a
+        # candidate on every interval
+        key = (MODULAR, "midpoint")
+        rects = list(domain(*key).rects)
+        rects += [Rect(r.u_arc, DirectedArc.from_angles(r.w_arc.start.theta,
+                                                        sweep),
+                       r.block, r.gamma_index)
+                  for r, sweep in zip(rects, (TAU, TAU - STRUCTURAL))]
+        pu, pw = stressed_states(rects, STRUCTURAL, 20_000,
+                                 np.random.default_rng(5))
+        assert np.array_equal(kernel_member(key, rects, pu, pw),
+                              dense_member(rects, pu, pw, STRUCTURAL))
 
     def test_tiling_violation_raises(self):
         rects = domain(MODULAR, "midpoint").rects
@@ -972,10 +1024,9 @@ def fused_case(key):
 
 
 class TestFusedLookup:
-    """The kernel's one breakpoint lookup per step against the two separate
-    lookups of ``oracles``, on the cut points for the step and on the
-    w-starts for the candidate rectangle: the same cells, candidates and
-    states, bit for bit."""
+    """The kernel's one breakpoint lookup per step against ``oracles``: the
+    binary search on the cut points for the step, bit for bit, and the
+    test of every rectangle for the candidate lists."""
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
     def test_cell_and_candidate_near_breakpoints(self, key):
@@ -992,9 +1043,18 @@ class TestFusedLookup:
         assert np.array_equal(kern.cell[j], cells)
         assert np.array_equal(kern.coef[0][j],
                               np.array([g.a for g in poly.generators])[cells])
+        # each list holds every rectangle whose STRUCTURAL-widened w-arc
+        # holds w, and none whose arc widened by WRAP more does not, up to
+        # the rounding of the widened ends mod 2pi
+        rows, beyond = np.arange(pw.size), WRAP + 4 * np.spacing(TAU)
         for i, rects in enumerate(lists):
-            assert np.array_equal(kern.cand[i][j],
-                                  two_lookup_candidate(rects, pw))
+            # padding, -1, marks the extra last column
+            got = np.zeros((pw.size, len(rects) + 1), bool)
+            got[rows, kern.cand[i][:, j]] = True
+            got = got[:, :-1]
+            assert (got >= dense_candidates(rects, pw, STRUCTURAL)).all()
+            assert (got <= dense_candidates(rects, pw,
+                                            STRUCTURAL + beyond)).all()
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
     def test_states_match_two_lookups(self, key):

@@ -72,6 +72,11 @@ class TestSignature:
         sig = Signature.of(0, [7, 2, 3], 2)
         assert sig.orders == (2, 3, 7)
 
+    def test_numpy_integers_become_ints(self):
+        sig = Signature.of(np.int64(0), np.array([7, 2, 3]), np.int32(2))
+        assert sig == Signature.of(0, [7, 2, 3], 2)
+        assert {type(x) for x in (sig.genus, *sig.orders, sig.cusps)} == {int}
+
     def test_area_condition_rejected(self):
         with pytest.raises(InvalidSignature, match="area"):
             Signature.parse("0;2;1")
@@ -89,8 +94,11 @@ class TestSignature:
         (lambda: Signature(0, (3, 2), 1), "sorted"),
         (lambda: Signature.parse("0;2,3"), "expected"),
         (lambda: Signature.parse("0;2,x;1"), "cannot parse"),
+        (lambda: Signature.of(0.5, (2, 3), 1), "integers"),
+        (lambda: Signature.of(0, (2.5, 3), 1), "integers"),
+        (lambda: Signature(0, (2.5, 3), 1), "integers"),
     ], ids=["negative-genus", "unsorted-orders", "field-count",
-            "non-integer"])
+            "non-integer", "float-genus", "float-order-of", "float-order"])
     def test_rejects_bad_input(self, build, words):
         with pytest.raises(InvalidSignature, match=words):
             build()
