@@ -11,12 +11,13 @@ cell that starts there.
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, field
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
-from .errors import CustomPointOutOfRange, NotElliptic
-from .mobius import TAU, BoundaryPoint, angular_distance
+from .errors import CustomPointOutOfRange, NonFinite, NotElliptic
+from .mobius import TAU, BoundaryPoint, angular_distance, normalize_angle
 from .polygon import MarkedPolygon, rotation_powers
 
 MODES = ("left", "right", "midpoint")
@@ -67,8 +68,8 @@ class Partition:
         convention skips automatically.
         """
         t = (theta - self.lifted[0]) % TAU + self.lifted[0]
-        i = bisect.bisect_right(self.lifted, t, 0, self.n) - 1
-        return max(i, 0)
+        i = bisect.bisect_right(self.lifted, t, 0, len(self.points)) - 1
+        return i if i > 0 else 0
 
     def cell_arc(self, i: int) -> tuple[float, float]:
         """(start, sweep) of cell i; zero sweep for collapsed cells."""
@@ -157,23 +158,15 @@ class OrbitRecord:
 
 
 def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
-    """Index of the anchor circularly nearest to ``theta``, and its distance;
-    (-1, inf) when there is none.
-
-    ``anchors`` is sorted in [0, 2pi).  Bisection puts theta on the circular
-    arc from anchor i - 1 to anchor i, and the nearer end of that arc is the
-    nearest anchor; the lower end wins a tie.
-    """
-    if not anchors:
-        return -1, math.inf
+    """Index and distance of the anchor circularly nearest to ``theta``.
+    ``anchors`` is sorted in [0, 2pi) and not empty; bisection puts theta on
+    the arc from anchor i - 1 to anchor i, whose lower end wins a tie."""
     n = len(anchors)
     i = bisect.bisect_left(anchors, theta)
-    best, err = -1, math.inf
-    for j in ((i - 1) % n, i % n):
-        d = angular_distance(theta, anchors[j])
-        if d < err:
-            best, err = j, d
-    return best, err
+    d = abs(theta - anchors[i - 1]) % TAU
+    e = abs(theta - anchors[i % n]) % TAU
+    d, e = min(d, TAU - d), min(e, TAU - e)
+    return (i % n, e) if e < d else ((i - 1) % n, d)
 
 
 def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
@@ -184,40 +177,49 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     Iterates are snapped onto the cut set and onto previously seen points,
     which keeps the finite orbits of ideal vertices exactly periodic instead
     of drifting near parabolic fixed points."""
-    return _walk(poly, part, x, side, max_steps, stop_at_cut=False)
+    angles, periodic_from, budget = _walk(part, _frame(poly, part), x, side,
+                                          max_steps, stop_at_cut=False)
+    return OrbitRecord(x, side, tuple(map(BoundaryPoint.from_angle, angles)),
+                       periodic_from, budget)
 
 
-def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
-          max_steps: int, stop_at_cut: bool) -> OrbitRecord:
-    """``orbit``; ``stop_at_cut`` also stops before the first cut it hits."""
-    cuts = sorted(set(part.thetas))
+def _frame(poly: MarkedPolygon, part: Partition) -> tuple[list, list]:
+    """The sorted distinct cut angles, and (a, b, conj(b), conj(a)) of each
+    gluing: its ``apply`` is z -> (a z + b) / (conj(b) z + conj(a))."""
+    return sorted(set(part.thetas)), [
+        (g.a, g.b, g.b.conjugate(), g.a.conjugate()) for g in poly.generators]
+
+
+def _walk(part: Partition, frame: tuple, x: BoundaryPoint, side: str,
+          max_steps: int, stop_at_cut: bool) -> tuple[list, int | None, bool]:
+    """``orbit``'s angles, periodic_from and budget flag; ``stop_at_cut``
+    also stops before the first cut it hits.  ``frame`` is ``_frame(poly,
+    part)``, built once per caller; a step is ``f_apply``'s arithmetic on
+    the bare angle, with no ``BoundaryPoint`` made."""
+    cuts, gens = frame
     k = part.cell_of(x.theta)
     if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
         k -= 1
-    cur = poly.generators[k % part.n].apply_boundary(x)
-    points: list[BoundaryPoint] = []
-    index_of: dict[float, int] = {}
-    seen_sorted: list[float] = []
-    periodic_from, budget = None, False
+    cell, z = k % part.n, x.z
+    angles, index_of, seen = [], {}, []
     for _ in range(max_steps):
-        t = cur.theta
+        a, b, bc, ac = gens[cell]
+        t = normalize_angle(cmath.phase((a * z + b) / (bc * z + ac)))
         j, d = _nearest(t, cuts)
         if d < STRUCTURAL:
             if stop_at_cut:
-                break
+                return angles, None, False
             t = cuts[j]
-        j, d = _nearest(t, seen_sorted)
+        j, d = _nearest(t, seen) if seen else (-1, math.inf)
         if d < SAME_POINT:
-            periodic_from = index_of[seen_sorted[j]]
-            break
-        cur = BoundaryPoint.from_angle(t)
-        points.append(cur)
-        index_of[t] = len(points) - 1
-        bisect.insort(seen_sorted, t)
-        _, cur = f_apply(poly, part, cur)
-    else:
-        budget = True
-    return OrbitRecord(x, side, tuple(points), periodic_from, budget)
+            return angles, index_of[seen[j]], False
+        if not math.isfinite(t):
+            raise NonFinite(f"non-finite orbit angle {t!r}")
+        index_of[t] = len(angles)
+        angles.append(t)
+        bisect.insort(seen, t)
+        cell, z = part.cell_of(t), cmath.exp(1j * t)
+    return angles, None, True
 
 
 @dataclass(frozen=True)
@@ -320,49 +322,46 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     """Check that the cut-point orbits are finite and that the refinement
     they generate maps interval-onto-intervals under the boundary map.
     Orbits stop at the first cut they land on (its own orbit goes on); the
-    first to hit ``max_steps`` fails the report with an empty refinement."""
+    first to hit ``max_steps`` fails the report with an empty refinement.
+    The walks read the cuts and gluing coefficients once per call, and each
+    transition is one circular run of refinement intervals."""
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
+    frame = _frame(poly, part)
     for k in range(part.n):
         for side in ("upper", "lower"):
-            rec = _walk(poly, part, part.points[k], side, max_steps, True)
-            orbit_sizes[f"{k}:{side}"] = rec.distinct_count()
-            if rec.budget_exceeded:
+            angles, _, budget = _walk(part, frame, part.points[k], side,
+                                      max_steps, stop_at_cut=True)
+            orbit_sizes[f"{k}:{side}"] = len(angles)
+            if budget:
                 return MarkovReport([], [], orbit_sizes, checks={
                     "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
                     "endpoints": Check(math.inf, DEFAULT.residual,
                                        "not measured")})
-            pts.extend(p.theta for p in rec.points)
+            pts.extend(angles)
 
     # dedupe circularly
-    pts = sorted(t % TAU for t in pts)
     refined: list[float] = []
-    for t in pts:
+    for t in sorted(t % TAU for t in pts):
         if not refined or t - refined[-1] > SAME_POINT:
             refined.append(t)
     if refined and (TAU - refined[-1]) + refined[0] <= SAME_POINT:
         refined.pop()
 
-    # interval-onto-intervals: endpoints must map to refinement points
-    worst = 0.0
-    transitions: list[list[int]] = []
-    r = len(refined)
+    # interval-onto-intervals: endpoints must map to refinement points; the
+    # next interval of the same cell shares the last upper end's image
+    worst, transitions, r, last = 0.0, [], len(refined), None
     for i in range(r):
         lo, hi = refined[i], refined[(i + 1) % r]
         cell = part.cell_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)
-        g = poly.generators[cell]
-        glo, ghi = g.apply_angle(lo), g.apply_angle(hi)
-        ilo, elo = _nearest(glo, refined)
-        ihi, ehi = _nearest(ghi, refined)
+        image = poly.generators[cell].apply_angle
+        ilo, elo = (ihi, ehi) if cell == last else _nearest(image(lo), refined)
+        ihi, ehi = _nearest(image(hi), refined)
+        last = cell
         worst = max(worst, elo, ehi)
-        covered = []
-        j = ilo
-        while j != ihi:
-            covered.append(j)
-            j = (j + 1) % r
-        if not covered:
-            covered = [ilo]
-        transitions.append(covered)
+        transitions.append(list(range(ilo, ihi)) if ilo < ihi else
+                           list(range(ilo, r)) + list(range(ihi)) if ilo > ihi
+                           else [ilo])
 
     return MarkovReport(refined, transitions, orbit_sizes, checks={
         "orbits_finite": Check(0, 1),

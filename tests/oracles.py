@@ -11,9 +11,14 @@ the cell and the candidate rectangles off one breakpoint table;
 ``bisector_endpoint``
 constructs the end of the angle bisector at an elliptic vertex from the
 tangents of the sides' circles (``tangent_at``), independently of the arc
-midpoint ``AuxPoints.M``; ``markov_full_walk`` refines the partition by
-every cut-point orbit walked in full, where ``markov_check`` stops each
-orbit at the first cut it lands on; ``orthogonal_circle`` finds the circle
+midpoint ``AuxPoints.M``; ``walk_reference`` walks an orbit one
+``BoundaryPoint`` at a time through ``f_apply``, where ``orbit`` and
+``markov_check`` step on bare angles, and ``markov_reference`` rebuilds the
+Markov report from it, each transition the ``circular_run`` between the
+refinement points that a scan of all of them finds nearest to the images
+of the interval's ends; ``markov_full_walk`` refines the partition by every
+cut-point orbit walked in full, where ``markov_check`` stops each orbit at
+the first cut it lands on; ``orthogonal_circle`` finds the circle
 of a geodesic by a linear solve of its two incidence equations, where
 ``mobius`` uses closed forms; ``scalar_draws`` is the counter-based draw of
 ``extension._draws`` one angle at a time in Python integers;
@@ -24,6 +29,7 @@ grid against the domain clipped to the block's band, where
 ``verify_bijectivity`` takes every residual from one grid.
 """
 
+import bisect
 import cmath
 import math
 
@@ -31,9 +37,9 @@ import numpy as np
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
-                      geodesic_circle, orbit)
+                      f_apply, geodesic_circle)
 from fuchsian.arcs import box_measure, max_pairwise_overlap
-from fuchsian.boundary import MarkovReport
+from fuchsian.boundary import MarkovReport, OrbitRecord
 from fuchsian.mobius import TAU, angular_distance, normalize_angle
 from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
                                  Check)
@@ -333,23 +339,108 @@ def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
     return geodesic_from_direction(v.point, d / abs(d))
 
 
-# -- Markov refinement from full orbits ----------------------------------------
+# -- orbit walks and the Markov refinement ------------------------------------
 
 
-def markov_full_walk(poly: MarkedPolygon, part: Partition,
-                     max_steps: int = 10_000) -> dict:
-    """``markov_check(poly, part, max_steps).to_dict()`` without
-    ``orbit_sizes``, with every cut-point orbit walked until it revisits a
-    point (or hits ``max_steps``, which fails at once)."""
-    pts = list(part.thetas)
+def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
+    """Index of the anchor circularly nearest to ``theta``, and its distance;
+    (-1, inf) when there is none.
+
+    ``anchors`` is sorted in [0, 2pi).  Bisection puts theta on the circular
+    arc from anchor i - 1 to anchor i, and the nearer end of that arc is the
+    nearest anchor; the lower end wins a tie.
+    """
+    if not anchors:
+        return -1, math.inf
+    n = len(anchors)
+    i = bisect.bisect_left(anchors, theta)
+    best, err = -1, math.inf
+    for j in ((i - 1) % n, i % n):
+        d = angular_distance(theta, anchors[j])
+        if d < err:
+            best, err = j, d
+    return best, err
+
+
+def walk_reference(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
+                   side: str, max_steps: int,
+                   stop_at_cut: bool) -> OrbitRecord:
+    """``orbit`` one ``BoundaryPoint`` at a time through ``f_apply``;
+    ``stop_at_cut`` also stops before the first cut it hits, as the walks of
+    ``markov_check`` do."""
+    cuts = sorted(set(part.thetas))
+    k = part.cell_of(x.theta)
+    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
+        k -= 1
+    cur = poly.generators[k % part.n].apply_boundary(x)
+    points: list[BoundaryPoint] = []
+    index_of: dict[float, int] = {}
+    seen_sorted: list[float] = []
+    periodic_from, budget = None, False
+    for _ in range(max_steps):
+        t = cur.theta
+        j, d = _nearest(t, cuts)
+        if d < STRUCTURAL:
+            if stop_at_cut:
+                break
+            t = cuts[j]
+        j, d = _nearest(t, seen_sorted)
+        if d < SAME_POINT:
+            periodic_from = index_of[seen_sorted[j]]
+            break
+        cur = BoundaryPoint.from_angle(t)
+        points.append(cur)
+        index_of[t] = len(points) - 1
+        bisect.insort(seen_sorted, t)
+        _, cur = f_apply(poly, part, cur)
+    else:
+        budget = True
+    return OrbitRecord(x, side, tuple(points), periodic_from, budget)
+
+
+def transition_ends(poly: MarkedPolygon, part: Partition,
+                    refined: list[float]) -> list[tuple[int, float, int, float]]:
+    """(ilo, elo, ihi, ehi) per interval of ``refined``: the refinement
+    points nearest to the images of its two ends under its cell's gluing,
+    by a scan of every point (the lowest index wins a tie), and their
+    distances."""
+    def nearest(theta):
+        return min((angular_distance(theta, a), i)
+                   for i, a in enumerate(refined))
+
+    ends, r = [], len(refined)
+    for i in range(r):
+        lo, hi = refined[i], refined[(i + 1) % r]
+        g = poly.generators[part.cell_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)]
+        elo, ilo = nearest(g.apply_angle(lo))
+        ehi, ihi = nearest(g.apply_angle(hi))
+        ends.append((ilo, elo, ihi, ehi))
+    return ends
+
+
+def circular_run(ilo: int, ihi: int, r: int) -> list[int]:
+    """The intervals from ``ilo`` up to, not including, ``ihi``, counted
+    mod ``r``; ``[ilo]`` when the two are equal."""
+    return [j % r for j in range(ilo, ilo + (ihi - ilo) % r)] or [ilo]
+
+
+def markov_reference(poly: MarkedPolygon, part: Partition,
+                     max_steps: int = 10_000, stop_at_cut: bool = True) -> dict:
+    """``markov_check(poly, part, max_steps).to_dict()`` from
+    ``walk_reference``, ``transition_ends`` and ``circular_run``.  With
+    ``stop_at_cut=False`` every cut-point orbit is walked until it revisits
+    a point, and ``orbit_sizes`` counts whole orbits."""
+    pts, sizes = list(part.thetas), {}
     for k in range(part.n):
         for side in ("upper", "lower"):
-            rec = orbit(poly, part, part.points[k], side, max_steps)
+            rec = walk_reference(poly, part, part.points[k], side, max_steps,
+                                 stop_at_cut)
+            sizes[f"{k}:{side}"] = rec.distinct_count()
             if rec.budget_exceeded:
-                return _without_sizes(MarkovReport([], [], {}, checks={
+                return MarkovReport([], [], sizes, checks={
                     "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
                     "endpoints": Check(math.inf, DEFAULT.residual,
-                                       "not measured")}))
+                                       "not measured")}).to_dict()
             pts.extend(p.theta for p in rec.points)
 
     refined: list[float] = []
@@ -359,25 +450,19 @@ def markov_full_walk(poly: MarkedPolygon, part: Partition,
     if refined and (TAU - refined[-1]) + refined[0] <= SAME_POINT:
         refined.pop()
 
-    def nearest(theta):
-        return min((angular_distance(theta, a), i)
-                   for i, a in enumerate(refined))
-
-    worst, transitions, r = 0.0, [], len(refined)
-    for i in range(r):
-        lo, hi = refined[i], refined[(i + 1) % r]
-        g = poly.generators[part.cell_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)]
-        elo, ilo = nearest(g.apply_angle(lo))
-        ehi, ihi = nearest(g.apply_angle(hi))
-        worst = max(worst, elo, ehi)
-        transitions.append([j % r for j in range(ilo, ilo + (ihi - ilo) % r)]
-                           or [ilo])
-    return _without_sizes(MarkovReport(refined, transitions, {}, checks={
+    ends, r = transition_ends(poly, part, refined), len(refined)
+    runs = [circular_run(ilo, ihi, r) for ilo, _, ihi, _ in ends]
+    worst = max((max(elo, ehi) for _, elo, _, ehi in ends), default=0.0)
+    return MarkovReport(refined, runs, sizes, checks={
         "orbits_finite": Check(0, 1),
-        "endpoints": Check(worst, DEFAULT.residual)}))
+        "endpoints": Check(worst, DEFAULT.residual)}).to_dict()
 
 
-def _without_sizes(rep: MarkovReport) -> dict:
-    out = rep.to_dict()
+def markov_full_walk(poly: MarkedPolygon, part: Partition,
+                     max_steps: int = 10_000) -> dict:
+    """``markov_check(poly, part, max_steps).to_dict()`` without
+    ``orbit_sizes``, with every cut-point orbit walked until it revisits a
+    point (or hits ``max_steps``, which fails at once)."""
+    out = markov_reference(poly, part, max_steps, stop_at_cut=False)
     del out["orbit_sizes"]
     return out

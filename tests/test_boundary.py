@@ -8,11 +8,12 @@ import pytest
 
 from conftest import (MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES, partition,
                       polygon)
-from oracles import markov_full_walk
+from oracles import (circular_run, markov_full_walk, markov_reference,
+                     transition_ends, walk_reference)
 
-from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NotElliptic,
-                      Partition, cycle, f_apply, make_partition, markov_check,
-                      orbit, verify_matching)
+from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NonFinite,
+                      NotElliptic, Partition, cycle, f_apply, make_partition,
+                      markov_check, orbit, verify_matching)
 from fuchsian.mobius import TAU, DiskPoint, angular_distance
 
 MODULAR = "0;2,3;1"
@@ -45,6 +46,25 @@ def nudged(text, mode, toward):
     points = tuple(p if v.is_ideal else BoundaryPoint.from_angle(ulp(p.theta))
                    for p, v in zip(partition(text, mode).points, verts))
     return poly, Partition(poly, points, mode)
+
+
+def seeded_partitions(poly):
+    """(partition, max_steps) of two seeded custom cut sets: a mix of P, M
+    and Q (finite orbits; an order-2 vertex takes M, its P and Q are ideal
+    vertices) and a uniform draw (open orbits, a budget hit).  Empty when
+    the polygon has no elliptic vertex."""
+    rng = np.random.default_rng(11)
+    mixed, drawn = {}, {}
+    for k in poly.elliptic_indices():
+        aux = poly.aux[k]
+        pick = rng.integers(3) if poly.vertices[k].order > 2 else 1
+        mixed[k] = (aux.P, aux.M, aux.Q)[pick].theta
+        sweep = (aux.Q.theta - aux.P.theta) % TAU
+        drawn[k] = (aux.P.theta + rng.uniform(0.02, 0.98) * sweep) % TAU
+    if not mixed:
+        return []
+    return [(make_partition(poly, "custom", mixed), 10_000),
+            (make_partition(poly, "custom", drawn), 1_000)]
 
 
 class TestMakePartition:
@@ -195,6 +215,12 @@ class TestOrbits:
         part = partition("1;2,3,7;2", "midpoint")
         rec = orbit(poly, part, BoundaryPoint.from_angle(1.2345), max_steps=3)
         assert rec.budget_exceeded
+
+    def test_non_finite_start_raises(self):
+        poly = polygon(MODULAR)
+        nan = BoundaryPoint(math.nan, complex(math.nan, math.nan))
+        with pytest.raises(NonFinite):
+            orbit(poly, partition(MODULAR, "midpoint"), nan)
 
     def test_midpoint_orbits_reach_cusp_set(self):
         # degenerate order-3 cycle: lower orbit of the cut lands on the
@@ -378,29 +404,49 @@ class TestMarkov:
     def test_refinement_equals_full_orbit_walk(self, text):
         # markov_check stops each orbit at the first cut it lands on, whose
         # own upper orbit carries the rest; walking every orbit in full gives
-        # the same report.  Custom cuts: a seeded mix of P, M, Q (finite
-        # orbits; an order-2 vertex takes M, its P and Q are ideal vertices)
-        # and a seeded uniform draw (open orbits, a budget hit)
+        # the same report, on the named and the seeded custom cuts
         poly = polygon(text)
-
-        def check(part, max_steps=10_000):
+        for part, max_steps in ([(partition(text, m), 10_000) for m in MODES]
+                                + seeded_partitions(poly)):
             got = markov_check(poly, part, max_steps).to_dict()
             del got["orbit_sizes"]
             assert got == markov_full_walk(poly, part, max_steps), part.mode
 
-        for mode in MODES:
-            check(partition(text, mode))
-        rng = np.random.default_rng(11)
-        mixed, drawn = {}, {}
-        for k in poly.elliptic_indices():
-            aux = poly.aux[k]
-            pick = rng.integers(3) if poly.vertices[k].order > 2 else 1
-            mixed[k] = (aux.P, aux.M, aux.Q)[pick].theta
-            sweep = (aux.Q.theta - aux.P.theta) % TAU
-            drawn[k] = (aux.P.theta + rng.uniform(0.02, 0.98) * sweep) % TAU
-        if mixed:
-            check(make_partition(poly, "custom", mixed))
-            check(make_partition(poly, "custom", drawn), max_steps=1_000)
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE + ["40;;1"])
+    def test_walks_equal_the_reference_walk(self, text):
+        # orbit and markov_check step on bare angles; walk_reference steps
+        # BoundaryPoints through f_apply.  Reports, orbit sizes and every
+        # orbit point's theta and z agree to the bit (repr round-trips each
+        # float), up to and including the first orbit over its budget
+        poly = polygon(text)
+        for part, max_steps in ([(partition(text, m), 10_000) for m in MODES]
+                                + seeded_partitions(poly)):
+            assert (repr(markov_check(poly, part, max_steps).to_dict())
+                    == repr(markov_reference(poly, part, max_steps))), part.mode
+            for x, side in [(x, side) for x in part.points
+                            for side in ("upper", "lower")]:
+                rec = orbit(poly, part, x, side, max_steps)
+                assert repr(rec) == repr(walk_reference(poly, part, x, side,
+                                                        max_steps, False))
+                if rec.budget_exceeded:
+                    break
+
+    def test_transitions_are_circular_runs(self):
+        # each transition is the run of intervals from the nearest point to
+        # the image of the interval's lower end up to the one of its upper
+        # end; some run wraps past the seam of the refinement
+        wraps = 0
+        for text in SIGNATURES + SCALE:
+            poly = polygon(text)
+            for mode in MODES:
+                part = partition(text, mode)
+                rep = markov_check(poly, part)
+                r = len(rep.refinement)
+                ends = transition_ends(poly, part, rep.refinement)
+                assert rep.transitions == [circular_run(ilo, ihi, r)
+                                           for ilo, _, ihi, _ in ends]
+                wraps += sum(ilo > ihi for ilo, _, ihi, _ in ends)
+        assert wraps > 0
 
     def test_no_orbit_point_off_the_cuts_on_all_ideal_polygon(self):
         # on 40;;1 every cut-point orbit reaches a cut in one step; walked in
