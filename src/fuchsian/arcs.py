@@ -3,9 +3,10 @@
 All arcs are stored counter-clockwise: an arc is a start angle plus a sweep
 in (0, 2pi].  A rectangle list becomes one ``RectArray``; ``seam_split``
 turns its arcs into plain intervals in [0, 2pi], and ``rect_boxes`` their
-products into plain boxes in [0, 2pi]^2.  Measures of unions, intersections and
-symmetric differences sum the cells of the grid of the boxes' breakpoints,
-exact up to endpoint rounding; no rasterization.
+products into plain boxes in [0, 2pi]^2.  Measures of unions, intersections
+and symmetric differences sum the cells of the grid of the boxes'
+breakpoints, exact up to endpoint rounding; no rasterization.  ``cayley``
+maps angles to the real line, where the gluings act by real matrices.
 """
 
 from __future__ import annotations
@@ -126,6 +127,23 @@ def seam_split(start: np.ndarray, sweep: np.ndarray) -> np.ndarray:
     out[:, 0, 1] = np.where(one, np.minimum(hi, TAU), TAU)
     out[:, 1, 1] = np.where(one, 0.0, hi - TAU)
     return out
+
+
+def cayley(theta) -> np.ndarray:
+    """Cayley coordinate x = -cot(theta / 2) = i (1 + z) / (1 - z), z =
+    exp(i theta), of each angle, increasing on (0, 2pi); the seam theta = 0
+    is x = -inf, as is an angle under 2e-300, whose x would overflow p x in
+    a real Moebius step x -> (p x + q) / (r x + s)."""
+    h = 0.5 * np.asarray(theta, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = -np.cos(h) / np.sin(h)
+    return np.where(x < -1e300, -np.inf, x)
+
+
+def cayley_angle(x: np.ndarray) -> np.ndarray:
+    """The angle in [0, 2pi] of each Cayley coordinate: 0 at -inf, 2pi at
+    +inf."""
+    return 2.0 * np.arctan2(1.0, -x)
 
 
 def clip_intervals(x: np.ndarray, y: np.ndarray) -> np.ndarray:

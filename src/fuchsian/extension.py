@@ -24,9 +24,9 @@ import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _column_areas,
-                   _covered, _overlap_lengths, box_measure, ccw_sweep,
-                   clip_intervals, max_pairwise_overlap, rect_boxes,
-                   union_by_group)
+                   _covered, _overlap_lengths, box_measure, cayley,
+                   cayley_angle, ccw_sweep, clip_intervals,
+                   max_pairwise_overlap, rect_boxes, union_by_group)
 from .boundary import CycleData, Partition, cycle
 from .errors import NotElliptic, TilingViolation
 from .mobius import TAU, BoundaryPoint, angular_distance
@@ -195,11 +195,10 @@ def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
     return rows[keep] + first, lo[keep], hi[keep], out[keep]
 
 
-def _gluing(poly: MarkedPolygon, part: Partition, theta: np.ndarray):
-    """Cell of each angle in [0, 2pi], the last lifted cut at or before it
-    (so 2pi falls in the last cell), and the a and b of its gluing."""
-    cell = np.maximum(np.searchsorted(part.lifted[:part.n], theta,
-                                      side="right") - 1, 0)
+def _gluing(poly: MarkedPolygon, cuts, keys: np.ndarray):
+    """Cell of each key, the last lifted cut (``cuts``, in the keys'
+    coordinate) at or before it, and the a and b of its gluing."""
+    cell = np.maximum(np.searchsorted(cuts, keys, side="right") - 1, 0)
     return cell, *np.array([(g.a, g.b) for g in poly.generators])[cell].T
 
 
@@ -222,7 +221,8 @@ def image_rects(poly: MarkedPolygon, part: Partition,
                rs.sweep[s:s + _SPLIT_ROWS, 1], cuts, s)
         for s in range(0, max(len(rs), 1), _SPLIT_ROWS))))
     # Partition.cell_of of each piece's midpoint
-    cell, a, b = _gluing(poly, part, _normalize(lo + 0.5 * sweep))
+    cell, a, b = _gluing(poly, part.lifted[:part.n],
+                         _normalize(lo + 0.5 * sweep))
     a, b = a[:, None], b[:, None]
     # columns u-start, u-end, w-start, w-end
     z = np.exp(1j * np.column_stack([rs.theta[rows, :2], lo, hi]))
@@ -509,89 +509,89 @@ def _draws(seed: int, samples: int, buffer: float) -> np.ndarray:
 class _Kernel:
     """The vectorized step-and-membership kernel of the planar extension.
 
-    States are the columns of 2 x N arrays: ``z`` holds (u, w) as unit
-    complex numbers, ``ang`` their angles in [0, 2pi].  ``breaks`` sorts {0},
-    the lifted cut points and, for each rectangle list (a ``RectArray``),
-    both ends of every w-arc widened by r = tol + ``WRAP``; ``locate`` finds
-    by one ``searchsorted`` the interval [breaks[j - 1], breaks[j]) of w.
-    Column j of the tables holds values on it: ``coef`` the gluing's a, b,
-    conj(b), conj(a) for the cell of w; per list, ``cand`` the rows of the
-    rectangles whose widened w-arc holds the interval, padded with -1, and
-    row k of ``table`` the (u, w) starts and widened sweeps of the k-th.
-    Membership is closed with ``tol`` = ``STRUCTURAL`` on both coordinates,
-    and ``WRAP`` covers the rounding of the offsets, so every rectangle
-    whose test a state can pass is a candidate: the verdicts are those of
-    testing every rectangle, whether or not the w-arcs tile.  At w = 2pi
-    the kernel takes the last cell and ``Partition.cell_of`` the cell of 0.
+    A state is a column of a C-ordered 2 x N array of the ``cayley``
+    coordinates x of (u, w), on which a gluing acts by the real map x ->
+    (p x + q) / (r x + s) of determinant 1 (see README), so no step
+    renormalises; the seam x = +-inf maps to p / r, a zero denominator to
+    the seam.  ``breaks`` sorts the x of 0, of the lifted cuts and of both
+    ends of every w-arc of each rectangle list, widened by tol + ``WRAP``;
+    ``locate`` finds the interval [breaks[j - 1], breaks[j]) of w.  Column j
+    of ``coef`` holds (p, q, r, s) of its cell; per list, of ``cand`` the
+    rows of the rectangles whose widened w-arc holds it (-1 pads), and of
+    row k of ``table`` the k-th one's edges lo = x(start - tol), hi = x(end
+    + tol) on both arcs and flags nw = lo <= hi, false where the arc holds
+    the seam and on the pad.  A state is inside when (x >= lo) ^ (x <= hi)
+    ^ nw on both coordinates: with ``tol`` = ``STRUCTURAL`` and ``WRAP`` for
+    the edges' rounding, these are the verdicts of every rectangle, tiled or
+    not.  At w = 2pi the kernel takes the last cell, ``cell_of`` cell 0.
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
                  *lists: RectArray):
         tol, r = STRUCTURAL, STRUCTURAL + WRAP
-        # (start - r, end + r) of each widened w-arc, (0, 0) if it is full
-        ends = [np.where(rs.sweep[:, 1] + 2 * r >= TAU, 0.0, np.mod(
-            [rs.theta[:, 2] - r, rs.theta[:, 2] + rs.sweep[:, 1] + r], TAU))
+        # x(start - r), x(end + r) of each widened w-arc, -inf if it is full
+        ends = [cayley(np.where(rs.sweep[:, 1] + 2 * r >= TAU, 0.0, np.mod(
+            [rs.theta[:, 2] - r, rs.theta[:, 2] + rs.sweep[:, 1] + r], TAU)))
             for rs in lists]
+        cuts = cayley(part.lifted[:part.n])
         self.breaks = _breakpoints(np.concatenate(
-            [[0.0], part.lifted[:part.n], *(e.ravel() for e in ends)]))
+            [[-np.inf], cuts, *(e.ravel() for e in ends)]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
-        self.cell, a, b = _gluing(poly, part, np.concatenate(
+        self.cell, a, b = _gluing(poly, cuts, np.concatenate(
             [self.breaks[:1], self.breaks]))
-        self.coef = np.stack([a, b, np.conj(b), np.conj(a)])
-        self.lo, nb = TAU - tol, len(self.breaks)
+        self.coef = np.stack([a.real + b.real, a.imag - b.imag,
+                              -(a.imag + b.imag), a.real - b.real])
+        nb = len(self.breaks)
         self.cand, self.table = [], []
         for rs, e in zip(lists, ends):
-            # the arc from breaks[ia] to breaks[ib] holds the intervals
-            # ia + 1 to ib, wrapping from nb to 1, all of them if ia = ib
-            ia, ib = np.searchsorted(self.breaks, e)
-            length = (ib - ia - 1) % nb + 1
-            row = np.repeat(np.arange(len(rs)), length)
-            j = (np.arange(row.size) - np.repeat(np.cumsum(length) - length
-                                                 - ia, length)) % nb + 1
-            order = np.argsort(j, kind="stable")
-            row, j = row[order], j[order]
-            cand = np.full((np.bincount(j).max(), nb + 1), -1)
-            cand[np.arange(j.size) - np.searchsorted(j, j), j] = row
-            # rows u-, w-start, widened u-, w-sweep; column -1 pads, with NaN
-            cols = np.full((4, len(rs) + 1), np.nan)
-            cols[:, :-1] = np.hstack([rs.theta[:, 0::2], rs.sweep + tol]).T
+            # the arc from breaks[ia] to breaks[ib] holds the intervals ia + 1
+            # to ib, wrapping from nb to 1, all if ia = ib; rows in order
+            ia, ib = np.searchsorted(self.breaks, e)[:, :, None]
+            holds = (np.arange(nb + 1) - ia - 1) % nb < (ib - ia - 1) % nb + 1
+            holds[:, 0] = False
+            row = np.argsort(~holds, axis=0, kind="stable")
+            row = row[:np.count_nonzero(holds, axis=0).max()]
+            cand = np.where(np.take_along_axis(holds, row, 0), row, -1)
+            # rows lo of u, w and hi of u, w, (-inf, inf) for an arc widened
+            # to the whole circle; column -1 pads with NaN
+            lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
+            edges = np.full((4, len(rs) + 1), np.nan)
+            edges[:, :-1] = cayley(np.vstack([lo, lo + sweep]) % TAU)
+            edges[:2, :-1][sweep >= TAU] = -np.inf
+            edges[2:, :-1][sweep >= TAU] = np.inf
             self.cand.append(cand)
-            self.table.append([cols[:, c] for c in cand])
+            self.table.append([(edges[:, c], edges[:2, c] <= edges[2:, c])
+                               for c in cand])
 
-    def locate(self, pw: np.ndarray) -> np.ndarray:
-        """Table index j of each w-angle in [0, 2pi]."""
-        return np.searchsorted(self.breaks, pw, side="right")
+    def locate(self, xw: np.ndarray) -> np.ndarray:
+        """Table index j of each w-coordinate."""
+        return np.searchsorted(self.breaks, xw, side="right")
 
     def start(self, ang: np.ndarray):
-        """The states at angles ``ang`` and the intervals of their w."""
-        z = np.exp(1j * ang)
-        return z, self.locate(np.angle(z[1]) % TAU)
+        """C-ordered states at angles ``ang`` (2 x N) and their j."""
+        x = cayley(np.ascontiguousarray(ang))
+        return x, self.locate(x[1])
 
-    def step(self, z: np.ndarray, j: np.ndarray):
-        """Map the states z, whose w lie in intervals ``j``, by the gluing of
-        the cell of w; return the new states, their angles and their j."""
-        a, b, b_bar, a_bar = self.coef.take(j, axis=1)
-        z = (a * z + b) / (b_bar * z + a_bar)
-        # renormalize: modulus drift would otherwise amplify exponentially
-        z /= np.abs(z)
-        ang = np.arctan2(z.imag, z.real)
-        ang += TAU * (ang < 0)
-        return z, ang, self.locate(ang[1])
+    def step(self, x: np.ndarray, j: np.ndarray):
+        """The states x, w in intervals j, mapped by w's cell, and their j."""
+        p, q, r, s = self.coef.take(j, axis=1)
+        with np.errstate(all="ignore"):
+            y = (p * x + q) / (r * x + s)
+            seam = np.isnan(y)      # x = +-inf gave inf / inf
+            if seam.any():
+                y[seam] = np.broadcast_to(p / r, y.shape)[seam]
+        return y, self.locate(y[1])
 
-    def _test(self, row, j, ang):
-        """Mask of ``ang`` in the row's candidates of intervals j; angles and
-        starts lie in [0, 2pi], so one wrap gives the offsets."""
-        col = row.take(j, axis=1)
-        d = ang - col[:2]
-        d += TAU * (d < 0)
-        return ((d <= col[2:]) | (d >= self.lo)).all(axis=0)
+    def _test(self, row, j, x):
+        """Mask of the states x in the row's candidates of intervals j."""
+        col, nw = (t.take(j, axis=1) for t in row)
+        return ((x >= col[:2]) ^ (x <= col[2:]) ^ nw).all(axis=0)
 
-    def inside(self, i: int, j, ang: np.ndarray) -> np.ndarray:
-        """Mask of the states at angles ``ang``, w in intervals j, in list i:
-        every state on its first candidate, then each later candidate for
-        the states that still fail and have one."""
+    def inside(self, i: int, j, x: np.ndarray) -> np.ndarray:
+        """Mask of the states x, w in intervals j, in list i: each state on
+        its candidates in turn, until one holds it or none is left."""
         cand, table = self.cand[i], self.table[i]
-        ok = self._test(table[0], j, ang)
+        ok = self._test(table[0], j, x)
         if ok.all():
             return ok
         todo = np.flatnonzero(~ok)
@@ -599,7 +599,7 @@ class _Kernel:
             todo = todo[cand[k, j[todo]] >= 0]
             if todo.size == 0:
                 break
-            hit = self._test(table[k], j[todo], ang[:, todo])
+            hit = self._test(table[k], j[todo], x[:, todo])
             ok[todo[hit]] = True
             todo = todo[~hit]
         return ok
@@ -612,9 +612,9 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
 
     Sampling is uniform in both angles outside a diagonal buffer, from the
     SplitMix64 hash of (seed, sample index, retry), so a sample depends on
-    the non-negative integer seed and its index alone; these draws differ
-    from those of the earlier per-sample numpy generators.  Raises
-    ``ValueError`` for negative ``max_iters``.
+    the non-negative integer seed and its index alone.  A sample that starts
+    inside records its drawn angles as its entry.  Raises ``ValueError`` for
+    negative ``max_iters``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -630,28 +630,29 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     K, esc = np.full((2, samples), -1, dtype=np.int64)
     entry = np.full((2, samples), np.nan)
 
-    def record(n, live, j, ang):
+    def record(n, live, j, x):
         """Mark first entries and escapes at step n; mask the still live."""
         todo = np.flatnonzero(K[live] < 0)
         if todo.size:
-            hit = todo[kern.inside(0, j[todo], ang[:, todo])]
+            hit = todo[kern.inside(0, j[todo], x[:, todo])]
             K[live[hit]] = n
-            entry[:, live[hit]] = ang[:, hit]
+            entry[:, live[hit]] = (cayley_angle(x[:, hit]) if n
+                                   else drawn[:, hit])
         todo = np.flatnonzero(esc[live] < 0)
         if todo.size:
-            esc[live[todo[~kern.inside(1, j[todo], ang[:, todo])]]] = n
+            esc[live[todo[~kern.inside(1, j[todo], x[:, todo])]]] = n
         return (K[live] < 0) | (esc[live] < 0)
 
-    live = np.flatnonzero(record(0, np.arange(samples), kern.locate(drawn[1]),
-                                 drawn))
+    x, j = kern.start(drawn)
     # the live states only, compacted after every step
-    z, j = kern.start(drawn[:, live])
+    live = np.flatnonzero(record(0, np.arange(samples), j, x))
+    x, j = x[:, live], j[live]
     for n in range(1, max_iters + 1):
         if live.size == 0:
             break
-        z, ang, j = kern.step(z, j)
-        keep = record(n, live, j, ang)
-        live, z, j = live[keep], z[:, keep], j[keep]
+        x, j = kern.step(x, j)
+        keep = record(n, live, j, x)
+        live, x, j = live[keep], x[:, keep], j[keep]
 
     return [EntryTrace(i, u0, w0, k, e, k >= 0, eu, ew)
             for i, (u0, w0, k, e, eu, ew) in enumerate(zip(
@@ -665,21 +666,20 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     Raises ``ValueError`` for negative ``steps``."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    ang = np.array([(t.entry_u, t.entry_w) for t in traces if t.entered]).T
+    ang = np.array([[t.entry_u for t in traces if t.entered],
+                    [t.entry_w for t in traces if t.entered]])
     if not ang.size:
         return 0
     kern = _Kernel(poly, part, dom.arrays)
-    z, j = kern.start(ang)
+    x, j = kern.start(ang)
     exits = 0
     for _ in range(steps):
-        z, ang, j = kern.step(z, j)
-        exits += j.size - int(np.count_nonzero(kern.inside(0, j, ang)))
+        x, j = kern.step(x, j)
+        exits += j.size - int(np.count_nonzero(kern.inside(0, j, x)))
     return exits
 
 
 def traces_to_csv(traces: list[EntryTrace], seed: int) -> str:
-    lines = ["sample,seed,u0,w0,K,escape_step,entered"]
-    for t in traces:
-        lines.append(f"{t.sample},{seed},{t.u0!r},{t.w0!r},{t.K},"
-                     f"{t.escape_step},{int(t.entered)}")
-    return "\n".join(lines) + "\n"
+    return "".join(["sample,seed,u0,w0,K,escape_step,entered\n"] + [
+        f"{t.sample},{seed},{t.u0!r},{t.w0!r},{t.K},{t.escape_step},"
+        f"{int(t.entered)}\n" for t in traces])

@@ -3,29 +3,32 @@
 Each one is the plain, one-point-at-a-time form of something the library
 computes another way: ``F_apply`` is one step of the planar extension that
 the kernel ``extension._Kernel`` applies to arrays of states;
-``domain_contains`` is the closed membership test that the same kernel
-answers for arrays; ``two_lookup_step`` is the kernel's step as a binary
-search on the cut points at the state's own w, and ``dense_candidates``
-tests the state's w against every rectangle, where the kernel reads both
-the cell and the candidate rectangles off one breakpoint table;
-``bisector_endpoint``
-constructs the end of the angle bisector at an elliptic vertex from the
-tangents of the sides' circles (``tangent_at``), independently of the arc
-midpoint ``AuxPoints.M``; ``walk_reference`` walks an orbit one
-``BoundaryPoint`` at a time through ``f_apply``, where ``orbit`` and
-``markov_check`` step on bare angles, and ``markov_reference`` rebuilds the
-Markov report from it, each transition the ``circular_run`` between the
-refinement points that a scan of all of them finds nearest to the images
-of the interval's ends; ``markov_full_walk`` refines the partition by every
-cut-point orbit walked in full, where ``markov_check`` stops each orbit at
-the first cut it lands on; ``orthogonal_circle`` finds the circle
-of a geodesic by a linear solve of its two incidence equations, where
-``mobius`` uses closed forms; ``scalar_draws`` is the counter-based draw of
-``extension._draws`` one angle at a time in Python integers;
-``scalar_rect_image`` images one rectangle at a time, where
-``extension.image_rects`` images a whole list on arrays, and
-``per_block_bijectivity`` measures each block's strip residual on its own
-grid against the domain clipped to the block's band, where
+``domain_contains`` is the closed membership test on angles that the same
+kernel answers on the Cayley coordinate x = -cot(theta / 2), by the edges
+lo, hi of each candidate's arcs and a no-wrap flag nw, (x >= lo) ^ (x <=
+hi) ^ nw; ``two_lookup_step`` is the complex form of the kernel's real
+step, z -> (a z + b) / (conj(b) z + conj(a)) renormalised, after a binary
+search on the cut points at the state's own w (``two_lookup_cell``, on
+angles or on x), and ``dense_candidates`` tests the state's w against every
+rectangle, where the kernel reads both the cell and the candidate
+rectangles off one breakpoint table; ``bisector_endpoint`` constructs the
+end of the angle bisector at an elliptic vertex from the tangents of the
+sides' circles (``tangent_at``), independently of the arc midpoint
+``AuxPoints.M``; ``walk_reference`` walks an orbit one ``BoundaryPoint`` at
+a time through ``f_apply``, where ``orbit`` and ``markov_check`` step on
+bare angles, and ``markov_reference`` rebuilds the Markov report from it,
+each transition the ``circular_run`` between the refinement points that a
+scan of all of them finds nearest to the images of the interval's ends (a
+full walk is kept per signature, cuts, start, side and budget, as two tests
+repeat them); ``markov_full_walk`` refines the partition by every cut-point
+orbit walked in full, where ``markov_check`` stops each orbit at the first
+cut it lands on; ``orthogonal_circle`` finds the circle of a geodesic by a
+linear solve of its two incidence equations, where ``mobius`` uses closed
+forms; ``scalar_draws`` is the counter-based draw of ``extension._draws``
+one angle at a time in Python integers; ``scalar_rect_image`` images one
+rectangle at a time, where ``extension.image_rects`` images a whole list on
+arrays, and ``per_block_bijectivity`` measures each block's strip residual
+on its own grid against the domain clipped to the block's band, where
 ``verify_bijectivity`` takes every residual from one grid.
 """
 
@@ -53,10 +56,12 @@ def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
     return k, g.apply_boundary(u), g.apply_boundary(w)
 
 
-def two_lookup_cell(part: Partition, pw: np.ndarray) -> np.ndarray:
-    """Cell of each w-angle in [0, 2pi]: the last lifted cut at or before
-    it, clipped to the cells, so w = 2pi falls in the last cell."""
-    cells = np.searchsorted(np.array(part.lifted[:part.n]), pw,
+def two_lookup_cell(part: Partition, pw: np.ndarray,
+                    coord=np.asarray) -> np.ndarray:
+    """Cell of each w-angle in [0, 2pi], or of each w given by its
+    increasing coordinate ``coord`` of the angle: the last lifted cut at or
+    before it, clipped to the cells, so w = 2pi falls in the last cell."""
+    cells = np.searchsorted(coord(np.array(part.lifted[:part.n])), pw,
                             side="right") - 1
     return np.clip(cells, 0, part.n - 1)
 
@@ -362,12 +367,28 @@ def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
     return best, err
 
 
+# full walks by (signature, cut angles, start angle, side, budget): two
+# tests walk the same 40;;1 orbits in full
+_FULL_WALKS: dict[tuple, OrbitRecord] = {}
+
+
 def walk_reference(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
                    side: str, max_steps: int,
                    stop_at_cut: bool) -> OrbitRecord:
     """``orbit`` one ``BoundaryPoint`` at a time through ``f_apply``;
     ``stop_at_cut`` also stops before the first cut it hits, as the walks of
-    ``markov_check`` do."""
+    ``markov_check`` do.  A full walk is computed once per key of
+    ``_FULL_WALKS``; the record is frozen, so callers share it."""
+    if stop_at_cut:
+        return _walk(poly, part, x, side, max_steps, True)
+    key = (str(poly.signature), part.thetas, x.theta, side, max_steps)
+    if key not in _FULL_WALKS:
+        _FULL_WALKS[key] = _walk(poly, part, x, side, max_steps, False)
+    return _FULL_WALKS[key]
+
+
+def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
+          max_steps: int, stop_at_cut: bool) -> OrbitRecord:
     cuts = sorted(set(part.thetas))
     k = part.cell_of(x.theta)
     if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (LADDER, MODES, SCALE, SIGNATURES, measure,
@@ -21,7 +21,8 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       exceptional_set, make_partition, phi_set,
                       simulate_entry, tolerances, verify_bijectivity)
-from fuchsian.arcs import DirectedArc, Rect, RectArray, seam_split
+from fuchsian.arcs import (DirectedArc, Rect, RectArray, cayley,
+                          cayley_angle, seam_split)
 from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
                                 image_rects, traces_to_csv,
                                 verify_exceptional)
@@ -556,6 +557,9 @@ class TestSimulation:
         for t in traces:
             if domain_contains(dom, t.u0, t.w0):
                 assert t.K == 0 and t.escape_step >= 0
+            if t.K == 0:
+                # the drawn angles to the bit, not their Cayley round trip
+                assert (t.entry_u, t.entry_w) == (t.u0, t.w0)
 
     def test_all_enter_and_stay(self):
         dom = domain(MODULAR, "midpoint")
@@ -755,7 +759,8 @@ def kernel_member(key, rects, pu, pw):
     """The kernel's membership verdicts, with its fixed slack
     ``STRUCTURAL``, for one rectangle list of the domain ``key``."""
     kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
-    return kern.inside(0, kern.locate(pw), np.stack([pu, pw]))
+    x, j = kern.start(np.stack([pu, pw]))
+    return kern.inside(0, j, x)
 
 
 class TestMembershipKernel:
@@ -816,9 +821,9 @@ class TestMembershipKernel:
         kernel = _Kernel(polygon(MANY_BLOCKS),
                          partition(MANY_BLOCKS, "midpoint"),
                          RectArray.of(rects))
-        first, last = kernel.locate(np.array([sliver.start.theta,
-                                              sliver.start.theta
-                                              + sliver.sweep]))
+        first, last = kernel.locate(cayley([sliver.start.theta,
+                                            sliver.start.theta
+                                            + sliver.sweep]))
         for j in range(first, last + 1):
             assert set(kernel.cand[0][:, j]) - {-1} == {i, i + 1, nxt}
         rng = np.random.default_rng(0)
@@ -826,11 +831,11 @@ class TestMembershipKernel:
         pw = (sliver.start.theta
               + rng.uniform(-3 * tol, 3 * tol, pu.size)) % TAU
         want = dense_member(rects, pu, pw, tol)
-        j = kernel.locate(pw)
-        assert np.array_equal(kernel.inside(0, j, np.stack([pu, pw])), want)
+        x, j = kernel.start(np.stack([pu, pw]))
+        assert np.array_equal(kernel.inside(0, j, x), want)
         # the third row matters: without it states are missed
         del kernel.table[0][2:]
-        assert not np.array_equal(kernel.inside(0, j, np.stack([pu, pw])), want)
+        assert not np.array_equal(kernel.inside(0, j, x), want)
 
     @pytest.mark.parametrize("which", ["attractor", "phi"])
     @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
@@ -841,14 +846,15 @@ class TestMembershipKernel:
         kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
         rng = np.random.default_rng(len(rects) + 1)
         span = 3 * (STRUCTURAL + SAME_POINT)
-        pw = (kern.breaks[:, None] + np.linspace(-span, span, 41)).ravel()
+        pw = (cayley_angle(kern.breaks)[:, None]
+              + np.linspace(-span, span, 41)).ravel()
         pw = np.repeat(pw % TAU, 8)
         pu = np.where(rng.integers(0, 2, pw.size) == 1,
                       rng.uniform(0.0, TAU, pw.size),
                       (rng.choice(edge_angles(rects), pw.size)
                        + rng.uniform(-3 * STRUCTURAL, 3 * STRUCTURAL,
                                      pw.size)) % TAU)
-        got = kern.inside(0, kern.locate(pw), np.stack([pu, pw]))
+        got = kern.inside(0, *kern.start(np.stack([pu, pw]))[::-1])
         assert np.array_equal(got, dense_member(rects, pu, pw, STRUCTURAL))
 
     def test_junction_overlap_rechecked(self):
@@ -877,7 +883,7 @@ class TestMembershipKernel:
         want = dense_member(rects, pu, pw, STRUCTURAL)
         assert (want & ~dense_member([nxt], pu, pw, STRUCTURAL)).sum() > 100
         assert np.array_equal(
-            kern.inside(0, kern.locate(pw), np.stack([pu, pw])), want)
+            kern.inside(0, *kern.start(np.stack([pu, pw]))[::-1]), want)
 
     @pytest.mark.parametrize("shift", [1e-3, 3 * SAME_POINT])
     @pytest.mark.parametrize("key", [(MANY_BLOCKS, "midpoint"),
@@ -975,7 +981,7 @@ class TestStepKernel:
         thetas = [t for t in thetas if cut_distance(part, t) > 1e-9]
         assume(thetas)
         kern = _Kernel(polygon(key[0]), part)
-        cells = kern.cell[kern.locate(np.array(thetas))]
+        cells = kern.cell[kern.locate(cayley(thetas))]
         assert cells.tolist() == [part.cell_of(t) for t in thetas]
 
     @settings(max_examples=60, deadline=None)
@@ -983,6 +989,8 @@ class TestStepKernel:
            st.lists(st.tuples(st.floats(0.0, TAU, exclude_max=True),
                               st.floats(0.0, TAU, exclude_max=True)),
                     min_size=1, max_size=20))
+    # the smallest normal angle: its x = -9e307 overflowed p x in a step
+    @example(("1;;1", "left"), [(2.2250738585072014e-308, 2.0)])
     def test_step_matches_F_apply(self, key, states):
         poly, part = polygon(key[0]), partition(*key)
         states = [(u, w) for u, w in states
@@ -991,8 +999,8 @@ class TestStepKernel:
         assume(states)
         tu, tw = np.array(states).T
         kern = _Kernel(poly, part)
-        _, (pu, pw), _ = kern.step(np.exp(1j * np.stack([tu, tw])),
-                                   kern.locate(tw))
+        x, _ = kern.step(*kern.start(np.stack([tu, tw])))
+        pu, pw = cayley_angle(x)
         for (u, w), su, sw in zip(states, pu, pw):
             _, u2, w2 = F_apply(poly, part, BoundaryPoint.from_angle(u),
                                 BoundaryPoint.from_angle(w))
@@ -1023,29 +1031,54 @@ def fused_case(key):
     return poly, part, build_attractor(poly, part)
 
 
+def real_form(poly):
+    """(p, q, r, s) of each generator, 4 x n: the gluing on the Cayley
+    coordinate, as the kernel's ``coef``."""
+    a = np.array([g.a for g in poly.generators])
+    b = np.array([g.b for g in poly.generators])
+    return np.stack([a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
+                     a.real - b.real])
+
+
+def near_edges(rects, ang, tol, band):
+    """Mask of the states at angles ``ang`` with u or w within ``band`` of
+    an end of some rectangle's arc widened by ``tol``."""
+    out = np.zeros(ang.shape[1], bool)
+    for coord, arcs in ((0, [r.u_arc for r in rects]),
+                        (1, [r.w_arc for r in rects])):
+        ends = np.array([e for a in arcs for e in (a.start.theta - tol,
+                                                   a.start.theta + a.sweep
+                                                   + tol)]) % TAU
+        d = np.abs(ang[coord][:, None] - ends[None, :]) % TAU
+        out |= (np.minimum(d, TAU - d) <= band).any(axis=1)
+    return out
+
+
 class TestFusedLookup:
     """The kernel's one breakpoint lookup per step against ``oracles``: the
-    binary search on the cut points for the step, bit for bit, and the
-    test of every rectangle for the candidate lists."""
+    binary search on the cut points, both in the Cayley coordinate, bit for
+    bit, the test of every rectangle for the candidate lists, and the
+    complex step of ``two_lookup_step`` for one step."""
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
     def test_cell_and_candidate_near_breakpoints(self, key):
         poly, part, dom = fused_case(key)
         lists = [list(dom.rects), phi_set(poly, part)]
         kern = _Kernel(poly, part, *map(RectArray.of, lists))
-        b = kern.breaks
+        xb = kern.breaks
         near = np.concatenate([
-            np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
-            (b[:, None] + np.linspace(-3, 3, 25) * STRUCTURAL).ravel()])
-        pw = np.concatenate([[0.0, TAU], near % TAU])
-        j = kern.locate(pw)
-        cells = two_lookup_cell(part, pw)
+            np.nextafter(xb, -np.inf), np.nextafter(xb, np.inf),
+            cayley((cayley_angle(xb)[:, None] + np.linspace(-3, 3, 25)
+                    * STRUCTURAL).ravel() % TAU)])
+        x = np.concatenate([[-np.inf, np.inf], cayley([0.0, TAU]), near])
+        j = kern.locate(x)
+        cells = two_lookup_cell(part, x, cayley)
         assert np.array_equal(kern.cell[j], cells)
-        assert np.array_equal(kern.coef[0][j],
-                              np.array([g.a for g in poly.generators])[cells])
+        assert np.array_equal(kern.coef[:, j], real_form(poly)[:, cells])
         # each list holds every rectangle whose STRUCTURAL-widened w-arc
         # holds w, and none whose arc widened by WRAP more does not, up to
-        # the rounding of the widened ends mod 2pi
+        # the rounding of the widened ends mod 2pi and of the coordinate
+        pw = cayley_angle(x)
         rows, beyond = np.arange(pw.size), WRAP + 4 * np.spacing(TAU)
         for i, rects in enumerate(lists):
             # padding, -1, marks the extra last column
@@ -1057,19 +1090,103 @@ class TestFusedLookup:
                                             STRUCTURAL + beyond)).all()
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
-    def test_states_match_two_lookups(self, key):
+    def test_step_matches_two_lookups(self, key):
+        """One step from the same angles against the complex step, within
+        the sum of both steps' first-order rounding bounds, in units of
+        eps = 2^-52 (a libm call <= 1 ulp, + - * / <= eps / 2):
+
+        - input angle: cos, sin and a division give x to 2.5 eps relative,
+          an angle error of |sin theta| 2.5 eps; exp gives z to 1.5 eps
+          tangentially.  Both grow by |g'| = 1 / |conj(b) z + conj(a)|^2;
+        - step: a matrix entry rounded to eps relative moves the image by at
+          most 2 eps |M|_F sqrt|g'| (|M u| = 1 / sqrt|g'| for a unit u),
+          |M|_F^2 = p^2 + q^2 + r^2 + s^2 = 2 (|a|^2 + |b|^2); the complex
+          products and sums cost at most sqrt(5) eps |a| sqrt|g'| <= 1.6 eps
+          |M|_F sqrt|g'|;
+        - the rest, output roundings: 1.5 + 4 (atan2, doubled) real; 4.5
+          (sums, Smith's division), 1 (renormalisation) and 4 (angle, mod
+          2pi) complex.
+
+        So the gap is at most eps (4 |g'| + 3.6 |M|_F sqrt|g'| + 15), which
+        is below c eps max(1, |g'|) with c = 19 + 3.6 |M|_F, from the
+        operation counts alone.
+        """
+        poly, part, _ = fused_case(key)
+        kern = _Kernel(poly, part)
+        ang = np.random.default_rng(500).uniform(0.0, TAU, (2, 5000))
+        x, j = kern.start(ang)
+        y, _ = kern.step(x, j)
+        _, want = two_lookup_step(poly, part, np.exp(1j * ang), ang[1])
+        cells = two_lookup_cell(part, ang[1])
+        assert np.array_equal(kern.cell[j], cells)
+        a = np.array([g.a for g in poly.generators])[cells]
+        b = np.array([g.b for g in poly.generators])[cells]
+        dg = 1.0 / np.abs(np.conj(b) * np.exp(1j * ang) + np.conj(a)) ** 2
+        c = 19 + 3.6 * np.sqrt(2 * (np.abs(a) ** 2 + np.abs(b) ** 2))
+        d = np.abs(cayley_angle(y) - want) % TAU
+        err = np.minimum(d, TAU - d) / np.maximum(1.0, dg)
+        assert (err <= c * np.finfo(float).eps).all()
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_inside_matches_dense_along_orbits(self, key):
+        # 300 steps of the kernel's own states: their verdicts are those of
+        # every rectangle on their angles, except within 2 ulp(2pi) of a
+        # widened edge, where the two rounded coordinates may disagree
         poly, part, dom = fused_case(key)
         kern = _Kernel(poly, part, dom.arrays)
-        z, j = kern.start(np.random.default_rng(500).uniform(0.0, TAU,
+        x, j = kern.start(np.random.default_rng(500).uniform(0.0, TAU,
                                                               (2, 500)))
-        ref, ref_w = z, np.angle(z[1]) % TAU
         for _ in range(300):
-            z, ang, j = kern.step(z, j)
-            ref, want = two_lookup_step(poly, part, ref, ref_w)
-            ref_w = want[1]
-            assert np.array_equal(z, ref) and np.array_equal(ang, want)
-            assert np.array_equal(kern.inside(0, j, ang),
-                                  dense_member(dom.rects, *ang, STRUCTURAL))
+            x, j = kern.step(x, j)
+            ang = cayley_angle(x)
+            off = kern.inside(0, j, x) != dense_member(dom.rects, *ang,
+                                                       STRUCTURAL)
+            assert near_edges(dom.rects, ang[:, off], STRUCTURAL,
+                              2 * np.spacing(TAU)).all()
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_seam_maps_to_p_over_r(self, key):
+        # a start state at theta = 0, on u and then on w, is x = -inf and
+        # maps to p / r of the cell of w; a u next to the pole -s / r of the
+        # cell of w, where the denominator rounds to exactly 0, maps to the
+        # seam.  None raises a RuntimeWarning, and each agrees with F_apply
+        poly, part, _ = fused_case(key)
+        kern = _Kernel(poly, part)
+        mids = [lo + 0.5 * sweep for lo, sweep in map(part.cell_arc,
+                                                        range(part.n))
+                if sweep > 0]
+        x, _ = kern.start(np.array([[0.0, mids[0], 0.0], [mids[0], 0.0, 0.0]]))
+        xm = cayley(mids)
+        p, q, r, s = kern.coef[:, kern.locate(xm)]
+        near = -s / r + np.spacing(-s / r) * np.arange(-4, 5)[:, None]
+        pole = r * near + s == 0.0
+        assert pole.any()
+        x = np.hstack([x, [near[pole], np.broadcast_to(xm, near.shape)[pole]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = kern.step(x, kern.locate(x[1]))
+        for (u, w), (su, sw) in zip(cayley_angle(x).T, cayley_angle(y).T):
+            _, u2, w2 = F_apply(poly, part, BoundaryPoint.from_angle(u),
+                                BoundaryPoint.from_angle(w))
+            assert angular_distance(u2.theta, su) < 1e-12
+            assert angular_distance(w2.theta, sw) < 1e-12
+        p, q, r, s = kern.coef[:, kern.locate(x[1])]
+        seam = np.isinf(x)
+        assert np.array_equal(y[seam], np.broadcast_to(p / r, x.shape)[seam])
+        assert np.isinf(y[0, 3:]).all()
+
+    def test_states_stay_c_ordered(self):
+        # a transposed (Fortran-ordered) start array gives C-ordered states,
+        # which every step keeps
+        poly, part, dom = fused_case(("1;2,3,7;2", "midpoint"))
+        kern = _Kernel(poly, part, dom.arrays)
+        ang = np.random.default_rng(1).uniform(0.0, TAU, (500, 2)).T
+        assert ang.flags.f_contiguous and not ang.flags.c_contiguous
+        x, j = kern.start(ang)
+        assert x.flags.c_contiguous
+        for _ in range(3):
+            x, j = kern.step(x, j)
+            assert x.flags.c_contiguous
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
     def test_two_pi_takes_the_last_cell(self, key):
@@ -1078,6 +1195,6 @@ class TestFusedLookup:
         # differ only on this measure-zero set
         poly, part, _ = fused_case(key)
         kern = _Kernel(poly, part)
-        cells = kern.cell[kern.locate(np.array([0.0, TAU]))].tolist()
+        cells = kern.cell[kern.locate(cayley([0.0, TAU]))].tolist()
         assert cells == [part.cell_of(0.0), part.n - 1]
         assert part.cell_of(TAU) == part.cell_of(0.0) != part.n - 1

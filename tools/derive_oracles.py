@@ -17,6 +17,11 @@ form by more than 1e-40:
   * each standard block gluing (the wedge rotation, the cusp parabolic, the
     quadruple commutator b^-1 a^-1 b a) carries the block's start corner 1
     to its end corner e^{2 pi i/l}
+  * on the Cayley coordinate x = i (1 + z) / (1 - z) of the planar
+    extension's kernel, the wedge rotation (m = 3) and the cusp parabolic
+    for l = 2, 3 and 8 act by a real matrix of determinant 1, which carries
+    x(0) = -inf to x(2 pi/l) = -cot(pi/l) and is [[a1 + b1, a2 - b2],
+    [-(a2 + b2), a1 - b1]] for the gluing [[a, b], [conj(b), conj(a)]]
   * the midpoint cut M of an odd-order wedge (l=31, m=17 and m=29, the
     odd-order blocks of 20;2,3,17,29;8 beyond m=3) ends its cycle exactly on
     the block's start corner 1: the (J+1)-st rotation image c^(J+1)(M) is 1,
@@ -34,7 +39,7 @@ form by more than 1e-40:
 import sys
 from pathlib import Path
 
-from mpmath import mp, mpc, mpf, arg, cos, exp, pi, sqrt, matrix
+from mpmath import mp, mpc, mpf, arg, cos, cot, exp, pi, sqrt, matrix
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -253,6 +258,28 @@ def main():
         a, b = quadruple_gluings(ell)
         check(f"quadruple commutator l={ell}: 1 -> e^(2 pi i/{ell})",
               apply(b ** -1 * a ** -1 * b * a, 1), exp(2j * pi / ell))
+
+    # the real-line form R = C M C^-1 of a gluing M of determinant 1, with
+    # C the Cayley map z -> i (1 + z) / (1 - z)
+    cayley = matrix([[1j, 1j], [-1, 1]])
+    for ell in (2, 3, 8):
+        for name, M in ((f"wedge l={ell} m=3", wedge_gluing(ell, 3)),
+                        (f"cusp l={ell}", cusp_gluing(ell))):
+            M = M / sqrt(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+            R = cayley * M * cayley ** -1
+            entries = [R[i, j] for i in range(2) for j in range(2)]
+            check(f"{name} real form: entries real",
+                  max(abs(x.imag) for x in entries), 0)
+            check(f"{name} real form: det = 1",
+                  R[0, 0] * R[1, 1] - R[0, 1] * R[1, 0], 1)
+            check(f"{name} real form: -inf -> -cot(pi/{ell})",
+                  R[0, 0] / R[1, 0], -cot(pi / ell))
+            a, b = M[0, 0], M[0, 1]
+            kernel = (a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
+                      a.real - b.real)
+            check(f"{name} real form: [[a1 + b1, a2 - b2], "
+                  f"[-(a2 + b2), a1 - b1]]",
+                  max(abs(x - y) for x, y in zip(entries, kernel)), 0)
 
     for ell, m in ((31, 17), (31, 29)):
         J, end = cycle_end(ell, m, "midpoint")
