@@ -10,8 +10,8 @@ from .boundary import (CycleData, Partition, cycle, f_apply, make_partition,
                        markov_check, orbit, verify_matching)
 from .arcs import DirectedArc, Rect
 from .extension import (AttractorDomain, EntryTrace, build_attractor,
-                        check_forward_invariance, exceptional_set, phi_set,
-                        simulate_entry, verify_bijectivity)
+                        check_forward_invariance, phi_set, simulate_entry,
+                        verify_bijectivity)
 from .render import FigureSpec, render_attractor, render_polygon
 
 __version__ = "0.1.0"

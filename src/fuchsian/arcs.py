@@ -216,22 +216,6 @@ def _column_areas(cells: np.ndarray, xs: np.ndarray,
     return np.diff(xs) * rows
 
 
-def box_measure(a: np.ndarray, b: np.ndarray, op) -> float:
-    """Angular area of the grid cells where ``op(in a, in b)`` holds, for the
-    box arrays ``a`` and ``b`` on the grid of both sets' breakpoints:
-    ``np.logical_or`` gives the union, ``np.logical_and`` the intersection,
-    ``np.logical_xor`` the symmetric difference, ``np.greater`` the part of
-    a outside b."""
-    boxes = np.concatenate([a, b])
-    if not len(boxes):
-        return 0.0
-    xs = _breakpoints(boxes[:, :2])
-    ys = _breakpoints(boxes[:, 2:])
-    cells = _covered(a, xs, ys)
-    op(cells, _covered(b, xs, ys), out=cells)
-    return float(_column_areas(cells, xs, ys).sum())
-
-
 def union_by_group(u: np.ndarray, w: np.ndarray, group: np.ndarray,
                    n: int) -> np.ndarray:
     """Union measure of the rectangles of each group 0 .. n - 1, for

@@ -6,8 +6,7 @@ finite union of closed arc-rectangles, one horizontal strip per building
 block, each strip the diagonal-rotation image of a standard-position strip.
 Membership on rectangle edges counts as inside; all tiling statements hold
 up to angular measure zero.  The strip of an order >= 3 block is a fan cut
-by the rotation orbits of the block's cut point; one helper computes those
-orbits for both the attractor strip and the exceptional rectangles.
+by the rotation orbits of the block's cut point, which ``_fan`` computes.
 Simulations hash their start states and run one kernel built per call.
 
 The record ``DEFAULT`` sets only the bounds of the checks: the rectangles,
@@ -24,12 +23,11 @@ import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _column_areas,
-                   _covered, _overlap_lengths, box_measure, cayley,
-                   cayley_angle, ccw_sweep, clip_intervals,
+                   _covered, cayley, cayley_angle, clip_intervals,
                    max_pairwise_overlap, rect_boxes, union_by_group)
 from .boundary import CycleData, Partition, cycle
-from .errors import NotElliptic, TilingViolation
-from .mobius import TAU, BoundaryPoint, angular_distance
+from .errors import TilingViolation
+from .mobius import TAU, BoundaryPoint
 from .polygon import INFINITY, SQUARE, Block, MarkedPolygon, rotation_powers
 
 
@@ -320,7 +318,7 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
                                      DEFAULT.residual)})
 
 
-# -- escape set and exceptional rectangles ------------------------------------
+# -- escape set ---------------------------------------------------------------
 
 
 def phi_set(poly: MarkedPolygon, part: Partition) -> list[Rect]:
@@ -346,116 +344,6 @@ def phi_set(poly: MarkedPolygon, part: Partition) -> list[Rect]:
             u = DirectedArc.ccw(v_lo.point, v_hi.point)
         out.append(Rect(u, w, poly.block_of_side(i).index, i))
     return out
-
-
-def exceptional_set(poly: MarkedPolygon, part: Partition, k: int) -> list[Rect]:
-    """Rectangles between the attractor and the escape set at an interior
-    vertex of order >= 3 (empty for order 2).
-
-    Each hat shares its w-arc with one rectangle of the attractor's fan
-    (``_fan``); its u-arc runs between the side extension point and the
-    corner orbit point that bounds that rectangle.
-    """
-    v = poly.vertices[k % poly.n_sides]
-    if v.is_ideal:
-        raise NotElliptic(f"vertex {k} is ideal")
-    if v.order == 2:
-        return []
-    blk = poly.block_of_side(k % poly.n_sides)
-    aux = poly.aux[k % poly.n_sides]
-    _, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
-    out = []
-
-    def hat(p1, p2, w1, w2, side, inside):
-        # a hat exists only while the corner-orbit point stays between the
-        # side extension and its block corner; it is empty when the orbit
-        # point reaches, within WRAP either way (order 4, arc midpoint),
-        # or passes (last fan step of an edge partition) the extension point
-        if (not inside or angular_distance(p1.theta, p2.theta) < WRAP
-                or angular_distance(w1.theta, w2.theta) < WRAP):
-            return
-        out.append(Rect(DirectedArc.ccw(p1, p2), DirectedArc.ccw(w1, w2),
-                        blk.index, side))
-
-    q_to_end = ccw_sweep(aux.Q.theta, end.theta, full_if_equal=True)
-    start_to_p = ccw_sweep(start.theta, aux.P.theta, full_if_equal=True)
-    for u, w0, w1 in zip(low_u, low_w[1:], low_w):
-        ok = ccw_sweep(aux.Q.theta, u.theta) <= q_to_end + WRAP
-        hat(aux.Q, u, w0, w1, blk.side_start, ok)
-    for u, w0, w1 in zip(up_u, up_w, up_w[1:]):
-        ok = ccw_sweep(start.theta, u.theta) <= start_to_p + WRAP
-        hat(u, aux.P, w0, w1, blk.side_start + 1, ok)
-    return out
-
-
-# pieces per slice of the escape test: temporaries hold _PIECES x rectangles
-_PIECES = 1024
-
-
-@dataclass(frozen=True)
-class ExceptionalReport(Report):
-    """Checks ``containment`` (nesting of the lower rectangles) and
-    ``escaped`` (measure still outside the attractor)."""
-
-    steps_used: int
-
-
-def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
-                       dom: AttractorDomain) -> ExceptionalReport:
-    """Track the exceptional rectangles into the attractor.
-
-    Checks the nesting of successive lower rectangles inside the forward
-    images of the first one, and that every piece of both fans lands inside
-    the attractor within the cycle length plus two steps; ``escaped`` is the
-    measure of the union of the pieces left then, outside the attractor.
-    """
-    hats = RectArray.of(exceptional_set(poly, part, k))
-    tol = DEFAULT.residual
-    blk = poly.block_of_side(k % poly.n_sides)
-    data = dom.info[blk.index].cycle
-    lower = hats.take(hats.gamma == blk.side_start)
-    upper = hats.take(hats.gamma == blk.side_start + 1)
-    dom_u, dom_w = dom.arrays.intervals()
-
-    def escaping(region: RectArray) -> np.ndarray:
-        """Area of each piece outside the attractor: its rectangles are
-        interior-disjoint (their w-arcs tile the circle), so the area inside
-        is the sum of the piece's u- times w-overlaps with each."""
-        u, w = region.intervals()
-        out = region.area
-        for s in range(0, len(region), _PIECES):
-            out[s:s + _PIECES] -= (
-                _overlap_lengths(u[s:s + _PIECES], dom_u)
-                * _overlap_lengths(w[s:s + _PIECES], dom_w)).sum(axis=1)
-        return out
-
-    worst = 0.0
-    region = lower.take(slice(0, 1))
-    for i in range(1, len(lower)):
-        # the region's pieces can overlap, so it is measured as a union
-        region = image_rects(poly, part, region)
-        rect = lower.take(slice(i, i + 1))
-        worst = max(worst, float(rect.area[0]) - box_measure(
-            rect_boxes(*rect.intervals()), rect_boxes(*region.intervals()),
-            np.logical_and))
-
-    left = [np.empty((0, 4))]
-    steps = 0
-    # without hats (order 2) there is no first piece and no cycle data
-    for region in [f.take(slice(0, 1)) for f in (lower, upper) if len(f)]:
-        for step in range(max(data.J, data.I) + 3):
-            remaining = region.take(escaping(region) > tol)
-            if not len(remaining):
-                break
-            region = image_rects(poly, part, remaining)
-            steps = max(steps, step + 1)
-        else:
-            left.append(rect_boxes(*region.take(
-                escaping(region) > tol).intervals()))
-    escaped = box_measure(np.concatenate(left), rect_boxes(dom_u, dom_w),
-                          np.greater)
-    return ExceptionalReport(steps, checks={"containment": Check(worst, tol),
-                                            "escaped": Check(escaped, tol)})
 
 
 # -- simulation ----------------------------------------------------------------
@@ -506,62 +394,86 @@ def _draws(seed: int, samples: int, buffer: float) -> np.ndarray:
     return out
 
 
+def _moebius(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(p x + q) / (r x + s) of the states x, for rows p, q, r, s of
+    ``coef``, under the caller's ``np.errstate(all="ignore")``: a zero
+    denominator gives the seam +-inf, and the seam, whose quotient is inf /
+    inf, maps to p / r.  Numerator and denominator take one multiply-add."""
+    a = coef[0:4:2] * x[:, None]
+    a += coef[1:4:2]
+    y = a[:, 0] / a[:, 1]
+    seam = np.isnan(y)
+    if seam.any():
+        y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
+    return y
+
+
+def _on_arc(x: np.ndarray, lo, hi, nw) -> np.ndarray:
+    """Mask of the coordinates x on the arcs with edges lo, hi and nw as
+    0 or 1."""
+    return ((x >= lo) ^ (x <= hi)) != nw
+
+
 class _Kernel:
     """The vectorized step-and-membership kernel of the planar extension.
 
     A state is a column of a C-ordered 2 x N array of the ``cayley``
     coordinates x of (u, w), on which a gluing acts by the real map x ->
     (p x + q) / (r x + s) of determinant 1 (see README), so no step
-    renormalises; the seam x = +-inf maps to p / r, a zero denominator to
-    the seam.  ``breaks`` sorts the x of 0, of the lifted cuts and of both
-    ends of every w-arc of each rectangle list, widened by tol + ``WRAP``;
-    ``locate`` finds the interval [breaks[j - 1], breaks[j]) of w.  Column j
-    of ``coef`` holds (p, q, r, s) of its cell; per list, of ``cand`` the
-    rows of the rectangles whose widened w-arc holds it (-1 pads), and of
-    row k of ``table`` the k-th one's edges lo = x(start - tol), hi = x(end
-    + tol) on both arcs and flags nw = lo <= hi, false where the arc holds
-    the seam and on the pad.  A state is inside when (x >= lo) ^ (x <= hi)
-    ^ nw on both coordinates: with ``tol`` = ``STRUCTURAL`` and ``WRAP`` for
-    the edges' rounding, these are the verdicts of every rectangle, tiled or
-    not.  At w = 2pi the kernel takes the last cell, ``cell_of`` cell 0.
+    renormalises.  Every arc of a rectangle list is closed and widened by
+    ``STRUCTURAL``: its edges are lo = x(start - tol), hi = x(end + tol),
+    (-inf, inf) for an arc widened to the whole circle, and nw = lo <= hi,
+    false where it holds the seam; x is on it when (x >= lo) ^ (x <= hi) ^
+    nw.  ``breaks`` sorts the x of 0, of the lifted cuts, and of each w-arc's
+    lo and the float after its hi, so each interval [breaks[j - 1],
+    breaks[j]) of w (``locate``) lies wholly on or off every w-arc, and
+    column j of a list's ``cand`` holds exactly the rows whose w-arc holds
+    it (-1 pads): a state is inside when its u is on one of them.  Column j
+    of ``table`` holds the (p, q, r, s) of its cell, then per list the lo,
+    hi and nw of the first candidate's u-arc (NaN, NaN, 0 on the pad, which
+    holds no u), so one gather serves a step and its first test; ``later``
+    holds the other candidates' u-edges.  These are the verdicts of every
+    rectangle, tiled or not.  At w = 2pi the kernel takes the last cell,
+    ``cell_of`` cell 0.
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
                  *lists: RectArray):
-        tol, r = STRUCTURAL, STRUCTURAL + WRAP
-        # x(start - r), x(end + r) of each widened w-arc, -inf if it is full
-        ends = [cayley(np.where(rs.sweep[:, 1] + 2 * r >= TAU, 0.0, np.mod(
-            [rs.theta[:, 2] - r, rs.theta[:, 2] + rs.sweep[:, 1] + r], TAU)))
-            for rs in lists]
+        tol = STRUCTURAL
+        # per list, edges lo and hi, each with rows u and w
+        edges = []
+        for rs in lists:
+            lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
+            lo, hi = cayley(np.stack([lo, lo + sweep]) % TAU)
+            lo[sweep >= TAU], hi[sweep >= TAU] = -np.inf, np.inf
+            edges.append((lo, hi))
         cuts = cayley(part.lifted[:part.n])
-        self.breaks = _breakpoints(np.concatenate(
-            [[-np.inf], cuts, *(e.ravel() for e in ends)]))
+        self.breaks = _breakpoints(np.concatenate([[-np.inf], cuts, *(
+            e for lo, hi in edges
+            for e in (lo[1], np.nextafter(hi[1], np.inf)))]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
-        self.cell, a, b = _gluing(poly, cuts, np.concatenate(
-            [self.breaks[:1], self.breaks]))
-        self.coef = np.stack([a.real + b.real, a.imag - b.imag,
-                              -(a.imag + b.imag), a.real - b.real])
-        nb = len(self.breaks)
-        self.cand, self.table = [], []
-        for rs, e in zip(lists, ends):
-            # the arc from breaks[ia] to breaks[ib] holds the intervals ia + 1
-            # to ib, wrapping from nb to 1, all if ia = ib; rows in order
-            ia, ib = np.searchsorted(self.breaks, e)[:, :, None]
-            holds = (np.arange(nb + 1) - ia - 1) % nb < (ib - ia - 1) % nb + 1
+        left = np.concatenate([self.breaks[:1], self.breaks])
+        self.cell, a, b = _gluing(poly, cuts, left)
+        rows = [a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
+                a.real - b.real]
+        self.cand, self.later = [], []
+        for lo, hi in edges:
+            nw = lo <= hi
+            # an interval is on a w-arc exactly when its left end is
+            holds = ((left >= lo[1, :, None]) ^ (left <= hi[1, :, None])
+                     ^ nw[1, :, None])
             holds[:, 0] = False
             row = np.argsort(~holds, axis=0, kind="stable")
             row = row[:np.count_nonzero(holds, axis=0).max()]
             cand = np.where(np.take_along_axis(holds, row, 0), row, -1)
-            # rows lo of u, w and hi of u, w, (-inf, inf) for an arc widened
-            # to the whole circle; column -1 pads with NaN
-            lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
-            edges = np.full((4, len(rs) + 1), np.nan)
-            edges[:, :-1] = cayley(np.vstack([lo, lo + sweep]) % TAU)
-            edges[:2, :-1][sweep >= TAU] = -np.inf
-            edges[2:, :-1][sweep >= TAU] = np.inf
+            # u-edges lo, hi, nw of each candidate; column -1 pads
+            u = np.hstack([[lo[0], hi[0], nw[0]], [[np.nan], [np.nan], [0]]])
+            slots = np.moveaxis(u[:, cand], 1, 0)
+            rows += list(slots[0])
             self.cand.append(cand)
-            self.table.append([(edges[:, c], edges[:2, c] <= edges[2:, c])
-                               for c in cand])
+            self.later.append(slots[1:])
+        self.table = np.stack(rows)
+        self.coef = self.table[:4]
 
     def locate(self, xw: np.ndarray) -> np.ndarray:
         """Table index j of each w-coordinate."""
@@ -573,33 +485,29 @@ class _Kernel:
         return x, self.locate(x[1])
 
     def step(self, x: np.ndarray, j: np.ndarray):
-        """The states x, w in intervals j, mapped by w's cell, and their j."""
-        p, q, r, s = self.coef.take(j, axis=1)
+        """The states x, w in intervals j, mapped by w's cell, and their j;
+        the loops call ``_moebius`` under one ``np.errstate`` instead."""
         with np.errstate(all="ignore"):
-            y = (p * x + q) / (r * x + s)
-            seam = np.isnan(y)      # x = +-inf gave inf / inf
-            if seam.any():
-                y[seam] = np.broadcast_to(p / r, y.shape)[seam]
+            y = _moebius(x, self.coef.take(j, axis=1))
         return y, self.locate(y[1])
 
-    def _test(self, row, j, x):
-        """Mask of the states x in the row's candidates of intervals j."""
-        col, nw = (t.take(j, axis=1) for t in row)
-        return ((x >= col[:2]) ^ (x <= col[2:]) ^ nw).all(axis=0)
-
-    def inside(self, i: int, j, x: np.ndarray) -> np.ndarray:
-        """Mask of the states x, w in intervals j, in list i: each state on
-        its candidates in turn, until one holds it or none is left."""
-        cand, table = self.cand[i], self.table[i]
-        ok = self._test(table[0], j, x)
-        if ok.all():
+    def inside(self, i: int, j, x: np.ndarray, first=None) -> np.ndarray:
+        """Mask of the states x, w in intervals j, in list i: u on the
+        candidates of j in turn, until one holds it or none is left.
+        ``first`` is list i's rows of ``table`` at j, if already gathered."""
+        if first is None:
+            first = self.table[4 + 3 * i:7 + 3 * i].take(j, axis=1)
+        ok = _on_arc(x[0], *first)
+        # count_nonzero costs a third of ok.all()
+        if np.count_nonzero(ok) == ok.size:
             return ok
+        cand, later = self.cand[i], self.later[i]
         todo = np.flatnonzero(~ok)
-        for k in range(1, len(table)):
+        for k, edges in enumerate(later, 1):
             todo = todo[cand[k, j[todo]] >= 0]
             if todo.size == 0:
                 break
-            hit = self._test(table[k], j[todo], x[:, todo])
+            hit = _on_arc(x[0, todo], *edges.take(j[todo], axis=1))
             ok[todo[hit]] = True
             todo = todo[~hit]
         return ok
@@ -647,12 +555,14 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     # the live states only, compacted after every step
     live = np.flatnonzero(record(0, np.arange(samples), j, x))
     x, j = x[:, live], j[live]
-    for n in range(1, max_iters + 1):
-        if live.size == 0:
-            break
-        x, j = kern.step(x, j)
-        keep = record(n, live, j, x)
-        live, x, j = live[keep], x[:, keep], j[keep]
+    with np.errstate(all="ignore"):
+        for n in range(1, max_iters + 1):
+            if live.size == 0:
+                break
+            x = _moebius(x, kern.coef.take(j, axis=1))
+            j = kern.locate(x[1])
+            keep = record(n, live, j, x)
+            live, x, j = live[keep], x[:, keep], j[keep]
 
     return [EntryTrace(i, u0, w0, k, e, k >= 0, eu, ew)
             for i, (u0, w0, k, e, eu, ew) in enumerate(zip(
@@ -672,10 +582,17 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
         return 0
     kern = _Kernel(poly, part, dom.arrays)
     x, j = kern.start(ang)
+    # one gather per step: the new j gives this step's first candidate and
+    # the next step's gluing
+    col = kern.table.take(j, axis=1)
     exits = 0
-    for _ in range(steps):
-        x, j = kern.step(x, j)
-        exits += j.size - int(np.count_nonzero(kern.inside(0, j, x)))
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            x = _moebius(x, col)
+            j = kern.locate(x[1])
+            col = kern.table.take(j, axis=1)
+            exits += j.size - int(np.count_nonzero(
+                kern.inside(0, j, x, col[4:])))
     return exits
 
 

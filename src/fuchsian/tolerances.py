@@ -50,6 +50,11 @@ class Check:
     def passed(self) -> bool:
         return bool(self.residual < self.bound)
 
+    @property
+    def headroom(self) -> float:
+        """residual / bound: how near the residual came to its bound."""
+        return self.residual / self.bound
+
 
 @dataclass(frozen=True)
 class Report:
@@ -63,9 +68,11 @@ class Report:
         return all(c.passed for c in self.checks.values())
 
     def to_dict(self) -> dict:
-        """The payload fields, then each check, then the verdict."""
+        """The payload fields, then each check with its headroom, then the
+        verdict."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name != "checks"}
-        out["checks"] = {name: {**asdict(c), "passed": c.passed}
+        out["checks"] = {name: {**asdict(c), "headroom": c.headroom,
+                                "passed": c.passed}
                          for name, c in self.checks.items()}
         return out | {"passed": self.passed}

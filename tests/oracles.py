@@ -4,17 +4,21 @@ Each one is the plain, one-point-at-a-time form of something the library
 computes another way: ``F_apply`` is one step of the planar extension that
 the kernel ``extension._Kernel`` applies to arrays of states;
 ``domain_contains`` is the closed membership test on angles that the same
-kernel answers on the Cayley coordinate x = -cot(theta / 2), by the edges
-lo, hi of each candidate's arcs and a no-wrap flag nw, (x >= lo) ^ (x <=
-hi) ^ nw; ``two_lookup_step`` is the complex form of the kernel's real
-step, z -> (a z + b) / (conj(b) z + conj(a)) renormalised, after a binary
-search on the cut points at the state's own w (``two_lookup_cell``, on
-angles or on x), and ``dense_candidates`` tests the state's w against every
-rectangle, where the kernel reads both the cell and the candidate
-rectangles off one breakpoint table; ``bisector_endpoint`` constructs the
-end of the angle bisector at an elliptic vertex from the tangents of the
-sides' circles (``tangent_at``), independently of the arc midpoint
-``AuxPoints.M``; ``walk_reference`` walks an orbit one ``BoundaryPoint`` at
+kernel answers on the Cayley coordinate x = -cot(theta / 2), where a
+breakpoint interval of w lists exactly the rectangles whose w-arc holds it
+and u is tested by the edges lo, hi of its arc and a no-wrap flag nw, (x
+>= lo) ^ (x <= hi) ^ nw; ``two_lookup_step`` is the complex form of the
+kernel's real step, z -> (a z + b) / (conj(b) z + conj(a)) renormalised,
+after a binary search on the cut points at the state's own w
+(``two_lookup_cell``, on angles or on x), and ``dense_candidates`` tests
+the state's w against every rectangle on angles, ``cayley_candidates`` on
+x, where the kernel reads both the cell and the candidate rectangles off
+one breakpoint table; ``ReferenceKernel`` (through ``kernel_reference``)
+is the earlier kernel whose table holds the w-arc ends widened by
+``STRUCTURAL + WRAP`` and which tests every candidate on both
+coordinates; ``bisector_endpoint`` constructs the end of the angle
+bisector at an elliptic vertex from the tangents of the sides' circles
+(``tangent_at``), independently of the arc midpoint ``AuxPoints.M``; ``walk_reference`` walks an orbit one ``BoundaryPoint`` at
 a time through ``f_apply``, where ``orbit`` and ``markov_check`` step on
 bare angles, and ``markov_reference`` rebuilds the Markov report from it,
 each transition the ``circular_run`` between the refinement points that a
@@ -30,22 +34,30 @@ rectangle at a time, where ``extension.image_rects`` images a whole list on
 arrays, and ``per_block_bijectivity`` measures each block's strip residual
 on its own grid against the domain clipped to the block's band, where
 ``verify_bijectivity`` takes every residual from one grid.
-"""
 
+``exceptional_set`` and ``verify_exceptional`` are no reference but the
+one implementation of the exceptional rectangles between the attractor and
+the escape set and of their entry check, kept here with the grid measure
+``box_measure`` because only tests use them.
+"""
 import bisect
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
                       f_apply, geodesic_circle)
-from fuchsian.arcs import box_measure, max_pairwise_overlap
+from fuchsian.arcs import (RectArray, _breakpoints, _column_areas, _covered,
+                           _overlap_lengths, cayley, ccw_sweep,
+                           max_pairwise_overlap, rect_boxes)
 from fuchsian.boundary import MarkovReport, OrbitRecord
+from fuchsian.extension import _fan, _gluing, image_rects
 from fuchsian.mobius import TAU, angular_distance, normalize_angle
 from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
-                                 Check)
+                                 Check, Report)
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -86,6 +98,20 @@ def dense_candidates(rects, pw: np.ndarray, tol: float) -> np.ndarray:
     wsw = np.array([r.w_arc.sweep for r in rects])
     dw = (pw[:, None] - ws[None, :]) % TAU
     return (dw <= wsw[None, :] + tol) | (dw >= TAU - tol)
+
+
+def cayley_candidates(rects, xw: np.ndarray, tol: float) -> np.ndarray:
+    """Mask, w-coordinates by rectangles, of the rectangles whose w-arc
+    widened by ``tol`` holds each Cayley coordinate xw: lo <= xw <= hi for
+    lo = x(start - tol) and hi = x(end + tol) of the arc, xw >= lo or xw <=
+    hi when the arc holds the seam (lo > hi), every xw when it covers the
+    circle."""
+    lo = np.array([r.w_arc.start.theta for r in rects]) - tol
+    sweep = np.array([r.w_arc.sweep for r in rects]) + 2 * tol
+    lo, hi = cayley(lo % TAU), cayley((lo + sweep) % TAU)
+    at_lo, at_hi = xw[:, None] >= lo, xw[:, None] <= hi
+    return np.where(sweep >= TAU, True,
+                    np.where(lo <= hi, at_lo & at_hi, at_lo | at_hi))
 
 
 # -- counter-based draws -------------------------------------------------------
@@ -130,6 +156,25 @@ def scalar_draws(seed: int, samples: int,
             r += 1
         out.append((tu, tw))
     return out
+
+
+# -- box measure -----------------------------------------------------------
+
+
+def box_measure(a: np.ndarray, b: np.ndarray, op) -> float:
+    """Angular area of the grid cells where ``op(in a, in b)`` holds, for the
+    box arrays ``a`` and ``b`` on the grid of both sets' breakpoints:
+    ``np.logical_or`` gives the union, ``np.logical_and`` the intersection,
+    ``np.logical_xor`` the symmetric difference, ``np.greater`` the part of
+    a outside b."""
+    boxes = np.concatenate([a, b])
+    if not len(boxes):
+        return 0.0
+    xs = _breakpoints(boxes[:, :2])
+    ys = _breakpoints(boxes[:, 2:])
+    cells = _covered(a, xs, ys)
+    op(cells, _covered(b, xs, ys), out=cells)
+    return float(_column_areas(cells, xs, ys).sum())
 
 
 # -- scalar imaging and the per-block bijectivity check ------------------------
@@ -487,3 +532,198 @@ def markov_full_walk(poly: MarkedPolygon, part: Partition,
     out = markov_reference(poly, part, max_steps, stop_at_cut=False)
     del out["orbit_sizes"]
     return out
+
+
+# -- the breakpoint-window membership kernel ----------------------------------
+
+
+class ReferenceKernel:
+    """The membership half of the kernel whose breakpoint table holds each
+    w-arc's ends widened by ``STRUCTURAL + WRAP``: every interval lists the
+    rectangles whose widened arc holds it, and each candidate is tested on
+    both coordinates."""
+
+    def __init__(self, poly: MarkedPolygon, part: Partition,
+                 *lists: RectArray):
+        tol, r = STRUCTURAL, STRUCTURAL + WRAP
+        # x(start - r), x(end + r) of each widened w-arc, -inf if it is full
+        ends = [cayley(np.where(rs.sweep[:, 1] + 2 * r >= TAU, 0.0, np.mod(
+            [rs.theta[:, 2] - r, rs.theta[:, 2] + rs.sweep[:, 1] + r], TAU)))
+            for rs in lists]
+        cuts = cayley(part.lifted[:part.n])
+        self.breaks = _breakpoints(np.concatenate(
+            [[-np.inf], cuts, *(e.ravel() for e in ends)]))
+        # left ends, indexed as locate counts; index 0 (w < 0) is never read
+        self.cell, a, b = _gluing(poly, cuts, np.concatenate(
+            [self.breaks[:1], self.breaks]))
+        self.coef = np.stack([a.real + b.real, a.imag - b.imag,
+                              -(a.imag + b.imag), a.real - b.real])
+        nb = len(self.breaks)
+        self.cand, self.table = [], []
+        for rs, e in zip(lists, ends):
+            # the arc from breaks[ia] to breaks[ib] holds the intervals ia + 1
+            # to ib, wrapping from nb to 1, all if ia = ib; rows in order
+            ia, ib = np.searchsorted(self.breaks, e)[:, :, None]
+            holds = (np.arange(nb + 1) - ia - 1) % nb < (ib - ia - 1) % nb + 1
+            holds[:, 0] = False
+            row = np.argsort(~holds, axis=0, kind="stable")
+            row = row[:np.count_nonzero(holds, axis=0).max()]
+            cand = np.where(np.take_along_axis(holds, row, 0), row, -1)
+            # rows lo of u, w and hi of u, w, (-inf, inf) for an arc widened
+            # to the whole circle; column -1 pads with NaN
+            lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
+            edges = np.full((4, len(rs) + 1), np.nan)
+            edges[:, :-1] = cayley(np.vstack([lo, lo + sweep]) % TAU)
+            edges[:2, :-1][sweep >= TAU] = -np.inf
+            edges[2:, :-1][sweep >= TAU] = np.inf
+            self.cand.append(cand)
+            self.table.append([(edges[:, c], edges[:2, c] <= edges[2:, c])
+                               for c in cand])
+
+    def locate(self, xw: np.ndarray) -> np.ndarray:
+        """Table index j of each w-coordinate."""
+        return np.searchsorted(self.breaks, xw, side="right")
+
+    def _test(self, row, j, x):
+        """Mask of the states x in the row's candidates of intervals j."""
+        col, nw = (t.take(j, axis=1) for t in row)
+        return ((x >= col[:2]) ^ (x <= col[2:]) ^ nw).all(axis=0)
+
+    def inside(self, i: int, j, x: np.ndarray) -> np.ndarray:
+        """Mask of the states x, w in intervals j, in list i: each state on
+        its candidates in turn, until one holds it or none is left."""
+        cand, table = self.cand[i], self.table[i]
+        ok = self._test(table[0], j, x)
+        if ok.all():
+            return ok
+        todo = np.flatnonzero(~ok)
+        for k in range(1, len(table)):
+            todo = todo[cand[k, j[todo]] >= 0]
+            if todo.size == 0:
+                break
+            hit = self._test(table[k], j[todo], x[:, todo])
+            ok[todo[hit]] = True
+            todo = todo[~hit]
+        return ok
+
+
+def kernel_reference(poly: MarkedPolygon, part: Partition, rs: RectArray,
+                     x: np.ndarray) -> np.ndarray:
+    """Membership verdicts of ``ReferenceKernel`` on the Cayley coordinates
+    x (2 x N) of states, for the one rectangle list ``rs``."""
+    kern = ReferenceKernel(poly, part, rs)
+    return kern.inside(0, kern.locate(x[1]), x)
+
+
+# -- exceptional rectangles ---------------------------------------------------
+
+
+def exceptional_set(poly: MarkedPolygon, part: Partition,
+                    k: int) -> list[Rect]:
+    """Rectangles between the attractor and the escape set at an interior
+    vertex of order >= 3 (empty for order 2).
+
+    Each hat shares its w-arc with one rectangle of the attractor's fan
+    (``_fan``); its u-arc runs between the side extension point and the
+    corner orbit point that bounds that rectangle.
+    """
+    v = poly.vertices[k % poly.n_sides]
+    if v.is_ideal:
+        raise NotElliptic(f"vertex {k} is ideal")
+    if v.order == 2:
+        return []
+    blk = poly.block_of_side(k % poly.n_sides)
+    aux = poly.aux[k % poly.n_sides]
+    _, start, end, low_w, up_w, low_u, up_u = _fan(poly, part, blk)
+    out = []
+
+    def hat(p1, p2, w1, w2, side, inside):
+        # a hat exists only while the corner-orbit point stays between the
+        # side extension and its block corner; it is empty when the orbit
+        # point reaches, within WRAP either way (order 4, arc midpoint),
+        # or passes (last fan step of an edge partition) the extension point
+        if (not inside or angular_distance(p1.theta, p2.theta) < WRAP
+                or angular_distance(w1.theta, w2.theta) < WRAP):
+            return
+        out.append(Rect(DirectedArc.ccw(p1, p2), DirectedArc.ccw(w1, w2),
+                        blk.index, side))
+
+    q_to_end = ccw_sweep(aux.Q.theta, end.theta, full_if_equal=True)
+    start_to_p = ccw_sweep(start.theta, aux.P.theta, full_if_equal=True)
+    for u, w0, w1 in zip(low_u, low_w[1:], low_w):
+        ok = ccw_sweep(aux.Q.theta, u.theta) <= q_to_end + WRAP
+        hat(aux.Q, u, w0, w1, blk.side_start, ok)
+    for u, w0, w1 in zip(up_u, up_w, up_w[1:]):
+        ok = ccw_sweep(start.theta, u.theta) <= start_to_p + WRAP
+        hat(u, aux.P, w0, w1, blk.side_start + 1, ok)
+    return out
+
+
+# pieces per slice of the escape test: temporaries hold _PIECES x rectangles
+_PIECES = 1024
+
+
+@dataclass(frozen=True)
+class ExceptionalReport(Report):
+    """Checks ``containment`` (nesting of the lower rectangles) and
+    ``escaped`` (measure still outside the attractor)."""
+
+    steps_used: int
+
+
+def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
+                       dom: AttractorDomain) -> ExceptionalReport:
+    """Track the exceptional rectangles into the attractor.
+
+    Checks the nesting of successive lower rectangles inside the forward
+    images of the first one, and that every piece of both fans lands inside
+    the attractor within the cycle length plus two steps; ``escaped`` is the
+    measure of the union of the pieces left then, outside the attractor.
+    """
+    hats = RectArray.of(exceptional_set(poly, part, k))
+    tol = DEFAULT.residual
+    blk = poly.block_of_side(k % poly.n_sides)
+    data = dom.info[blk.index].cycle
+    lower = hats.take(hats.gamma == blk.side_start)
+    upper = hats.take(hats.gamma == blk.side_start + 1)
+    dom_u, dom_w = dom.arrays.intervals()
+
+    def escaping(region: RectArray) -> np.ndarray:
+        """Area of each piece outside the attractor: its rectangles are
+        interior-disjoint (their w-arcs tile the circle), so the area inside
+        is the sum of the piece's u- times w-overlaps with each."""
+        u, w = region.intervals()
+        out = region.area
+        for s in range(0, len(region), _PIECES):
+            out[s:s + _PIECES] -= (
+                _overlap_lengths(u[s:s + _PIECES], dom_u)
+                * _overlap_lengths(w[s:s + _PIECES], dom_w)).sum(axis=1)
+        return out
+
+    worst = 0.0
+    region = lower.take(slice(0, 1))
+    for i in range(1, len(lower)):
+        # the region's pieces can overlap, so it is measured as a union
+        region = image_rects(poly, part, region)
+        rect = lower.take(slice(i, i + 1))
+        worst = max(worst, float(rect.area[0]) - box_measure(
+            rect_boxes(*rect.intervals()), rect_boxes(*region.intervals()),
+            np.logical_and))
+
+    left = [np.empty((0, 4))]
+    steps = 0
+    # without hats (order 2) there is no first piece and no cycle data
+    for region in [f.take(slice(0, 1)) for f in (lower, upper) if len(f)]:
+        for step in range(max(data.J, data.I) + 3):
+            remaining = region.take(escaping(region) > tol)
+            if not len(remaining):
+                break
+            region = image_rects(poly, part, remaining)
+            steps = max(steps, step + 1)
+        else:
+            left.append(rect_boxes(*region.take(
+                escaping(region) > tol).intervals()))
+    escaped = box_measure(np.concatenate(left), rect_boxes(dom_u, dom_w),
+                          np.greater)
+    return ExceptionalReport(steps, checks={"containment": Check(worst, tol),
+                                            "escaped": Check(escaped, tol)})

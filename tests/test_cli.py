@@ -200,7 +200,8 @@ class TestSimulateCommand:
         assert data["config"]["report_out"] == str(rep)
         assert data["samples"] == data["entered"] == 50
         assert data["checks"]["entered"] == {
-            "residual": 0, "bound": 1, "detail": "", "passed": True}
+            "residual": 0, "bound": 1, "detail": "", "headroom": 0.0,
+            "passed": True}
         assert data["passed"] is True
         assert out.strip() == (f"samples=50 entered=50 max_K={data['max_K']} "
                                f"mean_K={data['mean_K']:.3f}")

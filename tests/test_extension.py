@@ -12,20 +12,20 @@ from hypothesis import strategies as st
 
 from conftest import (LADDER, MODES, SCALE, SIGNATURES, measure,
                       open_arc_cut, overlap, partition, polygon)
-from oracles import (GAMMA, F_apply, dense_candidates, domain_contains,
-                     interior_angles, per_block_bijectivity, scalar_draws,
-                     scalar_rect_image, splitmix64, two_lookup_cell,
-                     two_lookup_step)
+from oracles import (GAMMA, F_apply, ReferenceKernel, cayley_candidates,
+                     dense_candidates, domain_contains, exceptional_set,
+                     interior_angles, kernel_reference, per_block_bijectivity,
+                     scalar_draws, scalar_rect_image, splitmix64,
+                     two_lookup_cell, two_lookup_step, verify_exceptional)
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
-                      exceptional_set, make_partition, phi_set,
-                      simulate_entry, tolerances, verify_bijectivity)
+                      make_partition, phi_set, simulate_entry, tolerances,
+                      verify_bijectivity)
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, cayley,
                           cayley_angle, seam_split)
 from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
-                                image_rects, traces_to_csv,
-                                verify_exceptional)
+                                image_rects, traces_to_csv)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
@@ -763,31 +763,63 @@ def kernel_member(key, rects, pu, pw):
     return kern.inside(0, j, x)
 
 
+def near_ends(arcs, theta, tol, band):
+    """Mask of the angles theta within ``band`` of an end of some arc
+    widened by ``tol``."""
+    ends = np.array([e for a in arcs for e in (a.start.theta - tol,
+                                               a.start.theta + a.sweep
+                                               + tol)]) % TAU
+    d = np.abs(theta[:, None] - ends[None, :]) % TAU
+    return (np.minimum(d, TAU - d) <= band).any(axis=1)
+
+
+def near_edges(rects, ang, tol, band):
+    """Mask of the states at angles ``ang`` with u or w within ``band`` of
+    an end of some rectangle's arc widened by ``tol``."""
+    return (near_ends([r.u_arc for r in rects], ang[0], tol, band)
+            | near_ends([r.w_arc for r in rects], ang[1], tol, band))
+
+
+# an angle, or (i, d): d past the i-th (mod their count) of the sorted
+# distinct edge angles of a rectangle list
+EDGE_OR_ANGLE = st.one_of(
+    st.floats(0.0, TAU, exclude_max=True),
+    st.tuples(st.integers(0, 1 << 16),
+              st.floats(-3 * STRUCTURAL, 3 * STRUCTURAL)))
+
+
 class TestMembershipKernel:
     """The kernel's membership test against the dense oracle and the scalar
     ``domain_contains``."""
 
     @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_matches_oracle_and_scalar_path(self, data):
-        key = data.draw(st.sampled_from(KERNEL_DOMAINS))
-        which = data.draw(st.sampled_from(["attractor", "phi"]))
+    @given(st.sampled_from(KERNEL_DOMAINS),
+           st.sampled_from(["attractor", "phi"]),
+           st.lists(st.tuples(EDGE_OR_ANGLE, EDGE_OR_ANGLE), min_size=1,
+                    max_size=40))
+    # u STRUCTURAL past a u-arc's end (to 1.5 ulp(2pi)), where the
+    # kernel's x and the dense test's angle round to other verdicts
+    @example(("0;2,2;2", "left"), "attractor",
+             [((1, STRUCTURAL), 2.1535040783279173)])
+    def test_matches_oracle_and_scalar_path(self, key, which, states):
+        # equal verdicts with the reference kernel everywhere, and with every
+        # rectangle off the 2 ulp(2pi) band about the widened edges
         rects = kernel_rects(key, which)
-        tol = STRUCTURAL
         edges = sorted(set(edge_angles(rects) % TAU))
-        angle = st.one_of(
-            st.floats(0.0, TAU, exclude_max=True),
-            st.builds(lambda e, d: (e + d) % TAU, st.sampled_from(edges),
-                      st.floats(-3 * tol, 3 * tol)))
-        states = data.draw(st.lists(st.tuples(angle, angle), min_size=1,
-                                    max_size=40))
-        pu, pw = np.array(states).T
-        got = kernel_member(key, rects, pu, pw)
-        assert got.tolist() == dense_member(rects, pu, pw, tol).tolist()
+        ang = np.array([[a if isinstance(a, float)
+                         else (edges[a[0] % len(edges)] + a[1]) % TAU
+                         for a in state] for state in states]).T
+        got = kernel_member(key, rects, *ang)
+        assert np.array_equal(got, kernel_reference(
+            polygon(key[0]), partition(*key), RectArray.of(rects),
+            cayley(ang)))
+        off = ~near_edges(rects, ang, STRUCTURAL, 2 * np.spacing(TAU))
+        assert np.array_equal(got[off],
+                              dense_member(rects, *ang[:, off], STRUCTURAL))
         if which == "attractor":
             dom = domain(*key)
-            assert got.tolist() == [domain_contains(dom, u, w)
-                                    for u, w in states]
+            assert got[off].tolist() == [domain_contains(dom, u, w)
+                                         for u, w in ang[:, off].T]
 
     @pytest.mark.parametrize("which", ["attractor", "phi"])
     @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
@@ -834,28 +866,37 @@ class TestMembershipKernel:
         x, j = kernel.start(np.stack([pu, pw]))
         assert np.array_equal(kernel.inside(0, j, x), want)
         # the third row matters: without it states are missed
-        del kernel.table[0][2:]
+        kernel.later[0] = kernel.later[0][:1]
         assert not np.array_equal(kernel.inside(0, j, x), want)
 
     @pytest.mark.parametrize("which", ["attractor", "phi"])
     @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
     def test_near_breakpoints_matches_oracle(self, key, which):
-        # w within 3 (STRUCTURAL + SAME_POINT) of every breakpoint, where
-        # the candidate lists change; u uniform or near a rectangle edge
+        # w within 3 (STRUCTURAL + SAME_POINT) of the reference kernel's
+        # breakpoints, 0, the cuts and the w-arc ends widened by STRUCTURAL
+        # + WRAP, against every rectangle; then of the kernel's own, the
+        # widened edges themselves, against the reference kernel; u uniform
+        # or near a rectangle edge
         rects = kernel_rects(key, which)
-        kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
+        poly, part, rs = polygon(key[0]), partition(*key), RectArray.of(rects)
+        kern = _Kernel(poly, part, rs)
         rng = np.random.default_rng(len(rects) + 1)
         span = 3 * (STRUCTURAL + SAME_POINT)
-        pw = (cayley_angle(kern.breaks)[:, None]
-              + np.linspace(-span, span, 41)).ravel()
-        pw = np.repeat(pw % TAU, 8)
-        pu = np.where(rng.integers(0, 2, pw.size) == 1,
-                      rng.uniform(0.0, TAU, pw.size),
-                      (rng.choice(edge_angles(rects), pw.size)
-                       + rng.uniform(-3 * STRUCTURAL, 3 * STRUCTURAL,
-                                     pw.size)) % TAU)
-        got = kern.inside(0, *kern.start(np.stack([pu, pw]))[::-1])
-        assert np.array_equal(got, dense_member(rects, pu, pw, STRUCTURAL))
+        window = ReferenceKernel(poly, part, rs).breaks
+        for xb, exact in ((window, False), (kern.breaks, True)):
+            pw = (cayley_angle(xb)[:, None]
+                  + np.linspace(-span, span, 41)).ravel()
+            pw = np.repeat(pw % TAU, 8)
+            pu = np.where(rng.integers(0, 2, pw.size) == 1,
+                          rng.uniform(0.0, TAU, pw.size),
+                          (rng.choice(edge_angles(rects), pw.size)
+                           + rng.uniform(-3 * STRUCTURAL, 3 * STRUCTURAL,
+                                         pw.size)) % TAU)
+            x = cayley(np.stack([pu, pw]))
+            got = kern.inside(0, kern.locate(x[1]), x)
+            want = (kernel_reference(poly, part, rs, x) if exact
+                    else dense_member(rects, pu, pw, STRUCTURAL))
+            assert np.array_equal(got, want)
 
     def test_junction_overlap_rechecked(self):
         # stretch one w-arc 0.9 SAME_POINT past the next start, a junction
@@ -1040,20 +1081,6 @@ def real_form(poly):
                      a.real - b.real])
 
 
-def near_edges(rects, ang, tol, band):
-    """Mask of the states at angles ``ang`` with u or w within ``band`` of
-    an end of some rectangle's arc widened by ``tol``."""
-    out = np.zeros(ang.shape[1], bool)
-    for coord, arcs in ((0, [r.u_arc for r in rects]),
-                        (1, [r.w_arc for r in rects])):
-        ends = np.array([e for a in arcs for e in (a.start.theta - tol,
-                                                   a.start.theta + a.sweep
-                                                   + tol)]) % TAU
-        d = np.abs(ang[coord][:, None] - ends[None, :]) % TAU
-        out |= (np.minimum(d, TAU - d) <= band).any(axis=1)
-    return out
-
-
 class TestFusedLookup:
     """The kernel's one breakpoint lookup per step against ``oracles``: the
     binary search on the cut points, both in the Cayley coordinate, bit for
@@ -1075,9 +1102,12 @@ class TestFusedLookup:
         cells = two_lookup_cell(part, x, cayley)
         assert np.array_equal(kern.cell[j], cells)
         assert np.array_equal(kern.coef[:, j], real_form(poly)[:, cells])
-        # each list holds every rectangle whose STRUCTURAL-widened w-arc
-        # holds w, and none whose arc widened by WRAP more does not, up to
-        # the rounding of the widened ends mod 2pi and of the coordinate
+        # each list holds exactly the rectangles whose STRUCTURAL-widened
+        # w-range holds x; on angles, every rectangle whose arc widened as
+        # much holds w, off the 2 ulp(2pi) band about the widened ends where
+        # angles and x round differently, and none whose arc widened by WRAP
+        # more does not, up to the rounding of the widened ends mod 2pi and
+        # of the coordinate
         pw = cayley_angle(x)
         rows, beyond = np.arange(pw.size), WRAP + 4 * np.spacing(TAU)
         for i, rects in enumerate(lists):
@@ -1085,7 +1115,11 @@ class TestFusedLookup:
             got = np.zeros((pw.size, len(rects) + 1), bool)
             got[rows, kern.cand[i][:, j]] = True
             got = got[:, :-1]
-            assert (got >= dense_candidates(rects, pw, STRUCTURAL)).all()
+            assert np.array_equal(got, cayley_candidates(rects, x,
+                                                         STRUCTURAL))
+            off = ~near_ends([r.w_arc for r in rects], pw, STRUCTURAL,
+                             2 * np.spacing(TAU))
+            assert (got >= dense_candidates(rects, pw, STRUCTURAL))[off].all()
             assert (got <= dense_candidates(rects, pw,
                                             STRUCTURAL + beyond)).all()
 
@@ -1143,6 +1177,33 @@ class TestFusedLookup:
                                                        STRUCTURAL)
             assert near_edges(dom.rects, ang[:, off], STRUCTURAL,
                               2 * np.spacing(TAU)).all()
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_verdicts_equal_reference(self, key):
+        # both lists, on states with u, w or both at 0, +-STRUCTURAL, 2 and
+        # 3 STRUCTURAL from a rectangle edge, where angles and x round
+        # differently at the widened edges, and on the kernel's own orbits
+        poly, part, dom = fused_case(key)
+        lists = [list(dom.rects), phi_set(poly, part)]
+        arrays = [RectArray.of(rects) for rects in lists]
+        kern = _Kernel(poly, part, *arrays)
+        rng = np.random.default_rng(23)
+        x, j = kern.start(rng.uniform(0.0, TAU, (2, 500)))
+        orbits = [x]
+        for _ in range(200):
+            x, j = kern.step(x, j)
+            orbits.append(x)
+        offsets = np.array([0, 1, -1, 2, 3]) * STRUCTURAL
+        for i, rects in enumerate(lists):
+            edge = (rng.choice(edge_angles(rects), (2, 20_000))
+                    + rng.choice(offsets, (2, 20_000))) % TAU
+            # 1: u on an edge, 2: w, 3: both
+            which = rng.integers(1, 4, 20_000)
+            ang = np.where([which & 1, which & 2], edge,
+                           rng.uniform(0.0, TAU, edge.shape))
+            x = np.hstack([cayley(ang), *orbits])
+            assert np.array_equal(kern.inside(i, kern.locate(x[1]), x),
+                                  kernel_reference(poly, part, arrays[i], x))
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
     def test_seam_maps_to_p_over_r(self, key):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import MODES, SIGNATURES, partition, polygon
+from oracles import verify_exceptional
 
 from fuchsian import (Signature, build_attractor, build_canonical,
                       markov_check, tolerances, validate_polygon,
                       verify_bijectivity)
 from fuchsian.cli import main
-from fuchsian.extension import verify_exceptional
 from fuchsian.tolerances import Check, Report
 
 # the tolerance field each check is held to
@@ -68,11 +68,13 @@ class TestReport:
             payload: int
 
         rep = Demo(7, checks={"a": Check(0.0, 1.0, "x"),
-                              "b": Check(2.0, 1.0)})
+                              "b": Check(2.0, 0.5)})
         d = rep.to_dict()
         assert list(d) == ["payload", "checks", "passed"]
         assert d["checks"]["a"] == {"residual": 0.0, "bound": 1.0,
-                                    "detail": "x", "passed": True}
+                                    "detail": "x", "headroom": 0.0,
+                                    "passed": True}
+        assert d["checks"]["b"]["headroom"] == 4.0
         assert d["checks"]["b"]["passed"] is False
         assert rep.passed is False and d["passed"] is False
         json.dumps(d)
@@ -106,8 +108,10 @@ def test_verify_report_carries_bound_and_verdict(mode, tmp_path, capsys):
                                     "bijectivity"}
     for result in data["results"].values():
         for check_name, c in result["checks"].items():
-            assert list(c) == ["residual", "bound", "detail", "passed"]
+            assert list(c) == ["residual", "bound", "detail", "headroom",
+                               "passed"]
             assert c["bound"] == expected_bound(check_name)
+            assert c["headroom"] == c["residual"] / c["bound"]
             assert c["passed"] == (c["residual"] < c["bound"])
         assert result["passed"] == all(c["passed"]
                                        for c in result["checks"].values())
@@ -119,7 +123,8 @@ def test_verify_report_carries_bound_and_verdict(mode, tmp_path, capsys):
         failed = [n for n, x in data["results"][group]["checks"].items()
                   if not x["passed"]]
         assert c == {"residual": len(failed), "bound": 1,
-                     "detail": ",".join(failed), "passed": not failed}
+                     "detail": ",".join(failed), "headroom": len(failed),
+                     "passed": not failed}
     assert data["results"]["cycles"]["vertices"]
 
 
