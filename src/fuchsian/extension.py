@@ -153,11 +153,6 @@ def _check_tiling(rects: tuple[Rect, ...]) -> None:
 
 # -- imaging and bijectivity ---------------------------------------------------
 
-# rectangles per slice of the cut search: bounds its temporaries at
-# _SPLIT_ROWS times the number of cuts
-_SPLIT_ROWS = 4096
-
-
 def _normalize(theta: np.ndarray) -> np.ndarray:
     """``normalize_angle`` of each angle."""
     t = np.mod(theta, TAU)
@@ -165,32 +160,39 @@ def _normalize(theta: np.ndarray) -> np.ndarray:
     return t
 
 
-def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
-           cuts: np.ndarray, first: int = 0):
-    """Row (counted from ``first``), start and end angle, and sweep of each
-    piece of the w-arcs from ws to we, in row order and along each arc.
+def _runs(start: np.ndarray, stop: np.ndarray):
+    """Owner i and value of every integer in the ranges [start[i], stop[i]),
+    range after range and ascending within each."""
+    count = np.maximum(stop - start, 0)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (start - np.cumsum(count)
+                                           + count)[owner]
 
-    An arc is cut at each cut more than 1e-11 inside it; an arc without
-    inner cuts is one piece of its own sweep, and of the pieces of a cut arc
-    those under 1e-13 are dropped.
+
+def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
+           cuts: np.ndarray):
+    """Row, start and end angle, and sweep of each piece of the w-arcs from
+    ws to we, in row order and along each arc.
+
+    An arc is cut at each of the sorted ``cuts`` whose lift in [cuts, cuts
+    + 2pi] lies more than 1e-11 past ws and more than 1e-11 before ws +
+    sweep, each sum rounded: a run of the lifted cuts.  An arc without inner
+    cuts is one piece of its own sweep; pieces of a cut arc under 1e-13 are
+    dropped.
     """
-    d = (cuts - ws[:, None]) % TAU
-    inner = (d > 1e-11) & (d < sweep[:, None] - 1e-11)
-    count = inner.sum(axis=1)
-    k = int(count.max(initial=0))
-    # row i's bounds: its start, its inner cuts along the arc, its end
-    bounds = np.empty((len(ws), k + 2))
-    bounds[:, 0] = ws
-    bounds[:, 1:k + 1] = cuts[np.argsort(np.where(inner, d, np.inf),
-                                         axis=1)[:, :k]]
-    bounds[np.arange(len(ws)), count + 1] = we
-    piece = np.arange(k + 1) <= count[:, None]
-    rows = np.nonzero(piece)[0]
-    lo, hi = bounds[:, :-1][piece], bounds[:, 1:][piece]
+    lifted = np.concatenate([cuts, cuts + TAU])
+    row, k = _runs(np.searchsorted(lifted, ws + 1e-11, side="right"),
+                   np.searchsorted(lifted, ws + sweep - 1e-11))
+    count = np.bincount(row, minlength=len(ws))
+    rows = np.repeat(np.arange(len(ws)), count + 1)
+    lo, hi = ws[rows], we[rows]
+    # the piece ending at the i-th cut of all arcs is piece i + row
+    at = np.arange(len(k)) + row
+    hi[at] = lo[at + 1] = cuts[k % len(cuts)]
     whole = count[rows] == 0
     out = np.where(whole, sweep[rows], (hi - lo) % TAU)
     keep = whole | (out >= 1e-13)
-    return rows[keep] + first, lo[keep], hi[keep], out[keep]
+    return rows[keep], lo[keep], hi[keep], out[keep]
 
 
 def _gluing(poly: MarkedPolygon, cuts, keys: np.ndarray):
@@ -214,10 +216,7 @@ def image_rects(poly: MarkedPolygon, part: Partition,
     ``DirectedArc`` does.
     """
     cuts = np.array(sorted(set(part.thetas)))
-    rows, lo, hi, sweep = (np.concatenate(x) for x in zip(*(
-        _split(*rs.theta[s:s + _SPLIT_ROWS, 2:].T,
-               rs.sweep[s:s + _SPLIT_ROWS, 1], cuts, s)
-        for s in range(0, max(len(rs), 1), _SPLIT_ROWS))))
+    rows, lo, hi, sweep = _split(*rs.theta[:, 2:].T, rs.sweep[:, 1], cuts)
     # Partition.cell_of of each piece's midpoint
     cell, a, b = _gluing(poly, part.lifted[:part.n],
                          _normalize(lo + 0.5 * sweep))
@@ -426,15 +425,16 @@ class _Kernel:
     false where it holds the seam; x is on it when (x >= lo) ^ (x <= hi) ^
     nw.  ``breaks`` sorts the x of 0, of the lifted cuts, and of each w-arc's
     lo and the float after its hi, so each interval [breaks[j - 1],
-    breaks[j]) of w (``locate``) lies wholly on or off every w-arc, and
-    column j of a list's ``cand`` holds exactly the rows whose w-arc holds
-    it (-1 pads): a state is inside when its u is on one of them.  Column j
-    of ``table`` holds the (p, q, r, s) of its cell, then per list the lo,
-    hi and nw of the first candidate's u-arc (NaN, NaN, 0 on the pad, which
-    holds no u), so one gather serves a step and its first test; ``later``
-    holds the other candidates' u-edges.  These are the verdicts of every
-    rectangle, tiled or not.  At w = 2pi the kernel takes the last cell,
-    ``cell_of`` cell 0.
+    breaks[j]) of w (``locate``) lies wholly on or off every w-arc, and a
+    w-arc holds one run of intervals, cyclic past the seam, found by two
+    ``searchsorted``; column j of a list's ``cand`` holds exactly the rows
+    whose run holds j, ascending (-1 pads): a state is inside when its u is
+    on one of them.  Column j of ``table`` holds the (p, q, r, s) of its
+    cell, then per list the lo, hi and nw of the first candidate's u-arc
+    (NaN, NaN, 0 on the pad, which holds no u), so one gather serves a step
+    and its first test; ``later`` holds the other candidates' u-edges.
+    These are the verdicts of every rectangle, tiled or not.  At w = 2pi the
+    kernel takes the last cell, ``cell_of`` cell 0.
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
@@ -456,16 +456,22 @@ class _Kernel:
         self.cell, a, b = _gluing(poly, cuts, left)
         rows = [a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
                 a.real - b.real]
+        n = len(left)
         self.cand, self.later = [], []
         for lo, hi in edges:
             nw = lo <= hi
-            # an interval is on a w-arc exactly when its left end is
-            holds = ((left >= lo[1, :, None]) ^ (left <= hi[1, :, None])
-                     ^ nw[1, :, None])
-            holds[:, 0] = False
-            row = np.argsort(~holds, axis=0, kind="stable")
-            row = row[:np.count_nonzero(holds, axis=0).max()]
-            cand = np.where(np.take_along_axis(holds, row, 0), row, -1)
+            # an interval is on a w-arc exactly when its left end is, so a
+            # w-arc holds a run of intervals, lifted by n - 1 past the seam
+            row, j = _runs(np.maximum(np.searchsorted(left, lo[1]), 1),
+                           np.searchsorted(left, hi[1], side="right")
+                           + np.where(nw[1], 0, n - 1))
+            j = (j - 1) % (n - 1) + 1
+            # by interval, rows ascending; each entry's rank in its column
+            order = np.argsort(j, kind="stable")
+            row, j = row[order], j[order]
+            depth = np.bincount(j, minlength=n)
+            cand = np.full((depth.max(), n), -1)
+            cand[np.arange(len(j)) - (np.cumsum(depth) - depth)[j], j] = row
             # u-edges lo, hi, nw of each candidate; column -1 pads
             u = np.hstack([[lo[0], hi[0], nw[0]], [[np.nan], [np.nan], [0]]])
             slots = np.moveaxis(u[:, cand], 1, 0)
@@ -473,7 +479,6 @@ class _Kernel:
             self.cand.append(cand)
             self.later.append(slots[1:])
         self.table = np.stack(rows)
-        self.coef = self.table[:4]
 
     def locate(self, xw: np.ndarray) -> np.ndarray:
         """Table index j of each w-coordinate."""
@@ -483,13 +488,6 @@ class _Kernel:
         """C-ordered states at angles ``ang`` (2 x N) and their j."""
         x = cayley(np.ascontiguousarray(ang))
         return x, self.locate(x[1])
-
-    def step(self, x: np.ndarray, j: np.ndarray):
-        """The states x, w in intervals j, mapped by w's cell, and their j;
-        the loops call ``_moebius`` under one ``np.errstate`` instead."""
-        with np.errstate(all="ignore"):
-            y = _moebius(x, self.coef.take(j, axis=1))
-        return y, self.locate(y[1])
 
     def inside(self, i: int, j, x: np.ndarray, first=None) -> np.ndarray:
         """Mask of the states x, w in intervals j, in list i: u on the
@@ -559,7 +557,7 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
         for n in range(1, max_iters + 1):
             if live.size == 0:
                 break
-            x = _moebius(x, kern.coef.take(j, axis=1))
+            x = _moebius(x, kern.table[:4].take(j, axis=1))
             j = kern.locate(x[1])
             keep = record(n, live, j, x)
             live, x, j = live[keep], x[:, keep], j[keep]

@@ -16,6 +16,9 @@ SCALE = ["3;2,5,9;3", "6;2,3,5,7,11,13;4", "10;3,4,5,6,7,8,9,10;6",
 # the scale set and four larger signatures, up to 510 rectangles
 LADDER = SCALE + ["30;2,3,5,7,11,13,17,19,23;10", "15;2,2,2,3,3,3,4,4,4;20",
                   "0;" + ",".join(map(str, range(3, 33))) + ";1", "60;;1"]
+# the stress ladder beyond it: 400, 1058 and 1920 rectangles under midpoint
+STRESS = ("100;;1", "40;" + ",".join(map(str, range(3, 43))) + ";10",
+          "0;" + ",".join(map(str, range(3, 63))) + ";1")
 
 # random cuts of 0;2,2;2 whose vertex-1 orbit never closes, so the Markov
 # check fails on its step budget

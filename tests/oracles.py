@@ -16,7 +16,10 @@ x, where the kernel reads both the cell and the candidate rectangles off
 one breakpoint table; ``ReferenceKernel`` (through ``kernel_reference``)
 is the earlier kernel whose table holds the w-arc ends widened by
 ``STRUCTURAL + WRAP`` and which tests every candidate on both
-coordinates; ``bisector_endpoint`` constructs the end of the angle
+coordinates; ``candidates_reference`` builds a list's candidates from a
+dense rectangles x intervals mask, where the kernel reads each w-arc's
+intervals as one run of its table, and ``kernel_step`` is the step of the
+kernel's loops; ``bisector_endpoint`` constructs the end of the angle
 bisector at an elliptic vertex from the tangents of the sides' circles
 (``tangent_at``), independently of the arc midpoint ``AuxPoints.M``; ``walk_reference`` walks an orbit one ``BoundaryPoint`` at
 a time through ``f_apply``, where ``orbit`` and ``markov_check`` step on
@@ -31,7 +34,9 @@ linear solve of its two incidence equations, where ``mobius`` uses closed
 forms; ``scalar_draws`` is the counter-based draw of ``extension._draws``
 one angle at a time in Python integers; ``scalar_rect_image`` images one
 rectangle at a time, where ``extension.image_rects`` images a whole list on
-arrays, and ``per_block_bijectivity`` measures each block's strip residual
+arrays, ``split_reference`` cuts the w-arcs from a dense arcs x cuts mask,
+where ``image_rects`` reads each arc's inner cuts as one run of the lifted
+cuts, and ``per_block_bijectivity`` measures each block's strip residual
 on its own grid against the domain clipped to the block's band, where
 ``verify_bijectivity`` takes every residual from one grid.
 
@@ -54,7 +59,7 @@ from fuchsian.arcs import (RectArray, _breakpoints, _column_areas, _covered,
                            _overlap_lengths, cayley, ccw_sweep,
                            max_pairwise_overlap, rect_boxes)
 from fuchsian.boundary import MarkovReport, OrbitRecord
-from fuchsian.extension import _fan, _gluing, image_rects
+from fuchsian.extension import _fan, _gluing, _moebius, image_rects
 from fuchsian.mobius import TAU, angular_distance, normalize_angle
 from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
                                  Check, Report)
@@ -227,6 +232,36 @@ def scalar_rect_image(poly: MarkedPolygon, part: Partition,
         out.append(Rect(_arc_image(g, rect.u_arc), _arc_image(g, piece),
                         rect.block, k))
     return out
+
+
+def split_reference(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
+                    cuts: np.ndarray, first: int = 0):
+    """Row (counted from ``first``), start and end angle, and sweep of each
+    piece of the w-arcs from ws to we, in row order and along each arc.
+
+    An arc is cut at each cut more than 1e-11 inside it; an arc without
+    inner cuts is one piece of its own sweep, and of the pieces of a cut arc
+    those under 1e-13 are dropped.  The distance along the arc is rounded
+    once, where ``_split`` rounds ws + 1e-11 and ws + sweep - 1e-11, so the
+    two may differ on a cut within a few ulp of those margins.
+    """
+    d = (cuts - ws[:, None]) % TAU
+    inner = (d > 1e-11) & (d < sweep[:, None] - 1e-11)
+    count = inner.sum(axis=1)
+    k = int(count.max(initial=0))
+    # row i's bounds: its start, its inner cuts along the arc, its end
+    bounds = np.empty((len(ws), k + 2))
+    bounds[:, 0] = ws
+    bounds[:, 1:k + 1] = cuts[np.argsort(np.where(inner, d, np.inf),
+                                         axis=1)[:, :k]]
+    bounds[np.arange(len(ws)), count + 1] = we
+    piece = np.arange(k + 1) <= count[:, None]
+    rows = np.nonzero(piece)[0]
+    lo, hi = bounds[:, :-1][piece], bounds[:, 1:][piece]
+    whole = count[rows] == 0
+    out = np.where(whole, sweep[rows], (hi - lo) % TAU)
+    keep = whole | (out >= 1e-13)
+    return rows[keep] + first, lo[keep], hi[keep], out[keep]
 
 
 def boxes_of(rects) -> np.ndarray:
@@ -605,6 +640,34 @@ class ReferenceKernel:
             ok[todo[hit]] = True
             todo = todo[~hit]
         return ok
+
+
+def candidates_reference(breaks: np.ndarray, rs: RectArray) -> np.ndarray:
+    """``cand`` of ``extension._Kernel`` for the list ``rs`` on the
+    breakpoint table ``breaks``, from a rectangles x intervals mask of the
+    w-arcs, widened by ``STRUCTURAL``, that hold each interval's left end,
+    read down its columns by an ``argsort``."""
+    tol = STRUCTURAL
+    lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
+    lo, hi = cayley(np.stack([lo, lo + sweep]) % TAU)
+    lo[sweep >= TAU], hi[sweep >= TAU] = -np.inf, np.inf
+    left = np.concatenate([breaks[:1], breaks])
+    nw = lo <= hi
+    # an interval is on a w-arc exactly when its left end is
+    holds = ((left >= lo[1, :, None]) ^ (left <= hi[1, :, None])
+             ^ nw[1, :, None])
+    holds[:, 0] = False
+    row = np.argsort(~holds, axis=0, kind="stable")
+    row = row[:np.count_nonzero(holds, axis=0).max()]
+    return np.where(np.take_along_axis(holds, row, 0), row, -1)
+
+
+def kernel_step(kern, x: np.ndarray, j: np.ndarray):
+    """One step of the loops of ``extension._Kernel``: the states x, w in
+    intervals j, mapped by w's cell, and their j."""
+    with np.errstate(all="ignore"):
+        y = _moebius(x, kern.table[:4].take(j, axis=1))
+    return y, kern.locate(y[1])
 
 
 def kernel_reference(poly: MarkedPolygon, part: Partition, rs: RectArray,

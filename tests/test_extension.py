@@ -10,13 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (LADDER, MODES, SCALE, SIGNATURES, measure,
+from conftest import (LADDER, MODES, SCALE, SIGNATURES, STRESS, measure,
                       open_arc_cut, overlap, partition, polygon)
-from oracles import (GAMMA, F_apply, ReferenceKernel, cayley_candidates,
-                     dense_candidates, domain_contains, exceptional_set,
-                     interior_angles, kernel_reference, per_block_bijectivity,
-                     scalar_draws, scalar_rect_image, splitmix64,
-                     two_lookup_cell, two_lookup_step, verify_exceptional)
+from oracles import (GAMMA, F_apply, ReferenceKernel, candidates_reference,
+                     cayley_candidates, dense_candidates, domain_contains,
+                     exceptional_set,
+                     interior_angles, kernel_reference, kernel_step,
+                     per_block_bijectivity, scalar_draws, scalar_rect_image,
+                     split_reference, splitmix64, two_lookup_cell,
+                     two_lookup_step, verify_exceptional)
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
@@ -25,7 +27,7 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, cayley,
                           cayley_angle, seam_split)
 from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
-                                image_rects, traces_to_csv)
+                                _runs, _split, image_rects, traces_to_csv)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
@@ -1040,7 +1042,7 @@ class TestStepKernel:
         assume(states)
         tu, tw = np.array(states).T
         kern = _Kernel(poly, part)
-        x, _ = kern.step(*kern.start(np.stack([tu, tw])))
+        x, _ = kernel_step(kern, *kern.start(np.stack([tu, tw])))
         pu, pw = cayley_angle(x)
         for (u, w), su, sw in zip(states, pu, pw):
             _, u2, w2 = F_apply(poly, part, BoundaryPoint.from_angle(u),
@@ -1074,7 +1076,7 @@ def fused_case(key):
 
 def real_form(poly):
     """(p, q, r, s) of each generator, 4 x n: the gluing on the Cayley
-    coordinate, as the kernel's ``coef``."""
+    coordinate, as rows 0 to 3 of the kernel's ``table``."""
     a = np.array([g.a for g in poly.generators])
     b = np.array([g.b for g in poly.generators])
     return np.stack([a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
@@ -1101,7 +1103,7 @@ class TestFusedLookup:
         j = kern.locate(x)
         cells = two_lookup_cell(part, x, cayley)
         assert np.array_equal(kern.cell[j], cells)
-        assert np.array_equal(kern.coef[:, j], real_form(poly)[:, cells])
+        assert np.array_equal(kern.table[:4, j], real_form(poly)[:, cells])
         # each list holds exactly the rectangles whose STRUCTURAL-widened
         # w-range holds x; on angles, every rectangle whose arc widened as
         # much holds w, off the 2 ulp(2pi) band about the widened ends where
@@ -1149,7 +1151,7 @@ class TestFusedLookup:
         kern = _Kernel(poly, part)
         ang = np.random.default_rng(500).uniform(0.0, TAU, (2, 5000))
         x, j = kern.start(ang)
-        y, _ = kern.step(x, j)
+        y, _ = kernel_step(kern, x, j)
         _, want = two_lookup_step(poly, part, np.exp(1j * ang), ang[1])
         cells = two_lookup_cell(part, ang[1])
         assert np.array_equal(kern.cell[j], cells)
@@ -1171,7 +1173,7 @@ class TestFusedLookup:
         x, j = kern.start(np.random.default_rng(500).uniform(0.0, TAU,
                                                               (2, 500)))
         for _ in range(300):
-            x, j = kern.step(x, j)
+            x, j = kernel_step(kern, x, j)
             ang = cayley_angle(x)
             off = kern.inside(0, j, x) != dense_member(dom.rects, *ang,
                                                        STRUCTURAL)
@@ -1191,7 +1193,7 @@ class TestFusedLookup:
         x, j = kern.start(rng.uniform(0.0, TAU, (2, 500)))
         orbits = [x]
         for _ in range(200):
-            x, j = kern.step(x, j)
+            x, j = kernel_step(kern, x, j)
             orbits.append(x)
         offsets = np.array([0, 1, -1, 2, 3]) * STRUCTURAL
         for i, rects in enumerate(lists):
@@ -1218,20 +1220,20 @@ class TestFusedLookup:
                 if sweep > 0]
         x, _ = kern.start(np.array([[0.0, mids[0], 0.0], [mids[0], 0.0, 0.0]]))
         xm = cayley(mids)
-        p, q, r, s = kern.coef[:, kern.locate(xm)]
+        p, q, r, s = kern.table[:4, kern.locate(xm)]
         near = -s / r + np.spacing(-s / r) * np.arange(-4, 5)[:, None]
         pole = r * near + s == 0.0
         assert pole.any()
         x = np.hstack([x, [near[pole], np.broadcast_to(xm, near.shape)[pole]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, _ = kern.step(x, kern.locate(x[1]))
+            y, _ = kernel_step(kern, x, kern.locate(x[1]))
         for (u, w), (su, sw) in zip(cayley_angle(x).T, cayley_angle(y).T):
             _, u2, w2 = F_apply(poly, part, BoundaryPoint.from_angle(u),
                                 BoundaryPoint.from_angle(w))
             assert angular_distance(u2.theta, su) < 1e-12
             assert angular_distance(w2.theta, sw) < 1e-12
-        p, q, r, s = kern.coef[:, kern.locate(x[1])]
+        p, q, r, s = kern.table[:4, kern.locate(x[1])]
         seam = np.isinf(x)
         assert np.array_equal(y[seam], np.broadcast_to(p / r, x.shape)[seam])
         assert np.isinf(y[0, 3:]).all()
@@ -1246,7 +1248,7 @@ class TestFusedLookup:
         x, j = kern.start(ang)
         assert x.flags.c_contiguous
         for _ in range(3):
-            x, j = kern.step(x, j)
+            x, j = kernel_step(kern, x, j)
             assert x.flags.c_contiguous
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
@@ -1259,3 +1261,104 @@ class TestFusedLookup:
         cells = kern.cell[kern.locate(cayley([0.0, TAU]))].tolist()
         assert cells == [part.cell_of(0.0), part.n - 1]
         assert part.cell_of(TAU) == part.cell_of(0.0) != part.n - 1
+
+
+def random_arcs(rng, n, cuts):
+    """Start, end and sweep of n arcs, each uniform, from 0, from one of the
+    ``cuts`` to another, ending on a cut, full, or under 3e-11 about a cut,
+    with equal odds; most uniform ones cross the seam."""
+    kind = rng.integers(0, 6, n)
+    start = rng.uniform(0.0, TAU, n)
+    start[kind == 1] = 0.0
+    pick = rng.choice(cuts, (2, n))
+    start[kind == 2] = pick[0, kind == 2]
+    tiny = kind == 5
+    start[tiny] = (pick[0, tiny] - rng.uniform(0.0, 3e-11, tiny.sum())) % TAU
+    end = (start + np.where(tiny, rng.uniform(1e-12, 3e-11, n),
+                            rng.uniform(1e-9, TAU, n))) % TAU
+    on_cut = (kind == 2) | (kind == 3)
+    end[on_cut] = pick[1, on_cut]
+    sweep = (end - start) % TAU
+    full = (kind == 4) | (sweep == 0.0)
+    sweep[full], end[full] = TAU, start[full]
+    return start, end, sweep
+
+
+def random_rects(rng, n, cuts):
+    """n rectangles of ``random_arcs`` in u and in w, as a ``RectArray``."""
+    (us, ue, uw), (ws, we, ww) = (random_arcs(rng, n, cuts) for _ in "uw")
+    return RectArray(np.column_stack([us, ue, ws, we]),
+                     np.column_stack([uw, ww]), np.zeros(n, np.int64),
+                     np.zeros(n, np.int64))
+
+
+class TestRuns:
+    """The run reading of the sorted tables, the inner cuts of each w-arc
+    and each w-arc's intervals, against the dense masks it replaced in
+    ``oracles``, output for output."""
+
+    def test_runs(self):
+        owner, value = _runs(np.array([2, 5, 0, 7]), np.array([4, 5, 3, 8]))
+        assert owner.tolist() == [0, 0, 2, 2, 2, 3]
+        assert value.tolist() == [2, 3, 0, 1, 2, 7]
+
+    def test_split_margins(self):
+        # a cut is inside when it lies more than 1e-11 past the start and
+        # before the end, each sum rounded: the float at start + 1e-11 and
+        # the one at end - 1e-11 are not inside, the floats next to them
+        # that lie between them are
+        first, last = 1.0 + 1e-11, 3.0 - 1e-11
+        inner = np.nextafter([first, last], [np.inf, -np.inf])
+        cuts = np.sort([first, last, *inner])
+        _, lo, hi, _ = _split(np.array([1.0]), np.array([3.0]),
+                              np.array([2.0]), cuts)
+        assert lo.tolist() == [1.0, *inner]
+        assert hi.tolist() == [*inner, 3.0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_split_equals_reference(self, seed):
+        # odd seeds repeat three cuts
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.uniform(0.0, TAU, rng.integers(1, 40)))
+        if seed % 2:
+            cuts = np.sort(np.concatenate([cuts, cuts[:3]]))
+        arcs = random_arcs(rng, 500, cuts)
+        for got, want in zip(_split(*arcs, cuts),
+                             split_reference(*arcs, cuts)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("key", [(STRESS[2], m) for m in MODES] + [
+        (MANY_BLOCKS, "left"), (MODULAR, "midpoint")], ids=str)
+    def test_split_of_domain_and_image(self, key):
+        poly, part = polygon(key[0]), partition(*key)
+        dom = build_attractor(poly, part)
+        cuts = np.array(sorted(set(part.thetas)))
+        for rs in (dom.arrays, image_rects(poly, part, dom.arrays)):
+            arcs = *rs.theta[:, 2:].T, rs.sweep[:, 1]
+            for got, want in zip(_split(*arcs, cuts),
+                                 split_reference(*arcs, cuts)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("key", [(MODULAR, "midpoint"),
+                                     ("2;2,5,8;2", "left"),
+                                     (MANY_BLOCKS, "right")], ids=str)
+    def test_candidates_equal_reference(self, key, seed):
+        # two random lists in one table, with arcs from and to the cuts
+        poly, part = polygon(key[0]), partition(*key)
+        rng = np.random.default_rng(seed)
+        cuts = np.array(part.thetas)
+        lists = [random_rects(rng, n, cuts) for n in (60, 7)]
+        kern = _Kernel(poly, part, *lists)
+        for cand, rs in zip(kern.cand, lists):
+            assert np.array_equal(cand, candidates_reference(kern.breaks, rs))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_candidates_of_1920_rectangles(self, mode):
+        poly, part = polygon(STRESS[2]), partition(STRESS[2], mode)
+        dom = build_attractor(poly, part)
+        lists = [dom.arrays, RectArray.of(phi_set(poly, part))]
+        assert len(lists[0]) == 1920
+        kern = _Kernel(poly, part, *lists)
+        for cand, rs in zip(kern.cand, lists):
+            assert np.array_equal(cand, candidates_reference(kern.breaks, rs))

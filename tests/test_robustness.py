@@ -1,8 +1,11 @@
 """End-to-end pipeline on signatures outside the main regression set:
 adjacent quadruples, several cusp blocks, long elliptic strings, high
-orders, and large genus (big-entry gluing products)."""
+orders, and large genus (big-entry gluing products); and the simulation on
+the stress ladder."""
 
 import pytest
+
+from conftest import MODES, STRESS, partition, polygon
 
 from fuchsian import (Signature, build_canonical, build_attractor,
                       check_forward_invariance, make_partition, markov_check,
@@ -25,3 +28,15 @@ def test_full_pipeline(text):
         assert all(t.entered for t in traces), (text, mode)
         assert check_forward_invariance(poly, part, dom, traces,
                                         steps=150) == 0, (text, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("text", STRESS)
+def test_stress_entry_and_invariance(text, mode):
+    # the kernel on up to 1920 rectangles and about 4000 breakpoints
+    poly, part = polygon(text), partition(text, mode)
+    dom = build_attractor(poly, part)
+    traces = simulate_entry(poly, part, dom, samples=500, seed=7)
+    assert all(t.entered for t in traces), (text, mode)
+    assert check_forward_invariance(poly, part, dom, traces,
+                                    steps=100) == 0, (text, mode)
