@@ -3,8 +3,9 @@
 Subcommands build the canonical polygon, verify the structural and dynamical
 properties, run seeded entry simulations, and report cycle data.  Each one
 returns a single ``Report``; ``main`` writes it to ``--report`` once the
-command has finished and picks the exit code: 0 all requested checks passed
-(always under ``--survey``), 1 a check failed, 2 configuration error,
+command has finished, as strict JSON with null for a non-finite float, and
+picks the exit code: 0 all requested checks passed (always under
+``--survey``), 1 a check failed, 2 configuration error,
 including a value the library rejects while the command runs and an output
 path that cannot be written (all are checked first), which writes no file.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -91,6 +93,18 @@ def parse_partition_arg(text: str):
                      "use left|right|midpoint|custom=a1,a2,...")
 
 
+def _json(obj) -> str:
+    """Strict JSON of ``obj``: a non-finite float, a residual or statistic
+    that was not measured or is undefined, is written as null."""
+    def finite(v):
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps(finite(obj), indent=2, allow_nan=False)
+
+
 def _write(path: str, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -130,7 +144,7 @@ def cmd_polygon(cfg: RunConfig, poly: MarkedPolygon,
                 part: Partition) -> Report:
     report = validate_polygon(poly)
     dom = _attractor(cfg, poly, part) if cfg.attractor_svg_out else None
-    _write(cfg.json_out, json.dumps(poly.to_dict(), indent=2))
+    _write(cfg.json_out, _json(poly.to_dict()))
     if cfg.svg_out:
         _write(cfg.svg_out, render_polygon(poly, part, FigureSpec()))
     if dom:
@@ -195,7 +209,7 @@ def cmd_cycle(cfg: RunConfig, poly: MarkedPolygon,
     if not (0 <= cfg.vertex < poly.n_sides):
         raise ValueError(f"vertex index must be in [0, {poly.n_sides})")
     report = _cycles_report(poly, part, [cfg.vertex])
-    print(json.dumps(report.vertices[0], indent=2))
+    print(_json(report.vertices[0]))
     return report
 
 
@@ -256,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
         poly = build_canonical(Signature.parse(cfg.signature))
         part = make_partition(poly, *parse_partition_arg(cfg.partition))
         report = handler(cfg, poly, part)
-        _write(cfg.report_out, json.dumps(report.to_dict(), indent=2))
+        _write(cfg.report_out, _json(report.to_dict()))
     except (FuchsianError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -348,8 +349,7 @@ def phi_set(poly: MarkedPolygon, part: Partition) -> list[Rect]:
 # -- simulation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EntryTrace:
+class EntryTrace(NamedTuple):
     sample: int
     u0: float
     w0: float
@@ -395,16 +395,22 @@ def _draws(seed: int, samples: int, buffer: float) -> np.ndarray:
 
 def _moebius(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(p x + q) / (r x + s) of the states x, for rows p, q, r, s of
-    ``coef``, under the caller's ``np.errstate(all="ignore")``: a zero
-    denominator gives the seam +-inf, and the seam, whose quotient is inf /
-    inf, maps to p / r.  Numerator and denominator take one multiply-add."""
-    a = coef[0:4:2] * x[:, None]
-    a += coef[1:4:2]
-    y = a[:, 0] / a[:, 1]
-    seam = np.isnan(y)
-    if seam.any():
-        y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
-    return y
+    ``coef``, under the loops' ``np.errstate(all="ignore",
+    invalid="raise")``: a zero denominator gives the seam +-inf.  A seam
+    state makes inf / inf, inf * 0 or inf - inf, which raises, so no step
+    tests for it; the step is then taken again with invalid ignored, and
+    the seam, whose quotient is NaN, maps to p / r.  Numerator and
+    denominator take one multiply-add."""
+    try:
+        a = coef[0:4:2] * x[:, None]
+        a += coef[1:4:2]
+        return a[:, 0] / a[:, 1]
+    except FloatingPointError:
+        with np.errstate(invalid="ignore"):
+            y = _moebius(x, coef)
+            seam = np.isnan(y)
+            y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
+        return y
 
 
 def _on_arc(x: np.ndarray, lo, hi, nw) -> np.ndarray:
@@ -519,8 +525,13 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     Sampling is uniform in both angles outside a diagonal buffer, from the
     SplitMix64 hash of (seed, sample index, retry), so a sample depends on
     the non-negative integer seed and its index alone.  A sample that starts
-    inside records its drawn angles as its entry.  Raises ``ValueError`` for
-    negative ``max_iters``.
+    inside records its drawn angles as its entry.  A sample stays live until
+    it has entered the attractor and left the escape set; each step gathers
+    one ``_Kernel.table`` column per live state, which holds the first
+    candidates of both lists and the next step's gluing, and the live states
+    are compacted only after a step on which one stopped waiting.  The loop
+    sets its own error state (``_moebius``), so the caller's changes
+    nothing.  Raises ``ValueError`` for negative ``max_iters``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -535,43 +546,47 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     kern = _Kernel(poly, part, dom.arrays, RectArray.of(phi_set(poly, part)))
     K, esc = np.full((2, samples), -1, dtype=np.int64)
     entry = np.full((2, samples), np.nan)
-
-    def record(n, live, j, x):
-        """Mark first entries and escapes at step n; mask the still live."""
-        todo = np.flatnonzero(K[live] < 0)
-        if todo.size:
-            hit = todo[kern.inside(0, j[todo], x[:, todo])]
-            K[live[hit]] = n
+    # the live states, each still waiting to enter (row 0), to escape (row
+    # 1) or both; compacted after the steps on which one stopped waiting
+    live, wait = np.arange(samples), np.ones((2, samples), bool)
+    with np.errstate(all="ignore", invalid="raise"):
+        x, j = kern.start(drawn)
+        for n in range(max_iters + 1):
+            if n:
+                x = _moebius(x, col)
+                j = kern.locate(x[1])
+            # one gather: this step's first candidates, the next step's gluing
+            col = kern.table.take(j, axis=1)
+            new = wait & [kern.inside(0, j, x, col[4:7]),
+                          ~kern.inside(1, j, x, col[7:10])]
+            if not new.any():
+                continue
+            hit, out = new
+            K[live[hit]], esc[live[out]] = n, n
             entry[:, live[hit]] = (cayley_angle(x[:, hit]) if n
                                    else drawn[:, hit])
-        todo = np.flatnonzero(esc[live] < 0)
-        if todo.size:
-            esc[live[todo[~kern.inside(1, j[todo], x[:, todo])]]] = n
-        return (K[live] < 0) | (esc[live] < 0)
-
-    x, j = kern.start(drawn)
-    # the live states only, compacted after every step
-    live = np.flatnonzero(record(0, np.arange(samples), j, x))
-    x, j = x[:, live], j[live]
-    with np.errstate(all="ignore"):
-        for n in range(1, max_iters + 1):
+            wait ^= new
+            keep = wait[0] | wait[1]
+            live, wait = live[keep], wait[:, keep]
+            x, col = x[:, keep], col[:, keep]
             if live.size == 0:
                 break
-            x = _moebius(x, kern.table[:4].take(j, axis=1))
-            j = kern.locate(x[1])
-            keep = record(n, live, j, x)
-            live, x, j = live[keep], x[:, keep], j[keep]
 
-    return [EntryTrace(i, u0, w0, k, e, k >= 0, eu, ew)
-            for i, (u0, w0, k, e, eu, ew) in enumerate(zip(
-                *drawn.tolist(), K.tolist(), esc.tolist(), *entry.tolist()))]
+    return list(map(EntryTrace._make, zip(
+        range(samples), *drawn.tolist(), K.tolist(), esc.tolist(),
+        (K >= 0).tolist(), *entry.tolist())))
 
 
 def check_forward_invariance(poly: MarkedPolygon, part: Partition,
                              dom: AttractorDomain, traces: list[EntryTrace],
                              steps: int = 1000) -> int:
-    """Iterate the entered states further; count membership violations.
-    Raises ``ValueError`` for negative ``steps``."""
+    """Iterate the entered states further; count membership violations,
+    as an ``int``.
+
+    Each step counts the states on the u-arc of their first candidate and
+    tests the later candidates only when that count falls short.  The loop
+    sets its own error state (``_moebius``), so the caller's changes
+    nothing.  Raises ``ValueError`` for negative ``steps``."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     ang = np.array([[t.entry_u for t in traces if t.entered],
@@ -579,19 +594,22 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     if not ang.size:
         return 0
     kern = _Kernel(poly, part, dom.arrays)
-    x, j = kern.start(ang)
-    # one gather per step: the new j gives this step's first candidate and
-    # the next step's gluing
-    col = kern.table.take(j, axis=1)
-    exits = 0
-    with np.errstate(all="ignore"):
+    exits, states = 0, ang.shape[1]
+    with np.errstate(all="ignore", invalid="raise"):
+        x, j = kern.start(ang)
+        # one gather per step: the new j gives this step's first candidates
+        # and the next step's gluing; the later candidates only when some
+        # state is off its first
+        col = kern.table.take(j, axis=1)
         for _ in range(steps):
             x = _moebius(x, col)
             j = kern.locate(x[1])
             col = kern.table.take(j, axis=1)
-            exits += j.size - int(np.count_nonzero(
-                kern.inside(0, j, x, col[4:])))
-    return exits
+            held = np.count_nonzero(_on_arc(x[0], *col[4:7]))
+            if held < states:
+                held = np.count_nonzero(kern.inside(0, j, x, col[4:7]))
+            exits += states - held
+    return int(exits)
 
 
 def traces_to_csv(traces: list[EntryTrace], seed: int) -> str:

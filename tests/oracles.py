@@ -18,9 +18,12 @@ is the earlier kernel whose table holds the w-arc ends widened by
 ``STRUCTURAL + WRAP`` and which tests every candidate on both
 coordinates; ``candidates_reference`` builds a list's candidates from a
 dense rectangles x intervals mask, where the kernel reads each w-arc's
-intervals as one run of its table, and ``kernel_step`` is the step of the
-kernel's loops; ``bisector_endpoint`` constructs the end of the angle
-bisector at an elliptic vertex from the tangents of the sides' circles
+intervals as one run of its table, ``kernel_step`` is the step of the
+kernel's loops, under their error state, and ``moebius_reference`` the
+step that finds the seam by testing every quotient for NaN, where
+``extension._moebius`` finds it by numpy's invalid flag;
+``bisector_endpoint`` constructs the end of the angle bisector at an
+elliptic vertex from the tangents of the sides' circles
 (``tangent_at``), independently of the arc midpoint ``AuxPoints.M``; ``walk_reference`` walks an orbit one ``BoundaryPoint`` at
 a time through ``f_apply``, where ``orbit`` and ``markov_check`` step on
 bare angles, and ``markov_reference`` rebuilds the Markov report from it,
@@ -662,10 +665,25 @@ def candidates_reference(breaks: np.ndarray, rs: RectArray) -> np.ndarray:
     return np.where(np.take_along_axis(holds, row, 0), row, -1)
 
 
+def moebius_reference(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(p x + q) / (r x + s) of the states x, for rows p, q, r, s of
+    ``coef``, under the caller's ``np.errstate(all="ignore")``: a zero
+    denominator gives the seam +-inf, and the seam, whose quotient is inf /
+    inf, maps to p / r.  Numerator and denominator take one multiply-add."""
+    a = coef[0:4:2] * x[:, None]
+    a += coef[1:4:2]
+    y = a[:, 0] / a[:, 1]
+    seam = np.isnan(y)
+    if seam.any():
+        y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
+    return y
+
+
 def kernel_step(kern, x: np.ndarray, j: np.ndarray):
-    """One step of the loops of ``extension._Kernel``: the states x, w in
-    intervals j, mapped by w's cell, and their j."""
-    with np.errstate(all="ignore"):
+    """One step of the loops of ``extension._Kernel``, under their error
+    state: the states x, w in intervals j, mapped by w's cell, and their
+    j."""
+    with np.errstate(all="ignore", invalid="raise"):
         y = _moebius(x, kern.table[:4].take(j, axis=1))
     return y, kern.locate(y[1])
 

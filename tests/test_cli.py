@@ -374,3 +374,50 @@ class TestCycleCommand:
         assert check["detail"] == "vertex 87"
         assert check["residual"] == row["residual"]
         assert abs(check["residual"] - 1.55e-8) < 0.01e-8
+
+
+def strict_loads(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity."""
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    """Every report, and the row that ``cycle`` prints, is strict JSON: a
+    non-finite float, not measured or undefined, is null."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["polygon", "--signature", "0;2,3;1"], 0),
+        (["verify", "--signature", "0;2,3;1"], 0),
+        (["simulate", "--signature", "0;2,3;1", "--samples", "50"], 0),
+        (["cycle", "--signature", "0;2,3;1", "--vertex", "3"], 0),
+        # the known false reject: the Markov endpoints residual is inf
+        (["verify", "--signature", "0;" + ",".join(map(str, range(3, 33)))
+          + ";1", "--checks", "markov"], 1),
+        # no sample entered, so mean_K is undefined
+        (["simulate", "--signature", "0;2,3;1", "--samples", "1",
+          "--max-iters", "0", "--seed", "2"], 1),
+    ], ids=["polygon", "verify", "simulate", "cycle", "markov-reject",
+            "none-entered"])
+    def test_every_report_parses_strictly(self, argv, code, tmp_path,
+                                          capsys):
+        rep = tmp_path / "report.json"
+        assert run(argv + ["--report", str(rep)]) == code
+        data = strict_loads(rep.read_text())
+        assert data["passed"] is (code == 0)
+        if argv[0] == "cycle":
+            assert strict_loads(capsys.readouterr().out) == data["vertices"][0]
+
+    def test_non_finite_written_as_null(self, tmp_path, capsys):
+        rep = tmp_path / "markov.json"
+        run(["verify", "--signature", "0;" + ",".join(map(str, range(3, 33)))
+             + ";1", "--checks", "markov", "--report", str(rep)])
+        endpoints = strict_loads(rep.read_text())["results"]["markov"][
+            "checks"]["endpoints"]
+        assert endpoints["residual"] is None and endpoints["headroom"] is None
+        assert endpoints["passed"] is False
+        run(["simulate", "--signature", "0;2,3;1", "--samples", "1",
+             "--max-iters", "0", "--seed", "2", "--report", str(rep)])
+        data = strict_loads(rep.read_text())
+        assert data["entered"] == 0 and data["mean_K"] is None

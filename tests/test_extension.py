@@ -2,6 +2,7 @@
 seeded entry simulation."""
 
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -16,9 +17,9 @@ from oracles import (GAMMA, F_apply, ReferenceKernel, candidates_reference,
                      cayley_candidates, dense_candidates, domain_contains,
                      exceptional_set,
                      interior_angles, kernel_reference, kernel_step,
-                     per_block_bijectivity, scalar_draws, scalar_rect_image,
-                     split_reference, splitmix64, two_lookup_cell,
-                     two_lookup_step, verify_exceptional)
+                     moebius_reference, per_block_bijectivity, scalar_draws,
+                     scalar_rect_image, split_reference, splitmix64,
+                     two_lookup_cell, two_lookup_step, verify_exceptional)
 
 from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
@@ -26,8 +27,9 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       verify_bijectivity)
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, cayley,
                           cayley_angle, seam_split)
-from fuchsian.extension import (_check_tiling, _draws, _Kernel, _mix64,
-                                _runs, _split, image_rects, traces_to_csv)
+from fuchsian.extension import (EntryTrace, _check_tiling, _draws, _Kernel,
+                                _mix64, _moebius, _runs, _split, image_rects,
+                                traces_to_csv)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
@@ -1261,6 +1263,129 @@ class TestFusedLookup:
         cells = kern.cell[kern.locate(cayley([0.0, TAU]))].tolist()
         assert cells == [part.cell_of(0.0), part.n - 1]
         assert part.cell_of(TAU) == part.cell_of(0.0) != part.n - 1
+
+
+def seam_entries(rng, n):
+    """Entered traces of n states each with u = 0, with w = 0 and with u =
+    1e-310, which ``cayley`` puts on the seam x = -inf, the other angle
+    uniform."""
+    u, w = rng.uniform(0.0, TAU, (2, n))
+    ang = np.hstack([[0 * u, w], [u, 0 * w], [np.full(n, 1e-310), w]])
+    return [EntryTrace(i, a, b, 0, 0, True, a, b)
+            for i, (a, b) in enumerate(ang.T.tolist())]
+
+
+def oracle_exits(poly, part, rs, traces, steps):
+    """The exits of ``check_forward_invariance`` from a loop of
+    ``kernel_step`` and the verdicts of ``kernel_reference``."""
+    kern = _Kernel(poly, part, rs)
+    x, j = kern.start(np.array([[t.entry_u, t.entry_w] for t in traces
+                                if t.entered]).T)
+    exits = 0
+    for _ in range(steps):
+        x, j = kernel_step(kern, x, j)
+        exits += int(np.count_nonzero(~kernel_reference(poly, part, rs, x)))
+    return exits
+
+
+class TestLoops:
+    """The loops of ``simulate_entry`` and ``check_forward_invariance``:
+    the seam found by numpy's invalid flag against the NaN test of
+    ``moebius_reference``, states on the seam, the loops' own error state,
+    the exits counted past the first candidate, and traces pinned by
+    hash."""
+
+    def test_moebius_matches_reference_bits(self):
+        # columns of real gluings, random ones, and random ones with r = 0
+        # and with p = r = 0; states uniform over six decades and on the
+        # pole -s / r, then 30 % of them set to +-inf, +-0.0 or +-1e308,
+        # whose p x overflows
+        rng = np.random.default_rng(25)
+        n = 6000
+        x = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-3, 4, (2, n))
+        coef = rng.standard_normal((4, n))
+        kern = _Kernel(polygon("1;2,3,7;2"), partition("1;2,3,7;2",
+                                                       "midpoint"))
+        coef[:, :2000] = kern.table[:4, rng.integers(1, kern.table.shape[1],
+                                                     2000)]
+        coef[2, 3000:5000] = 0.0
+        coef[0, 4000:5000] = 0.0
+        x[:, 5000:] = -coef[3, 5000:] / coef[2, 5000:]
+        plain = x.copy()
+        pick = rng.random((2, n)) < 0.3
+        x[pick] = rng.choice([np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308],
+                             np.count_nonzero(pick))
+        for states in (plain, x):
+            with np.errstate(all="ignore"):
+                want = moebius_reference(states, coef)
+            with np.errstate(all="ignore", invalid="raise"):
+                got = _moebius(states, coef)
+            assert got.tobytes() == want.tobytes()
+        # the seam and the p = r = 0 columns map to +-inf and to NaN
+        assert np.isinf(want).any() and np.isnan(want).any()
+
+    @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
+    def test_seam_entries_match_oracle(self, key):
+        poly, part, dom = fused_case(key)
+        traces = seam_entries(np.random.default_rng(3), 60)
+        exits = check_forward_invariance(poly, part, dom, traces, steps=40)
+        assert type(exits) is int
+        assert exits == oracle_exits(poly, part, dom.arrays, traces, 40)
+
+    @pytest.mark.parametrize("key", [(MODULAR, "midpoint"),
+                                     ("1;2,3,7;2", "left"),
+                                     ("2;2,5,8;2", "custom")], ids=str)
+    def test_loops_keep_their_error_state(self, key):
+        # each loop sets its own error state: the ambient one changes no
+        # trace or exit, and a warning would fail the suite
+        poly, part, dom = fused_case(key)
+        seam = seam_entries(np.random.default_rng(4), 30)
+        out = []
+        for mode in ("raise", "warn", "ignore"):
+            with np.errstate(all=mode):
+                traces = simulate_entry(poly, part, dom, samples=300, seed=11,
+                                        buffer=0.0)
+                out.append((np.array(traces, dtype=float),
+                            check_forward_invariance(poly, part, dom, traces,
+                                                     steps=100),
+                            check_forward_invariance(poly, part, dom, seam,
+                                                     steps=100)))
+        for got in out[:2]:
+            assert np.array_equal(got[0], out[2][0], equal_nan=True)
+            assert got[1:] == out[2][1:]
+
+    def test_exits_past_the_first_candidate(self):
+        # every u-start moved on by 0.01 and every sweep scaled by 0.98:
+        # orbits of the full domain are outside the shrunk one at about
+        # half of their state steps, so the later candidates are tested on
+        # every step; each exit is a state that no candidate holds
+        poly, part, dom = fused_case(("1;2,3,7;2", "midpoint"))
+        traces = simulate_entry(poly, part, dom, samples=300, seed=11)
+        rs = dom.arrays
+        theta = rs.theta.copy()
+        theta[:, 0] += 0.01
+        small = dataclasses.replace(dom, arrays=RectArray(
+            theta % TAU, rs.sweep * 0.98, rs.block, rs.gamma))
+        exits = check_forward_invariance(poly, part, small, traces,
+                                         steps=200)
+        assert exits == 30480
+        assert exits == oracle_exits(poly, part, small.arrays, traces, 200)
+
+    @pytest.mark.parametrize("text, digest", [
+        ("0;2,3;1",
+         "56b66c6961846d3c7d70b32948a336f801b234c2558ef953a39466a7a67e8758"),
+        ("1;2,3,7;2",
+         "80ca4b2d7b14d80c5bce0d22278b14d593eea6e551305328ff814e0a0e65824b"),
+        ("2;2,5,8;2",
+         "9cd16c347aa6c92adcf216a65206115f525fb6a6c0b059c2b336e6a47105e571"),
+    ])
+    def test_traces_pinned_by_hash(self, text, digest):
+        poly, part, dom = fused_case((text, "midpoint"))
+        traces = simulate_entry(poly, part, dom, samples=300, seed=11)
+        csv = traces_to_csv(traces, 11).encode()
+        assert hashlib.sha256(csv).hexdigest() == digest
+        assert check_forward_invariance(poly, part, dom, traces,
+                                        steps=300) == 0
 
 
 def random_arcs(rng, n, cuts):
