@@ -133,11 +133,13 @@ def cayley(theta) -> np.ndarray:
     """Cayley coordinate x = -cot(theta / 2) = i (1 + z) / (1 - z), z =
     exp(i theta), of each angle, increasing on (0, 2pi); the seam theta = 0
     is x = -inf, as is an angle under 2e-300, whose x would overflow p x in
-    a real Moebius step x -> (p x + q) / (r x + s)."""
-    h = 0.5 * np.asarray(theta, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
+    a real Moebius step x -> (p x + q) / (r x + s).  No floating-point
+    error of its own raises or warns, whatever the caller's error state:
+    halving a subnormal angle underflows."""
+    with np.errstate(all="ignore"):
+        h = 0.5 * np.asarray(theta, dtype=float)
         x = -np.cos(h) / np.sin(h)
-    return np.where(x < -1e300, -np.inf, x)
+        return np.where(x < -1e300, -np.inf, x)
 
 
 def cayley_angle(x: np.ndarray) -> np.ndarray:
@@ -214,35 +216,6 @@ def _column_areas(cells: np.ndarray, xs: np.ndarray,
     for s in range(0, len(rows), _ROWS):
         rows[s:s + _ROWS] = (cells[s:s + _ROWS] * dy).sum(axis=1)
     return np.diff(xs) * rows
-
-
-def union_by_group(u: np.ndarray, w: np.ndarray, group: np.ndarray,
-                   n: int) -> np.ndarray:
-    """Union measure of the rectangles of each group 0 .. n - 1, for
-    rectangles given as for ``rect_boxes`` and their groups, on one grid.
-
-    Each group has its own u-breakpoints, the groups' runs laid side by side
-    in group order, and the groups share the w-breakpoints.  A box starts
-    and ends inside its group's run, so no count reaches from one run into
-    the next: the cell between two runs is empty, whatever its width.
-    """
-    boxes = _products(u, w)
-    keep = _nonempty(boxes)
-    if not keep.any():
-        return np.zeros(n)
-    boxes = boxes[keep]
-    group = np.broadcast_to(group[:, None], keep.shape)[keep]
-    x, g = boxes[:, :2].ravel(), np.repeat(group, 2)
-    order = np.lexsort((x, g))
-    x, g = x[order], g[order]
-    first = np.concatenate(([True], (x[1:] != x[:-1]) | (g[1:] != g[:-1])))
-    i = np.empty(len(order), dtype=np.intp)
-    i[order] = np.cumsum(first) - 1
-    xs, ys = x[first], _breakpoints(boxes[:, 2:])
-    cells = _count(i.reshape(-1, 2).T, np.searchsorted(ys, boxes[:, 2:]).T,
-                   len(xs), len(ys))
-    return np.bincount(g[first][:-1], weights=_column_areas(cells, xs, ys),
-                       minlength=n)
 
 
 def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:

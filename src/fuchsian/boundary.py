@@ -11,7 +11,6 @@ cell that starts there.
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -177,34 +176,28 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     Iterates are snapped onto the cut set and onto previously seen points,
     which keeps the finite orbits of ideal vertices exactly periodic instead
     of drifting near parabolic fixed points."""
-    angles, periodic_from, budget = _walk(part, _frame(poly, part), x, side,
-                                          max_steps, stop_at_cut=False)
+    angles, periodic_from, budget = _walk(
+        poly, part, sorted(set(part.thetas)), x, side, max_steps, False)
     return OrbitRecord(x, side, tuple(map(BoundaryPoint.from_angle, angles)),
                        periodic_from, budget)
 
 
-def _frame(poly: MarkedPolygon, part: Partition) -> tuple[list, list]:
-    """The sorted distinct cut angles, and (a, b, conj(b), conj(a)) of each
-    gluing: its ``apply`` is z -> (a z + b) / (conj(b) z + conj(a))."""
-    return sorted(set(part.thetas)), [
-        (g.a, g.b, g.b.conjugate(), g.a.conjugate()) for g in poly.generators]
-
-
-def _walk(part: Partition, frame: tuple, x: BoundaryPoint, side: str,
-          max_steps: int, stop_at_cut: bool) -> tuple[list, int | None, bool]:
+def _walk(poly: MarkedPolygon, part: Partition, cuts: list[float],
+          x: BoundaryPoint, side: str, max_steps: int,
+          stop_at_cut: bool) -> tuple[list, int | None, bool]:
     """``orbit``'s angles, periodic_from and budget flag; ``stop_at_cut``
-    also stops before the first cut it hits.  ``frame`` is ``_frame(poly,
-    part)``, built once per caller; a step is ``f_apply``'s arithmetic on
-    the bare angle, with no ``BoundaryPoint`` made."""
-    cuts, gens = frame
+    also stops before the first cut it hits.  ``cuts`` are the sorted
+    distinct cut angles, built once per caller; a step is ``f_apply``'s
+    ``MoebiusPSU.apply_angle`` on the bare angle, with no ``BoundaryPoint``
+    made."""
+    gens = poly.generators
     k = part.cell_of(x.theta)
     if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
         k -= 1
-    cell, z = k % part.n, x.z
+    cell, t = k % part.n, x.theta
     angles, index_of, seen = [], {}, []
     for _ in range(max_steps):
-        a, b, bc, ac = gens[cell]
-        t = normalize_angle(cmath.phase((a * z + b) / (bc * z + ac)))
+        t = normalize_angle(gens[cell].apply_angle(t))
         j, d = _nearest(t, cuts)
         if d < STRUCTURAL:
             if stop_at_cut:
@@ -218,7 +211,7 @@ def _walk(part: Partition, frame: tuple, x: BoundaryPoint, side: str,
         index_of[t] = len(angles)
         angles.append(t)
         bisect.insort(seen, t)
-        cell, z = part.cell_of(t), cmath.exp(1j * t)
+        cell = part.cell_of(t)
     return angles, None, True
 
 
@@ -323,14 +316,14 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     they generate maps interval-onto-intervals under the boundary map.
     Orbits stop at the first cut they land on (its own orbit goes on); the
     first to hit ``max_steps`` fails the report with an empty refinement.
-    The walks read the cuts and gluing coefficients once per call, and each
-    transition is one circular run of refinement intervals."""
+    The walks sort the cuts once per call, and each transition is one
+    circular run of refinement intervals."""
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
-    frame = _frame(poly, part)
+    cuts = sorted(set(part.thetas))
     for k in range(part.n):
         for side in ("upper", "lower"):
-            angles, _, budget = _walk(part, frame, part.points[k], side,
+            angles, _, budget = _walk(poly, part, cuts, part.points[k], side,
                                       max_steps, stop_at_cut=True)
             orbit_sizes[f"{k}:{side}"] = len(angles)
             if budget:

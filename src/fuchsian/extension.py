@@ -24,8 +24,8 @@ import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _column_areas,
-                   _covered, cayley, cayley_angle, clip_intervals,
-                   max_pairwise_overlap, rect_boxes, union_by_group)
+                   _covered, _nonempty, _products, cayley, cayley_angle,
+                   clip_intervals, max_pairwise_overlap, rect_boxes)
 from .boundary import CycleData, Partition, cycle
 from .errors import TilingViolation
 from .mobius import TAU, BoundaryPoint
@@ -198,9 +198,10 @@ def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
 
 def _gluing(poly: MarkedPolygon, cuts, keys: np.ndarray):
     """Cell of each key, the last lifted cut (``cuts``, in the keys'
-    coordinate) at or before it, and the a and b of its gluing."""
+    coordinate) at or before it, and the (4, keys) rows p, q, r, s of its
+    gluing's ``MoebiusPSU.real``."""
     cell = np.maximum(np.searchsorted(cuts, keys, side="right") - 1, 0)
-    return cell, *np.array([(g.a, g.b) for g in poly.generators])[cell].T
+    return cell, np.array([g.real for g in poly.generators]).T[:, cell]
 
 
 def image_rects(poly: MarkedPolygon, part: Partition,
@@ -212,19 +213,20 @@ def image_rects(poly: MarkedPolygon, part: Partition,
     A cut within 1e-11 of an end of the w-arc is not inside it, and pieces
     under 1e-13 are dropped.  Each piece takes the gluing of the cell
     (``Partition.cell_of``) of its midpoint and maps the stored endpoints of
-    both arcs by it; a full arc stays full, from the image of its start.
+    both arcs by it on their ``cayley`` coordinates, as ``apply_angle``
+    does; a full arc stays full, from the image of its start.
     Raises ``ValueError`` for an arc of sweep at most ``WRAP``, as
     ``DirectedArc`` does.
     """
     cuts = np.array(sorted(set(part.thetas)))
     rows, lo, hi, sweep = _split(*rs.theta[:, 2:].T, rs.sweep[:, 1], cuts)
     # Partition.cell_of of each piece's midpoint
-    cell, a, b = _gluing(poly, part.lifted[:part.n],
+    cell, coef = _gluing(poly, part.lifted[:part.n],
                          _normalize(lo + 0.5 * sweep))
-    a, b = a[:, None], b[:, None]
-    # columns u-start, u-end, w-start, w-end
-    z = np.exp(1j * np.column_stack([rs.theta[rows, :2], lo, hi]))
-    img = _normalize(np.angle((a * z + b) / (np.conj(b) * z + np.conj(a))))
+    # rows u-start, u-end, w-start, w-end
+    x = cayley(np.stack([*rs.theta[rows, :2].T, lo, hi]))
+    with np.errstate(all="ignore", invalid="raise"):
+        img = _normalize(cayley_angle(_moebius(x, coef))).T
     start, end = img[:, 0::2], img[:, 1::2]
     full = np.column_stack([rs.sweep[rows, 0], sweep]) >= TAU - WRAP
     out = np.where(full, TAU, (end - start) % TAU)
@@ -250,6 +252,7 @@ class BijectivityReport(Report):
         lambda self: self.checks["symmetric_difference"].residual)
 
 
+@np.errstate(under="ignore")
 def verify_bijectivity(poly: MarkedPolygon, part: Partition,
                        dom: AttractorDomain) -> BijectivityReport:
     """Check that the extension permutes the rectangle union.
@@ -267,9 +270,12 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     one ``searchsorted`` finds the band of a grid column.  The images, each
     clipped to its own block's band, xor the domain give every block's
     in-band residual on one coverage, summed per band.  To that each block
-    adds the union measure of its image parts outside its band, all blocks
-    on one more grid; in a bijective case these are rounding slivers at the
-    band edges.
+    adds the area of its image parts outside its band (strays), summed box
+    by box: the images are disjoint up to ``image_overlap``, and where they
+    overlap the sum exceeds the union, so a residual can only grow.  In a
+    bijective case the strays are rounding slivers at the band edges.
+    Underflow, as in the area of a grid column under 1e-308 wide, is
+    ignored whatever the caller's error state.
     """
     images = image_rects(poly, part, dom.arrays)
     u, w = images.intervals()
@@ -283,9 +289,10 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     gaps[:, 0, 1], gaps[:, 1, 0], gaps[:, 1, 1] = lo, hi, TAU
     inside = rect_boxes(clip_intervals(
         u, np.stack([lo, hi], axis=1)[images.block, None]), w)
-    outside = clip_intervals(u, gaps[images.block])
-    stray = (outside[:, :, 1] > outside[:, :, 0]).any(axis=1)
-    strays = rect_boxes(outside[stray], w[stray])
+    strays = _products(clip_intervals(u, gaps[images.block]), w)
+    keep = _nonempty(strays)
+    strays = strays[keep]
+    owner = np.broadcast_to(images.block[:, None], keep.shape)[keep]
 
     # one grid of every image, domain and band edge
     domain = rect_boxes(*dom.arrays.intervals())
@@ -295,19 +302,16 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     covered = _covered(domain, xs, ys)
     image = _covered(inside, xs, ys)
     columns = _column_areas(image ^ covered, xs, ys)
-    # the image parts outside their bands, painted over the clipped images
-    for i0, i1, j0, j1 in np.column_stack([
-            np.searchsorted(xs, strays[:, :2]),
-            np.searchsorted(ys, strays[:, 2:])]).tolist():
-        image[i0:i1, j0:j1] = True
+    # the image parts outside their bands, added to the clipped images
+    image |= _covered(strays, xs, ys)
     sym = float(_column_areas(image ^ covered, xs, ys).sum())
 
     # the band of each column: the last band starting at or before its
     # midpoint
     col = np.searchsorted(lo, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
+    area = (strays[:, 1] - strays[:, 0]) * (strays[:, 3] - strays[:, 2])
     strip = (np.bincount(col, weights=columns, minlength=len(lo))
-             + union_by_group(outside[stray], w[stray], images.block[stray],
-                              len(lo)))
+             + np.bincount(owner, weights=area, minlength=len(lo)))
     strip_res = strip.tolist()
 
     return BijectivityReport(
@@ -459,9 +463,8 @@ class _Kernel:
             for e in (lo[1], np.nextafter(hi[1], np.inf)))]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
         left = np.concatenate([self.breaks[:1], self.breaks])
-        self.cell, a, b = _gluing(poly, cuts, left)
-        rows = [a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
-                a.real - b.real]
+        self.cell, coef = _gluing(poly, cuts, left)
+        rows = list(coef)
         n = len(left)
         self.cand, self.later = [], []
         for lo, hi in edges:
@@ -495,13 +498,14 @@ class _Kernel:
         x = cayley(np.ascontiguousarray(ang))
         return x, self.locate(x[1])
 
-    def inside(self, i: int, j, x: np.ndarray, first=None) -> np.ndarray:
+    def inside(self, i: int, j, x: np.ndarray, ok=None) -> np.ndarray:
         """Mask of the states x, w in intervals j, in list i: u on the
         candidates of j in turn, until one holds it or none is left.
-        ``first`` is list i's rows of ``table`` at j, if already gathered."""
-        if first is None:
-            first = self.table[4 + 3 * i:7 + 3 * i].take(j, axis=1)
-        ok = _on_arc(x[0], *first)
+        ``ok`` is the mask of the states on their first candidate's u-arc,
+        if already computed; it is updated in place."""
+        if ok is None:
+            ok = _on_arc(x[0], *self.table[4 + 3 * i:7 + 3 * i].take(
+                j, axis=1))
         # count_nonzero costs a third of ok.all()
         if np.count_nonzero(ok) == ok.size:
             return ok
@@ -557,8 +561,8 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
                 j = kern.locate(x[1])
             # one gather: this step's first candidates, the next step's gluing
             col = kern.table.take(j, axis=1)
-            new = wait & [kern.inside(0, j, x, col[4:7]),
-                          ~kern.inside(1, j, x, col[7:10])]
+            new = wait & [kern.inside(0, j, x, _on_arc(x[0], *col[4:7])),
+                          ~kern.inside(1, j, x, _on_arc(x[0], *col[7:10]))]
             if not new.any():
                 continue
             hit, out = new
@@ -605,9 +609,10 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
             x = _moebius(x, col)
             j = kern.locate(x[1])
             col = kern.table.take(j, axis=1)
-            held = np.count_nonzero(_on_arc(x[0], *col[4:7]))
+            ok = _on_arc(x[0], *col[4:7])
+            held = np.count_nonzero(ok)
             if held < states:
-                held = np.count_nonzero(kern.inside(0, j, x, col[4:7]))
+                held = np.count_nonzero(kern.inside(0, j, x, ok))
             exits += states - held
     return int(exits)
 

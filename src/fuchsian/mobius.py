@@ -2,15 +2,19 @@
 
 Disk automorphisms are unit-determinant matrices ``[[a, b], [conj(b),
 conj(a)]]`` acting by ``z -> (a z + b) / (conj(b) z + conj(a))``, kept only up
-to global sign.  A geodesic is a diameter or an arc of a Euclidean circle
-orthogonal to the unit circle; ``geodesic_circle`` gives that circle in
-closed form from the two ideal endpoints.  The vertex frame moves an
+to global sign.  On the boundary circle each acts through its real matrix
+``MoebiusPSU.real`` on the Cayley coordinate x = -cot(theta / 2), the one
+boundary action of the library (``apply_angle``).  A geodesic is a diameter
+or an arc of a Euclidean circle orthogonal to the unit circle;
+``geodesic_circle`` gives that circle in closed form from the two ideal
+endpoints.  The vertex frame moves an
 interior point to 0, where the geodesics through it are diameters.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,12 +182,35 @@ class MoebiusPSU:
         _check_finite(complex(z))
         return (self.a * z + self.b) / (self.b.conjugate() * z + self.a.conjugate())
 
+    @functools.cached_property
+    def real(self) -> tuple[float, float, float, float]:
+        """(p, q, r, s) of the action x -> (p x + q) / (r x + s) on the
+        Cayley coordinate x = -cot(theta / 2) = i (1 + z) / (1 - z): with
+        a = a1 + i a2 and b = b1 + i b2 it is (a1 + b1, a2 - b2, -(a2 + b2),
+        a1 - b1), of determinant |a|^2 - |b|^2 (see README)."""
+        a, b = self.a, self.b
+        return (a.real + b.real, a.imag - b.imag, -(a.imag + b.imag),
+                a.real - b.real)
+
     def apply_boundary(self, p: BoundaryPoint) -> BoundaryPoint:
-        w = self.apply(p.z)
-        return BoundaryPoint.from_angle(cmath.phase(w))
+        return BoundaryPoint.from_angle(self.apply_angle(p.theta))
 
     def apply_angle(self, theta: float) -> float:
-        return cmath.phase(self.apply(cmath.exp(1j * theta))) % TAU
+        """The image in [0, 2pi) of the boundary point at angle ``theta``,
+        by ``real`` on its Cayley coordinate, taken as ``arcs.cayley`` takes
+        it (the seam x = -inf at theta = 0 and for x under -1e300).  A zero
+        denominator gives the seam, and the seam maps to p / r, or to itself
+        when r = 0.  A NaN angle gives NaN."""
+        p, q, r, s = self.real
+        h = 0.5 * theta
+        sin = math.sin(h)
+        x = -math.cos(h) / sin if sin else -math.inf
+        if math.isinf(x) or x < -1e300:
+            y = p / r if r else math.inf
+        else:
+            d = r * x + s
+            y = (p * x + q) / d if d else math.inf
+        return 2.0 * math.atan2(1.0, -y) % TAU
 
     def derivative_modulus(self, z: complex) -> float:
         return 1.0 / abs(self.b.conjugate() * z + self.a.conjugate()) ** 2

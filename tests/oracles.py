@@ -6,41 +6,43 @@ the kernel ``extension._Kernel`` applies to arrays of states;
 ``domain_contains`` is the closed membership test on angles that the same
 kernel answers on the Cayley coordinate x = -cot(theta / 2), where a
 breakpoint interval of w lists exactly the rectangles whose w-arc holds it
-and u is tested by the edges lo, hi of its arc and a no-wrap flag nw, (x
->= lo) ^ (x <= hi) ^ nw; ``two_lookup_step`` is the complex form of the
+and u is tested by the edges lo, hi of its arc and a no-wrap flag nw, (x >=
+lo) ^ (x <= hi) ^ nw; ``two_lookup_step`` is the complex form of the
 kernel's real step, z -> (a z + b) / (conj(b) z + conj(a)) renormalised,
 after a binary search on the cut points at the state's own w
 (``two_lookup_cell``, on angles or on x), and ``dense_candidates`` tests
 the state's w against every rectangle on angles, ``cayley_candidates`` on
 x, where the kernel reads both the cell and the candidate rectangles off
-one breakpoint table; ``ReferenceKernel`` (through ``kernel_reference``)
-is the earlier kernel whose table holds the w-arc ends widened by
-``STRUCTURAL + WRAP`` and which tests every candidate on both
-coordinates; ``candidates_reference`` builds a list's candidates from a
-dense rectangles x intervals mask, where the kernel reads each w-arc's
-intervals as one run of its table, ``kernel_step`` is the step of the
-kernel's loops, under their error state, and ``moebius_reference`` the
-step that finds the seam by testing every quotient for NaN, where
-``extension._moebius`` finds it by numpy's invalid flag;
-``bisector_endpoint`` constructs the end of the angle bisector at an
-elliptic vertex from the tangents of the sides' circles
-(``tangent_at``), independently of the arc midpoint ``AuxPoints.M``; ``walk_reference`` walks an orbit one ``BoundaryPoint`` at
-a time through ``f_apply``, where ``orbit`` and ``markov_check`` step on
-bare angles, and ``markov_reference`` rebuilds the Markov report from it,
-each transition the ``circular_run`` between the refinement points that a
-scan of all of them finds nearest to the images of the interval's ends (a
-full walk is kept per signature, cuts, start, side and budget, as two tests
-repeat them); ``markov_full_walk`` refines the partition by every cut-point
-orbit walked in full, where ``markov_check`` stops each orbit at the first
-cut it lands on; ``orthogonal_circle`` finds the circle of a geodesic by a
-linear solve of its two incidence equations, where ``mobius`` uses closed
-forms; ``scalar_draws`` is the counter-based draw of ``extension._draws``
-one angle at a time in Python integers; ``scalar_rect_image`` images one
-rectangle at a time, where ``extension.image_rects`` images a whole list on
-arrays, ``split_reference`` cuts the w-arcs from a dense arcs x cuts mask,
+one breakpoint table; ``ReferenceKernel`` (through ``kernel_reference``) is
+the earlier kernel whose table holds the w-arc ends widened by
+``STRUCTURAL + WRAP``, which forms each cell's (p, q, r, s) from the a and
+b of its gluing itself and tests every candidate on both coordinates;
+``candidates_reference`` builds a list's candidates from a dense rectangles
+x intervals mask, where the kernel reads each w-arc's intervals as one run
+of its table, ``kernel_step`` is the step of the kernel's loops, under
+their error state, and ``moebius_reference`` the step that finds the seam
+by testing every quotient for NaN, where ``extension._moebius`` finds it by
+numpy's invalid flag; ``bisector_endpoint`` constructs the end of the angle
+bisector at an elliptic vertex from the tangents of the sides' circles
+(``tangent_at``), independently of the arc midpoint ``AuxPoints.M``;
+``walk_reference`` walks an orbit one ``BoundaryPoint`` at a time through
+``f_apply``, where ``orbit`` and ``markov_check`` step on bare angles, both
+by ``MoebiusPSU.apply_angle``, and ``markov_reference`` rebuilds the Markov
+report from it, each transition the ``circular_run`` between the refinement
+points that a scan of all of them finds nearest to the images of the
+interval's ends (a full walk is kept per signature, cuts, start, side and
+budget, as two tests repeat them); ``markov_full_walk`` refines the
+partition by every cut-point orbit walked in full, where ``markov_check``
+stops each orbit at the first cut it lands on; ``orthogonal_circle`` finds
+the circle of a geodesic by a linear solve of its two incidence equations,
+where ``mobius`` uses closed forms; ``scalar_draws`` is the counter-based
+draw of ``extension._draws`` one angle at a time in Python integers;
+``scalar_rect_image`` images one rectangle at a time by ``apply_angle``,
+where ``extension.image_rects`` images a whole list on arrays by its vector
+twin, ``split_reference`` cuts the w-arcs from a dense arcs x cuts mask,
 where ``image_rects`` reads each arc's inner cuts as one run of the lifted
-cuts, and ``per_block_bijectivity`` measures each block's strip residual
-on its own grid against the domain clipped to the block's band, where
+cuts, and ``per_block_bijectivity`` measures each block's strip residual on
+its own grid against the domain clipped to the block's band, where
 ``verify_bijectivity`` takes every residual from one grid.
 
 ``exceptional_set`` and ``verify_exceptional`` are no reference but the
@@ -592,8 +594,10 @@ class ReferenceKernel:
         self.breaks = _breakpoints(np.concatenate(
             [[-np.inf], cuts, *(e.ravel() for e in ends)]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
-        self.cell, a, b = _gluing(poly, cuts, np.concatenate(
+        self.cell, _ = _gluing(poly, cuts, np.concatenate(
             [self.breaks[:1], self.breaks]))
+        a = np.array([poly.generators[c].a for c in self.cell])
+        b = np.array([poly.generators[c].b for c in self.cell])
         self.coef = np.stack([a.real + b.real, a.imag - b.imag,
                               -(a.imag + b.imag), a.real - b.real])
         nb = len(self.breaks)

@@ -9,7 +9,7 @@ from conftest import boxes, measure, overlap
 from oracles import arc_contains, arc_intervals
 
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, clip_intervals,
-                           rect_boxes, seam_split, union_by_group)
+                           rect_boxes, seam_split)
 from fuchsian.extension import _split
 from fuchsian.mobius import TAU, BoundaryPoint
 
@@ -246,16 +246,6 @@ class TestMeasureMatchesSweep:
     @given(rect_lists)
     def test_pairwise_overlap_bit_identical(self, rects):
         assert overlap(rects) == pairwise_overlap_loop(rects)
-
-    @settings(max_examples=100, deadline=None)
-    @given(rect_lists, rect_lists)
-    def test_union_by_group(self, a, b):
-        # groups 0 and 2 on one grid, group 1 empty
-        u, w = RectArray.of(a + b).intervals()
-        got = union_by_group(u, w, np.repeat([0, 2], [len(a), len(b)]), 3)
-        assert got[1] == 0.0
-        assert abs(got[0] - sweep_union(a)) < 1e-12
-        assert abs(got[2] - sweep_union(b)) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(rect_lists)

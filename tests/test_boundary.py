@@ -322,7 +322,7 @@ class TestCycle:
     @pytest.mark.parametrize("mode", ["left", "right"])
     def test_matching_residual_is_the_iterated_one(self, mode):
         # the stored residual walks the boundary map, as verify_matching
-        # does; at vertex 87 (order 29) that walk is 1.5e-8 off, not 0
+        # does; at vertex 87 (order 29) that walk is 1.8e-8 off, not 0
         text = "20;2,3,17,29;8"
         poly, part = polygon(text), partition(text, mode)
         for k in poly.elliptic_indices():

@@ -375,6 +375,66 @@ class TestArrayImaging:
         assert not verify_bijectivity(bent, part, dom).passed
         assert not per_block_bijectivity(bent, part, dom)[3]
 
+    @pytest.mark.parametrize("text", SIGNATURES)
+    def test_duplicated_row_fails(self, text):
+        # a strip residual sums its strays box by box, which is their union
+        # only while the images are disjoint: a domain row listed twice
+        # images onto itself, and image_overlap fails the report
+        poly = polygon(text)
+        part = partition(text, "midpoint")
+        dom = build_attractor(poly, part)
+        rows = np.arange(len(dom.arrays))
+        for k in rows:
+            twice = dataclasses.replace(
+                dom, arrays=dom.arrays.take(np.append(rows, k)))
+            rep = verify_bijectivity(poly, part, twice)
+            assert not rep.checks["image_overlap"].passed, k
+            assert not rep.passed, k
+
+    # 1;;1 is one block
+    @pytest.mark.parametrize("text", [t for t in SIGNATURES if t != "1;;1"])
+    def test_block_tags_move_only_strip_residuals(self, text):
+        # block tags shifted by one: each image is clipped to another
+        # block's band, so its parts outside that band (strays) carry most
+        # of its area; the symmetric difference, over all images whatever
+        # their tags, moves only by rounding, and the strip residuals fail
+        poly = polygon(text)
+        part = partition(text, "midpoint")
+        dom = build_attractor(poly, part)
+        rs = dom.arrays
+        moved = dataclasses.replace(dom, arrays=RectArray(
+            rs.theta, rs.sweep, (rs.block + 1) % len(poly.blocks), rs.gamma))
+        rep = verify_bijectivity(poly, part, dom)
+        bad = verify_bijectivity(poly, part, moved)
+        assert abs(bad.symmetric_difference
+                   - rep.symmetric_difference) < 1e-12
+        assert not bad.checks["strip_residuals"].passed
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_subnormal_arc_end_under_every_error_state(self, text):
+        # every arc end at angle 0 moved to 1e-310, which halves to an
+        # underflow in cayley and leaves a grid column 1e-310 wide: the
+        # caller's error state changes no bit, and a warning would fail
+        # the suite
+        poly = polygon(text)
+        part = partition(text, "midpoint")
+        dom = build_attractor(poly, part)
+        rs = dom.arrays
+        theta = np.where(rs.theta == 0.0, 1e-310, rs.theta)
+        assert (theta == 1e-310).any()
+        sub = dataclasses.replace(dom, arrays=RectArray(theta, rs.sweep,
+                                                        rs.block, rs.gamma))
+        out = []
+        for mode in ("raise", "warn", "ignore"):
+            with np.errstate(all=mode):
+                kern = _Kernel(poly, part, sub.arrays)
+                images = image_rects(poly, part, sub.arrays)
+                rep = verify_bijectivity(poly, part, sub)
+                out.append([a.tobytes() for a in (
+                    cayley(theta), kern.breaks, kern.table, images.theta,
+                    images.sweep)] + [repr(rep.to_dict())])
+        assert out[0] == out[1] == out[2]
+
 
 class TestPhiAndExceptional:
     def test_all_ideal_phi_is_diagonal_squares(self):

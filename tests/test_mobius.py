@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from conftest import SCALE, SIGNATURES, polygon, side_circle
+from conftest import MODES, SCALE, SIGNATURES, partition, polygon, side_circle
 from oracles import orthogonal_circle
 
 from fuchsian import BoundaryPoint, DiskPoint, MoebiusPSU, geodesic_circle
-from fuchsian.mobius import TAU, geodesic_far_end, vertex_frame
+from fuchsian.arcs import cayley, cayley_angle
+from fuchsian.extension import _moebius
+from fuchsian.mobius import (TAU, angular_distance, geodesic_far_end,
+                             vertex_frame)
 from fuchsian.polygon import (elliptic_generator, elliptic_vertex,
                               hyperbolic_generator_a, hyperbolic_generator_b,
                               parabolic_generator)
@@ -117,6 +120,100 @@ class TestGroupStructure:
         imgs = [g.apply_angle(t) for t in ts]
         gaps = [(imgs[1] - imgs[0]) % TAU, (imgs[2] - imgs[0]) % TAU]
         assert gaps[0] < gaps[1]
+
+
+def vector_images(g, thetas):
+    """Images of the angles ``thetas`` under g on the vector path of
+    ``extension.image_rects``: ``cayley``, ``_moebius`` by the rows of
+    ``g.real`` under its error state, ``cayley_angle``."""
+    x = cayley(np.asarray(thetas, dtype=float))[None]
+    with np.errstate(all="ignore", invalid="raise"):
+        return cayley_angle(_moebius(x, np.array(g.real)[:, None]))[0]
+
+
+def seam_pole(theta):
+    """x -> -1 / (x - x0), x0 the Cayley coordinate of theta, whose
+    denominator is exactly 0 at theta: (p, q, r, s) = (0, -1, 1, -x0) from
+    a = -x0 / 2 - i and b = x0 / 2, each halving exact."""
+    x0 = float(cayley(theta))
+    return MoebiusPSU(complex(-0.5 * x0, -1.0), complex(0.5 * x0, 0.0))
+
+
+def disk_gap(g, t):
+    """Gap between ``apply_angle`` and the phase of the disk action
+    ``apply`` at angle t, over c eps max(1, |g'|), eps = 2^-52.
+
+    c comes from the operation counts, to first order, with each libm call
+    within 1 ulp and ||M|| = sqrt(p^2 + q^2 + r^2 + s^2) = sqrt(2 (|a|^2 +
+    |b|^2)); |g'| = (1 + x^2) / ((p x + q)^2 + (r x + s)^2) on the Cayley
+    coordinate.  ``apply_angle``: x from cos, sin and one division is off by
+    2.5 eps relative, which moves the angle by at most 2.5 eps before g
+    stretches it by |g'|; p x + q and r x + s, with p, q, r, s each rounded
+    once, are off by 1.5 eps (|p x| + |q|) and 1.5 eps (|r x| + |s|),
+    which turn the image by at most 3 eps ||M|| sqrt|g'| (Cauchy-Schwarz);
+    the quotient adds 0.5 eps and the doubled atan2 4 eps.  ``apply``:
+    e^{it} is off by eps, stretched by |g'|; a z and conj(b) z are off by
+    sqrt2 eps |a| and sqrt2 eps |b| against |a z + b| = |conj(b) z +
+    conj(a)| = 1 / sqrt|g'|, their sums by 0.5 eps each, the quotient by 3
+    eps, the phase and its wrap by 4 eps.  With |a| + |b| <= ||M|| the gap
+    is below eps (3.5 |g'| + 4.5 ||M|| sqrt|g'| + 12.5), and so below
+    (16 + 5 ||M||) eps max(1, |g'|).  The ||M|| term is the cancellation in
+    p x + q and a z + b, which both forms share."""
+    z = cmath.exp(1j * t)
+    norm = math.sqrt(2.0 * (abs(g.a) ** 2 + abs(g.b) ** 2))
+    bound = (16.0 + 5.0 * norm) * 2.0 ** -52 * max(
+        1.0, g.derivative_modulus(z))
+    return angular_distance(g.apply_angle(t),
+                            cmath.phase(g.apply(z)) % TAU) / bound
+
+
+class TestBoundaryAction:
+    """``apply_angle`` on the Cayley coordinate, the one boundary action,
+    against the vector path of ``image_rects`` and the disk action."""
+
+    def test_matches_vector_path(self):
+        # seeded angles, 0, 1e-310 (the seam in x), pi and the cut points;
+        # the generators, seeded elements and three with r = 0, which fix
+        # the seam; np.arctan2 and math.atan2 may differ by 1 ulp
+        rng = np.random.default_rng(26)
+        extra = [MoebiusPSU.from_ab(math.hypot(1.0, m) * cmath.exp(1j * u),
+                                    m * cmath.exp(1j * v))
+                 for m, u, v in rng.uniform(0.0, [3.0, TAU, TAU], (50, 3))]
+        extra += [MoebiusPSU.identity(), MoebiusPSU(1 + 0.75j, -0.75j),
+                  MoebiusPSU(1.25 + 0j, 0.75 + 0j)]
+        assert [g.real[2] for g in extra[-3:]] == [0.0] * 3
+        cases = [(extra, [])] + [
+            (polygon(text).generators,
+             [t for m in MODES for t in partition(text, m).thetas])
+            for text in SIGNATURES + SCALE]
+        for gens, cuts in cases:
+            thetas = np.concatenate([rng.uniform(0.0, TAU, 40),
+                                     [0.0, 1e-310, math.pi], cuts])
+            for g in gens:
+                want = vector_images(g, thetas).tolist()
+                for t, w in zip(thetas.tolist(), want):
+                    assert angular_distance(g.apply_angle(t), w) \
+                        <= 2 * math.ulp(TAU), (g, t)
+
+    def test_zero_denominator_gives_the_seam(self):
+        rng = np.random.default_rng(27)
+        for t in rng.uniform(0.5, TAU - 0.5, 20).tolist():
+            g = seam_pole(t)
+            assert g.apply_angle(t) == 0.0
+            assert angular_distance(vector_images(g, [t])[0], 0.0) \
+                <= 2 * math.ulp(TAU)
+
+    @settings(max_examples=200, deadline=None)
+    @given(psu_elements(), st.floats(0.0, TAU))
+    def test_matches_disk_action(self, g, t):
+        assert disk_gap(g, t) <= 1.0
+
+    def test_generators_match_disk_action(self):
+        rng = np.random.default_rng(28)
+        thetas = [0.0, 1e-310, *rng.uniform(0.0, TAU, 30).tolist()]
+        worst = max(disk_gap(g, t) for text in SIGNATURES + SCALE
+                    for g in polygon(text).generators for t in thetas)
+        assert worst <= 1.0
 
 
 class TestClassification:
