@@ -2,11 +2,12 @@
 
 All arcs are stored counter-clockwise: an arc is a start angle plus a sweep
 in (0, 2pi].  A rectangle list becomes one ``RectArray``; ``seam_split``
-turns its arcs into plain intervals in [0, 2pi], and ``rect_boxes`` their
-products into plain boxes in [0, 2pi]^2.  Measures of unions, intersections
-and symmetric differences sum the cells of the grid of the boxes'
-breakpoints, exact up to endpoint rounding; no rasterization.  ``cayley``
-maps angles to the real line, where the gluings act by real matrices.
+turns its arcs into plain intervals in [0, 2pi].  Two rectangles intersect
+in the product of their u- and w-overlaps, each the summed overlap of the
+arcs' intervals (``_overlap_lengths``): every rectangle measure of the
+library is a sum of such products, exact up to endpoint rounding.
+``cayley`` maps angles to the real line, where the gluings act by real
+matrices.
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ class RectArray:
                 seam_split(self.theta[:, 2], self.sweep[:, 1]))
 
 
-# -- rectangle measure on a coverage grid --------------------------------------
+# -- intervals and their overlaps ---------------------------------------------
 
-# rows of the grid, or of rectangles in the pair loop, per slice: bounds each
-# float64 temporary at _ROWS times the other dimension
+# rectangles per slice of a loop over overlap products: bounds each float64
+# temporary at _ROWS times the other dimension
 _ROWS = 32
 
 
@@ -156,66 +157,11 @@ def clip_intervals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack([lo, hi], axis=-1).reshape(len(x), -1, 2)
 
 
-def _products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(n, p q, 4) boxes ``(u_lo, u_hi, w_lo, w_hi)``: row i's products of
-    its p u-intervals u[i] and q w-intervals w[i], the empty ones too."""
-    p, q = u.shape[1], w.shape[1]
-    return np.concatenate([np.repeat(u, q, axis=1), np.tile(w, (1, p, 1))],
-                          axis=2)
-
-
-def _nonempty(boxes: np.ndarray) -> np.ndarray:
-    return (boxes[..., 1] > boxes[..., 0]) & (boxes[..., 3] > boxes[..., 2])
-
-
-def rect_boxes(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(m, 4) array of plain boxes ``(u_lo, u_hi, w_lo, w_hi)`` in
-    [0, 2pi]^2 with the rectangles' union, from their u- and w-intervals
-    ((n, p, 2) and (n, q, 2) arrays): rectangle i is the product of u[i] and
-    w[i], so at most p q boxes; empty boxes are dropped."""
-    boxes = _products(u, w)
-    return boxes[_nonempty(boxes)]
-
-
 def _breakpoints(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values (``np.unique`` loads three more modules on its
     first call, which shows in the peak memory)."""
     v = np.sort(values, axis=None)
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
-
-
-def _covered(boxes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Boolean grid: cell (i, j), the product [xs[i], xs[i+1]] x
-    [ys[j], ys[j+1]], lies in some box; every box edge must be a
-    breakpoint."""
-    return _count(np.searchsorted(xs, boxes[:, :2]).T,
-                  np.searchsorted(ys, boxes[:, 2:]).T, len(xs), len(ys))
-
-
-def _count(i: np.ndarray, j: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """Boolean (nx - 1, ny - 1) grid of the cells inside some box, for boxes
-    from breakpoint i[0] to i[1] in x and j[0] to j[1] in y.  Each box
-    marks its corners +-1 in a difference array whose two cumulative sums
-    count the boxes over a cell."""
-    # every partial sum lies in [-boxes, boxes]
-    dtype = np.min_scalar_type(-i.shape[1] - 1)
-    count = np.zeros((nx, ny), dtype)
-    np.add.at(count, (i.ravel(), j.ravel()), 1)
-    np.subtract.at(count, (i.ravel(), j[::-1].ravel()), 1)
-    np.cumsum(count, axis=0, dtype=dtype, out=count)
-    np.cumsum(count, axis=1, dtype=dtype, out=count)
-    return count[:-1, :-1] > 0
-
-
-def _column_areas(cells: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray) -> np.ndarray:
-    """Area of the marked cells of each column [xs[i], xs[i+1]] of the
-    grid, summed in slices of _ROWS columns."""
-    dy = np.diff(ys)
-    rows = np.empty(len(xs) - 1)
-    for s in range(0, len(rows), _ROWS):
-        rows[s:s + _ROWS] = (cells[s:s + _ROWS] * dy).sum(axis=1)
-    return np.diff(xs) * rows
 
 
 def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,21 +174,3 @@ def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             ov -= np.maximum(x[:, None, a, 0], y[None, :, b, 0])
             total += np.maximum(ov, 0.0, out=ov)
     return total
-
-
-def max_pairwise_overlap(u: np.ndarray, w: np.ndarray) -> float:
-    """Largest overlap area of two rectangles with the seam-split u- and
-    w-intervals u and w.
-
-    A pair's u- and w-overlap sum the overlaps of the arcs' intervals in the
-    order of the pairwise loop (earlier rectangle's intervals outer; padding
-    adds exact zeros), so the value is that loop's to the bit.  The sums are
-    not symmetric in the bits, hence pairs i < j.
-    """
-    worst = 0.0
-    for s in range(0, len(u), _ROWS):
-        # row i = s + r against column j = s + 1 + c: i < j is c >= r
-        area = (_overlap_lengths(u[s:s + _ROWS], u[s + 1:])
-                * _overlap_lengths(w[s:s + _ROWS], w[s + 1:]))
-        worst = max(worst, float(np.triu(area).max(initial=0.0)))
-    return worst

@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
-from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _column_areas,
-                   _covered, _nonempty, _products, cayley, cayley_angle,
-                   clip_intervals, max_pairwise_overlap, rect_boxes)
+from .arcs import (_ROWS, DirectedArc, Rect, RectArray, _breakpoints,
+                   _overlap_lengths, cayley, cayley_angle, clip_intervals,
+                   seam_split)
 from .boundary import CycleData, Partition, cycle
 from .errors import TilingViolation
 from .mobius import TAU, BoundaryPoint
@@ -263,55 +263,65 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     block's sector: block b's residual is |images_b xor (domain and
     band_b)|.
 
-    Every rectangle is imaged in one pass.  One grid holds the images, the
-    domain and the band edges; the domain's coverage is marked on it once.
-    The bands [base_angle, base_angle + ``Block.sweep``] run in block order
-    from 0 to 2pi, none across the seam, so they tile the circle in u and
-    one ``searchsorted`` finds the band of a grid column.  The images, each
-    clipped to its own block's band, xor the domain give every block's
-    in-band residual on one coverage, summed per band.  To that each block
-    adds the area of its image parts outside its band (strays), summed box
-    by box: the images are disjoint up to ``image_overlap``, and where they
-    overlap the sum exceeds the union, so a residual can only grow.  In a
-    bijective case the strays are rounding slivers at the band edges.
-    Underflow, as in the area of a grid column under 1e-308 wide, is
-    ignored whatever the caller's error state.
+    Every rectangle is imaged in one pass.  With domain rectangles R_r,
+    images I_i, block b's band B_b = [base_angle, base_angle +
+    ``Block.sweep``] x S, and I_i^b image i with its u-intervals clipped to
+    its own block's band, |A xor B| = |A| + |B| - 2 |A and B|, each union
+    expanded by inclusion-exclusion to its pairwise terms, gives
+
+        sym = sum_r |R_r| + sum_i |I_i| - 2 sum_i,r |I_i and R_r|
+              + sum_i<j |I_i and I_j|,
+        strip_b = sum_r |R_r and B_b|
+                  + sum_i in b (|I_i| - 2 sum_r |I_i^b and R_r|)
+                  + sum_i<j in b |I_i^b and I_j^b|,
+
+    so an image's part outside its band counts to its block.  Each
+    intersection is the product of a u- and a w-overlap
+    (``_overlap_lengths``), taken ``_ROWS`` images at a time.  The largest
+    pair product is ``image_overlap``: earlier image's intervals outer,
+    pairs i < j only, so it is the scalar pair loop's to the bit.
+
+    The sums are exact when the domain rectangles are disjoint (their
+    w-arcs tile the circle, which ``build_attractor`` checks) and no three
+    images share area.  Then the exact measure is the sum less 2 (P - P_D),
+    for P the summed pair overlaps and P_D <= P their parts in the domain:
+    a pair overlap outside the domain only raises a residual.  Three images
+    over one point overlap pairwise by at least that area, which
+    ``image_overlap`` bounds.  A product of two overlap lengths can
+    underflow, as at an arc end at a subnormal angle; underflow is ignored
+    whatever the caller's error state.
     """
     images = image_rects(poly, part, dom.arrays)
     u, w = images.intervals()
-    overlap = max_pairwise_overlap(u, w)
+    du, dw = dom.arrays.intervals()
+    # no band crosses the seam: each is its first interval
+    bands = seam_split(np.array([blk.base_angle for blk in poly.blocks]),
+                       np.array([blk.sweep for blk in poly.blocks]))
+    uc = clip_intervals(u, bands[images.block, :1])
 
-    # block b's band is the one interval [lo_b, hi_b]; its complement in
-    # [0, 2pi] is [0, lo_b] and [hi_b, 2pi]
-    lo = np.array([blk.base_angle for blk in poly.blocks])
-    hi = np.minimum(lo + [blk.sweep for blk in poly.blocks], TAU)
-    gaps = np.zeros((len(lo), 2, 2))
-    gaps[:, 0, 1], gaps[:, 1, 0], gaps[:, 1, 1] = lo, hi, TAU
-    inside = rect_boxes(clip_intervals(
-        u, np.stack([lo, hi], axis=1)[images.block, None]), w)
-    strays = _products(clip_intervals(u, gaps[images.block]), w)
-    keep = _nonempty(strays)
-    strays = strays[keep]
-    owner = np.broadcast_to(images.block[:, None], keep.shape)[keep]
+    # per image: sum_r |I_i and R_r|, sum_r |I_i^b and R_r|, and the pair
+    # terms against later images, all of them and those of its block
+    sums = np.empty((4, len(images)))
+    overlap = 0.0
+    for s in range(0, len(images), _ROWS):
+        rows = slice(s, s + _ROWS)
+        wd = _overlap_lengths(w[rows], dw)
+        sums[0, rows] = (_overlap_lengths(u[rows], du) * wd).sum(axis=1)
+        sums[1, rows] = (_overlap_lengths(uc[rows], du) * wd).sum(axis=1)
+        # row i = s + r against column j = s + 1 + c: i < j is c >= r
+        ww = _overlap_lengths(w[rows], w[s + 1:])
+        pair = np.triu(_overlap_lengths(u[rows], u[s + 1:]) * ww)
+        overlap = max(overlap, float(pair.max(initial=0.0)))
+        sums[2, rows] = pair.sum(axis=1)
+        same = images.block[rows, None] == images.block[None, s + 1:]
+        sums[3, rows] = np.triu(_overlap_lengths(uc[rows], uc[s + 1:]) * ww
+                                * same).sum(axis=1)
 
-    # one grid of every image, domain and band edge
-    domain = rect_boxes(*dom.arrays.intervals())
-    boxes = np.concatenate([inside, strays, domain])
-    xs = _breakpoints(np.concatenate([boxes[:, :2].ravel(), lo, hi]))
-    ys = _breakpoints(boxes[:, 2:])
-    covered = _covered(domain, xs, ys)
-    image = _covered(inside, xs, ys)
-    columns = _column_areas(image ^ covered, xs, ys)
-    # the image parts outside their bands, added to the clipped images
-    image |= _covered(strays, xs, ys)
-    sym = float(_column_areas(image ^ covered, xs, ys).sum())
-
-    # the band of each column: the last band starting at or before its
-    # midpoint
-    col = np.searchsorted(lo, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
-    area = (strays[:, 1] - strays[:, 0]) * (strays[:, 3] - strays[:, 2])
-    strip = (np.bincount(col, weights=columns, minlength=len(lo))
-             + np.bincount(owner, weights=area, minlength=len(lo)))
+    sym = float(dom.arrays.area.sum()
+                + (images.area - 2.0 * sums[0] + sums[2]).sum())
+    strip = ((_overlap_lengths(bands, du) * dom.arrays.sweep[:, 1]).sum(axis=1)
+             + np.bincount(images.block, weights=images.area - 2.0 * sums[1]
+                           + sums[3], minlength=len(bands)))
     strip_res = strip.tolist()
 
     return BijectivityReport(

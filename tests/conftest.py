@@ -1,9 +1,9 @@
 import pytest
 
-from oracles import box_measure
+from oracles import box_measure, max_pairwise_overlap, rect_boxes
 
 from fuchsian import Signature, build_canonical, geodesic_circle, make_partition
-from fuchsian.arcs import RectArray, max_pairwise_overlap, rect_boxes
+from fuchsian.arcs import RectArray
 from fuchsian.mobius import TAU
 
 # the six-signature regression set used throughout

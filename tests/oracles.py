@@ -41,9 +41,12 @@ draw of ``extension._draws`` one angle at a time in Python integers;
 where ``extension.image_rects`` images a whole list on arrays by its vector
 twin, ``split_reference`` cuts the w-arcs from a dense arcs x cuts mask,
 where ``image_rects`` reads each arc's inner cuts as one run of the lifted
-cuts, and ``per_block_bijectivity`` measures each block's strip residual on
-its own grid against the domain clipped to the block's band, where
-``verify_bijectivity`` takes every residual from one grid.
+cuts, ``per_block_bijectivity`` measures each block's strip residual on
+its own grid against the domain clipped to the block's band, and
+``grid_bijectivity`` takes every residual from one coverage grid of the
+boxes ``rect_boxes`` (``box_measure`` on it), where ``verify_bijectivity``
+sums products of interval overlaps; ``max_pairwise_overlap`` is its pair
+term's largest value.
 
 ``exceptional_set`` and ``verify_exceptional`` are no reference but the
 one implementation of the exceptional rectangles between the attractor and
@@ -60,11 +63,11 @@ import numpy as np
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
                       f_apply, geodesic_circle)
-from fuchsian.arcs import (RectArray, _breakpoints, _column_areas, _covered,
-                           _overlap_lengths, cayley, ccw_sweep,
-                           max_pairwise_overlap, rect_boxes)
+from fuchsian.arcs import (_ROWS, RectArray, _breakpoints, _overlap_lengths,
+                           cayley, ccw_sweep, clip_intervals)
 from fuchsian.boundary import MarkovReport, OrbitRecord
-from fuchsian.extension import _fan, _gluing, _moebius, image_rects
+from fuchsian.extension import (BijectivityReport, _fan, _gluing, _moebius,
+                                image_rects)
 from fuchsian.mobius import TAU, angular_distance, normalize_angle
 from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
                                  Check, Report)
@@ -168,7 +171,80 @@ def scalar_draws(seed: int, samples: int,
     return out
 
 
-# -- box measure -----------------------------------------------------------
+# -- box measure on a coverage grid -------------------------------------------
+
+
+def _products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(n, p q, 4) boxes ``(u_lo, u_hi, w_lo, w_hi)``: row i's products of
+    its p u-intervals u[i] and q w-intervals w[i], the empty ones too."""
+    p, q = u.shape[1], w.shape[1]
+    return np.concatenate([np.repeat(u, q, axis=1), np.tile(w, (1, p, 1))],
+                          axis=2)
+
+
+def _nonempty(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[..., 1] > boxes[..., 0]) & (boxes[..., 3] > boxes[..., 2])
+
+
+def rect_boxes(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(m, 4) array of plain boxes ``(u_lo, u_hi, w_lo, w_hi)`` in
+    [0, 2pi]^2 with the rectangles' union, from their u- and w-intervals
+    ((n, p, 2) and (n, q, 2) arrays): rectangle i is the product of u[i] and
+    w[i], so at most p q boxes; empty boxes are dropped."""
+    boxes = _products(u, w)
+    return boxes[_nonempty(boxes)]
+
+
+def _covered(boxes: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Boolean grid: cell (i, j), the product [xs[i], xs[i+1]] x
+    [ys[j], ys[j+1]], lies in some box; every box edge must be a
+    breakpoint."""
+    return _count(np.searchsorted(xs, boxes[:, :2]).T,
+                  np.searchsorted(ys, boxes[:, 2:]).T, len(xs), len(ys))
+
+
+def _count(i: np.ndarray, j: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """Boolean (nx - 1, ny - 1) grid of the cells inside some box, for boxes
+    from breakpoint i[0] to i[1] in x and j[0] to j[1] in y.  Each box
+    marks its corners +-1 in a difference array whose two cumulative sums
+    count the boxes over a cell."""
+    # every partial sum lies in [-boxes, boxes]
+    dtype = np.min_scalar_type(-i.shape[1] - 1)
+    count = np.zeros((nx, ny), dtype)
+    np.add.at(count, (i.ravel(), j.ravel()), 1)
+    np.subtract.at(count, (i.ravel(), j[::-1].ravel()), 1)
+    np.cumsum(count, axis=0, dtype=dtype, out=count)
+    np.cumsum(count, axis=1, dtype=dtype, out=count)
+    return count[:-1, :-1] > 0
+
+
+def _column_areas(cells: np.ndarray, xs: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
+    """Area of the marked cells of each column [xs[i], xs[i+1]] of the
+    grid, summed in slices of _ROWS columns."""
+    dy = np.diff(ys)
+    rows = np.empty(len(xs) - 1)
+    for s in range(0, len(rows), _ROWS):
+        rows[s:s + _ROWS] = (cells[s:s + _ROWS] * dy).sum(axis=1)
+    return np.diff(xs) * rows
+
+
+def max_pairwise_overlap(u: np.ndarray, w: np.ndarray) -> float:
+    """Largest overlap area of two rectangles with the seam-split u- and
+    w-intervals u and w.
+
+    A pair's u- and w-overlap sum the overlaps of the arcs' intervals in the
+    order of the pairwise loop (earlier rectangle's intervals outer; padding
+    adds exact zeros), so the value is that loop's to the bit.  The sums are
+    not symmetric in the bits, hence pairs i < j.
+    """
+    worst = 0.0
+    for s in range(0, len(u), _ROWS):
+        # row i = s + r against column j = s + 1 + c: i < j is c >= r
+        area = (_overlap_lengths(u[s:s + _ROWS], u[s + 1:])
+                * _overlap_lengths(w[s:s + _ROWS], w[s + 1:]))
+        worst = max(worst, float(np.triu(area).max(initial=0.0)))
+    return worst
 
 
 def box_measure(a: np.ndarray, b: np.ndarray, op) -> float:
@@ -316,6 +392,77 @@ def per_block_bijectivity(poly: MarkedPolygon, part: Partition,
     passed = (overlap < DEFAULT.overlap and sym < DEFAULT.residual
               and max(strips) < DEFAULT.residual)
     return overlap, sym, strips, passed
+
+
+@np.errstate(under="ignore")
+def grid_bijectivity(poly: MarkedPolygon, part: Partition,
+                     dom: AttractorDomain) -> BijectivityReport:
+    """``verify_bijectivity`` on one coverage grid: the same checks, each
+    union measured by the cells it covers.
+
+    Verifies (i) forward images are pairwise interior-disjoint, (ii) their
+    union reproduces the domain up to measure zero, and (iii) each block's
+    horizontal strip maps exactly onto the domain's vertical band over that
+    block's sector: block b's residual is |images_b xor (domain and
+    band_b)|.
+
+    Every rectangle is imaged in one pass.  One grid holds the images, the
+    domain and the band edges; the domain's coverage is marked on it once.
+    The bands [base_angle, base_angle + ``Block.sweep``] run in block order
+    from 0 to 2pi, none across the seam, so they tile the circle in u and
+    one ``searchsorted`` finds the band of a grid column.  The images, each
+    clipped to its own block's band, xor the domain give every block's
+    in-band residual on one coverage, summed per band.  To that each block
+    adds the area of its image parts outside its band (strays), summed box
+    by box: the images are disjoint up to ``image_overlap``, and where they
+    overlap the sum exceeds the union, so a residual can only grow.  In a
+    bijective case the strays are rounding slivers at the band edges.
+    Underflow, as in the area of a grid column under 1e-308 wide, is
+    ignored whatever the caller's error state.
+    """
+    images = image_rects(poly, part, dom.arrays)
+    u, w = images.intervals()
+    overlap = max_pairwise_overlap(u, w)
+
+    # block b's band is the one interval [lo_b, hi_b]; its complement in
+    # [0, 2pi] is [0, lo_b] and [hi_b, 2pi]
+    lo = np.array([blk.base_angle for blk in poly.blocks])
+    hi = np.minimum(lo + [blk.sweep for blk in poly.blocks], TAU)
+    gaps = np.zeros((len(lo), 2, 2))
+    gaps[:, 0, 1], gaps[:, 1, 0], gaps[:, 1, 1] = lo, hi, TAU
+    inside = rect_boxes(clip_intervals(
+        u, np.stack([lo, hi], axis=1)[images.block, None]), w)
+    strays = _products(clip_intervals(u, gaps[images.block]), w)
+    keep = _nonempty(strays)
+    strays = strays[keep]
+    owner = np.broadcast_to(images.block[:, None], keep.shape)[keep]
+
+    # one grid of every image, domain and band edge
+    domain = rect_boxes(*dom.arrays.intervals())
+    boxes = np.concatenate([inside, strays, domain])
+    xs = _breakpoints(np.concatenate([boxes[:, :2].ravel(), lo, hi]))
+    ys = _breakpoints(boxes[:, 2:])
+    covered = _covered(domain, xs, ys)
+    image = _covered(inside, xs, ys)
+    columns = _column_areas(image ^ covered, xs, ys)
+    # the image parts outside their bands, added to the clipped images
+    image |= _covered(strays, xs, ys)
+    sym = float(_column_areas(image ^ covered, xs, ys).sum())
+
+    # the band of each column: the last band starting at or before its
+    # midpoint
+    col = np.searchsorted(lo, 0.5 * (xs[:-1] + xs[1:]), side="right") - 1
+    area = (strays[:, 1] - strays[:, 0]) * (strays[:, 3] - strays[:, 2])
+    strip = (np.bincount(col, weights=columns, minlength=len(lo))
+             + np.bincount(owner, weights=area, minlength=len(lo)))
+    strip_res = strip.tolist()
+
+    return BijectivityReport(
+        str(poly.signature), part.mode, dom.guarantee, strip_res, checks={
+            "image_overlap": Check(overlap, DEFAULT.overlap),
+            "symmetric_difference": Check(sym, DEFAULT.residual),
+            "strip_residuals": Check(max(strip_res, default=0.0),
+                                     DEFAULT.residual)})
 
 
 # -- closed membership ---------------------------------------------------------

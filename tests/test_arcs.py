@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boxes, measure, overlap
-from oracles import arc_contains, arc_intervals
+from oracles import arc_contains, arc_intervals, rect_boxes
 
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, clip_intervals,
-                           rect_boxes, seam_split)
+                           seam_split)
 from fuchsian.extension import _split
 from fuchsian.mobius import TAU, BoundaryPoint
 

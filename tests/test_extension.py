@@ -15,7 +15,7 @@ from conftest import (LADDER, MODES, SCALE, SIGNATURES, STRESS, measure,
                       open_arc_cut, overlap, partition, polygon)
 from oracles import (GAMMA, F_apply, ReferenceKernel, candidates_reference,
                      cayley_candidates, dense_candidates, domain_contains,
-                     exceptional_set,
+                     exceptional_set, grid_bijectivity,
                      interior_angles, kernel_reference, kernel_step,
                      moebius_reference, per_block_bijectivity, scalar_draws,
                      scalar_rect_image, split_reference, splitmix64,
@@ -294,8 +294,8 @@ def assert_same_images(poly, part, rects):
 
 
 class TestArrayImaging:
-    """The array imaging and the one-grid residuals against the scalar
-    oracle and the per-block check of ``oracles``."""
+    """The array imaging and the pair-sum residuals against the scalar
+    oracle, the per-block check and the coverage grid of ``oracles``."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("text", SIGNATURES + SCALE)
@@ -343,6 +343,55 @@ class TestArrayImaging:
         assert max(abs(a - b) for a, b in zip(rep.strip_residuals,
                                               strips)) < 1e-12
 
+    @pytest.mark.parametrize("case", [(t, m) for t in SIGNATURES + LADDER
+                                      for m in MODES]
+                             + [(t, seed) for t in SIGNATURES + LADDER
+                                if polygon(t).elliptic_indices()
+                                for seed in range(3)]
+                             + [(t, "midpoint") for t in STRESS], ids=str)
+    def test_pair_sums_match_grid(self, case):
+        # the pair-sum residuals against the coverage grid they replace: the
+        # same verdict, the same image_overlap to the bit, and every
+        # residual within 1e-12; an integer mode draws each elliptic cut
+        # uniformly on 0.02-0.98 of its [P, Q] arc from that seed
+        text, mode = case
+        poly = polygon(text)
+        if isinstance(mode, str):
+            part = partition(text, mode)
+        else:
+            rng = np.random.default_rng(mode)
+            cuts = {}
+            for k in poly.elliptic_indices():
+                lo, hi = poly.aux[k].P.theta, poly.aux[k].Q.theta
+                cuts[k] = (lo + rng.uniform(0.02, 0.98)
+                           * ((hi - lo) % TAU)) % TAU
+            part = make_partition(poly, "custom", cuts)
+        dom = build_attractor(poly, part)
+        rep = verify_bijectivity(poly, part, dom)
+        grid = grid_bijectivity(poly, part, dom)
+        assert rep.passed == grid.passed
+        assert rep.image_overlap == grid.image_overlap
+        assert abs(rep.symmetric_difference
+                   - grid.symmetric_difference) < 1e-12
+        assert len(rep.strip_residuals) == len(grid.strip_residuals)
+        assert max(abs(a - b) for a, b in zip(rep.strip_residuals,
+                                              grid.strip_residuals)) < 1e-12
+
+    @pytest.mark.parametrize("text", SIGNATURES)
+    def test_deleted_row_fails(self, text):
+        # the domain less any one row no longer maps onto itself: the image
+        # of the missing row is missing, and the symmetric difference fails
+        poly = polygon(text)
+        part = partition(text, "midpoint")
+        dom = build_attractor(poly, part)
+        rows = np.arange(len(dom.arrays))
+        for k in rows:
+            less = dataclasses.replace(
+                dom, arrays=dom.arrays.take(np.delete(rows, k)))
+            rep = verify_bijectivity(poly, part, less)
+            assert not rep.checks["symmetric_difference"].passed, k
+            assert not rep.passed, k
+
     @pytest.mark.parametrize("text", SIGNATURES + LADDER)
     def test_bands_tile_without_seam(self, text):
         # verify_bijectivity's bands [base_angle, base_angle + sweep]: in
@@ -377,9 +426,9 @@ class TestArrayImaging:
 
     @pytest.mark.parametrize("text", SIGNATURES)
     def test_duplicated_row_fails(self, text):
-        # a strip residual sums its strays box by box, which is their union
-        # only while the images are disjoint: a domain row listed twice
-        # images onto itself, and image_overlap fails the report
+        # the residuals' pair terms give the unions only while no three
+        # images share area: a domain row listed twice images onto itself,
+        # and image_overlap fails the report
         poly = polygon(text)
         part = partition(text, "midpoint")
         dom = build_attractor(poly, part)
@@ -395,8 +444,8 @@ class TestArrayImaging:
     @pytest.mark.parametrize("text", [t for t in SIGNATURES if t != "1;;1"])
     def test_block_tags_move_only_strip_residuals(self, text):
         # block tags shifted by one: each image is clipped to another
-        # block's band, so its parts outside that band (strays) carry most
-        # of its area; the symmetric difference, over all images whatever
+        # block's band, so its parts outside that band carry most of its
+        # area; the symmetric difference, over all images whatever
         # their tags, moves only by rounding, and the strip residuals fail
         poly = polygon(text)
         part = partition(text, "midpoint")
@@ -413,7 +462,7 @@ class TestArrayImaging:
     @pytest.mark.parametrize("text", SIGNATURES + SCALE)
     def test_subnormal_arc_end_under_every_error_state(self, text):
         # every arc end at angle 0 moved to 1e-310, which halves to an
-        # underflow in cayley and leaves a grid column 1e-310 wide: the
+        # underflow in cayley and leaves an overlap 1e-310 long: the
         # caller's error state changes no bit, and a warning would fail
         # the suite
         poly = polygon(text)
