@@ -6,7 +6,7 @@ from .errors import (CustomPointOutOfRange, FuchsianError, InvalidSignature,
 from .mobius import BoundaryPoint, DiskPoint, MoebiusPSU, geodesic_circle
 from .polygon import (MarkedPolygon, Signature, SignatureString,
                       build_canonical, signature_string, validate_polygon)
-from .boundary import (CycleData, Partition, cycle, f_apply, make_partition,
+from .boundary import (CycleData, Partition, cycle, make_partition,
                        markov_check, orbit, verify_matching)
 from .arcs import DirectedArc, Rect
 from .extension import (AttractorDomain, EntryTrace, build_attractor,

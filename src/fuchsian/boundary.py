@@ -29,6 +29,8 @@ class Partition:
     ``thetas`` holds the raw angles; ``lifted`` is their monotone lift with
     a closing entry at lifted[0] + 2pi, used for cell lookup (a cut that
     coincides with the base vertex lifts to 2pi instead of wrapping).
+    ``cuts`` are the sorted distinct angles, the one table that the orbit
+    walks snap to and ``extension.image_rects`` splits at.
     ``in_guarantee_range`` reports whether every elliptic cut lies in its
     closed [P, Q] arc, the hypothesis under which global attraction holds.
     """
@@ -38,6 +40,7 @@ class Partition:
     mode: str
     thetas: tuple[float, ...] = field(init=False)
     lifted: tuple[float, ...] = field(init=False)
+    cuts: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         thetas = tuple(p.theta for p in self.points)
@@ -55,6 +58,7 @@ class Partition:
             raise ValueError("partition points wind more than once")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "lifted", tuple(lifted))
+        object.__setattr__(self, "cuts", tuple(sorted(set(thetas))))
 
     @property
     def n(self) -> int:
@@ -137,13 +141,6 @@ def make_partition(poly: MarkedPolygon, mode: str,
     return Partition(poly, tuple(points), mode)
 
 
-def f_apply(poly: MarkedPolygon, part: Partition,
-            x: BoundaryPoint) -> tuple[int, BoundaryPoint]:
-    """One step of the boundary map: returns (cell index, image)."""
-    i = part.cell_of(x.theta)
-    return i, poly.generators[i].apply_boundary(x)
-
-
 @dataclass(frozen=True)
 class OrbitRecord:
     start: BoundaryPoint
@@ -176,21 +173,19 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     Iterates are snapped onto the cut set and onto previously seen points,
     which keeps the finite orbits of ideal vertices exactly periodic instead
     of drifting near parabolic fixed points."""
-    angles, periodic_from, budget = _walk(
-        poly, part, sorted(set(part.thetas)), x, side, max_steps, False)
+    angles, periodic_from, budget = _walk(poly, part, x, side, max_steps,
+                                          False)
     return OrbitRecord(x, side, tuple(map(BoundaryPoint.from_angle, angles)),
                        periodic_from, budget)
 
 
-def _walk(poly: MarkedPolygon, part: Partition, cuts: list[float],
-          x: BoundaryPoint, side: str, max_steps: int,
-          stop_at_cut: bool) -> tuple[list, int | None, bool]:
+def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
+          max_steps: int, stop_at_cut: bool) -> tuple[list, int | None, bool]:
     """``orbit``'s angles, periodic_from and budget flag; ``stop_at_cut``
-    also stops before the first cut it hits.  ``cuts`` are the sorted
-    distinct cut angles, built once per caller; a step is ``f_apply``'s
-    ``MoebiusPSU.apply_angle`` on the bare angle, with no ``BoundaryPoint``
-    made."""
-    gens = poly.generators
+    also stops before the first cut it hits.  Iterates snap to
+    ``part.cuts``; a step is the cell's ``MoebiusPSU.apply_angle`` on the
+    bare angle, normalized, with no ``BoundaryPoint`` made."""
+    gens, cuts = poly.generators, part.cuts
     k = part.cell_of(x.theta)
     if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
         k -= 1
@@ -268,21 +263,21 @@ def _matching_residual(poly: MarkedPolygon, part: Partition, k: int, J: int,
     """Residual of the matching identity at the cut point of vertex ``k``,
     checked by honestly iterating the boundary map on both one-sided orbits:
     J + 1 lower and I + 1 upper steps meet, or, on a degenerate cycle with
-    an upper orbit, land on the preceding and the following vertex."""
-    a = part.points[k]
-    n = poly.n_sides
-    up = poly.generators[k].apply_boundary(a)
-    low = poly.generators[(k - 1) % n].apply_boundary(a)
+    an upper orbit, land on the preceding and the following vertex.  Each
+    step is ``_walk``'s, on the bare angle."""
+    gens, n = poly.generators, poly.n_sides
+    a = part.points[k].theta
+    up = normalize_angle(gens[k].apply_angle(a))
+    low = normalize_angle(gens[(k - 1) % n].apply_angle(a))
     for _ in range(I):
-        _, up = f_apply(poly, part, up)
+        up = normalize_angle(gens[part.cell_of(up)].apply_angle(up))
     for _ in range(J):
-        _, low = f_apply(poly, part, low)
+        low = normalize_angle(gens[part.cell_of(low)].apply_angle(low))
     if degenerate and poly.vertices[k].order - 3 - J >= 0:
         hi = poly.vertices[(k + 1) % n].point.theta
         lo = poly.vertices[(k - 1) % n].point.theta
-        return max(angular_distance(up.theta, hi),
-                   angular_distance(low.theta, lo))
-    return angular_distance(up.theta, low.theta)
+        return max(angular_distance(up, hi), angular_distance(low, lo))
+    return angular_distance(up, low)
 
 
 def verify_matching(poly: MarkedPolygon, part: Partition, k: int,
@@ -316,14 +311,12 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     they generate maps interval-onto-intervals under the boundary map.
     Orbits stop at the first cut they land on (its own orbit goes on); the
     first to hit ``max_steps`` fails the report with an empty refinement.
-    The walks sort the cuts once per call, and each transition is one
-    circular run of refinement intervals."""
+    Each transition is one circular run of refinement intervals."""
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
-    cuts = sorted(set(part.thetas))
     for k in range(part.n):
         for side in ("upper", "lower"):
-            angles, _, budget = _walk(poly, part, cuts, part.points[k], side,
+            angles, _, budget = _walk(poly, part, part.points[k], side,
                                       max_steps, stop_at_cut=True)
             orbit_sizes[f"{k}:{side}"] = len(angles)
             if budget:

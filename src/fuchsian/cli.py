@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .tolerances import DEFAULT, Check, Report
-from .boundary import Partition, cycle, make_partition, markov_check
+from .boundary import MODES, Partition, cycle, make_partition, markov_check
 from .errors import FuchsianError
 from .extension import (AttractorDomain, build_attractor, simulate_entry,
                         traces_to_csv, verify_bijectivity)
@@ -80,7 +80,7 @@ class VerifyReport(Report):
 
 def parse_partition_arg(text: str):
     """Returns (mode, custom angles or None)."""
-    if text in ("left", "right", "midpoint"):
+    if text in MODES:
         return text, None
     if text.startswith("custom="):
         body = text[len("custom="):]

@@ -218,7 +218,7 @@ def image_rects(poly: MarkedPolygon, part: Partition,
     Raises ``ValueError`` for an arc of sweep at most ``WRAP``, as
     ``DirectedArc`` does.
     """
-    cuts = np.array(sorted(set(part.thetas)))
+    cuts = np.array(part.cuts)
     rows, lo, hi, sweep = _split(*rs.theta[:, 2:].T, rs.sweep[:, 1], cuts)
     # Partition.cell_of of each piece's midpoint
     cell, coef = _gluing(poly, part.lifted[:part.n],
@@ -273,10 +273,13 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
               + sum_i<j |I_i and I_j|,
         strip_b = sum_r |R_r and B_b|
                   + sum_i in b (|I_i| - 2 sum_r |I_i^b and R_r|)
-                  + sum_i<j in b |I_i^b and I_j^b|,
+                  + sum_i<j in b |I_i and I_j|,
 
-    so an image's part outside its band counts to its block.  Each
-    intersection is the product of a u- and a w-overlap
+    so an image's part outside its band counts to its block.  The strip's
+    pair term is the unclipped pair product of ``sym``, read off at the
+    pairs of one block: |I_i and I_j| >= |I_i^b and I_j^b|, equal when two
+    images of one block meet only inside its band, so it can only raise a
+    residual.  Each intersection is the product of a u- and a w-overlap
     (``_overlap_lengths``), taken ``_ROWS`` images at a time.  The largest
     pair product is ``image_overlap``: earlier image's intervals outer,
     pairs i < j only, so it is the scalar pair loop's to the bit.
@@ -300,7 +303,8 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     uc = clip_intervals(u, bands[images.block, :1])
 
     # per image: sum_r |I_i and R_r|, sum_r |I_i^b and R_r|, and the pair
-    # terms against later images, all of them and those of its block
+    # terms against later images: all of them, and the same ones masked to
+    # its block
     sums = np.empty((4, len(images)))
     overlap = 0.0
     for s in range(0, len(images), _ROWS):
@@ -309,13 +313,12 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
         sums[0, rows] = (_overlap_lengths(u[rows], du) * wd).sum(axis=1)
         sums[1, rows] = (_overlap_lengths(uc[rows], du) * wd).sum(axis=1)
         # row i = s + r against column j = s + 1 + c: i < j is c >= r
-        ww = _overlap_lengths(w[rows], w[s + 1:])
-        pair = np.triu(_overlap_lengths(u[rows], u[s + 1:]) * ww)
+        pair = np.triu(_overlap_lengths(u[rows], u[s + 1:])
+                       * _overlap_lengths(w[rows], w[s + 1:]))
         overlap = max(overlap, float(pair.max(initial=0.0)))
         sums[2, rows] = pair.sum(axis=1)
         same = images.block[rows, None] == images.block[None, s + 1:]
-        sums[3, rows] = np.triu(_overlap_lengths(uc[rows], uc[s + 1:]) * ww
-                                * same).sum(axis=1)
+        sums[3, rows] = (pair * same).sum(axis=1)
 
     sym = float(dom.arrays.area.sum()
                 + (images.area - 2.0 * sums[0] + sums[2]).sum())

@@ -376,14 +376,6 @@ def block_glue_product(poly: MarkedPolygon, blk: Block) -> MoebiusPSU:
     return poly.generators[s]
 
 
-def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:
-    """Product of all block gluings, first block applied first; fixes V_0."""
-    total = MoebiusPSU.identity()
-    for blk in poly.blocks:
-        total = block_glue_product(poly, blk) @ total
-    return total
-
-
 def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     """Numerically verify the structural properties of the construction."""
     checks: dict[str, Check] = {}
@@ -426,8 +418,12 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     # (c) free combination: excluded caps pairwise disjoint inside the disk
     checks["free_combination"] = _disjointness(poly, DEFAULT.residual)
 
-    # (d) the full gluing product fixes V_0 and is parabolic (|trace| = 2)
-    prod = boundary_product(poly)
+    # (d) the product of all block gluings, the first block's applied first,
+    # fixes V_0 and is parabolic (|trace| = 2)
+    glue = [block_glue_product(poly, blk) for blk in poly.blocks]
+    prod = MoebiusPSU.identity()
+    for g in glue:
+        prod = g @ prod
     fix_res = abs(prod.apply(1.0 + 0j) - 1.0)
     tr_res = abs(abs(prod.trace) - 2.0)
     checks["parabolic_product"] = Check(
@@ -443,9 +439,9 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     # (f) ideal corner vertices equally distributed: each block's gluing
     # carries its start corner onto the next block's (the last onto V_0)
     worst, detail = 0.0, ""
-    for blk, nxt in zip(poly.blocks, poly.blocks[1:] + poly.blocks[:1]):
-        image = block_glue_product(poly, blk).apply(
-            poly.vertices[blk.side_start].point.z)
+    for g, blk, nxt in zip(glue, poly.blocks,
+                           poly.blocks[1:] + poly.blocks[:1]):
+        image = g.apply(poly.vertices[blk.side_start].point.z)
         res = abs(image - poly.vertices[nxt.side_start].point.z)
         if res > worst:
             worst, detail = res, f"block {blk.index}"

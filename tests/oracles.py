@@ -24,14 +24,20 @@ their error state, and ``moebius_reference`` the step that finds the seam
 by testing every quotient for NaN, where ``extension._moebius`` finds it by
 numpy's invalid flag; ``bisector_endpoint`` constructs the end of the angle
 bisector at an elliptic vertex from the tangents of the sides' circles
-(``tangent_at``), independently of the arc midpoint ``AuxPoints.M``;
-``walk_reference`` walks an orbit one ``BoundaryPoint`` at a time through
-``f_apply``, where ``orbit`` and ``markov_check`` step on bare angles, both
-by ``MoebiusPSU.apply_angle``, and ``markov_reference`` rebuilds the Markov
-report from it, each transition the ``circular_run`` between the refinement
-points that a scan of all of them finds nearest to the images of the
-interval's ends (a full walk is kept per signature, cuts, start, side and
-budget, as two tests repeat them); ``markov_full_walk`` refines the
+(``tangent_at``), independently of the arc midpoint ``AuxPoints.M``, and
+``boundary_product`` folds the block gluings one product at a time, where
+``validate_polygon`` forms each block's gluing once for both checks;
+``f_apply`` is one step of the boundary map on a ``BoundaryPoint``, by
+``MoebiusPSU.apply_boundary``; ``walk_reference`` walks an orbit one
+``BoundaryPoint`` at a time through it, where ``orbit`` and
+``markov_check`` step on bare angles, both by ``MoebiusPSU.apply_angle``,
+``matching_walk`` iterates the matching identity of a cycle the same way,
+where ``cycle`` stores the walk on bare angles as ``matching_residual``;
+``markov_reference`` rebuilds the Markov report from ``walk_reference``,
+each transition the ``circular_run`` between the refinement points that
+a scan of all of them finds nearest to the images of the interval's ends
+(a full walk is kept per signature, cuts, start, side and budget, as two
+tests repeat them); ``markov_full_walk`` refines the
 partition by every cut-point orbit walked in full, where ``markov_check``
 stops each orbit at the first cut it lands on; ``orthogonal_circle`` finds
 the circle of a geodesic by a linear solve of its two incidence equations,
@@ -62,15 +68,23 @@ import numpy as np
 
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
-                      f_apply, geodesic_circle)
+                      geodesic_circle)
 from fuchsian.arcs import (_ROWS, RectArray, _breakpoints, _overlap_lengths,
                            cayley, ccw_sweep, clip_intervals)
 from fuchsian.boundary import MarkovReport, OrbitRecord
 from fuchsian.extension import (BijectivityReport, _fan, _gluing, _moebius,
                                 image_rects)
-from fuchsian.mobius import TAU, angular_distance, normalize_angle
+from fuchsian.mobius import TAU, MoebiusPSU, angular_distance, normalize_angle
+from fuchsian.polygon import block_glue_product
 from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
                                  Check, Report)
+
+
+def f_apply(poly: MarkedPolygon, part: Partition,
+            x: BoundaryPoint) -> tuple[int, BoundaryPoint]:
+    """One step of the boundary map: returns (cell index, image)."""
+    i = part.cell_of(x.theta)
+    return i, poly.generators[i].apply_boundary(x)
 
 
 def F_apply(poly: MarkedPolygon, part: Partition, u: BoundaryPoint,
@@ -546,6 +560,14 @@ def tangent_at(circle: tuple[complex, float] | None, at: complex,
     return t
 
 
+def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:
+    """Product of all block gluings, first block applied first; fixes V_0."""
+    total = MoebiusPSU.identity()
+    for blk in poly.blocks:
+        total = block_glue_product(poly, blk) @ total
+    return total
+
+
 def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:
     """Ideal endpoint of the bisector of the angle P_k V_k Q_k.
 
@@ -649,6 +671,28 @@ def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
     else:
         budget = True
     return OrbitRecord(x, side, tuple(points), periodic_from, budget)
+
+
+def matching_walk(poly: MarkedPolygon, part: Partition, k: int, J: int,
+                  I: int, degenerate: bool) -> float:
+    """``boundary._matching_residual`` one ``BoundaryPoint`` at a time
+    through ``f_apply``: J + 1 lower and I + 1 upper steps from the cut point
+    of vertex ``k``, their distance, or on a degenerate cycle with an upper
+    orbit the distances to the preceding and the following vertex."""
+    a = part.points[k]
+    n = poly.n_sides
+    up = poly.generators[k].apply_boundary(a)
+    low = poly.generators[(k - 1) % n].apply_boundary(a)
+    for _ in range(I):
+        _, up = f_apply(poly, part, up)
+    for _ in range(J):
+        _, low = f_apply(poly, part, low)
+    if degenerate and poly.vertices[k].order - 3 - J >= 0:
+        hi = poly.vertices[(k + 1) % n].point.theta
+        lo = poly.vertices[(k - 1) % n].point.theta
+        return max(angular_distance(up.theta, hi),
+                   angular_distance(low.theta, lo))
+    return angular_distance(up.theta, low.theta)
 
 
 def transition_ends(poly: MarkedPolygon, part: Partition,

@@ -8,11 +8,12 @@ import pytest
 
 from conftest import (MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES, partition,
                       polygon)
-from oracles import (circular_run, markov_full_walk, markov_reference,
-                     transition_ends, walk_reference)
+from oracles import (circular_run, f_apply, markov_full_walk,
+                     markov_reference, matching_walk, transition_ends,
+                     walk_reference)
 
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NonFinite,
-                      NotElliptic, Partition, cycle, f_apply, make_partition,
+                      NotElliptic, Partition, cycle, make_partition,
                       markov_check, orbit, verify_matching)
 from fuchsian.mobius import TAU, DiskPoint, angular_distance
 
@@ -132,6 +133,21 @@ class TestMakePartition:
         outside = (aux.P.theta - 0.05) % TAU
         part = make_partition(poly, "custom", [1.5, outside])
         assert not part.in_guarantee_range()
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_cuts_are_the_sorted_distinct_angles(self, text):
+        poly = polygon(text)
+        for part in ([partition(text, m) for m in MODES]
+                     + [p for p, _ in seeded_partitions(poly)]):
+            assert list(part.cuts) == sorted(set(part.thetas)), part.mode
+            assert all(a < b for a, b in zip(part.cuts, part.cuts[1:]))
+
+    def test_cut_on_a_corner_is_one_cut(self):
+        # the left cut of an order-2 vertex is the ideal corner before it
+        part = partition("0;2,2;2", "left")
+        assert len(part.cuts) < part.n
+        with pytest.raises(TypeError):
+            Partition(part.poly, part.points, part.mode, cuts=part.cuts)
 
 
 class TestBoundaryMap:
@@ -330,6 +346,18 @@ class TestCycle:
             assert data.matching_residual == verify_matching(poly, part, k,
                                                              data)
         assert cycle(poly, part, 87).matching_residual > 1e-9
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_matching_residual_equals_the_point_walk(self, text):
+        # cycle walks bare angles; matching_walk steps BoundaryPoints
+        # through f_apply, on the named and the seeded custom cuts
+        poly = polygon(text)
+        for part in ([partition(text, m) for m in MODES]
+                     + [p for p, _ in seeded_partitions(poly)]):
+            for k in poly.elliptic_indices():
+                d = cycle(poly, part, k)
+                assert d.matching_residual == matching_walk(
+                    poly, part, k, d.J, d.I, d.degenerate), (part.mode, k)
 
     @pytest.mark.parametrize("text, mode, k, J", MPMATH_DEGENERATE)
     def test_corner_landing_matches_mpmath(self, text, mode, k, J):

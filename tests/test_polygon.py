@@ -9,15 +9,15 @@ import pytest
 import numpy as np
 
 from conftest import SCALE, SIGNATURES, polygon, side_circle
-from oracles import bisector_endpoint
+from oracles import bisector_endpoint, boundary_product
 
 from fuchsian import (InvalidSignature, Signature, build_canonical,
                       signature_string, validate_polygon)
 from fuchsian.mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
                              angular_distance)
-from fuchsian.polygon import (INFINITY, SQUARE, boundary_product,
-                              elliptic_generator, hyperbolic_generator_a,
-                              hyperbolic_generator_b, rotation_powers)
+from fuchsian.polygon import (INFINITY, SQUARE, elliptic_generator,
+                              hyperbolic_generator_a, hyperbolic_generator_b,
+                              rotation_powers)
 
 MODULAR = "0;2,3;1"
 # perturbed at their first vertex of order >= 3
