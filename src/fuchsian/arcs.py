@@ -104,29 +104,23 @@ class RectArray:
 
     def intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """The ``seam_split`` of the u-arcs and of the w-arcs."""
-        return (seam_split(self.theta[:, 0], self.sweep[:, 0]),
-                seam_split(self.theta[:, 2], self.sweep[:, 1]))
+        u, w = seam_split(self.theta[:, 0::2].T, self.sweep.T)
+        return u, w
 
 
 # -- intervals and their overlaps ---------------------------------------------
 
-# rectangles per slice of a loop over overlap products: bounds each float64
-# temporary at _ROWS times the other dimension
-_ROWS = 32
-
-
 def seam_split(start: np.ndarray, sweep: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) plain intervals within [0, 2pi] of the arcs (start, sweep):
-    the arc from lo = start mod 2pi up to lo + sweep, cut at 2pi when it runs
-    more than 1e-15 past it, the rest then from 0; an arc of one interval is
-    padded with the empty interval (0, 0)."""
+    """(..., 2, 2) plain intervals within [0, 2pi] of the arcs (start,
+    sweep): the arc from lo = start mod 2pi up to lo + sweep, cut at 2pi when
+    it runs more than 1e-15 past it, the rest then from 0; an arc of one
+    interval is padded with the empty interval (0, 0)."""
     lo = np.mod(start, TAU)
     hi = lo + sweep
-    one = hi <= TAU + 1e-15
-    out = np.zeros((len(lo), 2, 2))
-    out[:, 0, 0] = lo
-    out[:, 0, 1] = np.where(one, np.minimum(hi, TAU), TAU)
-    out[:, 1, 1] = np.where(one, 0.0, hi - TAU)
+    out = np.zeros(lo.shape + (2, 2))
+    out[..., 0, 0] = lo
+    out[..., 0, 1] = np.minimum(hi, TAU)
+    out[..., 1, 1] = np.where(hi > TAU + 1e-15, hi - TAU, 0.0)
     return out
 
 
@@ -161,16 +155,17 @@ def _breakpoints(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values (``np.unique`` loads three more modules on its
     first call, which shows in the peak memory)."""
     v = np.sort(values, axis=None)
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+    return np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
 
 
 def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(len(x), len(y)) overlap lengths of padded interval pairs, summed
-    with x's intervals outer and y's inner."""
-    total = np.zeros((len(x), len(y)))
+    """Overlap lengths of the padded interval pairs x[..., :, :] and
+    y[..., :, :], broadcast against each other (``x[:, None]`` against y
+    gives every pair), summed with x's intervals outer and y's inner."""
+    total = 0.0
     for a in range(2):
         for b in range(2):
-            ov = np.minimum(x[:, None, a, 1], y[None, :, b, 1])
-            ov -= np.maximum(x[:, None, a, 0], y[None, :, b, 0])
+            ov = np.minimum(x[..., a, 1], y[..., b, 1])
+            ov -= np.maximum(x[..., a, 0], y[..., b, 0])
             total += np.maximum(ov, 0.0, out=ov)
     return total

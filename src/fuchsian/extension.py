@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
-from .arcs import (_ROWS, DirectedArc, Rect, RectArray, _breakpoints,
+from .arcs import (DirectedArc, Rect, RectArray, _breakpoints,
                    _overlap_lengths, cayley, cayley_angle, clip_intervals,
                    seam_split)
 from .boundary import CycleData, Partition, cycle
@@ -224,17 +224,16 @@ def image_rects(poly: MarkedPolygon, part: Partition,
     cell, coef = _gluing(poly, part.lifted[:part.n],
                          _normalize(lo + 0.5 * sweep))
     # rows u-start, u-end, w-start, w-end
-    x = cayley(np.stack([*rs.theta[rows, :2].T, lo, hi]))
-    with np.errstate(all="ignore", invalid="raise"):
-        img = _normalize(cayley_angle(_moebius(x, coef))).T
+    x = cayley(np.array([*rs.theta[rows, :2].T, lo, hi]))
+    with np.errstate(all="ignore"):
+        img = _normalize(cayley_angle(_seam(_moebius(x, coef), coef))).T
     start, end = img[:, 0::2], img[:, 1::2]
     full = np.column_stack([rs.sweep[rows, 0], sweep]) >= TAU - WRAP
     out = np.where(full, TAU, (end - start) % TAU)
     if not ((sweep > WRAP).all() and (out > WRAP).all()):
         raise ValueError("an imaged arc has sweep at most WRAP")
-    end = np.where(full, _normalize(start + TAU), end)
-    return RectArray(np.stack([start, end], axis=2).reshape(-1, 4), out,
-                     rs.block[rows], cell)
+    img[:, 1::2] = np.where(full, _normalize(start + TAU), end)
+    return RectArray(img, out, rs.block[rows], cell)
 
 
 @dataclass(frozen=True)
@@ -250,6 +249,50 @@ class BijectivityReport(Report):
     image_overlap = property(lambda self: self.checks["image_overlap"].residual)
     symmetric_difference = property(
         lambda self: self.checks["symmetric_difference"].residual)
+
+
+# an interval's start adds its weight to the cover's slope, its end takes it
+_ENDS = np.array([[1.0, -1.0], [1.0, -1.0]])
+
+
+def _pieces(x: np.ndarray):
+    """Row, start and end of each nonempty interval of the padded rows x,
+    by start."""
+    lo, hi = x[..., 0].ravel(), x[..., 1].ravel()
+    keep = np.flatnonzero(lo < hi)
+    keep = keep[np.argsort(lo[keep], kind="stable")]
+    return keep // 2, lo[keep], hi[keep]
+
+
+def _meeting(x: np.ndarray, y: np.ndarray):
+    """Row pairs (i, k), by i and then k, whose padded intervals x[i] and
+    y[k] overlap by a positive length.
+
+    Two intervals overlap exactly when one starts in [lo, hi) of the other,
+    or the other way round strictly inside: with each side's nonempty
+    intervals sorted by start, those are runs read by two ``searchsorted``
+    per interval, and each overlapping pair of intervals is met once.  Two
+    rows meet once for each such pair, hence the distinct pairs."""
+    xi, xl, xh = _pieces(x)
+    yk, yl, yh = _pieces(y)
+    a, b = _runs(np.searchsorted(yl, xl), np.searchsorted(yl, xh))
+    c, d = _runs(np.searchsorted(xl, yl, side="right"),
+                 np.searchsorted(xl, yh))
+    key = _breakpoints(np.concatenate([xi[a] * len(y) + yk[b],
+                                       xi[d] * len(y) + yk[c]]))
+    return np.divmod(key, len(y))
+
+
+def _cover(x: np.ndarray, weight: np.ndarray):
+    """Breakpoints t and values G(t) of the cumulative cover G(t) = sum_k
+    weight_k |[0, t] and x_k| of the padded rows x, linear between them: its
+    slope past each breakpoint is the summed weight of the intervals that
+    started and have not ended (ties add G nothing, in any order)."""
+    t = x.ravel()
+    order = np.argsort(t)
+    slope = np.cumsum((weight[:, None, None] * _ENDS).ravel()[order])
+    t = t[order]
+    return t, np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(t))))
 
 
 @np.errstate(under="ignore")
@@ -280,9 +323,29 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     pairs of one block: |I_i and I_j| >= |I_i^b and I_j^b|, equal when two
     images of one block meet only inside its band, so it can only raise a
     residual.  Each intersection is the product of a u- and a w-overlap
-    (``_overlap_lengths``), taken ``_ROWS`` images at a time.  The largest
-    pair product is ``image_overlap``: earlier image's intervals outer,
-    pairs i < j only, so it is the scalar pair loop's to the bit.
+    (``_overlap_lengths``).
+
+    Only pairs that meet in u are formed.  Row r = U_r x W_r has the u-gap
+    G_r = S - U_r and the gap rectangle C_r = G_r x W_r.  U_r and G_r split
+    the circle, so |U_i and U_r| = |U_i| - |U_i and G_r|, and for any row
+    list, tiled or not,
+
+        sum_r |I_i and R_r| = |U_i| sum_r |W_i and W_r|
+                              - sum_r |I_i and C_r|.
+
+    With the cover G(t) = sum_r |[0, t] and W_r|, which is piecewise linear
+    with the domain's w-interval ends as breakpoints (``_cover``: one sort
+    and two running sums), sum_r |[a, b] and W_r| = G(b) - G(a), read by
+    ``np.interp`` at the ends of each interval [a, b] of W_i.  The gap sum
+    and the image pairs i < j run over the pairs whose u-intervals overlap
+    by a positive length (``_meeting``), and of those the pairs that meet
+    in w too: images are narrow in u, and so are the gaps of the wide
+    domain u-arcs.  The clipped sums are the same with I_i^b, and the band
+    term sum_r |R_r and B_b| is the cover of the domain's u-intervals, each
+    weighted by its row's w-sweep, across the band.  Each pair's overlaps
+    are taken in the order of ``_overlap_lengths``, earlier image's
+    intervals outer, so the largest pair product, ``image_overlap``, is the
+    scalar pair loop's to the bit.
 
     The sums are exact when the domain rectangles are disjoint (their
     w-arcs tile the circle, which ``build_attractor`` checks) and no three
@@ -294,37 +357,45 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     underflow, as at an arc end at a subnormal angle; underflow is ignored
     whatever the caller's error state.
     """
-    images = image_rects(poly, part, dom.arrays)
+    rs = dom.arrays
+    images = image_rects(poly, part, rs)
+    n = len(images)
     u, w = images.intervals()
-    du, dw = dom.arrays.intervals()
+    du, dw = rs.intervals()
     # no band crosses the seam: each is its first interval
     bands = seam_split(np.array([blk.base_angle for blk in poly.blocks]),
                        np.array([blk.sweep for blk in poly.blocks]))
     uc = clip_intervals(u, bands[images.block, :1])
+    gap = seam_split(rs.theta[:, 0] + rs.sweep[:, 0], TAU - rs.sweep[:, 0])
 
-    # per image: sum_r |I_i and R_r|, sum_r |I_i^b and R_r|, and the pair
-    # terms against later images: all of them, and the same ones masked to
-    # its block
-    sums = np.empty((4, len(images)))
-    overlap = 0.0
-    for s in range(0, len(images), _ROWS):
-        rows = slice(s, s + _ROWS)
-        wd = _overlap_lengths(w[rows], dw)
-        sums[0, rows] = (_overlap_lengths(u[rows], du) * wd).sum(axis=1)
-        sums[1, rows] = (_overlap_lengths(uc[rows], du) * wd).sum(axis=1)
-        # row i = s + r against column j = s + 1 + c: i < j is c >= r
-        pair = np.triu(_overlap_lengths(u[rows], u[s + 1:])
-                       * _overlap_lengths(w[rows], w[s + 1:]))
-        overlap = max(overlap, float(pair.max(initial=0.0)))
-        sums[2, rows] = pair.sum(axis=1)
-        same = images.block[rows, None] == images.block[None, s + 1:]
-        sums[3, rows] = (pair * same).sum(axis=1)
+    # per image: |U_i| and |U_i^b| times sum_r |W_i and W_r|
+    ends = np.interp(w, *_cover(dw, np.ones(len(dw))))
+    both = np.array([u, uc])
+    spans = (np.maximum(both[..., 1] - both[..., 0], 0.0).sum(axis=2)
+             * (ends[..., 1] - ends[..., 0]).sum(axis=1))
 
-    sym = float(dom.arrays.area.sum()
-                + (images.area - 2.0 * sums[0] + sums[2]).sum())
-    strip = ((_overlap_lengths(bands, du) * dom.arrays.sweep[:, 1]).sum(axis=1)
-             + np.bincount(images.block, weights=images.area - 2.0 * sums[1]
-                           + sums[3], minlength=len(bands)))
+    # image i against image k < n with i < k, or against the gap C_{k - n}
+    other = np.concatenate([u, gap])
+    i, k = _meeting(u, other)
+    lw = _overlap_lengths(w[i], np.concatenate([w, dw])[k])
+    keep = (lw > 0.0) & ((k >= n) | (i < k))
+    i, k, lw = i[keep], k[keep], lw[keep]
+    lu, lc = _overlap_lengths(both[:, i], other[k])
+    pair = lu * lw
+    later = k < n
+    overlap = float(pair[later].max(initial=0.0))
+    # a gap pair reads some image's block, and is masked off
+    same = later & (images.block[i] == images.block[np.minimum(k, n - 1)])
+
+    sym = float(rs.area.sum() + (images.area - 2.0 * spans[0]).sum()
+                + np.where(later, pair, 2.0 * pair).sum())
+    band = np.interp(bands[:, 0], *_cover(du, rs.sweep[:, 1]))
+    strip = (band[:, 1] - band[:, 0]
+             + np.bincount(np.concatenate([images.block, images.block[i]]),
+                           np.concatenate([images.area - 2.0 * spans[1],
+                                           np.where(later, same * pair,
+                                                    2.0 * lc * lw)]),
+                           minlength=len(bands)))
     strip_res = strip.tolist()
 
     return BijectivityReport(
@@ -424,10 +495,15 @@ def _moebius(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
         return a[:, 0] / a[:, 1]
     except FloatingPointError:
         with np.errstate(invalid="ignore"):
-            y = _moebius(x, coef)
-            seam = np.isnan(y)
-            y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
-        return y
+            return _seam(_moebius(x, coef), coef)
+
+
+def _seam(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``_moebius`` images y taken with invalid ignored, each NaN, the image
+    of a seam state, set to p / r."""
+    seam = np.isnan(y)
+    y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
+    return y
 
 
 def _on_arc(x: np.ndarray, lo, hi, nw) -> np.ndarray:

@@ -356,7 +356,7 @@ def _disjointness(poly: MarkedPolygon, tol: float) -> Check:
             for i in range(n)]
     arcs = seam_split(np.array([c.start.theta for c in caps]),
                       np.array([c.sweep for c in caps]))
-    overlap = _overlap_lengths(arcs, arcs)
+    overlap = _overlap_lengths(arcs[:, None], arcs)
     rows = np.arange(n)
     overlap[rows, rows] = 0.0
     overlap[rows, poly.pairing] = 0.0

@@ -11,6 +11,7 @@ the torus chart, split at the 0/2pi seam.
 from __future__ import annotations
 
 import colorsys
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,10 @@ class FigureSpec:
             raise ValueError("canvas must be at least 100 px")
 
 
+@functools.lru_cache(maxsize=None)
 def block_color(index: int) -> str:
-    """Fixed palette: golden-angle hue walk, distinguishable and stable."""
+    """Fixed palette: golden-angle hue walk, distinguishable and stable;
+    each color is formed once per process."""
     hue = (index * 137.50776405003785) % 360.0 / 360.0
     r, g, b = colorsys.hls_to_rgb(hue, 0.45, 0.85)
     return f"#{int(round(r*255)):02x}{int(round(g*255)):02x}{int(round(b*255)):02x}"

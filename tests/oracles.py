@@ -69,8 +69,8 @@ import numpy as np
 from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
                       geodesic_circle)
-from fuchsian.arcs import (_ROWS, RectArray, _breakpoints, _overlap_lengths,
-                           cayley, ccw_sweep, clip_intervals)
+from fuchsian.arcs import (RectArray, _breakpoints, _overlap_lengths, cayley,
+                           ccw_sweep, clip_intervals)
 from fuchsian.boundary import MarkovReport, OrbitRecord
 from fuchsian.extension import (BijectivityReport, _fan, _gluing, _moebius,
                                 image_rects)
@@ -187,6 +187,10 @@ def scalar_draws(seed: int, samples: int,
 
 # -- box measure on a coverage grid -------------------------------------------
 
+# rectangles per slice of a loop over overlap products or grid columns:
+# bounds each float64 temporary at _ROWS times the other dimension
+_ROWS = 32
+
 
 def _products(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(n, p q, 4) boxes ``(u_lo, u_hi, w_lo, w_hi)``: row i's products of
@@ -255,8 +259,8 @@ def max_pairwise_overlap(u: np.ndarray, w: np.ndarray) -> float:
     worst = 0.0
     for s in range(0, len(u), _ROWS):
         # row i = s + r against column j = s + 1 + c: i < j is c >= r
-        area = (_overlap_lengths(u[s:s + _ROWS], u[s + 1:])
-                * _overlap_lengths(w[s:s + _ROWS], w[s + 1:]))
+        area = (_overlap_lengths(u[s:s + _ROWS, None], u[s + 1:])
+                * _overlap_lengths(w[s:s + _ROWS, None], w[s + 1:]))
         worst = max(worst, float(np.triu(area).max(initial=0.0)))
     return worst
 
@@ -972,8 +976,8 @@ def verify_exceptional(poly: MarkedPolygon, part: Partition, k: int,
         out = region.area
         for s in range(0, len(region), _PIECES):
             out[s:s + _PIECES] -= (
-                _overlap_lengths(u[s:s + _PIECES], dom_u)
-                * _overlap_lengths(w[s:s + _PIECES], dom_w)).sum(axis=1)
+                _overlap_lengths(u[s:s + _PIECES, None], dom_u)
+                * _overlap_lengths(w[s:s + _PIECES, None], dom_w)).sum(axis=1)
         return out
 
     worst = 0.0

@@ -25,11 +25,11 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       build_attractor, cycle, check_forward_invariance,
                       make_partition, phi_set, simulate_entry, tolerances,
                       verify_bijectivity)
-from fuchsian.arcs import (DirectedArc, Rect, RectArray, cayley,
-                          cayley_angle, seam_split)
-from fuchsian.extension import (EntryTrace, _check_tiling, _draws, _Kernel,
-                                _mix64, _moebius, _runs, _split, image_rects,
-                                traces_to_csv)
+from fuchsian.arcs import (DirectedArc, Rect, RectArray, _overlap_lengths,
+                          cayley, cayley_angle, seam_split)
+from fuchsian.extension import (EntryTrace, _check_tiling, _cover, _draws,
+                                _Kernel, _meeting, _mix64, _moebius, _runs,
+                                _split, image_rects, traces_to_csv)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
@@ -439,6 +439,27 @@ class TestArrayImaging:
             rep = verify_bijectivity(poly, part, twice)
             assert not rep.checks["image_overlap"].passed, k
             assert not rep.passed, k
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("text", SIGNATURES)
+    def test_shuffled_rows_change_nothing(self, text, mode):
+        # the sums hold for any row list in any order: the same verdicts,
+        # image_overlap to the bit, and every residual within 1e-12
+        poly = polygon(text)
+        part = partition(text, mode)
+        dom = build_attractor(poly, part)
+        perm = np.random.default_rng(len(dom.arrays)).permutation(
+            len(dom.arrays))
+        rep = verify_bijectivity(poly, part, dom)
+        got = verify_bijectivity(poly, part, dataclasses.replace(
+            dom, arrays=dom.arrays.take(perm)))
+        assert ({k: c.passed for k, c in got.checks.items()}
+                == {k: c.passed for k, c in rep.checks.items()})
+        assert got.image_overlap == rep.image_overlap
+        assert abs(got.symmetric_difference
+                   - rep.symmetric_difference) < 1e-12
+        assert max(abs(a - b) for a, b in zip(got.strip_residuals,
+                                              rep.strip_residuals)) < 1e-12
 
     # 1;;1 is one block
     @pytest.mark.parametrize("text", [t for t in SIGNATURES if t != "1;;1"])
@@ -1596,3 +1617,75 @@ class TestRuns:
         kern = _Kernel(poly, part, *lists)
         for cand, rs in zip(kern.cand, lists):
             assert np.array_equal(cand, candidates_reference(kern.breaks, rs))
+
+
+# interval ends where pairs touch, start together, cross the seam or end at
+# a subnormal angle, and any angle besides
+_ENDPOINTS = st.one_of(st.sampled_from([0.0, 1e-310, 0.5, 1.0, 3.0, TAU]),
+                       st.floats(0.0, TAU))
+_SWEEPS = st.one_of(st.sampled_from([1e-310, 0.5, TAU - 0.5, TAU]),
+                    st.floats(1e-300, TAU))
+
+
+def _padded(rows):
+    return np.array(rows, dtype=float).reshape(-1, 2, 2)
+
+
+# padded rows: a seam-split arc (full, across the seam, or one interval and
+# the padding), or any two intervals, empty ones among them
+_ROW = st.one_of(
+    st.builds(lambda s, w: seam_split(np.array([s]), np.array([w]))[0]
+              .tolist(), _ENDPOINTS, _SWEEPS),
+    st.lists(st.lists(_ENDPOINTS, min_size=2, max_size=2).map(sorted),
+             min_size=2, max_size=2))
+_ROWS = st.lists(_ROW, min_size=1, max_size=12).map(_padded)
+
+
+class TestCandidatePairs:
+    """The candidate pairs of ``verify_bijectivity`` and its cover function
+    against the dense overlap products they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ROWS, _ROWS)
+    @example(_padded([[[0.0, 1e-310], [0.0, 0.0]], [[1.0, 2.0], [0.0, 0.0]]]),
+             _padded([[[0.0, 0.5], [0.0, 0.0]], [[2.0, 3.0], [0.0, 0.0]],
+                      [[5.0, TAU], [0.0, 1.0]]]))
+    def test_pairs_are_the_positive_overlaps(self, x, y):
+        # exactly the row pairs of positive overlap, each once, by row; the
+        # pairs of one list with i < k, its strict upper triangle
+        i, k = _meeting(x, y)
+        want = np.nonzero(_overlap_lengths(x[:, None], y) > 0.0)
+        assert i.tolist() == want[0].tolist()
+        assert k.tolist() == want[1].tolist()
+        i, k = _meeting(x, x)
+        later = i < k
+        want = np.nonzero(np.triu(_overlap_lengths(x[:, None], x) > 0.0, 1))
+        assert i[later].tolist() == want[0].tolist()
+        assert k[later].tolist() == want[1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ROWS, _ROWS, st.lists(st.floats(0.0, 10.0), min_size=12,
+                                  max_size=12))
+    def test_cover_equals_summed_overlaps(self, x, y, weight):
+        # G(b) - G(a) over y's intervals is sum_k weight_k |y_i and x_k|
+        weight = np.array(weight[:len(x)])
+        ends = np.interp(y, *_cover(x, weight))
+        got = (ends[..., 1] - ends[..., 0]).sum(axis=1)
+        want = (_overlap_lengths(y[:, None], x) * weight).sum(axis=1)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, weight.sum())
+
+    @pytest.mark.parametrize("key", [(MANY_BLOCKS, "left"),
+                                     ("2;2,5,8;2", "midpoint"),
+                                     (STRESS[0], "midpoint")], ids=str)
+    def test_pairs_of_images_and_gaps(self, key):
+        # the lists verify_bijectivity meets: the images' u-intervals
+        # against themselves and the domain rows' u-gaps
+        poly, part = polygon(key[0]), partition(*key)
+        rs = build_attractor(poly, part).arrays
+        u, _ = image_rects(poly, part, rs).intervals()
+        other = np.concatenate([u, seam_split(rs.theta[:, 0] + rs.sweep[:, 0],
+                                              TAU - rs.sweep[:, 0])])
+        i, k = _meeting(u, other)
+        want = np.nonzero(_overlap_lengths(u[:, None], other) > 0.0)
+        assert i.tolist() == want[0].tolist()
+        assert k.tolist() == want[1].tolist()
