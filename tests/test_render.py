@@ -37,6 +37,30 @@ POLYGON_SVG_SHA256 = {
         "2dfb88192a013fb8aba379a15bd71d6dbb325ebdc2cd2cc5f3db15a60d3ec9ec",
 }
 
+# SHA-256 of render_attractor at the default FigureSpec, on the same cases:
+# any change to a rectangle's seam split, its tags or a coordinate's digits
+# shows here
+ATTRACTOR_SVG_SHA256 = {
+    ("0;2,3;1", "left"):
+        "ca1b90e26433550e1886fcb383c87f6d5b729759ec4afa3f5d4f62fe004996ce",
+    ("0;2,3;1", "right"):
+        "66312b1123128b3b995d404293fee7f303b4bb4555150ffb27757426822515a3",
+    ("0;2,3;1", "midpoint"):
+        "b2259a38537cba3ad1b3042dcb5bfcfddaf25a40dcfc32962c1eaca005069e23",
+    ("1;2,3,7;2", "left"):
+        "4259b23f9348df6c35cb71d3ae3832d122070afd5085401e48e7903432a7938e",
+    ("1;2,3,7;2", "right"):
+        "a3d9a4c9d69a93d99ac24008d37e20b77411e8162bdfd7da6047dac6bff86b74",
+    ("1;2,3,7;2", "midpoint"):
+        "9f4be47546e4dd8b34e52eae432e338caeb8dbc41a4e033bd06a2885b6b0f101",
+    ("20;2,3,17,29;8", "left"):
+        "9103f7f7b8cc5a41d82a648d91b92c1e1f86c98023c6454b213d0b5eef93c147",
+    ("20;2,3,17,29;8", "right"):
+        "cf4a283794266c17ef095b3b108b076a5055549c31f8f912619dfbc22a606c67",
+    ("20;2,3,17,29;8", "midpoint"):
+        "ad24193ac6323ad719fd7c45d2740b5cd2691536ad67125f158e6b3fe6985047",
+}
+
 
 def svg_root(text):
     return ET.fromstring(text)
@@ -133,6 +157,14 @@ class TestPolygonFigure:
 
 
 class TestAttractorFigure:
+    @pytest.mark.parametrize("text, mode", ATTRACTOR_SVG_SHA256,
+                             ids=[f"{t}-{m}" for t, m in ATTRACTOR_SVG_SHA256])
+    def test_bytes_are_pinned(self, text, mode):
+        dom = build_attractor(polygon(text), partition(text, mode))
+        doc = render_attractor(dom, FigureSpec())
+        assert (hashlib.sha256(doc.encode()).hexdigest()
+                == ATTRACTOR_SVG_SHA256[text, mode])
+
     def test_strict_xml_deterministic_and_counts(self):
         for text in ("1;2,3,7;2", "2;2,5,8;2"):
             poly = polygon(text)
