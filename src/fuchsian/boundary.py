@@ -14,9 +14,12 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
 from .errors import CustomPointOutOfRange, NonFinite, NotElliptic
-from .mobius import TAU, BoundaryPoint, angular_distance, normalize_angle
+from .mobius import (TAU, BoundaryPoint, MoebiusPSU, angular_distance,
+                     normalize_angle)
 from .polygon import MarkedPolygon, rotation_powers
 
 MODES = ("left", "right", "midpoint")
@@ -73,6 +76,14 @@ class Partition:
         t = (theta - self.lifted[0]) % TAU + self.lifted[0]
         i = bisect.bisect_right(self.lifted, t, 0, len(self.points)) - 1
         return i if i > 0 else 0
+
+    def cells_of(self, theta: np.ndarray) -> np.ndarray:
+        """``cell_of`` of each entry, to the bit: one ``searchsorted`` on
+        the same lift."""
+        lifted = np.array(self.lifted)
+        t = (theta - lifted[0]) % TAU + lifted[0]
+        i = np.searchsorted(lifted[:self.n], t, side="right") - 1
+        return np.maximum(i, 0)
 
     def cell_arc(self, i: int) -> tuple[float, float]:
         """(start, sweep) of cell i; zero sweep for collapsed cells."""
@@ -165,6 +176,27 @@ def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
     return (i % n, e) if e < d else ((i - 1) % n, d)
 
 
+def _nearest_many(theta: np.ndarray,
+                  anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_nearest`` of each entry of ``theta``, index and distance to the
+    bit: ``searchsorted`` is the same left bisection, and the same float
+    operations follow."""
+    n = len(anchors)
+    i = np.searchsorted(anchors, theta)
+    d = np.abs(theta - anchors[i - 1]) % TAU
+    e = np.abs(theta - anchors[i % n]) % TAU
+    d, e = np.minimum(d, TAU - d), np.minimum(e, TAU - e)
+    upper = e < d
+    return np.where(upper, i % n, (i - 1) % n), np.where(upper, e, d)
+
+
+def _step(gen: MoebiusPSU, t: float) -> float:
+    """One step of the boundary map on a bare angle: the cell's gluing by
+    ``MoebiusPSU.apply_angle``, normalized, with no ``BoundaryPoint`` made.
+    Every orbit, walk and matching residual steps by it."""
+    return normalize_angle(gen.apply_angle(t))
+
+
 def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
           side: str = "upper", max_steps: int = 10_000) -> OrbitRecord:
     """Forward orbit of ``x``, with the first step resolved by ``side`` when
@@ -183,8 +215,7 @@ def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
           max_steps: int, stop_at_cut: bool) -> tuple[list, int | None, bool]:
     """``orbit``'s angles, periodic_from and budget flag; ``stop_at_cut``
     also stops before the first cut it hits.  Iterates snap to
-    ``part.cuts``; a step is the cell's ``MoebiusPSU.apply_angle`` on the
-    bare angle, normalized, with no ``BoundaryPoint`` made."""
+    ``part.cuts``; each step is ``_step``."""
     gens, cuts = poly.generators, part.cuts
     k = part.cell_of(x.theta)
     if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
@@ -192,7 +223,7 @@ def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
     cell, t = k % part.n, x.theta
     angles, index_of, seen = [], {}, []
     for _ in range(max_steps):
-        t = normalize_angle(gens[cell].apply_angle(t))
+        t = _step(gens[cell], t)
         j, d = _nearest(t, cuts)
         if d < STRUCTURAL:
             if stop_at_cut:
@@ -264,15 +295,14 @@ def _matching_residual(poly: MarkedPolygon, part: Partition, k: int, J: int,
     checked by honestly iterating the boundary map on both one-sided orbits:
     J + 1 lower and I + 1 upper steps meet, or, on a degenerate cycle with
     an upper orbit, land on the preceding and the following vertex.  Each
-    step is ``_walk``'s, on the bare angle."""
+    step is ``_step``."""
     gens, n = poly.generators, poly.n_sides
     a = part.points[k].theta
-    up = normalize_angle(gens[k].apply_angle(a))
-    low = normalize_angle(gens[(k - 1) % n].apply_angle(a))
+    up, low = _step(gens[k], a), _step(gens[(k - 1) % n], a)
     for _ in range(I):
-        up = normalize_angle(gens[part.cell_of(up)].apply_angle(up))
+        up = _step(gens[part.cell_of(up)], up)
     for _ in range(J):
-        low = normalize_angle(gens[part.cell_of(low)].apply_angle(low))
+        low = _step(gens[part.cell_of(low)], low)
     if degenerate and poly.vertices[k].order - 3 - J >= 0:
         hi = poly.vertices[(k + 1) % n].point.theta
         lo = poly.vertices[(k - 1) % n].point.theta
@@ -311,20 +341,39 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     they generate maps interval-onto-intervals under the boundary map.
     Orbits stop at the first cut they land on (its own orbit goes on); the
     first to hit ``max_steps`` fails the report with an empty refinement.
-    Each transition is one circular run of refinement intervals."""
+    Each transition is one circular run of refinement intervals.
+
+    The first steps of all walks are taken in one pass, and a walk whose
+    first image lands on a cut records no point without entering ``_walk``;
+    the others walk in full, in the same (cut, side) order."""
+    gens, n = poly.generators, part.n
+    # each cut's first cell on either side, interleaved upper, lower
+    thetas = np.array(part.thetas)
+    cell = part.cells_of(thetas)
+    on_cut = np.abs(thetas - thetas[cell]) % TAU
+    on_cut = np.minimum(on_cut, TAU - on_cut) < STRUCTURAL
+    firsts = np.column_stack([cell, (cell - on_cut) % n]).ravel().tolist()
+    images = [_step(gens[c], t)
+              for c, t in zip(firsts, np.repeat(thetas, 2).tolist())]
+    _, gap = _nearest_many(np.array(images), np.array(part.cuts))
+    landed = gap < STRUCTURAL
+
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
-    for k in range(part.n):
-        for side in ("upper", "lower"):
-            angles, _, budget = _walk(poly, part, part.points[k], side,
-                                      max_steps, stop_at_cut=True)
-            orbit_sizes[f"{k}:{side}"] = len(angles)
-            if budget:
-                return MarkovReport([], [], orbit_sizes, checks={
-                    "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
-                    "endpoints": Check(math.inf, DEFAULT.residual,
-                                       "not measured")})
-            pts.extend(angles)
+    walks = [(k, side) for k in range(n) for side in ("upper", "lower")]
+    for (k, side), hit in zip(walks, landed.tolist()):
+        if hit and max_steps > 0:
+            orbit_sizes[f"{k}:{side}"] = 0
+            continue
+        angles, _, budget = _walk(poly, part, part.points[k], side, max_steps,
+                                  stop_at_cut=True)
+        orbit_sizes[f"{k}:{side}"] = len(angles)
+        if budget:
+            return MarkovReport([], [], orbit_sizes, checks={
+                "orbits_finite": Check(1, 1, f"orbit {k}:{side}"),
+                "endpoints": Check(math.inf, DEFAULT.residual,
+                                   "not measured")})
+        pts.extend(angles)
 
     # dedupe circularly
     refined: list[float] = []
@@ -334,20 +383,25 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     if refined and (TAU - refined[-1]) + refined[0] <= SAME_POINT:
         refined.pop()
 
-    # interval-onto-intervals: endpoints must map to refinement points; the
-    # next interval of the same cell shares the last upper end's image
-    worst, transitions, r, last = 0.0, [], len(refined), None
-    for i in range(r):
-        lo, hi = refined[i], refined[(i + 1) % r]
-        cell = part.cell_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)
-        image = poly.generators[cell].apply_angle
-        ilo, elo = (ihi, ehi) if cell == last else _nearest(image(lo), refined)
-        ihi, ehi = _nearest(image(hi), refined)
-        last = cell
-        worst = max(worst, elo, ehi)
-        transitions.append(list(range(ilo, ihi)) if ilo < ihi else
-                           list(range(ilo, r)) + list(range(ihi)) if ilo > ihi
-                           else [ilo])
+    # interval-onto-intervals: endpoints must map to refinement points, each
+    # interval by the gluing of its midpoint's cell; an interval in the cell
+    # of the one before it shares that one's upper end image
+    lo = np.array(refined)
+    hi = np.roll(lo, -1)
+    cell = part.cells_of((lo + 0.5 * ((hi - lo) % TAU)) % TAU)
+    fresh = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
+    cells = cell.tolist()
+    images = ([gens[c].apply_angle(t) for c, t in zip(cells, hi.tolist())]
+              + [gens[cells[i]].apply_angle(refined[i]) for i in fresh])
+    near, dist = _nearest_many(np.array(images), lo)
+    r = len(refined)
+    ihi, ilo = near[:r], np.roll(near[:r], 1)
+    ilo[fresh] = near[r:]
+    # the farthest end image from the refinement; fmax skips a NaN
+    worst = float(np.fmax.reduce(dist, initial=0.0))
+    transitions = [list(range(a, b)) if a < b else
+                   list(range(a, r)) + list(range(b)) if a > b else [a]
+                   for a, b in zip(ilo.tolist(), ihi.tolist())]
 
     return MarkovReport(refined, transitions, orbit_sizes, checks={
         "orbits_finite": Check(0, 1),

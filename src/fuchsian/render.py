@@ -42,25 +42,16 @@ def block_color(index: int) -> str:
     return f"#{int(round(r*255)):02x}{int(round(g*255)):02x}{int(round(b*255)):02x}"
 
 
-def _f(x: float) -> str:
-    s = f"{x:.4f}"
-    return "0.0000" if s == "-0.0000" else s
-
-
-class _Svg:
-    def __init__(self, width: float, height: float):
-        self.parts = [
-            '<?xml version="1.0" encoding="UTF-8"?>',
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-            f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">',
-        ]
-
-    def add(self, line: str) -> None:
-        self.parts.append(line)
-
-    def finish(self) -> str:
-        self.parts.append("</svg>")
-        return "\n".join(self.parts) + "\n"
+def _document(size: float, lines: list[str]) -> str:
+    """The SVG document of ``lines`` on a ``size`` square canvas.  Every
+    number is written with exactly four decimals, so one replace over the
+    document turns each "-0.0000" (a tiny negative) into "0.0000"."""
+    return ("\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%.4f" height="%.4f" '
+        'viewBox="0 0 %.4f %.4f">' % (size, size, size, size),
+        '<rect width="%.4f" height="%.4f" fill="white"/>' % (size, size),
+        *lines, "</svg>"]) + "\n").replace("-0.0000", "0.0000")
 
 
 def render_polygon(poly: MarkedPolygon, part: Partition,
@@ -73,17 +64,15 @@ def render_polygon(poly: MarkedPolygon, part: Partition,
     def to_px(z: complex) -> tuple[float, float]:
         return cx + R * z.real, cy - R * z.imag
 
-    svg = _Svg(size, size)
-    svg.add(f'<rect width="{_f(size)}" height="{_f(size)}" fill="white"/>')
-    svg.add(f'<circle class="boundary" cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(R)}" '
-            f'fill="none" stroke="#444444" stroke-width="{_f(_STROKE)}"/>')
+    out = ['<circle class="boundary" cx="%.4f" cy="%.4f" r="%.4f" '
+           'fill="none" stroke="#444444" stroke-width="%.4f"/>'
+           % (cx, cy, R, _STROKE)]
 
     for blk in poly.blocks:
         z = complex(math.cos(blk.base_angle), math.sin(blk.base_angle))
-        x, y = to_px(z)
-        svg.add(f'<line class="sector-ray" x1="{_f(cx)}" y1="{_f(cy)}" '
-                f'x2="{_f(x)}" y2="{_f(y)}" stroke="#dddddd" '
-                f'stroke-width="{_f(0.5 * _STROKE)}"/>')
+        out.append('<line class="sector-ray" x1="%.4f" y1="%.4f" x2="%.4f" '
+                   'y2="%.4f" stroke="#dddddd" stroke-width="%.4f"/>'
+                   % (cx, cy, *to_px(z), 0.5 * _STROKE))
 
     n = poly.n_sides
     for i in range(n):
@@ -94,9 +83,9 @@ def render_polygon(poly: MarkedPolygon, part: Partition,
         x2, y2 = to_px(z2)
         circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
         if circle is None:
-            svg.add(f'<line class="side" x1="{_f(x1)}" y1="{_f(y1)}" '
-                    f'x2="{_f(x2)}" y2="{_f(y2)}" stroke="{color}" '
-                    f'stroke-width="{_f(_STROKE)}"/>')
+            out.append('<line class="side" x1="%.4f" y1="%.4f" x2="%.4f" '
+                       'y2="%.4f" stroke="%s" stroke-width="%.4f"/>'
+                       % (x1, y1, x2, y2, color, _STROKE))
             continue
         c, r = circle
         r_px = R * r
@@ -105,32 +94,29 @@ def render_polygon(poly: MarkedPolygon, part: Partition,
         cross = ((z1.real - c.real) * (z2.imag - c.imag)
                  - (z1.imag - c.imag) * (z2.real - c.real))
         sweep = 1 if cross < 0 else 0
-        svg.add(f'<path class="side" d="M {_f(x1)} {_f(y1)} '
-                f'A {_f(r_px)} {_f(r_px)} 0 0 {sweep} {_f(x2)} {_f(y2)}" '
-                f'fill="none" stroke="{color}" stroke-width="{_f(_STROKE)}"/>')
+        out.append('<path class="side" d="M %.4f %.4f A %.4f %.4f 0 0 %d '
+                   '%.4f %.4f" fill="none" stroke="%s" stroke-width="%.4f"/>'
+                   % (x1, y1, r_px, r_px, sweep, x2, y2, color, _STROKE))
 
     for i, v in enumerate(poly.vertices):
         x, y = to_px(v.point.z)
         if v.is_ideal:
-            zo = v.point.z
-            xo, yo = to_px(1.04 * zo)
-            svg.add(f'<line class="ideal-vertex" x1="{_f(x)}" y1="{_f(y)}" '
-                    f'x2="{_f(xo)}" y2="{_f(yo)}" stroke="#222222" '
-                    f'stroke-width="{_f(_STROKE)}"/>')
+            out.append('<line class="ideal-vertex" x1="%.4f" y1="%.4f" '
+                       'x2="%.4f" y2="%.4f" stroke="#222222" '
+                       'stroke-width="%.4f"/>'
+                       % (x, y, *to_px(1.04 * v.point.z), _STROKE))
         else:
-            svg.add(f'<circle class="elliptic-vertex" cx="{_f(x)}" cy="{_f(y)}" '
-                    f'r="{_f(3.0)}" fill="#222222"/>')
-            svg.add(f'<text class="order-label" x="{_f(x + 6)}" '
-                    f'y="{_f(y - 6)}" font-size="12">{v.order}</text>')
+            out.append('<circle class="elliptic-vertex" cx="%.4f" cy="%.4f" '
+                       'r="%.4f" fill="#222222"/>' % (x, y, 3.0))
+            out.append('<text class="order-label" x="%.4f" y="%.4f" '
+                       'font-size="12">%d</text>' % (x + 6, y - 6, v.order))
 
     for k in poly.elliptic_indices():
         z = part.points[k].z
-        xi, yi = to_px(0.96 * z)
-        xo, yo = to_px(1.0 * z)
-        svg.add(f'<line class="cut-point" x1="{_f(xi)}" y1="{_f(yi)}" '
-                f'x2="{_f(xo)}" y2="{_f(yo)}" stroke="#cc2222" '
-                f'stroke-width="{_f(_STROKE)}"/>')
-    return svg.finish()
+        out.append('<line class="cut-point" x1="%.4f" y1="%.4f" x2="%.4f" '
+                   'y2="%.4f" stroke="#cc2222" stroke-width="%.4f"/>'
+                   % (*to_px(0.96 * z), *to_px(1.0 * z), _STROKE))
+    return _document(size, out)
 
 
 def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
@@ -143,21 +129,19 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
     def to_px(tu: float, tw: float) -> tuple[float, float]:
         return margin + tu * sc, margin + side - tw * sc
 
-    svg = _Svg(size, size)
-    svg.add(f'<rect width="{_f(size)}" height="{_f(size)}" fill="white"/>')
-    svg.add(f'<rect class="frame" x="{_f(margin)}" y="{_f(margin)}" '
-            f'width="{_f(side)}" height="{_f(side)}" fill="none" '
-            f'stroke="#444444" stroke-width="{_f(_STROKE)}"/>')
+    out = ['<rect class="frame" x="%.4f" y="%.4f" width="%.4f" height="%.4f" '
+           'fill="none" stroke="#444444" stroke-width="%.4f"/>'
+           % (margin, margin, side, side, _STROKE)]
 
     for c in (blk.base_angle for blk in dom.poly.blocks[1:]):
         x0, _ = to_px(c, 0.0)
         _, y0 = to_px(0.0, c)
-        svg.add(f'<line class="grid" x1="{_f(x0)}" y1="{_f(margin)}" '
-                f'x2="{_f(x0)}" y2="{_f(margin + side)}" stroke="#eeeeee" '
-                f'stroke-width="1.0"/>')
-        svg.add(f'<line class="grid" x1="{_f(margin)}" y1="{_f(y0)}" '
-                f'x2="{_f(margin + side)}" y2="{_f(y0)}" stroke="#eeeeee" '
-                f'stroke-width="1.0"/>')
+        out.append('<line class="grid" x1="%.4f" y1="%.4f" x2="%.4f" '
+                   'y2="%.4f" stroke="#eeeeee" stroke-width="1.0"/>'
+                   % (x0, margin, x0, margin + side))
+        out.append('<line class="grid" x1="%.4f" y1="%.4f" x2="%.4f" '
+                   'y2="%.4f" stroke="#eeeeee" stroke-width="1.0"/>'
+                   % (margin, y0, margin + side, y0))
 
     # each rectangle's seam-split intervals, without the padding
     u, w = ([[(lo, hi) for lo, hi in ints if hi > lo] for ints in x.tolist()]
@@ -165,23 +149,21 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
     for block, gamma, u_ints, w_ints in zip(dom.arrays.block.tolist(),
                                             dom.arrays.gamma.tolist(), u, w):
         color = block_color(block)
-        svg.add(f'<g class="omega-rect" data-block="{block}" '
-                f'data-gamma="{gamma}">')
+        out.append('<g class="omega-rect" data-block="%d" data-gamma="%d">'
+                   % (block, gamma))
         for ulo, uhi in u_ints:
             for wlo, whi in w_ints:
-                x, _ = to_px(ulo, 0.0)
-                _, y = to_px(0.0, whi)
-                svg.add(f'<rect x="{_f(x)}" y="{_f(y)}" '
-                        f'width="{_f((uhi - ulo) * sc)}" '
-                        f'height="{_f((whi - wlo) * sc)}" fill="{color}" '
-                        f'fill-opacity="0.75" stroke="#333333" '
-                        f'stroke-width="0.6"/>')
-        svg.add('</g>')
+                out.append('<rect x="%.4f" y="%.4f" width="%.4f" '
+                           'height="%.4f" fill="%s" fill-opacity="0.75" '
+                           'stroke="#333333" stroke-width="0.6"/>'
+                           % (to_px(ulo, whi) + ((uhi - ulo) * sc,
+                                                 (whi - wlo) * sc, color)))
+        out.append('</g>')
 
-    svg.add(f'<text class="axis-label" x="{_f(margin + 0.5 * side)}" '
-            f'y="{_f(size - 0.25 * margin)}" font-size="13" '
-            f'text-anchor="middle">u</text>')
-    svg.add(f'<text class="axis-label" x="{_f(0.35 * margin)}" '
-            f'y="{_f(margin + 0.5 * side)}" font-size="13" '
-            f'text-anchor="middle">w</text>')
-    return svg.finish()
+    out.append('<text class="axis-label" x="%.4f" y="%.4f" font-size="13" '
+               'text-anchor="middle">u</text>'
+               % (margin + 0.5 * side, size - 0.25 * margin))
+    out.append('<text class="axis-label" x="%.4f" y="%.4f" font-size="13" '
+               'text-anchor="middle">w</text>'
+               % (0.35 * margin, margin + 0.5 * side))
+    return _document(size, out)

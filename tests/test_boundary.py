@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import (MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES, partition,
-                      polygon)
+from conftest import (LADDER, MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES,
+                      partition, polygon)
 from oracles import (circular_run, f_apply, markov_full_walk,
                      markov_reference, matching_walk, transition_ends,
                      walk_reference)
@@ -15,6 +17,7 @@ from oracles import (circular_run, f_apply, markov_full_walk,
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NonFinite,
                       NotElliptic, Partition, cycle, make_partition,
                       markov_check, orbit, verify_matching)
+from fuchsian.boundary import _nearest, _nearest_many
 from fuchsian.mobius import TAU, DiskPoint, angular_distance
 
 MODULAR = "0;2,3;1"
@@ -47,6 +50,20 @@ def nudged(text, mode, toward):
     points = tuple(p if v.is_ideal else BoundaryPoint.from_angle(ulp(p.theta))
                    for p, v in zip(partition(text, mode).points, verts))
     return poly, Partition(poly, points, mode)
+
+
+@st.composite
+def anchors_and_angles(draw):
+    """A sorted anchor list of multiples of 1/64 in [0, 2pi), and angles:
+    anchors, exact midpoints of neighbouring anchors, 0, the float below
+    2pi, 2pi and any float in between."""
+    anchors = [k / 64 for k in sorted(draw(st.lists(
+        st.integers(0, 401), min_size=1, max_size=30, unique=True)))]
+    special = (anchors + [(a + b) / 2 for a, b in zip(anchors, anchors[1:])]
+               + [0.0, math.nextafter(TAU, 0), TAU])
+    return anchors, draw(st.lists(st.one_of(st.sampled_from(special),
+                                            st.floats(0.0, TAU)),
+                                  min_size=1, max_size=40))
 
 
 def seeded_partitions(poly):
@@ -148,6 +165,38 @@ class TestMakePartition:
         assert len(part.cuts) < part.n
         with pytest.raises(TypeError):
             Partition(part.poly, part.points, part.mode, cuts=part.cuts)
+
+
+class TestVectorLookups:
+    @settings(max_examples=300, deadline=None)
+    @given(anchors_and_angles())
+    @example(([3.0], [3.0, 0.0, math.nextafter(TAU, 0)]))
+    @example(([1.0, 2.0], [1.5, 0.0, math.nextafter(TAU, 0)]))
+    def test_nearest_many_is_nearest(self, case):
+        # index and distance to the bit, the lower end winning a tie
+        anchors, thetas = case
+        idx, dist = _nearest_many(np.array(thetas), np.array(anchors))
+        assert (repr(list(zip(idx.tolist(), dist.tolist())))
+                == repr([_nearest(t, anchors) for t in thetas]))
+
+    def test_tie_goes_to_the_lower_end(self):
+        idx, dist = _nearest_many(np.array([1.5, 0.75]),
+                                  np.array([0.5, 1.0, 2.0]))
+        assert idx.tolist() == [1, 0] and dist.tolist() == [0.5, 0.25]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(t, m) for t in SIGNATURES + SCALE
+                            for m in MODES]),
+           st.lists(st.one_of(st.floats(-TAU, 2 * TAU), st.integers(0, 999)),
+                    min_size=1, max_size=40))
+    def test_cells_of_is_cell_of(self, key, thetas):
+        # anywhere on or off the circle, and on every cut (an integer picks
+        # one), where the empty cells of coincident cuts are skipped
+        part = partition(*key)
+        thetas = [part.thetas[t % part.n] if isinstance(t, int) else t
+                  for t in thetas]
+        assert (part.cells_of(np.array(thetas)).tolist()
+                == [part.cell_of(t) for t in thetas])
 
 
 class TestBoundaryMap:
@@ -406,6 +455,14 @@ class TestMarkov:
         assert rep.endpoint_residual == math.inf
         assert rep.orbit_sizes == {"0:upper": 0, "0:lower": 0, "1:upper": 1}
 
+    def test_no_budget_fails_the_first_walk(self):
+        # a walk that would land on a cut at its first step has no step to
+        # take it with
+        rep = markov_check(polygon("40;;1"), partition("40;;1", "midpoint"),
+                           max_steps=0)
+        assert rep.checks["orbits_finite"].detail == "orbit 0:upper"
+        assert rep.orbit_sizes == {"0:upper": 0} and rep.refinement == []
+
     def test_open_orbit_fails_the_default_budget(self):
         poly = polygon("0;2,2;2")
         part = make_partition(poly, "custom", OPEN_ORBIT_CUTS)
@@ -458,6 +515,17 @@ class TestMarkov:
                                                         max_steps, False))
                 if rec.budget_exceeded:
                     break
+
+    @pytest.mark.parametrize("text", LADDER[4:])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_larger_ladder_equals_the_reference(self, text, mode):
+        # the same bit-for-bit comparison on the four larger signatures of
+        # the ladder, 119 to 510 rectangles; one repr per report field, as
+        # pytest's diff of two long one-line strings takes minutes
+        poly, part = polygon(text), partition(text, mode)
+        got = markov_check(poly, part).to_dict().items()
+        want = markov_reference(poly, part).items()
+        assert list(map(repr, got)) == list(map(repr, want))
 
     def test_transitions_are_circular_runs(self):
         # each transition is the run of intervals from the nearest point to
