@@ -205,25 +205,24 @@ def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
     Iterates are snapped onto the cut set and onto previously seen points,
     which keeps the finite orbits of ideal vertices exactly periodic instead
     of drifting near parabolic fixed points."""
-    angles, periodic_from, budget = _walk(poly, part, x, side, max_steps,
-                                          False)
+    k = part.cell_of(x.theta)
+    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
+        k -= 1
+    angles, periodic_from, budget = _walk(
+        poly, part, _step(poly.generators[k % part.n], x.theta), max_steps,
+        False)
     return OrbitRecord(x, side, tuple(map(BoundaryPoint.from_angle, angles)),
                        periodic_from, budget)
 
 
-def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
-          max_steps: int, stop_at_cut: bool) -> tuple[list, int | None, bool]:
-    """``orbit``'s angles, periodic_from and budget flag; ``stop_at_cut``
-    also stops before the first cut it hits.  Iterates snap to
-    ``part.cuts``; each step is ``_step``."""
+def _walk(poly: MarkedPolygon, part: Partition, t: float, max_steps: int,
+          stop_at_cut: bool) -> tuple[list, int | None, bool]:
+    """``orbit``'s angles, periodic_from and budget flag from the first
+    image t; ``stop_at_cut`` also stops before the first cut it hits.
+    Iterates snap to ``part.cuts``; each further step is ``_step``."""
     gens, cuts = poly.generators, part.cuts
-    k = part.cell_of(x.theta)
-    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
-        k -= 1
-    cell, t = k % part.n, x.theta
     angles, index_of, seen = [], {}, []
     for _ in range(max_steps):
-        t = _step(gens[cell], t)
         j, d = _nearest(t, cuts)
         if d < STRUCTURAL:
             if stop_at_cut:
@@ -237,7 +236,7 @@ def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
         index_of[t] = len(angles)
         angles.append(t)
         bisect.insort(seen, t)
-        cell = part.cell_of(t)
+        t = _step(gens[part.cell_of(t)], t)
     return angles, None, True
 
 
@@ -345,7 +344,7 @@ def markov_check(poly: MarkedPolygon, part: Partition,
 
     The first steps of all walks are taken in one pass, and a walk whose
     first image lands on a cut records no point without entering ``_walk``;
-    the others walk in full, in the same (cut, side) order."""
+    the others walk on from that image, in the same (cut, side) order."""
     gens, n = poly.generators, part.n
     # each cut's first cell on either side, interleaved upper, lower
     thetas = np.array(part.thetas)
@@ -361,12 +360,11 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     orbit_sizes: dict[str, int] = {}
     pts: list[float] = list(part.thetas)
     walks = [(k, side) for k in range(n) for side in ("upper", "lower")]
-    for (k, side), hit in zip(walks, landed.tolist()):
+    for (k, side), t, hit in zip(walks, images, landed.tolist()):
         if hit and max_steps > 0:
             orbit_sizes[f"{k}:{side}"] = 0
             continue
-        angles, _, budget = _walk(poly, part, part.points[k], side, max_steps,
-                                  stop_at_cut=True)
+        angles, _, budget = _walk(poly, part, t, max_steps, stop_at_cut=True)
         orbit_sizes[f"{k}:{side}"] = len(angles)
         if budget:
             return MarkovReport([], [], orbit_sizes, checks={

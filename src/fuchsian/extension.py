@@ -253,6 +253,8 @@ class BijectivityReport(Report):
 
 # an interval's start adds its weight to the cover's slope, its end takes it
 _ENDS = np.array([[1.0, -1.0], [1.0, -1.0]])
+# image x (image or gap) row pairs met in one slice of verify_bijectivity
+_PAIRS = 1 << 21
 
 
 def _pieces(x: np.ndarray):
@@ -374,12 +376,17 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     spans = (np.maximum(both[..., 1] - both[..., 0], 0.0).sum(axis=2)
              * (ends[..., 1] - ends[..., 0]).sum(axis=1))
 
-    # image i against image k < n with i < k, or against the gap C_{k - n}
-    other = np.concatenate([u, gap])
-    i, k = _meeting(u, other)
-    lw = _overlap_lengths(w[i], np.concatenate([w, dw])[k])
-    keep = (lw > 0.0) & ((k >= n) | (i < k))
-    i, k, lw = i[keep], k[keep], lw[keep]
+    # image i against image k < n with i < k, or against the gap C_{k - n},
+    # met in u and then in w by slices of at most _PAIRS row pairs
+    other, wo = np.concatenate([u, gap]), np.concatenate([w, dw])
+    rows, found = max(1, _PAIRS // len(other)), []
+    for s in range(0, n, rows):
+        i, k = _meeting(u[s:s + rows], other)
+        i += s
+        lw = _overlap_lengths(w[i], wo[k])
+        keep = (lw > 0.0) & ((k >= n) | (i < k))
+        found.append((i[keep], k[keep], lw[keep]))
+    i, k, lw = map(np.concatenate, zip(*found))
     lu, lc = _overlap_lengths(both[:, i], other[k])
     pair = lu * lw
     later = k < n
@@ -512,6 +519,10 @@ def _on_arc(x: np.ndarray, lo, hi, nw) -> np.ndarray:
     return ((x >= lo) ^ (x <= hi)) != nw
 
 
+# state-steps that check_forward_invariance judges in one membership pass
+_BLOCK = 4096
+
+
 class _Kernel:
     """The vectorized step-and-membership kernel of the planar extension.
 
@@ -531,7 +542,8 @@ class _Kernel:
     on one of them.  Column j of ``table`` holds the (p, q, r, s) of its
     cell, then per list the lo, hi and nw of the first candidate's u-arc
     (NaN, NaN, 0 on the pad, which holds no u), so one gather serves a step
-    and its first test; ``later`` holds the other candidates' u-edges.
+    of ``simulate_entry`` and its first test; ``later`` holds the other
+    candidates' u-edges, and ``inside`` judges any batch of state-steps.
     These are the verdicts of every rectangle, tiled or not.  At w = 2pi the
     kernel takes the last cell, ``cell_of`` cell 0.
     """
@@ -588,8 +600,8 @@ class _Kernel:
         return x, self.locate(x[1])
 
     def inside(self, i: int, j, x: np.ndarray, ok=None) -> np.ndarray:
-        """Mask of the states x, w in intervals j, in list i: u on the
-        candidates of j in turn, until one holds it or none is left.
+        """Mask of the states x, w in intervals j, in list i: u = x[0] on
+        the candidates of j in turn, until one holds it or none is left.
         ``ok`` is the mask of the states on their first candidate's u-arc,
         if already computed; it is updated in place."""
         if ok is None:
@@ -676,10 +688,11 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     """Iterate the entered states further; count membership violations,
     as an ``int``.
 
-    Each step counts the states on the u-arc of their first candidate and
-    tests the later candidates only when that count falls short.  The loop
-    sets its own error state (``_moebius``), so the caller's changes
-    nothing.  Raises ``ValueError`` for negative ``steps``."""
+    Each step gathers only the gluing rows ``_Kernel.table[:4]``; one
+    ``_Kernel.inside`` call judges the kept u and intervals of each block of
+    ``max(1, _BLOCK // states)`` steps as a test after every step would.
+    The loop sets its own error state (``_moebius``), so the caller's
+    changes nothing.  Raises ``ValueError`` for negative ``steps``."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     ang = np.array([[t.entry_u for t in traces if t.entered],
@@ -687,22 +700,20 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     if not ang.size:
         return 0
     kern = _Kernel(poly, part, dom.arrays)
-    exits, states = 0, ang.shape[1]
+    block = max(1, _BLOCK // ang.shape[1])
+    exits, us, js, glue = 0, [], [], kern.table[:4]
     with np.errstate(all="ignore", invalid="raise"):
         x, j = kern.start(ang)
-        # one gather per step: the new j gives this step's first candidates
-        # and the next step's gluing; the later candidates only when some
-        # state is off its first
-        col = kern.table.take(j, axis=1)
-        for _ in range(steps):
-            x = _moebius(x, col)
+        for n in range(1, steps + 1):
+            x = _moebius(x, glue.take(j, axis=1))
             j = kern.locate(x[1])
-            col = kern.table.take(j, axis=1)
-            ok = _on_arc(x[0], *col[4:7])
-            held = np.count_nonzero(ok)
-            if held < states:
-                held = np.count_nonzero(kern.inside(0, j, x, ok))
-            exits += states - held
+            us.append(x[0])
+            js.append(j)
+            if n % block == 0 or n == steps:
+                u = np.concatenate(us)
+                exits += u.size - np.count_nonzero(
+                    kern.inside(0, np.concatenate(js), u[None]))
+                us, js = [], []
     return int(exits)
 
 

@@ -27,9 +27,9 @@ from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
                       verify_bijectivity)
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, _overlap_lengths,
                           cayley, cayley_angle, seam_split)
-from fuchsian.extension import (EntryTrace, _check_tiling, _cover, _draws,
-                                _Kernel, _meeting, _mix64, _moebius, _runs,
-                                _split, image_rects, traces_to_csv)
+from fuchsian.extension import (_BLOCK, EntryTrace, _check_tiling, _cover,
+                                _draws, _Kernel, _meeting, _mix64, _moebius,
+                                _runs, _split, image_rects, traces_to_csv)
 from fuchsian.mobius import TAU, angular_distance
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
@@ -1405,6 +1405,16 @@ def seam_entries(rng, n):
             for i, (a, b) in enumerate(ang.T.tolist())]
 
 
+def shrunk(dom):
+    """``dom`` with every u-start moved on by 0.01 and every sweep scaled by
+    0.98."""
+    rs = dom.arrays
+    theta = rs.theta.copy()
+    theta[:, 0] += 0.01
+    return dataclasses.replace(dom, arrays=RectArray(
+        theta % TAU, rs.sweep * 0.98, rs.block, rs.gamma))
+
+
 def oracle_exits(poly, part, rs, traces, steps):
     """The exits of ``check_forward_invariance`` from a loop of
     ``kernel_step`` and the verdicts of ``kernel_reference``."""
@@ -1485,21 +1495,37 @@ class TestLoops:
             assert got[1:] == out[2][1:]
 
     def test_exits_past_the_first_candidate(self):
-        # every u-start moved on by 0.01 and every sweep scaled by 0.98:
         # orbits of the full domain are outside the shrunk one at about
         # half of their state steps, so the later candidates are tested on
         # every step; each exit is a state that no candidate holds
         poly, part, dom = fused_case(("1;2,3,7;2", "midpoint"))
         traces = simulate_entry(poly, part, dom, samples=300, seed=11)
-        rs = dom.arrays
-        theta = rs.theta.copy()
-        theta[:, 0] += 0.01
-        small = dataclasses.replace(dom, arrays=RectArray(
-            theta % TAU, rs.sweep * 0.98, rs.block, rs.gamma))
+        small = shrunk(dom)
         exits = check_forward_invariance(poly, part, small, traces,
                                          steps=200)
         assert exits == 30480
         assert exits == oracle_exits(poly, part, small.arrays, traces, 200)
+
+    @pytest.mark.parametrize("case", ["shrunk", "seam", "wide"])
+    def test_block_boundaries_match_oracle(self, case):
+        # one membership pass judges a block of B = max(1, _BLOCK // states)
+        # steps: no step, one, a block less one, one block, one step into
+        # the next, and two blocks and a partial third; the shrunk domain
+        # has exits, and "wide" holds more states than a block, so each
+        # block is one step
+        poly, part, dom = fused_case(("1;2,3,7;2", "midpoint"))
+        if case == "seam":
+            traces = seam_entries(np.random.default_rng(5), 60)
+        else:
+            samples = _BLOCK + 4 if case == "wide" else 300
+            traces = simulate_entry(poly, part, dom, samples, seed=11)
+            dom = shrunk(dom)
+        B = max(1, _BLOCK // sum(t.entered for t in traces))
+        assert (B == 1) == (case == "wide")
+        for steps in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+            assert check_forward_invariance(
+                poly, part, dom, traces, steps=steps) == oracle_exits(
+                    poly, part, dom.arrays, traces, steps), steps
 
     @pytest.mark.parametrize("text, digest", [
         ("0;2,3;1",
@@ -1689,3 +1715,25 @@ class TestCandidatePairs:
         want = np.nonzero(_overlap_lengths(u[:, None], other) > 0.0)
         assert i.tolist() == want[0].tolist()
         assert k.tolist() == want[1].tolist()
+
+    @pytest.mark.parametrize("pairs", [1, 3000, 1 << 16])
+    def test_slices_give_the_one_slice_report(self, monkeypatch, pairs):
+        # the pairs are met by slices of image rows, each of at most _PAIRS
+        # row pairs; any slice size gives the one-slice report to the bit
+        poly, part = polygon(STRESS[0]), partition(STRESS[0], "midpoint")
+        dom = build_attractor(poly, part)
+        monkeypatch.setattr("fuchsian.extension._PAIRS", 1 << 40)
+        whole = verify_bijectivity(poly, part, dom)
+        monkeypatch.setattr("fuchsian.extension._PAIRS", pairs)
+        assert repr(verify_bijectivity(poly, part, dom)) == repr(whole)
+
+    def test_scale_set_is_one_slice(self, monkeypatch):
+        calls = []
+        meeting = _meeting
+        monkeypatch.setattr("fuchsian.extension._meeting",
+                            lambda x, y: calls.append(len(x)) or meeting(x, y))
+        for text in SCALE:
+            for mode in MODES:
+                verify_bijectivity(polygon(text), partition(text, mode),
+                                   domain(text, mode))
+        assert len(calls) == len(SCALE) * len(MODES)
