@@ -7,7 +7,7 @@ from .mobius import BoundaryPoint, DiskPoint, MoebiusPSU, geodesic_circle
 from .polygon import (MarkedPolygon, Signature, SignatureString,
                       build_canonical, signature_string, validate_polygon)
 from .boundary import (CycleData, Partition, cycle, make_partition,
-                       markov_check, orbit, verify_matching)
+                       markov_check, verify_matching)
 from .arcs import DirectedArc, Rect
 from .extension import (AttractorDomain, EntryTrace, build_attractor,
                         check_forward_invariance, phi_set, simulate_entry,

@@ -1,5 +1,5 @@
-"""Circle partitions, the piecewise boundary map, orbits, cycles, and the
-finite Markov property check.
+"""Circle partitions, the piecewise boundary map, cycles, and the finite
+Markov property check with its cut-point walks.
 
 The circle is cut at one point per vertex: the vertex itself when ideal, a
 chosen point of the adjacent open arc when the vertex is interior.  Cell
@@ -32,8 +32,8 @@ class Partition:
     ``thetas`` holds the raw angles; ``lifted`` is their monotone lift with
     a closing entry at lifted[0] + 2pi, used for cell lookup (a cut that
     coincides with the base vertex lifts to 2pi instead of wrapping).
-    ``cuts`` are the sorted distinct angles, the one table that the orbit
-    walks snap to and ``extension.image_rects`` splits at.
+    ``cuts`` are the sorted distinct angles, the one table that the Markov
+    walks stop at and ``extension.image_rects`` splits at.
     ``in_guarantee_range`` reports whether every elliptic cut lies in its
     closed [P, Q] arc, the hypothesis under which global attraction holds.
     """
@@ -152,18 +152,6 @@ def make_partition(poly: MarkedPolygon, mode: str,
     return Partition(poly, tuple(points), mode)
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    start: BoundaryPoint
-    side: str                       # "upper" | "lower"
-    points: tuple[BoundaryPoint, ...]
-    periodic_from: int | None       # index into points of the revisited entry
-    budget_exceeded: bool
-
-    def distinct_count(self) -> int:
-        return len(self.points)
-
-
 def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
     """Index and distance of the anchor circularly nearest to ``theta``.
     ``anchors`` is sorted in [0, 2pi) and not empty; bisection puts theta on
@@ -193,51 +181,27 @@ def _nearest_many(theta: np.ndarray,
 def _step(gen: MoebiusPSU, t: float) -> float:
     """One step of the boundary map on a bare angle: the cell's gluing by
     ``MoebiusPSU.apply_angle``, normalized, with no ``BoundaryPoint`` made.
-    Every orbit, walk and matching residual steps by it."""
+    Every walk and matching residual steps by it."""
     return normalize_angle(gen.apply_angle(t))
 
 
-def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
-          side: str = "upper", max_steps: int = 10_000) -> OrbitRecord:
-    """Forward orbit of ``x``, with the first step resolved by ``side`` when
-    ``x`` is a cut point, stopping at the first angular revisit.
-
-    Iterates are snapped onto the cut set and onto previously seen points,
-    which keeps the finite orbits of ideal vertices exactly periodic instead
-    of drifting near parabolic fixed points."""
-    k = part.cell_of(x.theta)
-    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
-        k -= 1
-    angles, periodic_from, budget = _walk(
-        poly, part, _step(poly.generators[k % part.n], x.theta), max_steps,
-        False)
-    return OrbitRecord(x, side, tuple(map(BoundaryPoint.from_angle, angles)),
-                       periodic_from, budget)
-
-
-def _walk(poly: MarkedPolygon, part: Partition, t: float, max_steps: int,
-          stop_at_cut: bool) -> tuple[list, int | None, bool]:
-    """``orbit``'s angles, periodic_from and budget flag from the first
-    image t; ``stop_at_cut`` also stops before the first cut it hits.
-    Iterates snap to ``part.cuts``; each further step is ``_step``."""
+def _walk(poly: MarkedPolygon, part: Partition, t: float,
+          max_steps: int) -> tuple[list[float], bool]:
+    """The angles of a walk from the first image t, up to the first cut it
+    lands on or the first revisit, and whether ``max_steps`` ran out
+    first.  Each further step is ``_step``."""
     gens, cuts = poly.generators, part.cuts
-    angles, index_of, seen = [], {}, []
+    angles, seen = [], []
     for _ in range(max_steps):
-        j, d = _nearest(t, cuts)
-        if d < STRUCTURAL:
-            if stop_at_cut:
-                return angles, None, False
-            t = cuts[j]
-        j, d = _nearest(t, seen) if seen else (-1, math.inf)
-        if d < SAME_POINT:
-            return angles, index_of[seen[j]], False
+        if (_nearest(t, cuts)[1] < STRUCTURAL
+                or seen and _nearest(t, seen)[1] < SAME_POINT):
+            return angles, False
         if not math.isfinite(t):
             raise NonFinite(f"non-finite orbit angle {t!r}")
-        index_of[t] = len(angles)
         angles.append(t)
         bisect.insort(seen, t)
         t = _step(gens[part.cell_of(t)], t)
-    return angles, None, True
+    return angles, True
 
 
 @dataclass(frozen=True)
@@ -340,11 +304,14 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     they generate maps interval-onto-intervals under the boundary map.
     Orbits stop at the first cut they land on (its own orbit goes on); the
     first to hit ``max_steps`` fails the report with an empty refinement.
-    Each transition is one circular run of refinement intervals.
+    Each transition is one circular run of refinement intervals.  Raises
+    ``ValueError`` for negative ``max_steps``.
 
     The first steps of all walks are taken in one pass, and a walk whose
     first image lands on a cut records no point without entering ``_walk``;
     the others walk on from that image, in the same (cut, side) order."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     gens, n = poly.generators, part.n
     # each cut's first cell on either side, interleaved upper, lower
     thetas = np.array(part.thetas)
@@ -364,7 +331,7 @@ def markov_check(poly: MarkedPolygon, part: Partition,
         if hit and max_steps > 0:
             orbit_sizes[f"{k}:{side}"] = 0
             continue
-        angles, _, budget = _walk(poly, part, t, max_steps, stop_at_cut=True)
+        angles, budget = _walk(poly, part, t, max_steps)
         orbit_sizes[f"{k}:{side}"] = len(angles)
         if budget:
             return MarkovReport([], [], orbit_sizes, checks={

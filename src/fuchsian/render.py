@@ -29,7 +29,7 @@ class FigureSpec:
     size: int = 640
 
     def __post_init__(self) -> None:
-        if self.size < 100:
+        if not self.size >= 100:           # NaN fails every comparison
             raise ValueError("canvas must be at least 100 px")
 
 

@@ -29,10 +29,10 @@ bisector at an elliptic vertex from the tangents of the sides' circles
 ``validate_polygon`` forms each block's gluing once for both checks;
 ``f_apply`` is one step of the boundary map on a ``BoundaryPoint``, by
 ``MoebiusPSU.apply_boundary``; ``walk_reference`` walks an orbit one
-``BoundaryPoint`` at a time through it, where ``orbit`` and
-``markov_check`` step on bare angles, both by ``MoebiusPSU.apply_angle``,
-``matching_walk`` iterates the matching identity of a cycle the same way,
-where ``cycle`` stores the walk on bare angles as ``matching_residual``;
+``BoundaryPoint`` at a time through it, where ``markov_check`` steps on
+bare angles by ``MoebiusPSU.apply_angle``, ``matching_walk`` iterates the
+matching identity of a cycle the same way, where ``cycle`` stores the
+walk on bare angles as ``matching_residual``;
 ``markov_reference`` rebuilds the Markov report from ``walk_reference``,
 each transition the ``circular_run`` between the refinement points that
 a scan of all of them finds nearest to the images of the interval's ends
@@ -57,7 +57,14 @@ term's largest value.
 ``exceptional_set`` and ``verify_exceptional`` are no reference but the
 one implementation of the exceptional rectangles between the attractor and
 the escape set and of their entry check, kept here with the grid measure
-``box_measure`` because only tests use them.
+``box_measure`` because only tests use them.  So are ``orbit``, the
+one-sided orbit of a point walked in full until it revisits a point
+(``walk_reference`` without the stop at a cut), and ``OrbitRecord``, the
+record it returns; the library walks only up to the first cut, inside
+``markov_check``.  ``growth_rate`` is the log growth rate of a signature's
+group by the free-product formula, and ``markov_entropy`` the log spectral
+radius of a Markov report's transitions, which equal each other under the
+midpoint partition.
 """
 import bisect
 import cmath
@@ -71,7 +78,7 @@ from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       geodesic_circle)
 from fuchsian.arcs import (RectArray, _breakpoints, _overlap_lengths, cayley,
                            ccw_sweep, clip_intervals)
-from fuchsian.boundary import MarkovReport, OrbitRecord
+from fuchsian.boundary import MarkovReport
 from fuchsian.extension import (BijectivityReport, _fan, _gluing, _moebius,
                                 image_rects)
 from fuchsian.mobius import TAU, MoebiusPSU, angular_distance, normalize_angle
@@ -625,18 +632,40 @@ def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
     return best, err
 
 
+@dataclass(frozen=True)
+class OrbitRecord:
+    start: BoundaryPoint
+    side: str                       # "upper" | "lower"
+    points: tuple[BoundaryPoint, ...]
+    periodic_from: int | None       # index into points of the revisited entry
+    budget_exceeded: bool
+
+    def distinct_count(self) -> int:
+        return len(self.points)
+
+
 # full walks by (signature, cut angles, start angle, side, budget): two
 # tests walk the same 40;;1 orbits in full
 _FULL_WALKS: dict[tuple, OrbitRecord] = {}
 
 
+def orbit(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
+          side: str = "upper", max_steps: int = 10_000) -> OrbitRecord:
+    """Forward orbit of ``x``, with the first step resolved by ``side`` when
+    ``x`` is a cut point, walked in full until it revisits a point:
+    ``walk_reference`` without the stop at a cut."""
+    return walk_reference(poly, part, x, side, max_steps, False)
+
+
 def walk_reference(poly: MarkedPolygon, part: Partition, x: BoundaryPoint,
                    side: str, max_steps: int,
                    stop_at_cut: bool) -> OrbitRecord:
-    """``orbit`` one ``BoundaryPoint`` at a time through ``f_apply``;
-    ``stop_at_cut`` also stops before the first cut it hits, as the walks of
-    ``markov_check`` do.  A full walk is computed once per key of
-    ``_FULL_WALKS``; the record is frozen, so callers share it."""
+    """The orbit of ``x`` one ``BoundaryPoint`` at a time through
+    ``f_apply``, snapped onto the cuts and onto the points seen before, up
+    to the first revisit; ``stop_at_cut`` also stops before the first cut
+    it hits, as the walks of ``markov_check`` do.  A full walk is computed
+    once per key of ``_FULL_WALKS``; the record is frozen, so callers share
+    it."""
     if stop_at_cut:
         return _walk(poly, part, x, side, max_steps, True)
     key = (str(poly.signature), part.thetas, x.theta, side, max_steps)
@@ -767,6 +796,46 @@ def markov_full_walk(poly: MarkedPolygon, part: Partition,
     out = markov_reference(poly, part, max_steps, stop_at_cut=False)
     del out["orbit_sizes"]
     return out
+
+
+# -- group growth and Markov entropy ------------------------------------------
+
+
+def growth_rate(sig) -> float:
+    """Log growth rate of the group of ``sig`` in its side-pairing
+    generators: the free product of 2g + t - 1 copies of Z and of Z/m for
+    each order m.  Its growth series f has 1/f = sum 1/f_i - (k - 1) over
+    the k factors, with f_Z = (1 + x)/(1 - x) and f_Z/m = 1 + 2x + ... +
+    2x^((m-1)/2) for odd m, 1 + 2x + ... + 2x^(m/2-1) + x^(m/2) for even m.
+    Returns -log x* for the smallest root x* in (0, 1), by bisection (the
+    sum decreases from 1 at x = 0)."""
+    def f_cyclic(m, x):
+        return (1 + 2 * sum(x ** j for j in range(1, (m + 1) // 2))
+                + (x ** (m // 2) if m % 2 == 0 else 0))
+
+    free = 2 * sig.genus + sig.cusps - 1
+    k = free + len(sig.orders)
+
+    def excess(x):
+        return (free * (1 - x) / (1 + x)
+                + sum(1 / f_cyclic(m, x) for m in sig.orders) - (k - 1))
+
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return -math.log(lo)
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+
+
+def markov_entropy(report: MarkovReport) -> float:
+    """Log spectral radius of the 0/1 matrix of ``report.transitions``,
+    interval i to each interval its image covers."""
+    r = len(report.transitions)
+    a = np.zeros((r, r))
+    for i, run in enumerate(report.transitions):
+        a[i, run] = 1.0
+    return math.log(max(abs(np.linalg.eigvals(a))))
 
 
 # -- the breakpoint-window membership kernel ----------------------------------

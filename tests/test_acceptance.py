@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 
 from conftest import MODES, SIGNATURES, partition, polygon
+from oracles import orbit
 
 from fuchsian import (FigureSpec, build_attractor, check_forward_invariance,
-                      cycle, make_partition, markov_check, orbit,
-                      render_attractor, render_polygon, simulate_entry,
-                      validate_polygon, verify_bijectivity, verify_matching)
+                      cycle, make_partition, markov_check, render_attractor,
+                      render_polygon, simulate_entry, validate_polygon,
+                      verify_bijectivity, verify_matching)
 from fuchsian.mobius import TAU, MoebiusPSU, angular_distance
 from fuchsian.polygon import SQUARE, hyperbolic_generator_a, hyperbolic_generator_b
 

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import (LADDER, MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES,
                       partition, polygon)
-from oracles import (circular_run, f_apply, markov_full_walk,
-                     markov_reference, matching_walk, transition_ends,
-                     walk_reference)
+from oracles import (circular_run, f_apply, growth_rate, markov_entropy,
+                     markov_full_walk, markov_reference, matching_walk, orbit,
+                     transition_ends)
 
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NonFinite,
                       NotElliptic, Partition, cycle, make_partition,
-                      markov_check, orbit, verify_matching)
-from fuchsian.boundary import _nearest, _nearest_many
+                      markov_check, verify_matching)
+from fuchsian.boundary import _nearest, _nearest_many, _walk
 from fuchsian.mobius import TAU, DiskPoint, angular_distance
 
 MODULAR = "0;2,3;1"
@@ -282,10 +282,10 @@ class TestOrbits:
         assert rec.budget_exceeded
 
     def test_non_finite_start_raises(self):
-        poly = polygon(MODULAR)
-        nan = BoundaryPoint(math.nan, complex(math.nan, math.nan))
+        # the library's one walk, that of markov_check, refuses a NaN angle
         with pytest.raises(NonFinite):
-            orbit(poly, partition(MODULAR, "midpoint"), nan)
+            _walk(polygon(MODULAR), partition(MODULAR, "midpoint"), math.nan,
+                  10_000)
 
     def test_midpoint_orbits_reach_cusp_set(self):
         # degenerate order-3 cycle: lower orbit of the cut lands on the
@@ -463,6 +463,11 @@ class TestMarkov:
         assert rep.checks["orbits_finite"].detail == "orbit 0:upper"
         assert rep.orbit_sizes == {"0:upper": 0} and rep.refinement == []
 
+    def test_negative_budget_raises(self):
+        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+            markov_check(polygon(MODULAR), partition(MODULAR, "midpoint"),
+                         max_steps=-1)
+
     def test_open_orbit_fails_the_default_budget(self):
         poly = polygon("0;2,2;2")
         part = make_partition(poly, "custom", OPEN_ORBIT_CUTS)
@@ -499,22 +504,15 @@ class TestMarkov:
 
     @pytest.mark.parametrize("text", SIGNATURES + SCALE + ["40;;1"])
     def test_walks_equal_the_reference_walk(self, text):
-        # orbit and markov_check step on bare angles; walk_reference steps
-        # BoundaryPoints through f_apply.  Reports, orbit sizes and every
-        # orbit point's theta and z agree to the bit (repr round-trips each
-        # float), up to and including the first orbit over its budget
+        # markov_check steps on bare angles; walk_reference steps
+        # BoundaryPoints through f_apply.  Reports and orbit sizes agree to
+        # the bit (repr round-trips each float), up to and including the
+        # first orbit over its budget
         poly = polygon(text)
         for part, max_steps in ([(partition(text, m), 10_000) for m in MODES]
                                 + seeded_partitions(poly)):
             assert (repr(markov_check(poly, part, max_steps).to_dict())
                     == repr(markov_reference(poly, part, max_steps))), part.mode
-            for x, side in [(x, side) for x in part.points
-                            for side in ("upper", "lower")]:
-                rec = orbit(poly, part, x, side, max_steps)
-                assert repr(rec) == repr(walk_reference(poly, part, x, side,
-                                                        max_steps, False))
-                if rec.budget_exceeded:
-                    break
 
     @pytest.mark.parametrize("text", LADDER[4:])
     @pytest.mark.parametrize("mode", MODES)
@@ -553,6 +551,29 @@ class TestMarkov:
             assert rep.passed
             assert len(rep.orbit_sizes) == 320
             assert set(rep.orbit_sizes.values()) == {0}
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_midpoint_entropy_is_the_growth_rate(self, text):
+        # the log spectral radius of the midpoint transitions is the log
+        # growth rate of the group (measured within 1e-14); left and right
+        # often fall below it, so only midpoint is asserted
+        poly = polygon(text)
+        rep = markov_check(poly, partition(text, "midpoint"))
+        assert abs(markov_entropy(rep) - growth_rate(poly.signature)) < 1e-9
+
+    @pytest.mark.parametrize("text", SIGNATURES)
+    def test_a_dropped_transition_misses_the_growth_rate(self, text):
+        # dropping either end of the first run of two or more intervals
+        # moves the entropy by 0.0048 or more here (any one end of any run
+        # on the scale set: 4e-5 or more)
+        poly = polygon(text)
+        rep = markov_check(poly, partition(text, "midpoint"))
+        i = next(i for i, run in enumerate(rep.transitions) if len(run) > 1)
+        for run in (rep.transitions[i][1:], rep.transitions[i][:-1]):
+            cut = replace(rep, transitions=[*rep.transitions[:i], run,
+                                            *rep.transitions[i + 1:]])
+            assert abs(markov_entropy(cut)
+                       - growth_rate(poly.signature)) > 1e-9
 
     def test_all_ideal_refinement_is_vertex_set(self):
         rep = markov_check(polygon("1;;1"), partition("1;;1", "midpoint"))

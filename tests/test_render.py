@@ -201,6 +201,11 @@ class TestAttractorFigure:
         with pytest.raises(ValueError):
             FigureSpec(size=50)
 
+    def test_nan_canvas_rejected(self):
+        # a NaN size passed the floor and wrote width="nan" into the SVG
+        with pytest.raises(ValueError):
+            FigureSpec(size=math.nan)
+
     def test_palette_is_stable(self):
         assert block_color(0) == block_color(0)
         assert block_color(0) != block_color(1)
