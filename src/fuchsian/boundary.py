@@ -152,23 +152,22 @@ def make_partition(poly: MarkedPolygon, mode: str,
     return Partition(poly, tuple(points), mode)
 
 
-def _nearest(theta: float, anchors: list[float]) -> tuple[int, float]:
-    """Index and distance of the anchor circularly nearest to ``theta``.
-    ``anchors`` is sorted in [0, 2pi) and not empty; bisection puts theta on
-    the arc from anchor i - 1 to anchor i, whose lower end wins a tie."""
-    n = len(anchors)
+def _nearest(theta: float, anchors: list[float]) -> float:
+    """Distance from ``theta`` to the circularly nearest anchor.  ``anchors``
+    is sorted in [0, 2pi) and not empty; bisection puts theta on the arc
+    from anchor i - 1 to anchor i, and the nearer end is the nearest."""
     i = bisect.bisect_left(anchors, theta)
     d = abs(theta - anchors[i - 1]) % TAU
-    e = abs(theta - anchors[i % n]) % TAU
-    d, e = min(d, TAU - d), min(e, TAU - e)
-    return (i % n, e) if e < d else ((i - 1) % n, d)
+    e = abs(theta - anchors[i % len(anchors)]) % TAU
+    return min(d, TAU - d, e, TAU - e)
 
 
 def _nearest_many(theta: np.ndarray,
                   anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_nearest`` of each entry of ``theta``, index and distance to the
-    bit: ``searchsorted`` is the same left bisection, and the same float
-    operations follow."""
+    """Index and distance of the anchor nearest to each entry of ``theta``,
+    the lower end of its arc winning a tie; the distance is ``_nearest``'s
+    to the bit: ``searchsorted`` is the same left bisection, and the same
+    float operations follow."""
     n = len(anchors)
     i = np.searchsorted(anchors, theta)
     d = np.abs(theta - anchors[i - 1]) % TAU
@@ -193,8 +192,8 @@ def _walk(poly: MarkedPolygon, part: Partition, t: float,
     gens, cuts = poly.generators, part.cuts
     angles, seen = [], []
     for _ in range(max_steps):
-        if (_nearest(t, cuts)[1] < STRUCTURAL
-                or seen and _nearest(t, seen)[1] < SAME_POINT):
+        if (_nearest(t, cuts) < STRUCTURAL
+                or seen and _nearest(t, seen) < SAME_POINT):
             return angles, False
         if not math.isfinite(t):
             raise NonFinite(f"non-finite orbit angle {t!r}")

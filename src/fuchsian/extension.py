@@ -6,7 +6,9 @@ finite union of closed arc-rectangles, one horizontal strip per building
 block, each strip the diagonal-rotation image of a standard-position strip.
 Membership on rectangle edges counts as inside; all tiling statements hold
 up to angular measure zero.  The strip of an order >= 3 block is a fan cut
-by the rotation orbits of the block's cut point, which ``_fan`` computes.
+by the rotation orbits of the block's cut point, which ``_fan`` computes;
+what does not depend on the cuts (the other strips, the fans' corner
+orbits, the gluing coefficients) is read from the polygon's tables.
 Simulations hash their start states and run one kernel built per call.
 
 The record ``DEFAULT`` sets only the bounds of the checks: the rectangles,
@@ -28,8 +30,8 @@ from .arcs import (DirectedArc, Rect, RectArray, _breakpoints,
                    seam_split)
 from .boundary import CycleData, Partition, cycle
 from .errors import TilingViolation
-from .mobius import TAU, BoundaryPoint
-from .polygon import INFINITY, SQUARE, Block, MarkedPolygon, rotation_powers
+from .mobius import TAU
+from .polygon import Block, MarkedPolygon
 
 
 @dataclass(frozen=True)
@@ -53,24 +55,6 @@ class AttractorDomain:
     arrays: RectArray = field(compare=False, repr=False)
 
 
-# rectangles per uniform strip; order 2 is a single rectangle because its
-# gluing is an involution, so the whole block arc maps by one transformation
-# even though it spans two cells
-_UNIFORM_COUNT = {SQUARE: 4, INFINITY: 2, 2: 1}
-
-
-def _uniform_strip(blk: Block, count: int) -> list[Rect]:
-    """``count`` equal w-arcs of width h = ``Block.sweep`` / count from the
-    block's start corner, each under the u-arc of sweep 2pi - h from the
-    w-arc's end; rectangle k is carried by side k of the block."""
-    h = blk.sweep / count
-    base = blk.base_angle
-    return [Rect(DirectedArc.from_angles(base + (k + 1) * h, TAU - h),
-                 DirectedArc.from_angles(base + k * h, h), blk.index,
-                 blk.side_start + k)
-            for k in range(count)]
-
-
 def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
     """Cycle data and rotation orbits of the cut point a of an order >= 3
     block with corners ``start`` and ``end``; c^j is ``rotation_powers``.
@@ -78,18 +62,18 @@ def _fan(poly: MarkedPolygon, part: Partition, blk: Block):
     ``low_w`` = c^j(a) for j = 0..J, then ``start``; ``up_w`` = c^{-i}(a) for
     i = 0..I, then ``end``: consecutive points bound the w-arcs of the lower
     and upper fan.  ``low_u`` = c^j(end), j = 0..J, and ``up_u`` =
-    c^{-i}(start), i = 0..I, the matching corner orbits, bound their u-arcs.
+    c^{-i}(start), i = 0..I, the matching corner orbits, bound their u-arcs:
+    the first J + 1 and I + 1 of the polygon's ``corner_orbits``, whose
+    zeroth powers are the corners themselves.
     """
     k = blk.side_start + 1
     data = cycle(poly, part, k)
     a = part.points[k]
-    start = poly.vertices[blk.side_start].point
-    end = BoundaryPoint.from_angle(blk.base_angle + blk.sweep)
-    low_u = rotation_powers(poly, k, end, range(data.J + 1))
-    up_u = rotation_powers(poly, k, start, range(0, -data.I - 1, -1))
+    low_u, up_u = poly.corner_orbits[blk.index]
+    start, end = up_u[0], low_u[0]
     low_w = [a, *data.lower_points[:data.J], start]
     up_w = [a, *data.upper_points[:data.I], end]
-    return data, start, end, low_w, up_w, low_u, up_u
+    return data, start, end, low_w, up_w, low_u[:data.J + 1], up_u[:data.I + 1]
 
 
 def _elliptic_strip(poly: MarkedPolygon, part: Partition,
@@ -114,21 +98,21 @@ def _elliptic_strip(poly: MarkedPolygon, part: Partition,
 def build_attractor(poly: MarkedPolygon, part: Partition) -> AttractorDomain:
     """Assemble the rectangle union, one horizontal strip per block.
 
-    A quadruple, cusp or order-2 block has a uniform strip: ``count`` = 4, 2
-    or 1 equal w-arcs of width h = ``Block.sweep`` / count tiling the block's
+    A quadruple, cusp or order-2 block has a uniform strip: count = 4, 2 or
+    1 equal w-arcs of width h = ``Block.sweep`` / count tiling the block's
     sector, each under the u-arc of sweep 2pi - h that starts where its w-arc
-    ends.  An order m >= 3 block has the fan of ``_elliptic_strip``, I + J + 2
+    ends.  It does not depend on the cut points, so every partition reads
+    the same ``Rect`` objects from the polygon's ``uniform_strips``.  An
+    order m >= 3 block has the fan of ``_elliptic_strip``, I + J + 2
     rectangles (m generically, m - 1 when the block's cycle is degenerate).
     Raises ``TilingViolation`` when the strips' w-arcs do not tile the
     circle.
     """
     strips: list[tuple[Rect, ...]] = []
     info: list[StripInfo] = []
-    for blk in poly.blocks:
-        count = _UNIFORM_COUNT.get(blk.symbol)
-        if count:
-            rects, data = _uniform_strip(blk, count), None
-        else:
+    for blk, rects in zip(poly.blocks, poly.uniform_strips):
+        data = None
+        if rects is None:
             rects, data = _elliptic_strip(poly, part, blk)
         strips.append(tuple(rects))
         info.append(StripInfo(len(rects), bool(data and data.degenerate),
@@ -199,9 +183,10 @@ def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
 def _gluing(poly: MarkedPolygon, cuts, keys: np.ndarray):
     """Cell of each key, the last lifted cut (``cuts``, in the keys'
     coordinate) at or before it, and the (4, keys) rows p, q, r, s of its
-    gluing's ``MoebiusPSU.real``."""
+    gluing's ``MoebiusPSU.real``, gathered from the polygon's
+    ``gluing_table``."""
     cell = np.maximum(np.searchsorted(cuts, keys, side="right") - 1, 0)
-    return cell, np.array([g.real for g in poly.generators]).T[:, cell]
+    return cell, poly.gluing_table[:, cell]
 
 
 def image_rects(poly: MarkedPolygon, part: Partition,

@@ -15,13 +15,14 @@ as its ideal ends, P_i and Q_{i+1} of ``aux``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import DirectedArc, _overlap_lengths, seam_split
+from .arcs import DirectedArc, Rect, _overlap_lengths, seam_split
 from .tolerances import DEFAULT, Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
@@ -197,6 +198,29 @@ class Block:
     n_sides: int
 
 
+# rectangles per uniform strip; order 2 is a single rectangle because its
+# gluing is an involution, so the whole block arc maps by one transformation
+# even though it spans two cells
+_UNIFORM_COUNT = {SQUARE: 4, INFINITY: 2, 2: 1}
+
+
+def _uniform_strip(blk: Block) -> tuple[Rect, ...] | None:
+    """The attractor strip of a quadruple, cusp or order-2 block, None for
+    an order m >= 3 block: count = 4, 2 or 1 equal w-arcs of width h =
+    ``Block.sweep`` / count from the block's start corner, each under the
+    u-arc of sweep 2pi - h from the w-arc's end; rectangle k is carried by
+    side k of the block."""
+    count = _UNIFORM_COUNT.get(blk.symbol)
+    if not count:
+        return None
+    h = blk.sweep / count
+    base = blk.base_angle
+    return tuple(Rect(DirectedArc.from_angles(base + (k + 1) * h, TAU - h),
+                      DirectedArc.from_angles(base + k * h, h), blk.index,
+                      blk.side_start + k)
+                 for k in range(count))
+
+
 @dataclass(frozen=True)
 class MarkedPolygon:
     signature: Signature
@@ -209,11 +233,53 @@ class MarkedPolygon:
     aux: tuple[AuxPoints, ...]           # side i runs from P_i to Q_{i+1}
     blocks: tuple[Block, ...]
 
+    # the tables shared by every partition; ``dataclasses.replace`` makes a
+    # new polygon, which forms its own
+
+    @functools.cached_property
+    def side_blocks(self) -> tuple[Block, ...]:
+        """The block of each side, side by side."""
+        return tuple(blk for blk in self.blocks for _ in range(blk.n_sides))
+
     def block_of_side(self, i: int) -> Block:
-        for blk in reversed(self.blocks):
-            if i >= blk.side_start:
-                return blk
-        return self.blocks[0]
+        """The block holding side i mod N, from ``side_blocks``."""
+        return self.side_blocks[i % self.n_sides]
+
+    @functools.cached_property
+    def uniform_strips(self) -> tuple[tuple[Rect, ...] | None, ...]:
+        """Per block, its attractor strip when that strip does not depend on
+        the cut points (a quadruple, cusp or order-2 block), else None."""
+        return tuple(map(_uniform_strip, self.blocks))
+
+    @functools.cached_property
+    def corner_orbits(self) -> tuple[tuple[tuple[BoundaryPoint, ...],
+                                           tuple[BoundaryPoint, ...]]
+                                     | None, ...]:
+        """Per order m >= 3 block with corners ``start`` and ``end`` and
+        rotation c about its vertex k, the m powers c^j(end) and the m
+        powers c^-i(start), j, i = 0..m - 1 (``rotation_powers``), from
+        which every fan takes its u-arc ends; None for any other block."""
+        out = []
+        for blk in self.blocks:
+            k = blk.side_start + 1
+            if blk.symbol in _UNIFORM_COUNT:
+                out.append(None)
+                continue
+            m = self.vertices[k].order
+            start = self.vertices[blk.side_start].point
+            end = BoundaryPoint.from_angle(blk.base_angle + blk.sweep)
+            out.append((tuple(rotation_powers(self, k, end, range(m))),
+                        tuple(rotation_powers(self, k, start,
+                                              range(0, -m, -1)))))
+        return tuple(out)
+
+    @functools.cached_property
+    def gluing_table(self) -> np.ndarray:
+        """(4, N) read-only rows p, q, r, s: column i is ``MoebiusPSU.real``
+        of ``generators[i]``."""
+        table = np.array([g.real for g in self.generators]).T.copy()
+        table.flags.writeable = False
+        return table
 
     def elliptic_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.vertices) if not v.is_ideal]

@@ -29,8 +29,9 @@ class FigureSpec:
     size: int = 640
 
     def __post_init__(self) -> None:
-        if not self.size >= 100:           # NaN fails every comparison
-            raise ValueError("canvas must be at least 100 px")
+        # NaN fails every comparison, and infinity is not finite
+        if not (self.size >= 100 and math.isfinite(self.size)):
+            raise ValueError("canvas must be at least 100 px and finite")
 
 
 @functools.lru_cache(maxsize=None)

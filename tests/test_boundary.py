@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (LADDER, MODES, OPEN_ORBIT_CUTS, SCALE, SIGNATURES,
                       partition, polygon)
+from oracles import _nearest as nearest_reference
 from oracles import (circular_run, f_apply, growth_rate, markov_entropy,
                      markov_full_walk, markov_reference, matching_walk, orbit,
                      transition_ends)
@@ -173,10 +174,13 @@ class TestVectorLookups:
     @example(([3.0], [3.0, 0.0, math.nextafter(TAU, 0)]))
     @example(([1.0, 2.0], [1.5, 0.0, math.nextafter(TAU, 0)]))
     def test_nearest_many_is_nearest(self, case):
-        # index and distance to the bit, the lower end winning a tie
+        # index and distance to the bit, the lower end winning a tie, against
+        # the reference lookup; the distance also against _nearest's
         anchors, thetas = case
         idx, dist = _nearest_many(np.array(thetas), np.array(anchors))
         assert (repr(list(zip(idx.tolist(), dist.tolist())))
+                == repr([nearest_reference(t, anchors) for t in thetas]))
+        assert (repr(dist.tolist())
                 == repr([_nearest(t, anchors) for t in thetas]))
 
     def test_tie_goes_to_the_lower_end(self):

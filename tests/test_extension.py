@@ -21,16 +21,17 @@ from oracles import (GAMMA, F_apply, ReferenceKernel, candidates_reference,
                      scalar_rect_image, split_reference, splitmix64,
                      two_lookup_cell, two_lookup_step, verify_exceptional)
 
-from fuchsian import (BoundaryPoint, NotElliptic, TilingViolation,
-                      build_attractor, cycle, check_forward_invariance,
-                      make_partition, phi_set, simulate_entry, tolerances,
-                      verify_bijectivity)
+from fuchsian import (BoundaryPoint, NotElliptic, Signature, TilingViolation,
+                      build_attractor, build_canonical, cycle,
+                      check_forward_invariance, make_partition, phi_set,
+                      simulate_entry, tolerances, verify_bijectivity)
 from fuchsian.arcs import (DirectedArc, Rect, RectArray, _overlap_lengths,
                           cayley, cayley_angle, seam_split)
 from fuchsian.extension import (_BLOCK, EntryTrace, _check_tiling, _cover,
                                 _draws, _Kernel, _meeting, _mix64, _moebius,
                                 _runs, _split, image_rects, traces_to_csv)
 from fuchsian.mobius import TAU, angular_distance
+from fuchsian.polygon import INFINITY, SQUARE, rotation_powers
 from fuchsian.tolerances import SAME_POINT, STRUCTURAL, WRAP
 
 MODULAR = "0;2,3;1"
@@ -182,6 +183,107 @@ class TestAttractorStructure:
             warnings.simplefilter("error")
             dom = build_attractor(poly, part)
         assert not dom.guarantee
+
+
+# the acceptance and scale sets under the named partitions, and one seeded
+# custom partition per signature with an elliptic vertex
+TABLE_CASES = [(t, m) for t in SIGNATURES + SCALE for m in MODES] + [
+    (t, "custom") for t in SIGNATURES + SCALE if polygon(t).elliptic_indices()]
+
+
+def table_partition(poly, mode):
+    """The partition ``mode`` of ``poly``; "custom" draws each elliptic cut
+    uniformly on 0.02-0.98 of its [P, Q] arc from a fixed seed."""
+    if mode != "custom":
+        return make_partition(poly, mode)
+    rng = np.random.default_rng(33)
+    cuts = {}
+    for k in poly.elliptic_indices():
+        lo, hi = poly.aux[k].P.theta, poly.aux[k].Q.theta
+        cuts[k] = (lo + rng.uniform(0.02, 0.98) * ((hi - lo) % TAU)) % TAU
+    return make_partition(poly, "custom", cuts)
+
+
+class TestPolygonTables:
+    """The partition-independent tables of a polygon are formed once and
+    read by each of its partitions."""
+
+    @pytest.mark.parametrize("key", TABLE_CASES, ids=str)
+    def test_reused_polygon_builds_the_fresh_attractor(self, key):
+        text, mode = key
+        poly = polygon(text)
+        for other in MODES:            # the tables formed by other partitions
+            build_attractor(poly, table_partition(poly, other))
+        fresh = build_canonical(Signature.parse(text))
+        assert "gluing_table" not in vars(fresh)
+        assert (repr(build_attractor(poly, table_partition(poly, mode)))
+                == repr(build_attractor(fresh, table_partition(fresh, mode))))
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_uniform_strips_are_shared(self, text):
+        poly = polygon(text)
+        doms = [build_attractor(poly, table_partition(poly, mode))
+                for mode in (*MODES, "custom")]
+        shared = 0
+        for b, strip in enumerate(poly.uniform_strips):
+            if strip is None:
+                continue
+            for dom in doms:
+                assert len(dom.strips[b]) == len(strip)
+                assert all(r is q for r, q in zip(dom.strips[b], strip))
+                shared += 1
+        assert shared == len(doms) * sum(
+            blk.symbol in (SQUARE, INFINITY, 2) for blk in poly.blocks)
+
+    @pytest.mark.parametrize("key", TABLE_CASES, ids=str)
+    def test_fans_read_the_corner_orbits(self, key):
+        # each fan's u-arc ends are the first J + 1 and I + 1 powers, to the
+        # bit those of rotation_powers taken for this partition alone
+        text, mode = key
+        poly = polygon(text)
+        dom = build_attractor(poly, table_partition(poly, mode))
+        for blk, info, orbits in zip(poly.blocks, dom.info,
+                                     poly.corner_orbits):
+            if orbits is None:
+                assert info.cycle is None
+                continue
+            k, m = blk.side_start + 1, blk.symbol
+            start = poly.vertices[blk.side_start].point
+            end = BoundaryPoint.from_angle(blk.base_angle + blk.sweep)
+            assert len(orbits[0]) == len(orbits[1]) == m
+            J, I = info.cycle.J, info.cycle.I
+            assert repr(orbits[0][:J + 1]) == repr(tuple(
+                rotation_powers(poly, k, end, range(J + 1))))
+            assert repr(orbits[1][:I + 1]) == repr(tuple(
+                rotation_powers(poly, k, start, range(0, -I - 1, -1))))
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_cached_arrays_are_read_only(self, text):
+        poly = polygon(text)
+        table = poly.gluing_table
+        assert table is poly.gluing_table
+        assert table.shape == (4, poly.n_sides)
+        assert table.flags.writeable is False
+        assert np.array_equal(table, real_form(poly))
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        for name in ("side_blocks", "uniform_strips", "corner_orbits"):
+            assert isinstance(getattr(poly, name), tuple)
+
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_replaced_polygon_forms_its_own_tables(self, text):
+        poly = polygon(text)
+        table = poly.gluing_table
+        gens = list(poly.generators)
+        gens[0] = gens[0].inverse()
+        bent = dataclasses.replace(poly, generators=tuple(gens))
+        assert bent.gluing_table is not table
+        assert np.array_equal(bent.gluing_table[:, 0], gens[0].real)
+        assert np.array_equal(bent.gluing_table[:, 1:], table[:, 1:])
+        assert np.array_equal(poly.gluing_table, real_form(poly))
+        moved = dataclasses.replace(poly, vertices=poly.vertices)
+        assert moved.corner_orbits is not poly.corner_orbits
+        assert moved.uniform_strips is not poly.uniform_strips
 
 
 class TestBijectivity:

@@ -206,6 +206,11 @@ class TestAttractorFigure:
         with pytest.raises(ValueError):
             FigureSpec(size=math.nan)
 
+    def test_infinite_canvas_rejected(self):
+        # an infinite size passed the floor and wrote width="inf" into the SVG
+        with pytest.raises(ValueError, match="finite"):
+            FigureSpec(size=math.inf)
+
     def test_palette_is_stable(self):
         assert block_color(0) == block_color(0)
         assert block_color(0) != block_color(1)
