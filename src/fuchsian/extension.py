@@ -295,9 +295,10 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
 
     Every rectangle is imaged in one pass.  With domain rectangles R_r,
     images I_i, block b's band B_b = [base_angle, base_angle +
-    ``Block.sweep``] x S, and I_i^b image i with its u-intervals clipped to
-    its own block's band, |A xor B| = |A| + |B| - 2 |A and B|, each union
-    expanded by inclusion-exclusion to its pairwise terms, gives
+    ``Block.sweep``] x S (the polygon's ``block_bands``), and I_i^b image i
+    with its u-intervals clipped to its own block's band, |A xor B| = |A| +
+    |B| - 2 |A and B|, each union expanded by inclusion-exclusion to its
+    pairwise terms, gives
 
         sym = sum_r |R_r| + sum_i |I_i| - 2 sum_i,r |I_i and R_r|
               + sum_i<j |I_i and I_j|,
@@ -350,8 +351,7 @@ def verify_bijectivity(poly: MarkedPolygon, part: Partition,
     u, w = images.intervals()
     du, dw = rs.intervals()
     # no band crosses the seam: each is its first interval
-    bands = seam_split(np.array([blk.base_angle for blk in poly.blocks]),
-                       np.array([blk.sweep for blk in poly.blocks]))
+    bands = poly.block_bands
     uc = clip_intervals(u, bands[images.block, :1])
     gap = seam_split(rs.theta[:, 0] + rs.sweep[:, 0], TAU - rs.sweep[:, 0])
 
@@ -475,16 +475,19 @@ def _draws(seed: int, samples: int, buffer: float) -> np.ndarray:
 
 def _moebius(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(p x + q) / (r x + s) of the states x, for rows p, q, r, s of
-    ``coef``, under the loops' ``np.errstate(all="ignore",
-    invalid="raise")``: a zero denominator gives the seam +-inf.  A seam
-    state makes inf / inf, inf * 0 or inf - inf, which raises, so no step
-    tests for it; the step is then taken again with invalid ignored, and
-    the seam, whose quotient is NaN, maps to p / r.  Numerator and
-    denominator take one multiply-add."""
+    ``coef`` broadcast against x, in five elementwise passes, under the
+    loops' ``np.errstate(all="ignore", invalid="raise")``: a zero
+    denominator gives the seam +-inf.  A seam state makes inf / inf, inf *
+    0 or inf - inf, which raises, so no step tests for it; the step is then
+    taken again with invalid ignored, and the seam, whose quotient is NaN,
+    maps to p / r."""
     try:
-        a = coef[0:4:2] * x[:, None]
-        a += coef[1:4:2]
-        return a[:, 0] / a[:, 1]
+        a = coef[0] * x
+        a += coef[1]
+        b = coef[2] * x
+        b += coef[3]
+        a /= b
+        return a
     except FloatingPointError:
         with np.errstate(invalid="ignore"):
             return _seam(_moebius(x, coef), coef)
@@ -512,22 +515,21 @@ class _Kernel:
     """The vectorized step-and-membership kernel of the planar extension.
 
     A state is a column of a C-ordered 2 x N array of the ``cayley``
-    coordinates x of (u, w), on which a gluing acts by the real map x ->
-    (p x + q) / (r x + s) of determinant 1 (see README), so no step
-    renormalises.  Every arc of a rectangle list is closed and widened by
-    ``STRUCTURAL``: its edges are lo = x(start - tol), hi = x(end + tol),
-    (-inf, inf) for an arc widened to the whole circle, and nw = lo <= hi,
-    false where it holds the seam; x is on it when (x >= lo) ^ (x <= hi) ^
-    nw.  ``breaks`` sorts the x of 0, of the lifted cuts, and of each w-arc's
-    lo and the float after its hi, so each interval [breaks[j - 1],
+    coordinates x of (u, w), stepped as the flat [u; w]; a gluing acts by
+    the real map x -> (p x + q) / (r x + s) of determinant 1 (see README),
+    so no step renormalises.  Every arc of a rectangle list is closed and
+    widened by ``STRUCTURAL``: its edges are lo = x(start - tol), hi = x(end
+    + tol), (-inf, inf) for an arc widened to the whole circle, and nw = lo
+    <= hi, false where it holds the seam; x is on it when (x >= lo) ^ (x <=
+    hi) ^ nw.  ``breaks`` sorts the x of 0, of the lifted cuts, and of each
+    w-arc's lo and the float after its hi, so each interval [breaks[j - 1],
     breaks[j]) of w (``locate``) lies wholly on or off every w-arc, and a
     w-arc holds one run of intervals, cyclic past the seam, found by two
     ``searchsorted``; column j of a list's ``cand`` holds exactly the rows
     whose run holds j, ascending (-1 pads): a state is inside when its u is
     on one of them.  Column j of ``table`` holds the (p, q, r, s) of its
     cell, then per list the lo, hi and nw of the first candidate's u-arc
-    (NaN, NaN, 0 on the pad, which holds no u), so one gather serves a step
-    of ``simulate_entry`` and its first test; ``later`` holds the other
+    (NaN, NaN, 0 on the pad, which holds no u); ``later`` holds the other
     candidates' u-edges, and ``inside`` judges any batch of state-steps.
     These are the verdicts of every rectangle, tiled or not.  At w = 2pi the
     kernel takes the last cell, ``cell_of`` cell 0.
@@ -540,7 +542,7 @@ class _Kernel:
         edges = []
         for rs in lists:
             lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
-            lo, hi = cayley(np.stack([lo, lo + sweep]) % TAU)
+            lo, hi = cayley(np.array([lo, lo + sweep]) % TAU)
             lo[sweep >= TAU], hi[sweep >= TAU] = -np.inf, np.inf
             edges.append((lo, hi))
         cuts = cayley(part.lifted[:part.n])
@@ -568,30 +570,30 @@ class _Kernel:
             cand = np.full((depth.max(), n), -1)
             cand[np.arange(len(j)) - (np.cumsum(depth) - depth)[j], j] = row
             # u-edges lo, hi, nw of each candidate; column -1 pads
-            u = np.hstack([[lo[0], hi[0], nw[0]], [[np.nan], [np.nan], [0]]])
-            slots = np.moveaxis(u[:, cand], 1, 0)
+            u = np.concatenate(([lo[0], hi[0], nw[0]],
+                                [[np.nan], [np.nan], [0]]), axis=1)
+            slots = u[:, cand].transpose(1, 0, 2)
             rows += list(slots[0])
             self.cand.append(cand)
             self.later.append(slots[1:])
-        self.table = np.stack(rows)
+        self.table = np.array(rows)
 
     def locate(self, xw: np.ndarray) -> np.ndarray:
         """Table index j of each w-coordinate."""
-        return np.searchsorted(self.breaks, xw, side="right")
+        return self.breaks.searchsorted(xw, side="right")
 
     def start(self, ang: np.ndarray):
         """C-ordered states at angles ``ang`` (2 x N) and their j."""
         x = cayley(np.ascontiguousarray(ang))
         return x, self.locate(x[1])
 
-    def inside(self, i: int, j, x: np.ndarray, ok=None) -> np.ndarray:
-        """Mask of the states x, w in intervals j, in list i: u = x[0] on
-        the candidates of j in turn, until one holds it or none is left.
-        ``ok`` is the mask of the states on their first candidate's u-arc,
-        if already computed; it is updated in place."""
+    def inside(self, i: int, j, u: np.ndarray, ok=None) -> np.ndarray:
+        """Mask of the states with u-coordinates u and w in intervals j, in
+        list i: u on the candidates of j in turn, until one holds it or none
+        is left.  ``ok`` is the mask of the states on their first
+        candidate's u-arc, if already computed; it is updated in place."""
         if ok is None:
-            ok = _on_arc(x[0], *self.table[4 + 3 * i:7 + 3 * i].take(
-                j, axis=1))
+            ok = _on_arc(u, *self.table[4 + 3 * i:7 + 3 * i].take(j, axis=1))
         # count_nonzero costs a third of ok.all()
         if np.count_nonzero(ok) == ok.size:
             return ok
@@ -601,7 +603,7 @@ class _Kernel:
             todo = todo[cand[k, j[todo]] >= 0]
             if todo.size == 0:
                 break
-            hit = _on_arc(x[0, todo], *edges.take(j[todo], axis=1))
+            hit = _on_arc(u[todo], *edges.take(j[todo], axis=1))
             ok[todo[hit]] = True
             todo = todo[~hit]
         return ok
@@ -616,12 +618,12 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     SplitMix64 hash of (seed, sample index, retry), so a sample depends on
     the non-negative integer seed and its index alone.  A sample that starts
     inside records its drawn angles as its entry.  A sample stays live until
-    it has entered the attractor and left the escape set; each step gathers
-    one ``_Kernel.table`` column per live state, which holds the first
-    candidates of both lists and the next step's gluing, and the live states
-    are compacted only after a step on which one stopped waiting.  The loop
-    sets its own error state (``_moebius``), so the caller's changes
-    nothing.  Raises ``ValueError`` for negative ``max_iters``.
+    it has entered the attractor and left the escape set; each step maps
+    their flat [u; w] by the gluing rows of ``_Kernel.table`` gathered at
+    the doubled intervals of w, and the live states and their two wait
+    masks are compacted only after a step on which one stopped waiting.
+    The loop sets its own error state (``_moebius``), so the caller's
+    changes nothing.  Raises ``ValueError`` for negative ``max_iters``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -636,29 +638,32 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     kern = _Kernel(poly, part, dom.arrays, RectArray.of(phi_set(poly, part)))
     K, esc = np.full((2, samples), -1, dtype=np.int64)
     entry = np.full((2, samples), np.nan)
-    # the live states, each still waiting to enter (row 0), to escape (row
-    # 1) or both; compacted after the steps on which one stopped waiting
-    live, wait = np.arange(samples), np.ones((2, samples), bool)
+    # the live states, each still waiting to enter, to escape or both;
+    # compacted after the steps on which one stopped waiting
+    live, glue, first = np.arange(samples), kern.table[:4], kern.table[4:]
+    wait_in, wait_out = np.ones((2, samples), bool)
     with np.errstate(all="ignore", invalid="raise"):
         x, j = kern.start(drawn)
+        x = x.ravel()
         for n in range(max_iters + 1):
             if n:
-                x = _moebius(x, col)
-                j = kern.locate(x[1])
-            # one gather: this step's first candidates, the next step's gluing
-            col = kern.table.take(j, axis=1)
-            new = wait & [kern.inside(0, j, x, _on_arc(x[0], *col[4:7])),
-                          ~kern.inside(1, j, x, _on_arc(x[0], *col[7:10]))]
-            if not new.any():
+                x = _moebius(x, glue.take(np.concatenate((j, j)), axis=1))
+                j = kern.locate(x[live.size:])
+            u, col = x[:live.size], first.take(j, axis=1)
+            hit = kern.inside(0, j, u, _on_arc(u, *col[:3]))
+            hit &= wait_in
+            out = wait_out > kern.inside(1, j, u, _on_arc(u, *col[3:]))
+            if not (np.count_nonzero(hit) or np.count_nonzero(out)):
                 continue
-            hit, out = new
             K[live[hit]], esc[live[out]] = n, n
-            entry[:, live[hit]] = (cayley_angle(x[:, hit]) if n
-                                   else drawn[:, hit])
-            wait ^= new
-            keep = wait[0] | wait[1]
-            live, wait = live[keep], wait[:, keep]
-            x, col = x[:, keep], col[:, keep]
+            entry[:, live[hit]] = (cayley_angle(x.reshape(2, -1)[:, hit])
+                                   if n else drawn[:, hit])
+            wait_in ^= hit
+            wait_out ^= out
+            keep = wait_in | wait_out
+            live, j, wait_in, wait_out = (live[keep], j[keep], wait_in[keep],
+                                          wait_out[keep])
+            x = x[np.concatenate((keep, keep))]
             if live.size == 0:
                 break
 
@@ -673,9 +678,10 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     """Iterate the entered states further; count membership violations,
     as an ``int``.
 
-    Each step gathers only the gluing rows ``_Kernel.table[:4]``; one
-    ``_Kernel.inside`` call judges the kept u and intervals of each block of
-    ``max(1, _BLOCK // states)`` steps as a test after every step would.
+    Each step maps the flat [u; w] by the gluing rows ``_Kernel.table[:4]``
+    gathered at the doubled intervals of w, and writes u and the intervals
+    to a row of two buffers; one ``_Kernel.inside`` call judges each block
+    of ``max(1, _BLOCK // states)`` steps as a test after every step would.
     The loop sets its own error state (``_moebius``), so the caller's
     changes nothing.  Raises ``ValueError`` for negative ``steps``."""
     if steps < 0:
@@ -685,20 +691,20 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     if not ang.size:
         return 0
     kern = _Kernel(poly, part, dom.arrays)
-    block = max(1, _BLOCK // ang.shape[1])
-    exits, us, js, glue = 0, [], [], kern.table[:4]
+    exits, glue, N = 0, kern.table[:4], ang.shape[1]
+    block = max(1, _BLOCK // N)
+    us, js = np.empty((block, N)), np.empty((block, N), np.intp)
     with np.errstate(all="ignore", invalid="raise"):
         x, j = kern.start(ang)
-        for n in range(1, steps + 1):
-            x = _moebius(x, glue.take(j, axis=1))
-            j = kern.locate(x[1])
-            us.append(x[0])
-            js.append(j)
-            if n % block == 0 or n == steps:
-                u = np.concatenate(us)
-                exits += u.size - np.count_nonzero(
-                    kern.inside(0, np.concatenate(js), u[None]))
-                us, js = [], []
+        x = x.ravel()
+        for n in range(steps):
+            x = _moebius(x, glue.take(np.concatenate((j, j)), axis=1))
+            k = n % block
+            us[k], j = x[:N], kern.locate(x[N:])
+            js[k] = j
+            if k == block - 1 or n == steps - 1:
+                exits += (k + 1) * N - np.count_nonzero(
+                    kern.inside(0, js[:k + 1].ravel(), us[:k + 1].ravel()))
     return int(exits)
 
 

@@ -281,6 +281,16 @@ class MarkedPolygon:
         table.flags.writeable = False
         return table
 
+    @functools.cached_property
+    def block_bands(self) -> np.ndarray:
+        """(B, 2, 2) read-only ``seam_split`` of each block's sector, from
+        ``base_angle`` over ``Block.sweep``: the u-band onto which the
+        block's strip maps."""
+        bands = seam_split(np.array([blk.base_angle for blk in self.blocks]),
+                           np.array([blk.sweep for blk in self.blocks]))
+        bands.flags.writeable = False
+        return bands
+
     def elliptic_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.vertices) if not v.is_ideal]
 

@@ -20,6 +20,7 @@ from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NonFinite,
                       markov_check, verify_matching)
 from fuchsian.boundary import _nearest, _nearest_many, _walk
 from fuchsian.mobius import TAU, DiskPoint, angular_distance
+from fuchsian.tolerances import SAME_POINT
 
 MODULAR = "0;2,3;1"
 ORDERS_3_TO_32 = "0;" + ",".join(map(str, range(3, 33))) + ";1"
@@ -578,6 +579,29 @@ class TestMarkov:
                                             *rep.transitions[i + 1:]])
             assert abs(markov_entropy(cut)
                        - growth_rate(poly.signature)) > 1e-9
+
+    @pytest.mark.parametrize("text", SIGNATURES)
+    def test_a_duplicated_refinement_point_misses_the_growth_rate(self, text):
+        # a copy of the first midpoint refinement point 1.5e-9 above it,
+        # just outside SAME_POINT, with the transitions recomputed by the
+        # reference scan, moves the entropy by 0.0047 or more here (any
+        # point but the last: 1.2e-4 or more).  The last point is a cut,
+        # and its copy leaves the entropy unchanged on four of these six
+        poly = polygon(text)
+        part = partition(text, "midpoint")
+        rep = markov_check(poly, part)
+
+        def entropy(refined):
+            runs = [circular_run(ilo, ihi, len(refined))
+                    for ilo, _, ihi, _ in transition_ends(poly, part, refined)]
+            return markov_entropy(replace(rep, refinement=refined,
+                                          transitions=runs)), runs
+
+        assert entropy(rep.refinement)[1] == rep.transitions
+        refined = sorted([*rep.refinement,
+                          rep.refinement[0] + 1.5 * SAME_POINT])
+        assert len(refined) == len(rep.refinement) + 1
+        assert abs(entropy(refined)[0] - growth_rate(poly.signature)) > 1e-9
 
     def test_all_ideal_refinement_is_vertex_set(self):
         rep = markov_check(polygon("1;;1"), partition("1;;1", "midpoint"))

@@ -267,6 +267,12 @@ class TestPolygonTables:
         assert np.array_equal(table, real_form(poly))
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
+        bands = poly.block_bands
+        assert bands is poly.block_bands
+        assert bands.shape == (len(poly.blocks), 2, 2)
+        assert bands.flags.writeable is False
+        with pytest.raises(ValueError):
+            bands[0, 0, 0] = 1.0
         for name in ("side_blocks", "uniform_strips", "corner_orbits"):
             assert isinstance(getattr(poly, name), tuple)
 
@@ -284,6 +290,8 @@ class TestPolygonTables:
         moved = dataclasses.replace(poly, vertices=poly.vertices)
         assert moved.corner_orbits is not poly.corner_orbits
         assert moved.uniform_strips is not poly.uniform_strips
+        bands = poly.block_bands
+        assert dataclasses.replace(poly).block_bands is not bands
 
 
 class TestBijectivity:
@@ -496,16 +504,18 @@ class TestArrayImaging:
 
     @pytest.mark.parametrize("text", SIGNATURES + LADDER)
     def test_bands_tile_without_seam(self, text):
-        # verify_bijectivity's bands [base_angle, base_angle + sweep]: in
-        # block order from 0, each ending within 2 ulp(2pi) of the next
-        # block's start (2pi after the last), and none across the seam
-        blocks = polygon(text).blocks
-        lo = np.array([blk.base_angle for blk in blocks])
-        sweep = np.array([blk.sweep for blk in blocks])
+        # verify_bijectivity's bands [base_angle, base_angle + sweep], the
+        # polygon's block_bands: in block order from 0, each ending within
+        # 2 ulp(2pi) of the next block's start (2pi after the last), and
+        # none across the seam
+        poly = polygon(text)
+        lo = np.array([blk.base_angle for blk in poly.blocks])
+        sweep = np.array([blk.sweep for blk in poly.blocks])
         assert lo[0] == 0.0
         assert np.abs(lo + sweep - np.append(lo[1:], TAU)).max() \
             <= 2 * math.ulp(TAU)
-        bands = seam_split(lo, sweep)
+        bands = poly.block_bands
+        assert bands.tobytes() == seam_split(lo, sweep).tobytes()
         assert (bands[:, 1, 1] <= bands[:, 1, 0]).all()
 
     @pytest.mark.parametrize("text", SIGNATURES)
@@ -786,6 +796,12 @@ class TestPhiAndExceptional:
                 assert angular_distance(fwd.theta, bwd.theta) < 1e-9
 
 
+# the acceptance set under the named partitions, and one seeded custom
+# partition per signature with an elliptic vertex
+PREFIX_CASES = [(t, m) for t in SIGNATURES for m in MODES] + [
+    (t, "custom") for t in SIGNATURES if polygon(t).elliptic_indices()]
+
+
 class TestSimulation:
     def test_start_inside_has_K_zero(self):
         dom = domain(MODULAR, "midpoint")
@@ -818,6 +834,18 @@ class TestSimulation:
         a = simulate_entry(dom.poly, dom.part, dom, samples=10, seed=5)
         b = simulate_entry(dom.poly, dom.part, dom, samples=25, seed=5)
         assert a == b[:10]
+
+    @pytest.mark.parametrize("key", PREFIX_CASES, ids=str)
+    def test_small_batches_are_prefixes(self, key):
+        # a batch of k samples is the first k of 150, whatever the live
+        # count at which the flat state of each batch is compacted
+        poly = polygon(key[0])
+        part = table_partition(poly, key[1])
+        dom = build_attractor(poly, part)
+        full = simulate_entry(poly, part, dom, samples=150, seed=5)
+        for k in (1, 2, 3, 149):
+            got = simulate_entry(poly, part, dom, samples=k, seed=5)
+            assert repr(got) == repr(full[:k]), k
 
     def test_survey_mode_outside_guarantee(self):
         poly = polygon(MODULAR)
@@ -996,7 +1024,7 @@ def kernel_member(key, rects, pu, pw):
     ``STRUCTURAL``, for one rectangle list of the domain ``key``."""
     kern = _Kernel(polygon(key[0]), partition(*key), RectArray.of(rects))
     x, j = kern.start(np.stack([pu, pw]))
-    return kern.inside(0, j, x)
+    return kern.inside(0, j, x[0])
 
 
 def near_ends(arcs, theta, tol, band):
@@ -1100,10 +1128,10 @@ class TestMembershipKernel:
               + rng.uniform(-3 * tol, 3 * tol, pu.size)) % TAU
         want = dense_member(rects, pu, pw, tol)
         x, j = kernel.start(np.stack([pu, pw]))
-        assert np.array_equal(kernel.inside(0, j, x), want)
+        assert np.array_equal(kernel.inside(0, j, x[0]), want)
         # the third row matters: without it states are missed
         kernel.later[0] = kernel.later[0][:1]
-        assert not np.array_equal(kernel.inside(0, j, x), want)
+        assert not np.array_equal(kernel.inside(0, j, x[0]), want)
 
     @pytest.mark.parametrize("which", ["attractor", "phi"])
     @pytest.mark.parametrize("key", KERNEL_DOMAINS, ids=str)
@@ -1129,7 +1157,7 @@ class TestMembershipKernel:
                            + rng.uniform(-3 * STRUCTURAL, 3 * STRUCTURAL,
                                          pw.size)) % TAU)
             x = cayley(np.stack([pu, pw]))
-            got = kern.inside(0, kern.locate(x[1]), x)
+            got = kern.inside(0, kern.locate(x[1]), x[0])
             want = (kernel_reference(poly, part, rs, x) if exact
                     else dense_member(rects, pu, pw, STRUCTURAL))
             assert np.array_equal(got, want)
@@ -1159,8 +1187,8 @@ class TestMembershipKernel:
                                                  0.9 * SAME_POINT, pu.size)
         want = dense_member(rects, pu, pw, STRUCTURAL)
         assert (want & ~dense_member([nxt], pu, pw, STRUCTURAL)).sum() > 100
-        assert np.array_equal(
-            kern.inside(0, *kern.start(np.stack([pu, pw]))[::-1]), want)
+        x, j = kern.start(np.stack([pu, pw]))
+        assert np.array_equal(kern.inside(0, j, x[0]), want)
 
     @pytest.mark.parametrize("shift", [1e-3, 3 * SAME_POINT])
     @pytest.mark.parametrize("key", [(MANY_BLOCKS, "midpoint"),
@@ -1409,8 +1437,8 @@ class TestFusedLookup:
         for _ in range(300):
             x, j = kernel_step(kern, x, j)
             ang = cayley_angle(x)
-            off = kern.inside(0, j, x) != dense_member(dom.rects, *ang,
-                                                       STRUCTURAL)
+            off = kern.inside(0, j, x[0]) != dense_member(dom.rects, *ang,
+                                                          STRUCTURAL)
             assert near_edges(dom.rects, ang[:, off], STRUCTURAL,
                               2 * np.spacing(TAU)).all()
 
@@ -1438,7 +1466,7 @@ class TestFusedLookup:
             ang = np.where([which & 1, which & 2], edge,
                            rng.uniform(0.0, TAU, edge.shape))
             x = np.hstack([cayley(ang), *orbits])
-            assert np.array_equal(kern.inside(i, kern.locate(x[1]), x),
+            assert np.array_equal(kern.inside(i, kern.locate(x[1]), x[0]),
                                   kernel_reference(poly, part, arrays[i], x))
 
     @pytest.mark.parametrize("key", FUSED_CASES, ids=str)
@@ -1541,7 +1569,9 @@ class TestLoops:
         # columns of real gluings, random ones, and random ones with r = 0
         # and with p = r = 0; states uniform over six decades and on the
         # pole -s / r, then 30 % of them set to +-inf, +-0.0 or +-1e308,
-        # whose p x overflows
+        # whose p x overflows: in u alone, in w alone and in both.  Each
+        # batch also steps as the loops' flat [u; w] of permuted columns,
+        # with the coefficients gathered at the doubled index
         rng = np.random.default_rng(25)
         n = 6000
         x = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-3, 4, (2, n))
@@ -1557,12 +1587,18 @@ class TestLoops:
         pick = rng.random((2, n)) < 0.3
         x[pick] = rng.choice([np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308],
                              np.count_nonzero(pick))
-        for states in (plain, x):
+        only_u, only_w = plain.copy(), plain.copy()
+        only_u[0], only_w[1] = x[0], x[1]
+        j = rng.permutation(n)
+        doubled = coef.take(np.concatenate((j, j)), axis=1)
+        for states in (plain, only_u, only_w, x):
             with np.errstate(all="ignore"):
                 want = moebius_reference(states, coef)
             with np.errstate(all="ignore", invalid="raise"):
                 got = _moebius(states, coef)
+                flat = _moebius(states[:, j].ravel(), doubled)
             assert got.tobytes() == want.tobytes()
+            assert flat.tobytes() == want[:, j].tobytes()
         # the seam and the p = r = 0 columns map to +-inf and to NaN
         assert np.isinf(want).any() and np.isnan(want).any()
 
