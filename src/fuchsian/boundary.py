@@ -312,12 +312,13 @@ def markov_check(poly: MarkedPolygon, part: Partition,
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     gens, n = poly.generators, part.n
-    # each cut's first cell on either side, interleaved upper, lower
-    thetas = np.array(part.thetas)
-    cell = part.cells_of(thetas)
-    on_cut = np.abs(thetas - thetas[cell]) % TAU
-    on_cut = np.minimum(on_cut, TAU - on_cut) < STRUCTURAL
-    firsts = np.column_stack([cell, (cell - on_cut) % n]).ravel().tolist()
+    # each cut's first cell on either side, interleaved upper, lower: the
+    # nonempty cell that starts at the cut, and the one that ends there, by
+    # left bisection of the cut lifted above A_0
+    thetas, lifted = np.array(part.thetas), np.array(part.lifted)
+    lower = lifted.searchsorted(np.where(thetas > lifted[0], thetas,
+                                         thetas + TAU)) - 1
+    firsts = np.column_stack([part.cells_of(thetas), lower]).ravel().tolist()
     images = [_step(gens[c], t)
               for c, t in zip(firsts, np.repeat(thetas, 2).tolist())]
     _, gap = _nearest_many(np.array(images), np.array(part.cuts))

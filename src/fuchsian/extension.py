@@ -180,15 +180,6 @@ def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
     return rows[keep], lo[keep], hi[keep], out[keep]
 
 
-def _gluing(poly: MarkedPolygon, cuts, keys: np.ndarray):
-    """Cell of each key, the last lifted cut (``cuts``, in the keys'
-    coordinate) at or before it, and the (4, keys) rows p, q, r, s of its
-    gluing's ``MoebiusPSU.real``, gathered from the polygon's
-    ``gluing_table``."""
-    cell = np.maximum(np.searchsorted(cuts, keys, side="right") - 1, 0)
-    return cell, poly.gluing_table[:, cell]
-
-
 def image_rects(poly: MarkedPolygon, part: Partition,
                 rs: RectArray) -> RectArray:
     """Forward images of the rectangles, each split at the cut points inside
@@ -197,7 +188,7 @@ def image_rects(poly: MarkedPolygon, part: Partition,
 
     A cut within 1e-11 of an end of the w-arc is not inside it, and pieces
     under 1e-13 are dropped.  Each piece takes the gluing of the cell
-    (``Partition.cell_of``) of its midpoint and maps the stored endpoints of
+    (``Partition.cells_of``) of its midpoint and maps the stored endpoints of
     both arcs by it on their ``cayley`` coordinates, as ``apply_angle``
     does; a full arc stays full, from the image of its start.
     Raises ``ValueError`` for an arc of sweep at most ``WRAP``, as
@@ -205,9 +196,8 @@ def image_rects(poly: MarkedPolygon, part: Partition,
     """
     cuts = np.array(part.cuts)
     rows, lo, hi, sweep = _split(*rs.theta[:, 2:].T, rs.sweep[:, 1], cuts)
-    # Partition.cell_of of each piece's midpoint
-    cell, coef = _gluing(poly, part.lifted[:part.n],
-                         _normalize(lo + 0.5 * sweep))
+    cell = part.cells_of(_normalize(lo + 0.5 * sweep))
+    coef = poly.gluing_table.take(cell, axis=1)
     # rows u-start, u-end, w-start, w-end
     x = cayley(np.array([*rs.theta[rows, :2].T, lo, hi]))
     with np.errstate(all="ignore"):
@@ -527,35 +517,37 @@ class _Kernel:
     w-arc holds one run of intervals, cyclic past the seam, found by two
     ``searchsorted``; column j of a list's ``cand`` holds exactly the rows
     whose run holds j, ascending (-1 pads): a state is inside when its u is
-    on one of them.  Column j of ``table`` holds the (p, q, r, s) of its
-    cell, then per list the lo, hi and nw of the first candidate's u-arc
-    (NaN, NaN, 0 on the pad, which holds no u); ``later`` holds the other
-    candidates' u-edges, and ``inside`` judges any batch of state-steps.
-    These are the verdicts of every rectangle, tiled or not.  At w = 2pi the
-    kernel takes the last cell, ``cell_of`` cell 0.
+    on one of them.  Column j of ``glue`` holds the (p, q, r, s) of its
+    cell, and per list, ``edges[k]`` holds the lo, hi and nw of the u-arc
+    of the k-th candidate of each column (NaN, NaN, 0 on the pads, which
+    hold no u); ``inside`` judges any batch of state-steps.  These are the
+    verdicts of every rectangle, tiled or not.  At w = 2pi the kernel takes
+    the last cell, ``cell_of`` cell 0.
     """
 
     def __init__(self, poly: MarkedPolygon, part: Partition,
                  *lists: RectArray):
         tol = STRUCTURAL
-        # per list, edges lo and hi, each with rows u and w
-        edges = []
+        # per list, arc edges lo and hi, each with rows u and w
+        arcs = []
         for rs in lists:
             lo, sweep = rs.theta[:, 0::2].T - tol, rs.sweep.T + 2 * tol
             lo, hi = cayley(np.array([lo, lo + sweep]) % TAU)
             lo[sweep >= TAU], hi[sweep >= TAU] = -np.inf, np.inf
-            edges.append((lo, hi))
+            arcs.append((lo, hi))
         cuts = cayley(part.lifted[:part.n])
         self.breaks = _breakpoints(np.concatenate([[-np.inf], cuts, *(
-            e for lo, hi in edges
+            e for lo, hi in arcs
             for e in (lo[1], np.nextafter(hi[1], np.inf)))]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
         left = np.concatenate([self.breaks[:1], self.breaks])
-        self.cell, coef = _gluing(poly, cuts, left)
-        rows = list(coef)
+        # the last lifted cut at or before each left end
+        self.cell = np.maximum(cuts.searchsorted(left, side="right") - 1, 0)
+        # C-ordered, as each step's take needs; [:, cell] is Fortran-ordered
+        self.glue = poly.gluing_table.take(self.cell, axis=1)
         n = len(left)
-        self.cand, self.later = [], []
-        for lo, hi in edges:
+        self.cand, self.edges = [], []
+        for lo, hi in arcs:
             nw = lo <= hi
             # an interval is on a w-arc exactly when its left end is, so a
             # w-arc holds a run of intervals, lifted by n - 1 past the seam
@@ -572,11 +564,9 @@ class _Kernel:
             # u-edges lo, hi, nw of each candidate; column -1 pads
             u = np.concatenate(([lo[0], hi[0], nw[0]],
                                 [[np.nan], [np.nan], [0]]), axis=1)
-            slots = u[:, cand].transpose(1, 0, 2)
-            rows += list(slots[0])
             self.cand.append(cand)
-            self.later.append(slots[1:])
-        self.table = np.array(rows)
+            self.edges.append(np.ascontiguousarray(
+                u[:, cand].transpose(1, 0, 2)))
 
     def locate(self, xw: np.ndarray) -> np.ndarray:
         """Table index j of each w-coordinate."""
@@ -587,23 +577,21 @@ class _Kernel:
         x = cayley(np.ascontiguousarray(ang))
         return x, self.locate(x[1])
 
-    def inside(self, i: int, j, u: np.ndarray, ok=None) -> np.ndarray:
+    def inside(self, i: int, j, u: np.ndarray) -> np.ndarray:
         """Mask of the states with u-coordinates u and w in intervals j, in
         list i: u on the candidates of j in turn, until one holds it or none
-        is left.  ``ok`` is the mask of the states on their first
-        candidate's u-arc, if already computed; it is updated in place."""
-        if ok is None:
-            ok = _on_arc(u, *self.table[4 + 3 * i:7 + 3 * i].take(j, axis=1))
+        is left."""
+        cand, edges = self.cand[i], self.edges[i]
+        ok = _on_arc(u, *edges[0].take(j, axis=1))
         # count_nonzero costs a third of ok.all()
         if np.count_nonzero(ok) == ok.size:
             return ok
-        cand, later = self.cand[i], self.later[i]
         todo = np.flatnonzero(~ok)
-        for k, edges in enumerate(later, 1):
+        for k in range(1, len(edges)):
             todo = todo[cand[k, j[todo]] >= 0]
             if todo.size == 0:
                 break
-            hit = _on_arc(u[todo], *edges.take(j[todo], axis=1))
+            hit = _on_arc(u[todo], *edges[k].take(j[todo], axis=1))
             ok[todo[hit]] = True
             todo = todo[~hit]
         return ok
@@ -619,9 +607,10 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     the non-negative integer seed and its index alone.  A sample that starts
     inside records its drawn angles as its entry.  A sample stays live until
     it has entered the attractor and left the escape set; each step maps
-    their flat [u; w] by the gluing rows of ``_Kernel.table`` gathered at
-    the doubled intervals of w, and the live states and their two wait
-    masks are compacted only after a step on which one stopped waiting.
+    their flat [u; w] by the gluing rows ``_Kernel.glue`` gathered at the
+    doubled intervals of w, one ``_Kernel.inside`` call per list judges
+    entry and escape, and the live states and their two wait masks are
+    compacted only after a step on which one stopped waiting.
     The loop sets its own error state (``_moebius``), so the caller's
     changes nothing.  Raises ``ValueError`` for negative ``max_iters``.
     """
@@ -640,7 +629,7 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
     entry = np.full((2, samples), np.nan)
     # the live states, each still waiting to enter, to escape or both;
     # compacted after the steps on which one stopped waiting
-    live, glue, first = np.arange(samples), kern.table[:4], kern.table[4:]
+    live, glue = np.arange(samples), kern.glue
     wait_in, wait_out = np.ones((2, samples), bool)
     with np.errstate(all="ignore", invalid="raise"):
         x, j = kern.start(drawn)
@@ -649,10 +638,9 @@ def simulate_entry(poly: MarkedPolygon, part: Partition, dom: AttractorDomain,
             if n:
                 x = _moebius(x, glue.take(np.concatenate((j, j)), axis=1))
                 j = kern.locate(x[live.size:])
-            u, col = x[:live.size], first.take(j, axis=1)
-            hit = kern.inside(0, j, u, _on_arc(u, *col[:3]))
-            hit &= wait_in
-            out = wait_out > kern.inside(1, j, u, _on_arc(u, *col[3:]))
+            u = x[:live.size]
+            hit = kern.inside(0, j, u) & wait_in
+            out = wait_out > kern.inside(1, j, u)
             if not (np.count_nonzero(hit) or np.count_nonzero(out)):
                 continue
             K[live[hit]], esc[live[out]] = n, n
@@ -678,7 +666,7 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     """Iterate the entered states further; count membership violations,
     as an ``int``.
 
-    Each step maps the flat [u; w] by the gluing rows ``_Kernel.table[:4]``
+    Each step maps the flat [u; w] by the gluing rows ``_Kernel.glue``
     gathered at the doubled intervals of w, and writes u and the intervals
     to a row of two buffers; one ``_Kernel.inside`` call judges each block
     of ``max(1, _BLOCK // states)`` steps as a test after every step would.
@@ -691,7 +679,7 @@ def check_forward_invariance(poly: MarkedPolygon, part: Partition,
     if not ang.size:
         return 0
     kern = _Kernel(poly, part, dom.arrays)
-    exits, glue, N = 0, kern.table[:4], ang.shape[1]
+    exits, glue, N = 0, kern.glue, ang.shape[1]
     block = max(1, _BLOCK // N)
     us, js = np.empty((block, N)), np.empty((block, N), np.intp)
     with np.errstate(all="ignore", invalid="raise"):

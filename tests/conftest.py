@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from oracles import box_measure, max_pairwise_overlap, rect_boxes
 
-from fuchsian import Signature, build_canonical, geodesic_circle, make_partition
+from fuchsian import (InvalidSignature, Signature, build_canonical,
+                      geodesic_circle, make_partition)
 from fuchsian.arcs import RectArray
 from fuchsian.mobius import TAU
 
@@ -25,6 +28,22 @@ STRESS = ("100;;1", "40;" + ",".join(map(str, range(3, 43))) + ";10",
 OPEN_ORBIT_CUTS = {1: 1.1873762153433152, 3: 2.428747594602236}
 
 _cache = {}
+
+
+def sweep(seed, count):
+    """The first ``count`` valid signatures drawn by ``random.Random(seed)``:
+    g in [0, 20], then 0 to 14 orders in [2, 40], then t in [1, 10], each
+    uniform; a string that ``Signature.parse`` rejects is skipped."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        g = rng.randint(0, 20)
+        orders = [rng.randint(2, 40) for _ in range(rng.randint(0, 14))]
+        text = f"{g};{','.join(map(str, orders))};{rng.randint(1, 10)}"
+        try:
+            out.append(str(Signature.parse(text)))
+        except InvalidSignature:
+            pass
+    return out
 
 
 def polygon(sig_text):

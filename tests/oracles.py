@@ -15,8 +15,9 @@ the state's w against every rectangle on angles, ``cayley_candidates`` on
 x, where the kernel reads both the cell and the candidate rectangles off
 one breakpoint table; ``ReferenceKernel`` (through ``kernel_reference``) is
 the earlier kernel whose table holds the w-arc ends widened by
-``STRUCTURAL + WRAP``, which forms each cell's (p, q, r, s) from the a and
-b of its gluing itself and tests every candidate on both coordinates;
+``STRUCTURAL + WRAP``, which finds each interval's cell by
+``two_lookup_cell``, forms its (p, q, r, s) from the a and b of its gluing
+itself and tests every candidate on both coordinates;
 ``candidates_reference`` builds a list's candidates from a dense rectangles
 x intervals mask, where the kernel reads each w-arc's intervals as one run
 of its table, ``kernel_step`` is the step of the kernel's loops, under
@@ -79,7 +80,7 @@ from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
 from fuchsian.arcs import (RectArray, _breakpoints, _overlap_lengths, cayley,
                            ccw_sweep, clip_intervals)
 from fuchsian.boundary import MarkovReport
-from fuchsian.extension import (BijectivityReport, _fan, _gluing, _moebius,
+from fuchsian.extension import (BijectivityReport, _fan, _moebius,
                                 image_rects)
 from fuchsian.mobius import TAU, MoebiusPSU, angular_distance, normalize_angle
 from fuchsian.polygon import block_glue_product
@@ -678,9 +679,14 @@ def _walk(poly: MarkedPolygon, part: Partition, x: BoundaryPoint, side: str,
           max_steps: int, stop_at_cut: bool) -> OrbitRecord:
     cuts = sorted(set(part.thetas))
     k = part.cell_of(x.theta)
-    if side == "lower" and angular_distance(x.theta, part.thetas[k]) < STRUCTURAL:
-        k -= 1
-    cur = poly.generators[k % part.n].apply_boundary(x)
+    if side == "lower":
+        # the last nonempty cell ending at x, if x is a cut
+        d, i = min((angular_distance(part.lifted[i + 1], x.theta), -i)
+                   for i in range(part.n)
+                   if part.lifted[i] < part.lifted[i + 1])
+        if d < STRUCTURAL:
+            k = -i
+    cur = poly.generators[k].apply_boundary(x)
     points: list[BoundaryPoint] = []
     index_of: dict[float, int] = {}
     seen_sorted: list[float] = []
@@ -858,8 +864,8 @@ class ReferenceKernel:
         self.breaks = _breakpoints(np.concatenate(
             [[-np.inf], cuts, *(e.ravel() for e in ends)]))
         # left ends, indexed as locate counts; index 0 (w < 0) is never read
-        self.cell, _ = _gluing(poly, cuts, np.concatenate(
-            [self.breaks[:1], self.breaks]))
+        self.cell = two_lookup_cell(part, np.concatenate(
+            [self.breaks[:1], self.breaks]), cayley)
         a = np.array([poly.generators[c].a for c in self.cell])
         b = np.array([poly.generators[c].b for c in self.cell])
         self.coef = np.stack([a.real + b.real, a.imag - b.imag,
@@ -952,7 +958,7 @@ def kernel_step(kern, x: np.ndarray, j: np.ndarray):
     state: the states x, w in intervals j, mapped by w's cell, and their
     j."""
     with np.errstate(all="ignore", invalid="raise"):
-        y = _moebius(x, kern.table[:4].take(j, axis=1))
+        y = _moebius(x, kern.glue.take(j, axis=1))
     return y, kern.locate(y[1])
 
 

@@ -18,9 +18,10 @@ from oracles import (circular_run, f_apply, growth_rate, markov_entropy,
 from fuchsian import (BoundaryPoint, CustomPointOutOfRange, NonFinite,
                       NotElliptic, Partition, cycle, make_partition,
                       markov_check, verify_matching)
+from fuchsian import boundary
 from fuchsian.boundary import _nearest, _nearest_many, _walk
 from fuchsian.mobius import TAU, DiskPoint, angular_distance
-from fuchsian.tolerances import SAME_POINT
+from fuchsian.tolerances import SAME_POINT, STRUCTURAL
 
 MODULAR = "0;2,3;1"
 ORDERS_3_TO_32 = "0;" + ",".join(map(str, range(3, 33))) + ";1"
@@ -468,6 +469,34 @@ class TestMarkov:
         assert rep.checks["orbits_finite"].detail == "orbit 0:upper"
         assert rep.orbit_sizes == {"0:upper": 0} and rep.refinement == []
 
+    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    def test_first_cells_meet_the_cut(self, text, monkeypatch):
+        # each cut's first two steps, upper then lower, take the gluing of
+        # the nonempty cell that starts at the cut and of the one that ends
+        # there; at coincident cuts, as at order-2 vertices under left and
+        # right, the cell between them is empty
+        poly = polygon(text)
+        cell = {id(g): i for i, g in enumerate(poly.generators)}
+        step, steps = boundary._step, []
+
+        def spy(gen, t):
+            steps.append((cell[id(gen)], t))
+            return step(gen, t)
+
+        monkeypatch.setattr(boundary, "_step", spy)
+        for part in ([partition(text, m) for m in MODES]
+                     + [p for p, _ in seeded_partitions(poly)]):
+            steps.clear()
+            markov_check(poly, part)
+            for theta, (up, t0), (low, t1) in zip(
+                    part.thetas, steps[0:2 * part.n:2], steps[1:2 * part.n:2]):
+                assert t0 == t1 == theta
+                lo, sweep = part.cell_arc(up)
+                assert sweep > 0 and angular_distance(lo, theta) < STRUCTURAL
+                lo, sweep = part.cell_arc(low)
+                assert sweep > 0 and angular_distance(lo + sweep,
+                                                      theta) < STRUCTURAL
+
     def test_negative_budget_raises(self):
         with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
             markov_check(polygon(MODULAR), partition(MODULAR, "midpoint"),
@@ -557,10 +586,14 @@ class TestMarkov:
             assert len(rep.orbit_sizes) == 320
             assert set(rep.orbit_sizes.values()) == {0}
 
-    @pytest.mark.parametrize("text", SIGNATURES + SCALE)
+    @pytest.mark.parametrize("text", SIGNATURES + [
+        pytest.param(text, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 3: the float cut orbits drift "
+            "off their cut, a known false Markov reject"))
+        if text == ORDERS_3_TO_32 else text for text in LADDER])
     def test_midpoint_entropy_is_the_growth_rate(self, text):
         # the log spectral radius of the midpoint transitions is the log
-        # growth rate of the group (measured within 1e-14); left and right
+        # growth rate of the group (measured within 1.5e-14); left and right
         # often fall below it, so only midpoint is asserted
         poly = polygon(text)
         rep = markov_check(poly, partition(text, "midpoint"))

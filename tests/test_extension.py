@@ -613,8 +613,8 @@ class TestArrayImaging:
                 images = image_rects(poly, part, sub.arrays)
                 rep = verify_bijectivity(poly, part, sub)
                 out.append([a.tobytes() for a in (
-                    cayley(theta), kern.breaks, kern.table, images.theta,
-                    images.sweep)] + [repr(rep.to_dict())])
+                    cayley(theta), kern.breaks, kern.glue, *kern.edges,
+                    images.theta, images.sweep)] + [repr(rep.to_dict())])
         assert out[0] == out[1] == out[2]
 
 
@@ -1130,7 +1130,7 @@ class TestMembershipKernel:
         x, j = kernel.start(np.stack([pu, pw]))
         assert np.array_equal(kernel.inside(0, j, x[0]), want)
         # the third row matters: without it states are missed
-        kernel.later[0] = kernel.later[0][:1]
+        kernel.edges[0] = kernel.edges[0][:2]
         assert not np.array_equal(kernel.inside(0, j, x[0]), want)
 
     @pytest.mark.parametrize("which", ["attractor", "phi"])
@@ -1365,7 +1365,7 @@ class TestFusedLookup:
         j = kern.locate(x)
         cells = two_lookup_cell(part, x, cayley)
         assert np.array_equal(kern.cell[j], cells)
-        assert np.array_equal(kern.table[:4, j], real_form(poly)[:, cells])
+        assert np.array_equal(kern.glue[:, j], real_form(poly)[:, cells])
         # each list holds exactly the rectangles whose STRUCTURAL-widened
         # w-range holds x; on angles, every rectangle whose arc widened as
         # much holds w, off the 2 ulp(2pi) band about the widened ends where
@@ -1482,7 +1482,7 @@ class TestFusedLookup:
                 if sweep > 0]
         x, _ = kern.start(np.array([[0.0, mids[0], 0.0], [mids[0], 0.0, 0.0]]))
         xm = cayley(mids)
-        p, q, r, s = kern.table[:4, kern.locate(xm)]
+        p, q, r, s = kern.glue[:, kern.locate(xm)]
         near = -s / r + np.spacing(-s / r) * np.arange(-4, 5)[:, None]
         pole = r * near + s == 0.0
         assert pole.any()
@@ -1495,7 +1495,7 @@ class TestFusedLookup:
                                 BoundaryPoint.from_angle(w))
             assert angular_distance(u2.theta, su) < 1e-12
             assert angular_distance(w2.theta, sw) < 1e-12
-        p, q, r, s = kern.table[:4, kern.locate(x[1])]
+        p, q, r, s = kern.glue[:, kern.locate(x[1])]
         seam = np.isinf(x)
         assert np.array_equal(y[seam], np.broadcast_to(p / r, x.shape)[seam])
         assert np.isinf(y[0, 3:]).all()
@@ -1578,8 +1578,8 @@ class TestLoops:
         coef = rng.standard_normal((4, n))
         kern = _Kernel(polygon("1;2,3,7;2"), partition("1;2,3,7;2",
                                                        "midpoint"))
-        coef[:, :2000] = kern.table[:4, rng.integers(1, kern.table.shape[1],
-                                                     2000)]
+        coef[:, :2000] = kern.glue[:, rng.integers(1, kern.glue.shape[1],
+                                                   2000)]
         coef[2, 3000:5000] = 0.0
         coef[0, 4000:5000] = 0.0
         x[:, 5000:] = -coef[3, 5000:] / coef[2, 5000:]

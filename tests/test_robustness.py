@@ -1,11 +1,12 @@
 """End-to-end pipeline on signatures outside the main regression set:
 adjacent quadruples, several cusp blocks, long elliptic strings, high
-orders, and large genus (big-entry gluing products); and the simulation on
-the stress ladder."""
+orders, and large genus (big-entry gluing products); the simulation on
+the stress ladder; and the checks that pass on the whole seeded
+random-signature sweep (``conftest.sweep``)."""
 
 import pytest
 
-from conftest import MODES, STRESS, partition, polygon
+from conftest import MODES, STRESS, partition, polygon, sweep
 
 from fuchsian import (Signature, build_canonical, build_attractor,
                       check_forward_invariance, make_partition, markov_check,
@@ -40,3 +41,30 @@ def test_stress_entry_and_invariance(text, mode):
     assert all(t.entered for t in traces), (text, mode)
     assert check_forward_invariance(poly, part, dom, traces,
                                     steps=100) == 0, (text, mode)
+
+
+def sweep_faults(text):
+    """The failed checks of ``text`` among those that pass on the whole
+    sweep of seed 2: every ``validate_polygon`` check but
+    ``parabolic_product`` (item 2 of the ROADMAP), and under left, right
+    and midpoint the bijectivity report, entry of 300 samples and 0 exits
+    in 50 forward steps."""
+    poly = polygon(text)
+    faults = [name for name, check in validate_polygon(poly).checks.items()
+              if name != "parabolic_product" and not check.passed]
+    for mode in MODES:
+        part = partition(text, mode)
+        dom = build_attractor(poly, part)
+        if not verify_bijectivity(poly, part, dom).passed:
+            faults.append(f"bijectivity {mode}")
+        traces = simulate_entry(poly, part, dom, samples=300, seed=1)
+        if not all(t.entered for t in traces):
+            faults.append(f"entry {mode}")
+        if check_forward_invariance(poly, part, dom, traces, steps=50):
+            faults.append(f"invariance {mode}")
+    return faults
+
+
+@pytest.mark.parametrize("text", sweep(2, 50))
+def test_random_signature_sweep(text):
+    assert sweep_faults(text) == []
