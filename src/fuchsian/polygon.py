@@ -9,7 +9,8 @@ of the standard-position block under the rotation by 2pi (j-1)/l; all
 side-pairing transformations are the standard ones conjugated by that
 rotation.  Every glued side lies on the isometric circle of its pairing
 transformation, which pins the construction uniquely.  Side i is kept only
-as its ideal ends, P_i and Q_{i+1} of ``aux``.
+as its ideal ends, P_i and Q_{i+1} of ``aux``.  ``validate_polygon`` checks
+the construction, walking the cusp cycle of V_0 one gluing at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .arcs import DirectedArc, Rect, _overlap_lengths, seam_split
 from .tolerances import DEFAULT, Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
-                     geodesic_circle, geodesic_far_end, vertex_frame)
+                     angular_distance, geodesic_circle, geodesic_far_end,
+                     vertex_frame)
 
 SQUARE = "square"
 INFINITY = "inf"
@@ -441,19 +443,10 @@ def _disjointness(poly: MarkedPolygon, tol: float) -> Check:
     return Check(worst, tol, f"sides {i} vs {j}" if worst > 0 else "")
 
 
-def block_glue_product(poly: MarkedPolygon, blk: Block) -> MoebiusPSU:
-    """The transformation carrying the block's start corner to its end
-    corner: the commutator b^-1 a^-1 b a for a quadruple (a applied first),
-    the wedge gluing otherwise."""
-    s = blk.side_start
-    if blk.symbol == SQUARE:
-        a, b_inv, a_inv, b = (poly.generators[s + i] for i in range(4))
-        return b_inv @ a_inv @ b @ a
-    return poly.generators[s]
-
-
 def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
-    """Numerically verify the structural properties of the construction."""
+    """Numerically verify the structural properties of the construction,
+    among them that the cusp cycle of V_0 closes with a parabolic P, read as
+    |log P'(V_0)|, which is linear in the multiplier of a hyperbolic P."""
     checks: dict[str, Check] = {}
     n = poly.n_sides
     sig = poly.signature
@@ -494,17 +487,16 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     # (c) free combination: excluded caps pairwise disjoint inside the disk
     checks["free_combination"] = _disjointness(poly, DEFAULT.residual)
 
-    # (d) the product of all block gluings, the first block's applied first,
-    # fixes V_0 and is parabolic (|trace| = 2)
-    glue = [block_glue_product(poly, blk) for blk in poly.blocks]
-    prod = MoebiusPSU.identity()
-    for g in glue:
-        prod = g @ prod
-    fix_res = abs(prod.apply(1.0 + 0j) - 1.0)
-    tr_res = abs(abs(prod.trace) - 2.0)
-    checks["parabolic_product"] = Check(
-        max(fix_res, tr_res), DEFAULT.spectral,
-        f"fix={fix_res:.2e} trace={tr_res:.2e}")
+    # (d) the gluing of the side from V_j carries V_j onto V_{pairing[j] + 1};
+    # log P'(V_0) sums the steps' log derivatives, inf if not back in N steps
+    cycle = [0]
+    while len(cycle) <= n and (j := (poly.pairing[cycle[-1]] + 1) % n):
+        cycle.append(j)
+    log_derivative = math.inf if len(cycle) > n else abs(sum(
+        math.log(poly.generators[j].derivative_modulus(
+            poly.vertices[j].point.z)) for j in cycle))
+    checks["parabolic_product"] = Check(log_derivative, DEFAULT.spectral,
+                                        f"log derivative {log_derivative:.2e}")
 
     # (e) Gauss-Bonnet: (N-2)pi - angle sum against the signature area
     area_measured = (n - 2) * math.pi - sum(measured.values())
@@ -512,15 +504,20 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     res = abs(area_measured - area_formula)
     checks["area"] = Check(res, DEFAULT.residual, f"area={area_formula!r}")
 
-    # (f) ideal corner vertices equally distributed: each block's gluing
-    # carries its start corner onto the next block's (the last onto V_0)
+    # (f) ideal corners equally distributed: each step of the cycle lands on
+    # its vertex, and each gluing carries P_i onto Q_{p+1}, Q_{i+1} onto P_p
+    landings = [(j, poly.vertices[j].point,
+                 poly.vertices[(poly.pairing[j] + 1) % n].point)
+                for j in cycle]
+    for i, p in enumerate(poly.pairing):
+        landings += [(i, poly.aux[i].P, poly.aux[(p + 1) % n].Q),
+                     (i, poly.aux[(i + 1) % n].Q, poly.aux[p].P)]
     worst, detail = 0.0, ""
-    for g, blk, nxt in zip(glue, poly.blocks,
-                           poly.blocks[1:] + poly.blocks[:1]):
-        image = g.apply(poly.vertices[blk.side_start].point.z)
-        res = abs(image - poly.vertices[nxt.side_start].point.z)
+    for i, x, y in landings:
+        res = angular_distance(poly.generators[i].apply_angle(x.theta),
+                               y.theta)
         if res > worst:
-            worst, detail = res, f"block {blk.index}"
+            worst, detail = res, f"side {i}"
     checks["equal_distribution"] = Check(worst, DEFAULT.residual, detail)
 
     return ValidationReport(str(sig), area_formula, checks=checks)

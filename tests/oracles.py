@@ -26,8 +26,9 @@ by testing every quotient for NaN, where ``extension._moebius`` finds it by
 numpy's invalid flag; ``bisector_endpoint`` constructs the end of the angle
 bisector at an elliptic vertex from the tangents of the sides' circles
 (``tangent_at``), independently of the arc midpoint ``AuxPoints.M``, and
-``boundary_product`` folds the block gluings one product at a time, where
-``validate_polygon`` forms each block's gluing once for both checks;
+``boundary_product`` folds the block gluings (``block_glue_product``) into
+one matrix, where ``validate_polygon`` walks the cusp cycle of V_0 one
+gluing at a time and sums the logs of their derivatives;
 ``f_apply`` is one step of the boundary map on a ``BoundaryPoint``, by
 ``MoebiusPSU.apply_boundary``; ``walk_reference`` walks an orbit one
 ``BoundaryPoint`` at a time through it, where ``markov_check`` steps on
@@ -83,7 +84,7 @@ from fuchsian.boundary import MarkovReport
 from fuchsian.extension import (BijectivityReport, _fan, _moebius,
                                 image_rects)
 from fuchsian.mobius import TAU, MoebiusPSU, angular_distance, normalize_angle
-from fuchsian.polygon import block_glue_product
+from fuchsian.polygon import SQUARE, Block
 from fuchsian.tolerances import (DEFAULT, SAME_POINT, STRUCTURAL, WRAP,
                                  Check, Report)
 
@@ -570,6 +571,17 @@ def tangent_at(circle: tuple[complex, float] | None, at: complex,
     if (t * chord.conjugate()).real < 0:
         t = -t
     return t
+
+
+def block_glue_product(poly: MarkedPolygon, blk: Block) -> MoebiusPSU:
+    """The transformation carrying the block's start corner to its end
+    corner: the commutator b^-1 a^-1 b a for a quadruple (a applied first),
+    the wedge gluing otherwise."""
+    s = blk.side_start
+    if blk.symbol == SQUARE:
+        a, b_inv, a_inv, b = (poly.generators[s + i] for i in range(4))
+        return b_inv @ a_inv @ b @ a
+    return poly.generators[s]
 
 
 def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:

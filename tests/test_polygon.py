@@ -293,6 +293,23 @@ class TestValidation:
         check = validate_polygon(bad).checks["equal_distribution"]
         assert check.passed is False and check.residual > 1e-7
 
+    @pytest.mark.parametrize("text", SIGNATURES)
+    @pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+    def test_every_gluing_lands_on_its_partner(self, text, after):
+        # each gluing in turn composed with a turn by 1e-7 about the origin,
+        # before or after it; a turn after it keeps its isometric circle and
+        # its derivatives, so only the landing on the partner side sees it
+        poly = polygon(text)
+        turn = MoebiusPSU.rotation(1e-7)
+        passing = []
+        for i, g in enumerate(poly.generators):
+            generators = list(poly.generators)
+            generators[i] = turn @ g if after else g @ turn
+            bad = dataclasses.replace(poly, generators=tuple(generators))
+            if validate_polygon(bad).passed:
+                passing.append(i)
+        assert passing == []
+
     @pytest.mark.parametrize("text", PERTURBED)
     def test_elliptic_angles_sees_a_moved_vertex(self, text):
         # V_k moves 1e-6 relative along its ray; the neighbouring ideal

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MODES, SIGNATURES, partition, polygon
+from conftest import (LADDER, MODES, SIGNATURES, STRESS, partition,
+                      polygon)
 from oracles import verify_exceptional
 
 from fuchsian import (Signature, build_attractor, build_canonical,
@@ -128,11 +129,9 @@ def test_verify_report_carries_bound_and_verdict(mode, tmp_path, capsys):
     assert data["results"]["cycles"]["vertices"]
 
 
-@pytest.mark.parametrize("text,passed", [
-    ("3;2,5,9;3", True), ("6;2,3,5,7,11,13;4", True),
-    ("10;3,4,5,6,7,8,9,10;6", False), ("20;2,3,17,29;8", False)])
-def test_parabolic_product_verdicts_pinned(text, passed):
+@pytest.mark.parametrize("text", LADDER + list(STRESS))
+def test_parabolic_product_verdicts_pinned(text):
     rep = validate_polygon(build_canonical(Signature.parse(text)))
     check = rep.checks["parabolic_product"]
-    assert check.passed is passed
+    assert check.passed is True
     assert check.bound == tolerances.DEFAULT.spectral

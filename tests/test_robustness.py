@@ -45,13 +45,12 @@ def test_stress_entry_and_invariance(text, mode):
 
 def sweep_faults(text):
     """The failed checks of ``text`` among those that pass on the whole
-    sweep of seed 2: every ``validate_polygon`` check but
-    ``parabolic_product`` (item 2 of the ROADMAP), and under left, right
-    and midpoint the bijectivity report, entry of 300 samples and 0 exits
-    in 50 forward steps."""
+    sweep of seed 2: every ``validate_polygon`` check, and under left,
+    right and midpoint the bijectivity report, entry of 300 samples and 0
+    exits in 50 forward steps."""
     poly = polygon(text)
     faults = [name for name, check in validate_polygon(poly).checks.items()
-              if name != "parabolic_product" and not check.passed]
+              if not check.passed]
     for mode in MODES:
         part = partition(text, mode)
         dom = build_attractor(poly, part)

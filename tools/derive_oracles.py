@@ -16,7 +16,9 @@ form by more than 1e-40:
   * order-m wedge rotation has eigenvalue argument pi/m (angle 2 pi/m)
   * each standard block gluing (the wedge rotation, the cusp parabolic, the
     quadruple commutator b^-1 a^-1 b a) carries the block's start corner 1
-    to its end corner e^{2 pi i/l}
+    to its end corner e^{2 pi i/l}, with derivative of modulus 1 there, so
+    the log derivatives that ``validate_polygon`` sums around the cusp
+    cycle of V_0 are each 0
   * on the Cayley coordinate x = i (1 + z) / (1 - z) of the planar
     extension's kernel, the wedge rotation (m = 3) and the cusp parabolic
     for l = 2, 3 and 8 act by a real matrix of determinant 1, which carries
@@ -86,8 +88,20 @@ def quadruple_gluings(ell):
     return a, rot * a ** -1 * rot ** -1
 
 
+def quadruple_commutator(ell):
+    """b^-1 a^-1 b a, a applied first: the quadruple's block gluing."""
+    a, b = quadruple_gluings(ell)
+    return b ** -1 * a ** -1 * b * a
+
+
 def apply(M, z):
     return (M[0, 0] * z + M[0, 1]) / (M[1, 0] * z + M[1, 1])
+
+
+def derivative_modulus(M, z):
+    """|M'(z)| = |det M| / |M10 z + M11|^2."""
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return abs(det) / abs(M[1, 0] * z + M[1, 1]) ** 2
 
 
 def orthogonal_circle_through(u, p):
@@ -234,8 +248,7 @@ def main():
           2 * pi * mpf(169) / 42)
 
     # commutator of the quadruple gluings at l = 1
-    a, b = quadruple_gluings(1)
-    comm = b ** -1 * a ** -1 * b * a
+    comm = quadruple_commutator(1)
     check("(1;;1) commutator |trace| = 2", abs(comm[0, 0] + comm[1, 1]), 2)
 
     # wedge rotation angle: eigenvalues e^{-i pi/m}, e^{i pi/m}
@@ -247,17 +260,17 @@ def main():
               abs(M[0, 0] + M[1, 1]), 2 * cos(pi / m))
 
     # block gluings carry the start corner 1 to the end corner e^{2 pi i/l}
-    # (validate_polygon's equal_distribution)
-    for ell, m in ((2, 3), (5, 7), (6, 8)):
-        check(f"wedge l={ell} m={m}: 1 -> e^(2 pi i/{ell})",
-              apply(wedge_gluing(ell, m), 1), exp(2j * pi / ell))
-    for ell in (2, 3, 5):
-        check(f"cusp l={ell}: 1 -> e^(2 pi i/{ell})",
-              apply(cusp_gluing(ell), 1), exp(2j * pi / ell))
-    for ell in (1, 2, 3):
-        a, b = quadruple_gluings(ell)
-        check(f"quadruple commutator l={ell}: 1 -> e^(2 pi i/{ell})",
-              apply(b ** -1 * a ** -1 * b * a, 1), exp(2j * pi / ell))
+    # (validate_polygon's equal_distribution), with derivative 1 there (its
+    # parabolic_product)
+    blocks = ([(f"wedge l={ell} m={m}", ell, wedge_gluing(ell, m))
+               for ell, m in ((2, 3), (5, 7), (6, 8))]
+              + [(f"cusp l={ell}", ell, cusp_gluing(ell)) for ell in (2, 3, 5)]
+              + [(f"quadruple commutator l={ell}", ell,
+                  quadruple_commutator(ell)) for ell in (1, 2, 3)])
+    for name, ell, M in blocks:
+        check(f"{name}: 1 -> e^(2 pi i/{ell})", apply(M, 1),
+              exp(2j * pi / ell))
+        check(f"{name}: |derivative at 1| = 1", derivative_modulus(M, 1), 1)
 
     # the real-line form R = C M C^-1 of a gluing M of determinant 1, with
     # C the Cayley map z -> i (1 + z) / (1 - z)
