@@ -7,7 +7,8 @@ in the product of their u- and w-overlaps, each the summed overlap of the
 arcs' intervals (``_overlap_lengths``): every rectangle measure of the
 library is a sum of such products, exact up to endpoint rounding.
 ``cayley`` maps angles to the real line, where the gluings act by real
-matrices.
+matrices, on arrays by ``_moebius`` and ``_seam``.  ``_meeting`` finds the
+row pairs of two interval lists that overlap.
 """
 
 from __future__ import annotations
@@ -169,3 +170,71 @@ def _overlap_lengths(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             ov -= np.maximum(x[..., a, 0], y[..., b, 0])
             total += np.maximum(ov, 0.0, out=ov)
     return total
+
+
+# -- runs, meeting pairs and the real boundary action -------------------------
+
+def _runs(start: np.ndarray, stop: np.ndarray):
+    """Owner i and value of every integer in the ranges [start[i], stop[i]),
+    range after range and ascending within each."""
+    count = np.maximum(stop - start, 0)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (start - np.cumsum(count)
+                                           + count)[owner]
+
+
+def _pieces(x: np.ndarray):
+    """Row, start and end of each nonempty interval of the padded rows x,
+    by start."""
+    lo, hi = x[..., 0].ravel(), x[..., 1].ravel()
+    keep = np.flatnonzero(lo < hi)
+    keep = keep[np.argsort(lo[keep], kind="stable")]
+    return keep // 2, lo[keep], hi[keep]
+
+
+def _meeting(x: np.ndarray, y: np.ndarray):
+    """Row pairs (i, k), by i and then k, whose padded intervals x[i] and
+    y[k] overlap by a positive length.
+
+    Two intervals overlap exactly when one starts in [lo, hi) of the other,
+    or the other way round strictly inside: with each side's nonempty
+    intervals sorted by start, those are runs read by two ``searchsorted``
+    per interval, and each overlapping pair of intervals is met once.  Two
+    rows meet once for each such pair, hence the distinct pairs."""
+    xi, xl, xh = _pieces(x)
+    yk, yl, yh = _pieces(y)
+    a, b = _runs(np.searchsorted(yl, xl), np.searchsorted(yl, xh))
+    c, d = _runs(np.searchsorted(xl, yl, side="right"),
+                 np.searchsorted(xl, yh))
+    key = _breakpoints(np.concatenate([xi[a] * len(y) + yk[b],
+                                       xi[d] * len(y) + yk[c]]))
+    return np.divmod(key, len(y))
+
+
+def _moebius(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(p x + q) / (r x + s) of the states x, for rows p, q, r, s of
+    ``coef`` broadcast against x, in five elementwise passes, under the
+    planar-extension loops' ``np.errstate(all="ignore", invalid="raise")``:
+    a zero denominator gives the seam +-inf.  A seam state makes inf / inf,
+    inf * 0 or inf - inf, which raises, so no step tests for it; the step is
+    then taken again with invalid ignored, and the seam, whose quotient is
+    NaN, maps to p / r.  A caller that ignores every error takes ``_seam``
+    of the images itself."""
+    try:
+        a = coef[0] * x
+        a += coef[1]
+        b = coef[2] * x
+        b += coef[3]
+        a /= b
+        return a
+    except FloatingPointError:
+        with np.errstate(invalid="ignore"):
+            return _seam(_moebius(x, coef), coef)
+
+
+def _seam(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``_moebius`` images y taken with invalid ignored, each NaN, the image
+    of a seam state, set to p / r."""
+    seam = np.isnan(y)
+    y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
+    return y

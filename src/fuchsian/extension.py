@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .tolerances import DEFAULT, SAME_POINT, STRUCTURAL, WRAP, Check, Report
-from .arcs import (DirectedArc, Rect, RectArray, _breakpoints,
-                   _overlap_lengths, cayley, cayley_angle, clip_intervals,
-                   seam_split)
+from .arcs import (DirectedArc, Rect, RectArray, _breakpoints, _meeting,
+                   _moebius, _overlap_lengths, _runs, _seam, cayley,
+                   cayley_angle, clip_intervals, seam_split)
 from .boundary import CycleData, Partition, cycle
 from .errors import TilingViolation
 from .mobius import TAU
@@ -145,15 +145,6 @@ def _normalize(theta: np.ndarray) -> np.ndarray:
     return t
 
 
-def _runs(start: np.ndarray, stop: np.ndarray):
-    """Owner i and value of every integer in the ranges [start[i], stop[i]),
-    range after range and ascending within each."""
-    count = np.maximum(stop - start, 0)
-    owner = np.repeat(np.arange(len(count)), count)
-    return owner, np.arange(len(owner)) + (start - np.cumsum(count)
-                                           + count)[owner]
-
-
 def _split(ws: np.ndarray, we: np.ndarray, sweep: np.ndarray,
            cuts: np.ndarray):
     """Row, start and end angle, and sweep of each piece of the w-arcs from
@@ -230,34 +221,6 @@ class BijectivityReport(Report):
 _ENDS = np.array([[1.0, -1.0], [1.0, -1.0]])
 # image x (image or gap) row pairs met in one slice of verify_bijectivity
 _PAIRS = 1 << 21
-
-
-def _pieces(x: np.ndarray):
-    """Row, start and end of each nonempty interval of the padded rows x,
-    by start."""
-    lo, hi = x[..., 0].ravel(), x[..., 1].ravel()
-    keep = np.flatnonzero(lo < hi)
-    keep = keep[np.argsort(lo[keep], kind="stable")]
-    return keep // 2, lo[keep], hi[keep]
-
-
-def _meeting(x: np.ndarray, y: np.ndarray):
-    """Row pairs (i, k), by i and then k, whose padded intervals x[i] and
-    y[k] overlap by a positive length.
-
-    Two intervals overlap exactly when one starts in [lo, hi) of the other,
-    or the other way round strictly inside: with each side's nonempty
-    intervals sorted by start, those are runs read by two ``searchsorted``
-    per interval, and each overlapping pair of intervals is met once.  Two
-    rows meet once for each such pair, hence the distinct pairs."""
-    xi, xl, xh = _pieces(x)
-    yk, yl, yh = _pieces(y)
-    a, b = _runs(np.searchsorted(yl, xl), np.searchsorted(yl, xh))
-    c, d = _runs(np.searchsorted(xl, yl, side="right"),
-                 np.searchsorted(xl, yh))
-    key = _breakpoints(np.concatenate([xi[a] * len(y) + yk[b],
-                                       xi[d] * len(y) + yk[c]]))
-    return np.divmod(key, len(y))
 
 
 def _cover(x: np.ndarray, weight: np.ndarray):
@@ -461,34 +424,6 @@ def _draws(seed: int, samples: int, buffer: float) -> np.ndarray:
         d = np.abs(ang[0] - ang[1])
         todo, retry = todo[np.minimum(d, TAU - d) < buffer], retry + 1
     return out
-
-
-def _moebius(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """(p x + q) / (r x + s) of the states x, for rows p, q, r, s of
-    ``coef`` broadcast against x, in five elementwise passes, under the
-    loops' ``np.errstate(all="ignore", invalid="raise")``: a zero
-    denominator gives the seam +-inf.  A seam state makes inf / inf, inf *
-    0 or inf - inf, which raises, so no step tests for it; the step is then
-    taken again with invalid ignored, and the seam, whose quotient is NaN,
-    maps to p / r."""
-    try:
-        a = coef[0] * x
-        a += coef[1]
-        b = coef[2] * x
-        b += coef[3]
-        a /= b
-        return a
-    except FloatingPointError:
-        with np.errstate(invalid="ignore"):
-            return _seam(_moebius(x, coef), coef)
-
-
-def _seam(y: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """``_moebius`` images y taken with invalid ignored, each NaN, the image
-    of a seam state, set to p / r."""
-    seam = np.isnan(y)
-    y[seam] = np.broadcast_to(coef[0] / coef[2], y.shape)[seam]
-    return y
 
 
 def _on_arc(x: np.ndarray, lo, hi, nw) -> np.ndarray:

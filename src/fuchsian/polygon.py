@@ -10,7 +10,8 @@ side-pairing transformations are the standard ones conjugated by that
 rotation.  Every glued side lies on the isometric circle of its pairing
 transformation, which pins the construction uniquely.  Side i is kept only
 as its ideal ends, P_i and Q_{i+1} of ``aux``.  ``validate_polygon`` checks
-the construction, walking the cusp cycle of V_0 one gluing at a time.
+the construction in array passes over the sides, the cap pairs that meet
+and the steps of the cusp cycle of V_0.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import DirectedArc, Rect, _overlap_lengths, seam_split
-from .tolerances import DEFAULT, Check, Report
+from .arcs import (DirectedArc, Rect, _meeting, _moebius, _overlap_lengths,
+                   _seam, cayley, cayley_angle, seam_split)
+from .tolerances import DEFAULT, WRAP, Check, Report
 from .errors import InvalidSignature
 from .mobius import (TAU, BoundaryPoint, DiskPoint, MoebiusPSU,
-                     angular_distance, geodesic_circle, geodesic_far_end,
-                     vertex_frame)
+                     geodesic_circles, geodesic_far_end, vertex_frame)
 
 SQUARE = "square"
 INFINITY = "inf"
@@ -424,54 +425,74 @@ def _measured_elliptic_angles(poly: MarkedPolygon) -> dict[int, float]:
     return angles
 
 
-def _disjointness(poly: MarkedPolygon, tol: float) -> Check:
+def _disjointness(start: np.ndarray, end: np.ndarray, pairing: np.ndarray,
+                  tol: float) -> Check:
     """Largest overlap, in radians, of the ideal arcs of the caps beyond two
     sides that are not partners.  The cap beyond side i is the half-plane
-    whose ideal arc runs counter-clockwise from P_i to Q_{i+1}; two caps are
-    disjoint exactly when their arcs share at most an endpoint."""
-    n = poly.n_sides
-    caps = [DirectedArc.ccw(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
-            for i in range(n)]
-    arcs = seam_split(np.array([c.start.theta for c in caps]),
-                      np.array([c.sweep for c in caps]))
-    overlap = _overlap_lengths(arcs[:, None], arcs)
-    rows = np.arange(n)
-    overlap[rows, rows] = 0.0
-    overlap[rows, poly.pairing] = 0.0
-    i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
-    worst = float(overlap[i, j])
-    return Check(worst, tol, f"sides {i} vs {j}" if worst > 0 else "")
+    whose ideal arc runs counter-clockwise from ``start[i]`` = P_i to
+    ``end[i]`` = Q_{i+1}; two caps are disjoint exactly when their arcs
+    share at most an endpoint.  Only the pairs whose arcs meet
+    (``_meeting``) are measured, by i and then j, so the first largest pair
+    is the first in row-major order.  Raises ``ValueError`` for an arc of
+    sweep at most ``WRAP``, as ``DirectedArc`` does."""
+    sweep = (end - start) % TAU
+    if not (sweep > WRAP).all():
+        raise ValueError(f"sweep {sweep.min()} outside (0, 2pi]")
+    arcs = seam_split(start, sweep)
+    i, j = _meeting(arcs, arcs)
+    keep = (i != j) & (j != pairing[i])
+    i, j = i[keep], j[keep]
+    worst, k = _worst(_overlap_lengths(arcs[i], arcs[j]))
+    return Check(worst, tol, f"sides {i[k]} vs {j[k]}" if k >= 0 else "")
+
+
+def _worst(res: np.ndarray) -> tuple[float, int]:
+    """The largest residual and the index where it first occurs; 0.0 and
+    -1 when none is positive."""
+    worst = float(res.max(initial=0.0))
+    return (worst, int(np.argmax(res))) if worst > 0.0 else (0.0, -1)
 
 
 def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     """Numerically verify the structural properties of the construction,
     among them that the cusp cycle of V_0 closes with a parabolic P, read as
-    |log P'(V_0)|, which is linear in the multiplier of a hyperbolic P."""
+    |log P'(V_0)|, which is linear in the multiplier of a hyperbolic P.
+    Each check is one pass over arrays of the sides (their ends P_i and
+    Q_{i+1} from ``aux``), of the gluings and of the cycle's steps."""
     checks: dict[str, Check] = {}
     n = poly.n_sides
     sig = poly.signature
+    pairing = np.array(poly.pairing)
+    # side i runs from P_i of aux[i] to Q_{i+1} of its successor
+    aux, succ = poly.aux, poly.aux[1:] + poly.aux[:1]
+    p_theta = np.array([x.P.theta for x in aux])
+    q_theta = np.array([x.Q.theta for x in succ])
+    a = np.array([g.a for g in poly.generators])
+    b = np.array([g.b for g in poly.generators])
 
     # (a) every non-diameter side lies on the isometric circle of its gluing,
-    # |conj(b) z + conj(a)| = 1: centre -conj(a)/conj(b), radius 1/|b|
-    worst, detail = 0.0, ""
-    for i, gen in enumerate(poly.generators):
-        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
-        if circle is None:
-            # glued by a proper rotation about the origin: b = 0, |trace| < 2
-            if not (abs(gen.b) < 1e-12
-                    and abs(gen.trace) < 2.0 - DEFAULT.spectral):
-                worst, detail = math.inf, f"side {i}: bad diameter pairing"
-            continue
-        if abs(gen.b) < 1e-14:      # a rotation about the origin
-            worst, detail = math.inf, f"side {i}: no isometric circle"
-            continue
-        c, r = circle
-        res = (abs(-gen.a.conjugate() / gen.b.conjugate() - c)
-               + abs(1.0 / abs(gen.b) - r))
+    # |conj(b) z + conj(a)| = 1: centre -conj(a)/conj(b), radius 1/|b|; a
+    # diameter side is glued by a proper rotation about the origin, b = 0
+    # and |trace| < 2, and the last side that breaks either rule reads inf
+    c, r, diameter = geodesic_circles([x.P.z for x in aux],
+                                      [x.Q.z for x in succ])
+    with np.errstate(all="ignore"):
+        res = (np.abs(-np.conj(a) / np.conj(b) - c)
+               + np.abs(1.0 / np.abs(b) - r))
         # orthogonal to the unit circle: |c|^2 = r^2 + 1
-        res = max(res, abs(abs(c) ** 2 - r ** 2 - 1.0))
-        if res > worst:
-            worst, detail = res, f"side {i}"
+        res = np.maximum(res, np.abs(np.abs(c) ** 2 - r ** 2 - 1.0))
+    # 1e-12 stays: |b| <= 1.2e-16 for rotations about 0, >= 0.5 for circles
+    bad = diameter & ~((np.abs(b) < 1e-12)
+                       & (np.abs(2.0 * a.real) < 2.0 - DEFAULT.spectral))
+    # 1e-14 stays: it sits in the same gap between the two kinds of |b|
+    none = ~diameter & (np.abs(b) < 1e-14)
+    if (bad | none).any():
+        i = int(np.flatnonzero(bad | none)[-1])
+        worst, detail = math.inf, f"side {i}: " + (
+            "bad diameter pairing" if bad[i] else "no isometric circle")
+    else:
+        worst, i = _worst(np.where(diameter, 0.0, res))
+        detail = f"side {i}" if i >= 0 else ""
     checks["isometric_circles"] = Check(worst, DEFAULT.residual, detail)
 
     # (b) interior angle 2pi/m at each elliptic vertex
@@ -485,16 +506,19 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     checks["elliptic_angles"] = Check(worst, DEFAULT.residual, detail)
 
     # (c) free combination: excluded caps pairwise disjoint inside the disk
-    checks["free_combination"] = _disjointness(poly, DEFAULT.residual)
+    checks["free_combination"] = _disjointness(p_theta, q_theta, pairing,
+                                               DEFAULT.residual)
 
     # (d) the gluing of the side from V_j carries V_j onto V_{pairing[j] + 1};
     # log P'(V_0) sums the steps' log derivatives, inf if not back in N steps
     cycle = [0]
     while len(cycle) <= n and (j := (poly.pairing[cycle[-1]] + 1) % n):
         cycle.append(j)
-    log_derivative = math.inf if len(cycle) > n else abs(sum(
-        math.log(poly.generators[j].derivative_modulus(
-            poly.vertices[j].point.z)) for j in cycle))
+    steps = np.array(cycle)
+    lands = (pairing[steps] + 1) % n
+    z = np.array([poly.vertices[j].point.z for j in cycle])
+    log_derivative = math.inf if len(cycle) > n else abs(float(np.sum(np.log(
+        1.0 / np.abs(np.conj(b[steps]) * z + np.conj(a[steps])) ** 2))))
     checks["parabolic_product"] = Check(log_derivative, DEFAULT.spectral,
                                         f"log derivative {log_derivative:.2e}")
 
@@ -505,19 +529,20 @@ def validate_polygon(poly: MarkedPolygon) -> ValidationReport:
     checks["area"] = Check(res, DEFAULT.residual, f"area={area_formula!r}")
 
     # (f) ideal corners equally distributed: each step of the cycle lands on
-    # its vertex, and each gluing carries P_i onto Q_{p+1}, Q_{i+1} onto P_p
-    landings = [(j, poly.vertices[j].point,
-                 poly.vertices[(poly.pairing[j] + 1) % n].point)
-                for j in cycle]
-    for i, p in enumerate(poly.pairing):
-        landings += [(i, poly.aux[i].P, poly.aux[(p + 1) % n].Q),
-                     (i, poly.aux[(i + 1) % n].Q, poly.aux[p].P)]
-    worst, detail = 0.0, ""
-    for i, x, y in landings:
-        res = angular_distance(poly.generators[i].apply_angle(x.theta),
-                               y.theta)
-        if res > worst:
-            worst, detail = res, f"side {i}"
-    checks["equal_distribution"] = Check(worst, DEFAULT.residual, detail)
+    # its vertex, and each gluing carries P_i onto Q_{p+1}, Q_{i+1} onto P_p;
+    # the landings go through the boundary action of ``image_rects``
+    sides = np.concatenate([steps, np.repeat(np.arange(n), 2)])
+    x = np.concatenate([[poly.vertices[j].point.theta for j in cycle],
+                        np.column_stack([p_theta, q_theta]).ravel()])
+    y = np.concatenate([[poly.vertices[j].point.theta for j in lands],
+                        np.column_stack([q_theta[pairing],
+                                         p_theta[pairing]]).ravel()])
+    coef = poly.gluing_table.take(sides, axis=1)
+    with np.errstate(all="ignore"):
+        img = cayley_angle(_seam(_moebius(cayley(x), coef), coef)) % TAU
+    d = np.abs(img - y) % TAU
+    worst, i = _worst(np.minimum(d, TAU - d))
+    checks["equal_distribution"] = Check(worst, DEFAULT.residual,
+                                         f"side {sides[i]}" if i >= 0 else "")
 
     return ValidationReport(str(sig), area_formula, checks=checks)

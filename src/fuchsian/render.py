@@ -3,7 +3,7 @@ angle-angle square.
 
 Output is plain XML text built from fixed-precision coordinates, so equal
 inputs produce byte-identical documents.  Side i is drawn from V_i to
-V_{i+1}, as an arc of the ``geodesic_circle`` of its ideal ends P_i and
+V_{i+1}, as an arc of the ``geodesic_circles`` of its ideal ends P_i and
 Q_{i+1} or straight on a diameter; attractor rectangles are axis-aligned in
 the torus chart, split at the 0/2pi seam.
 """
@@ -15,9 +15,11 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extension import AttractorDomain
 from .boundary import Partition
-from .mobius import TAU, geodesic_circle
+from .mobius import TAU, geodesic_circles
 from .polygon import MarkedPolygon
 
 
@@ -62,61 +64,61 @@ def render_polygon(poly: MarkedPolygon, part: Partition,
     cx = cy = size / 2.0
     R = 0.42 * size
 
-    def to_px(z: complex) -> tuple[float, float]:
-        return cx + R * z.real, cy - R * z.imag
+    def to_px(x: np.ndarray, y: np.ndarray) -> tuple[list, list]:
+        return (cx + R * x).tolist(), (cy - R * y).tolist()
 
     out = ['<circle class="boundary" cx="%.4f" cy="%.4f" r="%.4f" '
            'fill="none" stroke="#444444" stroke-width="%.4f"/>'
            % (cx, cy, R, _STROKE)]
 
-    for blk in poly.blocks:
-        z = complex(math.cos(blk.base_angle), math.sin(blk.base_angle))
-        out.append('<line class="sector-ray" x1="%.4f" y1="%.4f" x2="%.4f" '
-                   'y2="%.4f" stroke="#dddddd" stroke-width="%.4f"/>'
-                   % (cx, cy, *to_px(z), 0.5 * _STROKE))
+    base = np.array([blk.base_angle for blk in poly.blocks])
+    out += ['<line class="sector-ray" x1="%.4f" y1="%.4f" x2="%.4f" '
+            'y2="%.4f" stroke="#dddddd" stroke-width="%.4f"/>'
+            % (cx, cy, x, y, 0.5 * _STROKE)
+            for x, y in zip(*to_px(np.cos(base), np.sin(base)))]
 
-    n = poly.n_sides
-    for i in range(n):
-        color = block_color(poly.block_of_side(i).index)
-        z1 = poly.vertices[i].point.z
-        z2 = poly.vertices[(i + 1) % n].point.z
-        x1, y1 = to_px(z1)
-        x2, y2 = to_px(z2)
-        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
-        if circle is None:
-            out.append('<line class="side" x1="%.4f" y1="%.4f" x2="%.4f" '
-                       'y2="%.4f" stroke="%s" stroke-width="%.4f"/>'
-                       % (x1, y1, x2, y2, color, _STROKE))
-            continue
-        c, r = circle
-        r_px = R * r
-        # minor arc; the sweep flag follows the screen orientation, which
-        # flips the sign of the plane cross product
-        cross = ((z1.real - c.real) * (z2.imag - c.imag)
-                 - (z1.imag - c.imag) * (z2.real - c.real))
-        sweep = 1 if cross < 0 else 0
-        out.append('<path class="side" d="M %.4f %.4f A %.4f %.4f 0 0 %d '
+    # side i runs from V_i to V_{i+1}, on the circle of P_i and Q_{i+1}
+    z1 = np.array([v.point.z for v in poly.vertices])
+    z2 = np.roll(z1, -1)
+    c, r, diameter = geodesic_circles(
+        [x.P.z for x in poly.aux],
+        [x.Q.z for x in poly.aux[1:] + poly.aux[:1]])
+    # minor arc; the sweep flag follows the screen orientation, which
+    # flips the sign of the plane cross product
+    cross = ((z1.real - c.real) * (z2.imag - c.imag)
+             - (z1.imag - c.imag) * (z2.real - c.real))
+    xs, ys = to_px(z1.real, z1.imag)
+    for x1, y1, x2, y2, r_px, sweep, straight, blk in zip(
+            xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1], (R * r).tolist(),
+            (cross < 0).tolist(), diameter.tolist(), poly.side_blocks):
+        color = block_color(blk.index)
+        out.append('<line class="side" x1="%.4f" y1="%.4f" x2="%.4f" '
+                   'y2="%.4f" stroke="%s" stroke-width="%.4f"/>'
+                   % (x1, y1, x2, y2, color, _STROKE) if straight else
+                   '<path class="side" d="M %.4f %.4f A %.4f %.4f 0 0 %d '
                    '%.4f %.4f" fill="none" stroke="%s" stroke-width="%.4f"/>'
                    % (x1, y1, r_px, r_px, sweep, x2, y2, color, _STROKE))
 
-    for i, v in enumerate(poly.vertices):
-        x, y = to_px(v.point.z)
+    for v, x, y, xt, yt in zip(poly.vertices, xs, ys,
+                               *to_px(1.04 * z1.real, 1.04 * z1.imag)):
         if v.is_ideal:
             out.append('<line class="ideal-vertex" x1="%.4f" y1="%.4f" '
                        'x2="%.4f" y2="%.4f" stroke="#222222" '
-                       'stroke-width="%.4f"/>'
-                       % (x, y, *to_px(1.04 * v.point.z), _STROKE))
+                       'stroke-width="%.4f"/>' % (x, y, xt, yt, _STROKE))
         else:
             out.append('<circle class="elliptic-vertex" cx="%.4f" cy="%.4f" '
                        'r="%.4f" fill="#222222"/>' % (x, y, 3.0))
             out.append('<text class="order-label" x="%.4f" y="%.4f" '
                        'font-size="12">%d</text>' % (x + 6, y - 6, v.order))
 
-    for k in poly.elliptic_indices():
-        z = part.points[k].z
-        out.append('<line class="cut-point" x1="%.4f" y1="%.4f" x2="%.4f" '
-                   'y2="%.4f" stroke="#cc2222" stroke-width="%.4f"/>'
-                   % (*to_px(0.96 * z), *to_px(1.0 * z), _STROKE))
+    cut = np.array([part.points[k].z for k in poly.elliptic_indices()],
+                   dtype=complex)
+    out += ['<line class="cut-point" x1="%.4f" y1="%.4f" x2="%.4f" '
+            'y2="%.4f" stroke="#cc2222" stroke-width="%.4f"/>'
+            % (x1, y1, x2, y2, _STROKE)
+            for x1, y1, x2, y2 in zip(
+                *to_px(0.96 * cut.real, 0.96 * cut.imag),
+                *to_px(cut.real, cut.imag))]
     return _document(size, out)
 
 
@@ -127,16 +129,13 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
     side = size - 2 * margin
     sc = side / TAU
 
-    def to_px(tu: float, tw: float) -> tuple[float, float]:
-        return margin + tu * sc, margin + side - tw * sc
-
     out = ['<rect class="frame" x="%.4f" y="%.4f" width="%.4f" height="%.4f" '
            'fill="none" stroke="#444444" stroke-width="%.4f"/>'
            % (margin, margin, side, side, _STROKE)]
 
-    for c in (blk.base_angle for blk in dom.poly.blocks[1:]):
-        x0, _ = to_px(c, 0.0)
-        _, y0 = to_px(0.0, c)
+    c = np.array([blk.base_angle for blk in dom.poly.blocks[1:]])
+    for x0, y0 in zip((margin + c * sc).tolist(),
+                      (margin + side - c * sc).tolist()):
         out.append('<line class="grid" x1="%.4f" y1="%.4f" x2="%.4f" '
                    'y2="%.4f" stroke="#eeeeee" stroke-width="1.0"/>'
                    % (x0, margin, x0, margin + side))
@@ -144,21 +143,28 @@ def render_attractor(dom: AttractorDomain, spec: FigureSpec) -> str:
                    'y2="%.4f" stroke="#eeeeee" stroke-width="1.0"/>'
                    % (margin, y0, margin + side, y0))
 
-    # each rectangle's seam-split intervals, without the padding
-    u, w = ([[(lo, hi) for lo, hi in ints if hi > lo] for ints in x.tolist()]
-            for x in dom.arrays.intervals())
-    for block, gamma, u_ints, w_ints in zip(dom.arrays.block.tolist(),
-                                            dom.arrays.gamma.tolist(), u, w):
-        color = block_color(block)
+    # each rectangle's pieces: its nonempty seam-split u-intervals by its
+    # nonempty w-intervals, u outer
+    u, w = dom.arrays.intervals()
+    row, a, b = np.nonzero((u[:, :, None, 1] > u[:, :, None, 0])
+                           & (w[:, None, :, 1] > w[:, None, :, 0]))
+    ulo, uhi = u[row, a].T
+    wlo, whi = w[row, b].T
+    blocks = dom.arrays.block.tolist()
+    pieces = ['<rect x="%.4f" y="%.4f" width="%.4f" height="%.4f" fill="%s" '
+              'fill-opacity="0.75" stroke="#333333" stroke-width="0.6"/>'
+              % (x, y, wd, ht, block_color(blocks[k]))
+              for x, y, wd, ht, k in zip(
+                  (margin + ulo * sc).tolist(),
+                  (margin + side - whi * sc).tolist(),
+                  ((uhi - ulo) * sc).tolist(), ((whi - wlo) * sc).tolist(),
+                  row.tolist())]
+    ends = np.cumsum(np.bincount(row, minlength=len(blocks))).tolist()
+    for block, gamma, lo, hi in zip(blocks, dom.arrays.gamma.tolist(),
+                                    [0] + ends, ends):
         out.append('<g class="omega-rect" data-block="%d" data-gamma="%d">'
                    % (block, gamma))
-        for ulo, uhi in u_ints:
-            for wlo, whi in w_ints:
-                out.append('<rect x="%.4f" y="%.4f" width="%.4f" '
-                           'height="%.4f" fill="%s" fill-opacity="0.75" '
-                           'stroke="#333333" stroke-width="0.6"/>'
-                           % (to_px(ulo, whi) + ((uhi - ulo) * sc,
-                                                 (whi - wlo) * sc, color)))
+        out += pieces[lo:hi]
         out.append('</g>')
 
     out.append('<text class="axis-label" x="%.4f" y="%.4f" font-size="13" '

@@ -22,13 +22,18 @@ itself and tests every candidate on both coordinates;
 x intervals mask, where the kernel reads each w-arc's intervals as one run
 of its table, ``kernel_step`` is the step of the kernel's loops, under
 their error state, and ``moebius_reference`` the step that finds the seam
-by testing every quotient for NaN, where ``extension._moebius`` finds it by
+by testing every quotient for NaN, where ``arcs._moebius`` finds it by
 numpy's invalid flag; ``bisector_endpoint`` constructs the end of the angle
 bisector at an elliptic vertex from the tangents of the sides' circles
 (``tangent_at``), independently of the arc midpoint ``AuxPoints.M``, and
 ``boundary_product`` folds the block gluings (``block_glue_product``) into
 one matrix, where ``validate_polygon`` walks the cusp cycle of V_0 one
 gluing at a time and sums the logs of their derivatives;
+``scalar_validation`` takes four of ``validate_polygon``'s checks one side,
+one cap pair and one step at a time, by ``geodesic_circle``, a dense caps x
+caps overlap array and ``apply_angle``, where the library makes one array
+pass over the sides, only the cap pairs that meet and the vector boundary
+action;
 ``f_apply`` is one step of the boundary map on a ``BoundaryPoint``, by
 ``MoebiusPSU.apply_boundary``; ``walk_reference`` walks an orbit one
 ``BoundaryPoint`` at a time through it, where ``markov_check`` steps on
@@ -79,7 +84,7 @@ from fuchsian import (AttractorDomain, BoundaryPoint, DirectedArc, DiskPoint,
                       MarkedPolygon, NotElliptic, Partition, Rect,
                       geodesic_circle)
 from fuchsian.arcs import (RectArray, _breakpoints, _overlap_lengths, cayley,
-                           ccw_sweep, clip_intervals)
+                           ccw_sweep, clip_intervals, seam_split)
 from fuchsian.boundary import MarkovReport
 from fuchsian.extension import (BijectivityReport, _fan, _moebius,
                                 image_rects)
@@ -590,6 +595,73 @@ def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:
     for blk in poly.blocks:
         total = block_glue_product(poly, blk) @ total
     return total
+
+
+def scalar_validation(poly: MarkedPolygon) -> dict[str, Check]:
+    """Checks ``isometric_circles``, ``free_combination``,
+    ``parabolic_product`` and ``equal_distribution`` of ``validate_polygon``
+    one side, one cap pair and one step at a time: each side's
+    ``geodesic_circle``, the dense caps x caps overlap array, and
+    ``apply_angle`` for every landing."""
+    checks = {}
+    n = poly.n_sides
+
+    worst, detail = 0.0, ""
+    for i, gen in enumerate(poly.generators):
+        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+        if circle is None:
+            if not (abs(gen.b) < 1e-12
+                    and abs(gen.trace) < 2.0 - DEFAULT.spectral):
+                worst, detail = math.inf, f"side {i}: bad diameter pairing"
+            continue
+        if abs(gen.b) < 1e-14:
+            worst, detail = math.inf, f"side {i}: no isometric circle"
+            continue
+        c, r = circle
+        res = (abs(-gen.a.conjugate() / gen.b.conjugate() - c)
+               + abs(1.0 / abs(gen.b) - r))
+        res = max(res, abs(abs(c) ** 2 - r ** 2 - 1.0))
+        if res > worst:
+            worst, detail = res, f"side {i}"
+    checks["isometric_circles"] = Check(worst, DEFAULT.residual, detail)
+
+    caps = [DirectedArc.ccw(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+            for i in range(n)]
+    arcs = seam_split(np.array([c.start.theta for c in caps]),
+                      np.array([c.sweep for c in caps]))
+    overlap = _overlap_lengths(arcs[:, None], arcs)
+    rows = np.arange(n)
+    overlap[rows, rows] = 0.0
+    overlap[rows, poly.pairing] = 0.0
+    i, j = np.unravel_index(np.argmax(overlap), overlap.shape)
+    worst = float(overlap[i, j])
+    checks["free_combination"] = Check(worst, DEFAULT.residual,
+                                       f"sides {i} vs {j}" if worst > 0
+                                       else "")
+
+    cycle = [0]
+    while len(cycle) <= n and (j := (poly.pairing[cycle[-1]] + 1) % n):
+        cycle.append(j)
+    log_derivative = math.inf if len(cycle) > n else abs(sum(
+        math.log(poly.generators[j].derivative_modulus(
+            poly.vertices[j].point.z)) for j in cycle))
+    checks["parabolic_product"] = Check(log_derivative, DEFAULT.spectral,
+                                        f"log derivative {log_derivative:.2e}")
+
+    landings = [(j, poly.vertices[j].point,
+                 poly.vertices[(poly.pairing[j] + 1) % n].point)
+                for j in cycle]
+    for i, p in enumerate(poly.pairing):
+        landings += [(i, poly.aux[i].P, poly.aux[(p + 1) % n].Q),
+                     (i, poly.aux[(i + 1) % n].Q, poly.aux[p].P)]
+    worst, detail = 0.0, ""
+    for i, x, y in landings:
+        res = angular_distance(poly.generators[i].apply_angle(x.theta),
+                               y.theta)
+        if res > worst:
+            worst, detail = res, f"side {i}"
+    checks["equal_distribution"] = Check(worst, DEFAULT.residual, detail)
+    return checks
 
 
 def bisector_endpoint(poly: MarkedPolygon, k: int) -> BoundaryPoint:

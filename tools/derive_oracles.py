@@ -36,14 +36,22 @@ form by more than 1e-40:
     through every elliptic vertex of ``CYCLE_SIGNATURES`` and
     ``15;2,2,2,3,3,3,4,4,4;20`` within ``PQ_TOL`` = 4e-15 rad of the
     50-digit ``cut_point``; each point further off counts as a miss
+  * ``growth_rate`` of ``tests/oracles.py`` (float bisection) gives the log
+    growth rate of each group of ``GROWTH_SIGNATURES``, the acceptance set
+    and the ladder of the tests, within ``GROWTH_TOL`` = 1e-12 of -log x*,
+    x* the 50-digit root in (0, 1) of the free-product growth-series
+    equation; each signature further off counts as a miss
 """
 
 import sys
 from pathlib import Path
 
-from mpmath import mp, mpc, mpf, arg, cos, cot, exp, pi, sqrt, matrix
+from mpmath import (mp, mpc, mpf, arg, cos, cot, exp, findroot, log, pi,
+                    sqrt, matrix)
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 mp.dps = 50
 TOL = mpf("1e-40")
@@ -58,6 +66,10 @@ CYCLE_SIGNATURES = (
     "20;2,3,17,29;8", "30;2,3,5,7,11,13,17,19,23;10",
     "0;" + ",".join(map(str, range(3, 33))) + ";1")
 PQ_SIGNATURES = CYCLE_SIGNATURES + ("15;2,2,2,3,3,3,4,4,4;20",)
+# the acceptance set and the ladder of the tests (SIGNATURES + LADDER)
+GROWTH_SIGNATURES = PQ_SIGNATURES + ("60;;1",)
+# the float bisection stops at adjacent doubles, a few ulp of x*
+GROWTH_TOL = mpf("1e-12")
 
 
 def wedge_vertex(ell, m):
@@ -207,6 +219,44 @@ def far_end_misses(signatures):
     return misses
 
 
+def growth_exponent(genus, orders, cusps):
+    """-log x* for the root x* in (0, 1) of the growth-series equation of
+    the free product of 2g + t - 1 copies of Z and Z/m for each order m:
+    sum_i 1/f_i(x) - (k - 1) = 0 over the k factors, f_Z = (1 + x)/(1 - x)
+    and f_Z/m(x) = sum of x^|j| over the residues j of Z/m taken in
+    (-m/2, m/2].  The left side falls from 1 at x = 0 to sum 1/m - (k - 1)
+    < 0 at x = 1, so the bracket holds the one root."""
+    free = 2 * genus + cusps - 1
+    k = free + len(orders)
+
+    def f_cyclic(m, x):
+        return sum(x ** abs(j) for j in range(-((m - 1) // 2), m // 2 + 1))
+
+    def excess(x):
+        return (free * (1 - x) / (1 + x)
+                + sum(1 / f_cyclic(m, x) for m in orders) - (k - 1))
+
+    return -log(findroot(excess, (mpf(0), mpf(1)), solver="illinois"))
+
+
+def growth_misses(signatures):
+    """Compare ``oracles.growth_rate`` with ``growth_exponent`` on each
+    signature; print the distance and return the misses."""
+    from fuchsian import Signature
+    from oracles import growth_rate
+
+    misses = []
+    for text in signatures:
+        sig = Signature.parse(text)
+        exact = growth_exponent(sig.genus, sig.orders, sig.cusps)
+        gap = abs(mpf(growth_rate(sig)) - exact)
+        print(f"growth rate {text}: {mp.nstr(exact, 20)}, float oracle off "
+              f"by {mp.nstr(gap, 3)}")
+        if gap > GROWTH_TOL:
+            misses.append(f"growth rate {text}")
+    return misses
+
+
 def main():
     misses = []
 
@@ -301,6 +351,7 @@ def main():
 
     misses += cycle_mismatches(CYCLE_SIGNATURES)
     misses += far_end_misses(PQ_SIGNATURES)
+    misses += growth_misses(GROWTH_SIGNATURES)
 
     if misses:
         print(f"{len(misses)} derived value(s) miss their closed form by more "
