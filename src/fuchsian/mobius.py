@@ -26,6 +26,15 @@ from .errors import NonFinite
 
 TAU = 2.0 * math.pi
 
+# DET_ROUNDING (|a|^2 + |b|^2) bounds the rounding of |a|^2 - |b|^2 for a
+# pair meant to have determinant 1: c eps, eps = 2^-52, in units u = eps / 2.
+# Evaluating it: abs() within one ulp (2u), squared (5u), the difference
+# (u): 3 eps.  An entry of relative error k u moves it by 2 k u |entry|^2;
+# the closed forms of ``polygon`` take k <= 6 in standard position
+# (function values, a product, a sum, the division by sin) and at most two
+# turns by a rounded unit of 1 + sqrt(5) < 3.5 each: 13 eps.  c = 16.
+DET_ROUNDING = 16 * 2.0 ** -52
+
 
 def normalize_angle(theta: float) -> float:
     """Wrap to [0, 2pi), snapping values within the wrap guard of 2pi to 0."""
@@ -104,33 +113,17 @@ class MoebiusPSU:
 
     @classmethod
     def from_ab(cls, a: complex, b: complex) -> "MoebiusPSU":
+        """The pair (a, b), rescaled to determinant 1 only when its drift,
+        as from a long product, exceeds the rounding of det itself
+        (``DET_ROUNDING``); a closed-form pair is kept as it is."""
         a, b = complex(a), complex(b)
-        det = abs(a) ** 2 - abs(b) ** 2
-        if det > 0 and abs(det - 1.0) > 1e-15:
-            s = 1.0 / math.sqrt(det)   # absorb drift from long products
+        aa, bb = abs(a) ** 2, abs(b) ** 2
+        det = aa - bb
+        if det > 0 and abs(det - 1.0) > DET_ROUNDING * (aa + bb):
+            s = 1.0 / math.sqrt(det)
             a, b = a * s, b * s
         a, b = cls._sign_normalize(a, b)
         return cls(a, b)
-
-    @classmethod
-    def from_coeffs(cls, m00: complex, m01: complex, m10: complex,
-                    m11: complex) -> "MoebiusPSU":
-        """Normalize any matrix of a disk automorphism into PSU(1,1) shape.
-
-        Dividing by a square root of the determinant lands in SU(1,1) up to
-        sign whenever the input genuinely preserves the disk; the shape is
-        verified and rejected otherwise.
-        """
-        _check_finite(complex(m00), complex(m01), complex(m10), complex(m11))
-        det = m00 * m11 - m01 * m10
-        if abs(det) < 1e-14:
-            raise ValueError("matrix is singular")
-        s = cmath.sqrt(det)
-        a, b, c, d = m00 / s, m01 / s, m10 / s, m11 / s
-        shape = abs(c - b.conjugate()) + abs(d - a.conjugate())
-        if shape > 1e-8 * max(1.0, abs(a) + abs(b)):
-            raise ValueError(f"matrix does not preserve the disk (residual {shape:.2e})")
-        return cls.from_ab(a, b)
 
     @classmethod
     def identity(cls) -> "MoebiusPSU":

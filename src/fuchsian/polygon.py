@@ -3,15 +3,16 @@
 The polygon is assembled from one building block per symbol of the signature
 string: a four-sided quadruple glued in commutator fashion for each genus
 handle, a two-sided wedge with an interior vertex for each elliptic order,
-and a two-sided parabolic wedge for each cusp beyond the first.  Block
-``j`` occupies the sector of angles [2pi (j-1)/l, 2pi j/l] and is the image
-of the standard-position block under the rotation by 2pi (j-1)/l; all
-side-pairing transformations are the standard ones conjugated by that
-rotation.  Every glued side lies on the isometric circle of its pairing
-transformation, which pins the construction uniquely.  Side i is kept only
-as its ideal ends, P_i and Q_{i+1} of ``aux``.  ``validate_polygon`` checks
-the construction in array passes over the sides, the cap pairs that meet
-and the steps of the cusp cycle of V_0.
+and a two-sided wedge of order inf, its vertex ideal, for each cusp beyond
+the first.  Block ``j`` occupies the sector of angles [2pi (j-1)/l,
+2pi j/l] and is the image of the standard-position block under the rotation
+by 2pi (j-1)/l.  Each gluing [[a, b], [conj(b), conj(a)]] is a closed form
+in standard position, and the conjugation by that rotation keeps a and
+turns b.  Every glued side lies on the isometric circle of its gluing,
+centre -conj(a)/conj(b) and radius 1/|b|, which pins the construction
+uniquely.  Side i is kept only as its ideal ends, P_i and Q_{i+1} of
+``aux``.  ``validate_polygon`` checks the construction in array passes over
+the sides, the cap pairs that meet and the steps of the cusp cycle of V_0.
 """
 
 from __future__ import annotations
@@ -130,36 +131,35 @@ def elliptic_vertex(ell: int, m: int) -> complex:
             * cmath.exp(1j * math.pi / ell))
 
 
-def elliptic_generator(ell: int, m: int) -> MoebiusPSU:
+def elliptic_generator(ell: int, m: float) -> MoebiusPSU:
     """Clockwise rotation by 2pi/m about the standard wedge vertex, gluing
-    the ray toward 1 onto the ray toward e^{2pi i/l}."""
-    cm, cl = math.cos(math.pi / m), math.cos(math.pi / ell)
+    the ray toward 1 onto the ray toward e^{2pi i/l}; m = inf gives the
+    parabolic gluing of the cusp wedge, fixing e^{pi i/l}.  In closed form,
+    with e = e^{pi i/l}: a = (1 + cos(pi/m) e) / (i sin(pi/l)) and
+    b = i (cos(pi/m) + cos(pi/l)) e / sin(pi/l)."""
+    cm, cl, sl = (math.cos(math.pi / m), math.cos(math.pi / ell),
+                  math.sin(math.pi / ell))
     e = cmath.exp(1j * math.pi / ell)
-    return MoebiusPSU.from_coeffs(1 + cm * e, -(cm + cl) * e,
-                                  (cm + cl) / e, -(1 + cm / e))
-
-
-def parabolic_generator(ell: int) -> MoebiusPSU:
-    """Parabolic gluing of the standard cusp wedge, fixing e^{pi i/l}."""
-    e = cmath.exp(1j * math.pi / ell)
-    return MoebiusPSU.from_coeffs(2 * e * e, -(e * e + e ** 3),
-                                  e + 1, -2 * e)
+    return MoebiusPSU.from_ab((1 + cm * e) / (1j * sl), 1j * (cm + cl) * e / sl)
 
 
 def hyperbolic_generator_a(ell: int) -> MoebiusPSU:
     """First gluing of the standard quadruple: side V0 V1 onto V3 V2, where
-    V_k = e^{k pi i/(2l)}."""
-    c = math.cos(math.pi / (4 * ell))
-    e = lambda k: cmath.exp(1j * k * math.pi / (4 * ell))
-    return MoebiusPSU.from_coeffs(-e(5), c * e(6), -c, e(1))
+    V_k = e^{k pi i/(2l)}; with h = pi/(4l), a = i e^{2ih} / sin h and
+    b = -i cos h e^{3ih} / sin h."""
+    h = math.pi / (4 * ell)
+    s = math.sin(h)
+    return MoebiusPSU.from_ab(1j * cmath.exp(2j * h) / s,
+                              -1j * math.cos(h) * cmath.exp(3j * h) / s)
 
 
 def hyperbolic_generator_b(ell: int) -> MoebiusPSU:
-    """Second gluing (side V3 V4 onto V2 V1), the rotation conjugate of the
-    inverse of the first; this matrix identity is what makes both glued
-    sides isometric circles."""
-    rot = MoebiusPSU.rotation(math.pi / (2 * ell))
-    return rot @ hyperbolic_generator_a(ell).inverse() @ rot.inverse()
+    """Second gluing (side V3 V4 onto V2 V1), the inverse of the first
+    turned by pi/(2l), (conj(a), -b e^{pi i/(2l)}); this identity is what
+    makes both glued sides isometric circles."""
+    g = hyperbolic_generator_a(ell)
+    return MoebiusPSU.from_ab(g.a.conjugate(),
+                              -g.b * cmath.exp(0.5j * math.pi / ell))
 
 
 # -- marked polygon -----------------------------------------------------------
@@ -337,8 +337,9 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
 
     for j, sym in enumerate(string.symbols):
         base = TAU * j / ell
-        rot = MoebiusPSU.rotation(base)
-        conj = (lambda g, r=rot: r @ g @ r.inverse())
+        # conjugation by the turn z -> e^{i base} z keeps a and turns b
+        turn = cmath.exp(1j * base)
+        conj = (lambda g, t=turn: MoebiusPSU.from_ab(g.a, g.b * t))
         side0 = len(generators)
         vertices.append(Vertex("ideal", BoundaryPoint.from_angle(base)))
         if sym == SQUARE:
@@ -351,16 +352,14 @@ def build_canonical(sig: Signature) -> MarkedPolygon:
                     base + k * math.pi / (2 * ell))))
         else:
             # a wedge: one gluing and its inverse around the middle vertex,
-            # a cusp for the parabolic block, interior otherwise
+            # a cusp for the wedge of order inf, interior otherwise
+            c = elliptic_generator(ell, math.inf if sym == INFINITY else sym)
             if sym == INFINITY:
-                c = parabolic_generator(ell)
                 mid = Vertex("ideal", BoundaryPoint.from_angle(
                     base + math.pi / ell))
             else:
-                m = int(sym)
-                c = elliptic_generator(ell, m)
                 mid = Vertex("elliptic", DiskPoint(
-                    elliptic_vertex(ell, m) * cmath.exp(1j * base)), m)
+                    elliptic_vertex(ell, sym) * turn), sym)
             generators += [conj(c), conj(c.inverse())]
             pairing += [side0 + 1, side0]
             vertices.append(mid)

@@ -597,6 +597,52 @@ def boundary_product(poly: MarkedPolygon) -> MoebiusPSU:
     return total
 
 
+def cusp_cycle(poly: MarkedPolygon) -> list[int]:
+    """The sides j of the cusp cycle of V_0, from j = 0 on by j ->
+    pairing[j] + 1; longer than N when it does not come back."""
+    n, cycle = poly.n_sides, [0]
+    while len(cycle) <= n and (j := (poly.pairing[cycle[-1]] + 1) % n):
+        cycle.append(j)
+    return cycle
+
+
+def isometric_residuals(poly: MarkedPolygon) -> list[tuple[float, str]]:
+    """Per side, the residual of ``isometric_circles`` from its own
+    ``geodesic_circle``, and its reason when it is inf: 0.0 for a diameter
+    side glued by a proper rotation about 0, inf for a side that breaks
+    either rule."""
+    out, n = [], poly.n_sides
+    for i, gen in enumerate(poly.generators):
+        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
+        if circle is None:
+            out.append((0.0, "") if abs(gen.b) < 1e-12
+                       and abs(gen.trace) < 2.0 - DEFAULT.spectral
+                       else (math.inf, ": bad diameter pairing"))
+        elif abs(gen.b) < 1e-14:
+            out.append((math.inf, ": no isometric circle"))
+        else:
+            c, r = circle
+            res = (abs(-gen.a.conjugate() / gen.b.conjugate() - c)
+                   + abs(1.0 / abs(gen.b) - r))
+            out.append((max(res, abs(abs(c) ** 2 - r ** 2 - 1.0)), ""))
+    return out
+
+
+def landing_residuals(poly: MarkedPolygon) -> list[tuple[int, float]]:
+    """(side, residual) of every landing of ``equal_distribution`` by
+    ``apply_angle``: the steps of the cusp cycle of V_0, then g_i(P_i) on
+    Q_{p+1} and g_i(Q_{i+1}) on P_p side by side."""
+    n = poly.n_sides
+    landings = [(j, poly.vertices[j].point,
+                 poly.vertices[(poly.pairing[j] + 1) % n].point)
+                for j in cusp_cycle(poly)]
+    for i, p in enumerate(poly.pairing):
+        landings += [(i, poly.aux[i].P, poly.aux[(p + 1) % n].Q),
+                     (i, poly.aux[(i + 1) % n].Q, poly.aux[p].P)]
+    return [(i, angular_distance(poly.generators[i].apply_angle(x.theta),
+                                 y.theta)) for i, x, y in landings]
+
+
 def scalar_validation(poly: MarkedPolygon) -> dict[str, Check]:
     """Checks ``isometric_circles``, ``free_combination``,
     ``parabolic_product`` and ``equal_distribution`` of ``validate_polygon``
@@ -606,23 +652,11 @@ def scalar_validation(poly: MarkedPolygon) -> dict[str, Check]:
     checks = {}
     n = poly.n_sides
 
+    # the last side with an inf residual, else the first largest
     worst, detail = 0.0, ""
-    for i, gen in enumerate(poly.generators):
-        circle = geodesic_circle(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
-        if circle is None:
-            if not (abs(gen.b) < 1e-12
-                    and abs(gen.trace) < 2.0 - DEFAULT.spectral):
-                worst, detail = math.inf, f"side {i}: bad diameter pairing"
-            continue
-        if abs(gen.b) < 1e-14:
-            worst, detail = math.inf, f"side {i}: no isometric circle"
-            continue
-        c, r = circle
-        res = (abs(-gen.a.conjugate() / gen.b.conjugate() - c)
-               + abs(1.0 / abs(gen.b) - r))
-        res = max(res, abs(abs(c) ** 2 - r ** 2 - 1.0))
-        if res > worst:
-            worst, detail = res, f"side {i}"
+    for i, (res, why) in enumerate(isometric_residuals(poly)):
+        if res > worst or res == math.inf:
+            worst, detail = res, f"side {i}{why}"
     checks["isometric_circles"] = Check(worst, DEFAULT.residual, detail)
 
     caps = [DirectedArc.ccw(poly.aux[i].P, poly.aux[(i + 1) % n].Q)
@@ -639,25 +673,15 @@ def scalar_validation(poly: MarkedPolygon) -> dict[str, Check]:
                                        f"sides {i} vs {j}" if worst > 0
                                        else "")
 
-    cycle = [0]
-    while len(cycle) <= n and (j := (poly.pairing[cycle[-1]] + 1) % n):
-        cycle.append(j)
+    cycle = cusp_cycle(poly)
     log_derivative = math.inf if len(cycle) > n else abs(sum(
         math.log(poly.generators[j].derivative_modulus(
             poly.vertices[j].point.z)) for j in cycle))
     checks["parabolic_product"] = Check(log_derivative, DEFAULT.spectral,
                                         f"log derivative {log_derivative:.2e}")
 
-    landings = [(j, poly.vertices[j].point,
-                 poly.vertices[(poly.pairing[j] + 1) % n].point)
-                for j in cycle]
-    for i, p in enumerate(poly.pairing):
-        landings += [(i, poly.aux[i].P, poly.aux[(p + 1) % n].Q),
-                     (i, poly.aux[(i + 1) % n].Q, poly.aux[p].P)]
     worst, detail = 0.0, ""
-    for i, x, y in landings:
-        res = angular_distance(poly.generators[i].apply_angle(x.theta),
-                               y.theta)
+    for i, res in landing_residuals(poly):
         if res > worst:
             worst, detail = res, f"side {i}"
     checks["equal_distribution"] = Check(worst, DEFAULT.residual, detail)

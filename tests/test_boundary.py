@@ -586,11 +586,7 @@ class TestMarkov:
             assert len(rep.orbit_sizes) == 320
             assert set(rep.orbit_sizes.values()) == {0}
 
-    @pytest.mark.parametrize("text", SIGNATURES + [
-        pytest.param(text, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 3: the float cut orbits drift "
-            "off their cut, a known false Markov reject"))
-        if text == ORDERS_3_TO_32 else text for text in LADDER])
+    @pytest.mark.parametrize("text", SIGNATURES + LADDER)
     def test_midpoint_entropy_is_the_growth_rate(self, text):
         # the log spectral radius of the midpoint transitions is the log
         # growth rate of the group (measured within 1.5e-14); left and right

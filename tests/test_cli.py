@@ -374,7 +374,7 @@ class TestCycleCommand:
         row = next(r for r in cycles["vertices"] if r["vertex"] == 87)
         assert check["detail"] == "vertex 87"
         assert check["residual"] == row["residual"]
-        assert abs(check["residual"] - 1.795e-8) < 0.01e-8
+        assert abs(check["residual"] - 8.671e-9) < 0.01e-9
 
 
 def strict_loads(text):
@@ -393,9 +393,8 @@ class TestStrictJson:
         (["verify", "--signature", "0;2,3;1"], 0),
         (["simulate", "--signature", "0;2,3;1", "--samples", "50"], 0),
         (["cycle", "--signature", "0;2,3;1", "--vertex", "3"], 0),
-        # the known false reject: the Markov endpoints residual is inf
-        (["verify", "--signature", "0;" + ",".join(map(str, range(3, 33)))
-          + ";1", "--checks", "markov"], 1),
+        # an open orbit: the Markov endpoints residual is inf
+        (TestOneRecord.VERIFY, 1),
         # no sample entered, so mean_K is undefined
         (["simulate", "--signature", "0;2,3;1", "--samples", "1",
           "--max-iters", "0", "--seed", "2"], 1),
@@ -412,8 +411,7 @@ class TestStrictJson:
 
     def test_non_finite_written_as_null(self, tmp_path, capsys):
         rep = tmp_path / "markov.json"
-        run(["verify", "--signature", "0;" + ",".join(map(str, range(3, 33)))
-             + ";1", "--checks", "markov", "--report", str(rep)])
+        assert run(TestOneRecord.VERIFY + ["--report", str(rep)]) == 1
         endpoints = strict_loads(rep.read_text())["results"]["markov"][
             "checks"]["endpoints"]
         assert endpoints["residual"] is None and endpoints["headroom"] is None

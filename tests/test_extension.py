@@ -295,8 +295,10 @@ class TestPolygonTables:
 
 
 class TestBijectivity:
+    # up to 1920 rectangles: image_overlap holds on the ladder's cusp rows
+    # since the gluings are closed forms
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("text", SIGNATURES)
+    @pytest.mark.parametrize("text", SIGNATURES + LADDER + list(STRESS))
     def test_named_partitions(self, text, mode):
         poly = polygon(text)
         part = partition(text, mode)
@@ -305,10 +307,15 @@ class TestBijectivity:
         assert rep.passed, rep.to_dict()
 
     def test_image_overlap_over_bound_fails(self):
-        # image overlap 1.50e-12 lies above the overlap bound
+        # with its row 0 twice the domain has two equal images, whose
+        # overlap 0.164 lies above the overlap bound
         poly = polygon(ALL_CUSPS)
         part = partition(ALL_CUSPS, "left")
-        rep = verify_bijectivity(poly, part, build_attractor(poly, part))
+        dom = build_attractor(poly, part)
+        rs = dom.arrays
+        twice = dataclasses.replace(dom, arrays=rs.take(
+            np.r_[0, np.arange(len(rs))]))
+        rep = verify_bijectivity(poly, part, twice)
         assert rep.image_overlap > tolerances.DEFAULT.overlap
         assert rep.checks["image_overlap"].bound == tolerances.DEFAULT.overlap
         assert rep.passed is False
@@ -1641,7 +1648,7 @@ class TestLoops:
         small = shrunk(dom)
         exits = check_forward_invariance(poly, part, small, traces,
                                          steps=200)
-        assert exits == 30480
+        assert exits == 29480
         assert exits == oracle_exits(poly, part, small.arrays, traces, 200)
 
     @pytest.mark.parametrize("case", ["shrunk", "seam", "wide"])

@@ -23,8 +23,7 @@ from fuchsian.extension import _moebius
 from fuchsian.mobius import (TAU, angular_distance, geodesic_far_end,
                              vertex_frame)
 from fuchsian.polygon import (elliptic_generator, elliptic_vertex,
-                              hyperbolic_generator_a, hyperbolic_generator_b,
-                              parabolic_generator)
+                              hyperbolic_generator_a, hyperbolic_generator_b)
 
 V1_23 = complex(0.0, 2.0 - math.sqrt(3.0))   # wedge vertex, l=2 m=3
 
@@ -36,7 +35,8 @@ def conjugated_rotation(fixed, m):
     move = np.array([[n, -n * fixed], [-n * fixed.conjugate(), n]])
     rot = np.diag([cmath.exp(-1j * math.pi / m), cmath.exp(1j * math.pi / m)])
     mat = np.linalg.inv(move) @ rot @ move
-    return MoebiusPSU.from_coeffs(*mat.flatten())
+    s = cmath.sqrt(np.linalg.det(mat))
+    return MoebiusPSU.from_ab(mat[0, 0] / s, mat[0, 1] / s)
 
 
 def psu_elements():
@@ -70,7 +70,7 @@ class TestAction:
             assert lib.sign_distance(ora) < 1e-12
 
     def test_boundary_image_modulus(self):
-        g = parabolic_generator(3)
+        g = elliptic_generator(3, math.inf)
         for t in np.linspace(0, TAU, 37, endpoint=False):
             assert abs(abs(g.apply(cmath.exp(1j * t))) - 1) < 1e-10
 
@@ -234,7 +234,7 @@ class TestClassification:
 
     def test_cusp_gluing_is_parabolic(self):
         for ell in (2, 3, 5, 6):
-            g = parabolic_generator(ell)
+            g = elliptic_generator(ell, math.inf)
             assert abs(abs(g.trace) - 2.0) < 1e-8
             assert g.sign_distance(MoebiusPSU.identity()) > 1e-8
 
@@ -249,7 +249,7 @@ class TestIsometricCircle:
 
     def test_cusp_gluing_circle_passes_through_glued_side(self):
         # l = 2: the glued side runs from 1 to i
-        g = parabolic_generator(2)
+        g = elliptic_generator(2, math.inf)
         for z in (1.0 + 0j, 1j):
             assert abs(g.derivative_modulus(z) - 1.0) < 1e-10
 
@@ -364,15 +364,10 @@ class TestGeodesics:
 
 
 class TestNormalization:
-    def test_shape_rejection(self):
-        with pytest.raises(ValueError):
-            MoebiusPSU.from_coeffs(2.0, 0.0, 0.0, 0.5)  # disk-breaking map
-
     @pytest.mark.parametrize("build, words", [
         (lambda: DiskPoint(1.0 + 0j), "is not interior"),
         (lambda: MoebiusPSU(2.0 + 0j, 0j), "determinant"),
-        (lambda: MoebiusPSU.from_coeffs(1.0, 2.0, 0.5, 1.0), "singular"),
-    ], ids=["disk-on-circle", "determinant", "singular"])
+    ], ids=["disk-on-circle", "determinant"])
     def test_rejects_bad_input(self, build, words):
         with pytest.raises(ValueError, match=words):
             build()

@@ -10,7 +10,8 @@ import pytest
 import numpy as np
 
 from conftest import LADDER, SCALE, SIGNATURES, STRESS, polygon, side_circle
-from oracles import bisector_endpoint, boundary_product, scalar_validation
+from oracles import (bisector_endpoint, boundary_product, isometric_residuals,
+                     landing_residuals, scalar_validation)
 
 from fuchsian import (InvalidSignature, Signature, build_canonical,
                       signature_string, validate_polygon)
@@ -274,8 +275,12 @@ class TestAuxPoints:
 
 
 class TestValidation:
-    def test_all_signatures_pass(self, any_polygon):
-        rep = validate_polygon(any_polygon)
+    # up to 400;;1 (1600 sides): the gluings are closed forms of
+    # determinant 1, so the cusp cycle's log derivative stays in its bound
+    @pytest.mark.parametrize("text", SIGNATURES + LADDER + list(STRESS)
+                             + ["200;;1", "400;;1"])
+    def test_all_signatures_pass(self, text):
+        rep = validate_polygon(polygon(text))
         assert rep.passed, rep.to_dict()
 
     def test_modular_area_is_pi_over_three(self):
@@ -403,11 +408,23 @@ class TestScalarValidation:
                                  {**rep.checks, **ref}.values())
         # the same pairs measured by the same arithmetic
         assert rep.checks["free_combination"] == ref["free_combination"]
-        for name in ("isometric_circles", "equal_distribution"):
+        sides = {"isometric_circles": dict(enumerate(
+                     res for res, _ in isometric_residuals(poly))),
+                 "equal_distribution": {}}
+        for i, res in landing_residuals(poly):
+            sides["equal_distribution"][i] = max(
+                res, sides["equal_distribution"].get(i, 0.0))
+        for name, per_side in sides.items():
             got, want = rep.checks[name], ref[name]
-            assert got.passed == want.passed and got.detail == want.detail
+            assert got.passed == want.passed
             assert got.residual == want.residual or (
                 abs(got.residual - want.residual) < 1e-12)
+            if got.detail != want.detail:
+                # sides that tie within that 1e-12 may be named either way
+                top = sorted(per_side.values(), reverse=True)
+                assert top[0] - top[1] <= 1e-12
+                named = int(got.detail.removeprefix("side "))
+                assert want.residual - per_side[named] <= 1e-12
         # each step's log derivative is rounded its own way on either path
         # (np.log and math.log); the detail writes the residual out, so the
         # residual is compared in its place
@@ -429,8 +446,8 @@ class TestScalarValidation:
 
     def test_no_caps_by_caps_array(self):
         # a dense caps x caps overlap array peaks at 62 MB on 400;;1 (N =
-        # 1600), the pairs whose caps meet at 1.1 MB.  No verdict is
-        # asserted: 400;;1 fails parabolic_product on its stored gluings
+        # 1600), the pairs whose caps meet at 1.1 MB.  Only the memory is
+        # asserted here; TestValidation asserts the verdict
         poly = build_canonical(Signature.parse("400;;1"))
         tracemalloc.start()
         try:

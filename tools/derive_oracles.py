@@ -24,6 +24,18 @@ form by more than 1e-40:
     for l = 2, 3 and 8 act by a real matrix of determinant 1, which carries
     x(0) = -inf to x(2 pi/l) = -cot(pi/l) and is [[a1 + b1, a2 - b2],
     [-(a2 + b2), a1 - b1]] for the gluing [[a, b], [conj(b), conj(a)]]
+  * the closed forms of the gluings equal the block matrices above
+    normalised to determinant 1, up to sign: the wedge a = (1 + cos(pi/m) e)
+    / (i sin(pi/l)), b = i (cos(pi/m) + cos(pi/l)) e / sin(pi/l), e =
+    e^{pi i/l}, at m = 3, 7 and 8, and at m = inf against the cusp matrix;
+    the quadruple pair a = i e^{2ih} / sin h, b = -i cos h e^{3ih} / sin h,
+    h = pi/(4l), and (conj(a), -b e^{pi i/(2l)}); and the turn of a gluing
+    to a sector, R g R^-1 for R the rotation by phi, is (a, b e^{i phi})
+  * every gluing of ``fuchsian.build_canonical`` on ``GENERATOR_SIGNATURES``
+    (the acceptance set, the ladder, the stress ladder, 200;;1 and 400;;1)
+    lies within ``GENERATOR_TOL`` = 1e-15, relative in the Frobenius norm,
+    of its 50-digit value: the block matrix normalised and turned to its
+    sector by R M R^-1; each gluing further off counts as a miss
   * the midpoint cut M of an odd-order wedge (l=31, m=17 and m=29, the
     odd-order blocks of 20;2,3,17,29;8 beyond m=3) ends its cycle exactly on
     the block's start corner 1: the (J+1)-st rotation image c^(J+1)(M) is 1,
@@ -46,8 +58,8 @@ form by more than 1e-40:
 import sys
 from pathlib import Path
 
-from mpmath import (mp, mpc, mpf, arg, cos, cot, exp, findroot, log, pi,
-                    sqrt, matrix)
+from mpmath import (mp, mpc, mpf, arg, conj, cos, cot, exp, findroot, inf,
+                    log, pi, sin, sqrt, matrix)
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -70,6 +82,13 @@ PQ_SIGNATURES = CYCLE_SIGNATURES + ("15;2,2,2,3,3,3,4,4,4;20",)
 GROWTH_SIGNATURES = PQ_SIGNATURES + ("60;;1",)
 # the float bisection stops at adjacent doubles, a few ulp of x*
 GROWTH_TOL = mpf("1e-12")
+# every float gluing of the acceptance set, the ladder, the stress rows and
+# the two long cusp rows against its 50-digit value
+GENERATOR_SIGNATURES = GROWTH_SIGNATURES + (
+    "100;;1", "40;" + ",".join(map(str, range(3, 43))) + ";10",
+    "0;" + ",".join(map(str, range(3, 63))) + ";1", "200;;1", "400;;1")
+# a few roundings of entries whose determinant is 1 with no cancellation
+GENERATOR_TOL = mpf("1e-15")
 
 
 def wedge_vertex(ell, m):
@@ -98,6 +117,82 @@ def quadruple_gluings(ell):
     a = a / sqrt(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     rot = matrix([[e(1), 0], [0, e(-1)]])
     return a, rot * a ** -1 * rot ** -1
+
+
+def normalised(M):
+    """The top row (a, b) of M divided by a square root of its determinant."""
+    M = M / sqrt(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+    return M[0, 0], M[0, 1]
+
+
+def wedge_closed(ell, m):
+    """The closed form of the wedge gluing of order m, m = inf the cusp:
+    a = (1 + cos(pi/m) e) / (i sin(pi/l)), b = i (cos(pi/m) + cos(pi/l)) e
+    / sin(pi/l), e = e^{pi i/l}."""
+    cm, e, s = (1 if m == inf else cos(pi / m)), exp(1j * pi / ell), sin(pi / ell)
+    return (1 + cm * e) / (1j * s), 1j * (cm + cos(pi / ell)) * e / s
+
+
+def quadruple_closed(ell):
+    """The closed forms of both quadruple gluings, h = pi/(4l): a = i e^{2ih}
+    / sin h, b = -i cos h e^{3ih} / sin h, and the second (conj(a),
+    -b e^{pi i/(2l)})."""
+    h = pi / (4 * ell)
+    a, b = 1j * exp(2j * h) / sin(h), -1j * cos(h) * exp(3j * h) / sin(h)
+    return (a, b), (conj(a), -b * exp(1j * pi / (2 * ell)))
+
+
+def turned(M, phi):
+    """R M R^-1 for the rotation R = diag(e^{i phi/2}, e^{-i phi/2})."""
+    R = matrix([[exp(0.5j * phi), 0], [0, exp(-0.5j * phi)]])
+    return R * M * R ** -1
+
+
+def sign_gap(got, exact):
+    """The normwise relative distance of the gluing ``got`` from ``exact``
+    or its negative: the Frobenius norm of the difference of their matrices
+    [[a, b], [conj(b), conj(a)]] over that of ``exact``."""
+    (a, b), (A, B) = got, exact
+    return min(sqrt(abs(a - s * A) ** 2 + abs(b - s * B) ** 2)
+               for s in (1, -1)) / sqrt(abs(A) ** 2 + abs(B) ** 2)
+
+
+def generator_misses(signatures):
+    """Compare every gluing of ``fuchsian.build_canonical`` with its 50-digit
+    value: the standard block matrix normalised to determinant 1 (its
+    inverses for the quadruple's second and third sides and the wedge's
+    second) and turned by R M R^-1 to its sector; print the worst relative
+    distance per signature and return the misses beyond ``GENERATOR_TOL``."""
+    from fuchsian import Signature, build_canonical
+    from fuchsian.polygon import INFINITY, SQUARE
+
+    standard, misses = {}, []
+    for text in signatures:
+        poly = build_canonical(Signature.parse(text))
+        ell, worst, where = poly.ell, mpf(0), ""
+        for blk in poly.blocks:
+            key = (ell, blk.symbol)
+            if key not in standard:
+                if blk.symbol == SQUARE:
+                    a, b = quadruple_gluings(ell)
+                    standard[key] = [a, b ** -1, a ** -1, b]
+                else:
+                    c = (cusp_gluing(ell) if blk.symbol == INFINITY
+                         else wedge_gluing(ell, blk.symbol))
+                    standard[key] = [c, c ** -1]
+            phi = 2 * pi * blk.index / ell
+            for k, M in enumerate(standard[key]):
+                i = blk.side_start + k
+                g = poly.generators[i]
+                gap = sign_gap((mpc(g.a), mpc(g.b)), normalised(turned(M, phi)))
+                if gap > worst:
+                    worst, where = gap, f"generators[{i}]"
+                if gap > GENERATOR_TOL:
+                    misses.append(f"generator {text} side {i}")
+                    print(f"MISS {misses[-1]}: {mp.nstr(gap, 3)} relative "
+                          f"from its 50-digit value")
+        print(f"generators {text}: worst {mp.nstr(worst, 3)} at {where}")
+    return misses
 
 
 def quadruple_commutator(ell):
@@ -344,6 +439,27 @@ def main():
                   f"[-(a2 + b2), a1 - b1]]",
                   max(abs(x - y) for x, y in zip(entries, kernel)), 0)
 
+    # the closed forms of the gluings equal the block matrices normalised to
+    # determinant 1, up to sign, and the turn to a sector is (a, b e^{i phi})
+    for ell, m in ((2, 3), (5, 7), (6, 8)):
+        check(f"wedge l={ell} m={m}: closed form = normalised matrix",
+              sign_gap(wedge_closed(ell, m), normalised(wedge_gluing(ell, m))),
+              0)
+    for ell in (2, 3, 5):
+        check(f"wedge l={ell} m=inf: closed form = normalised cusp matrix",
+              sign_gap(wedge_closed(ell, inf), normalised(cusp_gluing(ell))),
+              0)
+    for ell in (1, 2, 3):
+        for name, closed, M in zip("ab", quadruple_closed(ell),
+                                   quadruple_gluings(ell)):
+            check(f"quadruple l={ell} {name}: closed form = normalised "
+                  f"matrix", sign_gap(closed, normalised(M)), 0)
+    for phi in (pi / 3, 2 * pi * 17 / 31, 5.5):
+        a, b = wedge_closed(5, 7)
+        check(f"turn by {mp.nstr(phi, 6)}: (a, b e^(i phi)) = R g R^-1",
+              sign_gap((a, b * exp(1j * phi)),
+                       normalised(turned(wedge_gluing(5, 7), phi))), 0)
+
     for ell, m in ((31, 17), (31, 29)):
         J, end = cycle_end(ell, m, "midpoint")
         check(f"wedge l={ell} m={m} midpoint cut: c^{J + 1}(M) = 1 (J = {J})",
@@ -352,6 +468,7 @@ def main():
     misses += cycle_mismatches(CYCLE_SIGNATURES)
     misses += far_end_misses(PQ_SIGNATURES)
     misses += growth_misses(GROWTH_SIGNATURES)
+    misses += generator_misses(GENERATOR_SIGNATURES)
 
     if misses:
         print(f"{len(misses)} derived value(s) miss their closed form by more "
